@@ -66,6 +66,14 @@ let report name sample =
   pf "%-28s %12.0f /s  %8.1f ns/op  %7.1f minor words/op\n%!" name sample.rate
     sample.ns_per_op sample.minor_words_per_op
 
+(* Figures that are not rates: reported under their own JSON key
+   ([name] and [suffix] as for rates), never gated. *)
+let figures : (string * string * float) list ref = ref []
+
+let figure name suffix ~unit value =
+  figures := (name, suffix, value) :: !figures;
+  pf "%-28s %12.0f %s\n%!" name value unit
+
 (* ---------------------------------------------------------------- *)
 (* Bare-engine benchmarks                                            *)
 (* ---------------------------------------------------------------- *)
@@ -229,6 +237,27 @@ let bench_instrument ~ops ~reps =
   report "kv.instrument" (measure ~reps ~ops run)
 
 (* ---------------------------------------------------------------- *)
+(* Checker benchmarks                                                *)
+(* ---------------------------------------------------------------- *)
+
+(* dpor.default rates the DPOR walk of the checker's default shape
+   (Explore.default: 4 threads x 48 ops, ~2.8k tie decisions per run) in
+   explored classes per wall second, and records one walk's major-heap
+   growth per class from a compacted heap. It runs before every other
+   row so the process-wide [top_heap_words] high-water mark is its own. *)
+let bench_dpor_default ~reps =
+  let open Prism_check in
+  let max_classes = 16 in
+  let walk () = ignore (Explore.run_dpor ~max_classes Explore.default) in
+  Gc.compact ();
+  let base = (Gc.quick_stat ()).Gc.heap_words in
+  walk ();
+  let grown = (Gc.quick_stat ()).Gc.top_heap_words - base in
+  report "dpor.default" (measure ~reps ~ops:max_classes walk);
+  figure "dpor.default" "heap_bytes_per_class" ~unit:"heap bytes/class"
+    (float_of_int (grown * (Sys.word_size / 8)) /. float_of_int max_classes)
+
+(* ---------------------------------------------------------------- *)
 (* Fleet benchmarks                                                  *)
 (* ---------------------------------------------------------------- *)
 
@@ -359,6 +388,11 @@ let write_json path ~quick =
            (json_key name "minor_words_per_op")
            s.minor_words_per_op))
     (List.rev !results);
+  List.iter
+    (fun (name, suffix, v) ->
+      Buffer.add_string b
+        (Printf.sprintf ",\n  %S: %.1f" (json_key name suffix) v))
+    (List.rev !figures);
   Buffer.add_string b "\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents b);
@@ -408,6 +442,7 @@ let gated_keys () =
     "arrival_poisson_per_sec";
     "store_prism_per_sec";
     "fleet_dpor_per_sec";
+    "dpor_default_per_sec";
   ]
   (* The speedup ratio only measures anything when two domains can
      actually run in parallel; on a single-core host it reads the cost
@@ -491,6 +526,7 @@ let () =
     let reps = if quick then 2 else 3 in
     pf "prism simulation perf harness (%s)\n\n"
       (if quick then "quick" else "full");
+    bench_dpor_default ~reps;
     bench_engine_dispatch ~ops:engine_ops ~reps;
     bench_engine_process ~ops:engine_ops ~reps;
     bench_heap ~ops:comp_ops ~reps;

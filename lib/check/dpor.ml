@@ -2,6 +2,12 @@ open Prism_sim
 open Prism_fleet
 
 module Iset = Set.Make (Int)
+module Imap = Map.Make (Int)
+
+(* One decision taken on the way to a node: the pick made at an
+   ancestor, with just enough of that ancestor's tie set to detect
+   divergence on replay. *)
+type step = { n_alts : int; seq : int; pick : int }
 
 (* One decision point of the choice tree. [alts] is the tie set the
    engine presented (scheduling order, so index 0 is the FIFO pick);
@@ -9,19 +15,15 @@ module Iset = Set.Make (Int)
    simulation is deterministic, so re-running the same choice prefix
    reproduces the same tie set with the same seqs.
 
-   Exploration is tree-shaped rather than a DFS stack: every node ever
-   reached stays live until all its branch candidates have started, and
-   each run targets one (node, alternative) pair, replaying the node's
-   recorded path to get there. This lets the scheduler pick *which*
-   frontier to extend next (see [order] in {!explore}) instead of being
-   forced into deepest-first backtracking. *)
+   Exploration is tree-shaped rather than a DFS stack: every node with a
+   branch candidate left stays on the frontier until all its candidates
+   have started, and each run targets one (node, alternative) pair,
+   replaying the node's path to get there. A path is its parent's path
+   plus one step, sharing the tail, so it costs one step per node and
+   keeps no ancestor node alive. *)
 type node = {
-  mutable id : int;  (* commit order — assigned when the creating run
-                        commits (creation order in the serial walk); -1
-                        while the run is still speculative *)
   depth : int;  (* decision index of this node within its runs *)
-  path_nodes : node array;  (* ancestor decisions, root first *)
-  path_picks : int array;  (* pick taken at each ancestor *)
+  path : step list;  (* picks from the root, innermost first *)
   alts : Engine.alt array;
   sleep : Iset.t;  (* seqs asleep on entry to this node *)
   branch : Iset.t;  (* persistent set: seqs eligible for branching here *)
@@ -108,10 +110,26 @@ let candidate_with started n =
 
 let candidate n = candidate_with n.started n
 
-let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
+let explore ?(full = false) ?(stop_on = fun _ -> false)
     ?(on_commit = fun ~run:_ _ -> ()) ?pool ~max_classes ~dependent run_fn =
-  let nodes : node list ref = ref [] in
-  let node_count = ref 0 in
+  (* The frontier: nodes with a branch candidate left, in non-empty
+     per-depth buckets, each in commit order. The walk targets the head
+     of the shallowest bucket — shallowest first, commit order breaking
+     ties — so small budgets spread across the whole schedule instead of
+     permuting its tail. *)
+  let frontier : node Queue.t Imap.t ref = ref Imap.empty in
+  let join (f : node) =
+    match Imap.find_opt f.depth !frontier with
+    | Some q -> Queue.push f q
+    | None ->
+        frontier := Imap.add f.depth (Queue.of_seq (Seq.return f)) !frontier
+  in
+  let next_target () =
+    Imap.min_binding_opt !frontier
+    |> Option.map (fun (_, q) ->
+           let n = Queue.peek q in
+           (n, candidate n))
+  in
   let classes = ref [] in
   let n_classes = ref 0 in
   let runs = ref 0 in
@@ -132,9 +150,14 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
      [snapshot] is the [started] set the run assumes at the target node;
      the run works on a local shadow of the node (grown by its own pick)
      instead of publishing the update, and the coordinator validates the
-     snapshot is still current at commit time. Fresh nodes carry [id]
-     -1 until the commit numbers them. *)
+     snapshot is still current at commit time. Only fresh nodes with a
+     branch candidate are returned, since the rest can never be
+     targeted. *)
   let spec_run (target : (node * int) option) ~snapshot =
+    (* Steps still to replay before the target, root first. *)
+    let replay =
+      ref (match target with Some (n, _) -> List.rev n.path | None -> [])
+    in
     let label_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
     let fresh : node list ref = ref [] in
     (* Parent of the next fresh decision point, with the index taken
@@ -151,15 +174,13 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
       let d = !depth in
       incr depth;
       let pick =
-        match target with
-        | Some (n, _) when d < n.depth ->
-            let anc = n.path_nodes.(d) and p = n.path_picks.(d) in
-            if
-              Array.length anc.alts <> Array.length alts
-              || anc.alts.(p).seq <> alts.(p).seq
+        match (!replay, target) with
+        | s :: rest, _ ->
+            replay := rest;
+            if Array.length alts <> s.n_alts || alts.(s.pick).seq <> s.seq
             then raise Diverged;
-            p
-        | Some (n, i) when d = n.depth ->
+            s.pick
+        | [], Some (n, i) when d = n.depth ->
             if
               Array.length n.alts <> Array.length alts
               || n.alts.(i).seq <> alts.(i).seq
@@ -167,9 +188,8 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
             target_forced := true;
             (* Run-local shadow: descendants must see [started] grown by
                this run's own pick, but the real node is only updated at
-               commit. Only [alts]/[sleep]/[started] of [last] are ever
-               read downstream, so the copy is safe to thread through
-               child paths. *)
+               commit. Children only read [last]'s fields, never mutate
+               it, so the copy is safe to thread through their paths. *)
             last := Some ({ n with started = Iset.add n.alts.(i).seq snapshot }, i);
             i
         | _ ->
@@ -211,26 +231,24 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
                 0
               end
               else begin
-                let path_nodes, path_picks =
+                let path =
                   match !last with
-                  | None -> ([||], [||])
+                  | None -> []
                   | Some (p, ti) ->
-                      ( Array.append p.path_nodes [| p |],
-                        Array.append p.path_picks [| ti |] )
+                      let seq = p.alts.(ti).seq in
+                      { n_alts = Array.length p.alts; seq; pick = ti } :: p.path
                 in
                 let node =
                   {
-                    id = -1;
                     depth = d;
-                    path_nodes;
-                    path_picks;
+                    path;
                     alts;
                     sleep;
                     branch = closure ~full ~dependent alts alts.(!taken).seq;
                     started = Iset.singleton alts.(!taken).seq;
                   }
                 in
-                fresh := node :: !fresh;
+                if candidate node >= 0 then fresh := node :: !fresh;
                 last := Some (node, !taken);
                 !taken
               end
@@ -253,21 +271,26 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
       List.rev !fresh (* creation order *) )
   in
   let stopped = ref false in
-  (* Publish a finished run: update the target's persistent state,
-     number and adopt the fresh nodes, account the class. Commit order
-     IS the serial exploration order, so everything downstream (ids,
-     run numbers, class indices, [on_commit] calls) is byte-identical
-     to the serial walk whatever executed the runs. *)
+  (* Publish a finished run: update the target's persistent state
+     (dropping it from the frontier once exhausted), adopt the fresh
+     nodes, account the class. Commit order IS the serial exploration
+     order, so everything downstream (frontier order, run numbers, class
+     indices, [on_commit] calls) is byte-identical to the serial walk
+     whatever executed the runs. *)
   let commit (result, redundant, rdepth, choices, fresh) target =
     (match target with
-    | Some ((n : node), i) -> n.started <- Iset.add n.alts.(i).seq n.started
+    | Some ((n : node), i) ->
+        n.started <- Iset.add n.alts.(i).seq n.started;
+        (* Every commit's target came from [next_target]: the head of
+           the shallowest bucket. *)
+        if candidate n < 0 then begin
+          let q = Imap.find n.depth !frontier in
+          let head = Queue.pop q in
+          assert (head == n);
+          if Queue.is_empty q then frontier := Imap.remove n.depth !frontier
+        end
     | None -> ());
-    List.iter
-      (fun f ->
-        f.id <- !node_count;
-        incr node_count)
-      fresh;
-    nodes := List.rev_append fresh !nodes;
+    List.iter join fresh;
     incr runs;
     if redundant then incr pruned
     else begin
@@ -280,137 +303,109 @@ let explore ?(order = `Frontier) ?(full = false) ?(stop_on = fun _ -> false)
     on_commit ~run:!runs result;
     if !n_classes >= max_classes then stopped := true
   in
-  (* Next frontier to extend. [`Frontier] branches at the shallowest
-     pending node (earliest decision with an uncovered dependent
-     ordering), creation order breaking ties — small budgets spread
-     across the whole schedule instead of permuting its tail.
-     [`Deepest] takes the most recently created node, which reproduces
-     the old DFS backtracking order. *)
-  let select l =
-    let better (a : node) (b : node) =
-      match order with
-      | `Frontier ->
-          if a.depth <> b.depth then a.depth < b.depth else a.id < b.id
-      | `Deepest -> a.id > b.id
-    in
-    List.fold_left (fun acc n -> if better n acc then n else acc)
-      (List.hd l) (List.tl l)
+  (* One serial step: run the target inline, then commit it. *)
+  let run_inline ((n, _) as t) =
+    commit (spec_run (Some t) ~snapshot:n.started) (Some t)
   in
-  let next_target () =
-    nodes := List.filter (fun n -> candidate n >= 0) !nodes;
-    match !nodes with
-    | [] -> None
-    | l ->
-        let n = select l in
-        Some (n, candidate n)
+  (* Speculative frontier walk. The serial algorithm is a chain — each
+     run's fresh nodes feed the next selection — so parallelism comes
+     from *predicting* the next few selections and running them
+     speculatively, while the coordinator commits strictly in the serial
+     selection order. Before consuming each speculative result it
+     recomputes the true next target from committed state; a prediction
+     holds unless a committed run created a node that preempts the
+     selection (or grew the target's [started] under it), in which case
+     the walk falls back to one serial step and re-predicts the rest of
+     the batch. Commits are the only mutation of shared state, so
+     discarded speculations leave no trace and the report is
+     byte-identical to the serial walk. *)
+  let speculative pool =
+    let window = 2 * Fleet.jobs pool in
+    (* Predict the next [window] (node, alt, started-snapshot) targets by
+       replaying the selection rule against a shadow [started] set that
+       grows with each predicted pick. Only the node under the cursor has
+       a shadow: every node before it in frontier order is exhausted under
+       its own shadow, and shadows only grow, so one ascending pass over
+       the frontier is the selection sequence. Fresh speculative nodes
+       are invisible to the pass (they only join at commit), so
+       predictions beyond the next commit can be preempted. *)
+    let predict () =
+      let rec go nodes started k acc =
+        if k = window then List.rev acc
+        else
+          match nodes () with
+          | Seq.Nil -> List.rev acc
+          | Seq.Cons (n, rest) ->
+              let snap = Option.value started ~default:n.started in
+              let i = candidate_with snap n in
+              if i < 0 then go rest None k acc
+              else
+                go nodes
+                  (Some (Iset.add n.alts.(i).seq snap))
+                  (k + 1)
+                  ((n, i, snap) :: acc)
+      in
+      Imap.to_seq !frontier
+      |> Seq.flat_map (fun (_, q) -> Queue.to_seq q)
+      |> fun nodes -> go nodes None 0 []
+    in
+    (* In-flight speculations, head = predicted next commit. After a
+       mispredict the tail is re-predicted against the corrected frontier
+       instead of being discarded: any in-flight future whose (node,
+       alternative, snapshot) triple survives re-prediction is still a
+       valid run of that target and is kept; only genuinely new targets
+       are submitted. Stale futures are dropped — never committed, so
+       they never existed as far as the report is concerned (an idle
+       worker may still burn cycles on one). *)
+    let inflight = ref [] in
+    let refill () =
+      let old = !inflight in
+      inflight :=
+        List.map
+          (fun (n, i, snap) ->
+            match
+              List.find_opt
+                (fun (n', i', snap', _) ->
+                  n' == n && i' = i && Iset.equal snap snap')
+                old
+            with
+            | Some entry -> entry
+            | None ->
+                ( n,
+                  i,
+                  snap,
+                  Fleet.submit pool (fun () ->
+                      spec_run (Some (n, i)) ~snapshot:snap) ))
+          (predict ())
+    in
+    fun (n', i') ->
+      (if !inflight = [] then refill ());
+      match !inflight with
+      | (n, i, snap, fu) :: rest
+        when n' == n && i' = i && Iset.equal snap n.started ->
+          inflight := rest;
+          commit (Fleet.await pool fu) (Some (n, i))
+      | _ ->
+          (* Mispredicted (or prediction exhausted): one inline serial
+             step against the true frontier, then rebuild the window,
+             reusing whatever still matches. *)
+          run_inline (n', i');
+          refill ()
+  in
+  let step =
+    match pool with
+    | Some pool when Fleet.jobs pool > 1 -> speculative pool
+    | _ -> run_inline
   in
   (* The root run builds the initial tree and must run alone. *)
   commit (spec_run None ~snapshot:Iset.empty) None;
-  (match pool with
-  | Some pool when Fleet.jobs pool > 1 ->
-      (* Speculative frontier walk. The serial algorithm is a chain —
-         each run's fresh nodes feed the next selection — so parallelism
-         comes from *predicting* the next few selections and running
-         them speculatively, while the coordinator commits strictly in
-         the serial selection order. Before consuming each speculative
-         result it recomputes the true next target from committed state;
-         a prediction holds unless a committed run created a node that
-         preempts the selection (or grew the target's [started] under
-         it), in which case the walk falls back to one serial step and
-         the rest of the batch is discarded. Commits are the only
-         mutation of shared state, so discarded speculations leave no
-         trace and the report is byte-identical to the serial walk. *)
-      let window = 2 * Fleet.jobs pool in
-      (* Predict the next [window] (node, alt, started-snapshot) targets
-         by replaying the selection rule against a shadow frontier whose
-         started sets grow with each predicted pick. Fresh speculative
-         nodes are invisible to the shadow (they only exist at commit),
-         so predictions beyond the next commit can be preempted. *)
-      let predict () =
-        let shadow : (int, Iset.t) Hashtbl.t = Hashtbl.create 16 in
-        let started_of n =
-          match Hashtbl.find_opt shadow n.id with
-          | Some s -> s
-          | None -> n.started
-        in
-        let preds = ref [] in
-        let n_preds = ref 0 in
-        let exhausted = ref false in
-        while (not !exhausted) && !n_preds < window do
-          match
-            List.filter (fun n -> candidate_with (started_of n) n >= 0) !nodes
-          with
-          | [] -> exhausted := true
-          | live ->
-              let n = select live in
-              let i = candidate_with (started_of n) n in
-              let snap = started_of n in
-              preds := (n, i, snap) :: !preds;
-              incr n_preds;
-              Hashtbl.replace shadow n.id (Iset.add n.alts.(i).seq snap)
-        done;
-        List.rev !preds
-      in
-      (* In-flight speculations, head = predicted next commit. After a
-         mispredict the tail is re-predicted against the corrected
-         frontier instead of being discarded: any in-flight future whose
-         (node, alternative, snapshot) triple survives re-prediction is
-         still a valid run of that target and is kept; only genuinely
-         new targets are submitted. Stale futures are dropped — never
-         committed, so they never existed as far as the report is
-         concerned (an idle worker may still burn cycles on one). *)
-      let inflight = ref [] in
-      let refill () =
-        let old = !inflight in
-        inflight :=
-          List.map
-            (fun (n, i, snap) ->
-              match
-                List.find_opt
-                  (fun (n', i', snap', _) ->
-                    n' == n && i' = i && Iset.equal snap snap')
-                  old
-              with
-              | Some entry -> entry
-              | None ->
-                  ( n,
-                    i,
-                    snap,
-                    Fleet.submit pool (fun () ->
-                        spec_run (Some (n, i)) ~snapshot:snap) ))
-            (predict ())
-      in
-      while not !stopped do
-        match next_target () with
-        | None ->
-            complete := true;
-            stopped := true
-        | Some (n', i') -> (
-            (if !inflight = [] then refill ());
-            match !inflight with
-            | (n, i, snap, fu) :: rest
-              when n' == n && i' = i && Iset.equal snap n.started ->
-                inflight := rest;
-                commit (Fleet.await pool fu) (Some (n, i))
-            | _ ->
-                (* Mispredicted (or prediction exhausted): one inline
-                   serial step against the true frontier, then rebuild
-                   the window, reusing whatever still matches. *)
-                commit
-                  (spec_run (Some (n', i')) ~snapshot:n'.started)
-                  (Some (n', i'));
-                refill ())
-      done
-  | _ ->
-      (* Serial walk: same spec_run/commit pair, back to back. *)
-      while not !stopped do
-        match next_target () with
-        | None ->
-            complete := true;
-            stopped := true
-        | Some (n, i) ->
-            commit (spec_run (Some (n, i)) ~snapshot:n.started) (Some (n, i))
-      done);
+  while not !stopped do
+    match next_target () with
+    | None ->
+        complete := true;
+        stopped := true
+    | Some t -> step t
+  done;
   {
     classes = List.rev !classes;
     explored = !n_classes;

@@ -36,19 +36,28 @@
     brute-force reference.
 
     {b Exploration order.} The walk is tree-shaped: every decision point
-    ever reached stays live until all its eligible alternatives have
-    started a subtree, and each run targets one (node, alternative)
-    pair by replaying the node's recorded path. [`Frontier] (the
-    default) always branches at the {e shallowest} node that still has
-    an uncovered dependent ordering, so a small [max_classes] budget
-    spreads coverage across the whole schedule — each early class
-    reorders a different region instead of permuting the tail of the
-    first schedule. [`Deepest] branches at the most recently created
-    node, reproducing classic DFS backtracking. Both orders visit the
-    same class set at exhaustion (sleep sets are order-independent:
-    an alternative falls asleep in its siblings as soon as its own
-    subtree starts), so the heuristic only changes {e which} classes a
-    truncated budget sees. *)
+    with an eligible alternative left sits on an ordered frontier
+    (per-depth buckets in commit order) until all those alternatives have
+    started a subtree, and each run targets one (node, alternative) pair.
+    The walk always branches at the {e shallowest} frontier node (ties
+    broken by creation order), so a
+    small [max_classes] budget spreads coverage across the whole
+    schedule — each early class reorders a different region instead of
+    permuting the tail of the first schedule. Sleep sets are
+    order-independent (an alternative falls asleep in its siblings as
+    soon as its own subtree starts), so the order only changes
+    {e which} classes a truncated budget sees, not the class set at
+    exhaustion.
+
+    {b Memory.} A node does not copy its ancestor path. Its path is an
+    immutable list of parent steps — the tie-set size, picked index and
+    picked seq of each ancestor decision — whose tail it shares with its
+    parent and siblings; a run unrolls its target's path once and checks
+    every replayed tie set against it, raising {!Diverged} on a
+    mismatch. Decision points with no alternative left never join the
+    frontier and leave it once exhausted, so the collector reclaims them
+    while their descendants' steps live on. State therefore grows
+    linearly in the number of explored nodes, not in depth squared. *)
 
 type 'a class_result = {
   index : int;  (** 0-based equivalence-class index, exploration order *)
@@ -79,10 +88,8 @@ exception Diverged
     extends it by first-awake choices. Exploration stops when the tree is
     exhausted, [max_classes] classes completed, or [stop_on result] is
     true for a completed class. [dependent] is the conflict relation over
-    event labels; [order] picks the frontier heuristic described above
-    (default [`Frontier]); [full = true] disables persistent-set pruning
-    {e and} sleep sets — the exhaustive walk used as a brute-force
-    reference.
+    event labels; [full = true] disables persistent-set pruning {e and}
+    sleep sets — the exhaustive walk used as a brute-force reference.
 
     [on_commit ~run result] fires once per committed run (including
     pruned ones), in commit order, with the 1-based run number — use it
@@ -90,7 +97,8 @@ exception Diverged
 
     {b Parallel exploration.} With [pool] (of more than one lane), runs
     execute speculatively on worker domains: the coordinator predicts
-    the next few serial selections, farms them out, and commits results
+    the next few serial selections (one ordered pass over the frontier),
+    farms them out, and commits results
     strictly in the serial selection order after re-validating each
     prediction against committed state (falling back to one serial step
     when a committed run's fresh nodes preempt the predicted target).
@@ -100,7 +108,6 @@ exception Diverged
     domain-safe: each call builds its own engine/stores and shares
     nothing mutable. *)
 val explore :
-  ?order:[ `Frontier | `Deepest ] ->
   ?full:bool ->
   ?stop_on:('a -> bool) ->
   ?on_commit:(run:int -> 'a -> unit) ->

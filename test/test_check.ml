@@ -830,16 +830,15 @@ let test_scan_clean_strict () =
 (* ---- frontier heuristic ---- *)
 
 (* Two threads, three lockstep writes to one key: 8 classes, one binary
-   decision per instant. Under a 4-class budget, [`Deepest] (DFS
-   backtracking) only ever permutes the tail — every class it completes
-   starts with thread 0 — while [`Frontier] revisits the shallowest open
-   node and covers both first-step orders. At exhaustion the orders
-   agree. *)
+   decision per instant. DFS backtracking would spend a 4-class budget
+   permuting the tail — every class starting with thread 0 — while the
+   shallowest-first frontier revisits the root and covers both
+   first-step orders. *)
 let test_dpor_frontier_spread () =
   let progs = [ List.init 3 (fun _ -> (0, true)); List.init 3 (fun _ -> (0, true)) ] in
   let run ~choose = micro_run progs ~tie:(Engine.Guided choose) in
-  let first_tids order budget =
-    let rep = Dpor.explore ~order ~max_classes:budget ~dependent:History.conflicting run in
+  let first_tids budget =
+    let rep = Dpor.explore ~max_classes:budget ~dependent:History.conflicting run in
     ( List.sort_uniq compare
         (List.filter_map
            (fun c ->
@@ -847,17 +846,39 @@ let test_dpor_frontier_spread () =
            rep.Dpor.classes),
       rep.Dpor.explored )
   in
-  let deep, deep_n = first_tids `Deepest 4 in
-  Alcotest.(check int) "deepest completed its budget" 4 deep_n;
-  Alcotest.(check (list int)) "deepest only permutes the tail" [ 0 ] deep;
-  let front, front_n = first_tids `Frontier 4 in
+  let front, front_n = first_tids 4 in
   Alcotest.(check int) "frontier completed its budget" 4 front_n;
   Alcotest.(check (list int)) "frontier covers both first-step orders"
     [ 0; 1 ] front;
-  let _, deep_all = first_tids `Deepest 64 in
-  let _, front_all = first_tids `Frontier 64 in
-  Alcotest.(check int) "deepest exhausts to all 8 classes" 8 deep_all;
-  Alcotest.(check int) "frontier exhausts to the same 8" 8 front_all
+  let _, front_all = first_tids 64 in
+  Alcotest.(check int) "frontier exhausts to all 8 classes" 8 front_all
+
+(* Golden walk of the default checker shape. The digest pins the exact
+   class sequence — run numbers and every decision list — so a change to
+   how the tree is stored or the frontier is kept must reproduce the
+   walk byte for byte; a change that means to alter selection or class
+   order has to re-pin it deliberately. *)
+let test_dpor_golden_default () =
+  let rep = Explore.run_dpor ~max_classes:8 Explore.default in
+  Alcotest.(check (list int)) "classes/runs/pruned" [ 8; 8; 0 ]
+    [ rep.Explore.classes; rep.Explore.runs; rep.Explore.pruned ];
+  let walk =
+    Dpor.explore ~max_classes:8 ~dependent:History.conflicting (fun ~choose ->
+        Explore.run_tie Explore.default ~tie:(Engine.Guided choose))
+  in
+  Alcotest.(check (list int)) "same walk through Dpor directly"
+    [ rep.Explore.classes; rep.Explore.runs; rep.Explore.pruned ]
+    [ walk.Dpor.explored; walk.Dpor.runs; walk.Dpor.pruned ];
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (c : _ Dpor.class_result) ->
+      Buffer.add_string b (string_of_int c.Dpor.run);
+      Buffer.add_char b ':';
+      Array.iter (fun x -> Buffer.add_string b (string_of_int x ^ ",")) c.Dpor.choices;
+      Buffer.add_char b ';')
+    walk.Dpor.classes;
+  Alcotest.(check string) "class choices digest" "c1241b46fa635dbf8bb7f2cf632231fd"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ---- shrinking ---- *)
 
@@ -1233,6 +1254,7 @@ let () =
           case "svc fault within budget" test_dpor_svc_budget;
           case "hsit fault within budget" test_dpor_hsit_budget;
           case "frontier spreads a truncated budget" test_dpor_frontier_spread;
+          case "default walk matches its golden digest" test_dpor_golden_default;
         ] );
       ( "scan-faults",
         [
