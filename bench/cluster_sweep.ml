@@ -20,6 +20,7 @@
 open Prism_sim
 open Prism_harness
 open Prism_workload
+open Prism_cli
 
 let pf fmt = Printf.printf fmt
 
@@ -31,12 +32,7 @@ type config = {
   shard_counts : int list;
   txn_every : int; (* every K-th put becomes a 3-key 2PC batch; 0 = none *)
   mix : Ycsb.mix;
-  records : int;
-  value_size : int;
-  threads : int;
-  theta : float;
-  ops : int;
-  seed : int64;
+  s : Setup.scenario; (* ops per cell whatever the mix *)
 }
 
 let default_config =
@@ -44,16 +40,16 @@ let default_config =
     shard_counts = [ 1; 2; 4 ];
     txn_every = 8;
     mix = Ycsb.ycsb_a;
-    records = 8_000;
-    value_size = 256;
-    threads = 4;
-    theta = 0.99;
-    ops = 20_000;
-    seed = 0xC0FFEEL;
+    s =
+      { Setup.default_scenario with records = 8_000; threads = 4; ops = 20_000 };
   }
 
 let quick_config =
-  { default_config with shard_counts = [ 1; 2 ]; records = 4_000; ops = 8_000 }
+  {
+    default_config with
+    shard_counts = [ 1; 2 ];
+    s = { default_config.s with records = 4_000; ops = 8_000 };
+  }
 
 (* ---------------------------------------------------------------- *)
 (* One cell: shard count -> measurements                             *)
@@ -73,71 +69,33 @@ type cell = {
 }
 
 let run_cell cfg ~shards =
+  let s = cfg.s in
   let e = Engine.create () in
-  let s =
-    {
-      Setup.default_scenario with
-      records = cfg.records;
-      value_size = cfg.value_size;
-      threads = cfg.threads;
-      theta = cfg.theta;
-      ops = cfg.ops;
-      seed = cfg.seed;
-    }
-  in
   (* Prepare records carry the batch's writes, and nothing truncates the
      logs mid-run, so size them for the whole phase: every batch may land
      all three writes on one shard (with key + length framing), 2x slack. *)
   let plog_size =
-    let batches = (cfg.ops / max 1 cfg.txn_every) + 1 in
-    max (1 lsl 20) (batches * 3 * (cfg.value_size + 64) * 2)
+    let batches = (s.ops / max 1 cfg.txn_every) + 1 in
+    max (1 lsl 20) (batches * 3 * (s.value_size + 64) * 2)
   in
   let ccfg =
     {
       Prism_cluster.Cluster.default with
       Prism_cluster.Cluster.shards;
       plog_size;
-      seed = cfg.seed;
+      seed = s.seed;
     }
   in
   let cluster, base_kv = Prism_cluster.Cluster.of_scenario e ccfg s in
-  (* Mirror prism_ycsb --txn-every: every K-th put carries two extra
-     uniform-random keys through Cluster.batch, so the measured phase
-     commits cross-shard transactions at a fixed rate. *)
-  let base_kv =
-    if cfg.txn_every <= 0 then base_kv
-    else begin
-      let count = ref 0 in
-      let rng = Rng.create (Int64.add cfg.seed 0x7cL) in
-      {
-        base_kv with
-        Kv.put =
-          (fun ~tid key value ->
-            incr count;
-            if !count mod cfg.txn_every = 0 then
-              let extras =
-                List.init 2 (fun _ ->
-                    (Ycsb.key_of (Rng.int rng cfg.records), value))
-              in
-              match
-                Prism_cluster.Cluster.batch cluster ~tid
-                  ((key, value) :: extras)
-              with
-              | Prism_cluster.Cluster.Committed
-              | Prism_cluster.Cluster.Aborted ->
-                  ()
-            else base_kv.Kv.put ~tid key value);
-      }
-    end
+  (* Mirror prism_ycsb --txn-every, so the measured phase commits
+     cross-shard transactions at a fixed rate. *)
+  let kv =
+    Kv.instrument e
+      (Prism_cluster.Cluster.with_batches cluster base_kv ~every:cfg.txn_every
+         ~records:s.records ~seed:s.seed)
   in
-  let kv = Kv.instrument e base_kv in
-  ignore
-    (Runner.load e kv ~threads:cfg.threads ~records:cfg.records
-       ~value_size:cfg.value_size ~seed:cfg.seed);
-  let r =
-    Runner.run e kv cfg.mix ~threads:cfg.threads ~records:cfg.records
-      ~ops:cfg.ops ~theta:cfg.theta ~value_size:cfg.value_size ~seed:cfg.seed
-  in
+  ignore (Runner.load e kv s);
+  let r = Runner.run ~ops:s.ops e kv cfg.mix s in
   let gi = Stats.get_int (Engine.stats e) in
   let commits, aborts, prepares =
     Prism_cluster.Cluster.txn_stats cluster
@@ -161,9 +119,7 @@ let run_points cfg ~jobs =
   let counts = Array.of_list cfg.shard_counts in
   let n = Array.length counts in
   let cells =
-    Prism_fleet.Fleet.with_pool ~jobs:(min jobs n) (fun pool ->
-        Prism_fleet.Fleet.map pool n (fun i ->
-            run_cell cfg ~shards:counts.(i)))
+    Prism_fleet.Fleet.farm ~jobs n (fun i -> run_cell cfg ~shards:counts.(i))
   in
   List.init n (fun k ->
       let c = cells.(k) in
@@ -231,37 +187,38 @@ let print_verdict cfg points =
         pf "  cluster: verdict PASS (2PC resolved; coordination scales)\n"
       else pf "  cluster: verdict FAIL\n"
 
-(* ---------------------------------------------------------------- *)
-(* JSON export                                                       *)
-(* ---------------------------------------------------------------- *)
-
-(* Hand-rolled like Stats.to_json: fixed field order, fixed float
-   formats, so the same seed writes byte-identical output. *)
+(* prism-cluster-v1: fixed member order and float formats, so the same
+   seed writes byte-identical output. *)
 let json_of_points cfg points =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"prism-cluster-v1\",\n";
-  add "  \"seed\": %Ld,\n" cfg.seed;
-  add "  \"mix\": %S,\n" cfg.mix.Ycsb.name;
-  add "  \"records\": %d,\n" cfg.records;
-  add "  \"value_size\": %d,\n" cfg.value_size;
-  add "  \"threads\": %d,\n" cfg.threads;
-  add "  \"theta\": %.4f,\n" cfg.theta;
-  add "  \"ops\": %d,\n" cfg.ops;
-  add "  \"txn_every\": %d,\n" cfg.txn_every;
-  add "  \"points\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then add ",";
-      add "\n    { \"shards\": %d, \"kops\": %.3f" c.shards c.kops;
-      add ", \"p50_us\": %.3f, \"p99_us\": %.3f" c.p50_us c.p99_us;
-      add ", \"txn_commits\": %d, \"txn_aborts\": %d" c.commits c.aborts;
-      add ", \"txn_prepares\": %d, \"ops_routed\": %d" c.prepares c.routed;
-      add ", \"net_msgs\": %d, \"net_bytes\": %d }" c.net_msgs c.net_bytes)
-    points;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let open Json in
+  let point c =
+    Row
+      [
+        ("shards", Int c.shards);
+        ("kops", fixed 3 c.kops);
+        ("p50_us", fixed 3 c.p50_us);
+        ("p99_us", fixed 3 c.p99_us);
+        ("txn_commits", Int c.commits);
+        ("txn_aborts", Int c.aborts);
+        ("txn_prepares", Int c.prepares);
+        ("ops_routed", Int c.routed);
+        ("net_msgs", Int c.net_msgs);
+        ("net_bytes", Int c.net_bytes);
+      ]
+  in
+  Obj
+    [
+      ("schema", Str "prism-cluster-v1");
+      ("seed", int64 cfg.s.seed);
+      ("mix", Str cfg.mix.Ycsb.name);
+      ("records", Int cfg.s.records);
+      ("value_size", Int cfg.s.value_size);
+      ("threads", Int cfg.s.threads);
+      ("theta", fixed 4 cfg.s.theta);
+      ("ops", Int cfg.s.ops);
+      ("txn_every", Int cfg.txn_every);
+      ("points", Arr (List.map point points));
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* CLI                                                               *)
@@ -269,83 +226,14 @@ let json_of_points cfg points =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized sweep: 2 shard counts, smaller run")
-  in
-  let shard_counts =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shard-counts" ] ~doc:"Comma-separated shard counts")
-  in
-  let txn_every =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "txn-every" ] ~docv:"K"
-          ~doc:"Every $(docv)-th put becomes a 3-key 2PC batch; 0 disables")
-  in
-  let mix =
-    Arg.(
-      value & opt string "a"
-      & info [ "mix" ] ~doc:"Workload mix: a|b|c|d|e|nutanix")
-  in
-  let records =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "records" ] ~doc:"Dataset size in keys")
-  in
-  let ops =
-    Arg.(
-      value & opt (some int) None & info [ "ops" ] ~doc:"Operations per cell")
-  in
-  let threads =
-    Arg.(
-      value & opt (some int) None & info [ "threads" ] ~doc:"Client threads")
-  in
-  let seed =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "seed" ] ~doc:"Sweep seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write the sweep as JSON to $(docv)" ~docv:"FILE")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains running sweep cells. Output is byte-identical \
-             for any $(docv); 0 means one per core.")
-  in
-  let main quick shard_counts txn_every mix records ops threads seed json jobs
-      =
+  let main quick shard_counts txn_every mix scenario json jobs =
     let base = if quick then quick_config else default_config in
-    let mix =
-      match Ycsb.mix_of_name mix with
-      | Some m -> m
-      | None -> failwith ("unknown mix: " ^ mix)
-    in
     let cfg =
       {
-        base with
-        shard_counts =
-          (match shard_counts with
-          | Some s ->
-              String.split_on_char ',' s
-              |> List.map (fun x -> int_of_string (String.trim x))
-          | None -> base.shard_counts);
+        shard_counts = Option.value shard_counts ~default:base.shard_counts;
         txn_every = Option.value txn_every ~default:base.txn_every;
         mix;
-        records = Option.value records ~default:base.records;
-        ops = Option.value ops ~default:base.ops;
-        threads = Option.value threads ~default:base.threads;
-        seed;
+        s = scenario base.s;
       }
     in
     let t0 = Unix.gettimeofday () in
@@ -353,29 +241,26 @@ let () =
       (Printf.sprintf
          "Cluster shard-sweep: mix %s, %d keys x %dB, %d threads, %d \
           ops/cell, txn every %d"
-         cfg.mix.Ycsb.name cfg.records cfg.value_size cfg.threads cfg.ops
-         cfg.txn_every);
-    let jobs =
-      if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-    in
+         cfg.mix.Ycsb.name cfg.s.records cfg.s.value_size cfg.s.threads
+         cfg.s.ops cfg.txn_every);
     let points = run_points cfg ~jobs in
     print_table points;
     print_verdict cfg points;
     (match json with
     | Some path ->
-        let oc = open_out path in
-        output_string oc (json_of_points cfg points);
-        close_out oc;
+        Json.write path (json_of_points cfg points);
         pf "\nwrote cluster sweep to %s\n" path
     | None -> ());
     pf "\nSweep done in %.1fs wall.\n" (Unix.gettimeofday () -. t0)
   in
-  let cmd =
-    Cmd.v
-      (Cmd.info "prism-cluster-sweep"
-         ~doc:"Shard-scaling sweep of the 2PC Prism cluster")
-      Term.(
-        const main $ quick $ shard_counts $ txn_every $ mix $ records $ ops
-        $ threads $ seed $ json $ jobs)
-  in
-  exit (Cmd.eval cmd)
+  Cli.exec ~name:"prism-cluster-sweep"
+    ~doc:"Shard-scaling sweep of the 2PC Prism cluster"
+    Term.(
+      const main
+      $ Cli.quick ~doc:"CI-sized sweep: 2 shard counts, smaller run"
+      $ Cli.csv Arg.int "shard-counts" ~doc:"Comma-separated shard counts"
+      $ Cli.txn_every $ Cli.mix "a"
+      $ Cli.scenario ~threads:("threads", "Client threads")
+          ~ops:"Operations per cell"
+      $ Cli.json ~doc:"Write the sweep as JSON to $(docv)"
+      $ Cli.jobs)

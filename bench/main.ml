@@ -5,11 +5,13 @@
      bench/main.exe                 run every experiment (small scale)
      bench/main.exe --exp fig7      run one experiment
      bench/main.exe --scale full    larger datasets (slower, sharper)
-     bench/main.exe --micro         Bechamel real-time microbenchmarks *)
+
+   Host-time microbenchmarks live in bench/perf.exe. *)
 
 open Prism_sim
 open Prism_harness
 open Prism_workload
+open Prism_cli
 
 let pf fmt = Printf.printf fmt
 
@@ -47,15 +49,11 @@ let scenario = ref small_scenario
    is byte-identical for any lane count. *)
 let jobs = ref 1
 
-let fleet_map n f =
-  Prism_fleet.Fleet.with_pool ~jobs:(min !jobs n) (fun pool ->
-      Prism_fleet.Fleet.map pool n f)
+let fleet_map n f = Prism_fleet.Fleet.farm ~jobs:!jobs n f
 
 (* ---------------------------------------------------------------- *)
 (* Helpers                                                           *)
 (* ---------------------------------------------------------------- *)
-
-let ops_for s (mix : Ycsb.mix) = if mix.Ycsb.name = "E" then s.Setup.scan_ops else s.Setup.ops
 
 (* Run a store's quiesce hook on a simulation process (it may block on
    virtual time). *)
@@ -94,35 +92,21 @@ let write_collected_stats () =
   match !stats_json_path with
   | None -> ()
   | Some path ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "{";
-      List.iteri
-        (fun i (label, json) ->
-          if i > 0 then Buffer.add_string buf ",";
-          Buffer.add_string buf (Printf.sprintf "\n%S: %s" label json))
-        (List.rev !collected_stats);
-      Buffer.add_string buf "\n}\n";
-      let oc = open_out path in
-      Buffer.output_buffer oc buf;
-      close_out oc;
+      Json.write path
+        (Json.Obj
+           (List.rev_map (fun (label, json) -> (label, Json.Raw json))
+              !collected_stats));
       pf "wrote metric registries to %s\n" path
 
 (* Run LOAD then the listed mixes against one store; returns
    (load_result, per-mix results). *)
 let ycsb_suite ?(mixes = Ycsb.all_ycsb) e kv s =
   let kv = Kv.instrument e kv in
-  let load =
-    Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-      ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-  in
+  let load = Runner.load e kv s in
   let results =
     List.map
       (fun mix ->
-        let r =
-          Runner.run e kv mix ~threads:s.Setup.threads ~records:s.Setup.records
-            ~ops:(ops_for s mix) ~theta:s.Setup.theta
-            ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-        in
+        let r = Runner.run e kv mix s in
         quiesce_in e kv;
         r)
       mixes
@@ -131,13 +115,46 @@ let ycsb_suite ?(mixes = Ycsb.all_ycsb) e kv s =
 
 let kops r = Report.kops r.Runner.kops
 
-let lat_row name (r : Runner.result) =
-  [
-    name;
-    Printf.sprintf "%.1f" (Hist.mean r.Runner.latency /. 1e3);
-    Printf.sprintf "%.1f" (Hist.to_us (Hist.median r.Runner.latency));
-    Printf.sprintf "%.1f" (Hist.to_us (Hist.percentile r.Runner.latency 99.0));
-  ]
+let avg_us r = Printf.sprintf "%.1f" (Hist.mean r.Runner.latency /. 1e3)
+
+let p50_us r = Printf.sprintf "%.1f" (Hist.to_us (Hist.median r.Runner.latency))
+
+let p99_us r =
+  Printf.sprintf "%.1f" (Hist.to_us (Hist.percentile r.Runner.latency 99.0))
+
+let lat_row name r = [ name; avg_us r; p50_us r; p99_us r ]
+
+(* The throughput table of (name, LOAD, per-mix results) rows, then a
+   latency table for each of YCSB-A, C and E. *)
+let suite_tables ~throughput ~latency all =
+  Report.table ~title:throughput
+    ~columns:[ "Store"; "LOAD"; "A"; "B"; "C"; "D"; "E" ]
+    (List.map
+       (fun (name, load, results) -> name :: kops load :: List.map kops results)
+       all);
+  List.iter
+    (fun wanted ->
+      Report.table
+        ~title:(Printf.sprintf "%s — Latency (us), YCSB-%s" latency wanted)
+        ~columns:[ "Store"; "Average"; "Median"; "99%" ]
+        (List.filter_map
+           (fun (name, _, results) ->
+             List.find_opt (fun r -> r.Runner.workload = wanted) results
+             |> Option.map (lat_row name))
+           all))
+    [ "A"; "C"; "E" ]
+
+(* One fresh Prism per (name, config tweak) variant: LOAD then [mixes],
+   as a row of throughputs followed by [extra store]. *)
+let prism_variant_rows ?(extra = fun _ -> []) ~mixes s variants =
+  List.map
+    (fun (name, tweak) ->
+      let e = Engine.create () in
+      let kv, store = Setup.prism e s ~tweak in
+      let load, results = ycsb_suite ~mixes e kv s in
+      pf "  %s done\n%!" name;
+      (name :: kops load :: List.map kops results) @ extra store)
+    variants
 
 (* ---------------------------------------------------------------- *)
 (* Figure 1: device characteristics                                  *)
@@ -216,20 +233,12 @@ let fig7 () =
        "Figure 7 + Table 3: YCSB, %d threads, %d SSDs, %d keys x %dB, Zipf %.2f"
        s.Setup.threads s.Setup.num_ssds s.Setup.records s.Setup.value_size
        s.Setup.theta);
-  let makers =
-    [
-      ("Prism", fun e -> fst (Setup.prism e s));
-      ("KVell", fun e -> Setup.kvell e s);
-      ("MatrixKV", fun e -> Setup.matrixkv e s);
-      ("RocksDB-NVM", fun e -> Setup.rocksdb_nvm e s);
-    ]
-  in
-  let makers = Array.of_list makers in
+  let names = [| "Prism"; "KVell"; "MatrixKV"; "RocksDB-NVM" |] in
   let all =
-    fleet_map (Array.length makers) (fun i ->
-        let name, make = makers.(i) in
+    fleet_map (Array.length names) (fun i ->
+        let name = names.(i) in
         let e = Engine.create () in
-        let kv = make e in
+        let kv = Setup.of_name name s e in
         let load, results = ycsb_suite e kv s in
         (name, load, results, harvest_blob ("fig7." ^ Stats.sanitize name) e))
     |> Array.to_list
@@ -238,23 +247,8 @@ let fig7 () =
            pf "  %s done\n%!" name;
            (name, load, results))
   in
-  Report.table ~title:"Throughput (kops/s; workload E in kops/s of scans)"
-    ~columns:[ "Store"; "LOAD"; "A"; "B"; "C"; "D"; "E" ]
-    (List.map
-       (fun (name, load, results) ->
-         name :: kops load :: List.map kops results)
-       all);
-  List.iter
-    (fun wanted ->
-      Report.table
-        ~title:(Printf.sprintf "Table 3 — Latency (us), YCSB-%s" wanted)
-        ~columns:[ "Store"; "Average"; "Median"; "99%" ]
-        (List.filter_map
-           (fun (name, _, results) ->
-             List.find_opt (fun r -> r.Runner.workload = wanted) results
-             |> Option.map (lat_row name))
-           all))
-    [ "A"; "C"; "E" ]
+  suite_tables ~throughput:"Throughput (kops/s; workload E in kops/s of scans)"
+    ~latency:"Table 3" all
 
 (* ---------------------------------------------------------------- *)
 (* Figure 8 + Table 4: Prism vs SLM-DB (single thread, reduced set)   *)
@@ -301,22 +295,7 @@ let fig8 () =
         (name, load, results))
       makers
   in
-  Report.table ~title:"Throughput (kops/s)"
-    ~columns:[ "Store"; "LOAD"; "A"; "B"; "C"; "D"; "E" ]
-    (List.map
-       (fun (name, load, results) -> name :: kops load :: List.map kops results)
-       all);
-  List.iter
-    (fun wanted ->
-      Report.table
-        ~title:(Printf.sprintf "Table 4 — Latency (us), YCSB-%s" wanted)
-        ~columns:[ "Store"; "Average"; "Median"; "99%" ]
-        (List.filter_map
-           (fun (name, _, results) ->
-             List.find_opt (fun r -> r.Runner.workload = wanted) results
-             |> Option.map (lat_row name))
-           all))
-    [ "A"; "C"; "E" ]
+  suite_tables ~throughput:"Throughput (kops/s)" ~latency:"Table 4" all
 
 (* ---------------------------------------------------------------- *)
 (* Figure 9: throughput vs Zipfian coefficient                        *)
@@ -335,24 +314,14 @@ let fig9 () =
   let thetas = [ 0.5; 0.9; 0.99; 1.2; 1.5 ] in
   Report.section
     "Figure 9: relative throughput vs Zipfian coefficient (normalized to 0.99)";
-  let makers =
-    [
-      ("Prism", fun e -> fst (Setup.prism e s));
-      ("KVell", fun e -> Setup.kvell e s);
-      ("MatrixKV", fun e -> Setup.matrixkv e s);
-      ("RocksDB-NVM", fun e -> Setup.rocksdb_nvm e s);
-      ( "SLM-DB",
-        fun e -> Setup.slmdb e { s with Setup.records = s.Setup.records / 4 } );
-    ]
-  in
+  let names = [ "Prism"; "KVell"; "MatrixKV"; "RocksDB-NVM"; "SLM-DB" ] in
   (* One loaded store per (store, theta) cell — the skew affects the run
      phase — so every cell is an independent simulation, farmed out. *)
   let cells =
     List.concat_map
-      (fun (name, make) ->
-        let single = name = "SLM-DB" in
+      (fun name ->
         let s =
-          if single then
+          if name = "SLM-DB" then
             {
               s with
               Setup.threads = 1;
@@ -362,32 +331,26 @@ let fig9 () =
             }
           else s
         in
-        List.map (fun theta -> (name, make, s, theta)) thetas)
-      makers
+        List.map (fun theta -> (name, { s with Setup.theta })) thetas)
+      names
     |> Array.of_list
   in
   let cell_rows =
     fleet_map (Array.length cells) (fun i ->
-        let _, make, s, theta = cells.(i) in
+        let name, s = cells.(i) in
         let e = Engine.create () in
-        let kv = make e in
-        ignore
-          (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-             ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
+        let kv = Setup.of_name name s e in
+        ignore (Runner.load e kv s);
         List.map
           (fun mix ->
-            let r =
-              Runner.run e kv mix ~threads:s.Setup.threads
-                ~records:s.Setup.records ~ops:(ops_for s mix) ~theta
-                ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-            in
+            let r = Runner.run e kv mix s in
             quiesce_in e kv;
             r.Runner.kops)
           Ycsb.all_ycsb)
   in
   let nthetas = List.length thetas in
   List.iteri
-    (fun mi (name, _) ->
+    (fun mi name ->
       let rows =
         List.mapi (fun ti _ -> cell_rows.((mi * nthetas) + ti)) thetas
       in
@@ -404,7 +367,7 @@ let fig9 () =
                   row baseline)
            thetas rows);
       pf "  %s done\n%!" name)
-    makers
+    names
 
 (* ---------------------------------------------------------------- *)
 (* Figure 10: large dataset + Nutanix production mix                  *)
@@ -425,16 +388,11 @@ let fig10a () =
        s.Setup.records);
   let rows =
     List.map
-      (fun (name, make) ->
+      (fun name ->
         let e = Engine.create () in
-        let kv : Kv.t = make e in
-        let load, results = ycsb_suite e kv s in
-        ignore load;
+        let _, results = ycsb_suite e (Setup.of_name name s e) s in
         name :: List.map kops results)
-      [
-        ("Prism", fun e -> fst (Setup.prism e s));
-        ("KVell", fun e -> Setup.kvell e s);
-      ]
+      [ "Prism"; "KVell" ]
   in
   Report.table ~title:"Throughput (kops/s)"
     ~columns:[ "Store"; "A"; "B"; "C"; "D"; "E" ]
@@ -445,22 +403,12 @@ let fig10b () =
   Report.section "Figure 10b: Nutanix production mix (57% upd / 41% read / 2% scan)";
   let rows =
     List.map
-      (fun (name, make) ->
+      (fun name ->
         let e = Engine.create () in
-        let kv : Kv.t = make e in
-        ignore
-          (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-             ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
-        let r =
-          Runner.run e kv Ycsb.nutanix ~threads:s.Setup.threads
-            ~records:s.Setup.records ~ops:s.Setup.ops ~theta:s.Setup.theta
-            ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-        in
-        [ name; kops r ])
-      [
-        ("Prism", fun e -> fst (Setup.prism e s));
-        ("KVell", fun e -> Setup.kvell e s);
-      ]
+        let kv = Setup.of_name name s e in
+        ignore (Runner.load e kv s);
+        [ name; kops (Runner.run e kv Ycsb.nutanix s) ])
+      [ "Prism"; "KVell" ]
   in
   Report.table ~title:"Throughput (kops/s)" ~columns:[ "Store"; "Nutanix" ] rows
 
@@ -484,12 +432,8 @@ let fig11 () =
             svc_capacity = 256 * 1024;
           })
     in
-    ignore
-      (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-         ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
-    Runner.run e kv Ycsb.ycsb_c ~threads:s.Setup.threads
-      ~records:s.Setup.records ~ops:s.Setup.ops ~theta:s.Setup.theta
-      ~value_size:s.Setup.value_size ~seed:s.Setup.seed
+    ignore (Runner.load e kv s);
+    Runner.run e kv Ycsb.ycsb_c s
   in
   let rows =
     List.map
@@ -498,13 +442,8 @@ let fig11 () =
         let ta = run_one ~tc:false qd in
         pf "  QD %d done\n%!" qd;
         [
-          string_of_int qd;
-          kops tc;
-          kops ta;
-          Printf.sprintf "%.1f" (Hist.mean tc.Runner.latency /. 1e3);
-          Printf.sprintf "%.1f" (Hist.mean ta.Runner.latency /. 1e3);
-          Printf.sprintf "%.1f" (Hist.to_us (Hist.percentile tc.Runner.latency 99.0));
-          Printf.sprintf "%.1f" (Hist.to_us (Hist.percentile ta.Runner.latency 99.0));
+          string_of_int qd; kops tc; kops ta; avg_us tc; avg_us ta; p99_us tc;
+          p99_us ta;
         ])
       depths
   in
@@ -537,33 +476,21 @@ let fig12 () =
         in
         List.concat_map
           (fun name ->
-            let make =
-              match name with
-              | "Prism" -> fun e -> fst (Setup.prism e s)
-              | "KVell" -> fun e -> Setup.kvell e s
-              | _ -> fun e -> Setup.matrixkv e s
-            in
-            List.map (fun theta -> (make, s, theta)) thetas)
+            List.map (fun theta -> (name, { s with Setup.theta })) thetas)
           store_names)
       value_sizes
     |> Array.of_list
   in
   let waf =
     fleet_map (Array.length cells) (fun i ->
-        let make, s, theta = cells.(i) in
+        let name, s = cells.(i) in
         let e = Engine.create () in
-        let kv : Kv.t = make e in
-        ignore
-          (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-             ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
+        let kv = Setup.of_name name s e in
+        ignore (Runner.load e kv s);
         quiesce_in e kv;
         let before = ssd_written e kv in
         let update_only = { Ycsb.ycsb_a with reads = 0.0; updates = 1.0 } in
-        let r =
-          Runner.run e kv update_only ~threads:s.Setup.threads
-            ~records:s.Setup.records ~ops:s.Setup.ops ~theta
-            ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-        in
+        let r = Runner.run e kv update_only s in
         quiesce_in e kv;
         let written = ssd_written e kv - before in
         let app = r.Runner.ops * s.Setup.value_size in
@@ -597,30 +524,22 @@ let fig13_14 () =
   let base = !scenario in
   Report.section "Figures 13/14: throughput and latency vs number of SSDs";
   let ssd_counts = [ 1; 2; 4; 8 ] in
-  let run name make mix =
+  let run name mix =
     List.map
       (fun num_ssds ->
         let s = { base with Setup.num_ssds } in
         let e = Engine.create () in
-        let kv : Kv.t = make s e in
-        ignore
-          (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-             ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
-        let r =
-          Runner.run e kv mix ~threads:s.Setup.threads ~records:s.Setup.records
-            ~ops:s.Setup.ops ~theta:s.Setup.theta
-            ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-        in
+        let kv = Setup.of_name name s e in
+        ignore (Runner.load e kv s);
+        let r = Runner.run e kv mix s in
         pf "  %s %s %dssd done\n%!" name mix.Ycsb.name num_ssds;
         r)
       ssd_counts
   in
-  let prism_make s e = fst (Setup.prism e s) in
-  let kvell_make s e = Setup.kvell e s in
   List.iter
     (fun mix ->
-      let prism = run "Prism" prism_make mix in
-      let kvell = run "KVell" kvell_make mix in
+      let prism = run "Prism" mix in
+      let kvell = run "KVell" mix in
       Report.table
         ~title:(Printf.sprintf "Figure 13 — Throughput (kops/s), YCSB-%s" mix.Ycsb.name)
         ~columns:("Store" :: List.map (fun n -> Printf.sprintf "%d SSD" n) ssd_counts)
@@ -639,11 +558,7 @@ let fig13_14 () =
                 "Prism" :: List.map f prism;
                 "KVell" :: List.map f kvell;
               ])
-          [
-            ("Average", fun r -> Printf.sprintf "%.1f" (Hist.mean r.Runner.latency /. 1e3));
-            ("Median", fun r -> Printf.sprintf "%.1f" (Hist.to_us (Hist.median r.Runner.latency)));
-            ("99%", fun r -> Printf.sprintf "%.1f" (Hist.to_us (Hist.percentile r.Runner.latency 99.0)));
-          ]
+          [ ("Average", avg_us); ("Median", p50_us); ("99%", p99_us) ]
       end)
     [ Ycsb.ycsb_a; Ycsb.ycsb_c ]
 
@@ -666,29 +581,20 @@ let fig15 () =
                (int_of_float (float_of_int dataset *. frac) / s.Setup.threads))
             16
         in
-        let make e =
-          fst
-            (Setup.prism e s ~tweak:(fun cfg ->
-                 {
-                   cfg with
-                   Prism_core.Config.pwb_size = pwb;
-                   nvm_size =
-                     (s.Setup.threads * pwb)
-                     + (cfg.Prism_core.Config.hsit_capacity * 16)
-                     + (8 * 1024 * 1024);
-                 }))
-        in
         let e = Engine.create () in
-        let kv = make e in
-        let load =
-          Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-            ~value_size:s.Setup.value_size ~seed:s.Setup.seed
+        let kv, _ =
+          Setup.prism e s ~tweak:(fun cfg ->
+              {
+                cfg with
+                Prism_core.Config.pwb_size = pwb;
+                nvm_size =
+                  (s.Setup.threads * pwb)
+                  + (cfg.Prism_core.Config.hsit_capacity * 16)
+                  + (8 * 1024 * 1024);
+              })
         in
-        let a =
-          Runner.run e kv Ycsb.ycsb_a ~threads:s.Setup.threads
-            ~records:s.Setup.records ~ops:s.Setup.ops ~theta:s.Setup.theta
-            ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-        in
+        let load = Runner.load e kv s in
+        let a = Runner.run e kv Ycsb.ycsb_a s in
         pf "  pwb %.0f%% done\n%!" (frac *. 100.0);
         [
           Printf.sprintf "%.0f%% of dataset" (frac *. 100.0);
@@ -706,26 +612,14 @@ let fig15 () =
     List.map
       (fun frac ->
         let svc = max 65536 (int_of_float (float_of_int dataset *. frac)) in
-        let make e =
-          fst
-            (Setup.prism e s ~tweak:(fun cfg ->
-                 { cfg with Prism_core.Config.svc_capacity = svc }))
-        in
         let e = Engine.create () in
-        let kv = make e in
-        ignore
-          (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-             ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
-        let c =
-          Runner.run e kv Ycsb.ycsb_c ~threads:s.Setup.threads
-            ~records:s.Setup.records ~ops:s.Setup.ops ~theta:s.Setup.theta
-            ~value_size:s.Setup.value_size ~seed:s.Setup.seed
+        let kv, _ =
+          Setup.prism e s ~tweak:(fun cfg ->
+              { cfg with Prism_core.Config.svc_capacity = svc })
         in
-        let ey =
-          Runner.run e kv Ycsb.ycsb_e ~threads:s.Setup.threads
-            ~records:s.Setup.records ~ops:s.Setup.scan_ops ~theta:s.Setup.theta
-            ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-        in
+        ignore (Runner.load e kv s);
+        let c = Runner.run e kv Ycsb.ycsb_c s in
+        let ey = Runner.run e kv Ycsb.ycsb_e s in
         pf "  svc %.0f%% done\n%!" (frac *. 100.0);
         [ Printf.sprintf "%.0f%% of dataset" (frac *. 100.0); kops c; kops ey ])
       svc_fracs
@@ -746,15 +640,8 @@ let fig16 () =
     let s = { base with Setup.threads } in
     let e = Engine.create () in
     let kv : Kv.t = make s e in
-    ignore
-      (Runner.load e kv ~threads ~records:s.Setup.records
-         ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
-    let r =
-      Runner.run e kv mix ~threads ~records:s.Setup.records
-        ~ops:(ops_for s mix) ~theta:s.Setup.theta
-        ~value_size:s.Setup.value_size ~seed:s.Setup.seed
-    in
-    r.Runner.kops
+    ignore (Runner.load e kv s);
+    (Runner.run e kv mix s).Runner.kops
   in
   let stores =
     [
@@ -807,17 +694,12 @@ let fig17 () =
               chunk;
         })
   in
-  ignore
-    (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-       ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
+  ignore (Runner.load e kv s);
   (* Registered in the engine registry, so --stats-json exports the full
      per-window series under "bench.throughput". *)
   let tl = Stats.timeline (Engine.stats e) "bench.throughput" ~interval:1e-3 in
   let gc_before = Prism_core.Store.gc_runs store in
-  ignore
-    (Runner.run ~timeline:tl e kv Ycsb.ycsb_a ~threads:s.Setup.threads
-       ~records:s.Setup.records ~ops:s.Setup.ops ~theta:s.Setup.theta
-       ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
+  ignore (Runner.run ~timeline:tl e kv Ycsb.ycsb_a s);
   let gc_after = Prism_core.Store.gc_runs store in
   harvest "fig17.prism" e;
   Report.table
@@ -851,21 +733,10 @@ let ablation () =
         fun cfg -> { cfg with Prism_core.Config.async_reclaim = false } );
     ]
   in
-  let rows =
-    List.map
-      (fun (name, tweak) ->
-        let e = Engine.create () in
-        let kv, _ = Setup.prism e s ~tweak in
-        let load, results =
-          ycsb_suite ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] e kv s
-        in
-        pf "  %s done\n%!" name;
-        name :: kops load :: List.map kops results)
-      variants
-  in
   Report.table ~title:"Throughput (kops/s)"
     ~columns:[ "Variant"; "LOAD"; "A"; "C"; "E" ]
-    rows
+    (prism_variant_rows ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] s
+       variants)
 
 (* ---------------------------------------------------------------- *)
 (* Key Index independence (§4.1/§6: "Prism can replace it with any
@@ -876,24 +747,16 @@ let index_exp () =
   let s = !scenario in
   Report.section "Key Index independence: B+-tree vs Adaptive Radix Tree";
   let rows =
-    List.map
-      (fun (name, impl) ->
-        let e = Engine.create () in
-        let kv, store =
-          Setup.prism e s ~tweak:(fun cfg ->
-              { cfg with Prism_core.Config.key_index = impl })
-        in
-        let load, results =
-          ycsb_suite ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] e kv s
-        in
-        pf "  %s done\n%!" name;
-        (name :: kops load :: List.map kops results)
-        @ [
-            Printf.sprintf "%.1f MB"
-              (float_of_int (Prism_core.Store.nvm_index_bytes store)
-              /. 1048576.0);
-          ])
-      [ ("B+-tree", `Btree); ("ART", `Art) ]
+    prism_variant_rows ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] s
+      ~extra:(fun store ->
+        [
+          Printf.sprintf "%.1f MB"
+            (float_of_int (Prism_core.Store.nvm_index_bytes store) /. 1048576.0);
+        ])
+      (List.map
+         (fun (name, impl) ->
+           (name, fun cfg -> { cfg with Prism_core.Config.key_index = impl }))
+         [ ("B+-tree", `Btree); ("ART", `Art) ])
   in
   Report.table ~title:"Throughput (kops/s) and index NVM footprint"
     ~columns:[ "Index"; "LOAD"; "A"; "C"; "E"; "NVM footprint" ]
@@ -921,24 +784,13 @@ let discussion () =
         } );
     ]
   in
-  let rows =
-    List.map
-      (fun (name, spec) ->
-        let e = Engine.create () in
-        let kv, _ =
-          Setup.prism e s ~tweak:(fun cfg ->
-              { cfg with Prism_core.Config.nvm_spec = spec })
-        in
-        let load, results =
-          ycsb_suite ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c ] e kv s
-        in
-        pf "  %s done\n%!" name;
-        name :: kops load :: List.map kops results)
-      media
-  in
   Report.table ~title:"Prism throughput with different buffer media (kops/s)"
     ~columns:[ "Buffer medium"; "LOAD"; "A"; "C" ]
-    rows
+    (prism_variant_rows ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c ] s
+       (List.map
+          (fun (name, spec) ->
+            (name, fun cfg -> { cfg with Prism_core.Config.nvm_spec = spec }))
+          media))
 
 (* ---------------------------------------------------------------- *)
 (* NVM space (§7.6)                                                   *)
@@ -949,9 +801,7 @@ let nvmspace () =
   Report.section "NVM space: Key Index + HSIT footprint (§7.6)";
   let e = Engine.create () in
   let kv, store = Setup.prism e s in
-  ignore
-    (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-       ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
+  ignore (Runner.load e kv s);
   let bytes = Prism_core.Store.nvm_index_bytes store in
   let per_key = float_of_int bytes /. float_of_int s.Setup.records in
   Report.table ~title:""
@@ -975,9 +825,7 @@ let recovery () =
   (* Prism: load, crash, measure recover. *)
   let e = Engine.create () in
   let kv, store = Setup.prism e s in
-  ignore
-    (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-       ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
+  ignore (Runner.load e kv s);
   Engine.clear_pending e;
   Prism_core.Store.crash store;
   let t0 = ref nan and t1 = ref nan and recovered = ref 0 in
@@ -990,9 +838,7 @@ let recovery () =
   (* KVell: load, measure its full-scan recovery. *)
   let e = Engine.create () in
   let kv = Setup.kvell e s in
-  ignore
-    (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-       ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
+  ignore (Runner.load e kv s);
   let kvell_time =
     match Runner.recovery_time e kv with Some t -> t | None -> nan
   in
@@ -1002,97 +848,6 @@ let recovery () =
       [ "Prism"; string_of_int !recovered; Printf.sprintf "%.2f" (prism_time *. 1e3) ];
       [ "KVell"; string_of_int s.Setup.records; Printf.sprintf "%.2f" (kvell_time *. 1e3) ];
     ]
-
-(* ---------------------------------------------------------------- *)
-(* Bechamel microbenchmarks (real time)                               *)
-(* ---------------------------------------------------------------- *)
-
-let micro () =
-  Report.section "Bechamel microbenchmarks (real CPU time of dominant code paths)";
-  let open Bechamel in
-  let open Toolkit in
-  (* One Test.make per table/figure family, measuring the code path that
-     dominates that experiment. *)
-  let prep_btree () =
-    let t = Prism_index.Btree.create ~on_access:(fun _ _ -> ()) () in
-    for i = 0 to 9_999 do
-      ignore (Prism_index.Btree.insert t (Ycsb.key_of i) i)
-    done;
-    t
-  in
-  let btree = prep_btree () in
-  let counter = ref 0 in
-  let zipf = Zipfian.create ~items:100_000 ~theta:0.99 (Rng.create 1L) in
-  let skiplist = Prism_index.Skiplist.create ~rng:(Rng.create 2L) () in
-  let bloom = Prism_index.Bloom.create ~expected_entries:10_000 () in
-  for i = 0 to 9_999 do
-    Prism_index.Bloom.add bloom (Ycsb.key_of i)
-  done;
-  let hist = Hist.create () in
-  let tests =
-    [
-      (* fig7/table3: the per-op hot path is an index lookup. *)
-      Test.make ~name:"fig7:index-lookup"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore (Prism_index.Btree.find btree (Ycsb.key_of (!counter mod 10_000)))));
-      (* fig9/fig12: workload generation cost. *)
-      Test.make ~name:"fig9:zipfian-draw"
-        (Staged.stage (fun () -> ignore (Zipfian.next_scrambled zipf)));
-      (* fig8/table4: LSM memtable insert (skiplist). *)
-      Test.make ~name:"fig8:skiplist-insert"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore
-               (Prism_index.Skiplist.insert skiplist
-                  (Ycsb.key_of (!counter mod 50_000))
-                  !counter)));
-      (* fig7 read path: bloom filter probe. *)
-      Test.make ~name:"fig7:bloom-probe"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore (Prism_index.Bloom.mem bloom (Ycsb.key_of (!counter mod 20_000)))));
-      (* table3/table4: latency recording. *)
-      Test.make ~name:"table3:hist-record"
-        (Staged.stage (fun () ->
-             incr counter;
-             Hist.record hist (!counter land 0xFFFFF)));
-      (* location word packing (every HSIT update). *)
-      Test.make ~name:"fig11:location-encode"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore
-               (Prism_core.Location.encode
-                  (Prism_core.Location.In_vs
-                     { vs = 1; gen = !counter land 0xFFFF; chunk = 7; slot = 3 })
-                  ~dirty:false)));
-      (* fig16: simulator event dispatch cost bounds every experiment. *)
-      Test.make ~name:"fig16:engine-event"
-        (Staged.stage (fun () ->
-             let e = Engine.create () in
-             Engine.spawn e (fun () -> Engine.delay 1e-9);
-             ignore (Engine.run e)));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Bechamel.Benchmark.all
-          (Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) ())
-          [ Instance.monotonic_clock ]
-          test
-      in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> pf "  %-24s %10.1f ns/run\n" name est
-          | _ -> pf "  %-24s (no estimate)\n" name)
-        analyzed)
-    tests
 
 (* ---------------------------------------------------------------- *)
 (* Driver                                                             *)
@@ -1121,7 +876,7 @@ let experiments =
     ("recovery", recovery);
   ]
 
-let run_experiments names with_micro =
+let run_experiments names =
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
@@ -1137,7 +892,6 @@ let run_experiments names with_micro =
         pf "[%s finished in %.1fs wall]\n%!" name (Unix.gettimeofday () -. t)
       end)
     experiments;
-  if with_micro then micro ();
   write_collected_stats ();
   pf "\nAll experiments done in %.1fs wall.\n" (Unix.gettimeofday () -. t0)
 
@@ -1149,59 +903,23 @@ let () =
   let scale =
     Arg.(value & opt string "small" & info [ "scale" ] ~doc:"small or full")
   in
-  let with_micro =
-    Arg.(value & flag & info [ "micro" ] ~doc:"Also run Bechamel microbenchmarks")
-  in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print each harvested run's metric registry after the tables")
-  in
-  let stats_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ]
-          ~doc:
-            "Write every harvested run's metric registry to $(docv) as one \
-             JSON object keyed by run label"
-          ~docv:"FILE")
-  in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:
-            "Tune the host GC for simulation workloads (large minor heap); \
-             wall-clock only, virtual-time results are unaffected")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ]
-          ~doc:
-            "Fleet lanes for the independent-cell experiments (fig7, fig9, \
-             fig12). Output is byte-identical for any $(docv); 0 means one \
-             per core"
-          ~docv:"N")
-  in
-  let main exp scale with_micro stats stats_json gc_tune j =
+  let main () exp scale stats stats_json j =
     (match scale with
     | "full" -> scenario := full_scenario
     | "small" -> scenario := small_scenario
     | other -> failwith ("unknown scale: " ^ other));
-    if gc_tune then Setup.gc_tune ();
     stats_requested := stats;
     stats_json_path := stats_json;
-    jobs := (if j = 0 then Prism_fleet.Fleet.default_jobs () else max 1 j);
-    run_experiments exp with_micro
+    jobs := j;
+    run_experiments exp
   in
-  let cmd =
-    Cmd.v
-      (Cmd.info "prism-bench" ~doc:"Regenerate the paper's tables and figures")
-      Term.(
-        const main $ exp $ scale $ with_micro $ stats $ stats_json $ gc_tune
-        $ jobs_arg)
-  in
-  exit (Cmd.eval cmd)
+  Cli.exec ~name:"prism-bench"
+    ~doc:"Regenerate the paper's tables and figures"
+    Term.(
+      const main $ Cli.gc_tune $ exp $ scale
+      $ Cli.stats
+      $ Cli.stats_json
+          ~doc:
+            "Write every harvested run's metric registry to $(docv) as one \
+             JSON object keyed by run label"
+      $ Cli.jobs)

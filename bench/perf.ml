@@ -22,6 +22,7 @@
 open Prism_sim
 open Prism_harness
 open Prism_workload
+open Prism_cli
 
 let pf fmt = Printf.printf fmt
 
@@ -176,6 +177,44 @@ let bench_zipfian ~ops ~reps =
       report label (measure ~reps ~ops run);
       ignore !acc)
     [ ("zipfian.theta099", 0.99); ("zipfian.theta12", 1.2) ]
+
+(* The data-structure paths the paper figures lean on: a Key Index
+   lookup (every Prism op), an LSM memtable insert and a bloom probe (the
+   LSM baselines' write and read paths), and the HSIT location-word
+   packing (every value relocation). Keys are built up front, so the
+   rows time the structures rather than key formatting. *)
+let bench_index ~ops ~reps =
+  let keys = Array.init 50_000 Ycsb.key_of in
+  let btree = Prism_index.Btree.create ~on_access:(fun _ _ -> ()) () in
+  let bloom = Prism_index.Bloom.create ~expected_entries:10_000 () in
+  for i = 0 to 9_999 do
+    ignore (Prism_index.Btree.insert btree keys.(i) i);
+    Prism_index.Bloom.add bloom keys.(i)
+  done;
+  let skiplist = Prism_index.Skiplist.create ~rng:(Rng.create 2L) () in
+  let loop f () =
+    for i = 1 to ops do
+      f i
+    done
+  in
+  report "index.btree_find"
+    (measure ~reps ~ops
+       (loop (fun i -> ignore (Prism_index.Btree.find btree keys.(i mod 10_000)))));
+  report "index.skiplist_insert"
+    (measure ~reps ~ops
+       (loop (fun i ->
+            ignore (Prism_index.Skiplist.insert skiplist keys.(i mod 50_000) i))));
+  report "index.bloom_probe"
+    (measure ~reps ~ops
+       (loop (fun i -> ignore (Prism_index.Bloom.mem bloom keys.(i mod 20_000)))));
+  report "location.encode"
+    (measure ~reps ~ops
+       (loop (fun i ->
+            ignore
+              (Prism_core.Location.encode
+                 (Prism_core.Location.In_vs
+                    { vs = 1; gen = i land 0xFFFF; chunk = 7; slot = 3 })
+                 ~dirty:false))))
 
 (* Arrival processes: the open-loop generator hot path. One gap draw per
    op; the sweep driver calls this once per offered request, so it has to
@@ -333,35 +372,17 @@ let bench_stores ~quick ~reps =
       ops = (if quick then 8_000 else 20_000);
     }
   in
-  let makers =
-    [
-      ("store.prism", fun e -> fst (Setup.prism e s));
-      ("store.kvell", fun e -> Setup.kvell e s);
-    ]
-    @
-    if quick then []
-    else
-      [
-        ("store.matrixkv", fun e -> Setup.matrixkv e s);
-        ("store.rocksdb-nvm", fun e -> Setup.rocksdb_nvm e s);
-      ]
-  in
   List.iter
-    (fun (name, make) ->
+    (fun store ->
       let total_ops = s.Setup.records + s.Setup.ops in
       let run () =
         let e = Engine.create () in
-        let kv = make e in
-        ignore
-          (Runner.load e kv ~threads:s.Setup.threads ~records:s.Setup.records
-             ~value_size:s.Setup.value_size ~seed:s.Setup.seed);
-        ignore
-          (Runner.run e kv Ycsb.ycsb_a ~threads:s.Setup.threads
-             ~records:s.Setup.records ~ops:s.Setup.ops ~theta:s.Setup.theta
-             ~value_size:s.Setup.value_size ~seed:s.Setup.seed)
+        let kv = Setup.of_name store s e in
+        ignore (Runner.load e kv s);
+        ignore (Runner.run e kv Ycsb.ycsb_a s)
       in
-      report name (measure ~reps ~ops:total_ops run))
-    makers
+      report ("store." ^ store) (measure ~reps ~ops:total_ops run))
+    ([ "prism"; "kvell" ] @ if quick then [] else [ "matrixkv"; "rocksdb-nvm" ])
 
 (* ---------------------------------------------------------------- *)
 (* JSON report + baseline gate                                       *)
@@ -375,28 +396,19 @@ let json_key name suffix =
   Buffer.contents b ^ "_" ^ suffix
 
 let write_json path ~quick =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"prism-bench-sim-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b" quick);
-  List.iter
-    (fun (name, s) ->
-      Buffer.add_string b
-        (Printf.sprintf ",\n  %S: %.1f" (json_key name "per_sec") s.rate);
-      Buffer.add_string b
-        (Printf.sprintf ",\n  %S: %.3f"
-           (json_key name "minor_words_per_op")
-           s.minor_words_per_op))
-    (List.rev !results);
-  List.iter
-    (fun (name, suffix, v) ->
-      Buffer.add_string b
-        (Printf.sprintf ",\n  %S: %.1f" (json_key name suffix) v))
-    (List.rev !figures);
-  Buffer.add_string b "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
+  Json.write path
+    (Json.Obj
+       ((("schema", Json.Str "prism-bench-sim-v1") :: ("quick", Json.Bool quick)
+        :: List.concat_map
+             (fun (name, s) ->
+               [
+                 (json_key name "per_sec", Json.fixed 1 s.rate);
+                 (json_key name "minor_words_per_op", Json.fixed 3 s.minor_words_per_op);
+               ])
+             (List.rev !results))
+       @ List.rev_map
+           (fun (name, suffix, v) -> (json_key name suffix, Json.fixed 1 v))
+           !figures));
   pf "\nwrote %s\n" path
 
 (* The committed baseline has globally unique keys, so a plain substring
@@ -493,11 +505,6 @@ let check_baseline path =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized run: fewer ops, fewer repetitions")
-  in
   let out =
     Arg.(
       value & opt string "BENCH_sim.json"
@@ -513,14 +520,7 @@ let () =
              than 30% below it"
           ~docv:"FILE")
   in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:"Tune the host GC before measuring (large minor heap)")
-  in
-  let main quick out baseline gc_tune =
-    if gc_tune then Setup.gc_tune ();
+  let main () quick out baseline =
     let engine_ops = if quick then 500_000 else 2_000_000 in
     let comp_ops = if quick then 1_000_000 else 4_000_000 in
     let reps = if quick then 2 else 3 in
@@ -533,6 +533,7 @@ let () =
     bench_hist ~ops:comp_ops ~reps;
     bench_rng ~ops:comp_ops ~reps;
     bench_zipfian ~ops:comp_ops ~reps;
+    bench_index ~ops:comp_ops ~reps;
     bench_arrival ~ops:comp_ops ~reps;
     bench_instrument ~ops:comp_ops ~reps;
     bench_fleet ~quick ~reps;
@@ -540,10 +541,9 @@ let () =
     write_json out ~quick;
     match baseline with None -> () | Some path -> check_baseline path
   in
-  let cmd =
-    Cmd.v
-      (Cmd.info "prism-perf"
-         ~doc:"Wall-clock microbenchmarks of the simulation engine")
-      Term.(const main $ quick $ out $ baseline $ gc_tune)
-  in
-  exit (Cmd.eval cmd)
+  Cli.exec ~name:"prism-perf"
+    ~doc:"Wall-clock microbenchmarks of the simulation engine"
+    Term.(
+      const main $ Cli.gc_tune
+      $ Cli.quick ~doc:"CI-sized run: fewer ops, fewer repetitions"
+      $ out $ baseline)

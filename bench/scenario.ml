@@ -19,6 +19,7 @@
 open Prism_sim
 open Prism_harness
 open Prism_scenario
+open Prism_cli
 
 let pf fmt = Printf.printf fmt
 
@@ -30,13 +31,8 @@ type config = {
   stores : string list;
   scenarios : string list;
   policy : string;
-  records : int;
-  value_size : int;
-  servers : int;
-  ops : int; (* arrival budget per scenario run *)
+  s : Setup.scenario; (* threads = servers; ops = arrival budget per run *)
   cal_ops : int; (* closed-loop calibration ops *)
-  theta : float;
-  seed : int64;
 }
 
 let default_config =
@@ -44,13 +40,9 @@ let default_config =
     stores = [ "prism"; "kvell"; "rocksdb-nvm" ];
     scenarios = Library.names;
     policy = "bounded";
-    records = 8_000;
-    value_size = 256;
-    servers = 16;
-    ops = 12_000;
+    s =
+      { Setup.default_scenario with records = 8_000; threads = 16; ops = 12_000 };
     cal_ops = 6_000;
-    theta = 0.99;
-    seed = 0xC0FFEEL;
   }
 
 let quick_config =
@@ -58,9 +50,7 @@ let quick_config =
     default_config with
     stores = [ "prism"; "kvell" ];
     scenarios = [ "flash-crowd" ];
-    records = 4_000;
-    servers = 8;
-    ops = 6_000;
+    s = { default_config.s with records = 4_000; threads = 8; ops = 6_000 };
     cal_ops = 5_000;
   }
 
@@ -74,21 +64,11 @@ let run_one cfg ~ename ~store =
     | Some e -> e
     | None -> failwith ("unknown scenario: " ^ ename)
   in
-  let s =
-    {
-      Setup.default_scenario with
-      records = cfg.records;
-      value_size = cfg.value_size;
-      threads = cfg.servers;
-      theta = cfg.theta;
-      ops = cfg.ops;
-      seed = cfg.seed;
-    }
-  in
-  let make = Setup.of_name store s in
+  let make = Setup.of_name store cfg.s in
   let e = Engine.create () in
-  Library.run entry ~make e (Kv.instrument e (make e)) s ~servers:cfg.servers
-    ~policy:cfg.policy ~cal_ops:cfg.cal_ops ~seed_key:store
+  Library.run entry ~make e (Kv.instrument e (make e)) cfg.s
+    ~servers:cfg.s.threads ~policy:cfg.policy ~cal_ops:cfg.cal_ops
+    ~seed_key:store
 
 let scenario_name (r : Library.run) = r.outcome.Scenario.spec.Scenario.sname
 let store_name (r : Library.run) = r.outcome.Scenario.store
@@ -128,76 +108,68 @@ let print_run (r : Library.run) =
   Assertion.print_verdicts r.checks r.verdicts;
   pf "\n"
 
-(* ---------------------------------------------------------------- *)
-(* JSON export                                                       *)
-(* ---------------------------------------------------------------- *)
-
-(* Hand-rolled like bench/sweep: fixed field order, fixed float formats,
-   so the same seed writes byte-identical output. *)
+(* prism-scenario-v1: fixed member order and float formats, so the same
+   seed writes byte-identical output. *)
 let json_of_runs cfg runs =
-  let b = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"prism-scenario-v1\",\n";
-  add "  \"seed\": %Ld,\n" cfg.seed;
-  add "  \"records\": %d,\n" cfg.records;
-  add "  \"value_size\": %d,\n" cfg.value_size;
-  add "  \"servers\": %d,\n" cfg.servers;
-  add "  \"ops_budget\": %d,\n" cfg.ops;
-  add "  \"policy\": %S,\n" cfg.policy;
-  add "  \"runs\": [";
-  List.iteri
-    (fun i (r : Library.run) ->
-      let o = r.outcome in
-      if i > 0 then add ",";
-      add "\n    {\n";
-      add "      \"scenario\": %S,\n" (scenario_name r);
-      add "      \"store\": %S,\n" (store_name r);
-      add "      \"policy\": %S,\n" o.Scenario.policy;
-      add "      \"capacity_per_sec\": %.1f,\n" r.capacity;
-      add "      \"unit_dur_s\": %.6f,\n" r.dur;
-      add "      \"window_s\": %.6f,\n" o.Scenario.interval;
-      add "      \"offered\": %d,\n" o.Scenario.offered;
-      add "      \"accepted\": %d,\n" o.Scenario.accepted;
-      add "      \"shed_admission\": %d,\n" o.Scenario.shed_admission;
-      add "      \"shed_dequeue\": %d,\n" o.Scenario.shed_dequeue;
-      add "      \"completed\": %d,\n" o.Scenario.completed;
-      add "      \"phases\": [";
-      Array.iteri
-        (fun j ps ->
-          if j > 0 then add ",";
-          add "\n        { \"name\": %S" ps.Scenario.ps_name;
-          add ", \"start_s\": %.6f" ps.Scenario.ps_start;
-          add ", \"end_s\": %.6f" ps.Scenario.ps_end;
-          add ", \"offered\": %d" ps.Scenario.ps_offered;
-          add ", \"accepted\": %d" ps.Scenario.ps_accepted;
-          add ", \"shed_admission\": %d" ps.Scenario.ps_shed_admission;
-          add ", \"shed_dequeue\": %d" ps.Scenario.ps_shed_dequeue;
-          add ", \"completed\": %d" ps.Scenario.ps_completed;
-          add ", \"p50_us\": %.3f" (qs ps.Scenario.ps_sojourn 50.0);
-          add ", \"p99_us\": %.3f" (qs ps.Scenario.ps_sojourn 99.0);
-          add " }")
-        o.Scenario.phases;
-      add "\n      ],\n";
-      add "      \"assertions\": [";
-      List.iteri
-        (fun j ((c : Assertion.t), (v : Assertion.verdict)) ->
-          if j > 0 then add ",";
-          add "\n        { \"label\": %S" v.Assertion.v_label;
-          add ", \"phase\": %S" c.Assertion.phase;
-          add ", \"series\": %S" (Assertion.series_name c.Assertion.series);
-          add ", \"pass\": %b" v.Assertion.v_pass;
-          add ", \"detail\": %S" v.Assertion.v_detail;
-          add " }")
-        (List.combine r.checks r.verdicts);
-      add "\n      ],\n";
-      add "      \"pass\": %b\n" (run_pass r);
-      add "    }")
-    runs;
-  add "\n  ],\n";
-  add "  \"pass\": %b\n" (List.for_all run_pass runs);
-  add "}\n";
-  Buffer.contents b
+  let open Json in
+  let phase ps =
+    Row
+      [
+        ("name", Str ps.Scenario.ps_name);
+        ("start_s", fixed 6 ps.Scenario.ps_start);
+        ("end_s", fixed 6 ps.Scenario.ps_end);
+        ("offered", Int ps.Scenario.ps_offered);
+        ("accepted", Int ps.Scenario.ps_accepted);
+        ("shed_admission", Int ps.Scenario.ps_shed_admission);
+        ("shed_dequeue", Int ps.Scenario.ps_shed_dequeue);
+        ("completed", Int ps.Scenario.ps_completed);
+        ("p50_us", fixed 3 (qs ps.Scenario.ps_sojourn 50.0));
+        ("p99_us", fixed 3 (qs ps.Scenario.ps_sojourn 99.0));
+      ]
+  in
+  let assertion ((c : Assertion.t), (v : Assertion.verdict)) =
+    Row
+      [
+        ("label", Str v.Assertion.v_label);
+        ("phase", Str c.Assertion.phase);
+        ("series", Str (Assertion.series_name c.Assertion.series));
+        ("pass", Bool v.Assertion.v_pass);
+        ("detail", Str v.Assertion.v_detail);
+      ]
+  in
+  let run (r : Library.run) =
+    let o = r.outcome in
+    Obj
+      [
+        ("scenario", Str (scenario_name r));
+        ("store", Str (store_name r));
+        ("policy", Str o.Scenario.policy);
+        ("capacity_per_sec", fixed 1 r.capacity);
+        ("unit_dur_s", fixed 6 r.dur);
+        ("window_s", fixed 6 o.Scenario.interval);
+        ("offered", Int o.Scenario.offered);
+        ("accepted", Int o.Scenario.accepted);
+        ("shed_admission", Int o.Scenario.shed_admission);
+        ("shed_dequeue", Int o.Scenario.shed_dequeue);
+        ("completed", Int o.Scenario.completed);
+        ("phases", Arr (Array.to_list (Array.map phase o.Scenario.phases)));
+        ( "assertions",
+          Arr (List.map assertion (List.combine r.checks r.verdicts)) );
+        ("pass", Bool (run_pass r));
+      ]
+  in
+  Obj
+    [
+      ("schema", Str "prism-scenario-v1");
+      ("seed", int64 cfg.s.seed);
+      ("records", Int cfg.s.records);
+      ("value_size", Int cfg.s.value_size);
+      ("servers", Int cfg.s.threads);
+      ("ops_budget", Int cfg.s.ops);
+      ("policy", Str cfg.policy);
+      ("runs", Arr (List.map run runs));
+      ("pass", Bool (List.for_all run_pass runs));
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* CLI                                                               *)
@@ -205,103 +177,23 @@ let json_of_runs cfg runs =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized: one scenario x two stores")
-  in
-  let list_flag =
-    Arg.(value & flag & info [ "list" ] ~doc:"List scenarios and exit")
-  in
-  let stores =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stores" ]
-          ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm")
-  in
-  let scenarios =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenarios" ]
-          ~doc:"Comma-separated scenario names (see --list)")
-  in
-  let policy =
-    Arg.(
-      value & opt string "bounded"
-      & info [ "policy" ]
-          ~doc:
-            "Admission policy: unbounded, bounded[=N], \
-             token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]")
-  in
-  let records =
-    Arg.(
-      value & opt (some int) None
-      & info [ "records" ] ~doc:"Dataset size in keys")
-  in
-  let servers =
-    Arg.(
-      value & opt (some int) None
-      & info [ "servers" ] ~doc:"Server processes draining the queue")
-  in
-  let ops =
-    Arg.(
-      value & opt (some int) None
-      & info [ "ops" ] ~doc:"Arrival budget per scenario run")
-  in
-  let seed =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "seed" ] ~doc:"Suite seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ]
-          ~doc:"Write prism-scenario-v1 verdicts as JSON to $(docv)"
-          ~docv:"FILE")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Exit nonzero when any assertion fails")
-  in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:"Tune the host GC (wall clock only; results unaffected)")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains running (scenario, store) pairs. Output is \
-             byte-identical for any $(docv); 0 means one per core.")
-  in
-  let main quick list_flag stores scenarios policy records servers ops seed
-      json strict gc_tune jobs =
+  let main () quick list_flag stores scenarios policy scenario json strict
+      jobs =
     if list_flag then begin
       List.iter
         (fun e -> pf "%-14s %s\n" e.Library.ename e.Library.esummary)
         Library.all;
       exit 0
     end;
-    if gc_tune then Setup.gc_tune ();
     let base = if quick then quick_config else default_config in
-    let split s = String.split_on_char ',' s |> List.map String.trim in
+    let o = Option.value in
     let cfg =
       {
         base with
-        stores = (match stores with Some s -> split s | None -> base.stores);
-        scenarios =
-          (match scenarios with Some s -> split s | None -> base.scenarios);
+        stores = o stores ~default:base.stores;
+        scenarios = o scenarios ~default:base.scenarios;
         policy;
-        records = Option.value records ~default:base.records;
-        servers = Option.value servers ~default:base.servers;
-        ops = Option.value ops ~default:base.ops;
-        seed;
+        s = scenario base.s;
       }
     in
     let t0 = Unix.gettimeofday () in
@@ -309,7 +201,7 @@ let () =
       (Printf.sprintf
          "Scenario suite: %d keys x %dB, %d servers, ~%d arrivals per run, \
           policy %s"
-         cfg.records cfg.value_size cfg.servers cfg.ops cfg.policy);
+         cfg.s.records cfg.s.value_size cfg.s.threads cfg.s.ops cfg.policy);
     (* Each (scenario, store) pair is an independent fleet job — it
        calibrates, synthesizes and replays from the suite seed alone.
        Merging in pair order keeps stdout and JSON byte-identical for
@@ -329,14 +221,10 @@ let () =
              List.map (fun store -> (ename, store)) stores)
            cfg.scenarios)
     in
-    let jobs =
-      if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-    in
     let results =
-      Prism_fleet.Fleet.with_pool ~jobs (fun pool ->
-          Prism_fleet.Fleet.map pool (Array.length pairs) (fun i ->
-              let ename, store = pairs.(i) in
-              run_one cfg ~ename ~store))
+      Prism_fleet.Fleet.farm ~jobs (Array.length pairs) (fun i ->
+          let ename, store = pairs.(i) in
+          run_one cfg ~ename ~store)
     in
     let runs =
       Array.to_list
@@ -351,9 +239,7 @@ let () =
     List.iter print_run runs;
     (match json with
     | Some path ->
-        let out = open_out path in
-        output_string out (json_of_runs cfg runs);
-        close_out out;
+        Json.write path (json_of_runs cfg runs);
         pf "wrote %s\n" path
     | None -> ());
     let failed = List.filter (fun r -> not (run_pass r)) runs in
@@ -363,11 +249,26 @@ let () =
       (Unix.gettimeofday () -. t0);
     if strict && failed <> [] then exit 1
   in
-  let cmd =
-    Cmd.v
-      (Cmd.info "scenario" ~doc:"Time-varying scenario suite with verdicts")
-      Term.(
-        const main $ quick $ list_flag $ stores $ scenarios $ policy $ records
-        $ servers $ ops $ seed $ json $ strict $ gc_tune $ jobs)
-  in
-  exit (Cmd.eval cmd)
+  Cli.exec ~name:"scenario" ~doc:"Time-varying scenario suite with verdicts"
+    Term.(
+      const main $ Cli.gc_tune
+      $ Cli.quick ~doc:"CI-sized: one scenario x two stores"
+      $ Arg.(value & flag & info [ "list" ] ~doc:"List scenarios and exit")
+      $ Cli.csv Arg.string "stores"
+          ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm"
+      $ Cli.csv Arg.string "scenarios"
+          ~doc:"Comma-separated scenario names (see --list)"
+      $ Arg.(
+          value & opt string "bounded"
+          & info [ "policy" ]
+              ~doc:
+                "Admission policy: unbounded, bounded[=N], \
+                 token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]")
+      $ Cli.scenario
+          ~threads:("servers", "Server processes draining the queue")
+          ~ops:"Arrival budget per scenario run"
+      $ Cli.json ~doc:"Write prism-scenario-v1 verdicts as JSON to $(docv)"
+      $ Arg.(
+          value & flag
+          & info [ "strict" ] ~doc:"Exit nonzero when any assertion fails")
+      $ Cli.jobs)

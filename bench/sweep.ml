@@ -18,6 +18,7 @@ open Prism_sim
 open Prism_harness
 open Prism_workload
 open Prism_frontend
+open Prism_cli
 
 let pf fmt = Printf.printf fmt
 
@@ -31,13 +32,8 @@ type config = {
   points : float list; (* offered load as multiples of calibrated capacity *)
   arrival : string; (* poisson | mmpp | diurnal *)
   mix : Ycsb.mix;
-  records : int;
-  value_size : int;
-  servers : int;
-  ops : int; (* open-loop arrivals per point *)
+  s : Setup.scenario; (* threads = servers; ops = arrivals per point *)
   cal_ops : int; (* closed-loop calibration ops *)
-  theta : float;
-  seed : int64;
 }
 
 let default_config =
@@ -47,13 +43,9 @@ let default_config =
     points = [ 0.5; 0.75; 0.9; 1.05; 1.2; 1.5 ];
     arrival = "poisson";
     mix = Ycsb.ycsb_b;
-    records = 10_000;
-    value_size = 256;
-    servers = 16;
-    ops = 8_000;
+    s =
+      { Setup.default_scenario with records = 10_000; threads = 16; ops = 8_000 };
     cal_ops = 6_000;
-    theta = 0.99;
-    seed = 0xC0FFEEL;
   }
 
 let quick_config =
@@ -62,10 +54,7 @@ let quick_config =
     stores = [ "prism"; "kvell" ];
     policies = [ "unbounded"; "bounded" ];
     points = [ 0.6; 1.0; 1.8 ];
-    records = 4_000;
-    servers = 8;
-    ops = 6_000;
-    cal_ops = 6_000;
+    s = { default_config.s with records = 4_000; threads = 8; ops = 6_000 };
   }
 
 (* ---------------------------------------------------------------- *)
@@ -87,102 +76,97 @@ type store_sweep = {
 }
 
 let run_point cfg make ~policy ~policy_arg ~capacity ~multiplier =
+  let s = cfg.s in
   let e = Engine.create () in
   let kv = Kv.instrument e (make e) in
-  ignore
-    (Runner.load e kv ~threads:cfg.servers ~records:cfg.records
-       ~value_size:cfg.value_size ~seed:cfg.seed);
+  ignore (Runner.load e kv s);
   (* Decorrelate the arrival stream and key sequence across sweep points
      while keeping every point a pure function of the sweep seed. *)
   let point_seed =
-    Int64.add cfg.seed
+    Int64.add s.seed
       (Prism_index.Strhash.fnv1a
          (Printf.sprintf "knee/%s/%s/%s/%.4f" kv.Kv.name policy_arg cfg.arrival
             multiplier))
   in
   let rng = Rng.create point_seed in
   let arrival =
-    Arrival.of_name cfg.arrival ~rate:(multiplier *. capacity) ~ops:cfg.ops
+    Arrival.of_name cfg.arrival ~rate:(multiplier *. capacity) ~ops:s.ops
       (Rng.split rng)
   in
   let gen =
-    Ycsb.create cfg.mix ~records:cfg.records ~theta:cfg.theta
-      ~value_size:cfg.value_size rng
+    Ycsb.create cfg.mix ~records:s.records ~theta:s.theta
+      ~value_size:s.value_size rng
   in
   let trace =
-    Trace.record_timed gen ~gap:(fun () -> Arrival.next_gap arrival) ~ops:cfg.ops
+    Trace.record_timed gen ~gap:(fun () -> Arrival.next_gap arrival) ~ops:s.ops
   in
   let result =
-    Frontend.run ~servers:cfg.servers e kv ~policy
+    Frontend.run ~servers:s.threads e kv ~policy
       ~offered_rate:(Arrival.mean_rate arrival) ~trace
   in
   { multiplier; result }
 
-let sweep_store cfg pool name =
-  let make =
-    Setup.of_name name
-      {
-        Setup.default_scenario with
-        records = cfg.records;
-        value_size = cfg.value_size;
-        threads = cfg.servers;
-        theta = cfg.theta;
-        seed = cfg.seed;
-      }
+(* Closed-loop calibration and every (policy, point) cell build their
+   own engine and store from the sweep seed, so both stages are flat
+   fleet farms; merging by cell index keeps the tables, progress lines
+   and JSON byte-identical for any --jobs. *)
+let sweep cfg ~jobs =
+  let makers = Array.of_list (List.map (fun n -> Setup.of_name n cfg.s) cfg.stores) in
+  let calibrations =
+    Prism_fleet.Fleet.farm ~jobs (Array.length makers) (fun i ->
+        let r = Runner.calibrate ~ops:cfg.cal_ops makers.(i) cfg.mix cfg.s in
+        let capacity = r.Runner.kops *. 1e3 in
+        let policies =
+          List.map
+            (fun arg ->
+              match Admission.of_string ~capacity ~servers:cfg.s.threads arg with
+              | Ok p -> (arg, p)
+              | Error e -> failwith e)
+            cfg.policies
+        in
+        (r, policies))
   in
-  (* Closed-loop calibration: the store's saturation throughput with
-     [servers] concurrent clients, and its uncontended median service
-     time. Deterministic, so the whole sweep is a pure function of the
-     seed. *)
-  let r =
-    Runner.calibrate make cfg.mix ~threads:cfg.servers ~records:cfg.records
-      ~ops:cfg.cal_ops ~theta:cfg.theta ~value_size:cfg.value_size
-      ~seed:cfg.seed
-  in
-  let store_name = r.Runner.store in
-  let capacity = r.Runner.kops *. 1e3 in
-  let service_p50 = Hist.quantile r.Runner.latency 50.0 *. 1e-9 in
-  pf "%s: closed-loop capacity %.0f ops/s, service p50 %.1f us\n%!" store_name
-    capacity (service_p50 *. 1e6);
-  let policies =
-    List.map
-      (fun policy_arg ->
-        match Admission.of_string ~capacity ~servers:cfg.servers policy_arg with
-        | Ok p -> (policy_arg, p)
-        | Error e -> failwith e)
-      cfg.policies
-  in
-  (* Every (policy, point) cell builds its own engine and store from the
-     sweep seed, so cells are independent fleet jobs; merging in grid
-     order keeps the tables, progress lines and JSON byte-identical for
-     any --jobs. *)
-  let npts = List.length cfg.points in
   let cells =
     Array.of_list
-      (List.concat_map
-         (fun (policy_arg, policy) ->
-           List.map (fun m -> (policy_arg, policy, m)) cfg.points)
-         policies)
+      (List.concat
+         (List.mapi
+            (fun si (r, policies) ->
+              List.concat_map
+                (fun (policy_arg, policy) ->
+                  List.map (fun m -> (si, r, policy_arg, policy, m)) cfg.points)
+                policies)
+            (Array.to_list calibrations)))
   in
   let results =
-    Prism_fleet.Fleet.map pool (Array.length cells) (fun i ->
-        let policy_arg, policy, multiplier = cells.(i) in
-        run_point cfg make ~policy ~policy_arg ~capacity ~multiplier)
+    Prism_fleet.Fleet.farm ~jobs (Array.length cells) (fun i ->
+        let si, r, policy_arg, policy, multiplier = cells.(i) in
+        run_point cfg makers.(si) ~policy ~policy_arg
+          ~capacity:(r.Runner.kops *. 1e3) ~multiplier)
   in
-  let curves =
-    List.mapi
-      (fun pi (policy_arg, policy) ->
-        let points =
-          List.init npts (fun k ->
-              let p = results.((pi * npts) + k) in
-              pf "  %-22s x%.2f done\n%!" (Admission.describe policy)
-                p.multiplier;
-              p)
-        in
-        { policy_arg; policy; points })
-      policies
-  in
-  { store_name; capacity; service_p50; curves }
+  let npts = List.length cfg.points in
+  let next = ref 0 in
+  Array.to_list calibrations
+  |> List.map (fun (r, policies) ->
+         let store_name = r.Runner.store in
+         let capacity = r.Runner.kops *. 1e3 in
+         let service_p50 = Hist.quantile r.Runner.latency 50.0 *. 1e-9 in
+         pf "%s: closed-loop capacity %.0f ops/s, service p50 %.1f us\n%!"
+           store_name capacity (service_p50 *. 1e6);
+         let curves =
+           List.map
+             (fun (policy_arg, policy) ->
+               let points =
+                 List.init npts (fun k ->
+                     let p = results.(!next + k) in
+                     pf "  %-22s x%.2f done\n%!" (Admission.describe policy)
+                       p.multiplier;
+                     p)
+               in
+               next := !next + npts;
+               { policy_arg; policy; points })
+             policies
+         in
+         { store_name; capacity; service_p50; curves })
 
 (* ---------------------------------------------------------------- *)
 (* Reporting                                                         *)
@@ -250,64 +234,57 @@ let print_verdict sw =
           end)
         sw.curves
 
-(* ---------------------------------------------------------------- *)
-(* JSON export                                                       *)
-(* ---------------------------------------------------------------- *)
-
-(* Hand-rolled like Stats.to_json: fixed field order, fixed float
-   formats, so the same seed writes byte-identical output. *)
+(* prism-knee-v1: fixed member order and float formats, so the same seed
+   writes byte-identical output. *)
 let json_of_sweeps cfg sweeps =
-  let b = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"prism-knee-v1\",\n";
-  add "  \"seed\": %Ld,\n" cfg.seed;
-  add "  \"mix\": %S,\n" cfg.mix.Ycsb.name;
-  add "  \"arrival\": %S,\n" cfg.arrival;
-  add "  \"servers\": %d,\n" cfg.servers;
-  add "  \"records\": %d,\n" cfg.records;
-  add "  \"value_size\": %d,\n" cfg.value_size;
-  add "  \"ops_per_point\": %d,\n" cfg.ops;
-  add "  \"stores\": [";
-  List.iteri
-    (fun i sw ->
-      if i > 0 then add ",";
-      add "\n    {\n";
-      add "      \"store\": %S,\n" sw.store_name;
-      add "      \"capacity_per_sec\": %.1f,\n" sw.capacity;
-      add "      \"service_p50_us\": %.3f,\n" (sw.service_p50 *. 1e6);
-      add "      \"curves\": [";
-      List.iteri
-        (fun j c ->
-          if j > 0 then add ",";
-          add "\n        {\n";
-          add "          \"policy\": %S,\n" (Admission.name c.policy);
-          add "          \"policy_detail\": %S,\n" (Admission.describe c.policy);
-          add "          \"points\": [";
-          List.iteri
-            (fun k { multiplier; result = r } ->
-              if k > 0 then add ",";
-              add "\n            { \"multiplier\": %.4f" multiplier;
-              add ", \"offered_per_sec\": %.1f" r.Frontend.offered_rate;
-              add ", \"goodput_per_sec\": %.1f" r.Frontend.goodput;
-              add ", \"shed_rate\": %.6f" (Frontend.shed_rate r);
-              add ", \"offered\": %d" r.Frontend.offered;
-              add ", \"completed\": %d" r.Frontend.completed;
-              add ", \"shed\": %d" (Frontend.shed r);
-              add ", \"max_depth\": %d" r.Frontend.max_depth;
-              add ", \"p50_us\": %.3f" (q r.Frontend.sojourn 50.0);
-              add ", \"p99_us\": %.3f" (q r.Frontend.sojourn 99.0);
-              add ", \"p999_us\": %.3f" (q r.Frontend.sojourn 99.9);
-              add ", \"wait_p99_us\": %.3f" (q r.Frontend.wait 99.0);
-              add ", \"service_p99_us\": %.3f" (q r.Frontend.service 99.0);
-              add " }")
-            c.points;
-          add "\n          ]\n        }")
-        sw.curves;
-      add "\n      ]\n    }")
-    sweeps;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let open Json in
+  let point { multiplier; result = r } =
+    Row
+      [
+        ("multiplier", fixed 4 multiplier);
+        ("offered_per_sec", fixed 1 r.Frontend.offered_rate);
+        ("goodput_per_sec", fixed 1 r.Frontend.goodput);
+        ("shed_rate", fixed 6 (Frontend.shed_rate r));
+        ("offered", Int r.Frontend.offered);
+        ("completed", Int r.Frontend.completed);
+        ("shed", Int (Frontend.shed r));
+        ("max_depth", Int r.Frontend.max_depth);
+        ("p50_us", fixed 3 (q r.Frontend.sojourn 50.0));
+        ("p99_us", fixed 3 (q r.Frontend.sojourn 99.0));
+        ("p999_us", fixed 3 (q r.Frontend.sojourn 99.9));
+        ("wait_p99_us", fixed 3 (q r.Frontend.wait 99.0));
+        ("service_p99_us", fixed 3 (q r.Frontend.service 99.0));
+      ]
+  in
+  let curve c =
+    Obj
+      [
+        ("policy", Str (Admission.name c.policy));
+        ("policy_detail", Str (Admission.describe c.policy));
+        ("points", Arr (List.map point c.points));
+      ]
+  in
+  let store sw =
+    Obj
+      [
+        ("store", Str sw.store_name);
+        ("capacity_per_sec", fixed 1 sw.capacity);
+        ("service_p50_us", fixed 3 (sw.service_p50 *. 1e6));
+        ("curves", Arr (List.map curve sw.curves));
+      ]
+  in
+  Obj
+    [
+      ("schema", Str "prism-knee-v1");
+      ("seed", int64 cfg.s.seed);
+      ("mix", Str cfg.mix.Ycsb.name);
+      ("arrival", Str cfg.arrival);
+      ("servers", Int cfg.s.threads);
+      ("records", Int cfg.s.records);
+      ("value_size", Int cfg.s.value_size);
+      ("ops_per_point", Int cfg.s.ops);
+      ("stores", Arr (List.map store sweeps));
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* CLI                                                               *)
@@ -315,100 +292,18 @@ let json_of_sweeps cfg sweeps =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized sweep: 2 stores x 2 policies x 3 points")
-  in
-  let stores =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stores" ] ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm")
-  in
-  let policies =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "policies" ]
-          ~doc:
-            "Comma-separated admission policies: unbounded, bounded[=N], \
-             token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]")
-  in
-  let points =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "points" ]
-          ~doc:"Comma-separated offered-load multipliers of calibrated capacity")
-  in
-  let arrival =
-    Arg.(
-      value & opt string "poisson"
-      & info [ "arrival" ] ~doc:"Arrival process: poisson | mmpp | diurnal")
-  in
-  let mix =
-    Arg.(
-      value & opt string "b"
-      & info [ "mix" ] ~doc:"Workload mix: a|b|c|d|e|nutanix")
-  in
-  let records =
-    Arg.(value & opt (some int) None & info [ "records" ] ~doc:"Dataset size in keys")
-  in
-  let servers =
-    Arg.(value & opt (some int) None & info [ "servers" ] ~doc:"Server processes draining the queue")
-  in
-  let ops =
-    Arg.(value & opt (some int) None & info [ "ops" ] ~doc:"Open-loop arrivals per sweep point")
-  in
-  let seed =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "seed" ] ~doc:"Sweep seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write the knee curves as JSON to $(docv)" ~docv:"FILE")
-  in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:"Tune the host GC (wall clock only; results unaffected)")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains running sweep cells. Output is byte-identical \
-             for any $(docv); 0 means one per core.")
-  in
-  let main quick stores policies points arrival mix records servers ops seed
-      json gc_tune jobs =
-    if gc_tune then Setup.gc_tune ();
+  let main () quick stores policies points arrival mix scenario json jobs =
     let base = if quick then quick_config else default_config in
-    let split s = String.split_on_char ',' s |> List.map String.trim in
-    let mix =
-      match Ycsb.mix_of_name mix with
-      | Some m -> m
-      | None -> failwith ("unknown mix: " ^ mix)
-    in
+    let o = Option.value in
     let cfg =
       {
         base with
-        stores = (match stores with Some s -> split s | None -> base.stores);
-        policies = (match policies with Some s -> split s | None -> base.policies);
-        points =
-          (match points with
-          | Some s -> List.map float_of_string (split s)
-          | None -> base.points);
+        stores = o stores ~default:base.stores;
+        policies = o policies ~default:base.policies;
+        points = o points ~default:base.points;
         arrival;
         mix;
-        records = Option.value records ~default:base.records;
-        servers = Option.value servers ~default:base.servers;
-        ops = Option.value ops ~default:base.ops;
-        seed;
+        s = scenario base.s;
       }
     in
     let t0 = Unix.gettimeofday () in
@@ -416,15 +311,9 @@ let () =
       (Printf.sprintf
          "Offered-load knee curves: %s arrivals, mix %s, %d keys x %dB, %d \
           servers, %d arrivals/point"
-         cfg.arrival cfg.mix.Ycsb.name cfg.records cfg.value_size cfg.servers
-         cfg.ops);
-    let jobs =
-      if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-    in
-    let sweeps =
-      Prism_fleet.Fleet.with_pool ~jobs (fun pool ->
-          List.map (sweep_store cfg pool) cfg.stores)
-    in
+         cfg.arrival cfg.mix.Ycsb.name cfg.s.records cfg.s.value_size
+         cfg.s.threads cfg.s.ops);
+    let sweeps = sweep cfg ~jobs in
     List.iter
       (fun sw ->
         print_tables sw;
@@ -432,19 +321,30 @@ let () =
       sweeps;
     (match json with
     | Some path ->
-        let oc = open_out path in
-        output_string oc (json_of_sweeps cfg sweeps);
-        close_out oc;
+        Json.write path (json_of_sweeps cfg sweeps);
         pf "\nwrote knee curves to %s\n" path
     | None -> ());
     pf "\nSweep done in %.1fs wall.\n" (Unix.gettimeofday () -. t0)
   in
-  let cmd =
-    Cmd.v
-      (Cmd.info "prism-sweep"
-         ~doc:"Offered-load sweeps past saturation (knee curves)")
-      Term.(
-        const main $ quick $ stores $ policies $ points $ arrival $ mix
-        $ records $ servers $ ops $ seed $ json $ gc_tune $ jobs)
-  in
-  exit (Cmd.eval cmd)
+  Cli.exec ~name:"prism-sweep"
+    ~doc:"Offered-load sweeps past saturation (knee curves)"
+    Term.(
+      const main $ Cli.gc_tune
+      $ Cli.quick ~doc:"CI-sized sweep: 2 stores x 2 policies x 3 points"
+      $ Cli.csv Arg.string "stores"
+          ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm"
+      $ Cli.csv Arg.string "policies"
+          ~doc:
+            "Comma-separated admission policies: unbounded, bounded[=N], \
+             token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]"
+      $ Cli.csv Arg.float "points"
+          ~doc:"Comma-separated offered-load multipliers of calibrated capacity"
+      $ Arg.(
+          value & opt string "poisson"
+          & info [ "arrival" ] ~doc:"Arrival process: poisson | mmpp | diurnal")
+      $ Cli.mix "b"
+      $ Cli.scenario
+          ~threads:("servers", "Server processes draining the queue")
+          ~ops:"Open-loop arrivals per sweep point"
+      $ Cli.json ~doc:"Write the knee curves as JSON to $(docv)"
+      $ Cli.jobs)

@@ -20,6 +20,7 @@
 open Prism_sim
 open Prism_harness
 open Prism_workload
+open Prism_cli
 
 let pf fmt = Printf.printf fmt
 
@@ -30,28 +31,22 @@ let pf fmt = Printf.printf fmt
 type config = {
   thetas : float list;
   mix : Ycsb.mix;
-  records : int;
-  value_size : int;
-  threads : int;
-  num_ssds : int;
-  ops : int;
-  seed : int64;
+  s : Setup.scenario; (* ops per cell whatever the mix; theta per point *)
 }
 
 let default_config =
   {
     thetas = [ 0.6; 0.8; 0.99; 1.1; 1.2; 1.3 ];
     mix = Ycsb.ycsb_a;
-    records = 10_000;
-    value_size = 256;
-    threads = 8;
-    num_ssds = 2;
-    ops = 30_000;
-    seed = 0xC0FFEEL;
+    s = { Setup.default_scenario with records = 10_000; ops = 30_000 };
   }
 
 let quick_config =
-  { default_config with thetas = [ 0.8; 1.2 ]; records = 5_000; ops = 12_000 }
+  {
+    default_config with
+    thetas = [ 0.8; 1.2 ];
+    s = { default_config.s with records = 5_000; ops = 12_000 };
+  }
 
 (* ---------------------------------------------------------------- *)
 (* One cell: (θ, placement) -> measurements                          *)
@@ -75,18 +70,7 @@ type cell = {
 
 let run_cell cfg ~theta ~placement =
   let e = Engine.create () in
-  let s =
-    {
-      Setup.default_scenario with
-      records = cfg.records;
-      value_size = cfg.value_size;
-      threads = cfg.threads;
-      num_ssds = cfg.num_ssds;
-      theta;
-      ops = cfg.ops;
-      seed = cfg.seed;
-    }
-  in
+  let s = { cfg.s with theta } in
   let kv, store =
     match placement with
     | "static" -> Setup.prism e s
@@ -94,13 +78,8 @@ let run_cell cfg ~theta ~placement =
     | other -> failwith ("unknown placement: " ^ other)
   in
   let kv = Kv.instrument e kv in
-  ignore
-    (Runner.load e kv ~threads:cfg.threads ~records:cfg.records
-       ~value_size:cfg.value_size ~seed:cfg.seed);
-  let r =
-    Runner.run e kv cfg.mix ~threads:cfg.threads ~records:cfg.records
-      ~ops:cfg.ops ~theta ~value_size:cfg.value_size ~seed:cfg.seed
-  in
+  ignore (Runner.load e kv s);
+  let r = Runner.run ~ops:s.ops e kv cfg.mix s in
   let reg = Engine.stats e in
   let gi = Stats.get_int reg in
   let put_bytes = gi "prism.ops.put_bytes" in
@@ -135,10 +114,9 @@ let run_points cfg ~jobs =
   let thetas = Array.of_list cfg.thetas in
   let n = Array.length thetas in
   let cells =
-    Prism_fleet.Fleet.with_pool ~jobs (fun pool ->
-        Prism_fleet.Fleet.map pool (2 * n) (fun i ->
-            run_cell cfg ~theta:thetas.(i / 2)
-              ~placement:(if i land 1 = 0 then "static" else "hotness")))
+    Prism_fleet.Fleet.farm ~jobs (2 * n) (fun i ->
+        run_cell cfg ~theta:thetas.(i / 2)
+          ~placement:(if i land 1 = 0 then "static" else "hotness"))
   in
   List.init n (fun k ->
       let static = cells.(2 * k) and hotness = cells.((2 * k) + 1) in
@@ -205,50 +183,41 @@ let print_verdict points =
         pf "  tier: verdict PASS (hotness beats static at high skew)\n"
       else pf "  tier: verdict FAIL\n"
 
-(* ---------------------------------------------------------------- *)
-(* JSON export                                                       *)
-(* ---------------------------------------------------------------- *)
-
-(* Hand-rolled like Stats.to_json: fixed field order, fixed float
-   formats, so the same seed writes byte-identical output. *)
+(* prism-tier-v1: fixed member order and float formats, so the same seed
+   writes byte-identical output. *)
 let json_of_points cfg points =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let add_cell indent c =
-    add "%s\"%s\": { \"kops\": %.3f, \"p50_us\": %.3f, \"p99_us\": %.3f"
-      indent c.placement c.kops c.p50_us c.p99_us;
-    add ", \"waf\": %.6f" c.waf;
-    add ", \"ssd_bytes_written\": %d" c.ssd_bytes;
-    add ", \"nvm_bytes_written\": %d" c.nvm_bytes;
-    add ", \"tier_resident_bytes\": %d" c.tier_resident;
-    add ", \"tier_capacity_bytes\": %d" c.tier_capacity;
-    add ", \"tier_hits\": %d" c.tier_hits;
-    add ", \"promotions\": %d" c.promotions;
-    add ", \"demotions\": %d" c.demotions;
-    add ", \"migration_bytes\": %d }" c.migration_bytes
+  let open Json in
+  let cell c =
+    ( c.placement,
+      Row
+        [
+          ("kops", fixed 3 c.kops);
+          ("p50_us", fixed 3 c.p50_us);
+          ("p99_us", fixed 3 c.p99_us);
+          ("waf", fixed 6 c.waf);
+          ("ssd_bytes_written", Int c.ssd_bytes);
+          ("nvm_bytes_written", Int c.nvm_bytes);
+          ("tier_resident_bytes", Int c.tier_resident);
+          ("tier_capacity_bytes", Int c.tier_capacity);
+          ("tier_hits", Int c.tier_hits);
+          ("promotions", Int c.promotions);
+          ("demotions", Int c.demotions);
+          ("migration_bytes", Int c.migration_bytes);
+        ] )
   in
-  add "{\n";
-  add "  \"schema\": \"prism-tier-v1\",\n";
-  add "  \"seed\": %Ld,\n" cfg.seed;
-  add "  \"mix\": %S,\n" cfg.mix.Ycsb.name;
-  add "  \"records\": %d,\n" cfg.records;
-  add "  \"value_size\": %d,\n" cfg.value_size;
-  add "  \"threads\": %d,\n" cfg.threads;
-  add "  \"ssds\": %d,\n" cfg.num_ssds;
-  add "  \"ops\": %d,\n" cfg.ops;
-  add "  \"points\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then add ",";
-      add "\n    {\n";
-      add "      \"theta\": %.4f,\n" p.theta;
-      add_cell "      " p.static;
-      add ",\n";
-      add_cell "      " p.hotness;
-      add "\n    }")
-    points;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let point p = Obj [ ("theta", fixed 4 p.theta); cell p.static; cell p.hotness ] in
+  Obj
+    [
+      ("schema", Str "prism-tier-v1");
+      ("seed", int64 cfg.s.seed);
+      ("mix", Str cfg.mix.Ycsb.name);
+      ("records", Int cfg.s.records);
+      ("value_size", Int cfg.s.value_size);
+      ("threads", Int cfg.s.threads);
+      ("ssds", Int cfg.s.num_ssds);
+      ("ops", Int cfg.s.ops);
+      ("points", Arr (List.map point points));
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* CLI                                                               *)
@@ -256,81 +225,13 @@ let json_of_points cfg points =
 
 let () =
   let open Cmdliner in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI-sized sweep: 2 thetas, smaller dataset")
-  in
-  let thetas =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "thetas" ] ~doc:"Comma-separated Zipfian coefficients")
-  in
-  let mix =
-    Arg.(
-      value & opt string "a"
-      & info [ "mix" ] ~doc:"Workload mix: a|b|c|d|e|nutanix")
-  in
-  let records =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "records" ] ~doc:"Dataset size in keys")
-  in
-  let ops =
-    Arg.(
-      value & opt (some int) None & info [ "ops" ] ~doc:"Operations per cell")
-  in
-  let threads =
-    Arg.(
-      value & opt (some int) None & info [ "threads" ] ~doc:"Client threads")
-  in
-  let seed =
-    Arg.(value & opt int64 0xC0FFEEL & info [ "seed" ] ~doc:"Sweep seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write the sweep as JSON to $(docv)" ~docv:"FILE")
-  in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:"Tune the host GC (wall clock only; results unaffected)")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains running sweep cells. Output is byte-identical \
-             for any $(docv); 0 means one per core.")
-  in
-  let main quick thetas mix records ops threads seed json gc_tune jobs =
-    if gc_tune then Setup.gc_tune ();
+  let main () quick thetas mix scenario json jobs =
     let base = if quick then quick_config else default_config in
-    let mix =
-      match Ycsb.mix_of_name mix with
-      | Some m -> m
-      | None -> failwith ("unknown mix: " ^ mix)
-    in
     let cfg =
       {
-        base with
-        thetas =
-          (match thetas with
-          | Some s ->
-              String.split_on_char ',' s
-              |> List.map (fun x -> float_of_string (String.trim x))
-          | None -> base.thetas);
+        thetas = Option.value thetas ~default:base.thetas;
         mix;
-        records = Option.value records ~default:base.records;
-        ops = Option.value ops ~default:base.ops;
-        threads = Option.value threads ~default:base.threads;
-        seed;
+        s = scenario base.s;
       }
     in
     let t0 = Unix.gettimeofday () in
@@ -338,28 +239,26 @@ let () =
       (Printf.sprintf
          "Placement theta-sweep: mix %s, %d keys x %dB, %d threads, %d \
           ops/cell"
-         cfg.mix.Ycsb.name cfg.records cfg.value_size cfg.threads cfg.ops);
-    let jobs =
-      if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-    in
+         cfg.mix.Ycsb.name cfg.s.records cfg.s.value_size cfg.s.threads
+         cfg.s.ops);
     let points = run_points cfg ~jobs in
     print_table points;
     print_verdict points;
     (match json with
     | Some path ->
-        let oc = open_out path in
-        output_string oc (json_of_points cfg points);
-        close_out oc;
+        Json.write path (json_of_points cfg points);
         pf "\nwrote tier sweep to %s\n" path
     | None -> ());
     pf "\nSweep done in %.1fs wall.\n" (Unix.gettimeofday () -. t0)
   in
-  let cmd =
-    Cmd.v
-      (Cmd.info "prism-tier-sweep"
-         ~doc:"Zipfian-skew sweep of static vs hotness value placement")
-      Term.(
-        const main $ quick $ thetas $ mix $ records $ ops $ threads $ seed
-        $ json $ gc_tune $ jobs)
-  in
-  exit (Cmd.eval cmd)
+  Cli.exec ~name:"prism-tier-sweep"
+    ~doc:"Zipfian-skew sweep of static vs hotness value placement"
+    Term.(
+      const main $ Cli.gc_tune
+      $ Cli.quick ~doc:"CI-sized sweep: 2 thetas, smaller dataset"
+      $ Cli.csv Arg.float "thetas" ~doc:"Comma-separated Zipfian coefficients"
+      $ Cli.mix "a"
+      $ Cli.scenario ~threads:("threads", "Client threads")
+          ~ops:"Operations per cell"
+      $ Cli.json ~doc:"Write the sweep as JSON to $(docv)"
+      $ Cli.jobs)

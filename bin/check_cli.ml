@@ -21,27 +21,37 @@
    replayable tie seed (or tie-choice list). *)
 
 open Prism_check
+open Prism_cli
 
-let fault_name = function
-  | Explore.No_fault -> "none"
-  | Explore.Skip_svc_invalidate -> "svc"
-  | Explore.Skip_hsit_flush -> "hsit"
-  | Explore.Scan_stale_snapshot -> "scan-stale"
-  | Explore.Scan_skip_pwb -> "scan-skip-pwb"
-  | Explore.Scan_drop_key -> "scan-drop"
-  | Explore.Skip_2pc_log_flush -> "2pc-ack"
+(* --fault's names: parsed and printed from this one table. *)
+let faults =
+  [
+    ("none", Explore.No_fault);
+    ("svc", Explore.Skip_svc_invalidate);
+    ("hsit", Explore.Skip_hsit_flush);
+    ("scan-stale", Explore.Scan_stale_snapshot);
+    ("scan-skip-pwb", Explore.Scan_skip_pwb);
+    ("scan-drop", Explore.Scan_drop_key);
+    ("2pc-ack", Explore.Skip_2pc_log_flush);
+  ]
 
-let scan_check_name cfg =
-  match cfg.Explore.scan_check with `Strict -> "strict" | `Weak -> "weak"
+let fault_name f = fst (List.find (fun (_, g) -> g = f) faults)
 
-let explore_store_name cfg =
-  match cfg.Explore.store with
-  | `Kvell -> "kvell"
-  | `Prism ->
-      if cfg.Explore.shards > 1 || cfg.Explore.txn_every > 0 then
-        Printf.sprintf "prism cluster (%d shards, txn every %d)"
-          cfg.Explore.shards cfg.Explore.txn_every
-      else "prism"
+(* The explored setup, as the run headers print it. *)
+let describe cfg =
+  Printf.sprintf
+    "%s, %d threads x %d ops over %d keys, seed 0x%Lx, fault %s, %s scans"
+    (match cfg.Explore.store with
+    | `Kvell -> "kvell"
+    | `Prism ->
+        if cfg.Explore.shards > 1 || cfg.Explore.txn_every > 0 then
+          Printf.sprintf "prism cluster (%d shards, txn every %d)"
+            cfg.Explore.shards cfg.Explore.txn_every
+        else "prism")
+    cfg.Explore.threads cfg.Explore.ops_per_thread cfg.Explore.records
+    cfg.Explore.seed
+    (fault_name cfg.Explore.fault)
+    (match cfg.Explore.scan_check with `Strict -> "strict" | `Weak -> "weak")
 
 (* Replay hints must reproduce the checking setup, not just the schedule. *)
 let fault_suffix cfg =
@@ -54,17 +64,9 @@ let fault_suffix cfg =
   ^ (if cfg.Explore.txn_every > 0 then
        Printf.sprintf " --txn-every %d" cfg.Explore.txn_every
      else "")
-  ^ match cfg.Explore.scan_check with `Weak -> " --scan-weak" | `Strict -> ""
 
 let run_explore ~schedules ~cfg ~verbose ~jobs =
-  Printf.printf
-    "exploring %d schedules: %s, %d threads x %d ops over %d keys, seed \
-     0x%Lx, fault %s, %s scans\n\
-     %!"
-    schedules (explore_store_name cfg) cfg.Explore.threads cfg.Explore.ops_per_thread cfg.Explore.records
-    cfg.Explore.seed
-    (fault_name cfg.Explore.fault)
-    (scan_check_name cfg);
+  Printf.printf "exploring %d schedules: %s\n%!" schedules (describe cfg);
   let progress s =
     if verbose then
       Printf.printf
@@ -92,9 +94,8 @@ let run_explore ~schedules ~cfg ~verbose ~jobs =
         failures);
   report.Explore.failures = []
 
-let run_replay ~cfg ~tie_seed =
-  Printf.printf "replaying schedule with tie-seed 0x%Lx\n%!" tie_seed;
-  match Explore.replay cfg ~tie_seed with
+(* A single replayed schedule's verdict; [true] when linearizable. *)
+let print_replay = function
   | None ->
       Printf.printf "schedule is linearizable\n";
       true
@@ -102,18 +103,16 @@ let run_replay ~cfg ~tie_seed =
       Printf.printf "FAILURE:\n%s\n" violation;
       false
 
+let run_replay ~cfg ~tie_seed =
+  Printf.printf "replaying schedule with tie-seed 0x%Lx\n%!" tie_seed;
+  print_replay (Explore.replay cfg ~tie_seed)
+
 let choices_to_string choices =
   String.concat "," (List.map string_of_int (Array.to_list choices))
 
 let run_dpor ~max_classes ~cfg ~verbose ~jobs =
-  Printf.printf
-    "DPOR: up to %d interleaving classes: %s, %d threads x %d ops over %d \
-     keys, seed 0x%Lx, fault %s, %s scans\n\
-     %!"
-    max_classes (explore_store_name cfg) cfg.Explore.threads cfg.Explore.ops_per_thread cfg.Explore.records
-    cfg.Explore.seed
-    (fault_name cfg.Explore.fault)
-    (scan_check_name cfg);
+  Printf.printf "DPOR: up to %d interleaving classes: %s\n%!" max_classes
+    (describe cfg);
   let progress s =
     if verbose then
       Printf.printf
@@ -143,13 +142,7 @@ let run_dpor ~max_classes ~cfg ~verbose ~jobs =
 let run_replay_choices ~cfg ~choices =
   Printf.printf "replaying schedule with tie choices [%s]\n%!"
     (choices_to_string choices);
-  match Explore.replay_choices cfg ~choices with
-  | None ->
-      Printf.printf "schedule is linearizable\n";
-      true
-  | Some violation ->
-      Printf.printf "FAILURE:\n%s\n" violation;
-      false
+  print_replay (Explore.replay_choices cfg ~choices)
 
 let run_shrink ~cfg ~tie_seed =
   Printf.printf "recording schedule with tie-seed 0x%Lx for shrinking\n%!"
@@ -245,56 +238,22 @@ let parse_choices s =
     exit 2
 
 let main store placement seed schedules dpor crash_every replay
-    replay_choices shrink no_lsm_wal fault scan_weak scan_every delete_every
+    replay_choices shrink no_lsm_wal fault scan_every delete_every
     threads ops records keys_per_thread shards txn_every jobs verbose =
-  let jobs =
-    if jobs = 0 then Prism_fleet.Fleet.default_jobs () else max 1 jobs
-  in
-  let placement =
-    match String.lowercase_ascii placement with
-    | "static" -> `Static
-    | "hotness" -> `Hotness
-    | other ->
-        Printf.eprintf "unknown --placement %S (use static|hotness)\n" other;
-        exit 2
-  in
-  let fault =
-    match fault with
-    | "none" -> Explore.No_fault
-    | "svc" -> Explore.Skip_svc_invalidate
-    | "hsit" -> Explore.Skip_hsit_flush
-    | "scan-stale" -> Explore.Scan_stale_snapshot
-    | "scan-skip-pwb" -> Explore.Scan_skip_pwb
-    | "scan-drop" -> Explore.Scan_drop_key
-    | "2pc-ack" -> Explore.Skip_2pc_log_flush
-    | other ->
-        Printf.eprintf
-          "unknown --fault %S (use \
-           none|svc|hsit|scan-stale|scan-skip-pwb|scan-drop|2pc-ack)\n"
-          other;
-        exit 2
-  in
-  let store =
-    match store with
-    | "prism" -> `Prism
-    | "kvell" -> `Kvell
-    | "lsm" -> `Lsm
-    | "cluster" -> `Cluster
-    | other ->
-        Printf.eprintf
-          "unknown --store %S (use prism|kvell|lsm|cluster)\n" other;
-        exit 2
-  in
   (* --store cluster defaults to 2 shards; --shards > 1 on prism implies
      the cluster. Either way every sub-command sees the same topology. *)
   let shards =
-    if shards > 0 then shards else if store = `Cluster then 2 else 1
+    match shards with
+    | Some n when n > 0 -> n
+    | _ -> if store = `Cluster then 2 else 1
   in
   let store = if store = `Prism && shards > 1 then `Cluster else store in
   let txn_every =
-    if txn_every >= 0 then txn_every
-    else if store = `Cluster then Crash_sweep.default.Crash_sweep.txn_every
-    else 0
+    match txn_every with
+    | Some k when k >= 0 -> k
+    | _ ->
+        if store = `Cluster then Crash_sweep.default.Crash_sweep.txn_every
+        else 0
   in
   if store = `Kvell && (shards > 1 || txn_every > 0) then begin
     Printf.eprintf "--shards/--txn-every need the prism-backed cluster\n";
@@ -328,7 +287,6 @@ let main store placement seed schedules dpor crash_every replay
       records;
       scan_every = max 1 scan_every;
       delete_every = max 1 delete_every;
-      scan_check = (if scan_weak then `Weak else `Strict);
       fault;
       shards;
       txn_every;
@@ -393,27 +351,21 @@ let main store placement seed schedules dpor crash_every replay
        --replay SEED, or --replay-choices LIST\n";
     exit 2
   end;
-  if !ok then 0 else 1
+  exit (if !ok then 0 else 1)
 
 open Cmdliner
 
 let store =
-  Arg.(value & opt string "prism" & info [ "store" ] ~docv:"STORE"
+  Arg.(value
+       & opt
+           (enum
+              [ ("prism", `Prism); ("kvell", `Kvell); ("lsm", `Lsm);
+                ("cluster", `Cluster) ])
+           `Prism
+       & info [ "store" ] ~docv:"STORE"
          ~doc:"Store to check: $(b,prism), $(b,kvell), $(b,lsm) (crash \
                sweep only), or $(b,cluster) (hash-partitioned Prism shards \
                behind the 2PC coordinator; defaults to 2 shards).")
-
-let placement =
-  Arg.(value & opt string "static" & info [ "placement" ] ~docv:"POLICY"
-         ~doc:"Prism value-placement policy: $(b,static) (all values to \
-               SSD Value Storage) or $(b,hotness) (CLOCK-driven NVM value \
-               tier — schedules and crash points then also cover \
-               promotion copies and demotion write-backs).")
-
-let seed =
-  Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED"
-         ~doc:"Master seed: workload and all per-schedule tie seeds derive \
-               from it.")
 
 let schedules =
   Arg.(value & opt int 0 & info [ "schedules" ] ~docv:"N"
@@ -456,7 +408,8 @@ let no_lsm_wal =
                  sweep must then report lost acknowledged writes.")
 
 let fault =
-  Arg.(value & opt string "none" & info [ "fault" ] ~docv:"FAULT"
+  Arg.(value & opt (enum faults) Explore.No_fault
+       & info [ "fault" ] ~docv:"FAULT"
          ~doc:"Deliberate bug to inject: $(b,none), $(b,svc) (skip cache \
                invalidation; breaks linearizability), $(b,hsit) (skip \
                pointer persists; loses acknowledged writes across crashes), \
@@ -464,18 +417,7 @@ let fault =
                $(b,scan-skip-pwb) (scans miss write-buffered values), \
                $(b,scan-drop) (scans drop an in-range key), or \
                $(b,2pc-ack) (cluster commit records skip their persist, so \
-               acks race durability; only the crash sweep can see it). The \
-               three scan faults are invisible to $(b,--scan-weak) \
-               checking.")
-
-let scan_weak =
-  Arg.(value & flag
-       & info [ "scan-weak" ]
-           ~doc:"Check scans with the legacy per-item prefix conditions \
-                 only, instead of requiring each scan to be an atomic \
-                 snapshot at one point of a linearization. Escape hatch for \
-                 workloads where the strict search is too expensive — it \
-                 cannot see cross-key scan anomalies.")
+               acks race durability; only the crash sweep can see it).")
 
 let scan_every =
   Arg.(value & opt int 16 & info [ "scan-every" ] ~docv:"N"
@@ -504,41 +446,18 @@ let keys_per_thread =
   Arg.(value & opt int 24 & info [ "keys-per-thread" ] ~docv:"KEYS"
          ~doc:"Keys owned by each thread in the crash sweep.")
 
-let shards =
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N"
-         ~doc:"Partition the keyspace across $(docv) Prism shards behind \
-               the 2PC coordinator ($(docv) > 1 implies \
-               $(b,--store cluster)). $(b,0) keeps the single-store \
-               default.")
-
-let txn_every =
-  Arg.(value & opt int (-1) & info [ "txn-every" ] ~docv:"K"
-         ~doc:"Every $(docv)-th update becomes a multi-key 2PC write batch \
-               (cluster only; $(b,0) disables batches). Defaults to 4 when \
-               the cluster is selected.")
-
-let jobs =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains for schedule exploration, DPOR, and the \
-               crash sweep. Output is byte-identical for any $(docv); \
-               $(b,0) means one per core.")
-
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-schedule and \
                                                     per-crash-point progress.")
 
-let cmd =
+let () =
   let doc =
     "schedule exploration, linearizability checking, and crash-point \
      sweeps for the Prism simulation"
   in
-  Cmd.v
-    (Cmd.info "prism-check" ~doc)
+  Cli.exec ~name:"prism-check" ~doc
     Term.(
-      const main $ store $ placement $ seed $ schedules $ dpor $ crash_every
-      $ replay
-      $ replay_choices $ shrink $ no_lsm_wal $ fault $ scan_weak $ scan_every
-      $ delete_every $ threads $ ops $ records $ keys_per_thread $ shards
-      $ txn_every $ jobs $ verbose)
-
-let () = exit (Cmd.eval' cmd)
+      const main $ store $ Cli.placement $ Cli.seed 1L $ schedules $ dpor
+      $ crash_every $ replay $ replay_choices $ shrink $ no_lsm_wal $ fault
+      $ scan_every $ delete_every $ threads $ ops $ records
+      $ keys_per_thread $ Cli.shards $ Cli.txn_every $ Cli.jobs $ verbose)

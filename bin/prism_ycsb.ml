@@ -12,6 +12,7 @@ open Prism_sim
 open Prism_harness
 open Prism_workload
 open Prism_frontend
+open Prism_cli
 
 let replay_trace engine kv ~threads path =
   match Trace.load ~path with
@@ -21,28 +22,23 @@ let replay_trace engine kv ~threads path =
       Printf.printf "replaying %s: %d ops (%dR %dU %dI %dS %dD)\n" path
         (Array.length trace) r u i s d;
       let lat = Hist.create () in
-      let latch = Sync.Latch.create threads in
-      let engine_ref = engine in
-      let t_start = ref nan and t_end = ref nan in
-      for tid = 0 to threads - 1 do
-        Engine.spawn engine (fun () ->
-            if Float.is_nan !t_start then t_start := Engine.now engine_ref;
+      let elapsed =
+        Runner.parallel_phase engine ~threads (fun tid ->
             Array.iteri
               (fun i op ->
                 if i mod threads = tid then begin
-                  let t0 = Engine.now engine_ref in
+                  let t0 = Engine.now engine in
                   Kv.apply kv ~tid op;
-                  Hist.record_span lat (Engine.now engine_ref -. t0)
+                  Hist.record_span lat (Engine.now engine -. t0)
                 end)
-              trace;
-            t_end := Engine.now engine_ref;
-            Sync.Latch.arrive latch)
-      done;
-      Engine.spawn engine (fun () -> Sync.Latch.wait latch);
+              trace)
+      in
+      (* Unlike the workload phases, the replay lets the background work
+         it started (flushes, compactions) drain before the next mode. *)
       ignore (Engine.run engine);
       Printf.printf
         "trace replay: %.1f kops/s virtual (avg %.1f us, p99 %.1f us)\n"
-        (float_of_int (Array.length trace) /. (!t_end -. !t_start) /. 1e3)
+        (float_of_int (Array.length trace) /. elapsed /. 1e3)
         (Hist.mean lat /. 1e3)
         (Hist.to_us (Hist.percentile lat 99.0))
 
@@ -55,23 +51,26 @@ let write_file path contents =
    completions, queue in front of the store, and an admission policy
    decides what to shed — the knee-curve setup of bench/sweep.exe, but for
    a single hand-picked operating point. *)
-let run_open_loop engine kv ~mix ~records ~theta ~value_size ~ops ~seed ~rate
-    ~arrival ~policy ~servers =
+let run_open_loop engine kv mix (s : Setup.scenario) ~rate ~arrival ~policy
+    ~servers =
   let policy_spec =
     match Admission.of_string ~capacity:rate ~servers policy with
     | Ok p -> p
     | Error e -> failwith e
   in
   let point_seed =
-    Int64.add seed
+    Int64.add s.seed
       (Prism_index.Strhash.fnv1a
          (Printf.sprintf "open-loop/%s/%s/%.3f" mix.Ycsb.name arrival rate))
   in
   let rng = Rng.create point_seed in
-  let arr = Arrival.of_name arrival ~rate ~ops (Rng.split rng) in
-  let gen = Ycsb.create mix ~records ~theta ~value_size rng in
+  let arr = Arrival.of_name arrival ~rate ~ops:s.ops (Rng.split rng) in
+  let gen =
+    Ycsb.create mix ~records:s.records ~theta:s.theta ~value_size:s.value_size
+      rng
+  in
   let trace =
-    Trace.record_timed gen ~gap:(fun () -> Arrival.next_gap arr) ~ops
+    Trace.record_timed gen ~gap:(fun () -> Arrival.next_gap arr) ~ops:s.ops
   in
   let r =
     Frontend.run ~servers engine kv ~policy:policy_spec
@@ -116,10 +115,11 @@ let run_scenario make engine kv s ~ename ~policy ~servers =
   Printf.printf "scenario %s on %s: %s\n" ename kv.Kv.name
     (if Assertion.passed r.Library.verdicts then "pass" else "FAIL")
 
-let run store_name placement workloads scenario_arg records value_size
+let run () store_name placement workloads scenario_arg records value_size
     threads num_ssds theta ops shards txn_every open_loop arrival policy
-    servers trace_out trace_in stats stats_json chrome_trace gc_tune =
-  if gc_tune then Setup.gc_tune ();
+    servers trace_out trace_in stats stats_json chrome_trace =
+  let shards = Option.value shards ~default:1 in
+  let txn_every = Option.value txn_every ~default:0 in
   let scenario =
     {
       Setup.default_scenario with
@@ -136,7 +136,7 @@ let run store_name placement workloads scenario_arg records value_size
     if shards > 1 || txn_every > 0 then begin
       if String.lowercase_ascii store_name <> "prism" then
         failwith "--shards/--txn-every need --store prism";
-      if String.lowercase_ascii placement <> "static" then
+      if placement <> `Static then
         failwith "--shards/--txn-every support --placement static only";
       Some
         {
@@ -152,16 +152,11 @@ let run store_name placement workloads scenario_arg records value_size
     | Some ccfg ->
         fun e -> snd (Prism_cluster.Cluster.of_scenario e ccfg scenario)
     | None ->
-        let name =
-          match
-            (String.lowercase_ascii store_name, String.lowercase_ascii placement)
-          with
-          | "prism", "static" -> "prism"
-          | "prism", "hotness" -> "prism-hotness"
-          | "prism", other -> failwith ("unknown placement policy: " ^ other)
-          | name, _ -> name
-        in
-        Setup.of_name name scenario
+        Setup.of_name
+          (match (String.lowercase_ascii store_name, placement) with
+          | "prism", `Hotness -> "prism-hotness"
+          | name, _ -> name)
+          scenario
   in
   let engine = Engine.create () in
   (match chrome_trace with
@@ -176,46 +171,29 @@ let run store_name placement workloads scenario_arg records value_size
         (Some c, ckv)
     | None -> (None, make engine)
   in
-  (* Every [txn_every]-th put becomes a multi-key 2PC write batch: the
-     put's own write plus two uniform-random keys, exercising cross-shard
-     commits under the measured workload. *)
+  (* Every [txn_every]-th put becomes a multi-key 2PC write batch,
+     exercising cross-shard commits under the measured workload. *)
   let base_kv =
     match cluster with
-    | Some c when txn_every > 0 ->
-        let count = ref 0 in
-        let rng = Rng.create (Int64.add scenario.Setup.seed 0x7cL) in
-        {
-          base_kv with
-          Kv.put =
-            (fun ~tid key value ->
-              incr count;
-              if !count mod txn_every = 0 then
-                let extras =
-                  List.init 2 (fun _ -> (Ycsb.key_of (Rng.int rng records), value))
-                in
-                match Prism_cluster.Cluster.batch c ~tid ((key, value) :: extras)
-                with
-                | Prism_cluster.Cluster.Committed
-                | Prism_cluster.Cluster.Aborted ->
-                    ()
-              else base_kv.Kv.put ~tid key value);
-        }
-    | _ -> base_kv
+    | Some c ->
+        Prism_cluster.Cluster.with_batches c base_kv ~every:txn_every ~records
+          ~seed:scenario.Setup.seed
+    | None -> base_kv
   in
   let kv = Kv.instrument engine base_kv in
+  let phases = String.split_on_char ',' (String.lowercase_ascii workloads) in
+  (* The single-mix modes drive the first mix --workload names. *)
+  let first_mix ~default =
+    match List.filter_map Ycsb.mix_of_name phases with
+    | m :: _ -> m
+    | [] -> default
+  in
   Printf.printf "store=%s records=%d value=%dB threads=%d ssds=%d zipf=%.2f\n\n"
     kv.Kv.name records value_size threads num_ssds theta;
   (match trace_out with
   | Some path ->
       (* Record the first named mix into a replayable trace file. *)
-      let mix =
-        match
-          String.split_on_char ',' (String.lowercase_ascii workloads)
-          |> List.filter_map Ycsb.mix_of_name
-        with
-        | m :: _ -> m
-        | [] -> Ycsb.ycsb_a
-      in
+      let mix = first_mix ~default:Ycsb.ycsb_a in
       let gen =
         Ycsb.create mix ~records ~theta ~value_size
           (Rng.create scenario.Setup.seed)
@@ -229,25 +207,16 @@ let run store_name placement workloads scenario_arg records value_size
       run_scenario make engine kv scenario ~ename ~policy
         ~servers:(Option.value servers ~default:threads)
   | None ->
-  let phases = String.split_on_char ',' (String.lowercase_ascii workloads) in
   List.iter
     (fun phase ->
       match phase with
       | "load" ->
-          let r =
-            Runner.load engine kv ~threads ~records ~value_size
-              ~seed:scenario.Setup.seed
-          in
-          Format.printf "%a@." Runner.pp_result r
+          Format.printf "%a@." Runner.pp_result (Runner.load engine kv scenario)
       | name -> (
           match Ycsb.mix_of_name name with
           | Some mix ->
-              let r =
-                Runner.run engine kv mix ~threads ~records
-                  ~ops:(if mix.Ycsb.name = "E" then scenario.Setup.scan_ops else ops)
-                  ~theta ~value_size ~seed:scenario.Setup.seed
-              in
-              Format.printf "%a@." Runner.pp_result r
+              Format.printf "%a@." Runner.pp_result
+                (Runner.run engine kv mix scenario)
           | None -> Printf.eprintf "skipping unknown workload %S\n" name))
     phases);
   (match trace_in with
@@ -255,17 +224,8 @@ let run store_name placement workloads scenario_arg records value_size
   | None -> ());
   (match open_loop with
   | Some rate ->
-      let mix =
-        match
-          String.split_on_char ',' (String.lowercase_ascii workloads)
-          |> List.filter_map Ycsb.mix_of_name
-        with
-        | m :: _ -> m
-        | [] -> Ycsb.ycsb_b
-      in
-      run_open_loop engine kv ~mix ~records ~theta ~value_size ~ops
-        ~seed:scenario.Setup.seed ~rate ~arrival ~policy
-        ~servers:(Option.value servers ~default:threads)
+      run_open_loop engine kv (first_mix ~default:Ycsb.ycsb_b) scenario ~rate
+        ~arrival ~policy ~servers:(Option.value servers ~default:threads)
   | None -> ());
   let reg = Engine.stats engine in
   Stats.register_gc reg;
@@ -285,7 +245,7 @@ let run store_name placement workloads scenario_arg records value_size
         commits aborts prepares
         (Stats.get_int reg "prism.cluster.ops.routed")
   | None -> ());
-  if String.lowercase_ascii placement = "hotness" then
+  if placement = `Hotness then
     Printf.printf
       "NVM tier: %d hits, %d promotions, %d demotions, %.1f MB resident, \
        %.1f MB migration writes\n"
@@ -313,16 +273,6 @@ let () =
     Arg.(
       value & opt string "prism"
       & info [ "store" ] ~doc:"prism | kvell | matrixkv | rocksdb-nvm | slm-db")
-  in
-  let placement =
-    Arg.(
-      value & opt string "static"
-      & info [ "placement" ]
-          ~doc:
-            "Prism value-placement policy: static (all values to SSD Value \
-             Storage, the paper's layout) | hotness (CLOCK-tracked hot \
-             values promoted to an NVM value tier, cold residents demoted \
-             during reclaim). Only meaningful with --store prism")
   in
   let workload =
     Arg.(
@@ -356,25 +306,6 @@ let () =
   in
   let ops =
     Arg.(value & opt int 20_000 & info [ "ops" ] ~doc:"Operations per workload")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ]
-          ~doc:
-            "Hash-partition the keyspace across $(docv) Prism shards behind \
-             a simulated network and a 2PC coordinator (--store prism only)"
-          ~docv:"N")
-  in
-  let txn_every =
-    Arg.(
-      value & opt int 0
-      & info [ "txn-every" ]
-          ~doc:
-            "Every $(docv)-th update becomes an atomic multi-key 2PC write \
-             batch across the cluster (implies the cluster front even with \
-             --shards 1; 0 disables)"
-          ~docv:"K")
   in
   let open_loop =
     Arg.(
@@ -422,18 +353,6 @@ let () =
       & opt (some string) None
       & info [ "trace-in" ] ~doc:"Replay a recorded trace after the workloads")
   in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ] ~doc:"Print the full metric registry after the run")
-  in
-  let stats_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stats-json" ] ~doc:"Write the metric registry as JSON to $(docv)"
-          ~docv:"FILE")
-  in
   let chrome_trace =
     Arg.(
       value
@@ -444,21 +363,11 @@ let () =
              to $(docv)"
           ~docv:"FILE")
   in
-  let gc_tune =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:
-            "Tune the host GC for simulation workloads (large minor heap); \
-             wall-clock only, virtual-time results are unaffected")
-  in
-  let cmd =
-    Cmd.v
-      (Cmd.info "prism-ycsb" ~doc:"Run YCSB workloads on simulated KV stores")
-      Term.(
-        const run $ store $ placement $ workload $ scenario_arg $ records $ value_size $ threads $ ssds
-        $ theta $ ops $ shards $ txn_every $ open_loop $ arrival $ policy
-        $ servers $ trace_out $ trace_in $ stats $ stats_json $ chrome_trace
-        $ gc_tune)
-  in
-  exit (Cmd.eval cmd)
+  Cli.exec ~name:"prism-ycsb" ~doc:"Run YCSB workloads on simulated KV stores"
+    Term.(
+      const run $ Cli.gc_tune $ store $ Cli.placement $ workload $ scenario_arg
+      $ records $ value_size $ threads $ ssds $ theta $ ops $ Cli.shards
+      $ Cli.txn_every $ open_loop $ arrival $ policy $ servers $ trace_out
+      $ trace_in $ Cli.stats
+      $ Cli.stats_json ~doc:"Write the metric registry as JSON to $(docv)"
+      $ chrome_trace)

@@ -42,20 +42,9 @@ let () =
     (fun (name, make) ->
       let e = Engine.create () in
       let kv = make e in
-      let load =
-        Runner.load e kv ~threads:scenario.threads ~records:scenario.records
-          ~value_size:scenario.value_size ~seed:scenario.seed
-      in
-      let a =
-        Runner.run e kv Ycsb.ycsb_a ~threads:scenario.threads
-          ~records:scenario.records ~ops:scenario.ops ~theta:scenario.theta
-          ~value_size:scenario.value_size ~seed:scenario.seed
-      in
-      let c =
-        Runner.run e kv Ycsb.ycsb_c ~threads:scenario.threads
-          ~records:scenario.records ~ops:scenario.ops ~theta:scenario.theta
-          ~value_size:scenario.value_size ~seed:scenario.seed
-      in
+      let load = Runner.load e kv scenario in
+      let a = Runner.run e kv Ycsb.ycsb_a scenario in
+      let c = Runner.run e kv Ycsb.ycsb_c scenario in
       Printf.printf "%-12s %12.1f %12.1f %12.1f %14.1f\n%!" name
         load.Runner.kops a.Runner.kops c.Runner.kops
         (Hist.to_us (Hist.percentile c.Runner.latency 99.0)))
@@ -64,20 +53,9 @@ let () =
   let e = Engine.create () in
   let slm_scenario = { scenario with Setup.records = 2_000; threads = 1; ops = 2_000 } in
   let kv = Setup.slmdb e slm_scenario in
-  let load =
-    Runner.load e kv ~threads:1 ~records:slm_scenario.records
-      ~value_size:slm_scenario.value_size ~seed:slm_scenario.seed
-  in
-  let a =
-    Runner.run e kv Ycsb.ycsb_a ~threads:1 ~records:slm_scenario.records
-      ~ops:slm_scenario.ops ~theta:slm_scenario.theta
-      ~value_size:slm_scenario.value_size ~seed:slm_scenario.seed
-  in
-  let c =
-    Runner.run e kv Ycsb.ycsb_c ~threads:1 ~records:slm_scenario.records
-      ~ops:slm_scenario.ops ~theta:slm_scenario.theta
-      ~value_size:slm_scenario.value_size ~seed:slm_scenario.seed
-  in
+  let load = Runner.load e kv slm_scenario in
+  let a = Runner.run e kv Ycsb.ycsb_a slm_scenario in
+  let c = Runner.run e kv Ycsb.ycsb_c slm_scenario in
   Printf.printf "%-12s %12.1f %12.1f %12.1f %14.1f  (1 thread, reduced set)\n"
     "SLM-DB" load.Runner.kops a.Runner.kops c.Runner.kops
     (Hist.to_us (Hist.percentile c.Runner.latency 99.0));

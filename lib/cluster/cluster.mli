@@ -109,6 +109,15 @@ val batch : t -> tid:int -> (string * bytes) list -> outcome
 (** A {!Prism_harness.Kv.t} view over single-key operations. *)
 val kv : t -> Prism_harness.Kv.t
 
+(** [with_batches t kv ~every ~records ~seed] is [kv] with every
+    [every]-th put upgraded to a 3-key {!batch}: the put's own write plus
+    two keys drawn uniformly from [records] (RNG seeded [seed + 0x7c]).
+    The outcome is dropped, so a measured workload commits cross-shard
+    transactions at a fixed rate. [every <= 0] returns [kv]. *)
+val with_batches :
+  t -> Prism_harness.Kv.t -> every:int -> records:int -> seed:int64 ->
+  Prism_harness.Kv.t
+
 val quiesce : t -> unit
 
 (** {2 Crash and recovery} *)

@@ -237,3 +237,5 @@ let shutdown pool =
 let with_pool ~jobs f =
   let pool = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+let farm ~jobs n f = with_pool ~jobs:(min jobs n) (fun pool -> map pool n f)

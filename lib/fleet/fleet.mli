@@ -86,3 +86,8 @@ val shutdown : pool -> unit
 (** [with_pool ~jobs f] runs [f] over a fresh pool and always shuts it
     down, including on exception. *)
 val with_pool : jobs:int -> (pool -> 'a) -> 'a
+
+(** [farm ~jobs n f] is {!map} of [f] over [n] jobs on a pool of at most
+    [jobs] lanes (never more lanes than jobs), created and shut down
+    around the call. *)
+val farm : jobs:int -> int -> (int -> 'a) -> 'a array

@@ -38,7 +38,8 @@ let parallel_phase engine ~threads body =
     failwith "Runner: phase did not complete (deadlock or missing stop)";
   !finished -. start
 
-let load engine kv ~threads ~records ~value_size ~seed =
+let load engine kv (s : Setup.scenario) =
+  let { Setup.threads; records; value_size; seed; _ } = s in
   let rng = Rng.create seed in
   let order = Ycsb.load_order ~records rng in
   let latency = Hist.create () in
@@ -65,8 +66,13 @@ let load engine kv ~threads ~records ~value_size ~seed =
     latency;
   }
 
-let run ?timeline engine kv mix ~threads ~records ~ops ~theta ~value_size
-    ~seed =
+let run ?timeline ?ops engine kv mix (s : Setup.scenario) =
+  let { Setup.threads; records; theta; value_size; seed; _ } = s in
+  let ops =
+    match ops with
+    | Some n -> n
+    | None -> if mix.Ycsb.name = "E" then s.scan_ops else s.ops
+  in
   (* Decorrelate phases: the same scenario seed must not make every
      workload draw the identical key sequence (a store would then serve
      workload C straight from the footprints workload B left behind). *)
@@ -103,11 +109,11 @@ let run ?timeline engine kv mix ~threads ~records ~ops ~theta ~value_size
     latency;
   }
 
-let calibrate make mix ~threads ~records ~ops ~theta ~value_size ~seed =
+let calibrate ?ops make mix s =
   let engine = Engine.create () in
   let kv = Kv.instrument engine (make engine) in
-  ignore (load engine kv ~threads ~records ~value_size ~seed);
-  run engine kv mix ~threads ~records ~ops ~theta ~value_size ~seed
+  ignore (load engine kv s);
+  run ?ops engine kv mix s
 
 let recovery_time engine kv =
   match kv.Kv.recover with

@@ -364,11 +364,7 @@ let run entry ~make engine kv (s : Prism_harness.Setup.scenario) ~servers
     ~policy ~cal_ops ~seed_key =
   let open Prism_harness in
   let records = s.records in
-  let r =
-    Runner.calibrate make Prism_workload.Ycsb.ycsb_b ~threads:s.threads
-      ~records ~ops:cal_ops ~theta:s.theta ~value_size:s.value_size
-      ~seed:s.seed
-  in
+  let r = Runner.calibrate ~ops:cal_ops make Prism_workload.Ycsb.ycsb_b s in
   let capacity = r.Runner.kops *. 1e3 in
   (* Scale the unit phase length so the whole scenario offers ~[s.ops]
      arrivals at this store's capacity. Durations (and ramps, and
@@ -394,9 +390,7 @@ let run entry ~make engine kv (s : Prism_harness.Setup.scenario) ~servers
   let trace =
     Scenario.synthesize built.spec ~base_rate:capacity ~records ~seed
   in
-  ignore
-    (Runner.load engine kv ~threads:s.threads ~records
-       ~value_size:s.value_size ~seed:s.seed);
+  ignore (Runner.load engine kv s);
   let outcome =
     Scenario.run ~servers engine kv built.spec ~policy ~base_rate:capacity
       ~probes:built.probes ~trace

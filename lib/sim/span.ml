@@ -120,30 +120,22 @@ let reset t =
   Hashtbl.reset t.totals;
   t.events_rev <- []
 
-let escape name =
-  let b = Buffer.create (String.length name) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    name;
-  Buffer.contents b
-
 (* Chrome trace_event JSON ("X" complete events, microsecond units):
    load into chrome://tracing or https://ui.perfetto.dev. *)
 let to_chrome_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b {|{"traceEvents":[|};
-  let first = ref true in
-  List.iter
-    (fun (name, tid, start, dur) ->
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf
-           {|{"name":"%s","ph":"X","pid":0,"tid":%d,"ts":%.3f,"dur":%.3f}|}
-           (escape name) tid (start *. 1e6) (dur *. 1e6)))
-    (List.rev t.events_rev);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.compact
+    (Json.Obj
+       [
+         ( "traceEvents",
+           Json.Arr
+             (List.rev_map
+                (fun (name, tid, start, dur) ->
+                  Json.Obj
+                    [
+                      ("name", Json.Str name); ("ph", Json.Str "X");
+                      ("pid", Json.Int 0); ("tid", Json.Int tid);
+                      ("ts", Json.fixed 3 (start *. 1e6));
+                      ("dur", Json.fixed 3 (dur *. 1e6));
+                    ])
+                t.events_rev) );
+       ])

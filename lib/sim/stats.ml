@@ -201,66 +201,41 @@ let reset t =
 
 (* ---- rendering ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float f =
-  if Float.is_nan f then "0"
-  else if f = Float.infinity then "1e308"
-  else if f = Float.neg_infinity then "-1e308"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
+  Json.Num
+    (if Float.is_nan f then "0"
+     else if f = Float.infinity then "1e308"
+     else if f = Float.neg_infinity then "-1e308"
+     else if Float.is_integer f && Float.abs f < 1e15 then
+       Printf.sprintf "%.0f" f
+     else Printf.sprintf "%.6g" f)
 
-let json_of_value b = function
-  | Int n -> Buffer.add_string b (string_of_int n)
-  | Float f -> Buffer.add_string b (json_float f)
+let json_of_value = function
+  | Int n -> Json.Int n
+  | Float f -> json_float f
   | Dist { count; mean; p50; p99; max } ->
-      Buffer.add_string b
-        (Printf.sprintf
-           {|{"count":%d,"mean":%s,"p50":%d,"p99":%d,"max":%d}|} count
-           (json_float mean) p50 p99 max)
-
-let buffer_json b t =
-  Buffer.add_char b '{';
-  let first = ref true in
-  List.iter
-    (fun name ->
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_char b '"';
-      Buffer.add_string b (json_escape name);
-      Buffer.add_string b "\":";
-      match Hashtbl.find t.table name with
-      | Timeline tl ->
-          (* Full windows, not just the total: [[start, count], ...]. *)
-          Buffer.add_char b '[';
-          List.iteri
-            (fun i (start, count, _marks) ->
-              if i > 0 then Buffer.add_char b ',';
-              Buffer.add_string b
-                (Printf.sprintf "[%s,%d]" (json_float start) count))
-            (Metric.Timeline.windows tl);
-          Buffer.add_char b ']'
-      | m -> json_of_value b (value_of m))
-    (names t);
-  Buffer.add_char b '}'
+      Json.Obj
+        [
+          ("count", Json.Int count); ("mean", json_float mean);
+          ("p50", Json.Int p50); ("p99", Json.Int p99); ("max", Json.Int max);
+        ]
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  buffer_json b t;
-  Buffer.contents b
+  Json.compact
+    (Json.Obj
+       (List.map
+          (fun name ->
+            ( name,
+              match Hashtbl.find t.table name with
+              | Timeline tl ->
+                  (* Full windows, not just the total: [[start, count], ...]. *)
+                  Json.Arr
+                    (List.map
+                       (fun (start, count, _marks) ->
+                         Json.Arr [ json_float start; Json.Int count ])
+                       (Metric.Timeline.windows tl))
+              | m -> json_of_value (value_of m) ))
+          (names t)))
 
 let pp_value fmt = function
   | Int n -> Format.fprintf fmt "%d" n

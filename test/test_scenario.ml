@@ -456,10 +456,7 @@ let test_flash_crowd_heats_svc () =
   in
   let make e = fst (Setup.prism e s) in
   let cap =
-    let r =
-      Runner.calibrate make Ycsb.ycsb_b ~threads:srv ~records ~ops:3_000
-        ~theta:0.99 ~value_size ~seed
-    in
+    let r = Runner.calibrate ~ops:3_000 make Ycsb.ycsb_b s in
     r.Runner.kops *. 1e3
   in
   let entry = Option.get (Library.find "flash-crowd") in
@@ -478,7 +475,7 @@ let test_flash_crowd_heats_svc () =
   in
   let e = Engine.create () in
   let kv = Kv.instrument e (make e) in
-  ignore (Runner.load e kv ~threads:srv ~records ~value_size ~seed);
+  ignore (Runner.load e kv s);
   let o =
     Scenario.run ~servers:srv e kv built.Library.spec ~policy ~base_rate:cap
       ~probes:built.Library.probes ~trace

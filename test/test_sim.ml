@@ -801,6 +801,81 @@ let test_span_chrome_export () =
   Alcotest.(check bool) "escaped name" true (contains {|op \"q\"|});
   Alcotest.(check bool) "tid kept" true (contains {|"tid":3|})
 
+(* ---- JSON printer ---- *)
+
+(* Exact registry and Chrome-trace bytes: the encodings CI scripts and
+   trace viewers parse must not move. *)
+let test_json_golden_registry_and_trace () =
+  let s = Stats.create () in
+  Metric.Counter.add (Stats.counter s "a.count") 3;
+  Stats.gauge_float s "a.ratio" (fun () -> 0.5);
+  Stats.gauge_float s "a.big" (fun () -> 1.0 /. 3.0);
+  Hist.record (Stats.histogram s "a.lat") 42;
+  let tl = Stats.timeline s "a.tl" ~interval:1e-3 in
+  Metric.Timeline.tick tl ~now:0.0005;
+  Metric.Timeline.tick tl ~now:0.0025;
+  Alcotest.(check string) "registry"
+    {|{"a.big":0.333333,"a.count":3,"a.lat":{"count":1,"mean":42,"p50":42,"p99":42,"max":42},"a.ratio":0.5,"a.tl":[[0,1],[0.002,1]]}|}
+    (Stats.to_json s);
+  let sp = Span.create () in
+  Span.set_enabled sp true;
+  Span.set_keep_events sp true;
+  let h = Span.begin_ sp ~name:"op \"q\"" ~tid:3 ~now:1e-6 in
+  Span.end_ sp h ~now:3e-6;
+  let h = Span.begin_ sp ~name:"b" ~tid:1 ~now:4e-6 in
+  Span.end_ sp h ~now:4.5e-6;
+  Alcotest.(check string) "chrome trace"
+    {|{"traceEvents":[{"name":"op \"q\"","ph":"X","pid":0,"tid":3,"ts":1.000,"dur":2.000},{"name":"b","ph":"X","pid":0,"tid":1,"ts":4.000,"dur":0.500}]}|}
+    (Span.to_chrome_json sp)
+
+(* The pretty layout every bench report (knee, scenario, tier, cluster)
+   shares: objects and arrays one item per line, rows on one line,
+   empty arrays still closed on their own line. *)
+let test_json_pretty_layout () =
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.Str "t-v1");
+        ("seed", Json.int64 12648430L);
+        ( "runs",
+          Json.Arr
+            [
+              Json.Obj
+                [
+                  ("name", Json.Str "a\\b\"c\n");
+                  ( "points",
+                    Json.Arr
+                      [ Json.Row [ ("x", Json.fixed 4 0.6); ("ok", Json.Bool true) ] ]
+                  );
+                  ("cell", Json.Row [ ("waf", Json.fixed 6 1.5); ("n", Json.Int 7) ]);
+                  ("none", Json.Arr []);
+                ];
+            ] );
+        ("raw", Json.Raw "{\"k\":1}");
+      ]
+  in
+  Alcotest.(check string) "pretty"
+    "{\n\
+    \  \"schema\": \"t-v1\",\n\
+    \  \"seed\": 12648430,\n\
+    \  \"runs\": [\n\
+    \    {\n\
+    \      \"name\": \"a\\\\b\\\"c\\n\",\n\
+    \      \"points\": [\n\
+    \        { \"x\": 0.6000, \"ok\": true }\n\
+    \      ],\n\
+    \      \"cell\": { \"waf\": 1.500000, \"n\": 7 },\n\
+    \      \"none\": [\n\
+    \      ]\n\
+    \    }\n\
+    \  ],\n\
+    \  \"raw\": {\"k\":1}\n\
+     }\n"
+    (Json.to_string doc);
+  Alcotest.(check string) "compact"
+    {|{"schema":"t-v1","seed":12648430,"runs":[{"name":"a\\b\"c\n","points":[{"x":0.6000,"ok":true}],"cell":{"waf":1.500000,"n":7},"none":[]}],"raw":{"k":1}}|}
+    (Json.compact doc)
+
 
 (* ---- Heap model check (qcheck) ---- *)
 
@@ -1071,6 +1146,11 @@ let () =
           case "disabled noop" test_span_disabled_noop;
           case "self time" test_span_self_time;
           case "chrome export" test_span_chrome_export;
+        ] );
+      ( "json",
+        [
+          case "registry and trace bytes" test_json_golden_registry_and_trace;
+          case "pretty layout" test_json_pretty_layout;
         ] );
       ( "determinism-golden",
         [
