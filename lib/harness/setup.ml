@@ -176,7 +176,3 @@ let of_name name s =
 let gc_tune () =
   Gc.set
     { (Gc.get ()) with Gc.minor_heap_size = 2 * 1024 * 1024; space_overhead = 200 }
-
-let contenders engine s =
-  let prism_kv, _ = prism engine s in
-  [ prism_kv; kvell engine s; matrixkv engine s; rocksdb_nvm engine s ]

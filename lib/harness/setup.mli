@@ -68,9 +68,6 @@ val slmdb : Prism_sim.Engine.t -> scenario -> Kv.t
     @raise Failure on any other name. *)
 val of_name : string -> scenario -> Prism_sim.Engine.t -> Kv.t
 
-(** All four multi-threaded contenders of Figure 7, in paper order. *)
-val contenders : Prism_sim.Engine.t -> scenario -> Kv.t list
-
 (** Tune the host GC for simulation workloads: a 64 MB minor heap (so the
     short-lived event/continuation garbage dies young) and a relaxed major
     space overhead. Purely a wall-clock optimisation — virtual-time results
