@@ -99,8 +99,10 @@ let bench_engine_dispatch ~ops ~reps =
   in
   report "engine.dispatch" (measure ~reps ~ops run)
 
-(* Process: 64 effect-handled processes looping on Engine.delay — adds
-   continuation capture/resume to every event. *)
+(* Process: 64 effect-handled processes looping on Engine.delay. Another
+   process is almost always due no later than the delaying one, so this
+   measures the queued path: every delay captures its continuation,
+   round-trips through the heap and resumes. *)
 let bench_engine_process ~ops ~reps =
   let sources = 64 in
   let run () =
@@ -116,6 +118,20 @@ let bench_engine_process ~ops ~reps =
     ignore (Engine.run e)
   in
   report "engine.process" (measure ~reps ~ops run)
+
+(* Delay inline: one process delaying against an otherwise empty queue,
+   so every delay takes the in-place path (the clock advances with no
+   continuation captured and no heap traffic). *)
+let bench_engine_delay_inline ~ops ~reps =
+  let run () =
+    let e = Engine.create () in
+    Engine.spawn e (fun () ->
+        for _ = 1 to ops do
+          Engine.delay 1e-6
+        done);
+    ignore (Engine.run e)
+  in
+  report "engine.delay_inline" (measure ~reps ~ops run)
 
 (* ---------------------------------------------------------------- *)
 (* Component benchmarks                                              *)
@@ -360,7 +376,10 @@ let bench_fleet ~quick ~reps =
 (* One LOAD + one YCSB-A phase per store, wall-clocked end to end. The
    simulated hardware work per op differs by store, so these numbers are
    "simulator ops/sec for this store's model", comparable across commits
-   but not across stores. *)
+   but not across stores. store.prism_scan runs LOAD + YCSB-E through the
+   same Prism store: its scans fill SVC chains whose sort-on-evict
+   write-backs keep Value Storage GC busy, so host cost in GC victim
+   selection shows up there. *)
 let bench_stores ~quick ~reps =
   let s =
     {
@@ -372,17 +391,19 @@ let bench_stores ~quick ~reps =
       ops = (if quick then 8_000 else 20_000);
     }
   in
+  let row name store mix ~ops =
+    let run () =
+      let e = Engine.create () in
+      let kv = Setup.of_name store s e in
+      ignore (Runner.load e kv s);
+      ignore (Runner.run e kv mix s)
+    in
+    report name (measure ~reps ~ops:(s.Setup.records + ops) run)
+  in
   List.iter
-    (fun store ->
-      let total_ops = s.Setup.records + s.Setup.ops in
-      let run () =
-        let e = Engine.create () in
-        let kv = Setup.of_name store s e in
-        ignore (Runner.load e kv s);
-        ignore (Runner.run e kv Ycsb.ycsb_a s)
-      in
-      report ("store." ^ store) (measure ~reps ~ops:total_ops run))
-    ([ "prism"; "kvell" ] @ if quick then [] else [ "matrixkv"; "rocksdb-nvm" ])
+    (fun store -> row ("store." ^ store) store Ycsb.ycsb_a ~ops:s.Setup.ops)
+    ([ "prism"; "kvell" ] @ if quick then [] else [ "matrixkv"; "rocksdb-nvm" ]);
+  row "store.prism_scan" "prism" Ycsb.ycsb_e ~ops:s.Setup.scan_ops
 
 (* ---------------------------------------------------------------- *)
 (* JSON report + baseline gate                                       *)
@@ -529,6 +550,7 @@ let () =
     bench_dpor_default ~reps;
     bench_engine_dispatch ~ops:engine_ops ~reps;
     bench_engine_process ~ops:engine_ops ~reps;
+    bench_engine_delay_inline ~ops:engine_ops ~reps;
     bench_heap ~ops:comp_ops ~reps;
     bench_hist ~ops:comp_ops ~reps;
     bench_rng ~ops:comp_ops ~reps;

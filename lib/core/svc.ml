@@ -142,14 +142,12 @@ let chain_unlink t idx =
   e.cnext <- -1
 
 let chain_members t idx =
-  let e = entry t idx in
   let rec back i = if (entry t i).cprev >= 0 then back (entry t i).cprev else i in
   let start = back idx in
   let rec collect acc i =
     let acc = i :: acc in
     if (entry t i).cnext >= 0 then collect acc (entry t i).cnext else List.rev acc
   in
-  ignore e;
   collect [] start
 
 let dissolve_chain t members = List.iter (fun i -> chain_unlink t i) members

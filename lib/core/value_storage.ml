@@ -20,6 +20,10 @@ type chunk_meta = {
   mutable slots : slot array;
   mutable valid : bool array;
   mutable live : int;
+  mutable live_padded : int;
+      (* on-SSD bytes (header included) of the valid slots: GC's victim
+         key, kept in step with [valid] so picking victims never walks
+         the slots *)
 }
 
 type t = {
@@ -57,7 +61,14 @@ let create engine ~id ~size ~chunk_size ~queue_depth ~spec ~cost ~gc_watermark =
     nchunks;
     chunks =
       Array.init nchunks (fun _ ->
-          { state = Free; gen = 0; slots = [||]; valid = [||]; live = 0 });
+          {
+            state = Free;
+            gen = 0;
+            slots = [||];
+            valid = [||];
+            live = 0;
+            live_padded = 0;
+          });
     free_list = List.init nchunks (fun i -> i);
     nfree = nchunks;
     gc_watermark;
@@ -118,6 +129,7 @@ let release_chunk t c =
   meta.slots <- [||];
   meta.valid <- [||];
   meta.live <- 0;
+  meta.live_padded <- 0;
   t.free_list <- c :: t.free_list;
   t.nfree <- t.nfree + 1;
   let pending = Queue.length t.alloc_waiters in
@@ -166,6 +178,7 @@ let write_into_chunk ?io_counter t chunk values =
   meta.slots <- slots;
   meta.valid <- Array.make (Array.length slots) false;
   meta.live <- 0;
+  meta.live_padded <- 0;
   (* A partially filled chunk only transfers its used pages; the log is
      still written in large sequential extents. (At paper scale chunks are
      always full — the PWB is three orders of magnitude larger than a
@@ -279,7 +292,10 @@ let set_valid t ~gen ~chunk ~slot v =
       && meta.valid.(slot) <> v
     then begin
       meta.valid.(slot) <- v;
-      meta.live <- (meta.live + if v then 1 else -1)
+      let delta = if v then 1 else -1 in
+      meta.live <- meta.live + delta;
+      meta.live_padded <-
+        meta.live_padded + (delta * padded meta.slots.(slot).len)
     end
   end
 
@@ -315,13 +331,24 @@ let live_bytes t =
     t.chunks;
   !total
 
-let chunk_live_bytes t c =
-  let meta = t.chunks.(c) in
-  let b = ref 0 in
+let check_live t =
   Array.iteri
-    (fun i s -> if meta.valid.(i) then b := !b + padded s.len)
-    meta.slots;
-  !b
+    (fun c meta ->
+      let walked = ref 0 in
+      Array.iteri
+        (fun i s -> if meta.valid.(i) then walked := !walked + padded s.len)
+        meta.slots;
+      if meta.live_padded <> !walked then
+        failwith
+          (Printf.sprintf
+             "Value_storage.check_live: chunk %d counts %d live bytes, its \
+              slots hold %d"
+             c meta.live_padded !walked))
+    t.chunks
+
+(* Greedy order: least live bytes first, then lowest chunk index. *)
+let compare_candidates ((l1 : int), (c1 : int)) (l2, c2) =
+  if l1 <> l2 then Int.compare l1 l2 else Int.compare c1 c2
 
 (* Pick victim chunks greedily by live payload (§5.2). Compaction may
    write several output chunks; the pick only requires a net gain (more
@@ -333,9 +360,9 @@ let pick_victims t =
   Array.iteri
     (fun c meta ->
       if meta.state = Sealed then
-        candidates := (chunk_live_bytes t c, c) :: !candidates)
+        candidates := (meta.live_padded, c) :: !candidates)
     t.chunks;
-  let sorted = List.sort compare !candidates in
+  let sorted = List.sort compare_candidates !candidates in
   let budget = t.chunk_size - (2 * header_size) in
   let outputs_for bytes = Prism_sim.Bits.ceil_div (max 1 bytes) budget in
   (* Smallest victim set (least-live first) that nets at least one freed
@@ -539,6 +566,7 @@ let recover t ~couple =
       meta.slots <- [||];
       meta.valid <- [||];
       meta.live <- 0;
+      meta.live_padded <- 0;
       free := chunk :: !free;
       incr nfree
     end
@@ -547,12 +575,14 @@ let recover t ~couple =
       meta.slots <- slots;
       meta.valid <- Array.make (Array.length slots) false;
       meta.live <- 0;
+      meta.live_padded <- 0;
       Array.iteri
         (fun slot s ->
           let loc = Location.In_vs { vs = t.id; gen = 0; chunk; slot } in
           if couple ~hsit_id:s.backptr loc then begin
             meta.valid.(slot) <- true;
-            meta.live <- meta.live + 1
+            meta.live <- meta.live + 1;
+            meta.live_padded <- meta.live_padded + padded s.len
           end)
         slots;
       if meta.live = 0 then begin

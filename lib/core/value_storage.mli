@@ -17,7 +17,7 @@
     Writes happen at chunk granularity through the device's io_uring, so
     the SSD sees large sequential IO; reads are per-slot entries coalesced
     by the read path (TCQ or TA batcher). Garbage collection greedily
-    picks the chunks with the fewest live slots and relocates survivors
+    picks the chunks with the fewest live bytes and relocates survivors
     (§5.2); it runs as a background process, woken when free chunks drop
     below the watermark. *)
 
@@ -150,6 +150,11 @@ val recover : t -> couple:(hsit_id:int -> Location.t -> bool) -> unit
 
 (** Total payload bytes currently marked valid (for tests). *)
 val live_bytes : t -> int
+
+(** [check_live t] recomputes every chunk's live bytes (the greedy GC's
+    victim key) by walking its slots, and raises [Failure] if the
+    incrementally maintained count disagrees (for tests). *)
+val check_live : t -> unit
 
 (** [register_stats t stats ~prefix] publishes the GC-run counter (by
     reference), occupancy gauges, and the device's and ring's metrics

@@ -248,12 +248,24 @@ let current_engine () =
   | Some t -> t
   | None -> invalid_arg "Engine: not inside a simulation process"
 
+(* When the delayed continuation would be the very next event -- strictly
+   earlier than everything queued, within [until], and the run not
+   stopped -- advance the clock in place instead of capturing it and
+   round-tripping through the heap. [seq] and [executed] move exactly as
+   the round trip would move them; the label is already the current one;
+   and a strictly earliest event forms no tie set, so no policy is
+   consulted and no choice recorded. *)
 let delay d =
   if d < 0.0 then invalid_arg "Engine.delay: negative delay";
   if d = 0.0 then ()
   else begin
     let t = current_engine () in
-    Effect.perform (Delay (t, d))
+    if (not t.stopped) && Heap.advance_alone t.events ~clock:t.clock ~after:d
+    then begin
+      t.seq <- t.seq + 1;
+      t.executed <- t.executed + 1
+    end
+    else Effect.perform (Delay (t, d))
   end
 
 let yield () =

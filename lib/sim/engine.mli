@@ -98,7 +98,15 @@ val stop : t -> unit
 val clear_pending : t -> unit
 
 (** [delay d] advances the calling process's virtual time by [d] seconds.
-    Must be called from within a process. [d] must be non-negative. *)
+    Must be called from within a process. [d] must be non-negative.
+
+    When the process would resume before every other queued event (and
+    within the active [run]'s [until], with no {!stop} pending), the
+    clock advances in place: no continuation is captured and nothing is
+    queued. The schedule is the same as the queued path's -- same
+    order, same tie-break decisions, same [seq] numbers -- and the
+    in-place resumption still counts as one event in
+    {!events_executed}. *)
 val delay : float -> unit
 
 (** [yield ()] re-schedules the calling process at the current time, letting

@@ -182,6 +182,20 @@ let advance_if_due t clock =
     else false
   end
 
+(* [advance_alone t ~clock ~after] : when [clock.(0) +. after] is within
+   [clock.(1)] and strictly before the min time (an empty heap reads
+   [infinity] there), write it into [clock.(0)] and return [true]: an
+   entry pushed at that time would be the next one popped, alone in its
+   tie set, so the caller may skip the push and the pop. *)
+let advance_alone t ~clock ~after =
+  let time = Array.unsafe_get clock 0 +. after in
+  if time <= Array.unsafe_get clock 1 && time < Array.unsafe_get t.times 0
+  then begin
+    Array.unsafe_set clock 0 time;
+    true
+  end
+  else false
+
 (* [push_after t ~clock ~after ~seq ~aux v] inserts at [clock.(0) +.
    after]. The addition happens on this side of the call boundary, so a
    scheduling site never boxes a freshly computed event time — its

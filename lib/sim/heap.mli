@@ -45,6 +45,16 @@ val min_time : 'a t -> float
     under dune's dev profile ([-opaque], no cross-module inlining). *)
 val advance_if_due : 'a t -> float array -> bool
 
+(** [advance_alone t ~clock ~after] — the engine's in-place delay. When
+    [clock.(0) +. after] is [<= clock.(1)] and strictly below the minimum
+    time (or the heap is empty), that time is written into [clock.(0)]
+    and the call returns [true]: an entry pushed there would be popped
+    next, alone in its tie set, so the push and pop can be skipped.
+    Otherwise nothing changes and the call returns [false]. As in
+    {!push_after}, the addition happens inside the heap, so the caller
+    never boxes the new time. *)
+val advance_alone : 'a t -> clock:float array -> after:float -> bool
+
 (** [push_after t ~clock ~after ~seq ~aux v] inserts [v] at time
     [clock.(0) +. after] — the addition happens inside the heap, so the
     scheduling call site never boxes a freshly computed event time.

@@ -594,6 +594,85 @@ let test_vs_recover_rebuilds () =
       | Some data -> Alcotest.check bytes_eq "data" (value ~size:300 1) data
       | None -> Alcotest.fail "unreadable")
 
+(* Random write / validity / seal / GC / recover sequences: after every
+   step each chunk's incrementally kept live bytes (GC's victim key) must
+   equal a walk over its valid slots. GC runs as it does in the store, in
+   the background whenever free chunks run low, so its passes interleave
+   with the writes and release their victims. *)
+let prop_vs_live_bytes =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map
+              (fun sizes -> `Write sizes)
+              (list_size (int_range 1 6) (int_range 1 600)) );
+          (6, map3 (fun i slot v -> `Set (i, slot, v)) nat nat bool);
+          (2, map (fun i -> `Seal i) nat);
+          (1, return `Gc);
+          (1, map (fun m -> `Recover m) (int_range 1 4));
+        ])
+  in
+  qcase ~count:100 "live bytes follow validity"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 80) op))
+    (fun ops ->
+      let e = Engine.create () in
+      let vs =
+        make_vs ~size:(16 * 4096) ~chunk_size:4096 ~gc_watermark:0.5 e
+      in
+      Value_storage.start_gc vs ~relocate:(fun ~hsit_id:_ ~from_:_ ~to_:_ ->
+          true);
+      let written = ref [||] in
+      let next_id = ref 0 in
+      let nth i = !written.(i mod Array.length !written) in
+      let completed = ref false in
+      Engine.spawn e (fun () ->
+          List.iter
+            (fun op ->
+              (match op with
+              | `Write sizes ->
+                  (* Leave room so a write never waits on GC forever. *)
+                  if Value_storage.free_chunks vs > 3 then begin
+                    let values =
+                      List.map
+                        (fun len ->
+                          incr next_id;
+                          (!next_id, Bytes.make len 'v'))
+                        sizes
+                    in
+                    let chunk, gen, done_ =
+                      Value_storage.write_chunk vs values
+                    in
+                    ignore (Sync.Ivar.read done_);
+                    written :=
+                      Array.append !written
+                        [| (chunk, gen, List.length values) |]
+                  end
+              | `Set (i, slot, v) ->
+                  if !written <> [||] then begin
+                    let chunk, gen, n = nth i in
+                    Value_storage.set_valid vs ~gen ~chunk ~slot:(slot mod n) v
+                  end
+              | `Seal i ->
+                  if !written <> [||] then begin
+                    let chunk, _, _ = nth i in
+                    Value_storage.seal vs ~chunk
+                  end
+              | `Gc ->
+                  Value_storage.poke_gc vs;
+                  Engine.delay 1e-2
+              | `Recover m ->
+                  (* Let any GC pass finish first, as a crash would. *)
+                  Engine.delay 1e-2;
+                  Value_storage.recover vs ~couple:(fun ~hsit_id _ ->
+                      hsit_id mod m = 0));
+              Value_storage.check_live vs)
+            ops;
+          completed := true);
+      ignore (Engine.run e);
+      !completed)
+
 (* ---- Reclaimer ---- *)
 
 let with_reclaimer ?(pwb_size = 2048) ?(async = true) f =
@@ -850,6 +929,7 @@ let () =
           case "gc compacts" test_vs_gc_compacts;
           case "run entry coalesces" test_vs_run_entry_coalesces;
           case "recover" test_vs_recover_rebuilds;
+          prop_vs_live_bytes;
         ] );
       ( "reclaimer",
         [

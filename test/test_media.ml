@@ -105,6 +105,140 @@ let test_nvm_rewrite_after_persist () =
         (Bytes.of_string "first")
         (Nvm.read nvm ~off:0 ~len:5))
 
+(* ---- dirty-line tracking against a reference model ---- *)
+
+(* The persistence semantics restated with a set of dirty line numbers
+   and two plain images. Lines are 64 B; the last line of a region whose
+   size is not a multiple of 64 is partial. *)
+type nvm_model = {
+  vol : Bytes.t;
+  dur : Bytes.t;
+  dirty : (int, unit) Hashtbl.t;
+}
+
+let model_create size =
+  {
+    vol = Bytes.make size '\000';
+    dur = Bytes.make size '\000';
+    dirty = Hashtbl.create 16;
+  }
+
+let model_lines ~off ~len =
+  if len = 0 then []
+  else
+    List.init
+      (((off + len - 1) / 64) - (off / 64) + 1)
+      (fun i -> (off / 64) + i)
+
+let model_write m ~off src =
+  let len = Bytes.length src in
+  Bytes.blit src 0 m.vol off len;
+  List.iter (fun l -> Hashtbl.replace m.dirty l ()) (model_lines ~off ~len)
+
+let model_persist m ~off ~len =
+  List.iter
+    (fun l ->
+      if Hashtbl.mem m.dirty l then begin
+        Hashtbl.remove m.dirty l;
+        let start = l * 64 in
+        Bytes.blit m.vol start m.dur start (min 64 (Bytes.length m.vol - start))
+      end)
+    (model_lines ~off ~len)
+
+let model_restore m ~off src =
+  Bytes.blit src 0 m.vol off (Bytes.length src);
+  Bytes.blit src 0 m.dur off (Bytes.length src);
+  List.iter (Hashtbl.remove m.dirty)
+    (model_lines ~off ~len:(Bytes.length src))
+
+let model_crash m =
+  Bytes.blit m.dur 0 m.vol 0 (Bytes.length m.dur);
+  Hashtbl.reset m.dirty
+
+let check_model what nvm m =
+  let size = Bytes.length m.vol in
+  Alcotest.(check int)
+    (what ^ ": dirty lines")
+    (Hashtbl.length m.dirty) (Nvm.dirty_lines nvm);
+  Alcotest.check bytes_eq (what ^ ": volatile") m.vol
+    (Nvm.read nvm ~off:0 ~len:size);
+  Alcotest.check bytes_eq (what ^ ": durable") m.dur
+    (Nvm.read_durable nvm ~off:0 ~len:size)
+
+let test_nvm_dirty_map_model () =
+  in_sim (fun e ->
+      let size = 1000 in
+      let nvm = make_nvm ~size e and m = model_create size in
+      let write what off len c =
+        let src = Bytes.make len c in
+        Nvm.write nvm ~off src;
+        model_write m ~off src;
+        check_model what nvm m
+      in
+      write "write across two lines" 60 8 'a';
+      Alcotest.(check int) "lines 0 and 1" 2 (Nvm.dirty_lines nvm);
+      write "last, partial line" 990 10 'b';
+      Alcotest.(check int) "line 15 too" 3 (Nvm.dirty_lines nvm);
+      write "three more lines" 128 192 'c';
+      Nvm.persist nvm ~off:192 ~len:64;
+      model_persist m ~off:192 ~len:64;
+      check_model "persist one line of a dirty range" nvm m;
+      Alcotest.(check int) "lines 0-2, 4 and 15 stay dirty" 5
+        (Nvm.dirty_lines nvm);
+      Nvm.persist nvm ~off:999 ~len:1;
+      model_persist m ~off:999 ~len:1;
+      check_model "persist the partial line" nvm m;
+      let src = Bytes.make 100 'r' in
+      Nvm.restore nvm ~off:0 src;
+      model_restore m ~off:0 src;
+      check_model "restore over dirty lines" nvm m;
+      write "dirty again before the crash" 700 70 'd';
+      Nvm.crash nvm;
+      model_crash m;
+      check_model "crash" nvm m;
+      Alcotest.(check int) "nothing dirty after crash" 0 (Nvm.dirty_lines nvm);
+      for line = 0 to (size - 1) / 64 do
+        let off = line * 64 in
+        let len = min 64 (size - off) in
+        Alcotest.check bytes_eq "durable = volatile" (Nvm.read nvm ~off ~len)
+          (Nvm.read_durable nvm ~off ~len)
+      done)
+
+let prop_nvm_dirty_map_model =
+  let op =
+    QCheck.Gen.(
+      map3
+        (fun kind off len -> (kind, off, min len (1000 - off)))
+        (int_bound 9) (int_bound 999) (int_bound 150))
+  in
+  qcase ~count:100 "dirty lines follow a set model"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      in_sim (fun e ->
+          let nvm = make_nvm ~size:1000 e and m = model_create 1000 in
+          List.iteri
+            (fun i (kind, off, len) ->
+              let src = Bytes.make len (Char.chr (65 + (i mod 26))) in
+              if kind <= 4 then begin
+                Nvm.write nvm ~off src;
+                model_write m ~off src
+              end
+              else if kind <= 7 then begin
+                Nvm.persist nvm ~off ~len;
+                model_persist m ~off ~len
+              end
+              else if kind = 8 then begin
+                Nvm.restore nvm ~off src;
+                model_restore m ~off src
+              end
+              else begin
+                Nvm.crash nvm;
+                model_crash m
+              end;
+              check_model "step" nvm m)
+            ops;
+          true))
+
 (* ---- int64 and atomic RMW ---- *)
 
 let test_nvm_int64_roundtrip () =
@@ -241,6 +375,8 @@ let () =
           case "line granularity" test_nvm_same_line_covered_by_one_flush;
           case "dirty tracking" test_nvm_dirty_lines_tracking;
           case "rewrite after persist" test_nvm_rewrite_after_persist;
+          case "dirty map vs model" test_nvm_dirty_map_model;
+          prop_nvm_dirty_map_model;
           prop_nvm_crash_partition;
         ] );
       ( "nvm-atomic",

@@ -1037,6 +1037,114 @@ let test_golden_prism_run () =
        s.Prism_core.Store.misses)
 
 
+(* Recorded before [Engine.delay] could advance the clock in place when
+   its process is alone at the head of the queue. That fast path must
+   reproduce the heap round trip exactly: the same (time, label) steps,
+   the same tie-break draws, the same event count, and the same clock at
+   the end of each [run] -- across colliding delays, [yield], a zero
+   delay, a [run ~until] that cuts a delay in half, and a delay issued
+   after [Engine.stop]. *)
+let golden_delay_fifo =
+  "clocks=1.6,2.5,10.6,11.5 executed=35 choices= steps=0:1;0:2;0:3;\
+   0:4;0.375:3;0.75:0;0.75:3;1:1;1:2;1:2;1:1;1.125:3;1.5:3;1.875:3;\
+   2:2;2:2;2:1;2:1;2.25:3;2.5:4;2.5625:4;2.625:3;2.6875:4;3:2;3:2;\
+   3:1;3:3;3:1;4:2;4:2;4:1;4:1;10:5;10.25:5;10.5:5;10.75:5;11:5;\
+   11.25:5;11.5:5;"
+
+let golden_delay_seeded =
+  "clocks=1.6,2.5,10.6,11.5 executed=35 choices=1,0,1,0,0,0,0,0,0,\
+   0 steps=0:2;0:1;0:4;0:3;0.375:3;0.75:0;0.75:3;1:2;1:2;1:1;1:1;\
+   1.125:3;1.5:3;1.875:3;2:2;2:2;2:1;2:1;2.25:3;2.5:4;2.5625:4;\
+   2.625:3;2.6875:4;3:2;3:2;3:1;3:3;3:1;4:2;4:2;4:1;4:1;10:5;\
+   10.25:5;10.5:5;10.75:5;11:5;11.25:5;11.5:5;"
+
+let golden_delay_guided =
+  "clocks=1.6,2.5,10.6,11.5 executed=35 choices=3,2,1,1,1,1,1,2,1,\
+   1,1 steps=0:4;0:3;0:2;0:1;0.375:3;0.75:3;0.75:0;1:1;1:1;1:2;1:2;\
+   1.125:3;1.5:3;1.875:3;2:2;2:2;2:1;2:1;2.25:3;2.5:4;2.5625:4;\
+   2.625:3;2.6875:4;3:3;3:1;3:1;3:2;3:2;4:2;4:2;4:1;4:1;10:5;\
+   10.25:5;10.5:5;10.75:5;11:5;11.25:5;11.5:5; seqs=0,1,2,4,/0,1,2,\
+   /0,1,/3,10,/8,9,/8,12,/13,14,/18,20,24,/18,20,/18,25,/26,27,/"
+
+let delay_schedule tie_break =
+  let e = Engine.create () in
+  Engine.set_tie_break e tie_break;
+  let steps = Buffer.create 512 in
+  let step () =
+    Printf.bprintf steps "%g:%d;" (Engine.now e) (Engine.annotation e)
+  in
+  let proc ?at label body =
+    Engine.spawn e ?at (fun () ->
+        Engine.annotate e label;
+        step ();
+        body ())
+  in
+  (* Two processes whose delays land on the same instants. *)
+  proc 1 (fun () ->
+      for _ = 1 to 4 do
+        Engine.delay 1.0;
+        step ();
+        Engine.yield ();
+        step ()
+      done);
+  proc 2 (fun () ->
+      for _ = 1 to 4 do
+        Engine.delay 1.0;
+        step ();
+        Engine.delay 0.0;
+        step ()
+      done);
+  (* A faster process, alone at the head between collisions. *)
+  proc 3 (fun () ->
+      for _ = 1 to 8 do
+        Engine.delay 0.375;
+        step ()
+      done);
+  Engine.schedule e ~after:0.75 step;
+  (* Stops the run from inside, then delays while alone at the head. *)
+  proc 4 (fun () ->
+      Engine.delay 2.5;
+      step ();
+      Engine.stop e;
+      Engine.delay 0.0625;
+      step ();
+      Engine.delay 0.125;
+      step ());
+  (* A lone process long after the others; [until] cuts its fourth delay. *)
+  proc ~at:10.0 5 (fun () ->
+      for _ = 1 to 6 do
+        Engine.delay 0.25;
+        step ()
+      done);
+  let clocks =
+    List.map
+      (fun until -> Printf.sprintf "%g" (Engine.run ~until e))
+      [ 1.6; infinity; 10.6; infinity ]
+  in
+  Printf.sprintf "clocks=%s executed=%d choices=%s steps=%s"
+    (String.concat "," clocks)
+    (Engine.events_executed e)
+    (choices_string e) (Buffer.contents steps)
+
+(* A guided policy sees each tie set's seq numbers, so it pins those
+   too: it logs them and picks the newest member. *)
+let guided_delay_schedule () =
+  let seen = Buffer.create 256 in
+  let pick alts =
+    Array.iter (fun a -> Printf.bprintf seen "%d," a.Engine.seq) alts;
+    Buffer.add_char seen '/';
+    Array.length alts - 1
+  in
+  let run = delay_schedule (Engine.Guided pick) in
+  Printf.sprintf "%s seqs=%s" run (Buffer.contents seen)
+
+let test_golden_delay_schedule () =
+  Alcotest.(check string) "fifo" golden_delay_fifo (delay_schedule Engine.Fifo);
+  Alcotest.(check string) "seeded" golden_delay_seeded
+    (delay_schedule (Engine.Seeded 11L));
+  Alcotest.(check string) "guided" golden_delay_guided
+    (guided_delay_schedule ())
+
 let () =
   Alcotest.run "sim"
     [
@@ -1158,5 +1266,7 @@ let () =
             test_golden_engine_schedule;
           case "prism store run replays pre-rewrite schedule"
             test_golden_prism_run;
+          case "delays, yields, until and stop keep their schedule"
+            test_golden_delay_schedule;
         ] );
     ]

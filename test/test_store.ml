@@ -324,6 +324,45 @@ let test_scan_reorganization_runs () =
             (Svc.reorganizations svc > 0)
       | None -> Alcotest.fail "svc expected")
 
+(* A Value Storage a few times the live data keeps GC busy under update
+   churn. After every operation that follows a new GC pass, each chunk's
+   live-byte count (GC's victim key) must match a walk of its slots, and
+   every value must still read back. *)
+let test_vs_gc_under_pressure () =
+  with_store
+    ~cfg:
+      {
+        small_config with
+        vs_size = 256 * 1024;
+        vs_gc_watermark = 0.5;
+        pwb_size = 16 * 1024;
+      }
+    (fun _ store ->
+      let n = 300 in
+      let seen = ref 0 in
+      let check () =
+        if Store.gc_runs store > !seen then begin
+          seen := Store.gc_runs store;
+          Array.iter Value_storage.check_live (Store.value_storages store)
+        end
+      in
+      for round = 0 to 9 do
+        for i = 0 to n - 1 do
+          Store.put store ~tid:(i mod 4) (key i) (value ~size:128 (i + round));
+          check ()
+        done
+      done;
+      Store.quiesce store;
+      check ();
+      Alcotest.(check bool) "gc ran" true (Store.gc_runs store > 0);
+      let bad = ref 0 in
+      for i = 0 to n - 1 do
+        match Store.get store ~tid:0 (key i) with
+        | Some v when Bytes.equal v (value ~size:128 (i + 9)) -> ()
+        | _ -> incr bad
+      done;
+      Alcotest.(check int) "no lost or stale values" 0 !bad)
+
 (* ---- crash consistency & recovery ---- *)
 
 let crash_and_recover e store =
@@ -982,6 +1021,7 @@ let () =
           case "delete vs put churn" test_interleaved_delete_and_put;
           case "scan mixed residency" test_scan_mixed_residency;
           case "hsit exhaustion" test_hsit_capacity_exhaustion_is_loud;
+          case "vs gc under pressure" test_vs_gc_under_pressure;
         ] );
       ( "crash-recovery",
         [
