@@ -312,6 +312,32 @@ let bench_dpor_default ~reps =
   figure "dpor.default" "heap_bytes_per_class" ~unit:"heap bytes/class"
     (float_of_int (grown * (Sys.word_size / 8)) /. float_of_int max_classes)
 
+(* store.create rates building the store one checker run uses at
+   Explore.default's shape (128 keys x 64 B, two Value Storages): every
+   explored schedule pays it once. Its words per create count every word
+   allocated, major heap included, so device images backed at their
+   provisioned size instead of their written prefix show up there. *)
+let bench_store_create ~quick ~reps =
+  let open Prism_check in
+  let creates = if quick then 200 else 1000 in
+  let create () =
+    for _ = 1 to creates do
+      ignore (Explore.make_kv Explore.default (Engine.create ()))
+    done
+  in
+  (* Minor words only reach the counters at a minor collection. *)
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  create ();
+  let dw = words () -. w0 in
+  report "store.create" (measure ~reps ~ops:creates create);
+  figure "store.create" "words_per_create" ~unit:"words/create"
+    (dw /. float_of_int creates)
+
 (* ---------------------------------------------------------------- *)
 (* Fleet benchmarks                                                  *)
 (* ---------------------------------------------------------------- *)
@@ -467,7 +493,9 @@ let scan_number ~key text =
    (they are noisier: simulated-hardware model work dominates) — except
    store.prism, whose baseline is conservative enough to absorb the
    noise and which guards the static-placement dispatch on the put/get
-   hot path staying free. *)
+   hot path staying free, and store.create, which guards store creation
+   staying proportional to the bytes a store writes rather than the
+   bytes it provisions. *)
 let gated_keys () =
   [
     "engine_dispatch_per_sec";
@@ -476,6 +504,7 @@ let gated_keys () =
     "store_prism_per_sec";
     "fleet_dpor_per_sec";
     "dpor_default_per_sec";
+    "store_create_per_sec";
   ]
   (* The speedup ratio only measures anything when two domains can
      actually run in parallel; on a single-core host it reads the cost
@@ -559,6 +588,7 @@ let () =
     bench_arrival ~ops:comp_ops ~reps;
     bench_instrument ~ops:comp_ops ~reps;
     bench_fleet ~quick ~reps;
+    bench_store_create ~quick ~reps;
     bench_stores ~quick ~reps;
     write_json out ~quick;
     match baseline with None -> () | Some path -> check_baseline path

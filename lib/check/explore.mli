@@ -171,6 +171,15 @@ type shrunk = {
     reproduce a violation in the first place. *)
 val shrink : ?max_replays:int -> config -> choices:int array -> shrunk option
 
+(** [make_kv cfg engine] builds the store one run of [cfg] checks — a
+    Prism store, a KVell instance or a cluster, sized by [cfg] — plus the
+    cluster's transactional batch submitter when there is one. *)
+val make_kv :
+  config ->
+  Prism_sim.Engine.t ->
+  Prism_harness.Kv.t
+  * (tid:int -> (string * bytes) list -> bool) option
+
 (** [kvell_sync engine s] builds a KVell instance plus a {!Prism_harness.Kv.t}
     whose [put] is synchronous (returns only once durable), unlike
     {!Prism_harness.Kv.of_kvell}'s injector-style pipelined puts — a

@@ -42,6 +42,10 @@ type t = {
   gc_wakeup : unit Sync.Mailbox.t;
   mutable gc_running : bool;
   gc_runs : Metric.Counter.t;
+  mutable chunk_buf : Bytes.t;
+      (* whole-chunk read buffer of GC passes and recovery, allocated on
+         first use; this storage's single GC process and its recovery
+         each consume it before the next fill *)
 }
 
 let create engine ~id ~size ~chunk_size ~queue_depth ~spec ~cost ~gc_watermark =
@@ -76,6 +80,7 @@ let create engine ~id ~size ~chunk_size ~queue_depth ~spec ~cost ~gc_watermark =
     gc_wakeup = Sync.Mailbox.create ();
     gc_running = false;
     gc_runs = Metric.Counter.create ();
+    chunk_buf = Bytes.empty;
   }
 
 let id t = t.id
@@ -97,6 +102,12 @@ let image t = t.image
 let gc_runs t = Metric.Counter.value t.gc_runs
 
 let chunk_gen t ~chunk = t.chunks.(chunk).gen
+
+(* Copy one chunk out of the image into [chunk_buf]. *)
+let read_chunk t chunk =
+  if Bytes.length t.chunk_buf = 0 then t.chunk_buf <- Bytes.create t.chunk_size;
+  Ssd_image.blit_to t.image ~off:(chunk * t.chunk_size) t.chunk_buf ~dst_off:0
+    ~len:t.chunk_size
 
 let gc_threshold t =
   max 2 (int_of_float (float_of_int t.nchunks *. (1.0 -. t.gc_watermark)))
@@ -418,21 +429,15 @@ let gc_pass t ~relocate =
           let meta = t.chunks.(chunk) in
           let gen = meta.gen in
           if meta.live > 0 then begin
-            let cell = ref None in
             let entry =
               {
                 Io_uring.dir = Model.Read;
                 size = t.chunk_size;
-                action =
-                  (fun () ->
-                    cell :=
-                      Some
-                        (Ssd_image.read t.image ~off:(chunk * t.chunk_size)
-                           ~len:t.chunk_size));
+                action = (fun () -> read_chunk t chunk);
               }
             in
             ignore (Io_uring.submit_and_wait t.uring [ entry ]);
-            let data = match !cell with Some b -> b | None -> assert false in
+            let data = t.chunk_buf in
             Array.iteri
               (fun slot s ->
                 (* A slot may have been invalidated while we were reading;
@@ -535,9 +540,8 @@ let recover t ~couple =
   let nfree = ref 0 in
   let metadata_bytes = ref 0 in
   for chunk = 0 to t.nchunks - 1 do
-    let data =
-      Ssd_image.read t.image ~off:(chunk * t.chunk_size) ~len:t.chunk_size
-    in
+    read_chunk t chunk;
+    let data = t.chunk_buf in
     let slots = ref [] in
     let pos = ref 0 in
     let stop = ref false in
@@ -604,5 +608,7 @@ let register_stats t stats ~prefix =
   Stats.register_counter stats (prefix ^ ".gc_runs") t.gc_runs;
   Stats.gauge_int stats (prefix ^ ".free_chunks") (fun () -> t.nfree);
   Stats.gauge_int stats (prefix ^ ".live_bytes") (fun () -> live_bytes t);
+  Stats.gauge_int stats (prefix ^ ".resident_bytes") (fun () ->
+      Ssd_image.resident_bytes t.image);
   Model.register_stats t.device stats ~prefix:(prefix ^ ".dev");
   Io_uring.register_stats t.uring stats ~prefix:(prefix ^ ".uring")

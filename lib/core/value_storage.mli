@@ -157,6 +157,6 @@ val live_bytes : t -> int
 val check_live : t -> unit
 
 (** [register_stats t stats ~prefix] publishes the GC-run counter (by
-    reference), occupancy gauges, and the device's and ring's metrics
+    reference), occupancy and resident-bytes gauges, and the device's and ring's metrics
     under [<prefix>.*]. *)
 val register_stats : t -> Prism_sim.Stats.t -> prefix:string -> unit

@@ -3,10 +3,15 @@ open Prism_device
 
 let line_size = 64
 
+(* The two images and the dirty map back only the written prefix of the
+   region (see {!Backing}) and always grow together, so a line inside
+   the prefix is backed in all three and a line past it is zero and
+   clean in both images. *)
 type t = {
-  volatile : Bytes.t;
-  durable : Bytes.t;
-  dirty : Bytes.t;
+  size : int;
+  mutable volatile : Bytes.t;
+  mutable durable : Bytes.t;
+  mutable dirty : Bytes.t;
       (* one byte per cache line, '\001' while the line is written but
          not persisted; every store and persist touches it, so it is a
          flat array indexed by line *)
@@ -21,9 +26,10 @@ type t = {
 let create engine ?(cost = Cost.default) ~spec ~size () =
   if size <= 0 then invalid_arg "Nvm.create: size <= 0";
   {
-    volatile = Bytes.make size '\000';
-    durable = Bytes.make size '\000';
-    dirty = Bytes.make (Bits.ceil_div size line_size) '\000';
+    size;
+    volatile = Bytes.empty;
+    durable = Bytes.empty;
+    dirty = Bytes.empty;
     ndirty = 0;
     device = Model.create engine spec;
     cost;
@@ -32,17 +38,29 @@ let create engine ?(cost = Cost.default) ~spec ~size () =
     on_persist = None;
   }
 
-let size t = Bytes.length t.volatile
+let size t = t.size
+
+let resident_bytes t = Bytes.length t.volatile + Bytes.length t.durable
 
 let allocated t = t.allocated
 
 let note_alloc t n = t.allocated <- t.allocated + n
 
 let check t ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length t.volatile then
+  if off < 0 || len < 0 || off + len > t.size then
     invalid_arg
       (Printf.sprintf "Nvm: range [%d, %d) outside region of %d bytes" off
-         (off + len) (Bytes.length t.volatile))
+         (off + len) t.size)
+
+let grow t need =
+  t.volatile <- Backing.grow t.volatile ~need ~limit:t.size;
+  let cap = Bytes.length t.volatile in
+  t.durable <- Backing.extend t.durable cap;
+  t.dirty <- Backing.extend t.dirty (Bits.ceil_div cap line_size)
+
+(* Back [off, off + len) before storing into it; [check] has bounded it. *)
+let ensure t ~off ~len =
+  if off + len > Bytes.length t.volatile then grow t (off + len)
 
 let mark_dirty t ~off ~len =
   if len > 0 then
@@ -65,18 +83,23 @@ let clean_line t line =
 let read t ~off ~len =
   check t ~off ~len;
   Model.access t.device Model.Read ~size:len;
-  Bytes.sub t.volatile off len
+  Backing.sub t.volatile off len
 
 let write t ~off src =
   let len = Bytes.length src in
   check t ~off ~len;
   Model.access t.device Model.Write ~size:len;
+  ensure t ~off ~len;
   Bytes.blit src 0 t.volatile off len;
   mark_dirty t ~off ~len
 
+(* Lines past the dirty map were never written, so they are clean. *)
 let flush_range t ~off ~len =
   if len > 0 then
-    for line = off / line_size to (off + len - 1) / line_size do
+    for
+      line = off / line_size
+      to min ((off + len - 1) / line_size) (Bytes.length t.dirty - 1)
+    do
       if clean_line t line then begin
         let start = line * line_size in
         let stop = min (start + line_size) (Bytes.length t.volatile) in
@@ -96,14 +119,19 @@ let write_persist t ~off src =
   write t ~off src;
   persist t ~off ~len:(Bytes.length src)
 
+let word image off =
+  if off + 8 <= Bytes.length image then Bytes.get_int64_le image off
+  else Bytes.get_int64_le (Backing.sub image off 8) 0
+
 let get_int64 t off =
   check t ~off ~len:8;
   Model.access t.device Model.Read ~size:8;
-  Bytes.get_int64_le t.volatile off
+  word t.volatile off
 
 let set_int64 t off v ~persist:do_persist =
   check t ~off ~len:8;
   Model.access t.device Model.Write ~size:8;
+  ensure t ~off ~len:8;
   Bytes.set_int64_le t.volatile off v;
   mark_dirty t ~off ~len:8;
   if do_persist then persist t ~off ~len:8
@@ -113,9 +141,10 @@ let atomic_rmw t off ~f =
   (* Charge first; the RMW itself is a single instant with no yields, so
      the compare sees the word as it is when the swap lands. *)
   Model.access t.device Model.Write ~size:8;
-  let w = Bytes.get_int64_le t.volatile off in
+  let w = word t.volatile off in
   (match f w with
   | Some w' ->
+      ensure t ~off ~len:8;
       Bytes.set_int64_le t.volatile off w';
       mark_dirty t ~off ~len:8
   | None -> ());
@@ -128,11 +157,12 @@ let crash t =
 
 let read_durable t ~off ~len =
   check t ~off ~len;
-  Bytes.sub t.durable off len
+  Backing.sub t.durable off len
 
 let restore t ~off src =
   let len = Bytes.length src in
   check t ~off ~len;
+  ensure t ~off ~len;
   Bytes.blit src 0 t.volatile off len;
   Bytes.blit src 0 t.durable off len;
   if len > 0 then
@@ -152,4 +182,6 @@ let register_stats t stats ~prefix =
   Stats.gauge_int stats (prefix ^ ".persists") (fun () -> t.persists);
   Stats.gauge_int stats (prefix ^ ".dirty_lines") (fun () -> t.ndirty);
   Stats.gauge_int stats (prefix ^ ".allocated") (fun () -> t.allocated);
+  Stats.gauge_int stats (prefix ^ ".resident_bytes") (fun () ->
+      resident_bytes t);
   Model.register_stats t.device stats ~prefix

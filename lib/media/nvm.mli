@@ -13,12 +13,15 @@
       protocol defends against (§5.5).
 
     The region keeps two images: the volatile view that normal reads see,
-    and the durable image that survives {!crash}. *)
+    and the durable image that survives {!crash}. Both hold only the
+    prefix of the region written so far ({!Backing}); the rest reads as
+    zero. *)
 
 type t
 
-(** [create engine ~spec ~size] allocates a zeroed region of [size] bytes
-    backed by a device with [spec]'s timing. *)
+(** [create engine ~spec ~size] creates a zeroed region of [size] bytes
+    backed by a device with [spec]'s timing. No image bytes are
+    allocated until the first store. *)
 val create :
   Prism_sim.Engine.t ->
   ?cost:Prism_device.Cost.t ->
@@ -34,6 +37,11 @@ val size : t -> int
 val allocated : t -> int
 
 val note_alloc : t -> int -> unit
+
+(** Host bytes currently backing the two images: twice the written
+    prefix, rounded up by the buffers' growth, never more than twice
+    {!size}. *)
+val resident_bytes : t -> int
 
 (** [read t ~off ~len] returns a copy of the volatile view. Charges the
     calling thread one NVM read access of [len] bytes. *)
@@ -98,7 +106,7 @@ val set_persist_hook : t -> (int -> unit) option -> unit
 (** Underlying timing model, for endurance/bandwidth statistics. *)
 val device : t -> Prism_device.Model.t
 
-(** [register_stats t stats ~prefix] publishes persist/dirty-line/alloc
-    gauges plus the underlying device's traffic counters under
+(** [register_stats t stats ~prefix] publishes persist, dirty-line, alloc
+    and resident-bytes gauges plus the underlying device's traffic counters under
     [<prefix>.*]. *)
 val register_stats : t -> Prism_sim.Stats.t -> prefix:string -> unit

@@ -5,13 +5,22 @@
     is applied by the entry's completion action, so a crash before
     completion simply means the bytes were never applied — matching
     O_DIRECT semantics where acknowledged writes are durable and in-flight
-    writes are lost. *)
+    writes are lost.
+
+    Only the prefix written so far is held in memory ({!Backing}); the
+    rest of the image reads as zero. *)
 
 type t
 
+(** [create ~size] is a zeroed image of [size] bytes; no bytes are
+    allocated until the first write. *)
 val create : size:int -> t
 
 val size : t -> int
+
+(** Host bytes currently backing the image: the written prefix, rounded
+    up by the buffer's growth, never more than {!size}. *)
+val resident_bytes : t -> int
 
 (** [read t ~off ~len] copies bytes out of the image. *)
 val read : t -> off:int -> len:int -> bytes

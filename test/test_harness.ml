@@ -173,6 +173,58 @@ let test_registry_covers_subsystems () =
   Alcotest.(check bool) "ssd bytes surface through the registry" true
     (Stats.get_int reg "prism.device.ssd.bytes_written" > 0)
 
+(* The device images back only what a run writes: a store at the
+   benchmark's 50k-key shape holds no image bytes before LOAD, and one
+   put backs only the NVM prefix up to its thread's PWB (HSIT first, then
+   the PWBs) — at most doubled by buffer growth, in each of the two NVM
+   images — and no SSD bytes. *)
+let test_device_images_start_empty () =
+  let s =
+    {
+      Setup.default_scenario with
+      records = 50_000;
+      value_size = 256;
+      threads = 16;
+      num_ssds = 2;
+    }
+  in
+  let e = Engine.create () in
+  let kv, store = Setup.prism e s in
+  let reg = Engine.stats e in
+  let gauges =
+    [
+      "prism.device.nvm.resident_bytes";
+      "prism.vs.0.resident_bytes";
+      "prism.vs.1.resident_bytes";
+    ]
+  in
+  let resident () =
+    List.fold_left (fun acc name -> acc + Stats.get_int reg name) 0 gauges
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " registered") true
+        (Stats.find reg name <> None))
+    gauges;
+  Alcotest.(check int) "nothing resident before LOAD" 0 (resident ());
+  Engine.spawn e (fun () -> kv.Kv.put ~tid:0 (key 0) (value ~size:256 0));
+  ignore (Engine.run e);
+  let cfg = Prism_core.Store.config store in
+  let prefix =
+    (cfg.Prism_core.Config.hsit_capacity * 16) + cfg.Prism_core.Config.pwb_size
+  in
+  let after = resident () in
+  Alcotest.(check bool)
+    (Printf.sprintf "one put backs %d bytes, at most %d" after (2 * 2 * prefix))
+    true
+    (after > 0 && after <= 2 * 2 * prefix);
+  Alcotest.(check bool) "well under the provisioned NVM" true
+    (after < 2 * cfg.Prism_core.Config.nvm_size);
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ ": no SSD bytes") 0 (Stats.get_int reg name))
+    [ "prism.vs.0.resident_bytes"; "prism.vs.1.resident_bytes" ]
+
 let test_different_seeds_differ () =
   let run seed =
     let e = Engine.create () in
@@ -293,7 +345,10 @@ let () =
           case "golden phases" test_golden_phases;
         ] );
       ( "telemetry",
-        [ case "registry covers subsystems" test_registry_covers_subsystems ] );
+        [
+          case "registry covers subsystems" test_registry_covers_subsystems;
+          case "device images start empty" test_device_images_start_empty;
+        ] );
       ( "report", [ case "table renders" test_report_table_renders ] );
       ( "cli",
         [

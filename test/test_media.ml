@@ -239,6 +239,153 @@ let prop_nvm_dirty_map_model =
             ops;
           true))
 
+(* ---- lazily backed images against flat images ---- *)
+
+(* Both images back only the written prefix; the flat model above is the
+   fully allocated region they must read as. The region is not a multiple
+   of a line and is larger than the first backing buffer, so offsets in
+   its last bytes grow the prefix to the region's end in one jump. *)
+let lazy_size = 8192 + 37
+
+type nvm_op =
+  | Write of int * int
+  | Set_int64 of int * bool
+  | Rmw of int * bool  (** whether [f] stores *)
+  | Persist of int * int
+  | Crash
+  | Restore of int * int
+  | Read of int * int
+  | Read_durable of int * int
+
+let show_nvm_op = function
+  | Write (o, l) -> Printf.sprintf "write %d+%d" o l
+  | Set_int64 (o, p) -> Printf.sprintf "set_int64 %d persist=%b" o p
+  | Rmw (o, st) -> Printf.sprintf "rmw %d store=%b" o st
+  | Persist (o, l) -> Printf.sprintf "persist %d+%d" o l
+  | Crash -> "crash"
+  | Restore (o, l) -> Printf.sprintf "restore %d+%d" o l
+  | Read (o, l) -> Printf.sprintf "read %d+%d" o l
+  | Read_durable (o, l) -> Printf.sprintf "read_durable %d+%d" o l
+
+(* An offset for a [len]-byte access: mostly in the first lines, where
+   stores lay out their data, sometimes in the region's last bytes and
+   sometimes anywhere — so reads land inside the written prefix, across
+   its edge and far past it. *)
+let gen_off ~size len =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_bound (min 400 (size - len)));
+        (1, map (fun d -> max 0 (size - len - d)) (int_bound 64));
+        (2, int_bound (size - len));
+      ])
+
+let gen_span ~size =
+  QCheck.Gen.(
+    int_bound 200 >>= fun len ->
+    map (fun off -> (off, len)) (gen_off ~size len))
+
+let gen_nvm_op =
+  let size = lazy_size in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun (o, l) -> Write (o, l)) (gen_span ~size));
+        (2, map2 (fun o p -> Set_int64 (o, p)) (gen_off ~size 8) bool);
+        (2, map2 (fun o st -> Rmw (o, st)) (gen_off ~size 8) bool);
+        (3, map (fun (o, l) -> Persist (o, l)) (gen_span ~size));
+        (1, return Crash);
+        (1, map (fun (o, l) -> Restore (o, l)) (gen_span ~size));
+        (3, map (fun (o, l) -> Read (o, l)) (gen_span ~size));
+        (2, map (fun (o, l) -> Read_durable (o, l)) (gen_span ~size));
+      ])
+
+let model_word m off = Bytes.get_int64_le m.vol off
+
+let model_set_word m off w =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 w;
+  model_write m ~off b
+
+let prop_nvm_lazy_images =
+  qcase ~count:200 "lazy images read as the flat region"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_nvm_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_nvm_op))
+    (fun ops ->
+      in_sim (fun e ->
+          let nvm = make_nvm ~size:lazy_size e
+          and m = model_create lazy_size in
+          List.iteri
+            (fun i op ->
+              let what = show_nvm_op op in
+              let src len = Bytes.make len (Char.chr (65 + (i mod 26))) in
+              (match op with
+              | Write (off, len) ->
+                  let src = src len in
+                  Nvm.write nvm ~off src;
+                  model_write m ~off src
+              | Set_int64 (off, persist) ->
+                  let w = Int64.of_int ((i * 0x10001) + 1) in
+                  Nvm.set_int64 nvm off w ~persist;
+                  model_set_word m off w;
+                  if persist then model_persist m ~off ~len:8
+              | Rmw (off, store) ->
+                  let seen =
+                    Nvm.atomic_rmw nvm off ~f:(fun w ->
+                        if store then Some (Int64.add w 7L) else None)
+                  in
+                  let expect = model_word m off in
+                  Alcotest.(check int64) (what ^ ": word seen") expect seen;
+                  if store then model_set_word m off (Int64.add expect 7L)
+              | Persist (off, len) ->
+                  Nvm.persist nvm ~off ~len;
+                  model_persist m ~off ~len
+              | Crash ->
+                  Nvm.crash nvm;
+                  model_crash m
+              | Restore (off, len) ->
+                  let src = src len in
+                  Nvm.restore nvm ~off src;
+                  model_restore m ~off src
+              | Read (off, len) ->
+                  Alcotest.check bytes_eq what (Bytes.sub m.vol off len)
+                    (Nvm.read nvm ~off ~len);
+                  if len >= 8 then
+                    Alcotest.(check int64) (what ^ ": get_int64")
+                      (model_word m off) (Nvm.get_int64 nvm off)
+              | Read_durable (off, len) ->
+                  Alcotest.check bytes_eq what (Bytes.sub m.dur off len)
+                    (Nvm.read_durable nvm ~off ~len));
+              Alcotest.(check int)
+                (what ^ ": dirty lines")
+                (Hashtbl.length m.dirty) (Nvm.dirty_lines nvm))
+            ops;
+          check_model "end" nvm m;
+          true))
+
+let test_nvm_resident_bytes () =
+  in_sim (fun e ->
+      let nvm = make_nvm ~size:lazy_size e in
+      Alcotest.(check int) "nothing backed before a store" 0
+        (Nvm.resident_bytes nvm);
+      ignore (Nvm.read nvm ~off:(lazy_size - 64) ~len:64);
+      ignore (Nvm.get_int64 nvm 4000);
+      Nvm.persist nvm ~off:0 ~len:lazy_size;
+      Nvm.crash nvm;
+      Alcotest.(check int) "reads, persists and crashes back nothing" 0
+        (Nvm.resident_bytes nvm);
+      Nvm.write nvm ~off:100 (Bytes.make 8 'x');
+      Alcotest.(check int) "first store backs 4 KiB per image" (2 * 4096)
+        (Nvm.resident_bytes nvm);
+      Nvm.set_int64 nvm 4096 1L ~persist:true;
+      Alcotest.(check int) "the next doubles it" (2 * 8192)
+        (Nvm.resident_bytes nvm);
+      Nvm.restore nvm ~off:(lazy_size - 8) (Bytes.make 8 'y');
+      Alcotest.(check int) "never more than the region" (2 * lazy_size)
+        (Nvm.resident_bytes nvm);
+      Alcotest.(check int) "logical size unchanged" lazy_size (Nvm.size nvm))
+
 (* ---- int64 and atomic RMW ---- *)
 
 let test_nvm_int64_roundtrip () =
@@ -357,6 +504,79 @@ let test_image_blit_to () =
   Ssd_image.blit_to img ~off:2 dst ~dst_off:3 ~len:3;
   Alcotest.check bytes_eq "blit" (Bytes.of_string "...cde....") dst
 
+type image_op =
+  | Img_write of int * int
+  | Img_read of int * int
+  | Img_blit of int * int * int  (** image offset, length, dest offset *)
+
+let show_image_op = function
+  | Img_write (o, l) -> Printf.sprintf "write %d+%d" o l
+  | Img_read (o, l) -> Printf.sprintf "read %d+%d" o l
+  | Img_blit (o, l, d) -> Printf.sprintf "blit %d+%d to %d" o l d
+
+let prop_image_lazy =
+  let size = lazy_size in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map (fun (o, l) -> Img_write (o, l)) (gen_span ~size));
+          (2, map (fun (o, l) -> Img_read (o, l)) (gen_span ~size));
+          ( 2,
+            map2
+              (fun (o, l) d -> Img_blit (o, l, d))
+              (gen_span ~size) (int_bound 50) );
+        ])
+  in
+  qcase ~count:200 "lazy ssd image reads as the flat image"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_image_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let img = Ssd_image.create ~size and flat = Bytes.make size '\000' in
+      List.iteri
+        (fun i op ->
+          let what = show_image_op op in
+          match op with
+          | Img_write (off, len) ->
+              let src = Bytes.make len (Char.chr (97 + (i mod 26))) in
+              Ssd_image.write img ~off src;
+              Bytes.blit src 0 flat off len
+          | Img_read (off, len) ->
+              Alcotest.check bytes_eq what (Bytes.sub flat off len)
+                (Ssd_image.read img ~off ~len)
+          | Img_blit (off, len, dst_off) ->
+              (* Pre-filled, so a blit that skips bytes past the prefix
+                 leaves them showing. *)
+              let dst = Bytes.make (dst_off + len + 3) '.' in
+              let expect = Bytes.copy dst in
+              Ssd_image.blit_to img ~off dst ~dst_off ~len;
+              Bytes.blit flat off expect dst_off len;
+              Alcotest.check bytes_eq what expect dst)
+        ops;
+      Alcotest.check bytes_eq "whole image" flat
+        (Ssd_image.read img ~off:0 ~len:size);
+      let writes =
+        List.filter (function Img_write _ -> true | _ -> false) ops
+      in
+      Alcotest.(check int) "writes counted" (List.length writes)
+        (Ssd_image.write_count img);
+      true)
+
+let test_image_resident_bytes () =
+  let img = Ssd_image.create ~size:lazy_size in
+  ignore (Ssd_image.read img ~off:(lazy_size - 16) ~len:16);
+  Alcotest.(check int) "nothing backed before a write" 0
+    (Ssd_image.resident_bytes img);
+  Ssd_image.write img ~off:0 (Bytes.make 100 'x');
+  Alcotest.(check int) "first write backs 4 KiB" 4096
+    (Ssd_image.resident_bytes img);
+  Ssd_image.write img ~off:(lazy_size - 1) (Bytes.make 1 'y');
+  Alcotest.(check int) "never more than the image" lazy_size
+    (Ssd_image.resident_bytes img);
+  Alcotest.(check int) "logical size unchanged" lazy_size
+    (Ssd_image.size img)
+
 let () =
   Alcotest.run "media"
     [
@@ -378,6 +598,8 @@ let () =
           case "dirty map vs model" test_nvm_dirty_map_model;
           prop_nvm_dirty_map_model;
           prop_nvm_crash_partition;
+          prop_nvm_lazy_images;
+          case "resident bytes" test_nvm_resident_bytes;
         ] );
       ( "nvm-atomic",
         [
@@ -393,5 +615,7 @@ let () =
           case "zeroed" test_image_zero_initialized;
           case "bounds" test_image_bounds;
           case "blit" test_image_blit_to;
+          prop_image_lazy;
+          case "resident bytes" test_image_resident_bytes;
         ] );
     ]
