@@ -133,6 +133,29 @@ let bench_engine_delay_inline ~ops ~reps =
   in
   report "engine.delay_inline" (measure ~reps ~ops run)
 
+(* Device access: 16 processes issuing small synchronous accesses
+   against one NVM timing model -- the shape of a Prism store's index,
+   HSIT and PWB charges. Each access books the transfer and sleeps until
+   its completion, retiring the model's in-flight count as it wakes. *)
+let bench_device_access ~ops ~reps =
+  let open Prism_device in
+  let sources = 16 in
+  let run () =
+    let e = Engine.create () in
+    let nvm = Model.create e Spec.optane_dcpmm in
+    let per_proc = ops / sources in
+    for _ = 1 to sources do
+      Engine.spawn e (fun () ->
+          for i = 1 to per_proc do
+            Model.access nvm
+              (if i land 3 = 0 then Model.Write else Model.Read)
+              ~size:64
+          done)
+    done;
+    ignore (Engine.run e)
+  in
+  report "device.access" (measure ~reps ~ops run)
+
 (* ---------------------------------------------------------------- *)
 (* Component benchmarks                                              *)
 (* ---------------------------------------------------------------- *)
@@ -493,9 +516,10 @@ let scan_number ~key text =
    (they are noisier: simulated-hardware model work dominates) — except
    store.prism, whose baseline is conservative enough to absorb the
    noise and which guards the static-placement dispatch on the put/get
-   hot path staying free, and store.create, which guards store creation
+   hot path staying free; store.create, which guards store creation
    staying proportional to the bytes a store writes rather than the
-   bytes it provisions. *)
+   bytes it provisions; and device.access, which guards a synchronous
+   device access costing at most one queue entry. *)
 let gated_keys () =
   [
     "engine_dispatch_per_sec";
@@ -505,6 +529,7 @@ let gated_keys () =
     "fleet_dpor_per_sec";
     "dpor_default_per_sec";
     "store_create_per_sec";
+    "device_access_per_sec";
   ]
   (* The speedup ratio only measures anything when two domains can
      actually run in parallel; on a single-core host it reads the cost
@@ -580,6 +605,7 @@ let () =
     bench_engine_dispatch ~ops:engine_ops ~reps;
     bench_engine_process ~ops:engine_ops ~reps;
     bench_engine_delay_inline ~ops:engine_ops ~reps;
+    bench_device_access ~ops:engine_ops ~reps;
     bench_heap ~ops:comp_ops ~reps;
     bench_hist ~ops:comp_ops ~reps;
     bench_rng ~ops:comp_ops ~reps;

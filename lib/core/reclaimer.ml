@@ -25,6 +25,7 @@ type t = {
   mutable in_pass : bool;
   reclaimed : Metric.Counter.t;
   dead : Metric.Counter.t;
+  span_tid : int; (* this reclaimer's own frame stack for its passes *)
 }
 
 let create ?tiering engine ~pwb ~hsit ~storages ~rng ~watermark =
@@ -42,6 +43,7 @@ let create ?tiering engine ~pwb ~hsit ~storages ~rng ~watermark =
     in_pass = false;
     reclaimed = Metric.Counter.create ();
     dead = Metric.Counter.create ();
+    span_tid = Span.fresh_tid (Engine.spans engine);
   }
 
 let reclaimed_values t = Metric.Counter.value t.reclaimed
@@ -215,7 +217,7 @@ let reclaim_now t =
   if t.in_pass then ()
   else begin
     t.in_pass <- true;
-    Engine.with_span t.engine "reclaimer.pass" @@ fun () ->
+    Engine.with_span t.engine ~tid:t.span_tid "reclaimer.pass" @@ fun () ->
     Fun.protect
       ~finally:(fun () -> t.in_pass <- false)
       (fun () ->

@@ -42,6 +42,7 @@ type t = {
   gc_wakeup : unit Sync.Mailbox.t;
   mutable gc_running : bool;
   gc_runs : Metric.Counter.t;
+  gc_span_tid : int; (* the GC process's own frame stack for its passes *)
   mutable chunk_buf : Bytes.t;
       (* whole-chunk read buffer of GC passes and recovery, allocated on
          first use; this storage's single GC process and its recovery
@@ -80,6 +81,7 @@ let create engine ~id ~size ~chunk_size ~queue_depth ~spec ~cost ~gc_watermark =
     gc_wakeup = Sync.Mailbox.create ();
     gc_running = false;
     gc_runs = Metric.Counter.create ();
+    gc_span_tid = Span.fresh_tid (Engine.spans engine);
     chunk_buf = Bytes.empty;
   }
 
@@ -526,7 +528,7 @@ let start_gc t ~relocate =
         let rec drain () =
           if
             t.nfree < gc_threshold t
-            && Engine.with_span t.engine "vs.gc" (fun () ->
+            && Engine.with_span t.engine ~tid:t.gc_span_tid "vs.gc" (fun () ->
                    gc_pass t ~relocate)
           then drain ()
         in

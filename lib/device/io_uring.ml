@@ -48,11 +48,8 @@ let submit t entries =
       (fun entry ->
         Sync.Semaphore.acquire t.slots;
         let ivar = Sync.Ivar.create () in
-        let completion = Model.submit t.model entry.dir ~size:entry.size in
         t.in_flight <- t.in_flight + 1;
-        Engine.schedule t.engine
-          ~after:(completion -. Engine.now t.engine)
-          (fun () ->
+        Model.submit_then t.model entry.dir ~size:entry.size (fun completion ->
             entry.action ();
             t.in_flight <- t.in_flight - 1;
             Sync.Semaphore.release t.slots;

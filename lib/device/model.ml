@@ -11,19 +11,24 @@ type t = {
   mutable reads : int;
   mutable writes : int;
   mutable in_flight : int;
+  retire : unit -> unit; (* one completion's bookkeeping, built once *)
 }
 
 let create engine spec =
-  {
-    engine;
-    spec;
-    busy_until = 0.0;
-    bytes_read = 0;
-    bytes_written = 0;
-    reads = 0;
-    writes = 0;
-    in_flight = 0;
-  }
+  let rec t =
+    {
+      engine;
+      spec;
+      busy_until = 0.0;
+      bytes_read = 0;
+      bytes_written = 0;
+      reads = 0;
+      writes = 0;
+      in_flight = 0;
+      retire = (fun () -> t.in_flight <- t.in_flight - 1);
+    }
+  in
+  t
 
 let spec t = t.spec
 
@@ -44,24 +49,32 @@ let note t dir size =
       t.bytes_written <- t.bytes_written + size;
       t.writes <- t.writes + 1
 
-let submit t dir ~size =
+(* Books the transfer and counts it in flight; the caller queues
+   [t.retire] at the returned completion time. *)
+let book t dir ~size =
   if size < 0 then invalid_arg "Model.submit: negative size";
   note t dir size;
-  let now = Engine.now t.engine in
-  let start = Float.max now t.busy_until in
+  let start = Float.max (Engine.now t.engine) t.busy_until in
   let transfer_done = start +. (float_of_int size /. bandwidth t dir) in
   t.busy_until <- transfer_done;
-  let completion = transfer_done +. latency t dir in
   t.in_flight <- t.in_flight + 1;
-  Engine.schedule t.engine
-    ~after:(completion -. now)
-    (fun () -> t.in_flight <- t.in_flight - 1);
+  transfer_done +. latency t dir
+
+let submit t dir ~size =
+  let completion = book t dir ~size in
+  Engine.schedule t.engine ~after:(completion -. Engine.now t.engine) t.retire;
   completion
 
+let submit_then t dir ~size k =
+  let completion = book t dir ~size in
+  Engine.schedule_behind t.engine
+    ~after:(completion -. Engine.now t.engine)
+    t.retire
+    (fun () -> k completion)
+
 let access t dir ~size =
-  let completion = submit t dir ~size in
-  let wait = completion -. Engine.now t.engine in
-  if wait > 0.0 then Engine.delay wait
+  let completion = book t dir ~size in
+  Engine.delay_behind (completion -. Engine.now t.engine) t.retire
 
 let bytes_written t = t.bytes_written
 

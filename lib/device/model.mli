@@ -22,6 +22,12 @@ val spec : t -> Spec.t
     virtual completion time. Does not block the caller. *)
 val submit : t -> direction -> size:int -> float
 
+(** [submit_then t dir ~size k] is [submit] followed by scheduling
+    [k completion] at the returned completion time, right behind the
+    model's own completion bookkeeping (see
+    {!Prism_sim.Engine.schedule_behind}). Does not block the caller. *)
+val submit_then : t -> direction -> size:int -> (float -> unit) -> unit
+
 (** [access t dir ~size] performs a synchronous byte-addressable access:
     blocks the calling process for the device latency plus transfer time.
     Used for NVM and DRAM. Must be called from within a process. *)

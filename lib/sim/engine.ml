@@ -50,6 +50,7 @@ type t = {
 
 type _ Effect.t +=
   | Delay : (t * float) -> unit Effect.t
+  | Delay_behind : (t * float * (unit -> unit)) -> unit Effect.t
   | Suspend : (t * ((unit -> unit) -> unit)) -> unit Effect.t
 
 (* The engine of the currently-running process. [run] sets it for the whole
@@ -125,6 +126,19 @@ let handler (_ : t) =
             engine.seq <- seq + 1;
             Heap.push_after engine.events ~clock:engine.clock ~after:d ~seq
               ~aux:engine.cur_label (fun () -> continue k ()))
+    | Delay_behind (engine, d, f) ->
+        (* [delay_behind]'s fused pair under FIFO: one entry at [f]'s
+           seq, the wake-up's seq reserved right behind it and counted
+           as its own event. *)
+        Some
+          (fun k ->
+            let seq = engine.seq in
+            engine.seq <- seq + 2;
+            Heap.push_after engine.events ~clock:engine.clock ~after:d ~seq
+              ~aux:engine.cur_label (fun () ->
+                f ();
+                engine.executed <- engine.executed + 1;
+                continue k ()))
     | Suspend (engine, register) ->
         Some
           (fun k ->
@@ -267,6 +281,44 @@ let delay d =
     end
     else Effect.perform (Delay (t, d))
   end
+
+(* Under FIFO, [schedule ~after:d f; delay d] queues two entries with
+   adjacent seqs at one instant, so nothing can run between them: [f]
+   may run as the first half of the wake-up. The pair then costs one
+   heap entry, or none when the wake-up is alone at the head of the
+   queue (as in [delay]); [seq] and [executed] move by two either way.
+   Other policies see both entries in their tie sets, so they keep the
+   queued pair. *)
+let delay_behind d f =
+  if d < 0.0 then invalid_arg "Engine.delay: negative delay";
+  let t = current_engine () in
+  match t.policy with
+  | P_fifo when d > 0.0 ->
+      if (not t.stopped) && Heap.advance_alone t.events ~clock:t.clock ~after:d
+      then begin
+        t.seq <- t.seq + 2;
+        t.executed <- t.executed + 1;
+        f ();
+        t.executed <- t.executed + 1
+      end
+      else Effect.perform (Delay_behind (t, d, f))
+  | _ ->
+      schedule t ~after:d f;
+      delay d
+
+let schedule_behind t ~after f g =
+  match t.policy with
+  | P_fifo ->
+      let seq = t.seq in
+      t.seq <- seq + 2;
+      Heap.push_after t.events ~clock:t.clock ~after ~seq ~aux:t.cur_label
+        (fun () ->
+          f ();
+          t.executed <- t.executed + 1;
+          g ())
+  | _ ->
+      schedule t ~after f;
+      schedule t ~after g
 
 let yield () =
   let t = current_engine () in

@@ -46,7 +46,9 @@ type tie_break =
 
 (** [set_tie_break t p] installs the tie-break policy. Decisions made
     under a non-FIFO policy are recorded and can be fetched with
-    {!recorded_choices}. *)
+    {!recorded_choices}. Install it before events are queued: a pair
+    fused under [Fifo] (see {!delay_behind}) stays one entry if the
+    policy changes while it waits. *)
 val set_tie_break : t -> tie_break -> unit
 
 (** Tie-break decisions made so far (one entry per tie set of size >= 2),
@@ -109,6 +111,31 @@ val clear_pending : t -> unit
     {!events_executed}. *)
 val delay : float -> unit
 
+(** [delay_behind d f] is exactly [schedule (current ()) ~after:d f;
+    delay d]: plain callback [f] runs at the wake-up instant, just before
+    the calling process resumes. Device models use it to retire an
+    access's in-flight count as the accessing process wakes.
+
+    Under [Fifo] the two events would take adjacent [seq]s at one
+    instant, so no other event can run between them, and the pair is
+    fused: one queue entry that runs [f] and then resumes the process,
+    or no entry at all when the wake-up may advance the clock in place
+    (as in {!delay}). [seq] and {!events_executed} still move by two,
+    so counts and later [seq]s match the queued pair. Under every other
+    policy the callback is a member of the wake-up's tie set, which the
+    policy may reorder, so both events are queued as written.
+
+    [f] must not delay, suspend, {!stop} or {!clear_pending}: those
+    could otherwise separate it from the wake-up. *)
+val delay_behind : float -> (unit -> unit) -> unit
+
+(** [schedule_behind t ~after f g] is exactly [schedule t ~after f;
+    schedule t ~after g], fused under [Fifo] into one queue entry that
+    runs [f] and then [g], counted as two events — the same contract and
+    the same restriction on [f] as {!delay_behind}. *)
+val schedule_behind :
+  t -> after:float -> (unit -> unit) -> (unit -> unit) -> unit
+
 (** [yield ()] re-schedules the calling process at the current time, letting
     same-time events that were scheduled earlier run first. *)
 val yield : unit -> unit
@@ -139,7 +166,9 @@ val stats : t -> Stats.t
 val spans : t -> Span.t
 
 (** [with_span t name f] runs [f] inside a virtual-time span named
-    [name] (attributed to [tid], default 0). When the tracer is disabled
+    [name] (attributed to [tid], default 0; spans on one tid nest, so
+    concurrent processes take distinct tids, e.g. from
+    {!Span.fresh_tid}). When the tracer is disabled
     this is exactly [f ()]. Only reads the clock — a span can never
     schedule events or perturb tie sets. *)
 val with_span : t -> ?tid:int -> string -> (unit -> 'a) -> 'a

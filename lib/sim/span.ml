@@ -33,6 +33,7 @@ type t = {
   mutable events_rev : (string * int * float * float) list;
       (* (name, tid, start, duration), newest first; only when
          [keep_events] *)
+  mutable last_tid : int; (* the latest [fresh_tid]; kept across [reset] *)
 }
 
 let create () =
@@ -42,6 +43,7 @@ let create () =
     stacks = Hashtbl.create 16;
     totals = Hashtbl.create 32;
     events_rev = [];
+    last_tid = 0;
   }
 
 let enabled t = t.enabled
@@ -57,6 +59,10 @@ let stack_of t tid =
       let s = ref [] in
       Hashtbl.add t.stacks tid s;
       s
+
+let fresh_tid t =
+  t.last_tid <- t.last_tid + 1;
+  t.last_tid
 
 let begin_ t ~name ~tid ~now : handle =
   if not t.enabled then None

@@ -26,6 +26,14 @@ val set_enabled : t -> bool -> unit
     per-name aggregates are maintained. *)
 val set_keep_events : t -> bool -> unit
 
+(** [fresh_tid t] is a tid no earlier call on [t] returned, counting up
+    from 1 (tid 0 is {!Engine.with_span}'s default). Background
+    processes take one each at creation, so their spans nest only
+    within their own process even when passes overlap. Callers that
+    number their own tids (the benchmark's clients start at 1000) pick
+    them above the few this hands out. *)
+val fresh_tid : t -> int
+
 (** [begin_ t ~name ~tid ~now] opens a span. Must be paired with
     {!end_} on the same [tid]. *)
 val begin_ : t -> name:string -> tid:int -> now:float -> handle

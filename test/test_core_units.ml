@@ -489,6 +489,44 @@ let test_vs_chunk_exhaustion_blocks () =
   (* 4 chunks, 1 reserved for GC: 3 writes succeed, the 4th blocks. *)
   Alcotest.(check int) "blocked at reserve" 3 !written
 
+(* Writes 8 chunks of 4 values (HSIT ids from [h]) into [vs], then
+   kills 3 of the 4 slots in every chunk, leaving GC the garbage to
+   compact. Returns the ids; the survivors are those at multiples of 4. *)
+let fill_with_garbage h vs =
+  let ids = Array.make 32 (-1) in
+  for c = 0 to 7 do
+    let values = List.init 4 (fun i -> (c * 4) + i) in
+    let batch =
+      List.map
+        (fun i ->
+          ids.(i) <- Hsit.alloc h;
+          (ids.(i), value ~size:2000 i))
+        values
+    in
+    let chunk, gen, done_ = Value_storage.write_chunk vs batch in
+    ignore (Sync.Ivar.read done_);
+    List.iteri
+      (fun slot i ->
+        let loc = Location.In_vs { vs = Value_storage.id vs; gen; chunk; slot } in
+        Hsit.write_primary h ids.(i) loc;
+        Value_storage.set_valid vs ~gen ~chunk ~slot true)
+      values;
+    Value_storage.seal vs ~chunk
+  done;
+  for c = 0 to 7 do
+    for s = 1 to 3 do
+      let i = (c * 4) + s in
+      match Hsit.read_primary h ids.(i) with
+      | Location.In_vs { gen; chunk; slot; _ } ->
+          Value_storage.set_valid vs ~gen ~chunk ~slot false;
+          Hsit.write_primary h ids.(i) Location.Nowhere
+      | _ -> Alcotest.fail "expected VS location"
+    done
+  done;
+  ids
+
+let relocate_in h ~hsit_id ~from_ ~to_ = Hsit.update_primary h hsit_id ~expect:from_ to_
+
 let test_vs_gc_compacts () =
   let e = Engine.create () in
   let nvm = Nvm.create e ~spec:Spec.optane_dcpmm ~size:(1024 * 1024) () in
@@ -496,43 +534,10 @@ let test_vs_gc_compacts () =
   let vs =
     make_vs ~size:(10 * 16 * 1024) ~chunk_size:(16 * 1024) ~gc_watermark:0.5 e
   in
-  Value_storage.start_gc vs ~relocate:(fun ~hsit_id ~from_ ~to_ ->
-      Hsit.update_primary h hsit_id ~expect:from_ to_);
-  let ids = Array.init 64 (fun _ -> -1) in
+  Value_storage.start_gc vs ~relocate:(relocate_in h);
+  let ids = ref [||] in
   Engine.spawn e (fun () ->
-      (* Write chunks of 4 values each; invalidate most slots to create
-         garbage; poke GC; then verify live data survived compaction. *)
-      for c = 0 to 7 do
-        let values = List.init 4 (fun i -> (c * 4) + i) in
-        let batch =
-          List.map
-            (fun i ->
-              ids.(i) <- Hsit.alloc h;
-              (ids.(i), value ~size:2000 i))
-            values
-        in
-        let chunk, gen, done_ = Value_storage.write_chunk vs batch in
-        ignore (Sync.Ivar.read done_);
-        List.iteri
-          (fun slot i ->
-            let loc = Location.In_vs { vs = 0; gen; chunk; slot } in
-            Hsit.write_primary h ids.(i) loc;
-            Value_storage.set_valid vs ~gen ~chunk ~slot true)
-          values;
-        Value_storage.seal vs ~chunk
-      done;
-      (* Kill 3 of 4 slots per chunk. *)
-      for c = 0 to 7 do
-        for s = 1 to 3 do
-          let i = (c * 4) + s in
-          (match Hsit.read_primary h ids.(i) with
-          | Location.In_vs { gen; chunk; slot; _ } ->
-              Value_storage.set_valid vs ~gen ~chunk ~slot false;
-              Hsit.write_primary h ids.(i) Location.Nowhere
-          | _ -> Alcotest.fail "expected VS location");
-          ()
-        done
-      done;
+      ids := fill_with_garbage h vs;
       Value_storage.poke_gc vs);
   ignore (Engine.run e);
   (* GC should have consolidated the 6 surviving values. *)
@@ -542,7 +547,7 @@ let test_vs_gc_compacts () =
   Engine.spawn e (fun () ->
       for c = 0 to 7 do
         let i = c * 4 in
-        match Hsit.read_primary h ids.(i) with
+        match Hsit.read_primary h !ids.(i) with
         | Location.In_vs { gen; chunk; slot; _ } -> (
             match Value_storage.read_slot_sync vs ~gen ~chunk ~slot with
             | Some data -> if not (Bytes.equal data (value ~size:2000 i)) then ok := false
@@ -766,6 +771,84 @@ let test_reclaimer_sync_mode_inline () =
       Alcotest.(check bool) "reclaimed inline" true
         (Reclaimer.reclaimed_values reclaimer > 0))
 
+(* Background passes that overlap in virtual time: each reclaimer and
+   each Value Storage's GC records its spans on its own tid, so one pass
+   ending can neither close another's frame early nor count it as a
+   child. Two reclaim passes of different lengths start at one instant
+   and each must keep its full duration; two GC processes woken at one
+   instant must record on distinct tids. *)
+let test_background_spans_own_tids () =
+  let e = Engine.create () in
+  let spans = Engine.spans e in
+  Span.set_enabled spans true;
+  Span.set_keep_events spans true;
+  let nvm = Nvm.create e ~spec:Spec.optane_dcpmm ~size:(1024 * 1024) () in
+  let hsit = Hsit.create nvm ~capacity:1024 in
+  let vs = make_vs ~size:(32 * 16 * 1024) e in
+  let reclaimers =
+    Array.init 2 (fun thread ->
+        let pwb = Pwb.create nvm ~thread ~size:4096 in
+        ( pwb,
+          Reclaimer.create e ~pwb ~hsit ~storages:[| vs |]
+            ~rng:(Rng.create 13L) ~watermark:0.9 ))
+  in
+  let gcs =
+    Array.init 2 (fun id ->
+        Value_storage.create e ~id:(id + 1) ~size:(10 * 16 * 1024)
+          ~chunk_size:(16 * 1024) ~queue_depth:16 ~spec:Spec.samsung_980_pro
+          ~cost:Cost.default ~gc_watermark:0.5)
+  in
+  let durations = Array.make 2 0.0 in
+  Engine.spawn e (fun () ->
+      Array.iteri
+        (fun thread (pwb, _) ->
+          for i = 1 to 4 + (8 * thread) do
+            let id = Hsit.alloc hsit in
+            let voff = Pwb.append pwb ~hsit_id:id ~value:(value ~size:100 i) in
+            Hsit.write_primary hsit id (Location.In_pwb { thread; voff })
+          done)
+        reclaimers;
+      Array.iter (fun vs -> ignore (fill_with_garbage hsit vs)) gcs;
+      Array.iteri
+        (fun i (_, r) ->
+          Engine.spawn e (fun () ->
+              let t0 = Engine.now e in
+              Reclaimer.reclaim_now r;
+              durations.(i) <- Engine.now e -. t0))
+        reclaimers;
+      Array.iter
+        (fun vs ->
+          Value_storage.start_gc vs ~relocate:(relocate_in hsit);
+          Value_storage.poke_gc vs)
+        gcs);
+  ignore (Engine.run e);
+  Alcotest.(check bool) "passes differ in length" true
+    (durations.(0) > 0.0 && durations.(0) < durations.(1));
+  (match List.find_opt (fun (n, _, _, _) -> n = "reclaimer.pass") (Span.totals spans) with
+  | Some (_, count, total, self) ->
+      Alcotest.(check int) "two passes" 2 count;
+      check_approx "full durations" (durations.(0) +. durations.(1)) total;
+      check_approx "no pass nests in the other" total self
+  | None -> Alcotest.fail "no reclaimer.pass span");
+  (* Chrome events read [..."name":N,"ph":"X","pid":0,"tid":T,...]. *)
+  let tids_of name =
+    String.split_on_char '{' (Span.to_chrome_json spans)
+    |> List.filter_map (fun ev ->
+           try
+             Scanf.sscanf ev "\"name\":\"%s@\",\"ph\":\"X\",\"pid\":0,\"tid\":%d"
+               (fun n tid -> if n = name then Some tid else None)
+           with Scanf.Scan_failure _ | End_of_file -> None)
+    |> List.sort_uniq compare
+  in
+  let gc_tids = tids_of "vs.gc" in
+  let pass_tids = tids_of "reclaimer.pass" in
+  Alcotest.(check int) "one tid per GC process" 2 (List.length gc_tids);
+  Alcotest.(check int) "one tid per reclaimer" 2 (List.length pass_tids);
+  Alcotest.(check int) "all distinct" 4
+    (List.length (List.sort_uniq compare (gc_tids @ pass_tids)));
+  Alcotest.(check bool) "none on the default tid" false
+    (List.mem 0 (gc_tids @ pass_tids))
+
 (* ---- Tcq ---- *)
 
 let make_tcq ?(limit = 8) e =
@@ -937,6 +1020,8 @@ let () =
           case "skips superseded" test_reclaimer_skips_superseded;
           case "watermark trigger" test_reclaimer_trigger_on_watermark;
           case "sync mode" test_reclaimer_sync_mode_inline;
+          case "overlapping passes keep their spans"
+            test_background_spans_own_tids;
         ] );
       ( "tcq",
         [

@@ -1145,6 +1145,140 @@ let test_golden_delay_schedule () =
   Alcotest.(check string) "guided" golden_delay_guided
     (guided_delay_schedule ())
 
+(* ---- Fused completion bookkeeping (qcheck) ---- *)
+
+(* Under [Fifo], [Engine.delay_behind] and [Engine.schedule_behind] fuse
+   a device's completion bookkeeping into the wake-up or the io_uring
+   completion it precedes. [Replay [||]] picks tie index 0 everywhere,
+   which is FIFO order, but keeps every event queued. Random programs of
+   device accesses, io_uring batches, delays, callbacks, yields, [stop]
+   and [clear_pending], run through a few [until] horizons, must
+   produce the same observations under both: every wake-up's time and
+   the in-flight counts it sees, the run clocks, [events_executed], and
+   -- through a final guided tie set, which exposes raw seqs -- the
+   engine's next [seq]. All times are multiples of 1/8 s, so accesses,
+   delays and callbacks collide on the same instants. *)
+type fused_op =
+  | F_access of bool * bool * int (* NVM-like model?, write?, size *)
+  | F_uring of int * int (* entries, size *)
+  | F_delay of int
+  | F_sched of int
+  | F_yield
+  | F_stop
+  | F_clear
+
+let fused_spec ~lat ~bw =
+  {
+    Prism_device.Spec.name = "fused-test";
+    read_bw = bw;
+    write_bw = bw /. 2.0;
+    read_lat = lat;
+    write_lat = lat /. 2.0;
+    cost_per_tb = 0.0;
+    endurance_pbw = 0.0;
+  }
+
+let fused_trace tie_break (procs, horizons) =
+  let open Prism_device in
+  let e = Engine.create () in
+  Engine.set_tie_break e tie_break;
+  let nvm = Model.create e (fused_spec ~lat:0.5 ~bw:64.0) in
+  (* Zero read latency: a read of 0 bytes on an idle device completes at
+     once, the [delay_behind 0.0] corner. *)
+  let ssd = Model.create e (fused_spec ~lat:0.0 ~bw:128.0) in
+  let cost =
+    { Cost.default with uring_submit = 0.25; uring_sqe = 0.0; uring_reap = 0.125 }
+  in
+  let uring = Io_uring.create e ssd ~queue_depth:2 ~cost in
+  let log = Buffer.create 1024 in
+  let note tag =
+    Printf.bprintf log "%s@%h:%d,%d,%d;" tag (Engine.now e)
+      (Model.in_flight nvm) (Model.in_flight ssd) (Io_uring.in_flight uring)
+  in
+  let eighths n = float_of_int n /. 8.0 in
+  List.iteri
+    (fun p (start, ops) ->
+      Engine.spawn e ~at:(eighths start) (fun () ->
+          List.iteri
+            (fun i op ->
+              (match op with
+              | F_access (on_nvm, write, size) ->
+                  Model.access
+                    (if on_nvm then nvm else ssd)
+                    (if write then Model.Write else Model.Read)
+                    ~size
+              | F_uring (n, size) ->
+                  let entry j =
+                    {
+                      Io_uring.dir = (if j land 1 = 0 then Model.Read else Model.Write);
+                      size;
+                      action = (fun () -> note "io");
+                    }
+                  in
+                  ignore (Io_uring.submit_and_wait uring (List.init n entry))
+              | F_delay n -> Engine.delay (eighths n)
+              | F_sched n -> Engine.schedule e ~after:(eighths n) (fun () -> note "cb")
+              | F_yield -> Engine.yield ()
+              | F_stop -> Engine.stop e
+              | F_clear -> Engine.clear_pending e);
+              note (Printf.sprintf "p%d.%d" p i))
+            ops))
+    procs;
+  let clocks =
+    List.map
+      (fun until -> Printf.sprintf "%h" (Engine.run ~until e))
+      (List.map eighths (List.sort compare horizons))
+  in
+  (* Drain what [stop] left queued before the policy changes: a pair
+     fused under [Fifo] would stay one entry under [Guided]. *)
+  let rec drain clocks =
+    let before = Engine.events_executed e in
+    let clock = Printf.sprintf "%h" (Engine.run e) in
+    if Engine.events_executed e > before then drain (clock :: clocks)
+    else List.rev (clock :: clocks)
+  in
+  let clocks = drain (List.rev clocks) in
+  let executed = Engine.events_executed e in
+  let seqs = Buffer.create 16 in
+  Engine.set_tie_break e
+    (Engine.Guided
+       (fun alts ->
+         Array.iter (fun a -> Printf.bprintf seqs "%d," a.Engine.seq) alts;
+         0));
+  Engine.spawn e ignore;
+  Engine.spawn e ignore;
+  ignore (Engine.run e);
+  Printf.sprintf "clocks=%s executed=%d next_seqs=%s log=%s"
+    (String.concat "," clocks) executed (Buffer.contents seqs)
+    (Buffer.contents log)
+
+let fused_program =
+  let open QCheck.Gen in
+  let size = oneofl [ 0; 8; 16; 64 ] in
+  let op =
+    frequency
+      [
+        (6, map3 (fun a b c -> F_access (a, b, c)) bool bool size);
+        (3, map2 (fun n sz -> F_uring (n, sz)) (int_range 1 3) size);
+        (2, map (fun n -> F_delay n) (int_bound 4));
+        (2, map (fun n -> F_sched n) (int_bound 4));
+        (1, return F_yield);
+        (1, return F_stop);
+        (1, return F_clear);
+      ]
+  in
+  let proc = pair (int_bound 3) (list_size (int_range 1 10) op) in
+  pair (list_size (int_range 1 4) proc) (list_size (int_bound 3) (int_bound 40))
+
+let prop_fused_matches_queued =
+  qcase ~count:300 "fused bookkeeping matches the queued schedule"
+    (QCheck.make fused_program) (fun prog ->
+      let fifo = fused_trace Engine.Fifo prog in
+      let queued = fused_trace (Engine.Replay [||]) prog in
+      if fifo <> queued then
+        QCheck.Test.fail_reportf "fifo:   %s\nqueued: %s" fifo queued;
+      true)
+
 let () =
   Alcotest.run "sim"
     [
@@ -1173,6 +1307,7 @@ let () =
           case "double resume rejected" test_engine_double_resume_rejected;
           case "event count" test_engine_events_counted;
           case "nested delays" test_engine_nested_calls_can_delay;
+          prop_fused_matches_queued;
         ] );
       ( "ivar",
         [
