@@ -94,11 +94,16 @@ let update_primary t id ~expect loc =
   end
   else false
 
-let write_primary t id loc =
+let exchange_primary t id loc =
   check t id;
   let dirty_word = Location.encode loc ~dirty:true in
-  ignore (Nvm.atomic_rmw t.nvm (primary_off t id) ~f:(fun _ -> Some dirty_word));
-  finish_write t id dirty_word
+  let replaced =
+    Nvm.atomic_rmw t.nvm (primary_off t id) ~f:(fun _ -> Some dirty_word)
+  in
+  finish_write t id dirty_word;
+  fst (Location.decode replaced)
+
+let write_primary t id loc = ignore (exchange_primary t id loc : Location.t)
 
 let decode_svc w = if w < 0L then None else Some (Int64.to_int w)
 

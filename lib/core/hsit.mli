@@ -59,6 +59,13 @@ val update_primary : t -> int -> expect:Location.t -> Location.t -> bool
     conflicts"). *)
 val write_primary : t -> int -> Location.t -> unit
 
+(** [exchange_primary t id loc] is [write_primary] returning the location
+    its atomic swap replaced. A writer that must release the value it
+    supersedes releases this one: a location read earlier may have been
+    moved since (by reclamation, GC or tier migration), and releasing
+    the stale copy would leave the new home live and unreferenced. *)
+val exchange_primary : t -> int -> Location.t -> Location.t
+
 (** SVC pointer accessors. [None] is encoded as -1. Volatile (no persist,
     no flush cost beyond the NVM store). *)
 val read_svc : t -> int -> int option

@@ -46,6 +46,8 @@ let create ?tiering engine ~pwb ~hsit ~storages ~rng ~watermark =
     span_tid = Span.fresh_tid (Engine.spans engine);
   }
 
+let in_pass t = t.in_pass
+
 let reclaimed_values t = Metric.Counter.value t.reclaimed
 
 let skipped_dead t = Metric.Counter.value t.dead

@@ -53,6 +53,9 @@ val maybe_trigger : t -> unit
 (** Run one reclamation pass synchronously on the calling process. *)
 val reclaim_now : t -> unit
 
+(** True while a pass (tier migration included) is running. *)
+val in_pass : t -> bool
+
 (** Values migrated to Value Storage so far. *)
 val reclaimed_values : t -> int
 

@@ -212,6 +212,8 @@ let nvm_bytes_written t = Model.bytes_written (Nvm.device t.nvm)
 let gc_runs t =
   Array.fold_left (fun acc vs -> acc + Value_storage.gc_runs vs) 0 t.vss
 
+let reclaiming t = Array.exists Reclaimer.in_pass t.reclaimers
+
 let reclaim_stats t =
   Array.fold_left
     (fun (m, d) r ->
@@ -509,9 +511,14 @@ let put t ~tid key value =
           (* Update: value to PWB first (durability), then repoint HSIT —
              the linearization point (§5.4). *)
           let voff = Pwb.append t.pwbs.(tid) ~hsit_id:id ~value in
-          let old = Hsit.read_primary t.hsit id in
-          Hsit.write_primary t.hsit id
-            (Location.In_pwb { thread = tid; voff });
+          (* The read's charge and flush-on-read are part of the modelled
+             put, but the home it names may move while it is in flight:
+             release the one the swap replaces. *)
+          ignore (Hsit.read_primary t.hsit id : Location.t);
+          let old =
+            Hsit.exchange_primary t.hsit id
+              (Location.In_pwb { thread = tid; voff })
+          in
           invalidate_old t old;
           Placement.touch t.placement id;
           (match t.svc with
@@ -556,8 +563,8 @@ let delete t ~tid key =
             | Some svc when not t.cfg.Config.fault_skip_svc_invalidate ->
                 Svc.invalidate svc ~hsit_id:id
             | Some _ | None -> ());
-            let old = Hsit.read_primary t.hsit id in
-            Hsit.write_primary t.hsit id Location.Nowhere;
+            ignore (Hsit.read_primary t.hsit id : Location.t);
+            let old = Hsit.exchange_primary t.hsit id Location.Nowhere in
             invalidate_old t old;
             Placement.forget t.placement id;
             let hsit = t.hsit in

@@ -75,6 +75,12 @@ val gc_runs : t -> int
     write (the §4.3 write-traffic saving). *)
 val reclaim_stats : t -> int * int
 
+(** True while any PWB reclaimer is inside a pass. {!quiesce} returns
+    once every PWB is below its watermark, which may be mid-pass, while
+    a migration holds a value in both its old and its new home; a check
+    of the store at rest waits for this to turn false. *)
+val reclaiming : t -> bool
+
 (** Mean read batch size achieved by the read path so far (Figure 11). *)
 val mean_read_batch : t -> float
 

@@ -853,8 +853,13 @@ let hotness_config =
 
 (* Every HSIT entry must be claimed by at most one value home: a valid
    Value-Storage slot or an NVM-tier record, never both (a double claim
-   means a migration moved the value without releasing the source). *)
+   means a migration moved the value without releasing the source). The
+   audit waits out any reclaimer pass still running after [quiesce]: a
+   migration in flight holds both homes until its pointer swap persists. *)
 let audit_single_tier store =
+  while Store.reclaiming store do
+    Engine.delay 10e-6
+  done;
   let claims = Hashtbl.create 64 in
   let claim id where =
     match Hashtbl.find_opt claims id with
@@ -873,38 +878,84 @@ let audit_single_tier store =
       Nvm_tier.iter tier (fun ~hsit_id ~noff ~len:_ ->
           claim hsit_id (Printf.sprintf "tier@%d" noff))
 
+(* Runs [(key, action)] ops on two alternating threads (actions 0-4
+   put, 5-8 get, 9 delete), then checks the single-home invariant, that
+   every acked value reads back, and the store's length. *)
+let single_tier_run ops =
+  with_store ~cfg:hotness_config (fun _ store ->
+      let model = Hashtbl.create 64 in
+      List.iteri
+        (fun i (k, action) ->
+          let k = key k in
+          let tid = i mod 2 in
+          if action <= 4 then begin
+            let v = value ~size:48 ((i * 31) + action) in
+            Store.put store ~tid k v;
+            Hashtbl.replace model k v
+          end
+          else if action <= 8 then ignore (Store.get store ~tid k)
+          else begin
+            ignore (Store.delete store ~tid k);
+            Hashtbl.remove model k
+          end)
+        ops;
+      Store.quiesce store;
+      audit_single_tier store;
+      Hashtbl.iter
+        (fun k v ->
+          match Store.get store ~tid:0 k with
+          | Some got when Bytes.equal got v -> ()
+          | Some _ -> Alcotest.failf "key %s: stale value after churn" k
+          | None -> Alcotest.failf "acked key %s unreadable" k)
+        model;
+      Store.length store = Hashtbl.length model)
+
 let prop_hotness_single_tier =
   qcase ~count:40 "hotness: acked values live in exactly one tier"
     QCheck.(
       list_of_size Gen.(int_range 60 400) (pair (int_bound 30) (int_bound 9)))
-    (fun ops ->
-      with_store ~cfg:hotness_config (fun _ store ->
-          let model = Hashtbl.create 64 in
-          List.iteri
-            (fun i (k, action) ->
-              let k = key k in
-              let tid = i mod 2 in
-              if action <= 4 then begin
-                let v = value ~size:48 ((i * 31) + action) in
-                Store.put store ~tid k v;
-                Hashtbl.replace model k v
-              end
-              else if action <= 8 then ignore (Store.get store ~tid k)
-              else begin
-                ignore (Store.delete store ~tid k);
-                Hashtbl.remove model k
-              end)
-            ops;
-          Store.quiesce store;
-          audit_single_tier store;
-          Hashtbl.iter
-            (fun k v ->
-              match Store.get store ~tid:0 k with
-              | Some got when Bytes.equal got v -> ()
-              | Some _ -> Alcotest.failf "key %s: stale value after churn" k
-              | None -> Alcotest.failf "acked key %s unreadable" k)
-            model;
-          Store.length store = Hashtbl.length model))
+    single_tier_run
+
+(* A run the property above once failed with "hsit id 3 live in both
+   vs0(chunk 1, slot 0) and tier@192". A put or delete reads the entry's
+   location, suspends on that NVM read, then swaps in its own. A
+   reclamation, GC or tier move landing in between used to leave the
+   value's new home live and unreferenced, because the writer released
+   the stale location it had read. It now releases the one its swap
+   replaced. *)
+let superseded_move_ops =
+  [
+    (21, 1); (5, 9); (16, 1); (25, 7); (8, 0); (4, 2); (4, 4); (25, 5);
+    (13, 1); (17, 3); (17, 2); (16, 7); (16, 7); (9, 1); (17, 4); (17, 6);
+    (0, 2); (17, 7); (1, 4); (7, 2); (21, 4); (2, 7); (1, 7); (30, 4);
+    (12, 3); (0, 5); (3, 0); (15, 2); (7, 4); (29, 9); (24, 5); (27, 0);
+    (22, 6); (5, 4); (1, 3); (18, 4); (8, 1); (11, 1); (22, 6); (27, 1);
+    (27, 3); (14, 2); (24, 6); (14, 4); (26, 4); (19, 2); (8, 9); (2, 0);
+    (19, 5); (14, 2); (11, 3); (25, 6); (30, 1); (14, 0); (5, 8); (8, 0);
+    (0, 3); (6, 0); (6, 3); (15, 4); (10, 6); (19, 2); (12, 2); (19, 3);
+    (19, 3); (28, 3); (12, 1); (21, 1); (8, 3); (2, 1); (0, 0); (25, 5);
+    (22, 3); (1, 3); (14, 0); (8, 2); (20, 9); (25, 6); (27, 3); (1, 8);
+    (0, 4); (13, 3); (27, 1); (8, 7); (28, 2); (15, 2); (9, 3); (20, 2);
+    (7, 0); (10, 5); (10, 3); (13, 7); (20, 2); (12, 5); (4, 0); (10, 6);
+    (13, 3); (22, 4); (26, 5); (1, 0); (7, 8); (24, 2); (28, 1); (21, 4);
+    (20, 2); (10, 0); (23, 2); (1, 7); (22, 3); (28, 1); (25, 0); (1, 2);
+    (7, 3); (28, 9); (23, 0); (24, 8); (12, 3); (13, 6); (28, 1); (22, 7);
+    (22, 2); (25, 2); (1, 5); (9, 7); (26, 0); (3, 9); (7, 0); (8, 0);
+    (30, 9); (19, 4); (4, 6); (18, 3); (30, 5); (13, 5); (18, 2); (22, 0);
+    (22, 9); (0, 4); (25, 3); (18, 3); (17, 6); (11, 8); (0, 4); (18, 2);
+    (20, 1); (14, 3); (16, 7); (14, 9); (4, 2); (11, 5); (29, 3); (2, 3);
+    (0, 8); (20, 5); (28, 9); (16, 9); (23, 2); (13, 6); (21, 0); (1, 9);
+    (21, 4); (26, 4); (24, 7); (22, 1); (12, 2); (15, 4); (9, 0); (6, 9);
+    (20, 0); (14, 4); (6, 3); (22, 5); (17, 4); (8, 8); (14, 3); (20, 5);
+    (16, 1); (1, 0); (19, 0); (15, 4); (13, 5); (10, 4); (21, 1); (28, 3);
+    (7, 2); (24, 0); (27, 0); (22, 2); (16, 6); (14, 6); (2, 6); (21, 4);
+    (28, 7); (12, 6); (3, 7); (11, 1); (18, 9); (14, 1); (19, 5); (4, 0);
+    (14, 6); (13, 4); (15, 4); (8, 2); (5, 0); (21, 3)
+  ]
+
+let test_hotness_superseded_move () =
+  Alcotest.(check bool) "single home, every value readable" true
+    (single_tier_run superseded_move_ops)
 
 (* Deterministic end-to-end: a skewed read/update loop must actually
    promote values into the tier, serve reads from it, and keep every
@@ -1048,5 +1099,7 @@ let () =
         [
           case "hotness migrates and recovers" test_hotness_migrates_and_recovers;
           prop_hotness_single_tier;
+          case "hotness: a move under a put is released"
+            test_hotness_superseded_move;
         ] );
     ]
