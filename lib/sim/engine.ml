@@ -290,7 +290,7 @@ let delay d =
    Other policies see both entries in their tie sets, so they keep the
    queued pair. *)
 let delay_behind d f =
-  if d < 0.0 then invalid_arg "Engine.delay: negative delay";
+  if d < 0.0 then invalid_arg "Engine.delay_behind: negative delay";
   let t = current_engine () in
   match t.policy with
   | P_fifo when d > 0.0 ->
