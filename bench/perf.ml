@@ -136,25 +136,43 @@ let bench_engine_delay_inline ~ops ~reps =
 (* Device access: 16 processes issuing small synchronous accesses
    against one NVM timing model -- the shape of a Prism store's index,
    HSIT and PWB charges. Each access books the transfer and sleeps until
-   its completion, retiring the model's in-flight count as it wakes. *)
-let bench_device_access ~ops ~reps =
+   its completion, retiring the model's in-flight count as it wakes.
+   Returns the finished engine. *)
+let device_access_sim ?(tie = Engine.Fifo) ~ops () =
   let open Prism_device in
   let sources = 16 in
-  let run () =
-    let e = Engine.create () in
-    let nvm = Model.create e Spec.optane_dcpmm in
-    let per_proc = ops / sources in
-    for _ = 1 to sources do
-      Engine.spawn e (fun () ->
-          for i = 1 to per_proc do
-            Model.access nvm
-              (if i land 3 = 0 then Model.Write else Model.Read)
-              ~size:64
-          done)
-    done;
-    ignore (Engine.run e)
+  let e = Engine.create () in
+  Engine.set_tie_break e tie;
+  let nvm = Model.create e Spec.optane_dcpmm in
+  let per_proc = ops / sources in
+  for _ = 1 to sources do
+    Engine.spawn e (fun () ->
+        for i = 1 to per_proc do
+          Model.access nvm
+            (if i land 3 = 0 then Model.Write else Model.Read)
+            ~size:64
+        done)
+  done;
+  ignore (Engine.run e);
+  e
+
+let bench_device_access ~ops ~reps =
+  report "device.access"
+    (measure ~reps ~ops (fun () -> ignore (device_access_sim ~ops ())))
+
+(* Tie dispatch: the same shape under [Guided (fun _ -> 0)], so every
+   dispatch takes the non-FIFO path and every same-instant tie set is a
+   decision (gathered in place, one member removed, the choice
+   recorded). Rated in decisions per wall second; the count comes from
+   one unmeasured run, since the schedule is deterministic. *)
+let bench_engine_tie_dispatch ~ops ~reps =
+  let tie = Engine.Guided (fun _ -> 0) in
+  let decisions =
+    Array.length (Engine.recorded_choices (device_access_sim ~tie ~ops ()))
   in
-  report "device.access" (measure ~reps ~ops run)
+  report "engine.tie_dispatch"
+    (measure ~reps ~ops:decisions (fun () ->
+         ignore (device_access_sim ~tie ~ops ())))
 
 (* ---------------------------------------------------------------- *)
 (* Component benchmarks                                              *)
@@ -518,8 +536,10 @@ let scan_number ~key text =
    noise and which guards the static-placement dispatch on the put/get
    hot path staying free; store.create, which guards store creation
    staying proportional to the bytes a store writes rather than the
-   bytes it provisions; and device.access, which guards a synchronous
-   device access costing at most one queue entry. *)
+   bytes it provisions; device.access, which guards a synchronous
+   device access costing at most one queue entry; and
+   engine.tie_dispatch, which guards the non-FIFO dispatch path every
+   checker walk takes. *)
 let gated_keys () =
   [
     "engine_dispatch_per_sec";
@@ -530,6 +550,7 @@ let gated_keys () =
     "dpor_default_per_sec";
     "store_create_per_sec";
     "device_access_per_sec";
+    "engine_tie_dispatch_per_sec";
   ]
   (* The speedup ratio only measures anything when two domains can
      actually run in parallel; on a single-core host it reads the cost
@@ -606,6 +627,7 @@ let () =
     bench_engine_process ~ops:engine_ops ~reps;
     bench_engine_delay_inline ~ops:engine_ops ~reps;
     bench_device_access ~ops:engine_ops ~reps;
+    bench_engine_tie_dispatch ~ops:engine_ops ~reps;
     bench_heap ~ops:comp_ops ~reps;
     bench_hist ~ops:comp_ops ~reps;
     bench_rng ~ops:comp_ops ~reps;

@@ -110,6 +110,14 @@ let run_replay ~cfg ~tie_seed =
 let choices_to_string choices =
   String.concat "," (List.map string_of_int (Array.to_list choices))
 
+(* A [--replay-choices] argument for [choices]: the trailing FIFO picks
+   are dropped (a replay reads past the list's end as 0), and a list
+   with none left is spelled [0]. *)
+let replay_hint choices =
+  match Explore.strip_fifo_tail choices with
+  | [||] -> "0"
+  | c -> choices_to_string c
+
 let run_dpor ~max_classes ~cfg ~verbose ~jobs =
   Printf.printf "DPOR: up to %d interleaving classes: %s\n%!" max_classes
     (describe cfg);
@@ -134,7 +142,7 @@ let run_dpor ~max_classes ~cfg ~verbose ~jobs =
             \  replay with: --replay-choices %s%s\n\
              %s\n"
             f.Explore.class_index f.Explore.found_at_run
-            (choices_to_string f.Explore.choices)
+            (replay_hint f.Explore.choices)
             (fault_suffix cfg) f.Explore.violation)
         failures);
   report.Explore.dpor_failures = []
@@ -171,8 +179,7 @@ let run_shrink ~cfg ~tie_seed =
             s.Explore.non_fifo
             (Array.length s.Explore.minimal)
             s.Explore.replays
-            (if Array.length s.Explore.minimal = 0 then "0"
-             else choices_to_string s.Explore.minimal)
+            (replay_hint s.Explore.minimal)
             (fault_suffix cfg) s.Explore.shrunk_violation;
           false)
 

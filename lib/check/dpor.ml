@@ -110,6 +110,31 @@ let candidate_with started n =
 
 let candidate n = candidate_with n.started n
 
+(* Run-local label table. Event seqs are dense per-run counters, so the
+   labels live in an int array indexed by seq, grown by doubling, with
+   [absent] marking seqs no tie set has shown. A hashtable here costs a
+   bucket cell per tie-set member, which the major GC then promotes and
+   scans for the rest of the run. A real label of [min_int] would read
+   as absent, which only drops its event from a sleep set (less pruning,
+   never a lost class). *)
+let absent = min_int
+
+let label_of labels s = if s < Array.length labels then labels.(s) else absent
+
+let set_label labels (a : Engine.alt) =
+  let labels =
+    if a.seq < Array.length labels then labels
+    else begin
+      let bigger =
+        Array.make (max 256 (2 * max a.seq (Array.length labels))) absent
+      in
+      Array.blit labels 0 bigger 0 (Array.length labels);
+      bigger
+    end
+  in
+  labels.(a.seq) <- a.label;
+  labels
+
 let explore ?(full = false) ?(stop_on = fun _ -> false)
     ?(on_commit = fun ~run:_ _ -> ()) ?pool ~max_classes ~dependent run_fn =
   (* The frontier: nodes with a branch candidate left, in non-empty
@@ -158,7 +183,7 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
     let replay =
       ref (match target with Some (n, _) -> List.rev n.path | None -> [])
     in
-    let label_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
+    let labels = ref [||] in
     let fresh : node list ref = ref [] in
     (* Parent of the next fresh decision point, with the index taken
        there — seeds the child's sleep set. *)
@@ -168,9 +193,7 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
     let target_forced = ref false in
     let choices_rev = ref [] in
     let choose (alts : Engine.alt array) =
-      Array.iter
-        (fun (a : Engine.alt) -> Hashtbl.replace label_of a.seq a.label)
-        alts;
+      Array.iter (fun (a : Engine.alt) -> labels := set_label !labels a) alts;
       let d = !depth in
       incr depth;
       let pick =
@@ -213,9 +236,8 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
                       let tseq = p.alts.(ti).seq in
                       Iset.union p.sleep (Iset.remove tseq p.started)
                       |> Iset.filter (fun s ->
-                             match Hashtbl.find_opt label_of s with
-                             | Some l -> not (dependent l tl)
-                             | None -> false)
+                             let l = label_of !labels s in
+                             l <> absent && not (dependent l tl))
               in
               let taken = ref (-1) in
               Array.iteri

@@ -243,6 +243,17 @@ let run_op hist kv batch ~tid = function
              [txn_every > 0], which implies cluster mode for Prism). *)
           List.iter (fun (k, v) -> kv.Kv.put ~tid k v) writes)
 
+(* [Hashtbl.hash] stops after about ten meaningful values, so hashing
+   the choice list would see only its head. Fold every decision in
+   instead: each step is a bijection of the running hash (xor, then
+   multiply by an odd constant), so two equally long lists that differ
+   anywhere get different fingerprints. *)
+let fingerprint ~events ~clock choices =
+  Array.fold_left
+    (fun h c -> (h lxor c) * 0x100000001b3)
+    (Hashtbl.hash (events, clock))
+    choices
+
 let run_one cfg ~index ~tie_seed ~tie =
   let engine = Engine.create () in
   Engine.set_tie_break engine tie;
@@ -274,8 +285,7 @@ let run_one cfg ~index ~tie_seed ~tie =
       clock;
       choices = Array.length choices;
       fingerprint =
-        Hashtbl.hash
-          (Array.to_list choices, Engine.events_executed engine, clock);
+        fingerprint ~events:(Engine.events_executed engine) ~clock choices;
     }
   in
   let init_keys = List.init cfg.records Prism_workload.Ycsb.key_of in
@@ -421,6 +431,16 @@ let replay_choices cfg ~choices =
   in
   violation
 
+(* Trailing FIFO entries are no-ops under replay (an exhausted list
+   reads as 0): strip them so a reported list is the shortest one that
+   reproduces. *)
+let strip_fifo_tail choices =
+  let len = ref (Array.length choices) in
+  while !len > 0 && choices.(!len - 1) = 0 do
+    decr len
+  done;
+  Array.sub choices 0 !len
+
 type shrunk = {
   minimal : int array;
   non_fifo : int;
@@ -489,13 +509,7 @@ let shrink ?(max_replays = 200) cfg ~choices =
         else if !block > 1 then block := !block / 2
         else if not !improved then done_ := true
       done;
-      (* Trailing FIFO entries are no-ops under replay: strip them so the
-         reported list is the shortest one that reproduces. *)
-      let len = ref (Array.length !cur) in
-      while !len > 0 && !cur.(!len - 1) = 0 do
-        decr len
-      done;
-      let minimal = Array.sub !cur 0 !len in
+      let minimal = strip_fifo_tail !cur in
       Some
         {
           minimal;

@@ -68,8 +68,14 @@ type schedule_stats = {
   events : int;  (** completed history events *)
   clock : float;  (** final virtual time *)
   choices : int;  (** tie-break decisions taken *)
-  fingerprint : int;  (** hash of (choices, events executed, clock) *)
+  fingerprint : int;  (** {!fingerprint} of the run *)
 }
+
+(** [fingerprint ~events ~clock choices] identifies a schedule by its
+    events executed, final clock and every tie-break decision: two
+    equally long decision lists that differ anywhere get different
+    fingerprints. *)
+val fingerprint : events:int -> clock:float -> int array -> int
 
 type failure = { stats : schedule_stats; violation : string }
 
@@ -154,6 +160,11 @@ val run_tie :
     explicit decision list. Decisions beyond the list's end fall back to
     FIFO, so a {!shrink}-stripped list replays to the same schedule. *)
 val replay_choices : config -> choices:int array -> string option
+
+(** [strip_fifo_tail choices] drops the trailing FIFO (0) decisions,
+    which {!replay_choices} reads past the end of a list anyway: the
+    result replays to the same schedule. *)
+val strip_fifo_tail : int array -> int array
 
 type shrunk = {
   minimal : int array;  (** shortest reproducing decision list *)

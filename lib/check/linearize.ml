@@ -105,7 +105,11 @@ let check_key ~init key ops =
     | _ -> step ~init_value state op
   in
   let linearized = Array.make n false in
-  let memo = Hashtbl.create 1024 in
+  (* Dead-end (linearized set, state) encodings. Most keys see a handful
+     of operations, so the table starts small and grows with the search:
+     one preallocated 1024-bucket table per key is allocated straight in
+     the major heap and costs more than the search it serves. *)
+  let memo = Hashtbl.create 16 in
   let encode state =
     let b = Buffer.create (n + 8) in
     Array.iter (fun l -> Buffer.add_char b (if l then '1' else '0')) linearized;
@@ -580,7 +584,8 @@ let check_component ~init anchors keys writes =
         false
   in
   let linearized = Array.make n false in
-  let memo = Hashtbl.create 1024 in
+  (* Sized to grow with the search, as in [check_key]. *)
+  let memo = Hashtbl.create 16 in
   let encode () =
     let b = Buffer.create (n + (2 * nkeys) + 8) in
     Array.iter (fun l -> Buffer.add_char b (if l then '1' else '0')) linearized;

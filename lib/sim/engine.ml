@@ -33,10 +33,11 @@ type t = {
   mutable executed : int;
   events : (unit -> unit) Heap.t;
   mutable policy : policy;
-  mutable choices_rev : int list;
-      (* tie-break decisions, newest first; recorded only under a
-         non-FIFO policy so the hot path stays allocation-free *)
+  mutable choices : int array;
   mutable n_choices : int;
+      (* tie-break decisions in order, [choices.(0 .. n_choices - 1)];
+         recorded only under a non-FIFO policy so the hot path stays
+         allocation-free *)
   mutable cur_label : int;
       (* label of the context currently executing; newly enqueued events
          inherit it, and it is restored from the event's aux channel
@@ -70,7 +71,7 @@ let create () =
     executed = 0;
     events = Heap.create ();
     policy = P_fifo;
-    choices_rev = [];
+    choices = [||];
     n_choices = 0;
     cur_label = 0;
     stats = Stats.create ();
@@ -83,7 +84,17 @@ let set_tie_break t = function
   | Replay choices -> t.policy <- P_replay { choices; pos = 0 }
   | Guided f -> t.policy <- P_guided f
 
-let recorded_choices t = Array.of_list (List.rev t.choices_rev)
+let recorded_choices t = Array.sub t.choices 0 t.n_choices
+
+let record_choice t c =
+  let n = t.n_choices in
+  if n = Array.length t.choices then begin
+    let bigger = Array.make (max 64 (2 * n)) 0 in
+    Array.blit t.choices 0 bigger 0 n;
+    t.choices <- bigger
+  end;
+  t.choices.(n) <- c;
+  t.n_choices <- n + 1
 
 let[@inline] now t = Array.unsafe_get t.clock 0
 
@@ -162,56 +173,46 @@ let spawn t ?at f =
   let at = match at with None -> now t | Some at -> at in
   enqueue t ~at (fun () -> Effect.Deep.match_with f () (handler t))
 
-(* Pop one event of the tie set at the minimum [time] under the active
-   non-FIFO policy, returning [(label, action)]. The whole tie set (all
-   events at the minimum time, in seq order) is drawn, one member is
-   chosen — uniformly from the seeded stream, by the recorded decision, or
-   by the guided callback — and the rest are pushed back with their
-   original seq and label, preserving their relative order. Decisions are
-   recorded only for tie sets larger than one, so a replay consumes them
-   at exactly the positions the recording produced them. *)
-let pop_tie_set t time =
-  let seq0 = Heap.min_seq t.events in
-  let aux0 = Heap.min_aux t.events in
-  let v0 = Heap.pop_unsafe t.events in
-  let ties = ref [ (seq0, aux0, v0) ] in
-  let n = ref 1 in
-  while (not (Heap.is_empty t.events)) && Heap.min_time t.events = time do
-    let s = Heap.min_seq t.events in
-    let a = Heap.min_aux t.events in
-    let v = Heap.pop_unsafe t.events in
-    ties := (s, a, v) :: !ties;
-    incr n
-  done;
-  if !n = 1 then (aux0, v0)
-  else begin
-    let arr = Array.of_list (List.rev !ties) in
-    let choice =
-      match t.policy with
-      | P_fifo -> 0
-      | P_seeded rng -> Rng.int rng !n
-      | P_replay r ->
-          let c =
-            if r.pos < Array.length r.choices then r.choices.(r.pos) else 0
-          in
-          r.pos <- r.pos + 1;
-          if c < 0 || c >= !n then 0 else c
-      | P_guided f ->
-          let alts = Array.map (fun (seq, aux, _) -> { seq; label = aux }) arr in
-          let c = f alts in
-          if c < 0 || c >= !n then
-            invalid_arg "Engine: guided tie-break chose out of range";
-          c
-    in
-    t.choices_rev <- choice :: t.choices_rev;
-    t.n_choices <- t.n_choices + 1;
-    Array.iteri
-      (fun i (seq, aux, v) ->
-        if i <> choice then Heap.push t.events ~time ~seq ~aux v)
-      arr;
-    let _, aux, v = arr.(choice) in
-    (aux, v)
-  end
+(* Pop one event of the tie set at the minimum time under the active
+   non-FIFO policy, make its label current and return its action. The
+   tie set (all events at the minimum time, in seq order) is gathered in
+   place, one member is chosen — uniformly from the seeded stream, by the
+   recorded decision, or by the guided callback — and only that member
+   leaves the heap; the rest keep their place, seq and label. Decisions
+   are recorded only for tie sets larger than one, so a replay consumes
+   them at exactly the positions the recording produced them. *)
+let pop_tie_set t =
+  let h = t.events in
+  let n = Heap.gather_ties h in
+  let choice =
+    if n = 1 then 0
+    else begin
+      let c =
+        match t.policy with
+        | P_fifo -> 0
+        | P_seeded rng -> Rng.int rng n
+        | P_replay r ->
+            let c =
+              if r.pos < Array.length r.choices then r.choices.(r.pos) else 0
+            in
+            r.pos <- r.pos + 1;
+            if c < 0 || c >= n then 0 else c
+        | P_guided f ->
+            let alts =
+              Array.init n (fun k ->
+                  { seq = Heap.tie_seq h k; label = Heap.tie_aux h k })
+            in
+            let c = f alts in
+            if c < 0 || c >= n then
+              invalid_arg "Engine: guided tie-break chose out of range";
+            c
+      in
+      record_choice t c;
+      c
+    end
+  in
+  t.cur_label <- Heap.tie_aux h choice;
+  Heap.remove_tie h choice
 
 let run ?(until = infinity) t =
   t.stopped <- false;
@@ -237,9 +238,8 @@ let run ?(until = infinity) t =
               t.cur_label <- label;
               action ()
           | _ ->
-              let label, action = pop_tie_set t (now t) in
+              let action = pop_tie_set t in
               t.executed <- t.executed + 1;
-              t.cur_label <- label;
               action ()
         end
         else begin

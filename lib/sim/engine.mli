@@ -19,7 +19,7 @@ type t
 
 (** One member of a same-instant tie set, as presented to a [Guided]
     tie-break callback: the event's unique scheduling sequence number
-    (stable identity — a pushed-back event keeps its [seq]) and the
+    (stable identity — an event not chosen keeps its [seq]) and the
     scheduling label it inherited from the context that enqueued it (see
     {!annotate}; [0] means unlabelled). *)
 type alt = { seq : int; label : int }
@@ -37,7 +37,13 @@ type alt = { seq : int; label : int }
     - [Guided f]: call [f] with the tie set (in scheduling order) at every
       decision point of size >= 2 and follow its choice — the hook a
       systematic explorer (DPOR) uses to own the schedule. [f] must
-      return a valid index into its argument. *)
+      return a valid index into its argument.
+
+    Under every policy but [Fifo], each dispatch gathers the tie set in
+    place: the events at the minimum time, in seq order (so index 0 is
+    the FIFO pick). Only the chosen event leaves the queue; the others
+    stay queued with their seq and label, so the next tie set at that
+    instant is the same set minus the chosen event. *)
 type tie_break =
   | Fifo
   | Seeded of int64

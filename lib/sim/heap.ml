@@ -36,6 +36,9 @@ type 'a t = {
   mutable free : int array; (* stack of recycled slots *)
   mutable n_free : int;
   mutable size : int;
+  mutable ties : int array;
+      (* heap positions of the last gathered tie set, in seq order; grown
+         on demand, so a heap that never gathers never allocates it *)
 }
 
 (* Placeholder for empty payload slots. An immediate, so [Array.make] never
@@ -63,6 +66,7 @@ let create () =
     free = Array.make initial_capacity 0;
     n_free = 0;
     size = 0;
+    ties = [||];
   }
 
 let length t = t.size
@@ -268,6 +272,72 @@ let pop_unsafe t =
     Array.unsafe_set slots !i slot
   end;
   root
+
+(* Tie sets. The entries tied at the minimum time form a subtree that
+   holds the root: a tied entry's parent is no later than it and no
+   earlier than the root, so it is tied too. [gather_ties] walks that
+   subtree breadth-first, using [ties] itself as the queue, then
+   insertion-sorts the few positions by seq — so index 0 is always the
+   root. Nothing moves until [remove_tie] takes one entry out. *)
+let gather_ties t =
+  let n = t.size in
+  if n = 0 then 0
+  else begin
+    if Array.length t.ties < n then t.ties <- Array.make (Array.length t.times) 0;
+    let ties = t.ties and times = t.times and seqs = t.seqs in
+    let time = Array.unsafe_get times 0 in
+    Array.unsafe_set ties 0 0;
+    let count = ref 1 in
+    let next = ref 0 in
+    while !next < !count do
+      let first = (arity * Array.unsafe_get ties !next) + 1 in
+      incr next;
+      for c = first to min (first + arity - 1) (n - 1) do
+        if Array.unsafe_get times c = time then begin
+          Array.unsafe_set ties !count c;
+          incr count
+        end
+      done
+    done;
+    for k = 1 to !count - 1 do
+      let p = Array.unsafe_get ties k in
+      let s = Array.unsafe_get seqs p in
+      let j = ref k in
+      while !j > 0 && Array.unsafe_get seqs (Array.unsafe_get ties (!j - 1)) > s do
+        Array.unsafe_set ties !j (Array.unsafe_get ties (!j - 1));
+        decr j
+      done;
+      Array.unsafe_set ties !j p
+    done;
+    !count
+  end
+
+let tie_seq t k = t.seqs.(t.ties.(k))
+
+let tie_aux t k = t.auxs.(t.slots.(t.ties.(k)))
+
+(* Remove the [k]th gathered tie: move it to the root, shifting each
+   ancestor on its path down one level (as if its key dropped below
+   every other), then pop it. Each ancestor lands where its child was,
+   above that child's children, so the heap order holds throughout, and
+   the pop is the FIFO path's own [pop_unsafe]. *)
+let remove_tie t k =
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let i = ref t.ties.(k) in
+  let time = Array.unsafe_get times !i in
+  let seq = Array.unsafe_get seqs !i in
+  let slot = Array.unsafe_get slots !i in
+  while !i > 0 do
+    let parent = (!i - 1) / arity in
+    Array.unsafe_set times !i (Array.unsafe_get times parent);
+    Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+    Array.unsafe_set slots !i (Array.unsafe_get slots parent);
+    i := parent
+  done;
+  Array.unsafe_set times 0 time;
+  Array.unsafe_set seqs 0 seq;
+  Array.unsafe_set slots 0 slot;
+  pop_unsafe t
 
 let pop_min t =
   if t.size = 0 then None

@@ -75,6 +75,30 @@ val min_aux : 'a t -> int
     heap. *)
 val pop_unsafe : 'a t -> 'a
 
+(** {2 Tie sets}
+
+    The engine's non-FIFO dispatch picks one of the entries tied at the
+    minimum time without taking the others out of the heap. *)
+
+(** [gather_ties t] finds the entries whose time equals the minimum time
+    and returns how many there are ([0] when empty). They are held in
+    seq order — index [0] is the minimum entry — until the heap next
+    changes; read them with {!tie_seq}/{!tie_aux} and take one out with
+    {!remove_tie}. Allocates only when the heap has outgrown every
+    earlier gather. *)
+val gather_ties : 'a t -> int
+
+(** [tie_seq t k] is the seq of the [k]th gathered tie. *)
+val tie_seq : 'a t -> int -> int
+
+(** [tie_aux t k] is the aux channel of the [k]th gathered tie. *)
+val tie_aux : 'a t -> int -> int
+
+(** [remove_tie t k] removes the [k]th gathered tie and returns its
+    payload; every other entry stays where the heap order puts it. Index
+    [0] is {!pop_unsafe}. Invalidates the gathered set. *)
+val remove_tie : 'a t -> int -> 'a
+
 (** [pop_min t] removes and returns the entry with the smallest key, or
     [None] when the heap is empty. Allocates; off-hot-path compat API. *)
 val pop_min : 'a t -> (float * int * 'a) option

@@ -217,6 +217,46 @@ let test_linearize_scan () =
       ev 2 1 (History.Scan ("a", 2)) (scan [ ("b", v2); ("a", v1) ]) 4 5;
     ]
 
+(* Memo sizing guard. Each key's search (and each scan component's)
+   keeps a memo of dead-end configurations; on the checker's histories
+   most keys see a few operations, so the memos must start small. A
+   preallocated 1024-bucket table per key lands straight in the major
+   heap — about 131k words for 128 keys — and dominated the checker's
+   major-heap traffic. The bound counts words allocated directly in the
+   major heap (promotions excluded), which does not depend on when minor
+   collections happen to run. *)
+let test_linearize_memo_major_words () =
+  let keys = 128 in
+  let history =
+    List.init keys (fun i ->
+        let k = Printf.sprintf "key%04d" i in
+        let base = 20 * i in
+        [
+          (0, put k v1, History.Ok_unit, base, base + 3);
+          (1, put k v2, History.Ok_unit, base + 1, base + 4);
+          (2, History.Get k, got (Some v2), base + 2, base + 10);
+        ]
+        @
+        if i mod 16 = 0 then
+          [ (3, History.Scan (k, 1), History.Items [ (k, v2) ], base + 11, base + 12) ]
+        else [])
+    |> List.concat
+    |> List.mapi (fun op (tid, call, outcome, inv, resp) ->
+           ev op tid call outcome inv resp)
+    |> Array.of_list
+  in
+  let direct () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = direct () in
+  let result = Linearize.check history in
+  let words = direct () -. before in
+  Alcotest.(check bool) "history is linearizable" true (Result.is_ok result);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated in the major heap < 1024" words)
+    true (words < 1024.0)
+
 (* ---- scheduling labels & recording ---- *)
 
 let test_label_tid_widening () =
@@ -551,6 +591,25 @@ let test_explore_clean () =
         (fun s -> (s.Explore.tie_seed, s.Explore.fingerprint))
         report'.Explore.schedules)
 
+(* The fingerprint must see every decision, not just the head of the
+   list that [Hashtbl.hash] would look at. *)
+let test_fingerprint_whole_list () =
+  let zeros = Array.make 1000 0 in
+  let one_at i =
+    let c = Array.copy zeros in
+    c.(i) <- 1;
+    c
+  in
+  let fp = Explore.fingerprint ~events:4000 ~clock:0.25 in
+  Alcotest.(check bool) "a change at index 8 counts" true
+    (fp zeros <> fp (one_at 8));
+  Alcotest.(check bool) "a change at index 500 counts" true
+    (fp zeros <> fp (one_at 500));
+  Alcotest.(check bool) "index 8 and index 500 differ" true
+    (fp (one_at 8) <> fp (one_at 500));
+  Alcotest.(check int) "same list, same fingerprint" (fp (one_at 500))
+    (fp (one_at 500))
+
 let test_explore_catches_stale_cache () =
   let cfg =
     { Explore.default with Explore.fault = Explore.Skip_svc_invalidate; seed = 42L }
@@ -722,6 +781,13 @@ let test_dpor_svc_budget () =
       (match Explore.replay_choices svc_budget_cfg ~choices:f.Explore.choices with
       | Some _ -> ()
       | None -> Alcotest.fail "dpor failure does not replay from its choices");
+      (* ... and so is the trimmed list the CLI prints as its hint *)
+      let trimmed = Explore.strip_fifo_tail f.Explore.choices in
+      Alcotest.(check bool) "trimmed hint drops the FIFO tail" true
+        (Array.length trimmed < Array.length f.Explore.choices);
+      Alcotest.(check (option string)) "trimmed hint replays the violation"
+        (Some f.Explore.violation)
+        (Explore.replay_choices svc_budget_cfg ~choices:trimmed);
       (* virtual-time endpoints surface in the report *)
       Alcotest.(check bool) "violation reports its virtual-time window" true
         (String.length f.Explore.violation >= 7
@@ -1225,6 +1291,7 @@ let () =
           case "phantom read rejected" test_linearize_phantom_read;
           case "preloaded initial values" test_linearize_init;
           case "scan monotonic prefix" test_linearize_scan;
+          case "memos start small" test_linearize_memo_major_words;
         ] );
       ( "history-labels",
         [
@@ -1245,6 +1312,7 @@ let () =
       ( "explore",
         [
           case "clean store linearizable" test_explore_clean;
+          case "fingerprint sees every decision" test_fingerprint_whole_list;
           case "stale-cache fault caught" test_explore_catches_stale_cache;
           case "kvell" test_explore_kvell;
         ] );

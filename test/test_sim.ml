@@ -923,6 +923,56 @@ let prop_heap_model =
       ok := !ok && Heap.is_empty h;
       !ok)
 
+(* Tie sets against the same sorted-list model: pushes over two times
+   (so tie sets grow several levels deep), pops, and gathers that remove
+   one member.
+   The gathered set must be exactly the model's entries at the minimum
+   time, in seq order; removing member [k] must return exactly that
+   entry; and the pop order afterwards must still match the model. *)
+let prop_heap_tie_model =
+  qcase ~count:500 "gathered ties match sorted-list model"
+    QCheck.(
+      list_of_size (Gen.int_range 0 300)
+        (triple (int_bound 1) (int_bound 3) small_nat))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] in
+      let seq = ref 0 in
+      let ok = ref true in
+      let check b = ok := !ok && b in
+      List.iter
+        (fun (digit, kind, k) ->
+          match (kind, !model) with
+          | 2, (_, s, _, v) :: rest ->
+              check (Heap.min_seq h = s && Heap.pop_unsafe h = v);
+              model := rest
+          | 3, (t0, _, _, _) :: _ ->
+              let ties = List.filter (fun (t, _, _, _) -> t = t0) !model in
+              let n = Heap.gather_ties h in
+              check (n = List.length ties);
+              List.iteri
+                (fun i (_, s, a, _) ->
+                  if i < n then
+                    check (Heap.tie_seq h i = s && Heap.tie_aux h i = a))
+                ties;
+              let k = k mod n in
+              let _, s, _, v = List.nth ties k in
+              check (Heap.remove_tie h k = v);
+              model := List.filter (fun (_, s', _, _) -> s' <> s) !model
+          | _ ->
+              let time = float_of_int digit in
+              let s = !seq in
+              incr seq;
+              Heap.push h ~time ~seq:s ~aux:(s * 7) s;
+              model := List.sort compare ((time, s, s * 7, s) :: !model))
+        ops;
+      List.iter
+        (fun (t, s, _, v) ->
+          check (Heap.min_time h = t && Heap.min_seq h = s);
+          check (Heap.pop_unsafe h = v))
+        !model;
+      !ok && Heap.is_empty h)
+
 let test_heap_clear_reuse () =
   let h = Heap.create () in
   for i = 0 to 40 do
@@ -1291,6 +1341,7 @@ let () =
           case "clear and reuse" test_heap_clear_reuse;
           prop_heap_sorted;
           prop_heap_model;
+          prop_heap_tie_model;
         ] );
       ( "engine",
         [
