@@ -42,3 +42,18 @@ let approx ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 let check_approx name a b =
   if not (approx ~eps:(1e-6 *. Float.max 1.0 (Float.abs b)) a b) then
     Alcotest.failf "%s: expected %g, got %g" name b a
+
+(* An exact fingerprint of a crash-sweep report: boundary totals, the
+   injected crash count, and every violation's fields in order. Tests pin
+   it so a refactor of the sweep must reproduce the report byte for
+   byte. *)
+let sweep_digest (r : Prism_check.Crash_sweep.report) =
+  let open Prism_check.Crash_sweep in
+  let b = Buffer.create 256 in
+  List.iter (fun (name, n) -> Printf.bprintf b "%s=%d\n" name n) r.boundaries;
+  Printf.bprintf b "crash_points=%d\n" r.crash_points;
+  List.iter
+    (fun v ->
+      Printf.bprintf b "%d|%s|%s|%s\n" v.crash_point v.boundary v.key v.detail)
+    r.violations;
+  Digest.to_hex (Digest.string (Buffer.contents b))

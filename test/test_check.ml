@@ -1003,6 +1003,7 @@ let sweep_cfg =
 
 let test_sweep_prism () =
   let report = Crash_sweep.run sweep_cfg in
+  Alcotest.(check string) "report digest" "f8ece99a761154208402b3b7f2c64416" (sweep_digest report);
   Alcotest.(check bool) "injected some crashes" true
     (report.Crash_sweep.crash_points > 0);
   match report.Crash_sweep.violations with
@@ -1015,6 +1016,7 @@ let test_sweep_kvell () =
   let report =
     Crash_sweep.run { sweep_cfg with Crash_sweep.store = `Kvell }
   in
+  Alcotest.(check string) "report digest" "b0d33ddc3c59096116d2ac64921d5824" (sweep_digest report);
   Alcotest.(check bool) "injected some crashes" true
     (report.Crash_sweep.crash_points > 0);
   Alcotest.(check bool) "kvell recoveries consistent" true
@@ -1025,6 +1027,7 @@ let test_sweep_catches_lost_writes () =
     Crash_sweep.run
       { sweep_cfg with Crash_sweep.fault_skip_hsit_flush = true; crash_every = 10 }
   in
+  Alcotest.(check string) "report digest" "46eaf2b4dec0df77167375f2bef01516" (sweep_digest report);
   Alcotest.(check bool) "disabled HSIT flush loses acknowledged writes" true
     (report.Crash_sweep.violations <> [])
 
@@ -1033,6 +1036,7 @@ let lsm_sweep_cfg =
 
 let test_sweep_lsm () =
   let report = Crash_sweep.run lsm_sweep_cfg in
+  Alcotest.(check string) "report digest" "5880ea1235599f3f40a22bc16a2a2dfd" (sweep_digest report);
   Alcotest.(check bool) "injected crashes at both boundary kinds" true
     (report.Crash_sweep.crash_points > 0
     && List.mem_assoc "wal-append" report.Crash_sweep.boundaries
@@ -1050,6 +1054,7 @@ let test_sweep_lsm_no_wal () =
     Crash_sweep.run
       { lsm_sweep_cfg with Crash_sweep.lsm_wal = false; crash_every = 1 }
   in
+  Alcotest.(check string) "report digest" "67ca81bc80de0be37d0414bf6d5b9065" (sweep_digest report);
   Alcotest.(check bool) "WAL-less LSM loses acknowledged writes" true
     (report.Crash_sweep.violations <> []);
   Alcotest.(check bool) "losses are at the publish boundary" true
@@ -1122,6 +1127,7 @@ let hotness_sweep_cfg =
 
 let test_sweep_hotness () =
   let hot = Crash_sweep.run hotness_sweep_cfg in
+  Alcotest.(check string) "report digest" "25aed656057297608f36241fefa47c93" (sweep_digest hot);
   Alcotest.(check bool) "injected many crash points" true
     (hot.Crash_sweep.crash_points > 100);
   (match hot.Crash_sweep.violations with
@@ -1136,6 +1142,7 @@ let test_sweep_hotness () =
       { hotness_sweep_cfg with Crash_sweep.placement = `Static;
         crash_every = 100_000 }
   in
+  Alcotest.(check string) "static report digest" "825a17daf68e52f768fe240401dc95fb" (sweep_digest static);
   let nvm r = List.assoc "nvm-persist" r.Crash_sweep.boundaries in
   Alcotest.(check bool) "promote copies add persist boundaries" true
     (nvm hot > nvm static)
@@ -1148,6 +1155,7 @@ let test_sweep_hotness_catches_lost_writes () =
       { hotness_sweep_cfg with Crash_sweep.fault_skip_hsit_flush = true;
         crash_every = 10 }
   in
+  Alcotest.(check string) "report digest" "eeea123270292492134ddc2ffd37dfb8" (sweep_digest report);
   Alcotest.(check bool) "disabled HSIT flush loses acknowledged writes" true
     (report.Crash_sweep.violations <> [])
 

@@ -279,6 +279,7 @@ let cluster_sweep_cfg =
 let test_sweep_cluster () =
   let open Prism_check in
   let report = Crash_sweep.run cluster_sweep_cfg in
+  Alcotest.(check string) "report digest" "f329bb23eb58225ec98df5ad30b225ca" (sweep_digest report);
   Alcotest.(check bool) "swept some 2PC boundaries" true
     (report.Crash_sweep.crash_points > 0);
   match report.Crash_sweep.violations with
@@ -293,6 +294,7 @@ let test_sweep_cluster_catches_skipped_commit_flush () =
     Crash_sweep.run
       { cluster_sweep_cfg with Crash_sweep.fault_skip_log_flush = true }
   in
+  Alcotest.(check string) "report digest" "42705af178fd71eebb918a71a31a4828" (sweep_digest report);
   Alcotest.(check bool)
     "unpersisted commit records lose acknowledged transactions" true
     (report.Crash_sweep.violations <> [])
