@@ -52,20 +52,35 @@ type report = {
 
 (* ---- deterministic workload with an acknowledgement oracle ---- *)
 
+(* [Single (key, Some v)] is a put of version [v]; [Single (key, None)]
+   a delete. [Batch] is a multi-key 2PC write batch (cluster only). *)
+type op =
+  | Single of string * int option
+  | Batch of (string * int) list
+
 (* Each thread owns a disjoint key range, so every key's operation
    sequence is sequential and "the last acknowledged write" is
-   well-defined without a linearizability search. [Some v] is a put of
-   version [v]; [None] is a delete. *)
-let thread_ops cfg tid =
+   well-defined without a linearizability search. With [txn_every > 0]
+   every [txn_every]-th op is a write batch over the thread's own range —
+   the keys still hash across shards, so most batches have several 2PC
+   participants. Batch versions live in a reserved range (>= 1000) so a
+   recovered value names exactly one write. *)
+let thread_ops cfg ~txn_every tid =
   let rng = Rng.create (Int64.add cfg.seed (Int64.of_int ((tid * 7919) + 1))) in
+  let key_at i = Prism_workload.Ycsb.key_of ((tid * cfg.keys_per_thread) + i) in
   Array.init cfg.ops_per_thread (fun j ->
-      let key =
-        Prism_workload.Ycsb.key_of
-          ((tid * cfg.keys_per_thread) + Rng.int rng cfg.keys_per_thread)
-      in
-      if Rng.int rng 5 = 0 then (key, None) else (key, Some (j + 1)))
-
-let all_ops cfg = Array.init cfg.threads (thread_ops cfg)
+      if txn_every > 0 && j mod txn_every = txn_every - 1 then begin
+        let base = Rng.int rng cfg.keys_per_thread in
+        let n = min cfg.keys_per_thread (2 + Rng.int rng 2) in
+        Batch
+          (List.init n (fun s ->
+               ( key_at ((base + s) mod cfg.keys_per_thread),
+                 1000 + (j * 10) + s )))
+      end
+      else
+        let key = key_at (Rng.int rng cfg.keys_per_thread) in
+        if Rng.int rng 5 = 0 then Single (key, None)
+        else Single (key, Some (j + 1)))
 
 let value_of cfg ~key ~version =
   Prism_workload.Ycsb.value_for ~size:cfg.value_size ~key ~version
@@ -74,48 +89,112 @@ let value_of cfg ~key ~version =
    crash instant each key has its last acked write plus at most one
    pending operation (single owner thread), and the recovered value must
    be one of those two outcomes — any acked write lost, or any deleted
-   key resurrected, is a violation. *)
+   key resurrected, is a violation. [inflight] holds each thread's batch
+   while its 2PC runs. *)
 type oracle = {
   acked : (string, int option) Hashtbl.t;
   pending : (string, int option) Hashtbl.t;
+  inflight : (int, (string * int) list) Hashtbl.t;
 }
 
-let make_oracle () = { acked = Hashtbl.create 256; pending = Hashtbl.create 8 }
+let make_oracle () =
+  {
+    acked = Hashtbl.create 256;
+    pending = Hashtbl.create 8;
+    inflight = Hashtbl.create 8;
+  }
 
-let run_workload cfg (kv : Kv.t) oracle ops =
+(* What one store contributes to a run: its client handle, its named
+   durability boundaries, power-cut and recovery, and (cluster only) a
+   write-batch submitter answering "committed?". Each boundary's hook
+   setter arms [Some f] to be called with the boundary's ordinal counted
+   from the arming instant, or disarms with [None]. *)
+type instance = {
+  kv : Kv.t;
+  hooks : (string * ((int -> unit) option -> unit)) list;
+  crash : unit -> unit;
+  recover : unit -> unit;
+  batch : (tid:int -> (string * bytes) list -> bool) option;
+}
+
+let run_workload cfg s oracle ops =
   Array.iteri
     (fun tid thread_ops ->
       Engine.spawn (Engine.current ()) (fun () ->
           let hot = Prism_workload.Ycsb.key_of (tid * cfg.keys_per_thread) in
           Array.iter
-            (fun (key, what) ->
-              Hashtbl.replace oracle.pending key what;
-              (match what with
-              | Some version ->
-                  kv.Kv.put ~tid key (value_of cfg ~key ~version)
-              | None -> ignore (kv.Kv.delete ~tid key));
-              Hashtbl.replace oracle.acked key what;
-              Hashtbl.remove oracle.pending key;
-              (* Promotion fires on Value-Storage reads; a write-only
-                 sweep would leave the NVM tier empty and the promote
-                 copy untested. Each thread re-reads its range's first
-                 key after every write — its CLOCK saturates, the key
-                 migrates into the tier mid-run, and nvm-persist crash
-                 points start landing inside promote copies. Reads
-                 don't move the oracle. *)
-              if cfg.store = `Prism && cfg.placement = `Hotness then
-                ignore (kv.Kv.get ~tid hot))
+            (function
+              | Single (key, what) ->
+                  Hashtbl.replace oracle.pending key what;
+                  (match what with
+                  | Some version ->
+                      s.kv.Kv.put ~tid key (value_of cfg ~key ~version)
+                  | None -> ignore (s.kv.Kv.delete ~tid key));
+                  Hashtbl.replace oracle.acked key what;
+                  Hashtbl.remove oracle.pending key;
+                  (* Promotion fires on Value-Storage reads; a write-only
+                     sweep would leave the NVM tier empty and the promote
+                     copy untested. Each thread re-reads its range's first
+                     key after every write — its CLOCK saturates, the key
+                     migrates into the tier mid-run, and nvm-persist crash
+                     points start landing inside promote copies. Reads
+                     don't move the oracle. *)
+                  if cfg.store = `Prism && cfg.placement = `Hotness then
+                    ignore (s.kv.Kv.get ~tid hot)
+              | Batch writes ->
+                  List.iter
+                    (fun (k, v) -> Hashtbl.replace oracle.pending k (Some v))
+                    writes;
+                  Hashtbl.replace oracle.inflight tid writes;
+                  let payload =
+                    List.map
+                      (fun (k, v) -> (k, value_of cfg ~key:k ~version:v))
+                      writes
+                  in
+                  let committed = Option.get s.batch ~tid payload in
+                  Hashtbl.remove oracle.inflight tid;
+                  (* Aborted writes must never become visible: the oracle
+                     keeps only the prior acked value. *)
+                  List.iter
+                    (fun (k, v) ->
+                      if committed then Hashtbl.replace oracle.acked k (Some v);
+                      Hashtbl.remove oracle.pending k)
+                    writes)
             thread_ops))
     ops
 
-let keys_of_ops ops =
-  let keys = Hashtbl.create 256 in
-  Array.iter
-    (fun tops -> Array.iter (fun (key, _) -> Hashtbl.replace keys key ()) tops)
-    ops;
-  keys
+(* An in-flight batch (crash cut its 2PC short) must recover
+   all-or-nothing: either the commit record was durable — recovery
+   re-applies every write — or it wasn't, and no write survives. *)
+let check_batch_atomicity (kv : Kv.t) oracle ~crash_point ~boundary =
+  Hashtbl.fold
+    (fun _tid writes acc ->
+      let visible =
+        List.map
+          (fun (k, v) ->
+            match kv.Kv.get ~tid:0 k with
+            | Some b -> Prism_workload.Ycsb.version_of b = Some v
+            | None -> false)
+          writes
+      in
+      if List.exists Fun.id visible && not (List.for_all Fun.id visible)
+      then
+        {
+          crash_point;
+          boundary;
+          key = fst (List.hd writes);
+          detail =
+            Printf.sprintf
+              "torn transaction: %d of %d batch writes visible after \
+               recovery (2PC must be all-or-nothing)"
+              (List.length (List.filter Fun.id visible))
+              (List.length visible);
+        }
+        :: acc
+      else acc)
+    oracle.inflight []
 
-let check_recovered cfg kv oracle ~crash_point ~boundary ~keys =
+let check_recovered cfg (kv : Kv.t) oracle ~crash_point ~boundary ~keys =
   let violations = ref [] in
   let admissible key =
     let base =
@@ -162,7 +241,7 @@ let check_recovered cfg kv oracle ~crash_point ~boundary ~keys =
     keys;
   !violations
 
-(* ---- Prism sweep: crash at every k-th durability boundary ---- *)
+(* ---- the stores under test ---- *)
 
 let scenario cfg =
   {
@@ -193,154 +272,26 @@ let prism_tweak cfg c =
     { c with Prism_core.Config.fault_skip_hsit_flush = true }
   else c
 
-type prism_boundary = Nvm_persist | Ssd_write
-
-let boundary_name = function
-  | Nvm_persist -> "nvm-persist"
-  | Ssd_write -> "ssd-write"
-
-let install_prism_hook store boundary ~state ~target =
-  (* [state] carries the boundary count at installation time (store
-     creation also persists); targets are relative to it so clean-run and
-     crash-run counts line up by determinism of the simulation prefix. *)
-  match boundary with
-  | Nvm_persist ->
-      let nvm = Prism_core.Store.nvm store in
-      state := Prism_media.Nvm.persist_count nvm;
-      Prism_media.Nvm.set_persist_hook nvm
-        (Some (fun c -> if c - !state = target then raise Crash_now))
-  | Ssd_write ->
-      let seen = ref 0 in
-      state := 0;
-      Array.iter
-        (fun vs ->
-          Prism_media.Ssd_image.set_write_hook (Prism_core.Value_storage.image vs)
-            (Some
-               (fun _ ->
-                 incr seen;
-                 if !seen = target then raise Crash_now)))
-        (Prism_core.Store.value_storages store)
-
-let uninstall_prism_hooks store =
-  Prism_media.Nvm.set_persist_hook (Prism_core.Store.nvm store) None;
-  Array.iter
-    (fun vs ->
-      Prism_media.Ssd_image.set_write_hook (Prism_core.Value_storage.image vs)
-        None)
-    (Prism_core.Store.value_storages store)
-
-(* Runs one simulation; [target = 0] means no crash (clean run). Returns
-   the clean-run boundary counts or the violations found after crash
-   recovery. [tie] lets a schedule explorer drive the interleaving of the
-   run (DPOR over crash-recovery runs). *)
-let run_prism ?(tie = Engine.Fifo) cfg boundary ~target =
-  let engine = Engine.create () in
-  Engine.set_tie_break engine tie;
-  let oracle = make_oracle () in
-  let handles = ref None in
-  let state = ref 0 in
-  Engine.spawn engine (fun () ->
-      let kv, store = Setup.prism ~tweak:(prism_tweak cfg) engine (scenario cfg) in
-      handles := Some (kv, store);
-      if target > 0 then install_prism_hook store boundary ~state ~target
-      else
-        (* Clean run: remember the creation-time persist count so the
-           reported boundary totals cover only the workload. *)
-        state :=
-          Prism_media.Nvm.persist_count (Prism_core.Store.nvm store);
-      run_workload cfg kv oracle (all_ops cfg));
-  let crashed =
-    match Engine.run engine with
-    | (_ : float) -> false
-    | exception Crash_now -> true
-  in
-  match (!handles, crashed) with
-  | None, _ -> Error `Crashed_before_store (* target inside store creation *)
-  | Some (_, store), false ->
-      let nvm_boundaries =
-        Prism_media.Nvm.persist_count (Prism_core.Store.nvm store) - !state
-      in
-      let ssd_boundaries =
-        Array.fold_left
-          (fun acc vs ->
-            acc
-            + Prism_media.Ssd_image.write_count (Prism_core.Value_storage.image vs))
-          0
-          (Prism_core.Store.value_storages store)
-      in
-      Ok (`Completed (nvm_boundaries, ssd_boundaries))
-  | Some (kv, store), true ->
-      uninstall_prism_hooks store;
-      Engine.clear_pending engine;
-      Prism_core.Store.crash store;
-      let violations = ref [] in
-      Engine.spawn engine (fun () ->
-          ignore (Prism_core.Store.recover store);
-          violations :=
-            check_recovered cfg kv oracle ~crash_point:target
-              ~boundary:(boundary_name boundary)
-              ~keys:(keys_of_ops (all_ops cfg)));
-      ignore (Engine.run engine);
-      Ok (`Crashed !violations)
-
-(* One composable crash-recovery run, exposed so tests can drive it with
-   a Guided tie-break and explore crash schedules with {!Dpor}. *)
-let prism_crash_once ?tie cfg ~boundary ~target =
-  let b = match boundary with
-    | `Nvm_persist -> Nvm_persist
-    | `Ssd_write -> Ssd_write
-  in
-  match run_prism ?tie cfg b ~target with
-  | Ok (`Completed counts) -> `Completed counts
-  | Ok (`Crashed violations) -> `Crashed violations
-  | Error `Crashed_before_store -> `Crashed_before_store
-
-(* ---- KVell sweep: crash on an even virtual-time grid ---- *)
-
-let kvell_instance cfg engine =
-  Explore.kvell_sync engine (scenario cfg)
-
-let run_kvell cfg ~crash_at ~crash_point =
-  let engine = Engine.create () in
-  let oracle = make_oracle () in
-  let handles = ref None in
-  (match crash_at with
-  | Some t -> Engine.schedule engine ~after:t (fun () -> raise Crash_now)
-  | None -> ());
-  Engine.spawn engine (fun () ->
-      let kvell, kv = kvell_instance cfg engine in
-      handles := Some (kvell, kv);
-      run_workload cfg kv oracle (all_ops cfg));
-  let crashed =
-    match Engine.run engine with
-    | (_ : float) -> false
-    | exception Crash_now -> true
-  in
-  if not crashed then Ok (`Completed (Engine.now engine, Engine.events_executed engine))
-  else
-    match !handles with
-    | None -> Error `Crashed_before_store
-    | Some (kvell, kv) ->
-        Engine.clear_pending engine;
-        Prism_baselines.Kvell.crash kvell;
-        let violations = ref [] in
-        Engine.spawn engine (fun () ->
-            Prism_baselines.Kvell.recover kvell;
-            violations :=
-              check_recovered cfg kv oracle ~crash_point
-                ~boundary:"virtual-time"
-                ~keys:(keys_of_ops (all_ops cfg)));
-        ignore (Engine.run engine);
-        Ok (`Crashed !violations)
-
-(* ---- LSM sweep: crash at WAL-append and SSTable-publish boundaries ---- *)
+(* One boundary kind spread over several devices' hooks (every SSD
+   image, every shard's prepare log): one ordinal counts them all. *)
+let counted setters hook =
+  let seen = ref 0 in
+  List.iter
+    (fun set ->
+      set
+        (Option.map
+           (fun f _ ->
+             incr seen;
+             f !seen)
+           hook))
+    setters
 
 (* A checker-sized RocksDB-NVM: tiny memtable and level budgets so a
    short workload exercises flushes and compactions (with production
    sizes nothing would ever leave the memtable and the publish sweep
    would be vacuous). Everything on one NVM device — media layout is
    irrelevant to recovery logic. *)
-let lsm_instance cfg engine =
+let lsm_tree cfg engine =
   let open Prism_device in
   let nvm = Model.create engine Spec.optane_dcpmm in
   let target = Prism_baselines.Target.nvm_dev nvm in
@@ -359,413 +310,280 @@ let lsm_instance cfg engine =
       wal_enabled = cfg.lsm_wal;
     }
   in
-  let tree =
-    Prism_baselines.Lsm_tree.create engine lcfg ~cost:Cost.default
-      ~rng:(Rng.create cfg.seed) ~wal:target ~l0:target ~levels:target
-  in
-  (tree, Kv.of_lsm tree)
+  Prism_baselines.Lsm_tree.create engine lcfg ~cost:Cost.default
+    ~rng:(Rng.create cfg.seed) ~wal:target ~l0:target ~levels:target
 
-type lsm_boundary = Wal_append | Sstable_publish
-
-let lsm_boundary_name = function
-  | Wal_append -> "wal-append"
-  | Sstable_publish -> "sstable-publish"
-
-let run_lsm cfg boundary ~target =
-  let open Prism_baselines in
-  let engine = Engine.create () in
-  let oracle = make_oracle () in
-  let handles = ref None in
-  Engine.spawn engine (fun () ->
-      let tree, kv = lsm_instance cfg engine in
-      handles := Some (tree, kv);
-      if target > 0 then begin
-        let hook = Some (fun c -> if c = target then raise Crash_now) in
-        match boundary with
-        | Wal_append -> Lsm_tree.set_wal_hook tree hook
-        | Sstable_publish -> Lsm_tree.set_publish_hook tree hook
-      end;
-      run_workload cfg kv oracle (all_ops cfg));
-  let crashed =
-    match Engine.run engine with
-    | (_ : float) -> false
-    | exception Crash_now -> true
-  in
-  match (!handles, crashed) with
-  | None, _ -> Error `Crashed_before_store
-  | Some (tree, _), false ->
-      Ok (`Completed (Lsm_tree.wal_appends tree, Lsm_tree.publishes tree))
-  | Some (tree, kv), true ->
-      Lsm_tree.set_wal_hook tree None;
-      Lsm_tree.set_publish_hook tree None;
-      Engine.clear_pending engine;
-      Lsm_tree.crash tree;
-      let violations = ref [] in
-      Engine.spawn engine (fun () ->
-          Lsm_tree.recover tree;
-          violations :=
-            check_recovered cfg kv oracle ~crash_point:target
-              ~boundary:(lsm_boundary_name boundary)
-              ~keys:(keys_of_ops (all_ops cfg)));
-      ignore (Engine.run engine);
-      Ok (`Crashed !violations)
-
-(* ---- cluster sweep: kill the coordinator at every 2PC log-persist
-   boundary ----
-
-   The interesting crash points of a 2PC commit are the durable log
-   appends: the coordinator's commit record (the transaction's ack
-   point) and the participants' prepare records / applied markers. A
-   persist hook on the coordinator log sweeps the first family,
-   a shared hook over every shard's prepare log the second. Recovery
-   must then agree with itself across shards: an acknowledged commit
-   keeps every write (the per-key oracle), and the one in-flight batch
-   per thread is all-or-nothing (the torn-transaction audit below). *)
-
-type cluster_op =
-  | CK_single of string * int option
-  | CK_batch of (string * int) list
-
-(* Per-thread disjoint ranges as in [thread_ops]; every [txn_every]-th
-   op is a multi-key write batch over the thread's own range — the keys
-   still hash across shards, so most batches have several 2PC
-   participants. Batch versions live in a reserved range (>= 1000) so a
-   recovered value names exactly one write. *)
-let cluster_thread_ops cfg tid =
-  let rng = Rng.create (Int64.add cfg.seed (Int64.of_int ((tid * 7919) + 1))) in
-  let key_at i = Prism_workload.Ycsb.key_of ((tid * cfg.keys_per_thread) + i) in
-  Array.init cfg.ops_per_thread (fun j ->
-      if cfg.txn_every > 0 && j mod cfg.txn_every = cfg.txn_every - 1 then begin
-        let base = Rng.int rng cfg.keys_per_thread in
-        let n = min cfg.keys_per_thread (2 + Rng.int rng 2) in
-        CK_batch
-          (List.init n (fun s ->
-               (key_at ((base + s) mod cfg.keys_per_thread), 1000 + (j * 10) + s)))
-      end
-      else
-        let key = key_at (Rng.int rng cfg.keys_per_thread) in
-        if Rng.int rng 5 = 0 then CK_single (key, None)
-        else CK_single (key, Some (j + 1)))
-
-let all_cluster_ops cfg = Array.init cfg.threads (cluster_thread_ops cfg)
-
-let cluster_keys cfg =
-  let keys = Hashtbl.create 256 in
-  for i = 0 to (cfg.threads * cfg.keys_per_thread) - 1 do
-    Hashtbl.replace keys (Prism_workload.Ycsb.key_of i) ()
-  done;
-  keys
-
-let run_cluster_workload cfg cluster (kv : Kv.t) oracle inflight ops =
-  Array.iteri
-    (fun tid thread_ops ->
-      Engine.spawn (Engine.current ()) (fun () ->
-          Array.iter
-            (fun op ->
-              match op with
-              | CK_single (key, what) ->
-                  Hashtbl.replace oracle.pending key what;
-                  (match what with
-                  | Some version ->
-                      kv.Kv.put ~tid key (value_of cfg ~key ~version)
-                  | None -> ignore (kv.Kv.delete ~tid key));
-                  Hashtbl.replace oracle.acked key what;
-                  Hashtbl.remove oracle.pending key
-              | CK_batch writes -> (
-                  List.iter
-                    (fun (k, v) ->
-                      Hashtbl.replace oracle.pending k (Some v))
-                    writes;
-                  Hashtbl.replace inflight tid writes;
-                  let payload =
-                    List.map
-                      (fun (k, v) -> (k, value_of cfg ~key:k ~version:v))
-                      writes
-                  in
-                  let outcome =
-                    Prism_cluster.Cluster.batch cluster ~tid payload
-                  in
-                  Hashtbl.remove inflight tid;
-                  match outcome with
-                  | Prism_cluster.Cluster.Committed ->
-                      List.iter
-                        (fun (k, v) ->
-                          Hashtbl.replace oracle.acked k (Some v);
-                          Hashtbl.remove oracle.pending k)
-                        writes
-                  | Prism_cluster.Cluster.Aborted ->
-                      (* Aborted writes must never become visible: the
-                         oracle keeps only the prior acked value. *)
-                      List.iter
-                        (fun (k, _) -> Hashtbl.remove oracle.pending k)
-                        writes))
-            thread_ops))
-    ops
-
-(* An in-flight batch (crash cut its 2PC short) must recover
-   all-or-nothing: either the commit record was durable — recovery
-   re-applies every write — or it wasn't, and no write survives. *)
-let check_batch_atomicity (kv : Kv.t) inflight ~crash_point ~boundary =
-  Hashtbl.fold
-    (fun _tid writes acc ->
-      let visible =
-        List.map
-          (fun (k, v) ->
-            match kv.Kv.get ~tid:0 k with
-            | Some b -> Prism_workload.Ycsb.version_of b = Some v
-            | None -> false)
-          writes
+(* Prism: every [clwb+sfence] and every completed Value-Storage chunk
+   write. KVell's page writes carry no content image, so it has no
+   hooks; the driver cuts it on a virtual-time grid instead. LSM: WAL
+   appends and SSTable publishes. Cluster: the durable 2PC log appends —
+   the coordinator's commit records (the transaction's ack point) and
+   the participants' prepare records and applied markers. *)
+let instance cfg engine =
+  match cfg.store with
+  | `Prism ->
+      let kv, store =
+        Setup.prism ~tweak:(prism_tweak cfg) engine (scenario cfg)
       in
-      if List.exists Fun.id visible && not (List.for_all Fun.id visible)
-      then
+      let images =
+        Array.to_list (Prism_core.Store.value_storages store)
+        |> List.map (fun vs ->
+               Prism_media.Ssd_image.set_write_hook
+                 (Prism_core.Value_storage.image vs))
+      in
+      {
+        kv;
+        hooks =
+          [
+            ( "nvm-persist",
+              counted
+                [ Prism_media.Nvm.set_persist_hook (Prism_core.Store.nvm store) ]
+            );
+            ("ssd-write", counted images);
+          ];
+        crash = (fun () -> Prism_core.Store.crash store);
+        recover = (fun () -> ignore (Prism_core.Store.recover store));
+        batch = None;
+      }
+  | `Kvell ->
+      let kvell, kv = Explore.kvell_sync engine (scenario cfg) in
+      {
+        kv;
+        hooks = [];
+        crash = (fun () -> Prism_baselines.Kvell.crash kvell);
+        recover = (fun () -> Prism_baselines.Kvell.recover kvell);
+        batch = None;
+      }
+  | `Lsm ->
+      let open Prism_baselines in
+      let tree = lsm_tree cfg engine in
+      {
+        kv = Kv.of_lsm tree;
+        hooks =
+          [
+            ("wal-append", counted [ Lsm_tree.set_wal_hook tree ]);
+            ("sstable-publish", counted [ Lsm_tree.set_publish_hook tree ]);
+          ];
+        crash = (fun () -> Lsm_tree.crash tree);
+        recover = (fun () -> Lsm_tree.recover tree);
+        batch = None;
+      }
+  | `Cluster ->
+      let open Prism_cluster in
+      let ccfg =
         {
-          crash_point;
-          boundary;
-          key = fst (List.hd writes);
-          detail =
-            Printf.sprintf
-              "torn transaction: %d of %d batch writes visible after \
-               recovery (2PC must be all-or-nothing)"
-              (List.length (List.filter Fun.id visible))
-              (List.length visible);
+          Cluster.default with
+          Cluster.shards = max 1 cfg.shards;
+          fault_skip_log_flush = cfg.fault_skip_log_flush;
+          seed = cfg.seed;
         }
-        :: acc
-      else acc)
-    inflight []
-
-type cluster_boundary = Coord_log | Prepare_log
-
-let cluster_boundary_name = function
-  | Coord_log -> "coord-log-persist"
-  | Prepare_log -> "prepare-log-persist"
-
-let cluster_cfg_of cfg =
-  {
-    Prism_cluster.Cluster.default with
-    Prism_cluster.Cluster.shards = max 1 cfg.shards;
-    fault_skip_log_flush = cfg.fault_skip_log_flush;
-    seed = cfg.seed;
-  }
-
-let uninstall_cluster_hooks cfg cluster =
-  Prism_media.Nvm.set_persist_hook
-    (Prism_cluster.Cluster.coordinator_log cluster)
-    None;
-  for i = 0 to max 1 cfg.shards - 1 do
-    Prism_media.Nvm.set_persist_hook
-      (Prism_cluster.Cluster.prepare_log cluster i)
-      None
-  done
-
-let run_cluster cfg boundary ~target =
-  let engine = Engine.create () in
-  let oracle = make_oracle () in
-  let inflight = Hashtbl.create 8 in
-  let handles = ref None in
-  Engine.spawn engine (fun () ->
+      in
       let cluster, kv =
-        Prism_cluster.Cluster.of_scenario ~tweak:(prism_tweak cfg) engine
-          (cluster_cfg_of cfg) (scenario cfg)
+        Cluster.of_scenario ~tweak:(prism_tweak cfg) engine ccfg (scenario cfg)
       in
-      handles := Some (cluster, kv);
-      (if target > 0 then
-         match boundary with
-         | Coord_log ->
-             let nvm = Prism_cluster.Cluster.coordinator_log cluster in
-             let state = Prism_media.Nvm.persist_count nvm in
-             Prism_media.Nvm.set_persist_hook nvm
-               (Some (fun c -> if c - state = target then raise Crash_now))
-         | Prepare_log ->
-             let seen = ref 0 in
-             for i = 0 to max 1 cfg.shards - 1 do
-               Prism_media.Nvm.set_persist_hook
-                 (Prism_cluster.Cluster.prepare_log cluster i)
-                 (Some
-                    (fun _ ->
-                      incr seen;
-                      if !seen = target then raise Crash_now))
-             done);
-      run_cluster_workload cfg cluster kv oracle inflight
-        (all_cluster_ops cfg));
-  let crashed =
-    match Engine.run engine with
-    | (_ : float) -> false
-    | exception Crash_now -> true
+      let log nvm = Prism_media.Nvm.set_persist_hook nvm in
+      {
+        kv;
+        hooks =
+          [
+            ( "coord-log-persist",
+              counted [ log (Cluster.coordinator_log cluster) ] );
+            ( "prepare-log-persist",
+              counted
+                (List.init ccfg.Cluster.shards (fun i ->
+                     log (Cluster.prepare_log cluster i))) );
+          ];
+        crash = (fun () -> Cluster.crash cluster);
+        (* Every in-doubt transaction gets a definite fate; the audits
+           verify that fate against the acknowledgement oracle, which is
+           exactly "recovery agrees on commit/abort". *)
+        recover =
+          (fun () ->
+            ignore (Cluster.recover cluster : Cluster.resolution list));
+        batch =
+          Some
+            (fun ~tid writes ->
+              Cluster.batch cluster ~tid writes = Cluster.Committed);
+      }
+
+(* ---- one crash-and-recover run ---- *)
+
+(* The batch-atomicity check (nothing is in flight outside the cluster),
+   then the per-key check. The per-key check reads keys in table order,
+   which within a bucket follows insertion order, and reports violations
+   in that order: the cluster audits every key of the thread ranges, the
+   other stores the keys their ops touch, first touch first. *)
+let audit cfg s oracle ops ~crash_point ~boundary =
+  let keys = Hashtbl.create 256 in
+  let add key = Hashtbl.replace keys key () in
+  if s.batch = None then
+    Array.iter
+      (Array.iter (function Single (key, _) -> add key | Batch _ -> ()))
+      ops
+  else
+    for i = 0 to (cfg.threads * cfg.keys_per_thread) - 1 do
+      add (Prism_workload.Ycsb.key_of i)
+    done;
+  check_batch_atomicity s.kv oracle ~crash_point ~boundary
+  @ check_recovered cfg s.kv oracle ~crash_point ~boundary ~keys
+
+(* Where a run cuts power: nowhere, at the n-th boundary of a named kind,
+   or (stores without hooks) at a virtual time, reported as its grid
+   index. *)
+type cut = Clean | Boundary of string * int | Grid of float * int
+
+type outcome =
+  | Completed of { counts : (string * int) list; clock : float; events : int }
+  | Crashed of violation list
+  | Crashed_before_store  (** the cut fell inside store creation *)
+
+(* Every hook is armed for the whole run and counts its boundaries, so a
+   run that completes reports the totals the driver sweeps over. The
+   crash event of a [Grid] cut is scheduled before the store process
+   spawns. Once the cut unwinds {!Engine.run}, the run disarms the hooks,
+   drops pending events, cuts power, and recovers and audits in a fresh
+   process. [tie] lets a schedule explorer drive the interleaving. *)
+let run_once ?(tie = Engine.Fifo) cfg cut =
+  let engine = Engine.create () in
+  Engine.set_tie_break engine tie;
+  (match cut with
+  | Grid (t, _) -> Engine.schedule engine ~after:t (fun () -> raise Crash_now)
+  | Clean | Boundary _ -> ());
+  let oracle = make_oracle () in
+  let store = ref None in
+  let counts = ref [] in
+  Engine.spawn engine (fun () ->
+      let s = instance cfg engine in
+      let txn_every = if s.batch = None then 0 else cfg.txn_every in
+      let ops = Array.init cfg.threads (thread_ops cfg ~txn_every) in
+      store := Some (s, ops);
+      counts :=
+        List.map
+          (fun (name, arm) ->
+            let crash_at =
+              match cut with Boundary (b, n) when b = name -> n | _ -> 0
+            in
+            let count = ref 0 in
+            arm
+              (Some
+                 (fun n ->
+                   count := n;
+                   if n = crash_at then raise Crash_now));
+            (name, count))
+          s.hooks;
+      run_workload cfg s oracle ops);
+  match Engine.run engine with
+  | (_ : float) ->
+      Completed
+        {
+          counts = List.map (fun (name, c) -> (name, !c)) !counts;
+          clock = Engine.now engine;
+          events = Engine.events_executed engine;
+        }
+  | exception Crash_now -> (
+      match !store with
+      | None -> Crashed_before_store
+      | Some (s, ops) ->
+          List.iter (fun (_, arm) -> arm None) s.hooks;
+          Engine.clear_pending engine;
+          s.crash ();
+          let boundary, crash_point =
+            match cut with
+            | Boundary (b, n) -> (b, n)
+            | Grid (_, i) -> ("virtual-time", i)
+            | Clean -> assert false
+          in
+          let violations = ref [] in
+          Engine.spawn engine (fun () ->
+              s.recover ();
+              violations := audit cfg s oracle ops ~crash_point ~boundary);
+          ignore (Engine.run engine);
+          Crashed !violations)
+
+let prism_crash_once ?tie cfg ~boundary ~target =
+  let name =
+    match boundary with
+    | `Nvm_persist -> "nvm-persist"
+    | `Ssd_write -> "ssd-write"
   in
-  match (!handles, crashed) with
-  | None, _ -> Error `Crashed_before_store
-  | Some (cluster, _), false ->
-      let clog_total =
-        Prism_media.Nvm.persist_count
-          (Prism_cluster.Cluster.coordinator_log cluster)
-      in
-      let plog_total = ref 0 in
-      for i = 0 to max 1 cfg.shards - 1 do
-        plog_total :=
-          !plog_total
-          + Prism_media.Nvm.persist_count
-              (Prism_cluster.Cluster.prepare_log cluster i)
-      done;
-      Ok (`Completed (clog_total, !plog_total))
-  | Some (cluster, kv), true ->
-      uninstall_cluster_hooks cfg cluster;
-      Engine.clear_pending engine;
-      Prism_cluster.Cluster.crash cluster;
-      let violations = ref [] in
-      Engine.spawn engine (fun () ->
-          let resolutions = Prism_cluster.Cluster.recover cluster in
-          (* Every in-doubt transaction got a definite fate; the audits
-             below verify that fate against the acknowledgement oracle,
-             which is exactly "recovery agrees on commit/abort". *)
-          ignore
-            (resolutions : Prism_cluster.Cluster.resolution list);
-          let bname = cluster_boundary_name boundary in
-          violations :=
-            check_batch_atomicity kv inflight ~crash_point:target
-              ~boundary:bname
-            @ check_recovered cfg kv oracle ~crash_point:target
-                ~boundary:bname ~keys:(cluster_keys cfg));
-      ignore (Engine.run engine);
-      Ok (`Crashed !violations)
+  let cut = if target > 0 then Boundary (name, target) else Clean in
+  match run_once ?tie { cfg with store = `Prism } cut with
+  | Completed { counts; _ } ->
+      `Completed
+        (List.assoc "nvm-persist" counts, List.assoc "ssd-write" counts)
+  | Crashed violations -> `Crashed violations
+  | Crashed_before_store -> `Crashed_before_store
 
 (* ---- driver ----
 
-   Parallel shape: the clean run (which measures boundary totals) is
-   serial, then every crash target becomes one fleet job — each job
+   One clean run counts every boundary kind; each kind then sweeps every
+   k-th ordinal up to its count. A store without hooks (KVell) sweeps an
+   even virtual-time grid instead, sized to one crash per k executed
+   events.
+
+   Parallel shape: every crash target becomes one fleet job — each job
    builds its own engine, store and oracle from [cfg], so jobs share
    nothing mutable. The merge walks results in ascending target order
    and replays the serial driver's control flow exactly: count, collect
    violations, call [progress], and stop a boundary's sweep at the first
-   [`Completed] (the serial loop stops issuing targets there; the merge
+   [Completed] (the serial loop stops issuing targets there; the merge
    stops {e consuming} there, discarding the speculatively-run tail), so
    the report is byte-identical to a serial sweep for any [jobs]. *)
 
 let targets_of ~k ~total =
-  let rec mk t acc = if t > total then Array.of_list (List.rev acc) else mk (t + k) (t :: acc) in
-  mk k []
-
-(* Run [runner target] for every target in parallel and fold the results
-   in target order with serial early-stop semantics. *)
-let sweep_boundary pool ~runner ~name ~progress ~crash_points ~violations
-    ~targets =
-  let results = Fleet.map pool (Array.length targets) (fun i -> runner targets.(i)) in
-  try
-    Array.iteri
-      (fun i result ->
-        match result with
-        | Ok (`Crashed v) ->
-            incr crash_points;
-            violations := v @ !violations;
-            progress ~boundary:name ~crash_point:targets.(i)
-        | Ok (`Completed _) ->
-            (* Past the last boundary of this run; the serial sweep stops
-               here, so later targets are dropped unconsumed. *)
-            raise Exit
-        | Error `Crashed_before_store -> ())
-      results
-  with Exit -> ()
+  Array.init (total / k) (fun i -> (i + 1) * k)
 
 let run ?(progress = fun ~boundary:_ ~crash_point:_ -> ()) ?(jobs = 1) cfg =
   let k = max 1 cfg.crash_every in
   Fleet.with_pool ~jobs (fun pool ->
-      match cfg.store with
-      | `Prism ->
-          let nvm_total, ssd_total =
-            match run_prism cfg Nvm_persist ~target:0 with
-            | Ok (`Completed counts) -> counts
-            | Ok (`Crashed _) | Error _ -> assert false
-          in
-          let crash_points = ref 0 in
-          let violations = ref [] in
-          let sweep boundary total =
-            sweep_boundary pool
-              ~runner:(fun target -> run_prism cfg boundary ~target)
-              ~name:(boundary_name boundary) ~progress ~crash_points
-              ~violations ~targets:(targets_of ~k ~total)
-          in
-          sweep Nvm_persist nvm_total;
-          sweep Ssd_write ssd_total;
-          {
-            crash_points = !crash_points;
-            boundaries =
-              [ ("nvm-persist", nvm_total); ("ssd-write", ssd_total) ];
-            violations = List.rev !violations;
-          }
-      | `Cluster ->
-          let clog_total, plog_total =
-            match run_cluster cfg Coord_log ~target:0 with
-            | Ok (`Completed counts) -> counts
-            | Ok (`Crashed _) | Error _ -> assert false
-          in
-          let crash_points = ref 0 in
-          let violations = ref [] in
-          let sweep boundary total =
-            sweep_boundary pool
-              ~runner:(fun target -> run_cluster cfg boundary ~target)
-              ~name:(cluster_boundary_name boundary) ~progress ~crash_points
-              ~violations ~targets:(targets_of ~k ~total)
-          in
-          sweep Coord_log clog_total;
-          sweep Prepare_log plog_total;
-          {
-            crash_points = !crash_points;
-            boundaries =
-              [
-                ("coord-log-persist", clog_total);
-                ("prepare-log-persist", plog_total);
-              ];
-            violations = List.rev !violations;
-          }
-      | `Lsm ->
-          let wal_total, publish_total =
-            match run_lsm cfg Wal_append ~target:0 with
-            | Ok (`Completed counts) -> counts
-            | Ok (`Crashed _) | Error _ -> assert false
-          in
-          let crash_points = ref 0 in
-          let violations = ref [] in
-          let sweep boundary total =
-            sweep_boundary pool
-              ~runner:(fun target -> run_lsm cfg boundary ~target)
-              ~name:(lsm_boundary_name boundary) ~progress ~crash_points
-              ~violations ~targets:(targets_of ~k ~total)
-          in
-          sweep Wal_append wal_total;
-          sweep Sstable_publish publish_total;
-          {
-            crash_points = !crash_points;
-            boundaries =
-              [ ("wal-append", wal_total); ("sstable-publish", publish_total) ];
-            violations = List.rev !violations;
-          }
-      | `Kvell ->
-          let total_time, total_events =
-            match run_kvell cfg ~crash_at:None ~crash_point:0 with
-            | Ok (`Completed r) -> r
-            | Ok (`Crashed _) | Error _ -> assert false
-          in
-          let n_points = max 1 (total_events / k) in
-          let crash_points = ref 0 in
-          let violations = ref [] in
+      let sweeps =
+        match run_once cfg Clean with
+        | Completed { counts = []; clock; events } ->
+            let n = max 1 (events / k) in
+            [
+              ( "virtual-time",
+                n,
+                targets_of ~k:1 ~total:n,
+                fun i ->
+                  Grid (clock *. float_of_int i /. float_of_int (n + 1), i) );
+            ]
+        | Completed { counts; _ } ->
+            List.map
+              (fun (name, total) ->
+                ( name,
+                  total,
+                  targets_of ~k ~total,
+                  fun n -> Boundary (name, n) ))
+              counts
+        | Crashed _ | Crashed_before_store -> assert false
+      in
+      let crash_points = ref 0 in
+      let violations = ref [] in
+      List.iter
+        (fun (name, _, targets, cut) ->
           let results =
-            Fleet.map pool n_points (fun idx ->
-                let i = idx + 1 in
-                let t =
-                  total_time *. float_of_int i /. float_of_int (n_points + 1)
-                in
-                run_kvell cfg ~crash_at:(Some t) ~crash_point:i)
+            Fleet.map pool (Array.length targets) (fun i ->
+                run_once cfg (cut targets.(i)))
           in
-          Array.iteri
-            (fun idx result ->
-              match result with
-              | Ok (`Crashed v) ->
-                  incr crash_points;
-                  violations := v @ !violations;
-                  progress ~boundary:"virtual-time" ~crash_point:(idx + 1)
-              | Ok (`Completed _) | Error `Crashed_before_store -> ())
-            results;
-          {
-            crash_points = !crash_points;
-            boundaries = [ ("virtual-time", n_points) ];
-            violations = List.rev !violations;
-          })
+          try
+            Array.iteri
+              (fun i result ->
+                match result with
+                | Crashed v ->
+                    incr crash_points;
+                    violations := v @ !violations;
+                    progress ~boundary:name ~crash_point:targets.(i)
+                | Completed _ ->
+                    (* Past the last boundary of this run; the serial sweep
+                       stops here, so later targets are dropped
+                       unconsumed. *)
+                    raise Exit
+                | Crashed_before_store -> ())
+              results
+          with Exit -> ())
+        sweeps;
+      {
+        crash_points = !crash_points;
+        boundaries = List.map (fun (name, total, _, _) -> (name, total)) sweeps;
+        violations = List.rev !violations;
+      })
