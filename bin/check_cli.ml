@@ -37,6 +37,12 @@ let faults =
 
 let fault_name f = fst (List.find (fun (_, g) -> g = f) faults)
 
+(* --store's names, likewise. *)
+let stores =
+  [ ("prism", `Prism); ("kvell", `Kvell); ("lsm", `Lsm); ("cluster", `Cluster) ]
+
+let store_name s = fst (List.find (fun (_, t) -> t = s) stores)
+
 (* The explored setup, as the run headers print it. *)
 let describe cfg =
   Printf.sprintf
@@ -184,6 +190,12 @@ let run_shrink ~cfg ~tie_seed =
           false)
 
 let run_sweep ~cfg ~verbose ~jobs =
+  (try Crash_sweep.check_fault cfg
+   with Invalid_argument _ ->
+     Printf.eprintf "--fault %s: the %s crash sweep cannot inject it\n"
+       (fault_name cfg.Crash_sweep.fault)
+       (store_name cfg.Crash_sweep.store);
+     exit 2);
   Printf.printf
     "crash sweep: %s, every %d%s boundary, %d threads x %d ops, seed 0x%Lx%s\n\
      %!"
@@ -201,14 +213,10 @@ let run_sweep ~cfg ~verbose ~jobs =
     | `Kvell -> "th-event time-grid")
     cfg.Crash_sweep.threads cfg.Crash_sweep.ops_per_thread
     cfg.Crash_sweep.seed
-    ((if cfg.Crash_sweep.fault_skip_hsit_flush then
-        " (HSIT flush disabled!)"
-      else "")
-    ^
-    if cfg.Crash_sweep.fault_skip_log_flush then
-      " (commit-record flush disabled!)"
-    else "")
-  ;
+    (match cfg.Crash_sweep.fault with
+    | Explore.Skip_hsit_flush -> " (HSIT flush disabled!)"
+    | Explore.Skip_2pc_log_flush -> " (commit-record flush disabled!)"
+    | _ -> "");
   let progress ~boundary ~crash_point =
     if verbose then
       Printf.printf "  crashed at %s boundary %d, recovered\n%!" boundary
@@ -309,11 +317,10 @@ let main store placement seed schedules dpor crash_every replay
       ops_per_thread = ops;
       keys_per_thread;
       crash_every = max 1 crash_every;
-      fault_skip_hsit_flush = fault = Explore.Skip_hsit_flush;
+      fault;
       lsm_wal = not no_lsm_wal;
       shards;
       txn_every;
-      fault_skip_log_flush = fault = Explore.Skip_2pc_log_flush;
       seed;
     }
   in
@@ -364,11 +371,7 @@ open Cmdliner
 
 let store =
   Arg.(value
-       & opt
-           (enum
-              [ ("prism", `Prism); ("kvell", `Kvell); ("lsm", `Lsm);
-                ("cluster", `Cluster) ])
-           `Prism
+       & opt (enum stores) `Prism
        & info [ "store" ] ~docv:"STORE"
          ~doc:"Store to check: $(b,prism), $(b,kvell), $(b,lsm) (crash \
                sweep only), or $(b,cluster) (hash-partitioned Prism shards \

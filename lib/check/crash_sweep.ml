@@ -12,11 +12,10 @@ type config = {
   ops_per_thread : int;
   value_size : int;
   crash_every : int;
-  fault_skip_hsit_flush : bool;
+  fault : Explore.fault;
   lsm_wal : bool;
   shards : int;
   txn_every : int;
-  fault_skip_log_flush : bool;
   seed : int64;
 }
 
@@ -29,11 +28,10 @@ let default =
     ops_per_thread = 60;
     value_size = 128;
     crash_every = 5;
-    fault_skip_hsit_flush = false;
+    fault = Explore.No_fault;
     lsm_wal = true;
     shards = 2;
     txn_every = 4;
-    fault_skip_log_flush = false;
     seed = 1L;
   }
 
@@ -268,7 +266,7 @@ let prism_tweak cfg c =
     | `Static -> c
     | `Hotness -> Prism_core.Config.hotness ~tier_size:(16 * 1024) c
   in
-  if cfg.fault_skip_hsit_flush then
+  if cfg.fault = Explore.Skip_hsit_flush then
     { c with Prism_core.Config.fault_skip_hsit_flush = true }
   else c
 
@@ -374,7 +372,7 @@ let instance cfg engine =
         {
           Cluster.default with
           Cluster.shards = max 1 cfg.shards;
-          fault_skip_log_flush = cfg.fault_skip_log_flush;
+          fault_skip_log_flush = cfg.fault = Explore.Skip_2pc_log_flush;
           seed = cfg.seed;
         }
       in
@@ -407,6 +405,22 @@ let instance cfg engine =
       }
 
 (* ---- one crash-and-recover run ---- *)
+
+(* A sweep can inject only a fault that is invisible live and loses
+   writes across a crash: skipped HSIT pointer persists in a
+   Prism-backed store, skipped commit-record persists in the cluster. *)
+let check_fault cfg =
+  let ok =
+    match cfg.fault with
+    | Explore.No_fault -> true
+    | Skip_hsit_flush -> cfg.store = `Prism || cfg.store = `Cluster
+    | Skip_2pc_log_flush -> cfg.store = `Cluster
+    | Skip_svc_invalidate | Scan_stale_snapshot | Scan_skip_pwb | Scan_drop_key
+      ->
+        false
+  in
+  if not ok then
+    invalid_arg "Crash_sweep: the store's sweep cannot inject this fault"
 
 (* The batch-atomicity check (nothing is in flight outside the cluster),
    then the per-key check. The per-key check reads keys in table order,
@@ -444,6 +458,7 @@ type outcome =
    drops pending events, cuts power, and recovers and audits in a fresh
    process. [tie] lets a schedule explorer drive the interleaving. *)
 let run_once ?(tie = Engine.Fifo) cfg cut =
+  check_fault cfg;
   let engine = Engine.create () in
   Engine.set_tie_break engine tie;
   (match cut with

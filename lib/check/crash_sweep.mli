@@ -29,9 +29,12 @@ type config = {
   ops_per_thread : int;
   value_size : int;
   crash_every : int;  (** inject at every k-th boundary *)
-  fault_skip_hsit_flush : bool;
-      (** deliberately break the §5.4 persist protocol (Prism only); the
-          sweep must then report lost acknowledged writes *)
+  fault : Explore.fault;
+      (** deliberate bug to inject: [Skip_hsit_flush] breaks the §5.4
+          persist protocol ([`Prism] and [`Cluster]); [Skip_2pc_log_flush]
+          makes commit records skip their persist, so the client ack races
+          durability ([`Cluster] only). Either way the sweep must then
+          report lost acknowledged writes. *)
   lsm_wal : bool;
       (** [`Lsm] only: disable to model WAL-less RocksDB — the publish
           sweep must then report lost acknowledged writes *)
@@ -39,10 +42,6 @@ type config = {
   txn_every : int;
       (** [`Cluster] only: every N-th op per thread is a multi-key 2PC
           write batch over the thread's range (0 = singles only) *)
-  fault_skip_log_flush : bool;
-      (** [`Cluster] only: commit records skip their persist, so the
-          client ack races durability — the coord-log sweep must then
-          report lost acknowledged transaction writes *)
   seed : int64;
 }
 
@@ -64,13 +63,21 @@ type report = {
   violations : violation list;
 }
 
+(** [check_fault cfg] raises [Invalid_argument] if the store's sweep
+    cannot inject [cfg.fault]: any SVC or scan fault, [Skip_hsit_flush] on
+    [`Kvell] or [`Lsm], or [Skip_2pc_log_flush] anywhere but [`Cluster].
+    Every run calls it first. *)
+val check_fault : config -> unit
+
 (** [run cfg] performs the full sweep: one clean run to count boundaries,
     then one crash-and-recover run per injection point. [progress] fires
     after each injected crash (in ascending target order, whatever
     [jobs] is). [jobs > 1] farms the crash runs out to that many fleet
     lanes — every target is an independent simulation — and merges the
     results in target order, replaying the serial driver's early-stop
-    behaviour, so the report is byte-identical to [jobs = 1]. *)
+    behaviour, so the report is byte-identical to [jobs = 1].
+
+    @raise Invalid_argument as {!check_fault} does. *)
 val run :
   ?progress:(boundary:string -> crash_point:int -> unit) ->
   ?jobs:int ->

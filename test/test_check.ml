@@ -807,7 +807,7 @@ let hsit_sweep_cfg =
     ops_per_thread = 30;
     crash_every = 40;
     seed = 9L;
-    fault_skip_hsit_flush = true;
+    fault = Explore.Skip_hsit_flush;
   }
 
 let test_dpor_hsit_budget () =
@@ -1025,7 +1025,8 @@ let test_sweep_kvell () =
 let test_sweep_catches_lost_writes () =
   let report =
     Crash_sweep.run
-      { sweep_cfg with Crash_sweep.fault_skip_hsit_flush = true; crash_every = 10 }
+      { sweep_cfg with Crash_sweep.fault = Explore.Skip_hsit_flush;
+        crash_every = 10 }
   in
   Alcotest.(check string) "report digest" "46eaf2b4dec0df77167375f2bef01516" (sweep_digest report);
   Alcotest.(check bool) "disabled HSIT flush loses acknowledged writes" true
@@ -1061,6 +1062,17 @@ let test_sweep_lsm_no_wal () =
     (List.for_all
        (fun v -> v.Crash_sweep.boundary = "sstable-publish")
        report.Crash_sweep.violations)
+
+(* A fault the sweep cannot inject must not pass as a clean sweep: KVell
+   has no HSIT, and the SVC fault is invisible across a crash. *)
+let test_sweep_rejects_faults () =
+  List.iter
+    (fun (store, fault) ->
+      match Crash_sweep.run { sweep_cfg with Crash_sweep.store; fault } with
+      | (_ : Crash_sweep.report) ->
+          Alcotest.fail "sweep accepted a fault it cannot inject"
+      | exception Invalid_argument _ -> ())
+    [ (`Kvell, Explore.Skip_hsit_flush); (`Prism, Explore.Skip_svc_invalidate) ]
 
 (* ---- hotness placement under the checkers ---- *)
 
@@ -1152,7 +1164,7 @@ let test_sweep_hotness_catches_lost_writes () =
      protocol bug still reads as lost acknowledged writes. *)
   let report =
     Crash_sweep.run
-      { hotness_sweep_cfg with Crash_sweep.fault_skip_hsit_flush = true;
+      { hotness_sweep_cfg with Crash_sweep.fault = Explore.Skip_hsit_flush;
         crash_every = 10 }
   in
   Alcotest.(check string) "report digest" "eeea123270292492134ddc2ffd37dfb8" (sweep_digest report);
@@ -1351,6 +1363,7 @@ let () =
           case "hsit fault caught" test_sweep_catches_lost_writes;
           case "lsm wal recovers every point" test_sweep_lsm;
           case "lsm without wal loses writes" test_sweep_lsm_no_wal;
+          case "faults it cannot inject are rejected" test_sweep_rejects_faults;
         ] );
       ( "placement",
         [

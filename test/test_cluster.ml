@@ -292,7 +292,7 @@ let test_sweep_cluster_catches_skipped_commit_flush () =
   let open Prism_check in
   let report =
     Crash_sweep.run
-      { cluster_sweep_cfg with Crash_sweep.fault_skip_log_flush = true }
+      { cluster_sweep_cfg with Crash_sweep.fault = Explore.Skip_2pc_log_flush }
   in
   Alcotest.(check string) "report digest" "42705af178fd71eebb918a71a31a4828" (sweep_digest report);
   Alcotest.(check bool)
