@@ -189,6 +189,18 @@ let run_shrink ~cfg ~tie_seed =
             (fault_suffix cfg) s.Explore.shrunk_violation;
           false)
 
+(* 1st, 2nd, 3rd, 4th, ..., 11th, 12th, 13th, ..., 21st, ... *)
+let ordinal n =
+  let suffix =
+    match (n mod 100, n mod 10) with
+    | (11 | 12 | 13), _ -> "th"
+    | _, 1 -> "st"
+    | _, 2 -> "nd"
+    | _, 3 -> "rd"
+    | _ -> "th"
+  in
+  string_of_int n ^ suffix
+
 let run_sweep ~cfg ~verbose ~jobs =
   (try Crash_sweep.check_fault cfg
    with Invalid_argument _ ->
@@ -197,7 +209,7 @@ let run_sweep ~cfg ~verbose ~jobs =
        (store_name cfg.Crash_sweep.store);
      exit 2);
   Printf.printf
-    "crash sweep: %s, every %d%s boundary, %d threads x %d ops, seed 0x%Lx%s\n\
+    "crash sweep: %s, every %s%s boundary, %d threads x %d ops, seed 0x%Lx%s\n\
      %!"
     (match cfg.Crash_sweep.store with
     | `Prism -> "prism"
@@ -206,11 +218,11 @@ let run_sweep ~cfg ~verbose ~jobs =
         Printf.sprintf "prism cluster (%d shards, txn every %d)"
           cfg.Crash_sweep.shards cfg.Crash_sweep.txn_every
     | `Lsm -> if cfg.Crash_sweep.lsm_wal then "lsm" else "lsm (WAL disabled!)")
-    cfg.Crash_sweep.crash_every
+    (ordinal cfg.Crash_sweep.crash_every)
     (match cfg.Crash_sweep.store with
-    | `Prism | `Lsm -> "th durability"
-    | `Cluster -> "th 2PC log-persist"
-    | `Kvell -> "th-event time-grid")
+    | `Prism | `Lsm -> " durability"
+    | `Cluster -> " 2PC log-persist"
+    | `Kvell -> "-event time-grid")
     cfg.Crash_sweep.threads cfg.Crash_sweep.ops_per_thread
     cfg.Crash_sweep.seed
     (match cfg.Crash_sweep.fault with
