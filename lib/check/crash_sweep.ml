@@ -270,8 +270,9 @@ let prism_tweak cfg c =
     { c with Prism_core.Config.fault_skip_hsit_flush = true }
   else c
 
-(* One boundary kind spread over several devices' hooks (every SSD
-   image, every shard's prepare log): one ordinal counts them all. *)
+(* A boundary kind's hook setter over the devices that produce it (one
+   NVM, every SSD image, every shard's prepare log): one ordinal, counted
+   from the arming instant, numbers them all. *)
 let counted setters hook =
   let seen = ref 0 in
   List.iter
@@ -335,8 +336,9 @@ let instance cfg engine =
           [
             ( "nvm-persist",
               counted
-                [ Prism_media.Nvm.set_persist_hook (Prism_core.Store.nvm store) ]
-            );
+                [
+                  Prism_media.Nvm.set_persist_hook (Prism_core.Store.nvm store);
+                ] );
             ("ssd-write", counted images);
           ];
         crash = (fun () -> Prism_core.Store.crash store);

@@ -6,16 +6,19 @@
 
     Each workload thread owns a disjoint key range, so per-key operation
     sequences are sequential and "last acknowledged write" needs no
-    linearizability search. Boundaries are observed through the hook
-    counters: {!Prism_media.Nvm.set_persist_hook} (every [clwb+sfence])
-    and {!Prism_media.Ssd_image.set_write_hook} (every completed chunk
-    write) for Prism; the LSM baseline's WAL-append and SSTable-publish
-    hooks ({!Prism_baselines.Lsm_tree.set_wal_hook} /
-    [set_publish_hook]); KVell's page writes carry no content image, so
-    its sweep uses an even virtual-time grid sized to one crash per
-    [crash_every] executed events. The injection hook raises inside the
-    simulation, which unwinds {!Prism_sim.Engine.run}; the sweep then
-    clears pending events, crashes the store, recovers, and audits. *)
+    linearizability search.
+
+    Every store enters the sweep as one small record: its client handle,
+    its durability boundaries as named hook setters (each calls its hook
+    with the boundary's ordinal, e.g. the NVM persist and SSD write hooks
+    of {!Prism_media}), power-cut and recovery functions, and, for the
+    cluster only, a write-batch submitter. One run function drives every
+    store: it arms the hooks, runs the workload, and when the chosen
+    hook raises inside the simulation (unwinding
+    {!Prism_sim.Engine.run}) it clears pending events, crashes the store,
+    recovers, and audits. A store with no hooks (KVell, whose page writes
+    carry no content image) is cut on an even virtual-time grid sized to
+    one crash per [crash_every] executed events. *)
 
 type config = {
   store : [ `Prism | `Kvell | `Lsm | `Cluster ];
