@@ -43,50 +43,26 @@ let full_scenario =
 
 let scenario = ref small_scenario
 
-(* --jobs: fleet lanes for the experiments whose cells are independent
-   whole simulations (fig7, fig9, fig12). Cells return pure results and
-   all printing happens on the coordinator in cell order, so the output
-   is byte-identical for any lane count. *)
+(* --jobs: fleet lanes. Every simulation below is a Runner cell; an
+   experiment farms its cells and prints on the coordinator, in the
+   order it declared them, so the output is byte-identical for any lane
+   count. *)
 let jobs = ref 1
 
-let fleet_map n f = Prism_fleet.Fleet.farm ~jobs:!jobs n f
-
-(* ---------------------------------------------------------------- *)
-(* Helpers                                                           *)
-(* ---------------------------------------------------------------- *)
-
-(* Run a store's quiesce hook on a simulation process (it may block on
-   virtual time). *)
-let quiesce_in e (kv : Kv.t) =
-  Engine.spawn e (fun () -> kv.Kv.quiesce ());
-  ignore (Engine.run e)
-
-(* Device counters come from the engine's metric registry, under the
-   store's sanitized name prefix (see Kv.stat_prefix). *)
-let ssd_written e (kv : Kv.t) =
-  Stats.get_int (Engine.stats e) (kv.Kv.stat_prefix ^ ".device.ssd.bytes_written")
-
-(* --stats / --stats-json: harvest each labelled run's registry. *)
+(* --stats / --stats-json: the fig7 and fig17 registries, emitted in
+   declaration order. *)
 let stats_requested = ref false
 
 let stats_json_path : string option ref = ref None
 
 let collected_stats : (string * string) list ref = ref []
 
-(* Harvesting is split so fleet cells can capture the registry on the
-   worker and the coordinator can emit it in deterministic cell order. *)
-let harvest_blob label e =
-  if !stats_requested || !stats_json_path <> None then Some (label, Engine.stats e)
-  else None
+let stats_wanted () = !stats_requested || !stats_json_path <> None
 
-let emit_harvest = function
-  | None -> ()
-  | Some (label, reg) ->
-      Stats.register_gc reg;
-      collected_stats := (label, Stats.to_json reg) :: !collected_stats;
-      if !stats_requested then Format.printf "  [%s registry]@.%a@." label Stats.pp reg
-
-let harvest label e = emit_harvest (harvest_blob label e)
+let emit_stats label reg =
+  Stats.register_gc reg;
+  collected_stats := (label, Stats.to_json reg) :: !collected_stats;
+  if !stats_requested then Format.printf "  [%s registry]@.%a@." label Stats.pp reg
 
 let write_collected_stats () =
   match !stats_json_path with
@@ -98,63 +74,86 @@ let write_collected_stats () =
               !collected_stats));
       pf "wrote metric registries to %s\n" path
 
-(* Run LOAD then the listed mixes against one store; returns
-   (load_result, per-mix results). *)
-let ycsb_suite ?(mixes = Ycsb.all_ycsb) e kv s =
-  let kv = Kv.instrument e kv in
-  let load = Runner.load e kv s in
-  let results =
-    List.map
-      (fun mix ->
-        let r = Runner.run e kv mix s in
-        quiesce_in e kv;
-        r)
-      mixes
+(* ---------------------------------------------------------------- *)
+(* Cells                                                             *)
+(* ---------------------------------------------------------------- *)
+
+let cell label scenario make phases = { Runner.label; scenario; make; phases }
+
+let named name e s = (Setup.of_name name s e, None)
+
+let prism ?tweak e s =
+  let kv, store = Setup.prism ?tweak e s in
+  (kv, Some store)
+
+(* The YCSB suite's phases: each mix, then a quiesce. *)
+let quiesced mixes = List.concat_map (fun mix -> [ Runner.Run mix; Runner.Quiesce ]) mixes
+
+let registry p = Engine.stats p.Runner.engine
+
+(* Device counters come from the engine's metric registry, under the
+   store's sanitized name prefix (see Kv.stat_prefix). *)
+let ssd_written p =
+  Stats.get_int (registry p) (p.Runner.kv.Kv.stat_prefix ^ ".device.ssd.bytes_written")
+
+let index_bytes p = Prism_core.Store.nvm_index_bytes (Option.get p.Runner.prism)
+
+(* [farm keys cell] runs [cell k] for every key on the fleet and returns
+   the lookup from a key to its outcome. *)
+let farm keys cell =
+  let cells = Array.of_list (List.map cell keys) in
+  let outcomes =
+    Prism_fleet.Fleet.farm ~jobs:!jobs (Array.length cells) (fun i ->
+        Runner.run_cell cells.(i))
   in
-  (load, results)
+  let merged = List.combine keys (Array.to_list outcomes) in
+  fun key -> List.assoc key merged
+
+let grid xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
 let kops r = Report.kops r.Runner.kops
 
-let avg_us r = Printf.sprintf "%.1f" (Hist.mean r.Runner.latency /. 1e3)
+let avg_us r = Report.us (Hist.mean r.Runner.latency /. 1e3)
 
-let p50_us r = Printf.sprintf "%.1f" (Hist.to_us (Hist.median r.Runner.latency))
+let p50_us r = Report.us (Hist.to_us (Hist.median r.Runner.latency))
 
-let p99_us r =
-  Printf.sprintf "%.1f" (Hist.to_us (Hist.percentile r.Runner.latency 99.0))
+let p99_us r = Report.us (Hist.to_us (Hist.percentile r.Runner.latency 99.0))
 
-let lat_row name r = [ name; avg_us r; p50_us r; p99_us r ]
+let first o = List.hd o.Runner.results
 
-(* The throughput table of (name, LOAD, per-mix results) rows, then a
-   latency table for each of YCSB-A, C and E. *)
+(* A row of LOAD and per-phase throughputs. *)
+let kops_row name o = name :: kops o.Runner.load :: List.map kops o.Runner.results
+
+(* The throughput table of (name, outcome) rows, then a latency table
+   for each of YCSB-A, C and E. *)
 let suite_tables ~throughput ~latency all =
   Report.table ~title:throughput
     ~columns:[ "Store"; "LOAD"; "A"; "B"; "C"; "D"; "E" ]
-    (List.map
-       (fun (name, load, results) -> name :: kops load :: List.map kops results)
-       all);
+    (List.map (fun (name, o) -> kops_row name o) all);
   List.iter
     (fun wanted ->
       Report.table
         ~title:(Printf.sprintf "%s — Latency (us), YCSB-%s" latency wanted)
         ~columns:[ "Store"; "Average"; "Median"; "99%" ]
         (List.filter_map
-           (fun (name, _, results) ->
-             List.find_opt (fun r -> r.Runner.workload = wanted) results
-             |> Option.map (lat_row name))
+           (fun (name, o) ->
+             List.find_opt (fun r -> r.Runner.workload = wanted) o.Runner.results
+             |> Option.map (fun r -> [ name; avg_us r; p50_us r; p99_us r ]))
            all))
     [ "A"; "C"; "E" ]
 
-(* One fresh Prism per (name, config tweak) variant: LOAD then [mixes],
-   as a row of throughputs followed by [extra store]. *)
-let prism_variant_rows ?(extra = fun _ -> []) ~mixes s variants =
-  List.map
-    (fun (name, tweak) ->
-      let e = Engine.create () in
-      let kv, store = Setup.prism e s ~tweak in
-      let load, results = ycsb_suite ~mixes e kv s in
-      pf "  %s done\n%!" name;
-      (name :: kops load :: List.map kops results) @ extra store)
-    variants
+(* SLM-DB is single-threaded and was evaluated on a quarter of the data
+   (§7.4). *)
+let single_thread s =
+  {
+    s with
+    Setup.threads = 1;
+    records = s.Setup.records / 4;
+    ops = s.Setup.ops / 4;
+    scan_ops = s.Setup.scan_ops / 4;
+  }
+
+let progress fmt = Printf.ksprintf (fun line -> pf "  %s done\n%!" line) fmt
 
 (* ---------------------------------------------------------------- *)
 (* Figure 1: device characteristics                                  *)
@@ -233,19 +232,21 @@ let fig7 () =
        "Figure 7 + Table 3: YCSB, %d threads, %d SSDs, %d keys x %dB, Zipf %.2f"
        s.Setup.threads s.Setup.num_ssds s.Setup.records s.Setup.value_size
        s.Setup.theta);
-  let names = [| "Prism"; "KVell"; "MatrixKV"; "RocksDB-NVM" |] in
+  let names = [ "Prism"; "KVell"; "MatrixKV"; "RocksDB-NVM" ] in
+  let harvest = if stats_wanted () then [ Runner.Read registry ] else [] in
+  let outcome =
+    farm names (fun name ->
+        cell ("fig7." ^ Stats.sanitize name) s (named name)
+          (quiesced Ycsb.all_ycsb @ harvest))
+  in
   let all =
-    fleet_map (Array.length names) (fun i ->
-        let name = names.(i) in
-        let e = Engine.create () in
-        let kv = Setup.of_name name s e in
-        let load, results = ycsb_suite e kv s in
-        (name, load, results, harvest_blob ("fig7." ^ Stats.sanitize name) e))
-    |> Array.to_list
-    |> List.map (fun (name, load, results, blob) ->
-           emit_harvest blob;
-           pf "  %s done\n%!" name;
-           (name, load, results))
+    List.map
+      (fun name ->
+        let o = outcome name in
+        List.iter (emit_stats ("fig7." ^ Stats.sanitize name)) o.Runner.reads;
+        progress "%s" name;
+        (name, o))
+      names
   in
   suite_tables ~throughput:"Throughput (kops/s; workload E in kops/s of scans)"
     ~latency:"Table 3" all
@@ -255,47 +256,32 @@ let fig7 () =
 (* ---------------------------------------------------------------- *)
 
 let fig8 () =
-  let s =
-    {
-      !scenario with
-      Setup.records = !scenario.Setup.records / 4;
-      threads = 1;
-      ops = !scenario.Setup.ops / 4;
-      scan_ops = !scenario.Setup.scan_ops / 4;
-    }
-  in
+  let s = single_thread !scenario in
   Report.section
     (Printf.sprintf "Figure 8 + Table 4: Prism vs SLM-DB (1 thread, %d keys)"
        s.Setup.records);
   let makers =
     [
       ( "Prism",
-        fun e ->
-          (* The paper shrinks Prism's SVC/PWB to SLM-DB's footprint. *)
-          fst
-            (Setup.prism e s
-               ~tweak:(fun cfg ->
-                 {
-                   cfg with
-                   Prism_core.Config.svc_capacity = 64 * 1024;
-                   pwb_size = 64 * 1024;
-                   nvm_size =
-                     (64 * 1024) + (cfg.Prism_core.Config.hsit_capacity * 16)
-                     + (4 * 1024 * 1024);
-                 })) );
-      ("SLM-DB", fun e -> Setup.slmdb e s);
+        (* The paper shrinks Prism's SVC/PWB to SLM-DB's footprint. *)
+        prism ~tweak:(fun cfg ->
+            {
+              cfg with
+              Prism_core.Config.svc_capacity = 64 * 1024;
+              pwb_size = 64 * 1024;
+              nvm_size =
+                (64 * 1024) + (cfg.Prism_core.Config.hsit_capacity * 16)
+                + (4 * 1024 * 1024);
+            }) );
+      ("SLM-DB", fun e s -> (Setup.slmdb e s, None));
     ]
   in
-  let all =
-    List.map
-      (fun (name, make) ->
-        let e = Engine.create () in
-        let kv = make e in
-        let load, results = ycsb_suite e kv s in
-        (name, load, results))
-      makers
+  let outcome =
+    farm (List.map fst makers) (fun name ->
+        cell name s (List.assoc name makers) (quiesced Ycsb.all_ycsb))
   in
-  suite_tables ~throughput:"Throughput (kops/s)" ~latency:"Table 4" all
+  suite_tables ~throughput:"Throughput (kops/s)" ~latency:"Table 4"
+    (List.map (fun (name, _) -> (name, outcome name)) makers)
 
 (* ---------------------------------------------------------------- *)
 (* Figure 9: throughput vs Zipfian coefficient                        *)
@@ -315,44 +301,20 @@ let fig9 () =
   Report.section
     "Figure 9: relative throughput vs Zipfian coefficient (normalized to 0.99)";
   let names = [ "Prism"; "KVell"; "MatrixKV"; "RocksDB-NVM"; "SLM-DB" ] in
-  (* One loaded store per (store, theta) cell — the skew affects the run
-     phase — so every cell is an independent simulation, farmed out. *)
-  let cells =
-    List.concat_map
-      (fun name ->
-        let s =
-          if name = "SLM-DB" then
-            {
-              s with
-              Setup.threads = 1;
-              records = s.Setup.records / 4;
-              ops = s.Setup.ops / 4;
-              scan_ops = s.Setup.scan_ops / 4;
-            }
-          else s
-        in
-        List.map (fun theta -> (name, { s with Setup.theta })) thetas)
-      names
-    |> Array.of_list
+  (* One loaded store per (store, theta) cell: the skew affects the run
+     phase. *)
+  let outcome =
+    farm (grid names thetas) (fun (name, theta) ->
+        let s = if name = "SLM-DB" then single_thread s else s in
+        cell name { s with Setup.theta } (named name) (quiesced Ycsb.all_ycsb))
   in
-  let cell_rows =
-    fleet_map (Array.length cells) (fun i ->
-        let name, s = cells.(i) in
-        let e = Engine.create () in
-        let kv = Setup.of_name name s e in
-        ignore (Runner.load e kv s);
-        List.map
-          (fun mix ->
-            let r = Runner.run e kv mix s in
-            quiesce_in e kv;
-            r.Runner.kops)
-          Ycsb.all_ycsb)
-  in
-  let nthetas = List.length thetas in
-  List.iteri
-    (fun mi name ->
+  List.iter
+    (fun name ->
       let rows =
-        List.mapi (fun ti _ -> cell_rows.((mi * nthetas) + ti)) thetas
+        List.map
+          (fun theta ->
+            List.map (fun r -> r.Runner.kops) (outcome (name, theta)).Runner.results)
+          thetas
       in
       (* Normalize to theta = 0.99 (third entry). *)
       let baseline = List.nth rows 2 in
@@ -366,7 +328,7 @@ let fig9 () =
                   (fun v b -> Printf.sprintf "%.2f" (v /. b))
                   row baseline)
            thetas rows);
-      pf "  %s done\n%!" name)
+      progress "%s" name)
     names
 
 (* ---------------------------------------------------------------- *)
@@ -386,31 +348,25 @@ let fig10a () =
   Report.section
     (Printf.sprintf "Figure 10a: YCSB at 4x dataset (%d keys), Prism vs KVell"
        s.Setup.records);
-  let rows =
-    List.map
-      (fun name ->
-        let e = Engine.create () in
-        let _, results = ycsb_suite e (Setup.of_name name s e) s in
-        name :: List.map kops results)
-      [ "Prism"; "KVell" ]
+  let names = [ "Prism"; "KVell" ] in
+  let outcome =
+    farm names (fun name -> cell name s (named name) (quiesced Ycsb.all_ycsb))
   in
   Report.table ~title:"Throughput (kops/s)"
     ~columns:[ "Store"; "A"; "B"; "C"; "D"; "E" ]
-    rows
+    (List.map
+       (fun name -> name :: List.map kops (outcome name).Runner.results)
+       names)
 
 let fig10b () =
   let s = !scenario in
   Report.section "Figure 10b: Nutanix production mix (57% upd / 41% read / 2% scan)";
-  let rows =
-    List.map
-      (fun name ->
-        let e = Engine.create () in
-        let kv = Setup.of_name name s e in
-        ignore (Runner.load e kv s);
-        [ name; kops (Runner.run e kv Ycsb.nutanix s) ])
-      [ "Prism"; "KVell" ]
+  let names = [ "Prism"; "KVell" ] in
+  let outcome =
+    farm names (fun name -> cell name s (named name) [ Runner.Run Ycsb.nutanix ])
   in
-  Report.table ~title:"Throughput (kops/s)" ~columns:[ "Store"; "Nutanix" ] rows
+  Report.table ~title:"Throughput (kops/s)" ~columns:[ "Store"; "Nutanix" ]
+    (List.map (fun name -> name :: List.map kops (outcome name).Runner.results) names)
 
 (* ---------------------------------------------------------------- *)
 (* Figure 11: thread combining vs timeout batching, queue-depth sweep *)
@@ -420,27 +376,24 @@ let fig11 () =
   let s = !scenario in
   Report.section "Figure 11: opportunistic thread combining (TC) vs timeout IO (TA), YCSB-C";
   let depths = [ 1; 2; 4; 8; 16; 32; 64 ] in
-  let run_one ~tc qd =
-    let e = Engine.create () in
-    let kv, _ =
-      Setup.prism e s ~tweak:(fun cfg ->
-          {
-            cfg with
-            Prism_core.Config.queue_depth = qd;
-            use_thread_combining = tc;
-            (* Shrink the SVC so reads actually reach the SSD. *)
-            svc_capacity = 256 * 1024;
-          })
-    in
-    ignore (Runner.load e kv s);
-    Runner.run e kv Ycsb.ycsb_c s
+  let outcome =
+    farm (grid depths [ true; false ]) (fun (qd, tc) ->
+        cell (Printf.sprintf "QD %d" qd) s
+          (prism ~tweak:(fun cfg ->
+               {
+                 cfg with
+                 Prism_core.Config.queue_depth = qd;
+                 use_thread_combining = tc;
+                 (* Shrink the SVC so reads actually reach the SSD. *)
+                 svc_capacity = 256 * 1024;
+               }))
+          [ Runner.Run Ycsb.ycsb_c ])
   in
   let rows =
     List.map
       (fun qd ->
-        let tc = run_one ~tc:true qd in
-        let ta = run_one ~tc:false qd in
-        pf "  QD %d done\n%!" qd;
+        let tc = first (outcome (qd, true)) and ta = first (outcome (qd, false)) in
+        progress "QD %d" qd;
         [
           string_of_int qd; kops tc; kops ta; avg_us tc; avg_us ta; p99_us tc;
           p99_us ta;
@@ -461,59 +414,41 @@ let fig12 () =
   let value_sizes = [ 512; 1024 ] in
   let store_names = [ "Prism"; "KVell"; "MatrixKV" ] in
   let thetas = [ 0.5; 0.99; 1.2 ] in
-  (* Every (value size, store, theta) cell is an independent loaded
-     store, so the whole grid is farmed as one flat job list. *)
-  let cells =
-    List.concat_map
-      (fun value_size ->
+  let update_only = { Ycsb.ycsb_a with reads = 0.0; updates = 1.0 } in
+  (* SSD bytes written around a quiesced update-only run. *)
+  let outcome =
+    farm (grid (grid value_sizes store_names) thetas)
+      (fun ((value_size, name), theta) ->
         let s =
           {
             base with
             Setup.value_size;
             records = base.Setup.records / 2;
             ops = base.Setup.ops * 2;
+            theta;
           }
         in
-        List.concat_map
-          (fun name ->
-            List.map (fun theta -> (name, { s with Setup.theta })) thetas)
-          store_names)
-      value_sizes
-    |> Array.of_list
+        cell name s (named name)
+          Runner.
+            [ Quiesce; Read ssd_written; Run update_only; Quiesce; Read ssd_written ])
   in
-  let waf =
-    fleet_map (Array.length cells) (fun i ->
-        let name, s = cells.(i) in
-        let e = Engine.create () in
-        let kv = Setup.of_name name s e in
-        ignore (Runner.load e kv s);
-        quiesce_in e kv;
-        let before = ssd_written e kv in
-        let update_only = { Ycsb.ycsb_a with reads = 0.0; updates = 1.0 } in
-        let r = Runner.run e kv update_only s in
-        quiesce_in e kv;
-        let written = ssd_written e kv - before in
-        let app = r.Runner.ops * s.Setup.value_size in
-        Printf.sprintf "%.2f" (float_of_int written /. float_of_int app))
+  let waf key =
+    match outcome key with
+    | { Runner.results = [ r ]; reads = [ before; after ]; _ } ->
+        let app = r.Runner.ops * fst (fst key) in
+        Printf.sprintf "%.2f" (float_of_int (after - before) /. float_of_int app)
+    | _ -> assert false
   in
-  let nthetas = List.length thetas in
-  let per_store = List.length store_names * nthetas in
-  List.iteri
-    (fun vi value_size ->
-      let rows =
-        List.mapi
-          (fun si name ->
-            name
-            :: List.mapi
-                 (fun ti _ -> waf.((vi * per_store) + (si * nthetas) + ti))
-                 thetas)
-          store_names
-      in
+  List.iter
+    (fun value_size ->
       Report.table
         ~title:(Printf.sprintf "SSD-level WAF, %dB values" value_size)
         ~columns:[ "Store"; "Zipf 0.5"; "Zipf 0.99"; "Zipf 1.2" ]
-        rows;
-      pf "  %dB done\n%!" value_size)
+        (List.map
+           (fun name ->
+             name :: List.map (fun theta -> waf ((value_size, name), theta)) thetas)
+           store_names);
+      progress "%dB" value_size)
     value_sizes
 
 (* ---------------------------------------------------------------- *)
@@ -524,43 +459,35 @@ let fig13_14 () =
   let base = !scenario in
   Report.section "Figures 13/14: throughput and latency vs number of SSDs";
   let ssd_counts = [ 1; 2; 4; 8 ] in
-  let run name mix =
-    List.map
-      (fun num_ssds ->
-        let s = { base with Setup.num_ssds } in
-        let e = Engine.create () in
-        let kv = Setup.of_name name s e in
-        ignore (Runner.load e kv s);
-        let r = Runner.run e kv mix s in
-        pf "  %s %s %dssd done\n%!" name mix.Ycsb.name num_ssds;
-        r)
-      ssd_counts
+  let mixes = [ Ycsb.ycsb_a; Ycsb.ycsb_c ] in
+  let names = [ "Prism"; "KVell" ] in
+  let outcome =
+    farm (grid (grid mixes names) ssd_counts) (fun ((mix, name), num_ssds) ->
+        cell name { base with Setup.num_ssds } (named name) [ Runner.Run mix ])
   in
+  let columns = "Store" :: List.map (fun n -> Printf.sprintf "%d SSD" n) ssd_counts in
   List.iter
     (fun mix ->
-      let prism = run "Prism" mix in
-      let kvell = run "KVell" mix in
+      List.iter
+        (fun (name, n) -> progress "%s %s %dssd" name mix.Ycsb.name n)
+        (grid names ssd_counts);
+      let rows f =
+        List.map
+          (fun name ->
+            name :: List.map (fun n -> f (first (outcome ((mix, name), n)))) ssd_counts)
+          names
+      in
       Report.table
         ~title:(Printf.sprintf "Figure 13 — Throughput (kops/s), YCSB-%s" mix.Ycsb.name)
-        ~columns:("Store" :: List.map (fun n -> Printf.sprintf "%d SSD" n) ssd_counts)
-        [
-          "Prism" :: List.map kops prism;
-          "KVell" :: List.map kops kvell;
-        ];
-      if mix.Ycsb.name = "C" then begin
+        ~columns (rows kops);
+      if mix.Ycsb.name = "C" then
         List.iter
           (fun (title, f) ->
             Report.table
               ~title:(Printf.sprintf "Figure 14 — %s latency (us), YCSB-C" title)
-              ~columns:
-                ("Store" :: List.map (fun n -> Printf.sprintf "%d SSD" n) ssd_counts)
-              [
-                "Prism" :: List.map f prism;
-                "KVell" :: List.map f kvell;
-              ])
-          [ ("Average", avg_us); ("Median", p50_us); ("99%", p99_us) ]
-      end)
-    [ Ycsb.ycsb_a; Ycsb.ycsb_c ]
+              ~columns (rows f))
+          [ ("Average", avg_us); ("Median", p50_us); ("99%", p99_us) ])
+    mixes
 
 (* ---------------------------------------------------------------- *)
 (* Figure 15: PWB and SVC size sweeps                                 *)
@@ -570,63 +497,55 @@ let fig15 () =
   let s = !scenario in
   Report.section "Figure 15: impact of PWB and SVC sizes";
   let dataset = Setup.dataset_bytes s in
-  (* (a) PWB sweep on LOAD and A. *)
   let pwb_fracs = [ 0.05; 0.10; 0.20; 0.40 ] in
-  let rows =
-    List.map
-      (fun frac ->
-        let pwb =
-          Prism_sim.Bits.round_up
-            (max 8192
-               (int_of_float (float_of_int dataset *. frac) / s.Setup.threads))
-            16
-        in
-        let e = Engine.create () in
-        let kv, _ =
-          Setup.prism e s ~tweak:(fun cfg ->
-              {
-                cfg with
-                Prism_core.Config.pwb_size = pwb;
-                nvm_size =
-                  (s.Setup.threads * pwb)
-                  + (cfg.Prism_core.Config.hsit_capacity * 16)
-                  + (8 * 1024 * 1024);
-              })
-        in
-        let load = Runner.load e kv s in
-        let a = Runner.run e kv Ycsb.ycsb_a s in
-        pf "  pwb %.0f%% done\n%!" (frac *. 100.0);
-        [
-          Printf.sprintf "%.0f%% of dataset" (frac *. 100.0);
-          kops load;
-          kops a;
-        ])
-      pwb_fracs
+  let svc_fracs = [ 0.04; 0.10; 0.20; 0.40 ] in
+  (* (a) sweeps the PWB on LOAD and A; (b) the SVC on C then E. *)
+  let outcome =
+    farm
+      (List.map (fun f -> `Pwb f) pwb_fracs @ List.map (fun f -> `Svc f) svc_fracs)
+      (function
+        | `Pwb frac ->
+            let pwb =
+              Prism_sim.Bits.round_up
+                (max 8192
+                   (int_of_float (float_of_int dataset *. frac) / s.Setup.threads))
+                16
+            in
+            cell "pwb" s
+              (prism ~tweak:(fun cfg ->
+                   {
+                     cfg with
+                     Prism_core.Config.pwb_size = pwb;
+                     nvm_size =
+                       (s.Setup.threads * pwb)
+                       + (cfg.Prism_core.Config.hsit_capacity * 16)
+                       + (8 * 1024 * 1024);
+                   }))
+              [ Runner.Run Ycsb.ycsb_a ]
+        | `Svc frac ->
+            let svc = max 65536 (int_of_float (float_of_int dataset *. frac)) in
+            cell "svc" s
+              (prism ~tweak:(fun cfg ->
+                   { cfg with Prism_core.Config.svc_capacity = svc }))
+              [ Runner.Run Ycsb.ycsb_c; Runner.Run Ycsb.ycsb_e ])
   in
+  let fraction frac = Printf.sprintf "%.0f%% of dataset" (frac *. 100.0) in
   Report.table ~title:"(a) throughput vs total PWB size"
     ~columns:[ "PWB total"; "LOAD"; "A" ]
-    rows;
-  (* (b) SVC sweep on C and E. *)
-  let svc_fracs = [ 0.04; 0.10; 0.20; 0.40 ] in
-  let rows =
-    List.map
-      (fun frac ->
-        let svc = max 65536 (int_of_float (float_of_int dataset *. frac)) in
-        let e = Engine.create () in
-        let kv, _ =
-          Setup.prism e s ~tweak:(fun cfg ->
-              { cfg with Prism_core.Config.svc_capacity = svc })
-        in
-        ignore (Runner.load e kv s);
-        let c = Runner.run e kv Ycsb.ycsb_c s in
-        let ey = Runner.run e kv Ycsb.ycsb_e s in
-        pf "  svc %.0f%% done\n%!" (frac *. 100.0);
-        [ Printf.sprintf "%.0f%% of dataset" (frac *. 100.0); kops c; kops ey ])
-      svc_fracs
-  in
+    (List.map
+       (fun frac ->
+         let o = outcome (`Pwb frac) in
+         progress "pwb %.0f%%" (frac *. 100.0);
+         kops_row (fraction frac) o)
+       pwb_fracs);
   Report.table ~title:"(b) throughput vs SVC size"
     ~columns:[ "SVC"; "C"; "E" ]
-    rows
+    (List.map
+       (fun frac ->
+         let o = outcome (`Svc frac) in
+         progress "svc %.0f%%" (frac *. 100.0);
+         fraction frac :: List.map kops o.Runner.results)
+       svc_fracs)
 
 (* ---------------------------------------------------------------- *)
 (* Figure 16: multicore scalability                                   *)
@@ -636,33 +555,29 @@ let fig16 () =
   let base = !scenario in
   Report.section "Figure 16: multicore scalability";
   let thread_counts = [ 4; 8; 16; 32 ] in
-  let run make mix threads =
-    let s = { base with Setup.threads } in
-    let e = Engine.create () in
-    let kv : Kv.t = make s e in
-    ignore (Runner.load e kv s);
-    (Runner.run e kv mix s).Runner.kops
-  in
+  let mixes = [ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] in
   let stores =
     [
-      ("Prism", fun s e -> fst (Setup.prism e s));
-      ("KVell(QD64)", fun s e -> Setup.kvell ~queue_depth:64 e s);
-      ("KVell(QD1)", fun s e -> Setup.kvell ~queue_depth:1 e s);
-      ("MatrixKV", fun s e -> Setup.matrixkv e s);
+      ("Prism", prism ?tweak:None);
+      ("KVell(QD64)", fun e s -> (Setup.kvell ~queue_depth:64 e s, None));
+      ("KVell(QD1)", fun e s -> (Setup.kvell ~queue_depth:1 e s, None));
+      ("MatrixKV", named "MatrixKV");
     ]
+  in
+  let outcome =
+    farm (grid (grid mixes (List.map fst stores)) thread_counts)
+      (fun ((mix, name), threads) ->
+        cell name { base with Setup.threads } (List.assoc name stores)
+          [ Runner.Run mix ])
   in
   List.iter
     (fun mix ->
       let rows =
         List.map
-          (fun (name, make) ->
-            let cells =
-              List.map
-                (fun threads -> Report.kops (run make mix threads))
-                thread_counts
-            in
-            pf "  %s %s done\n%!" name mix.Ycsb.name;
-            name :: cells)
+          (fun (name, _) ->
+            progress "%s %s" name mix.Ycsb.name;
+            name
+            :: List.map (fun t -> kops (first (outcome ((mix, name), t)))) thread_counts)
           stores
       in
       Report.table
@@ -670,7 +585,7 @@ let fig16 () =
         ~columns:
           ("Store" :: List.map (fun t -> Printf.sprintf "%d thr" t) thread_counts)
         rows)
-    [ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ]
+    mixes
 
 (* ---------------------------------------------------------------- *)
 (* Figure 17: garbage collection impact timeline                      *)
@@ -679,49 +594,70 @@ let fig16 () =
 let fig17 () =
   let base = !scenario in
   Report.section "Figure 17: throughput timeline across Value Storage GC (YCSB-A)";
-  (* Small Value Storage so GC must run during the workload. *)
   let s = { base with Setup.ops = base.Setup.ops * 3 } in
-  let e = Engine.create () in
-  let kv, store =
-    Setup.prism e s ~tweak:(fun cfg ->
-        let dataset = Setup.dataset_bytes s in
-        let chunk = cfg.Prism_core.Config.chunk_size in
-        {
-          cfg with
-          Prism_core.Config.vs_size =
-            Prism_sim.Bits.round_up
-              (max (8 * chunk) (dataset * 2 / cfg.num_value_storages))
-              chunk;
-        })
+  (* Small Value Storage so GC must run during the workload. *)
+  let tweak cfg =
+    let dataset = Setup.dataset_bytes s in
+    let chunk = cfg.Prism_core.Config.chunk_size in
+    {
+      cfg with
+      Prism_core.Config.vs_size =
+        Prism_sim.Bits.round_up
+          (max (8 * chunk) (dataset * 2 / cfg.num_value_storages))
+          chunk;
+    }
   in
-  ignore (Runner.load e kv s);
-  (* Registered in the engine registry, so --stats-json exports the full
-     per-window series under "bench.throughput". *)
-  let tl = Stats.timeline (Engine.stats e) "bench.throughput" ~interval:1e-3 in
-  let gc_before = Prism_core.Store.gc_runs store in
-  ignore (Runner.run ~timeline:tl e kv Ycsb.ycsb_a s);
-  let gc_after = Prism_core.Store.gc_runs store in
-  harvest "fig17.prism" e;
-  Report.table
-    ~title:
-      (Printf.sprintf "ops per 1ms window (GC passes during run: %d)"
-         (gc_after - gc_before))
-    ~columns:[ "t (ms)"; "kops/s" ]
-    (Metric.Timeline.windows tl
-    |> List.map (fun (t, count, _) ->
-           [
-             Printf.sprintf "%.0f" (t *. 1e3);
-             Printf.sprintf "%.0f" (float_of_int count /. 1e-3 /. 1e3);
-           ]))
+  (* GC passes so far, and the registry: its timeline is the figure, and
+     --stats-json exports it under "bench.throughput". *)
+  let gc p = (Prism_core.Store.gc_runs (Option.get p.Runner.prism), registry p) in
+  let outcome =
+    farm [ () ] (fun () ->
+        cell "fig17.prism" s (prism ~tweak)
+          Runner.[ Read gc; Run_timeline ("bench.throughput", Ycsb.ycsb_a); Read gc ])
+  in
+  match (outcome ()).Runner.reads with
+  | [ (gc_before, _); (gc_after, reg) ] ->
+      if stats_wanted () then emit_stats "fig17.prism" reg;
+      Report.table
+        ~title:
+          (Printf.sprintf "ops per 1ms window (GC passes during run: %d)"
+             (gc_after - gc_before))
+        ~columns:[ "t (ms)"; "kops/s" ]
+        (Metric.Timeline.windows (Stats.timeline reg "bench.throughput" ~interval:1e-3)
+        |> List.map (fun (t, count, _) ->
+               [
+                 Printf.sprintf "%.0f" (t *. 1e3);
+                 Printf.sprintf "%.0f" (float_of_int count /. 1e-3 /. 1e3);
+               ]))
+  | _ -> assert false
 
 (* ---------------------------------------------------------------- *)
-(* Ablations (§7.6 "impact of individual techniques")                 *)
+(* Prism variants: the ablation (§7.6 "impact of individual           *)
+(* techniques"), Key Index independence (§4.1/§6: "Prism can replace  *)
+(* it with any other range index") and emerging media (§8)            *)
 (* ---------------------------------------------------------------- *)
+
+(* One fresh Prism per (name, config tweak) variant, quiesced after each
+   of [mixes] and then observed by [reads]; a table row per variant. *)
+let variant_table ~title ~columns ?(reads = []) ?(extra = fun _ -> []) ~mixes
+    tweaks =
+  let outcome =
+    farm (List.map fst tweaks) (fun name ->
+        cell name !scenario
+          (prism ~tweak:(List.assoc name tweaks))
+          (quiesced mixes @ List.map (fun f -> Runner.Read f) reads))
+  in
+  Report.table ~title ~columns
+    (List.map
+       (fun (name, _) ->
+         let o = outcome name in
+         progress "%s" name;
+         kops_row name o @ extra o.Runner.reads)
+       tweaks)
 
 let ablation () =
-  let s = !scenario in
   Report.section "Ablation: impact of individual techniques (§7.6)";
-  let variants =
+  let tweaks =
     [
       ("full Prism", Fun.id);
       ( "TA instead of TC",
@@ -733,41 +669,27 @@ let ablation () =
         fun cfg -> { cfg with Prism_core.Config.async_reclaim = false } );
     ]
   in
-  Report.table ~title:"Throughput (kops/s)"
+  variant_table ~title:"Throughput (kops/s)"
     ~columns:[ "Variant"; "LOAD"; "A"; "C"; "E" ]
-    (prism_variant_rows ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] s
-       variants)
-
-(* ---------------------------------------------------------------- *)
-(* Key Index independence (§4.1/§6: "Prism can replace it with any
-   other range index")                                                 *)
-(* ---------------------------------------------------------------- *)
+    ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] tweaks
 
 let index_exp () =
-  let s = !scenario in
   Report.section "Key Index independence: B+-tree vs Adaptive Radix Tree";
-  let rows =
-    prism_variant_rows ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] s
-      ~extra:(fun store ->
-        [
-          Printf.sprintf "%.1f MB"
-            (float_of_int (Prism_core.Store.nvm_index_bytes store) /. 1048576.0);
-        ])
-      (List.map
-         (fun (name, impl) ->
-           (name, fun cfg -> { cfg with Prism_core.Config.key_index = impl }))
-         [ ("B+-tree", `Btree); ("ART", `Art) ])
+  let tweaks =
+    List.map
+      (fun (name, impl) ->
+        (name, fun cfg -> { cfg with Prism_core.Config.key_index = impl }))
+      [ ("B+-tree", `Btree); ("ART", `Art) ]
   in
-  Report.table ~title:"Throughput (kops/s) and index NVM footprint"
+  variant_table ~title:"Throughput (kops/s) and index NVM footprint"
     ~columns:[ "Index"; "LOAD"; "A"; "C"; "E"; "NVM footprint" ]
-    rows
-
-(* ---------------------------------------------------------------- *)
-(* Discussion (§8): emerging media — CXL persistent memory            *)
-(* ---------------------------------------------------------------- *)
+    ~extra:
+      (List.map (fun bytes ->
+           Printf.sprintf "%.1f MB" (float_of_int bytes /. 1048576.0)))
+    ~reads:[ index_bytes ]
+    ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c; Ycsb.ycsb_e ] tweaks
 
 let discussion () =
-  let s = !scenario in
   Report.section
     "Discussion (§8): Prism on emerging media (buffer device swapped)";
   let media =
@@ -784,13 +706,15 @@ let discussion () =
         } );
     ]
   in
-  Report.table ~title:"Prism throughput with different buffer media (kops/s)"
+  let tweaks =
+    List.map
+      (fun (name, spec) ->
+        (name, fun cfg -> { cfg with Prism_core.Config.nvm_spec = spec }))
+      media
+  in
+  variant_table ~title:"Prism throughput with different buffer media (kops/s)"
     ~columns:[ "Buffer medium"; "LOAD"; "A"; "C" ]
-    (prism_variant_rows ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c ] s
-       (List.map
-          (fun (name, spec) ->
-            (name, fun cfg -> { cfg with Prism_core.Config.nvm_spec = spec }))
-          media))
+    ~mixes:[ Ycsb.ycsb_a; Ycsb.ycsb_c ] tweaks
 
 (* ---------------------------------------------------------------- *)
 (* NVM space (§7.6)                                                   *)
@@ -799,10 +723,8 @@ let discussion () =
 let nvmspace () =
   let s = !scenario in
   Report.section "NVM space: Key Index + HSIT footprint (§7.6)";
-  let e = Engine.create () in
-  let kv, store = Setup.prism e s in
-  ignore (Runner.load e kv s);
-  let bytes = Prism_core.Store.nvm_index_bytes store in
+  let outcome = farm [ () ] (fun () -> cell "Prism" s prism [ Runner.Read index_bytes ]) in
+  let bytes = List.hd (outcome ()).Runner.reads in
   let per_key = float_of_int bytes /. float_of_int s.Setup.records in
   Report.table ~title:""
     ~columns:[ "Keys"; "Index+HSIT bytes"; "Bytes/key"; "Paper (100M keys)" ]
@@ -822,32 +744,38 @@ let nvmspace () =
 let recovery () =
   let s = !scenario in
   Report.section "Recovery time after crash (§7.6)";
-  (* Prism: load, crash, measure recover. *)
-  let e = Engine.create () in
-  let kv, store = Setup.prism e s in
-  ignore (Runner.load e kv s);
-  Engine.clear_pending e;
-  Prism_core.Store.crash store;
-  let t0 = ref nan and t1 = ref nan and recovered = ref 0 in
-  Engine.spawn e (fun () ->
-      t0 := Engine.now e;
-      recovered := Prism_core.Store.recover store;
-      t1 := Engine.now e);
-  ignore (Engine.run e);
-  let prism_time = !t1 -. !t0 in
-  (* KVell: load, measure its full-scan recovery. *)
-  let e = Engine.create () in
-  let kv = Setup.kvell e s in
-  ignore (Runner.load e kv s);
-  let kvell_time =
-    match Runner.recovery_time e kv with Some t -> t | None -> nan
+  (* Each store's read is (virtual recovery time, recovered keys). *)
+  let prism_crash p =
+    let e = p.Runner.engine and store = Option.get p.Runner.prism in
+    Engine.clear_pending e;
+    Prism_core.Store.crash store;
+    let t0 = Engine.now e and t1 = ref nan and recovered = ref 0 in
+    Engine.spawn e (fun () ->
+        recovered := Prism_core.Store.recover store;
+        t1 := Engine.now e);
+    ignore (Engine.run e);
+    (!t1 -. t0, !recovered)
+  in
+  (* KVell recovers by scanning its whole SSD slice. *)
+  let kvell_scan p =
+    ( Option.value ~default:nan (Runner.recovery_time p.Runner.engine p.Runner.kv),
+      s.Setup.records )
+  in
+  let stores =
+    [ ("Prism", (prism ?tweak:None, prism_crash)); ("KVell", (named "KVell", kvell_scan)) ]
+  in
+  let outcome =
+    farm (List.map fst stores) (fun name ->
+        let make, read = List.assoc name stores in
+        cell name s make [ Runner.Read read ])
   in
   Report.table ~title:""
     ~columns:[ "Store"; "Recovered keys"; "Virtual time (ms)" ]
-    [
-      [ "Prism"; string_of_int !recovered; Printf.sprintf "%.2f" (prism_time *. 1e3) ];
-      [ "KVell"; string_of_int s.Setup.records; Printf.sprintf "%.2f" (kvell_time *. 1e3) ];
-    ]
+    (List.map
+       (fun name ->
+         let time, keys = List.hd (outcome name).Runner.reads in
+         [ name; string_of_int keys; Printf.sprintf "%.2f" (time *. 1e3) ])
+       (List.map fst stores))
 
 (* ---------------------------------------------------------------- *)
 (* Driver                                                             *)
@@ -879,12 +807,6 @@ let experiments =
 let run_experiments names =
   let t0 = Unix.gettimeofday () in
   List.iter
-    (fun name ->
-      if not (List.mem_assoc name experiments) then
-        pf "warning: unknown experiment %S (available: %s)\n" name
-          (String.concat " " (List.map fst experiments)))
-    names;
-  List.iter
     (fun (name, f) ->
       if names = [] || List.mem name names then begin
         let t = Unix.gettimeofday () in
@@ -898,7 +820,14 @@ let run_experiments names =
 let () =
   let open Cmdliner in
   let exp =
-    Arg.(value & opt_all string [] & info [ "exp" ] ~doc:"Run one experiment (repeatable). Available: fig1 fig7 fig8 fig9 fig10a fig10b fig11 fig12 fig13 fig15 fig16 fig17 ablation nvmspace recovery")
+    let ids = List.map (fun (name, _) -> (name, name)) experiments in
+    Arg.(
+      value
+      & opt_all (enum ids) []
+      & info [ "exp" ] ~docv:"ID"
+          ~doc:
+            ("Run one experiment (repeatable; default all). $(docv) is "
+            ^ doc_alts_enum ids ^ "."))
   in
   let scale =
     Arg.(value & opt string "small" & info [ "scale" ] ~doc:"small or full")

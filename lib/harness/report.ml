@@ -35,5 +35,3 @@ let kops v =
   else Printf.sprintf "%.1fk" v
 
 let us v = Printf.sprintf "%.1f" v
-
-let ratio v = Printf.sprintf "%.2fx" v

@@ -5,12 +5,11 @@
     is left-aligned, the rest right-aligned. *)
 val table : title:string -> columns:string list -> string list list -> unit
 
-(** [throughput_cell kops] renders "12.3" (kops) or "1.23M" when large. *)
+(** [kops v] renders "12.3" (kops) or "1.23M" when large. *)
 val kops : float -> string
 
+(** [us v] renders a latency in microseconds with one decimal: "12.3". *)
 val us : float -> string
-
-val ratio : float -> string
 
 (** [section title] prints a figure/table heading. *)
 val section : string -> unit

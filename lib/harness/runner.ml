@@ -38,6 +38,10 @@ let parallel_phase engine ~threads body =
     failwith "Runner: phase did not complete (deadlock or missing stop)";
   !finished -. start
 
+let result kv workload ops elapsed latency =
+  let kops = float_of_int ops /. elapsed /. 1e3 in
+  { store = kv.Kv.name; workload; ops; elapsed; kops; latency }
+
 let load engine kv (s : Setup.scenario) =
   let { Setup.threads; records; value_size; seed; _ } = s in
   let rng = Rng.create seed in
@@ -57,14 +61,7 @@ let load engine kv (s : Setup.scenario) =
         done;
         if tid = 0 then kv.Kv.quiesce ())
   in
-  {
-    store = kv.Kv.name;
-    workload = "LOAD";
-    ops = records;
-    elapsed;
-    kops = float_of_int records /. elapsed /. 1e3;
-    latency;
-  }
+  result kv "LOAD" records elapsed latency
 
 let run ?timeline ?ops engine kv mix (s : Setup.scenario) =
   let { Setup.threads; records; theta; value_size; seed; _ } = s in
@@ -99,21 +96,57 @@ let run ?timeline ?ops engine kv mix (s : Setup.scenario) =
           | None -> ()
         done)
   in
-  let total = per_thread * threads in
-  {
-    store = kv.Kv.name;
-    workload = mix.Ycsb.name;
-    ops = total;
-    elapsed;
-    kops = float_of_int total /. elapsed /. 1e3;
-    latency;
-  }
+  result kv mix.Ycsb.name (per_thread * threads) elapsed latency
+
+type probe = {
+  engine : Engine.t;
+  kv : Kv.t;
+  prism : Prism_core.Store.t option;
+}
+
+type 'a phase =
+  | Run of Ycsb.mix
+  | Run_timeline of string * Ycsb.mix
+  | Quiesce
+  | Read of (probe -> 'a)
+
+type 'a cell = {
+  label : string;
+  scenario : Setup.scenario;
+  make : Engine.t -> Setup.scenario -> Kv.t * Prism_core.Store.t option;
+  phases : 'a phase list;
+}
+
+type 'a outcome = { load : result; results : result list; reads : 'a list }
+
+let run_cell { label; scenario = s; make; phases } =
+  let engine = Engine.create () in
+  let kv, prism = make engine s in
+  let kv = Kv.instrument engine kv in
+  let probe = { engine; kv; prism } in
+  let results = ref [] and reads = ref [] in
+  let step = function
+    | Run mix -> results := run engine kv mix s :: !results
+    | Run_timeline (name, mix) ->
+        let timeline = Stats.timeline (Engine.stats engine) name ~interval:1e-3 in
+        results := run ~timeline engine kv mix s :: !results
+    | Quiesce ->
+        Engine.spawn engine (fun () -> kv.Kv.quiesce ());
+        ignore (Engine.run engine)
+    | Read f -> reads := f probe :: !reads
+  in
+  try
+    let loaded = load engine kv s in
+    List.iter step phases;
+    { load = loaded; results = List.rev !results; reads = List.rev !reads }
+  with Failure msg -> failwith (label ^ ": " ^ msg)
 
 let calibrate ?ops make mix s =
-  let engine = Engine.create () in
-  let kv = Kv.instrument engine (make engine) in
-  ignore (load engine kv s);
-  run ?ops engine kv mix s
+  let scenario =
+    match ops with None -> s | Some n -> { s with Setup.ops = n; scan_ops = n }
+  in
+  let make e _ = (make e, None) in
+  List.hd (run_cell { label = mix.Ycsb.name; scenario; make; phases = [ Run mix ] }).results
 
 let recovery_time engine kv =
   match kv.Kv.recover with

@@ -43,11 +43,47 @@ val run :
   Setup.scenario ->
   result
 
-(** [calibrate make mix s] measures a store's closed-loop capacity: a
-    fresh engine, the store [make] builds on it (instrumented), {!load},
-    then {!run} of [mix] ([ops] as in {!run}). Open-loop drivers scale
-    offered load to the result's [kops]. Deterministic, so whatever is
-    derived from it stays a pure function of the seed. *)
+(** {1 Cells}
+
+    A cell is one whole simulation declared as data: a fresh engine, the
+    store [make] builds on it, {!load}, then [phases] in order. Cells
+    share nothing, so a set of them can be farmed across domains. *)
+
+(** What a [Read] sees: the engine, the instrumented store and, when
+    [make] returned it, the Prism store behind it. *)
+type probe = {
+  engine : Prism_sim.Engine.t;
+  kv : Kv.t;
+  prism : Prism_core.Store.t option;
+}
+
+type 'a phase =
+  | Run of Prism_workload.Ycsb.mix  (** {!run}; adds a result *)
+  | Run_timeline of string * Prism_workload.Ycsb.mix
+      (** [Run], ticking the registry's 1 ms timeline [name] per op *)
+  | Quiesce  (** the store's quiesce hook, on a simulation process *)
+  | Read of (probe -> 'a)  (** observe or act; adds a reading *)
+
+type 'a cell = {
+  label : string;  (** names the cell in failures *)
+  scenario : Setup.scenario;
+  make :
+    Prism_sim.Engine.t -> Setup.scenario -> Kv.t * Prism_core.Store.t option;
+  phases : 'a phase list;
+}
+
+(** [results] and [reads] come in phase order. *)
+type 'a outcome = { load : result; results : result list; reads : 'a list }
+
+(** [run_cell c] runs [c] on an instrumented store ({!Kv.instrument}). A
+    [Failure] is re-raised prefixed with [c.label]. *)
+val run_cell : 'a cell -> 'a outcome
+
+(** [calibrate make mix s] measures a store's closed-loop capacity: the
+    one-phase cell [[Run mix]] over the store [make] builds, with [ops]
+    (when given) replacing both [s.ops] and [s.scan_ops]. Open-loop
+    drivers scale offered load to the result's [kops]. Deterministic,
+    so whatever is derived from it stays a pure function of the seed. *)
 val calibrate :
   ?ops:int ->
   (Prism_sim.Engine.t -> Kv.t) ->

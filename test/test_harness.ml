@@ -271,6 +271,70 @@ let test_golden_phases () =
          string_of_int (Engine.events_executed e);
        ])
 
+(* A cell is the hand-built LOAD/run/quiesce sequence it replaces: the
+   same results and the same number of engine events, with and without a
+   quiesce between the two mixes. Farmed cells merge by position, so two
+   lanes give what one does. *)
+let show_result (r : Runner.result) =
+  Printf.sprintf "%s/%s ops=%d elapsed=%h p50=%h p99=%h n=%d" r.Runner.store
+    r.Runner.workload r.Runner.ops r.Runner.elapsed
+    (Hist.quantile r.Runner.latency 50.0)
+    (Hist.quantile r.Runner.latency 99.0)
+    (Hist.count r.Runner.latency)
+
+let two_mix_cell ~quiesce =
+  let open Prism_workload in
+  {
+    Runner.label = "two mixes";
+    scenario = tiny;
+    make = (fun e s -> (Setup.of_name "prism" s e, None));
+    phases =
+      (Runner.Run Ycsb.ycsb_a :: (if quiesce then [ Runner.Quiesce ] else []))
+      @ [ Runner.Run Ycsb.ycsb_c; Runner.Read (fun p -> Engine.events_executed p.engine) ];
+  }
+
+let show_outcome (o : int Runner.outcome) =
+  String.concat "\n"
+    (List.map show_result (o.Runner.load :: o.Runner.results)
+    @ List.map string_of_int o.Runner.reads)
+
+let test_cell_matches_hand_built () =
+  List.iter
+    (fun quiesce ->
+      let e = Engine.create () in
+      let kv = Kv.instrument e (Setup.of_name "prism" tiny e) in
+      let load = Runner.load e kv tiny in
+      let a = Runner.run e kv Prism_workload.Ycsb.ycsb_a tiny in
+      if quiesce then begin
+        Engine.spawn e (fun () -> kv.Kv.quiesce ());
+        ignore (Engine.run e)
+      end;
+      let c = Runner.run e kv Prism_workload.Ycsb.ycsb_c tiny in
+      let hand =
+        String.concat "\n"
+          (List.map show_result [ load; a; c ]
+          @ [ string_of_int (Engine.events_executed e) ])
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "quiesce=%b" quiesce)
+        hand
+        (show_outcome (Runner.run_cell (two_mix_cell ~quiesce))))
+    [ false; true ]
+
+let test_cells_farm_deterministically () =
+  let cells =
+    [|
+      two_mix_cell ~quiesce:false;
+      two_mix_cell ~quiesce:true;
+      { (two_mix_cell ~quiesce:true) with scenario = { tiny with seed = 7L } };
+    |]
+  in
+  let farm jobs =
+    Prism_fleet.Fleet.farm ~jobs (Array.length cells) (fun i ->
+        show_outcome (Runner.run_cell cells.(i)))
+  in
+  Alcotest.(check (array string)) "jobs 1 = jobs 2" (farm 1) (farm 2)
+
 (* The shared command-line terms, parsed from explicit argv vectors. *)
 let parse term args =
   let open Cmdliner in
@@ -317,8 +381,7 @@ let test_report_table_renders () =
   Report.table ~title:"t" ~columns:[ "a"; "b" ]
     [ [ "x"; "1" ]; [ "yy"; "22" ] ];
   Alcotest.(check string) "kops formatting" "1.50M" (Report.kops 1500.0);
-  Alcotest.(check string) "kops small" "12.3k" (Report.kops 12.3);
-  Alcotest.(check string) "ratio" "2.00x" (Report.ratio 2.0)
+  Alcotest.(check string) "kops small" "12.3k" (Report.kops 12.3)
 
 let () =
   Alcotest.run "harness"
@@ -343,6 +406,8 @@ let () =
           case "instrumentation inert (prism)" test_instrumentation_inert_prism;
           case "instrumentation inert (lsm)" test_instrumentation_inert_lsm;
           case "golden phases" test_golden_phases;
+          case "cell = hand-built phases" test_cell_matches_hand_built;
+          case "cells farm deterministically" test_cells_farm_deterministically;
         ] );
       ( "telemetry",
         [
