@@ -86,7 +86,7 @@ let prism ?tweak e s =
   let kv, store = Setup.prism ?tweak e s in
   (kv, Some store)
 
-(* The YCSB suite's phases: each mix, then a quiesce. *)
+(* Each mix then a quiesce, so the next mix starts from a drained store. *)
 let quiesced mixes = List.concat_map (fun mix -> [ Runner.Run mix; Runner.Quiesce ]) mixes
 
 let registry p = Engine.stats p.Runner.engine
@@ -98,8 +98,9 @@ let ssd_written p =
 
 let index_bytes p = Prism_core.Store.nvm_index_bytes (Option.get p.Runner.prism)
 
-(* [farm keys cell] runs [cell k] for every key on the fleet and returns
-   the lookup from a key to its outcome. *)
+(* [farm keys cell] runs [cell k] for every (distinct) key on the fleet
+   and returns the lookup from a key to its outcome. Outcomes merge by
+   position, never by completion order. *)
 let farm keys cell =
   let cells = Array.of_list (List.map cell keys) in
   let outcomes =
