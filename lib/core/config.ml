@@ -17,7 +17,6 @@ type t = {
   nvm_size : int;
   nvm_spec : Prism_device.Spec.t;
   ssd_spec : Prism_device.Spec.t;
-  dram_spec : Prism_device.Spec.t;
   cost : Prism_device.Cost.t;
   use_thread_combining : bool;
   ta_timeout : float;
@@ -56,7 +55,6 @@ let default =
     nvm_size = 32 * mib;
     nvm_spec = Prism_device.Spec.optane_dcpmm;
     ssd_spec = Prism_device.Spec.samsung_980_pro;
-    dram_spec = Prism_device.Spec.dram;
     cost = Prism_device.Cost.default;
     use_thread_combining = true;
     ta_timeout = 100e-6;

@@ -31,7 +31,6 @@ type t = {
   nvm_size : int;  (** total simulated NVM bytes (index + HSIT + PWBs) *)
   nvm_spec : Prism_device.Spec.t;
   ssd_spec : Prism_device.Spec.t;
-  dram_spec : Prism_device.Spec.t;
   cost : Prism_device.Cost.t;
   (* Feature toggles for ablations (§7.6). *)
   use_thread_combining : bool;

@@ -462,21 +462,6 @@ let create engine cfg =
   register_telemetry t;
   t
 
-let pp_stats fmt t =
-  let st = stats t in
-  let reads = st.svc_hits + st.pwb_hits + st.vs_reads in
-  let pct part =
-    if reads = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int reads
-  in
-  let migrated, superseded = reclaim_stats t in
-  Format.fprintf fmt
-    "@[<v>ops: %d puts, %d gets, %d deletes, %d scans@,\
-     reads served: %.0f%% DRAM cache, %.0f%% NVM write buffer, %.0f%% SSD@,\
-     reclamation: %d values migrated, %d superseded versions skipped@,\
-     value-storage GC passes: %d; mean read batch: %.1f@]"
-    st.puts st.gets st.deletes st.scans (pct st.svc_hits) (pct st.pwb_hits)
-    (pct st.vs_reads) migrated superseded (gc_runs t) (mean_read_batch t)
-
 let read_vs t ~vs entry =
   match t.read_paths.(vs) with
   | Tc tcq -> Tcq.read tcq entry

@@ -27,10 +27,6 @@ type stats = {
   misses : int;
 }
 
-(** Render an operation-statistics summary (hit breakdown, reclamation
-    and GC counters). *)
-val pp_stats : Format.formatter -> t -> unit
-
 (** [create engine config] builds a store and spawns its background
     processes. *)
 val create : Prism_sim.Engine.t -> Config.t -> t
@@ -80,9 +76,6 @@ val reclaim_stats : t -> int * int
     a migration holds a value in both its old and its new home; a check
     of the store at rest waits for this to turn false. *)
 val reclaiming : t -> bool
-
-(** Mean read batch size achieved by the read path so far (Figure 11). *)
-val mean_read_batch : t -> float
 
 (** The Scan-aware Value Cache, when enabled (cache-level statistics). *)
 val svc : t -> Svc.t option

@@ -154,9 +154,6 @@ let release_chunk t c =
 
 let padded len = header_size + Prism_sim.Bits.round_up len header_size
 
-let chunk_payload_capacity t ~values =
-  t.chunk_size - (header_size * (values + 1)) - (header_size * values)
-
 let write_into_chunk ?io_counter t chunk values =
   (match values with
   | [] -> invalid_arg "Value_storage.write_chunk: empty"
@@ -216,8 +213,8 @@ let write_into_chunk ?io_counter t chunk values =
   | [ ivar ] -> (chunk, meta.gen, ivar)
   | _ -> assert false
 
-let write_chunk ?(gc = false) ?io_counter t values =
-  let chunk = alloc_chunk t ~reserve:(if gc then 0 else 1) in
+let write_chunk ?io_counter t values =
+  let chunk = alloc_chunk t ~reserve:1 in
   write_into_chunk ?io_counter t chunk values
 
 let seal t ~chunk =

@@ -62,13 +62,13 @@ val gc_runs : t -> int
 val chunk_gen : t -> chunk:int -> int
 
 (** [write_chunk t values] allocates a free chunk (blocking while none is
-    available; [gc:true] may dip into the reserve), assembles the records,
+    available, and never taking the one chunk reserved for GC), assembles
+    the records,
     and submits one asynchronous chunk-sized write. Returns [(chunk, gen,
     completion)] where slot [i] corresponds to [List.nth values i]. Slots
     start invalid; the caller marks them valid once it has repointed HSIT
     (§5.2). Values must fit in one chunk. *)
 val write_chunk :
-  ?gc:bool ->
   ?io_counter:Prism_sim.Metric.Counter.t ->
   t ->
   (int * bytes) list ->
@@ -79,9 +79,6 @@ val write_chunk :
     considers sealed chunks, so an in-publication chunk can never be
     recycled out from under its writer. *)
 val seal : t -> chunk:int -> unit
-
-(** Maximum payload bytes a single chunk can hold for [n] values. *)
-val chunk_payload_capacity : t -> values:int -> int
 
 (** [slot_backptr t ~gen ~chunk ~slot] is the embedded backward pointer,
     or [None] when the generation is stale or the slot unknown. *)
