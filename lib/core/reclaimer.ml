@@ -52,59 +52,31 @@ let reclaimed_values t = Metric.Counter.value t.reclaimed
 
 let skipped_dead t = Metric.Counter.value t.dead
 
-(* Prism randomly picks one of the idle Value Storages (no in-flight
-   requests); if all are busy, any random one (§5.2). *)
-let pick_storage t =
-  let idle =
-    Array.to_list t.storages |> List.filter Value_storage.is_idle
-  in
-  match idle with
-  | [] -> t.storages.(Rng.int t.rng (Array.length t.storages))
-  | idle -> List.nth idle (Rng.int t.rng (List.length idle))
+let repoint t ~hsit_id ~from_ ~to_ =
+  Hsit.update_primary t.hsit hsit_id ~expect:from_ to_
 
 (* Write one batch of live values to a chunk and repoint their HSIT
-   entries; values whose entry moved on while the chunk was in flight stay
-   invalid in the bitmap (they are garbage in the new chunk). *)
+   entries (values superseded meanwhile stay garbage in the chunk). *)
 let flush_batch t batch =
   match List.rev batch with
   | [] -> ()
   | values ->
-      let vs = pick_storage t in
-      let chunk, gen, done_ =
-        Value_storage.write_chunk vs
-          (List.map (fun (hsit_id, payload, _) -> (hsit_id, payload)) values)
-      in
-      ignore (Sync.Ivar.read done_);
-      List.iteri
-        (fun slot (hsit_id, _, voff) ->
-          let from_ =
-            Location.In_pwb { thread = Pwb.thread t.pwb; voff }
-          in
-          let to_ =
-            Location.In_vs { vs = Value_storage.id vs; gen; chunk; slot }
-          in
-          if Hsit.update_primary t.hsit hsit_id ~expect:from_ to_ then begin
-            Value_storage.set_valid vs ~gen ~chunk ~slot true;
-            Metric.Counter.incr t.reclaimed
-          end)
-        values;
-      Value_storage.seal vs ~chunk;
+      let vs = Value_storage.pick t.rng t.storages in
+      Value_storage.install vs values ~repoint:(repoint t)
+        ~moved:(fun ~from_:_ ~value:_ -> Metric.Counter.incr t.reclaimed);
       Value_storage.poke_gc vs
 
 (* Hot value found during the ring scan: copy it straight into the NVM
    tier instead of batching it toward SSD. Returns [true] when the record
    is fully handled (promoted, or superseded while we copied). [false]
    falls back to the SSD batch (cold, or the tier is full). *)
-let try_promote_fresh t tg ~hsit_id ~payload ~voff =
+let try_promote_fresh t tg ~hsit_id ~payload ~from_ =
   match Placement.fresh_tier tg.placement ~hsit_id with
   | `Ssd -> false
   | `Nvm -> (
       match Nvm_tier.append tg.tier ~hsit_id ~value:payload with
       | None -> false
       | Some noff ->
-          let from_ =
-            Location.In_pwb { thread = Pwb.thread t.pwb; voff }
-          in
           if
             Hsit.update_primary t.hsit hsit_id ~expect:from_
               (Location.In_nvm { noff })
@@ -141,35 +113,22 @@ let demote_pass t tg budget =
         else
           match Nvm_tier.read tg.tier ~noff ~expect:hsit_id with
           | None -> (batch, bytes)
-          | Some payload -> ((hsit_id, payload, noff) :: batch, bytes + extent))
+          | Some payload ->
+              ( (hsit_id, payload, Location.In_nvm { noff }) :: batch,
+                bytes + extent ))
       ([], 0) cold
   in
   match List.rev batch with
   | [] -> ()
   | values ->
-      let vs = pick_storage t in
-      let chunk, gen, done_ =
-        Value_storage.write_chunk ~io_counter:tg.migration_bytes vs
-          (List.map (fun (hsit_id, payload, _) -> (hsit_id, payload)) values)
-      in
-      ignore (Sync.Ivar.read done_);
-      List.iteri
-        (fun slot (hsit_id, payload, noff) ->
-          let to_ =
-            Location.In_vs { vs = Value_storage.id vs; gen; chunk; slot }
-          in
-          if
-            Hsit.update_primary t.hsit hsit_id
-              ~expect:(Location.In_nvm { noff })
-              to_
-          then begin
-            Value_storage.set_valid vs ~gen ~chunk ~slot true;
-            Nvm_tier.free tg.tier ~noff;
-            Metric.Counter.incr tg.demotions;
-            budget := !budget - Nvm_tier.record_extent ~len:(Bytes.length payload)
-          end)
-        values;
-      Value_storage.seal vs ~chunk;
+      let vs = Value_storage.pick t.rng t.storages in
+      Value_storage.install ~io_counter:tg.migration_bytes vs values
+        ~repoint:(repoint t) ~moved:(fun ~from_ ~value ->
+          (match from_ with
+          | Location.In_nvm { noff } -> Nvm_tier.free tg.tier ~noff
+          | Location.Nowhere | Location.In_pwb _ | Location.In_vs _ -> ());
+          Metric.Counter.incr tg.demotions;
+          budget := !budget - Nvm_tier.record_extent ~len:(Bytes.length value));
       Value_storage.poke_gc vs
 
 (* Promote read-hot values the policy queued: copy them out of Value
@@ -255,12 +214,12 @@ let reclaim_now t =
                     match t.tiering with
                     | None -> false
                     | Some tg ->
-                        try_promote_fresh t tg ~hsit_id ~payload ~voff
+                        try_promote_fresh t tg ~hsit_id ~payload ~from_:here
                   in
                   if promoted then scan next batch batch_bytes
                   else
                     scan next
-                      ((hsit_id, payload, voff) :: batch)
+                      ((hsit_id, payload, here) :: batch)
                       (batch_bytes + record_bytes)
                 end
               end

@@ -144,6 +144,19 @@ let charge_index t =
       +. t.cfg.Config.cost.Cost.fence)
   end
 
+let invalidate_old t old =
+  match old with
+  | Location.In_vs { vs; gen; chunk; slot } ->
+      Value_storage.set_valid t.vss.(vs) ~gen ~chunk ~slot false
+  | Location.In_nvm { noff } -> (
+      match t.tier with
+      | Some tier -> Nvm_tier.free tier ~noff
+      | None -> ())
+  | Location.Nowhere | Location.In_pwb _ -> ()
+
+let repoint t ~hsit_id ~from_ ~to_ =
+  Hsit.update_primary t.hsit hsit_id ~expect:from_ to_
+
 let reorganize_members t members =
   (* Sort-on-evict write-back (§4.4): rewrite a scan chain contiguously
      into Value Storage. Members arrive sorted by key. *)
@@ -152,38 +165,12 @@ let reorganize_members t members =
     match List.rev batch with
     | [] -> ()
     | batch ->
-        let vs =
-          let idle =
-            Array.to_list t.vss |> List.filter Value_storage.is_idle
-          in
-          match idle with
-          | [] -> t.vss.(Rng.int t.rng (Array.length t.vss))
-          | idle -> List.nth idle (Rng.int t.rng (List.length idle))
-        in
-        let chunk, gen, done_ =
-          Value_storage.write_chunk vs
-            (List.map (fun m -> (m.Svc.hsit_id, m.Svc.value)) batch)
-        in
-        ignore (Sync.Ivar.read done_);
-        List.iteri
-          (fun slot m ->
-            let to_ =
-              Location.In_vs { vs = Value_storage.id vs; gen; chunk; slot }
-            in
-            if
-              Hsit.update_primary t.hsit m.Svc.hsit_id
-                ~expect:m.Svc.cached_from to_
-            then begin
-              Value_storage.set_valid vs ~gen ~chunk ~slot true;
-              match m.Svc.cached_from with
-              | Location.In_vs { vs = old_vs; gen; chunk; slot } ->
-                  Value_storage.set_valid t.vss.(old_vs) ~gen ~chunk ~slot
-                    false
-              (* Tier-resident values are never admitted to the SVC. *)
-              | Location.Nowhere | Location.In_pwb _ | Location.In_nvm _ -> ()
-            end)
-          batch;
-        Value_storage.seal vs ~chunk;
+        let vs = Value_storage.pick t.rng t.vss in
+        Value_storage.install vs
+          (List.map
+             (fun m -> (m.Svc.hsit_id, m.Svc.value, m.Svc.cached_from))
+             batch)
+          ~repoint:(repoint t) ~moved:(fun ~from_ ~value:_ -> invalidate_old t from_);
         Value_storage.poke_gc vs
   in
   let rec batch_up acc acc_bytes = function
@@ -454,11 +441,7 @@ let create engine cfg =
   (match (svc, cfg.Config.scan_reorganize) with
   | Some svc, true -> Svc.set_reorganize svc (reorganize_members t)
   | Some _, false | None, _ -> ());
-  Array.iter
-    (fun vs ->
-      Value_storage.start_gc vs ~relocate:(fun ~hsit_id ~from_ ~to_ ->
-          Hsit.update_primary hsit hsit_id ~expect:from_ to_))
-    vss;
+  Array.iter (fun vs -> Value_storage.start_gc vs ~relocate:(repoint t)) vss;
   register_telemetry t;
   t
 
@@ -473,16 +456,6 @@ let read_vs_many t ~vs entries =
   | Ta ta -> Ta_batcher.read_many ta entries
 
 (* ---- write path (§5.4, §5.5) ---- *)
-
-let invalidate_old t old =
-  match old with
-  | Location.In_vs { vs; gen; chunk; slot } ->
-      Value_storage.set_valid t.vss.(vs) ~gen ~chunk ~slot false
-  | Location.In_nvm { noff } -> (
-      match t.tier with
-      | Some tier -> Nvm_tier.free tier ~noff
-      | None -> ())
-  | Location.Nowhere | Location.In_pwb _ -> ()
 
 let put t ~tid key value =
   if Bytes.length value = 0 then invalid_arg "Store.put: empty value";
@@ -559,13 +532,63 @@ let delete t ~tid key =
 
 (* ---- read path (§4.4, §5.3) ---- *)
 
-let try_svc t ~id =
-  match t.svc with
-  | None -> None
-  | Some svc -> (
-      match Hsit.read_svc t.hsit id with
-      | None -> None
-      | Some idx -> Svc.lookup svc ~idx ~hsit_id:id)
+(* [Hit]: served by the SVC, a PWB or the NVM tier. [On_ssd]: the caller
+   reads the Value Storage slot, which the HSIT named as [loc] (the SVC
+   admission's [cached_from]). [Moved]: the value moved while we
+   followed its pointer; a point read retries. *)
+type resolved =
+  | Hit of bytes
+  | On_ssd of { vs : int; gen : int; chunk : int; slot : int; loc : Location.t }
+  | Moved
+  | Absent
+
+(* The reader side of §5.4: follow the HSIT entry of [id] to the one home
+   of its value, bumping the hit counter of the home that served it. SSD
+   reads are left to the caller, which may batch them. [skip_pwb] is the
+   [fault_scan_skip_pwb] injection: the write buffer looks empty. *)
+let resolve t ~skip_pwb ~id =
+  let cached =
+    match t.svc with
+    | None -> None
+    | Some svc -> (
+        match Hsit.read_svc t.hsit id with
+        | None -> None
+        | Some idx -> Svc.lookup svc ~idx ~hsit_id:id)
+  in
+  match cached with
+  | Some value ->
+      Metric.Counter.incr t.ctr.c_svc_hits;
+      Hit value
+  | None -> (
+      let loc = Hsit.read_primary t.hsit id in
+      match loc with
+      | Location.Nowhere -> Absent
+      | Location.In_pwb _ when skip_pwb -> Moved
+      | Location.In_pwb { thread; voff } ->
+          if voff < Pwb.head t.pwbs.(thread) then Moved
+          else begin
+            let bid, payload = Pwb.read t.pwbs.(thread) ~voff in
+            if bid <> id then Moved
+            else begin
+              Metric.Counter.incr t.ctr.c_pwb_hits;
+              Hit payload
+            end
+          end
+      | Location.In_nvm { noff } -> (
+          (* A failed ownership check means a demotion or overwrite moved
+             the value. *)
+          match t.tier with
+          | None -> Moved
+          | Some tier -> (
+              match Nvm_tier.read tier ~noff ~expect:id with
+              | None -> Moved
+              | Some value ->
+                  Metric.Counter.incr t.ctr.c_tier_hits;
+                  Hit value))
+      | Location.In_vs { vs; gen; chunk; slot } -> (
+          match Value_storage.slot_backptr t.vss.(vs) ~gen ~chunk ~slot with
+          | Some bp when bp = id -> On_ssd { vs; gen; chunk; slot; loc }
+          | Some _ | None -> Moved))
 
 let admit_to_svc t ~id ~key ~value ~loc =
   match t.svc with
@@ -584,93 +607,59 @@ let admit_to_svc t ~id ~key ~value ~loc =
             None
           end)
 
+let livelock t ~id ~key =
+  let detail =
+    match Hsit.read_primary t.hsit id with
+    | Location.In_pwb { thread; voff } ->
+        Printf.sprintf "pwb[%d]@%d head=%d tail=%d" thread voff
+          (Pwb.head t.pwbs.(thread))
+          (Pwb.tail t.pwbs.(thread))
+    | Location.In_vs { vs; gen; chunk; slot } ->
+        Printf.sprintf "vs[%d]chunk%d gen%d (cur gen%d) slot%d free=%d" vs
+          chunk gen
+          (Value_storage.chunk_gen t.vss.(vs) ~chunk)
+          slot
+          (Value_storage.free_chunks t.vss.(vs))
+    | Location.In_nvm { noff } ->
+        Printf.sprintf "nvm@%d owner=%s" noff
+          (match t.tier with
+          | None -> "no-tier"
+          | Some tier -> (
+              match Nvm_tier.owner tier ~noff with
+              | None -> "free"
+              | Some o -> string_of_int o))
+    | Location.Nowhere -> "nowhere"
+  in
+  failwith
+    (Printf.sprintf "Store.get livelock: key=%s id=%d loc=%s" key id detail)
+
 let rec get_resolved ?(attempt = 0) t ~tid ~id ~key =
-  if attempt > 1000 then begin
-    let loc = Hsit.read_primary t.hsit id in
-    let detail =
-      match loc with
-      | Location.In_pwb { thread; voff } ->
-          Printf.sprintf "pwb[%d]@%d head=%d tail=%d" thread voff
-            (Pwb.head t.pwbs.(thread))
-            (Pwb.tail t.pwbs.(thread))
-      | Location.In_vs { vs; gen; chunk; slot } ->
-          Printf.sprintf "vs[%d]chunk%d gen%d (cur gen%d) slot%d free=%d" vs
-            chunk gen
-            (Value_storage.chunk_gen t.vss.(vs) ~chunk)
-            slot
-            (Value_storage.free_chunks t.vss.(vs))
-      | Location.In_nvm { noff } ->
-          Printf.sprintf "nvm@%d owner=%s" noff
-            (match t.tier with
-            | None -> "no-tier"
-            | Some tier -> (
-                match Nvm_tier.owner tier ~noff with
-                | None -> "free"
-                | Some o -> string_of_int o))
-      | Location.Nowhere -> "nowhere"
-    in
-    failwith
-      (Printf.sprintf "Store.get livelock: key=%s id=%d loc=%s" key id detail)
-  end;
+  if attempt > 1000 then livelock t ~id ~key;
   let retry () = get_resolved ~attempt:(attempt + 1) t ~tid ~id ~key in
-  match try_svc t ~id with
-  | Some value ->
-      Metric.Counter.incr t.ctr.c_svc_hits;
+  match resolve t ~skip_pwb:false ~id with
+  | Absent -> None
+  | Moved -> retry ()
+  | Hit value ->
       Placement.touch t.placement id;
       Some value
-  | None -> (
-      let loc = Hsit.read_primary t.hsit id in
-      match loc with
-      | Location.Nowhere -> None
-      | Location.In_pwb { thread; voff } ->
-          if voff < Pwb.head t.pwbs.(thread) then
-            (* Reclaimed while we were looking; retry. *)
-            retry ()
-          else begin
-            let bid, payload = Pwb.read t.pwbs.(thread) ~voff in
-            if bid <> id then retry ()
-            else begin
-              Metric.Counter.incr t.ctr.c_pwb_hits;
-              Placement.touch t.placement id;
-              Some payload
-            end
-          end
-      | Location.In_nvm { noff } -> (
-          match t.tier with
-          | None -> retry ()
-          | Some tier -> (
-              (* Follow cross-tier relocations exactly like the other
-                 arms: a failed ownership check means a demotion or
-                 overwrite moved the value — re-resolve from the HSIT. *)
-              match Nvm_tier.read tier ~noff ~expect:id with
-              | None -> retry ()
-              | Some value ->
-                  Metric.Counter.incr t.ctr.c_tier_hits;
-                  Placement.touch t.placement id;
-                  Some value))
-      | Location.In_vs { vs; gen; chunk; slot } -> (
-          match Value_storage.slot_backptr t.vss.(vs) ~gen ~chunk ~slot with
-          | Some bp when bp = id -> (
-              let cell = ref None in
-              match
-                Value_storage.read_entry t.vss.(vs) ~gen ~chunk ~slot ~cell
-              with
-              | None -> retry ()
-              | Some entry -> (
-                  read_vs t ~vs entry;
-                  Metric.Counter.incr t.ctr.c_vs_reads;
-                  match !cell with
-                  | None ->
-                      (* The chunk was recycled while the IO was in
-                         flight; retry from HSIT. *)
-                      retry ()
-                  | Some value ->
-                      ignore (admit_to_svc t ~id ~key ~value ~loc);
-                      (* SSD-served point read: bump heat and, once hot,
-                         queue the value for promotion into the tier. *)
-                      Placement.note_vs_read t.placement id;
-                      Some value))
-          | Some _ | None -> retry ()))
+  | On_ssd { vs; gen; chunk; slot; loc } -> (
+      let cell = ref None in
+      match Value_storage.read_entry t.vss.(vs) ~gen ~chunk ~slot ~cell with
+      | None -> retry ()
+      | Some entry -> (
+          read_vs t ~vs entry;
+          Metric.Counter.incr t.ctr.c_vs_reads;
+          match !cell with
+          | None ->
+              (* The chunk was recycled while the IO was in flight; retry
+                 from HSIT. *)
+              retry ()
+          | Some value ->
+              ignore (admit_to_svc t ~id ~key ~value ~loc);
+              (* SSD-served point read: bump heat and, once hot, queue the
+                 value for promotion into the tier. *)
+              Placement.note_vs_read t.placement id;
+              Some value))
 
 let get t ~tid key =
   Metric.Counter.incr t.ctr.c_gets;
@@ -690,12 +679,6 @@ let get t ~tid key =
 
 (* ---- scan (§4.4) ---- *)
 
-type scan_pending = {
-  sp_key : string;
-  sp_id : int;
-  sp_cell : bytes option ref;
-}
-
 let scan t ~tid key count =
   Metric.Counter.incr t.ctr.c_scans;
   match t.scan_stale_cache with
@@ -710,61 +693,22 @@ let scan t ~tid key count =
   Epoch.with_pinned t.epoch ~tid (fun () ->
       let bindings = t.index.ki_scan ~from:key ~count in
       charge_index t;
-      (* Resolve fast paths first and gather Value-Storage reads so they
-         can be coalesced into large batches per storage. *)
+      (* Resolve every binding, gathering its Value-Storage reads so they
+         can be coalesced into large batches per storage. Scans do not
+         bump the access clock: range reads would pollute the hot set the
+         CLOCK is meant to capture (the SVC owns scan locality, §4.4). *)
       let results = Array.make (List.length bindings) None in
       let pending = Array.make (Array.length t.vss) [] in
       List.iteri
-        (fun i (k, id) ->
-          match try_svc t ~id with
-          | Some value ->
-              Metric.Counter.incr t.ctr.c_svc_hits;
-              results.(i) <- Some (k, value)
-          | None -> (
-              let loc = Hsit.read_primary t.hsit id in
-              match loc with
-              | Location.Nowhere -> ()
-              | Location.In_pwb { thread; voff } ->
-                  (* [fault_scan_skip_pwb]: deliberate bug — pretend the
-                     freshest version in the write buffer is invisible to
-                     range reads. *)
-                  if
-                    (not t.cfg.Config.fault_scan_skip_pwb)
-                    && voff >= Pwb.head t.pwbs.(thread)
-                  then begin
-                    let bid, payload = Pwb.read t.pwbs.(thread) ~voff in
-                    if bid = id then begin
-                      Metric.Counter.incr t.ctr.c_pwb_hits;
-                      results.(i) <- Some (k, payload)
-                    end
-                  end
-              | Location.In_nvm { noff } -> (
-                  (* Tier residency is byte-addressable: resolve inline
-                     like the PWB path. Scans do not bump the access
-                     clock — range reads would pollute the hot set the
-                     CLOCK is meant to capture (the SVC owns scan
-                     locality, §4.4). *)
-                  match t.tier with
-                  | None -> ()
-                  | Some tier -> (
-                      match Nvm_tier.read tier ~noff ~expect:id with
-                      | Some value ->
-                          Metric.Counter.incr t.ctr.c_tier_hits;
-                          results.(i) <- Some (k, value)
-                      | None -> ()))
-              | Location.In_vs { vs; gen; chunk; slot } -> (
-                  match
-                    Value_storage.slot_backptr t.vss.(vs) ~gen ~chunk ~slot
-                  with
-                  | Some bp when bp = id ->
-                      let cell = ref None in
-                      pending.(vs) <-
-                        ( i,
-                          { sp_key = k; sp_id = id; sp_cell = cell },
-                          loc,
-                          (gen, chunk, slot) )
-                        :: pending.(vs)
-                  | Some _ | None -> ())))
+        (fun i ((k, id) as binding) ->
+          match
+            resolve t ~skip_pwb:t.cfg.Config.fault_scan_skip_pwb ~id
+          with
+          | Hit value -> results.(i) <- Some (k, value)
+          | On_ssd { vs; gen; chunk; slot; loc } ->
+              pending.(vs) <-
+                (i, binding, loc, (gen, chunk), slot, ref None) :: pending.(vs)
+          | Moved | Absent -> ())
         bindings;
       (* Coalesce reads per chunk: values that a previous scan's
          reorganization placed contiguously now cost one IO for the whole
@@ -777,13 +721,12 @@ let scan t ~tid key count =
               Metric.Counter.add t.ctr.c_vs_reads (List.length reqs);
               let by_chunk = Hashtbl.create 8 in
               List.iter
-                (fun (_, sp, _, (gen, chunk, slot)) ->
+                (fun (_, _, _, gen_chunk, slot, cell) ->
                   let cur =
                     Option.value ~default:[]
-                      (Hashtbl.find_opt by_chunk (gen, chunk))
+                      (Hashtbl.find_opt by_chunk gen_chunk)
                   in
-                  Hashtbl.replace by_chunk (gen, chunk)
-                    ((slot, sp.sp_cell) :: cur))
+                  Hashtbl.replace by_chunk gen_chunk ((slot, cell) :: cur))
                 reqs;
               let entries =
                 Hashtbl.fold
@@ -804,14 +747,12 @@ let scan t ~tid key count =
       Array.iter
         (fun reqs ->
           List.iter
-            (fun (i, sp, loc, _) ->
-              match !(sp.sp_cell) with
+            (fun (i, (k, id), loc, _, _, cell) ->
+              match !cell with
               | None -> ()
-              | Some value ->
-                  results.(i) <- Some (sp.sp_key, value);
-                  (match
-                     admit_to_svc t ~id:sp.sp_id ~key:sp.sp_key ~value ~loc
-                   with
+              | Some value -> (
+                  results.(i) <- Some (k, value);
+                  match admit_to_svc t ~id ~key:k ~value ~loc with
                   | Some idx -> chain := idx :: !chain
                   | None -> ()))
             reqs)
@@ -821,10 +762,10 @@ let scan t ~tid key count =
         ->
           Svc.link_chain svc (List.rev !chain)
       | Some _ | None -> ());
-      (* Read-repair: a value can move while the fast paths above resolve
-         it — PWB reclamation advances [head] past the recorded offset, or
-         the VS chunk is recycled before the batched IO lands — and those
-         paths simply leave the binding unresolved. The point read retries
+      (* Read-repair: a value can move while [resolve] follows it — PWB
+         reclamation advances [head] past the recorded offset, or the VS
+         chunk is recycled before the batched IO lands — and the binding
+         is left unresolved. The point read retries
          in exactly these cases (see [get_resolved]); without the same
          care here a scan silently omits a live key. Re-resolve leftovers
          through the retrying read; a key that is genuinely gone resolves

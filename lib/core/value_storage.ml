@@ -221,6 +221,13 @@ let seal t ~chunk =
   let meta = t.chunks.(chunk) in
   if meta.state = Open then meta.state <- Sealed
 
+(* Prism randomly picks one of the idle Value Storages (no in-flight
+   requests); if all are busy, any random one (§5.2). *)
+let pick rng storages =
+  match Array.to_list storages |> List.filter is_idle with
+  | [] -> storages.(Rng.int rng (Array.length storages))
+  | idle -> List.nth idle (Rng.int rng (List.length idle))
+
 let get_slot t ~gen ~chunk ~slot =
   if chunk < 0 || chunk >= t.nchunks then None
   else begin
@@ -308,6 +315,30 @@ let set_valid t ~gen ~chunk ~slot v =
         meta.live_padded + (delta * padded meta.slots.(slot).len)
     end
   end
+
+(* The mover side of §5.4: the chunk is durable before any HSIT entry
+   names it, a slot turns valid only once its entry points at it, and GC
+   may consider the chunk only after every slot is settled. A value whose
+   entry moved on while the chunk was in flight stays invalid: it is
+   garbage in the new chunk. *)
+let install ?io_counter ?chunk t values ~repoint ~moved =
+  let chunk =
+    match chunk with Some c -> c | None -> alloc_chunk t ~reserve:1
+  in
+  let chunk, gen, done_ =
+    write_into_chunk ?io_counter t chunk
+      (List.map (fun (hsit_id, value, _) -> (hsit_id, value)) values)
+  in
+  ignore (Sync.Ivar.read done_);
+  List.iteri
+    (fun slot (hsit_id, value, from_) ->
+      let to_ = Location.In_vs { vs = t.id; gen; chunk; slot } in
+      if repoint ~hsit_id ~from_ ~to_ then begin
+        set_valid t ~gen ~chunk ~slot true;
+        moved ~from_ ~value
+      end)
+    values;
+  seal t ~chunk
 
 let is_valid t ~gen ~chunk ~slot =
   chunk >= 0 && chunk < t.nchunks
@@ -487,29 +518,15 @@ let gc_pass t ~relocate =
             List.map (fun _ -> alloc_chunk t ~reserve:0) batches
           in
           List.iter2
-            (fun out_chunk batch ->
-              let new_chunk, new_gen, done_ =
-                write_into_chunk t out_chunk
-                  (List.map (fun (bp, v, _) -> (bp, v)) batch)
-              in
-              ignore (Sync.Ivar.read done_);
-              List.iteri
-                (fun slot (backptr, _, old_loc) ->
-                  let to_ =
-                    Location.In_vs
-                      { vs = t.id; gen = new_gen; chunk = new_chunk; slot }
-                  in
-                  if relocate ~hsit_id:backptr ~from_:old_loc ~to_ then begin
-                    set_valid t ~gen:new_gen ~chunk:new_chunk ~slot true;
-                    match old_loc with
-                    | Location.In_vs { gen; chunk; slot; _ } ->
-                        set_valid t ~gen ~chunk ~slot false
-                    | Location.Nowhere | Location.In_pwb _
-                    | Location.In_nvm _ ->
-                        ()
-                  end)
-                batch;
-              seal t ~chunk:new_chunk)
+            (fun chunk batch ->
+              install ~chunk t batch ~repoint:relocate
+                ~moved:(fun ~from_ ~value:_ ->
+                  match from_ with
+                  | Location.In_vs { gen; chunk; slot; _ } ->
+                      set_valid t ~gen ~chunk ~slot false
+                  | Location.Nowhere | Location.In_pwb _ | Location.In_nvm _
+                    ->
+                      ()))
             outputs batches;
           (* Recycle victims: the generation bump makes any stale
              reference fail its check and retry. *)

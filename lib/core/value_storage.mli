@@ -80,6 +80,27 @@ val write_chunk :
     recycled out from under its writer. *)
 val seal : t -> chunk:int -> unit
 
+(** [pick rng storages] is a random idle storage (no in-flight IO), or a
+    random one when all are busy: the target of every mover (§5.2). *)
+val pick : Prism_sim.Rng.t -> t array -> t
+
+(** [install ?chunk t values ~repoint ~moved] moves [values] — each an
+    HSIT id, its payload and the location it moves from — into one chunk
+    of [t] (the given [chunk], already allocated, or a fresh one), waits
+    for the write, then for each slot in order: if [repoint ~hsit_id
+    ~from_ ~to_] wins the HSIT CAS, marks the slot valid and calls
+    [moved ~from_ ~value]. Last, seals the chunk. Every mover — PWB
+    reclamation, tier demotion, sort-on-evict and GC — goes through this
+    one step (§5.2, §5.4). *)
+val install :
+  ?io_counter:Prism_sim.Metric.Counter.t ->
+  ?chunk:int ->
+  t ->
+  (int * bytes * Location.t) list ->
+  repoint:(hsit_id:int -> from_:Location.t -> to_:Location.t -> bool) ->
+  moved:(from_:Location.t -> value:bytes -> unit) ->
+  unit
+
 (** [slot_backptr t ~gen ~chunk ~slot] is the embedded backward pointer,
     or [None] when the generation is stale or the slot unknown. *)
 val slot_backptr : t -> gen:int -> chunk:int -> slot:int -> int option
