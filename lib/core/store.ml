@@ -840,13 +840,8 @@ let recover t =
               | Some _ | None -> lost := (key, id) :: !lost))
       | Location.In_pwb { thread; voff } -> (
           match Pwb.read_durable t.pwbs.(thread) ~voff with
-          | Some (bid, _) when bid = id ->
-              let extent =
-                match Pwb.read_durable t.pwbs.(thread) ~voff with
-                | Some (_, payload) ->
-                    Pwb.record_extent ~len:(Bytes.length payload)
-                | None -> 0
-              in
+          | Some (bid, payload) when bid = id ->
+              let extent = Pwb.record_extent ~len:(Bytes.length payload) in
               let lo, hi =
                 match pwb_ranges.(thread) with
                 | None -> (voff, voff + extent)
