@@ -557,6 +557,73 @@ let test_vs_gc_compacts () =
   ignore (Engine.run e);
   Alcotest.(check bool) "survivors intact after GC" true !ok
 
+(* [install] marks valid only the slots whose HSIT CAS it wins, reports
+   exactly those to [moved], writes into the given chunk when asked, and
+   seals the chunk so GC may take it. *)
+let test_vs_install () =
+  let e = Engine.create () in
+  let nvm = Nvm.create e ~spec:Spec.optane_dcpmm ~size:(1024 * 1024) () in
+  let h = Hsit.create nvm ~capacity:256 in
+  (* Four chunks: GC wakes once fewer than two are free. *)
+  let vs = make_vs ~size:(4 * 16 * 1024) e in
+  Value_storage.start_gc vs ~relocate:(relocate_in h);
+  let from_of id = Location.In_pwb { thread = 0; voff = id * 64 } in
+  (* Installs two fresh entries, accepting slot 0 and failing slot 1's
+     CAS; returns the won entry and the chunk written. *)
+  let install ?chunk () =
+    let won = Hsit.alloc h and lost = Hsit.alloc h in
+    List.iter (fun id -> Hsit.write_primary h id (from_of id)) [ won; lost ];
+    let homes = ref [] and moved = ref [] in
+    Value_storage.install ?chunk vs
+      [ (won, value won, from_of won); (lost, value lost, from_of lost) ]
+      ~repoint:(fun ~hsit_id ~from_ ~to_ ->
+        homes := to_ :: !homes;
+        hsit_id = won && relocate_in h ~hsit_id ~from_ ~to_)
+      ~moved:(fun ~from_ ~value -> moved := (from_, value) :: !moved);
+    match List.rev !homes with
+    | [ (Location.In_vs { gen; chunk; slot = 0; _ } as home);
+        Location.In_vs { gen = gen1; chunk = chunk1; slot = 1; _ } ]
+      when gen1 = gen && chunk1 = chunk ->
+        Alcotest.(check bool) "won slot valid" true
+          (Value_storage.is_valid vs ~gen ~chunk ~slot:0);
+        Alcotest.(check bool) "lost slot invalid" false
+          (Value_storage.is_valid vs ~gen ~chunk ~slot:1);
+        Alcotest.check loc_testable "won entry repointed" home
+          (Hsit.read_primary h won);
+        Alcotest.check loc_testable "lost entry untouched" (from_of lost)
+          (Hsit.read_primary h lost);
+        (match !moved with
+        | [ (from_, v) ] ->
+            Alcotest.check loc_testable "moved from" (from_of won) from_;
+            Alcotest.check bytes_eq "moved value" (value won) v
+        | l -> Alcotest.failf "moved reported %d slots, want 1" (List.length l));
+        (won, chunk)
+    | _ -> Alcotest.fail "install must offer slots 0 and 1 of one chunk"
+  in
+  let survivors = ref [] in
+  Engine.spawn e (fun () ->
+      let first = install () in
+      let given, _, done_ = Value_storage.write_chunk vs [ (99, value 99) ] in
+      ignore (Sync.Ivar.read done_);
+      let ((_, chunk) as second) = install ~chunk:given () in
+      Alcotest.(check int) "writes the given chunk" given chunk;
+      survivors := [ first; second ];
+      (* A third chunk leaves one free and wakes GC, which only ever
+         takes sealed chunks. *)
+      let _, _, done_ = Value_storage.write_chunk vs [ (98, value 98) ] in
+      ignore (Sync.Ivar.read done_));
+  ignore (Engine.run ~until:1.0 e);
+  Alcotest.(check int) "gc ran" 1 (Value_storage.gc_runs vs);
+  Engine.spawn e (fun () ->
+      List.iter
+        (fun (id, chunk) ->
+          match Hsit.read_primary h id with
+          | Location.In_vs { chunk = now; _ } ->
+              Alcotest.(check bool) "sealed chunk compacted" true (now <> chunk)
+          | loc -> Alcotest.failf "lost its home: %a" Location.pp loc)
+        !survivors);
+  ignore (Engine.run e)
+
 let test_vs_run_entry_coalesces () =
   in_sim (fun e ->
       let vs = make_vs e in
@@ -1010,6 +1077,7 @@ let () =
           case "stale gen" test_vs_stale_gen_rejected;
           case "exhaustion blocks" test_vs_chunk_exhaustion_blocks;
           case "gc compacts" test_vs_gc_compacts;
+          case "install" test_vs_install;
           case "run entry coalesces" test_vs_run_entry_coalesces;
           case "recover" test_vs_recover_rebuilds;
           prop_vs_live_bytes;

@@ -908,6 +908,22 @@ let single_tier_run ops =
           | Some _ -> Alcotest.failf "key %s: stale value after churn" k
           | None -> Alcotest.failf "acked key %s unreadable" k)
         model;
+      (* One scan over the whole key range (keys 0..30) reaches every
+         home — SVC, PWB, tier and Value Storage — through the scan path. *)
+      let want =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      in
+      let got = Store.scan store ~tid:0 (key 0) 31 in
+      if
+        not
+          (List.equal
+             (fun (k, v) (k', v') -> String.equal k k' && Bytes.equal v v')
+             want got)
+      then
+        Alcotest.failf "scan returned [%s], model holds [%s]"
+          (String.concat " " (List.map fst got))
+          (String.concat " " (List.map fst want));
       Store.length store = Hashtbl.length model)
 
 let prop_hotness_single_tier =
