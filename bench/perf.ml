@@ -534,7 +534,9 @@ let scan_number ~key text =
    (they are noisier: simulated-hardware model work dominates) — except
    store.prism, whose baseline is conservative enough to absorb the
    noise and which guards the static-placement dispatch on the put/get
-   hot path staying free; store.create, which guards store creation
+   hot path staying free; store.prism_scan, which guards the scan path
+   (per-binding resolve, per-chunk coalesced reads, scan chains and
+   sort-on-evict write-back); store.create, which guards store creation
    staying proportional to the bytes a store writes rather than the
    bytes it provisions; device.access, which guards a synchronous
    device access costing at most one queue entry; and
@@ -546,6 +548,7 @@ let gated_keys () =
     "engine_process_per_sec";
     "arrival_poisson_per_sec";
     "store_prism_per_sec";
+    "store_prism_scan_per_sec";
     "fleet_dpor_per_sec";
     "dpor_default_per_sec";
     "store_create_per_sec";
