@@ -170,7 +170,8 @@ let reorganize_members t members =
           (List.map
              (fun m -> (m.Svc.hsit_id, m.Svc.value, m.Svc.cached_from))
              batch)
-          ~repoint:(repoint t) ~moved:(fun ~from_ ~value:_ -> invalidate_old t from_);
+          ~repoint:(repoint t)
+          ~moved:(fun ~from_ ~value:_ -> invalidate_old t from_);
         Value_storage.poke_gc vs
   in
   let rec batch_up acc acc_bytes = function

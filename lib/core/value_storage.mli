@@ -63,11 +63,11 @@ val chunk_gen : t -> chunk:int -> int
 
 (** [write_chunk t values] allocates a free chunk (blocking while none is
     available, and never taking the one chunk reserved for GC), assembles
-    the records,
-    and submits one asynchronous chunk-sized write. Returns [(chunk, gen,
-    completion)] where slot [i] corresponds to [List.nth values i]. Slots
-    start invalid; the caller marks them valid once it has repointed HSIT
-    (§5.2). Values must fit in one chunk. *)
+    the records, and submits one asynchronous chunk-sized write. Returns
+    [(chunk, gen, completion)] where slot [i] corresponds to
+    [List.nth values i]. Slots start invalid; the caller marks them valid
+    once it has repointed HSIT (§5.2), as {!install} does. Values must
+    fit in one chunk. *)
 val write_chunk :
   ?io_counter:Prism_sim.Metric.Counter.t ->
   t ->

@@ -596,7 +596,8 @@ let test_vs_install () =
         | [ (from_, v) ] ->
             Alcotest.check loc_testable "moved from" (from_of won) from_;
             Alcotest.check bytes_eq "moved value" (value won) v
-        | l -> Alcotest.failf "moved reported %d slots, want 1" (List.length l));
+        | l ->
+            Alcotest.failf "moved reported %d slots, want 1" (List.length l));
         (won, chunk)
     | _ -> Alcotest.fail "install must offer slots 0 and 1 of one chunk"
   in
