@@ -394,9 +394,15 @@ let anchor_components anchors writes =
         (match a with
         | A_scan s ->
             Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) s.s_returned;
-            Hashtbl.iter
-              (fun k _ -> if in_range s k then Hashtbl.replace keys k ())
-              writes
+            let cover k = if in_range s k then Hashtbl.replace keys k () in
+            Hashtbl.iter (fun k _ -> cover k) writes;
+            (* A key only batches write is live after the batch, so a
+               covering scan must see it too. *)
+            Array.iter
+              (function
+                | A_batch (_, ws) -> List.iter (fun (k, _) -> cover k) ws
+                | A_scan _ -> ())
+              anchors
         | A_batch (_, ws) ->
             List.iter (fun (k, _) -> Hashtbl.replace keys k ()) ws);
         keys)

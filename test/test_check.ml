@@ -509,6 +509,182 @@ let test_scan_strict_implies_weak =
       Linearize.check events = Ok ()
       && Linearize.check ~scans:`Weak events = Ok ())
 
+(* ---- brute-force reference ---- *)
+
+(* The oracle tries every order that respects real time against a
+   sequential map where scans and batches are atomic; an aborted batch
+   is a no-op. Exponential, so only for histories of a handful of ops. *)
+let oracle ~init events =
+  let n = Array.length events in
+  let lookup m k = match List.assoc_opt k m with Some v -> v | None -> init k in
+  let set m k v = (k, v) :: List.remove_assoc k m in
+  let keys = [ "a"; "b"; "c" ] in
+  let apply m (e : History.event) =
+    match (e.History.call, e.History.outcome) with
+    | History.Put (k, v), History.Ok_unit -> Some (set m k (Some v))
+    | History.Get k, History.Got r ->
+        if Option.equal Bytes.equal (lookup m k) r then Some m else None
+    | History.Delete k, History.Existed x ->
+        if Option.is_some (lookup m k) = x then Some (set m k None) else None
+    | History.Batch ws, History.Committed true ->
+        Some (List.fold_left (fun m (k, v) -> set m k (Some v)) m ws)
+    | History.Batch _, History.Committed false -> Some m
+    | History.Scan (from, count), History.Items items ->
+        let live =
+          List.filter_map
+            (fun k ->
+              if String.compare k from >= 0 then
+                Option.map (fun v -> (k, v)) (lookup m k)
+              else None)
+            keys
+        in
+        let expect = List.filteri (fun i _ -> i < count) live in
+        if
+          List.equal
+            (fun (k, v) (k', v') -> k = k' && Bytes.equal v v')
+            expect items
+        then Some m
+        else None
+    | _ -> None
+  in
+  let done_ = Array.make n false in
+  let rec go m left =
+    left = 0
+    ||
+    let min_resp = ref max_int in
+    Array.iteri
+      (fun i e -> if not done_.(i) then min_resp := min !min_resp e.History.resp)
+      events;
+    List.exists
+      (fun i ->
+        (not done_.(i))
+        && events.(i).History.inv < !min_resp
+        &&
+        match apply m events.(i) with
+        | None -> false
+        | Some m' ->
+            done_.(i) <- true;
+            let ok = go m' (left - 1) in
+            done_.(i) <- false;
+            ok)
+      (List.init n Fun.id)
+  in
+  go [] n
+
+(* A random history of at most 6 ops on 2-3 keys. [mode] 0 draws only
+   puts, gets and deletes; 1 draws everything but gets; 2 draws
+   everything. Outcomes are random but drawn from plausible values (the
+   key's preload and anything written to it, aborted batches included),
+   so both verdicts come up often. *)
+let random_history =
+  let open QCheck.Gen in
+  let* mode = int_bound 2 in
+  let* nkeys = int_range 2 3 in
+  let keys = List.filteri (fun i _ -> i < nkeys) [ "a"; "b"; "c" ] in
+  let* preload = list_repeat nkeys bool in
+  let preloaded = List.filteri (fun i _ -> List.nth preload i) keys in
+  let init k =
+    if List.mem k preloaded then Some (Bytes.of_string ("p" ^ k)) else None
+  in
+  let* n = int_range 1 6 in
+  let* stamps = shuffle_l (List.init (2 * n) Fun.id) in
+  let stamps = Array.of_list stamps in
+  let key = oneofl keys in
+  let fresh = ref 0 in
+  let value () =
+    incr fresh;
+    Bytes.of_string (Printf.sprintf "v%d" !fresh)
+  in
+  let kinds =
+    match mode with
+    | 0 -> [ `Put; `Get; `Delete ]
+    | 1 -> [ `Put; `Delete; `Scan; `Batch ]
+    | _ -> [ `Put; `Get; `Delete; `Scan; `Batch ]
+  in
+  let* calls =
+    list_repeat n
+      (oneofl kinds >>= function
+       | `Put -> map (fun k -> History.Put (k, value ())) key
+       | `Get -> map (fun k -> History.Get k) key
+       | `Delete -> map (fun k -> History.Delete k) key
+       | `Scan -> map2 (fun k c -> History.Scan (k, c)) key (int_bound 3)
+       | `Batch ->
+           map
+             (fun ks -> History.Batch (List.map (fun k -> (k, value ())) ks))
+             (list_size (int_range 1 2) key))
+  in
+  let candidates k =
+    Option.to_list (init k)
+    @ List.concat_map
+        (function
+          | History.Put (k', v) when k' = k -> [ v ]
+          | History.Batch ws ->
+              List.filter_map (fun (k', v) -> if k' = k then Some v else None) ws
+          | _ -> [])
+        calls
+  in
+  let pick k =
+    match candidates k with [] -> return None | vs -> map Option.some (oneofl vs)
+  in
+  let outcome = function
+    | History.Put _ -> return History.Ok_unit
+    | History.Get k ->
+        map2 (fun absent v -> History.Got (if absent then None else v))
+          (float_bound_inclusive 1.0 >|= fun f -> f < 0.25)
+          (pick k)
+    | History.Delete _ -> map (fun e -> History.Existed e) bool
+    | History.Batch _ ->
+        map (fun f -> History.Committed (f < 0.75)) (float_bound_inclusive 1.0)
+    | History.Scan (from, count) ->
+        let later = List.filter (fun k -> String.compare k from >= 0) keys in
+        map
+          (fun items ->
+            History.Items
+              (List.filteri (fun i _ -> i < count) (List.filter_map Fun.id items)))
+          (flatten_l
+             (List.map
+                (fun k ->
+                  bool >>= fun keep ->
+                  if keep then map (Option.map (fun v -> (k, v))) (pick k)
+                  else return None)
+                later))
+  in
+  let* outcomes = flatten_l (List.map outcome calls) in
+  return
+    ( init,
+      preloaded,
+      Array.of_list
+        (List.mapi
+           (fun i (call, outcome) ->
+             let a = stamps.(2 * i) and b = stamps.((2 * i) + 1) in
+             ev i (i mod 3) call outcome (min a b) (max a b))
+           (List.combine calls outcomes)) )
+
+(* Exact on register-only histories (Wing-Gong is complete per key) and
+   on histories without gets (scans and batches are searched atomically
+   together); with gets and scans or committed batches mixed, gets stay
+   in the per-key search, so the checker may only be more permissive. *)
+let test_linearize_matches_oracle =
+  qcase ~count:3000 "matches a brute-force oracle on tiny histories"
+    (QCheck.make
+       ~print:(fun (_, preloaded, events) ->
+         Format.asprintf "preloaded [%s]@.%a" (String.concat "; " preloaded)
+           (Format.pp_print_list History.pp_event)
+           (Array.to_list events))
+       random_history)
+    (fun (init, init_keys, events) ->
+      let expected = oracle ~init events in
+      let got = Result.is_ok (Linearize.check ~init ~init_keys events) in
+      let has f = Array.exists (fun e -> f e.History.call e.History.outcome) events in
+      let gets = has (fun c _ -> match c with History.Get _ -> true | _ -> false) in
+      let anchors =
+        has (fun c o ->
+            match (c, o) with
+            | History.Scan _, _ | History.Batch _, History.Committed true -> true
+            | _ -> false)
+      in
+      if gets && anchors then (not expected) || got else got = expected)
+
 (* ---- whole-run determinism (qcheck) ---- *)
 
 (* Two runs of the same seeded schedule must agree on everything
@@ -892,6 +1068,19 @@ let test_scan_clean_strict () =
             (match store with `Prism -> "prism" | `Kvell -> "kvell")
             f.Explore.violation)
     [ `Prism; `Kvell ]
+
+(* The FIFO schedule of the default shape fails on exactly these seeds
+   (ROADMAP's FIFO-verdict item). A fix that changes the set updates it
+   here with its evidence; a checker refactor must leave it alone. *)
+let test_dpor_fifo_verdicts () =
+  let failing =
+    List.filter
+      (fun seed ->
+        let cfg = { Explore.default with Explore.seed = Int64.of_int seed } in
+        (Explore.run_dpor ~max_classes:1 cfg).Explore.dpor_failures <> [])
+      (List.init 200 (fun i -> i + 1))
+  in
+  Alcotest.(check (list int)) "failing seeds" [ 10; 66; 72; 108; 150 ] failing
 
 (* ---- frontier heuristic ---- *)
 
@@ -1312,6 +1501,7 @@ let () =
           case "preloaded initial values" test_linearize_init;
           case "scan monotonic prefix" test_linearize_scan;
           case "memos start small" test_linearize_memo_major_words;
+          test_linearize_matches_oracle;
         ] );
       ( "history-labels",
         [
@@ -1343,6 +1533,7 @@ let () =
           case "hsit fault within budget" test_dpor_hsit_budget;
           case "frontier spreads a truncated budget" test_dpor_frontier_spread;
           case "default walk matches its golden digest" test_dpor_golden_default;
+          case "FIFO verdicts of seeds 1-200" test_dpor_fifo_verdicts;
         ] );
       ( "scan-faults",
         [
