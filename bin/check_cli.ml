@@ -46,7 +46,7 @@ let store_name s = fst (List.find (fun (_, t) -> t = s) stores)
 (* The explored setup, as the run headers print it. *)
 let describe cfg =
   Printf.sprintf
-    "%s, %d threads x %d ops over %d keys, seed 0x%Lx, fault %s, %s scans"
+    "%s, %d threads x %d ops over %d keys, seed 0x%Lx, fault %s, strict scans"
     (match cfg.Explore.store with
     | `Kvell -> "kvell"
     | `Prism ->
@@ -57,7 +57,6 @@ let describe cfg =
     cfg.Explore.threads cfg.Explore.ops_per_thread cfg.Explore.records
     cfg.Explore.seed
     (fault_name cfg.Explore.fault)
-    (match cfg.Explore.scan_check with `Strict -> "strict" | `Weak -> "weak")
 
 (* Replay hints must reproduce the checking setup, not just the schedule. *)
 let fault_suffix cfg =
@@ -161,7 +160,9 @@ let run_replay_choices ~cfg ~choices =
 let run_shrink ~cfg ~tie_seed =
   Printf.printf "recording schedule with tie-seed 0x%Lx for shrinking\n%!"
     tie_seed;
-  let choices, violation = Explore.record cfg ~tie_seed in
+  let choices, violation =
+    Explore.run_tie cfg ~tie:(Prism_sim.Engine.Seeded tie_seed)
+  in
   match violation with
   | None ->
       Printf.printf

@@ -20,7 +20,6 @@ type config = {
   theta : float;
   delete_every : int;
   scan_every : int;
-  scan_check : [ `Strict | `Weak ];
   fault : fault;
   shards : int;
   txn_every : int;
@@ -38,7 +37,6 @@ let default =
     theta = 0.6;
     delete_every = 8;
     scan_every = 16;
-    scan_check = `Strict;
     fault = No_fault;
     shards = 1;
     txn_every = 0;
@@ -297,7 +295,7 @@ let run_one cfg ~index ~tie_seed ~tie =
     if Hashtbl.mem preloaded key then Some (preload_value cfg key) else None
   in
   let violation =
-    match Linearize.check ~init ~init_keys ~scans:cfg.scan_check events with
+    match Linearize.check ~init ~init_keys events with
     | Ok () -> None
     | Error v -> Some (Format.asprintf "%a" Linearize.pp_violation v)
   in
@@ -417,12 +415,6 @@ let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
 
 let run_tie cfg ~tie =
   let _stats, choices, violation = run_one cfg ~index:0 ~tie_seed:0L ~tie in
-  (choices, violation)
-
-let record cfg ~tie_seed =
-  let _stats, choices, violation =
-    run_one cfg ~index:0 ~tie_seed ~tie:(Engine.Seeded tie_seed)
-  in
   (choices, violation)
 
 let replay_choices cfg ~choices =

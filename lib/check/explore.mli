@@ -44,9 +44,6 @@ type config = {
       (** 1-in-N updates become deletes (default 8; lower = more) *)
   scan_every : int;
       (** 1-in-N reads become short scans (default 16; lower = more) *)
-  scan_check : [ `Strict | `Weak ];
-      (** scan obligation passed to {!Linearize.check}: atomic snapshots
-          (default) or the legacy prefix conditions *)
   fault : fault;
   shards : int;
       (** > 1 runs a hash-partitioned {!Prism_cluster.Cluster} instead of
@@ -144,15 +141,11 @@ val run_dpor :
 
 (** {2 Choice-list replay and shrinking} *)
 
-(** [record cfg ~tie_seed] runs one seeded schedule and returns the
-    tie-break decisions it took (as {!Prism_sim.Engine.Replay} indices)
-    plus the violation, if any — the raw material for {!shrink}. *)
-val record : config -> tie_seed:int64 -> int array * string option
-
 (** [run_tie cfg ~tie] is one run of the workload under an arbitrary
-    tie-break policy (e.g. [Guided], to drive the store from a custom
-    {!Dpor} exploration), returning the recorded decisions and the
-    violation, if any. *)
+    tie-break policy, returning the decisions it took (as
+    {!Prism_sim.Engine.Replay} indices) and the violation, if any: under
+    [Seeded], the raw material for {!shrink}; under [Guided], the store
+    driven from a custom {!Dpor} exploration. *)
 val run_tie :
   config -> tie:Prism_sim.Engine.tie_break -> int array * string option
 

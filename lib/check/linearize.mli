@@ -1,36 +1,32 @@
-(** Linearizability checking for put/get/delete/scan histories against a
-    sequential map, in the style of Wing & Gong's algorithm.
+(** Linearizability checking for put/get/delete/scan/batch histories
+    against a sequential map, in the style of Wing & Gong's algorithm.
 
-    Linearizability is local, so the checker splits the history into
-    per-key register subhistories and searches each one independently: at
-    every step any operation whose invocation precedes all unlinearized
-    responses may linearize next, provided its recorded outcome is legal
-    in the current register state. Failed (linearized-set, state)
-    configurations are memoized, which keeps the search polynomial for
-    the low-concurrency histories the simulator produces. Register state
-    is symbolic — a value is named by the put that wrote it — so memo
-    keys stay tiny.
+    One search serves every check. Its state is a vector of registers,
+    one per key in play; at every step any operation whose invocation
+    precedes all unlinearized responses may linearize next, provided its
+    recorded outcome is legal in the current state. Failed
+    (linearized-set, state) configurations are memoized, which keeps the
+    search polynomial for the low-concurrency histories the simulator
+    produces. Register state is symbolic — a value is named by the
+    operation that wrote it — so memo keys stay tiny.
 
-    {b Scans} span keys, so per-key locality does not apply to them. Two
-    checking modes exist:
+    Linearizability is local, so the history is first split into per-key
+    register subhistories, each searched on its own. Committed batches
+    enter them as independent per-key writes.
 
-    - [`Weak] — the original compositional prefix conditions: results
-      sorted strictly ascending from the start key, bounded by the
-      requested count, and containing only values some put (or the
-      preload) actually wrote before the scan responded. Cheap, but blind
-      to cross-key anomalies (deleted-key ghosts, torn snapshots, omitted
-      keys).
-    - [`Strict] (default) — each scan must be an {e atomic snapshot
-      read}: some single point in a legal linearization at which the
-      scan's result is exactly the live contents of its key range. The
-      Wing–Gong search is restricted to the scan's {e footprint} — the
-      scan plus the puts/deletes on its returned-or-in-range keys — so
-      keys no scan covers keep the per-key decomposition and the state
-      space stays tractable. Scans with overlapping footprints are solved
-      together as one component. Gets are deliberately left in the
-      per-key search (a documented approximation: their constraints do
-      not propagate into scan points). The weak conditions still run
-      first as a fast pre-filter.
+    {b Scans} and {b committed batches} span keys. Each scan must be an
+    atomic snapshot read: some single point in a legal linearization at
+    which the scan's result is exactly the live contents of its key
+    range. Each committed batch must write all its keys at one point. The
+    search for these runs over each scan's or batch's {e footprint} —
+    the scan plus the puts/deletes on its returned-or-in-range keys, the
+    batch's write set — so keys no scan covers keep the per-key
+    decomposition and the state space stays tractable. Scans and batches
+    with overlapping footprints are solved together as one component.
+    Gets are deliberately left in the per-key search (a documented
+    approximation: their constraints do not propagate into scan points).
+    Cheap per-item scan conditions — sorted, bounded by the requested
+    count, values that were written — run first as a pre-filter.
 
     A scan's covered range is [[from, last-returned-key]] when it filled
     its requested count (anything above the last key was legitimately cut
@@ -43,17 +39,14 @@ type violation = {
   ops : History.event list;  (** the subhistory to include in a report *)
 }
 
-(** [check ?init ?init_keys ?scans events] verifies the history. [init]
-    gives the value each key held before recording started (preload);
-    defaults to every key absent. [init_keys] enumerates the preload
-    domain — needed by the strict scan check to flag preloaded,
-    never-written keys a covering scan omitted (a function's domain is
-    not enumerable); defaults to []. [scans] selects the scan mode
-    described above; defaults to [`Strict]. *)
+(** [check ?init ?init_keys events] verifies the history. [init] gives
+    the value each key held before recording started (preload); defaults
+    to every key absent. [init_keys] enumerates the preload domain —
+    needed to flag preloaded, never-written keys a covering scan omitted
+    (a function's domain is not enumerable); defaults to []. *)
 val check :
   ?init:(string -> bytes option) ->
   ?init_keys:string list ->
-  ?scans:[ `Strict | `Weak ] ->
   History.event array ->
   (unit, violation) result
 

@@ -331,19 +331,23 @@ let test_record_exception_safe () =
 
 (* ---- strict scan snapshots ---- *)
 
-(* Each anomaly here slips through the weak per-item conditions and must
-   be rejected by the strict atomic-snapshot search — the checker-teeth
-   regressions of the scan soundness fix. *)
+(* A violation found by the snapshot search (or its static preload
+   shortcut) rather than by a per-key search or the per-item scan
+   pre-filter. *)
+let snapshot_reason reason =
+  String.starts_with ~prefix:"scan is not an atomic snapshot" reason
+  || String.starts_with ~prefix:"scan missed in-range key" reason
+
+(* Each anomaly here passes the per-key searches and the per-item scan
+   conditions, and must be rejected by the atomic-snapshot search — the
+   checker-teeth regressions of the scan soundness fix. *)
 let check_strict_bad ?init ?init_keys name events =
-  let events = Array.of_list events in
-  (match Linearize.check ?init ?init_keys ~scans:`Weak events with
-  | Ok () -> ()
-  | Error e ->
-      Alcotest.failf "%s: weak checker should accept this history, got: %s"
-        name e.Linearize.reason);
-  match Linearize.check ?init ?init_keys events with
+  match Linearize.check ?init ?init_keys (Array.of_list events) with
   | Ok () -> Alcotest.failf "%s: strict checker missed the anomaly" name
-  | Error _ -> ()
+  | Error e ->
+      if not (snapshot_reason e.Linearize.reason) then
+        Alcotest.failf "%s: rejected outside the snapshot search: %s" name
+          e.Linearize.reason
 
 let scan_items items = History.Items items
 
@@ -467,8 +471,8 @@ let atomic_kv tbl =
     recover = None;
   }
 
-let test_scan_strict_implies_weak =
-  qcase ~count:30 "strict and weak both accept atomic-store runs"
+let test_scan_atomic_store_accepted =
+  qcase ~count:30 "atomic-store runs are accepted"
     QCheck.(
       triple
         (list_of_size (Gen.return 6) (int_bound 15))
@@ -506,8 +510,7 @@ let test_scan_strict_implies_weak =
         [ p0; p1 ];
       ignore (Engine.run engine);
       let events = History.events hist in
-      Linearize.check events = Ok ()
-      && Linearize.check ~scans:`Weak events = Ok ())
+      Linearize.check events = Ok ())
 
 (* ---- brute-force reference ---- *)
 
@@ -553,7 +556,8 @@ let oracle ~init events =
     ||
     let min_resp = ref max_int in
     Array.iteri
-      (fun i e -> if not done_.(i) then min_resp := min !min_resp e.History.resp)
+      (fun i e ->
+        if not done_.(i) then min_resp := min !min_resp e.History.resp)
       events;
     List.exists
       (fun i ->
@@ -619,12 +623,16 @@ let random_history =
         (function
           | History.Put (k', v) when k' = k -> [ v ]
           | History.Batch ws ->
-              List.filter_map (fun (k', v) -> if k' = k then Some v else None) ws
+              List.filter_map
+                (fun (k', v) -> if k' = k then Some v else None)
+                ws
           | _ -> [])
         calls
   in
   let pick k =
-    match candidates k with [] -> return None | vs -> map Option.some (oneofl vs)
+    match candidates k with
+    | [] -> return None
+    | vs -> map Option.some (oneofl vs)
   in
   let outcome = function
     | History.Put _ -> return History.Ok_unit
@@ -640,7 +648,9 @@ let random_history =
         map
           (fun items ->
             History.Items
-              (List.filteri (fun i _ -> i < count) (List.filter_map Fun.id items)))
+              (List.filteri
+                 (fun i _ -> i < count)
+                 (List.filter_map Fun.id items)))
           (flatten_l
              (List.map
                 (fun k ->
@@ -675,12 +685,17 @@ let test_linearize_matches_oracle =
     (fun (init, init_keys, events) ->
       let expected = oracle ~init events in
       let got = Result.is_ok (Linearize.check ~init ~init_keys events) in
-      let has f = Array.exists (fun e -> f e.History.call e.History.outcome) events in
-      let gets = has (fun c _ -> match c with History.Get _ -> true | _ -> false) in
+      let has f =
+        Array.exists (fun e -> f e.History.call e.History.outcome) events
+      in
+      let gets =
+        has (fun c _ -> match c with History.Get _ -> true | _ -> false)
+      in
       let anchors =
         has (fun c o ->
             match (c, o) with
-            | History.Scan _, _ | History.Batch _, History.Committed true -> true
+            | History.Scan _, _ -> true
+            | History.Batch _, History.Committed true -> true
             | _ -> false)
       in
       if gets && anchors then (not expected) || got else got = expected)
@@ -1027,10 +1042,9 @@ let scan_fault_cfg fault =
 
 let scan_budget = 2 (* same class budget the PR 2 fault suite runs under *)
 
-(* Each injected scan anomaly must be (a) caught by the strict snapshot
-   check within the budget, with a replayable decision list and a
-   virtual-time window in the report, and (b) invisible to the legacy
-   weak prefix conditions — the blind spot this PR closes. *)
+(* Each injected scan anomaly must be caught within the budget, with a
+   replayable decision list and a virtual-time window in the report, and
+   by the snapshot search: the per-item scan conditions cannot see it. *)
 let test_scan_fault name fault () =
   let cfg = scan_fault_cfg fault in
   let rep = Explore.run_dpor ~stop_on_failure:true ~max_classes:scan_budget cfg in
@@ -1042,17 +1056,17 @@ let test_scan_fault name fault () =
       (match Explore.replay_choices cfg ~choices:f.Explore.choices with
       | Some _ -> ()
       | None -> Alcotest.failf "%s failure does not replay" name);
+      let report = f.Explore.violation in
       Alcotest.(check bool) "violation reports its virtual-time window" true
-        (String.length f.Explore.violation >= 7
-        && String.sub f.Explore.violation 0 7 = "window "));
-  let weak =
-    Explore.run_dpor ~max_classes:scan_budget
-      { cfg with Explore.scan_check = `Weak }
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s is invisible to the weak checker" name)
-    true
-    (weak.Explore.dpor_failures = [])
+        (String.starts_with ~prefix:"window [" report);
+      (* The reason follows the "window [lo, hi] " prefix. *)
+      let reason =
+        let at = String.index report ']' + 2 in
+        String.sub report at (String.length report - at)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is found by the snapshot search" name)
+        true (snapshot_reason reason))
 
 (* The strict obligation must not over-reject: the same scan-heavy
    workload with no fault explores clean, on Prism and on KVell. *)
@@ -1153,7 +1167,8 @@ let test_shrink_svc () =
     | f :: _ -> f
   in
   let choices, violation =
-    Explore.record shrink_cfg ~tie_seed:failure.Explore.stats.Explore.tie_seed
+    Explore.run_tie shrink_cfg
+      ~tie:(Engine.Seeded failure.Explore.stats.Explore.tie_seed)
   in
   Alcotest.(check bool) "recorded schedule reproduces the violation" true
     (violation <> None);
@@ -1516,7 +1531,7 @@ let () =
           case "missing in-range key rejected" test_scan_missing;
           case "omitted preloaded key rejected" test_scan_missing_preloaded;
           case "legitimate scans accepted" test_scan_strict_accepts;
-          test_scan_strict_implies_weak;
+          test_scan_atomic_store_accepted;
         ] );
       ("determinism", [ test_determinism_qcheck ]);
       ( "explore",
@@ -1537,11 +1552,11 @@ let () =
         ] );
       ( "scan-faults",
         [
-          case "stale snapshot caught strict, missed weak"
+          case "stale snapshot caught by the snapshot search"
             (test_scan_fault "scan-stale" Explore.Scan_stale_snapshot);
-          case "skipped PWB caught strict, missed weak"
+          case "skipped PWB caught by the snapshot search"
             (test_scan_fault "scan-skip-pwb" Explore.Scan_skip_pwb);
-          case "dropped key caught strict, missed weak"
+          case "dropped key caught by the snapshot search"
             (test_scan_fault "scan-drop" Explore.Scan_drop_key);
           case "clean scan-heavy runs stay linearizable"
             test_scan_clean_strict;
