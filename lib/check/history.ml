@@ -253,8 +253,15 @@ let events t =
 
 let length t = t.count
 
+(* Reports name a value by its YCSB version stamp ([v37]), so two
+   writes of one key tell apart; a value without one shows its size. *)
+let pp_value fmt v =
+  match Prism_workload.Ycsb.version_of v with
+  | Some n -> Format.fprintf fmt "v%d" n
+  | None -> Format.fprintf fmt "(%d B)" (Bytes.length v)
+
 let pp_call fmt = function
-  | Put (k, v) -> Format.fprintf fmt "put %s (%d B)" k (Bytes.length v)
+  | Put (k, v) -> Format.fprintf fmt "put %s %a" k pp_value v
   | Get k -> Format.fprintf fmt "get %s" k
   | Delete k -> Format.fprintf fmt "delete %s" k
   | Scan (k, n) -> Format.fprintf fmt "scan %s +%d" k n
@@ -262,14 +269,13 @@ let pp_call fmt = function
       Format.fprintf fmt "batch {%a}"
         (Format.pp_print_list
            ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-           (fun fmt (k, v) ->
-             Format.fprintf fmt "%s (%d B)" k (Bytes.length v)))
+           (fun fmt (k, v) -> Format.fprintf fmt "%s %a" k pp_value v))
         ws
 
 let pp_outcome fmt = function
   | Ok_unit -> Format.fprintf fmt "ok"
   | Got None -> Format.fprintf fmt "-> None"
-  | Got (Some v) -> Format.fprintf fmt "-> Some (%d B)" (Bytes.length v)
+  | Got (Some v) -> Format.fprintf fmt "-> Some %a" pp_value v
   | Existed e -> Format.fprintf fmt "-> existed:%b" e
   | Items l -> Format.fprintf fmt "-> %d items" (List.length l)
   | Committed c -> Format.fprintf fmt "-> committed:%b" c

@@ -94,6 +94,9 @@ val max_tid : int
     operations on different keys commute. *)
 val conflicting : int -> int -> bool
 
+(** Values print as their {!Prism_workload.Ycsb.version_of} stamp
+    ([put k v37], [-> Some v0]), or as their size ([(64 B)]) when they
+    carry none. *)
 val pp_call : Format.formatter -> call -> unit
 
 val pp_event : Format.formatter -> event -> unit

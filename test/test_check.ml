@@ -299,6 +299,24 @@ let test_label_scan_conflicts () =
   Alcotest.(check bool) "unlabelled conflicts with everything" true
     (History.conflicting 0 put_a)
 
+(* Reports name a value by its version stamp, or by its size when it
+   has none. *)
+let test_pp_values () =
+  let stamped version =
+    Prism_workload.Ycsb.value_for ~size:64 ~key:"k" ~version
+  in
+  let show pp x = Format.asprintf "%a" pp x in
+  Alcotest.(check string) "stamped put" "put k v37"
+    (show History.pp_call (put "k" (stamped 37)));
+  Alcotest.(check string) "unstamped put" "put k (10 B)"
+    (show History.pp_call (put "k" v1));
+  Alcotest.(check string) "batch" "batch {a v3, b (10 B)}"
+    (show History.pp_call (History.Batch [ ("a", stamped 3); ("b", v1) ]));
+  Alcotest.(check string) "get outcome"
+    "[0] tid1 get k -> Some v0 (inv 2@2.000000s, resp 3@3.000000s)"
+    (show History.pp_event
+       (ev 0 1 (History.Get "k") (got (Some (stamped 0))) 2 3))
+
 exception Boom
 
 let test_record_exception_safe () =
@@ -1523,6 +1541,7 @@ let () =
           case "tid widening kills aliasing" test_label_tid_widening;
           case "scan/write range conflicts" test_label_scan_conflicts;
           case "record is exception-safe" test_record_exception_safe;
+          case "reports name values by version" test_pp_values;
         ] );
       ( "scan-strict",
         [
