@@ -65,7 +65,6 @@ let project events =
 type scan_rec = {
   s_ev : History.event;
   s_from : string;
-  s_count : int;
   s_returned : (string, bytes) Hashtbl.t;
   s_upper : string option;
       (* inclusive upper end of the covered range: the last returned key
@@ -89,7 +88,6 @@ let scan_recs events =
           {
             s_ev = ev;
             s_from = from;
-            s_count = count;
             s_returned = returned;
             s_upper = upper;
             s_covered = count > 0;
@@ -530,7 +528,7 @@ let check_component ~init anchors keys writes =
     Hashtbl.create (2 * Array.length keys)
   in
   Array.iteri (fun i k -> Hashtbl.replace slot_of k i) keys;
-  let slot (k, v) = (Hashtbl.find slot_of k, v) in
+  let to_slot (k, v) = (Hashtbl.find slot_of k, v) in
   let ops =
     let write_ops =
       Array.to_list keys
@@ -544,9 +542,9 @@ let check_component ~init anchors keys writes =
       List.map
         (function
           | A_scan s ->
-              let items = Hashtbl.to_seq s.s_returned |> Seq.map slot in
+              let items = Hashtbl.to_seq s.s_returned |> Seq.map to_slot in
               (s.s_ev, Scan (s, List.of_seq items))
-          | A_batch (ev, ws) -> (ev, Batch (List.map slot ws)))
+          | A_batch (ev, ws) -> (ev, Batch (List.map to_slot ws)))
         anchors
     in
     let a = Array.of_list (write_ops @ anchor_ops) in
