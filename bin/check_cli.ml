@@ -16,9 +16,9 @@
    --shrink minimizes a failing seeded schedule to the fewest non-FIFO
    tie decisions and prints a list --replay-choices accepts.
 
-   Exit status is non-zero when any schedule fails its linearizability
-   check or any crash point loses an acknowledged write; failures print a
-   replayable tie seed (or tie-choice list). *)
+   Exit status is non-zero when any schedule or any crash recovery fails
+   its linearizability check; schedule failures print a replayable tie
+   seed (or tie-choice list). *)
 
 open Prism_check
 open Prism_cli
@@ -292,9 +292,8 @@ let main store placement seed schedules dpor crash_every replay
     | `Prism | `Cluster -> `Prism
     | `Kvell -> `Kvell
     | `Lsm ->
-        (* The LSM adapter acknowledges deletes unconditionally, which
-           would read as linearizability violations that aren't — so the
-           LSM store is checked by the crash sweep only. *)
+        (* Explore builds no LSM store, so the LSM store is checked by
+           the crash sweep only. *)
         if
           schedules > 0 || dpor > 0 || replay <> None
           || replay_choices <> None

@@ -48,7 +48,7 @@ type report = {
   violations : violation list;
 }
 
-(* ---- deterministic workload with an acknowledgement oracle ---- *)
+(* ---- deterministic workload ---- *)
 
 (* [Single (key, Some v)] is a put of version [v]; [Single (key, None)]
    a delete. [Batch] is a multi-key 2PC write batch (cluster only). *)
@@ -56,11 +56,9 @@ type op =
   | Single of string * int option
   | Batch of (string * int) list
 
-(* Each thread owns a disjoint key range, so every key's operation
-   sequence is sequential and "the last acknowledged write" is
-   well-defined without a linearizability search. With [txn_every > 0]
-   every [txn_every]-th op is a write batch over the thread's own range —
-   the keys still hash across shards, so most batches have several 2PC
+(* Each thread owns a disjoint key range. With [txn_every > 0] every
+   [txn_every]-th op is a write batch over the thread's own range — the
+   keys still hash across shards, so most batches have several 2PC
    participants. Batch versions live in a reserved range (>= 1000) so a
    recovered value names exactly one write. *)
 let thread_ops cfg ~txn_every tid =
@@ -83,25 +81,6 @@ let thread_ops cfg ~txn_every tid =
 let value_of cfg ~key ~version =
   Prism_workload.Ycsb.value_for ~size:cfg.value_size ~key ~version
 
-(* Acknowledged vs pending state, updated around every operation. At a
-   crash instant each key has its last acked write plus at most one
-   pending operation (single owner thread), and the recovered value must
-   be one of those two outcomes — any acked write lost, or any deleted
-   key resurrected, is a violation. [inflight] holds each thread's batch
-   while its 2PC runs. *)
-type oracle = {
-  acked : (string, int option) Hashtbl.t;
-  pending : (string, int option) Hashtbl.t;
-  inflight : (int, (string * int) list) Hashtbl.t;
-}
-
-let make_oracle () =
-  {
-    acked = Hashtbl.create 256;
-    pending = Hashtbl.create 8;
-    inflight = Hashtbl.create 8;
-  }
-
 (* What one store contributes to a run: its client handle, its named
    durability boundaries, power-cut and recovery, and (cluster only) a
    write-batch submitter answering "committed?". Each boundary's hook
@@ -115,7 +94,10 @@ type instance = {
   batch : (tid:int -> (string * bytes) list -> bool) option;
 }
 
-let run_workload cfg s oracle ops =
+(* Every op goes into [hist]; whatever is still open at a power cut
+   becomes a pending op there. *)
+let run_workload cfg s hist ops =
+  let kv = History.wrap hist s.kv in
   Array.iteri
     (fun tid thread_ops ->
       Engine.spawn (Engine.current ()) (fun () ->
@@ -123,121 +105,29 @@ let run_workload cfg s oracle ops =
           Array.iter
             (function
               | Single (key, what) ->
-                  Hashtbl.replace oracle.pending key what;
                   (match what with
                   | Some version ->
-                      s.kv.Kv.put ~tid key (value_of cfg ~key ~version)
-                  | None -> ignore (s.kv.Kv.delete ~tid key));
-                  Hashtbl.replace oracle.acked key what;
-                  Hashtbl.remove oracle.pending key;
+                      kv.Kv.put ~tid key (value_of cfg ~key ~version)
+                  | None -> ignore (kv.Kv.delete ~tid key));
                   (* Promotion fires on Value-Storage reads; a write-only
                      sweep would leave the NVM tier empty and the promote
                      copy untested. Each thread re-reads its range's first
                      key after every write — its CLOCK saturates, the key
                      migrates into the tier mid-run, and nvm-persist crash
-                     points start landing inside promote copies. Reads
-                     don't move the oracle. *)
+                     points start landing inside promote copies. *)
                   if cfg.store = `Prism && cfg.placement = `Hotness then
-                    ignore (s.kv.Kv.get ~tid hot)
+                    ignore (kv.Kv.get ~tid hot)
               | Batch writes ->
-                  List.iter
-                    (fun (k, v) -> Hashtbl.replace oracle.pending k (Some v))
-                    writes;
-                  Hashtbl.replace oracle.inflight tid writes;
                   let payload =
                     List.map
                       (fun (k, v) -> (k, value_of cfg ~key:k ~version:v))
                       writes
                   in
-                  let committed = Option.get s.batch ~tid payload in
-                  Hashtbl.remove oracle.inflight tid;
-                  (* Aborted writes must never become visible: the oracle
-                     keeps only the prior acked value. *)
-                  List.iter
-                    (fun (k, v) ->
-                      if committed then Hashtbl.replace oracle.acked k (Some v);
-                      Hashtbl.remove oracle.pending k)
-                    writes)
+                  ignore
+                    (History.record_batch hist ~tid payload (fun () ->
+                         Option.get s.batch ~tid payload)))
             thread_ops))
     ops
-
-(* An in-flight batch (crash cut its 2PC short) must recover
-   all-or-nothing: either the commit record was durable — recovery
-   re-applies every write — or it wasn't, and no write survives. *)
-let check_batch_atomicity (kv : Kv.t) oracle ~crash_point ~boundary =
-  Hashtbl.fold
-    (fun _tid writes acc ->
-      let visible =
-        List.map
-          (fun (k, v) ->
-            match kv.Kv.get ~tid:0 k with
-            | Some b -> Prism_workload.Ycsb.version_of b = Some v
-            | None -> false)
-          writes
-      in
-      if List.exists Fun.id visible && not (List.for_all Fun.id visible)
-      then
-        {
-          crash_point;
-          boundary;
-          key = fst (List.hd writes);
-          detail =
-            Printf.sprintf
-              "torn transaction: %d of %d batch writes visible after \
-               recovery (2PC must be all-or-nothing)"
-              (List.length (List.filter Fun.id visible))
-              (List.length visible);
-        }
-        :: acc
-      else acc)
-    oracle.inflight []
-
-let check_recovered cfg (kv : Kv.t) oracle ~crash_point ~boundary ~keys =
-  let violations = ref [] in
-  let admissible key =
-    let base =
-      match Hashtbl.find_opt oracle.acked key with
-      | None | Some None -> [ None ]
-      | Some (Some v) -> [ Some v ]
-    in
-    match Hashtbl.find_opt oracle.pending key with
-    | None -> base
-    | Some p -> if List.mem p base then base else p :: base
-  in
-  let describe = function
-    | None -> "absent"
-    | Some v -> Printf.sprintf "version %d" v
-  in
-  Hashtbl.iter
-    (fun key () ->
-      let adm = admissible key in
-      let fail detail =
-        violations :=
-          { crash_point; boundary; key; detail } :: !violations
-      in
-      match kv.Kv.get ~tid:0 key with
-      | None ->
-          if not (List.mem None adm) then
-            fail
-              (Printf.sprintf
-                 "lost acknowledged write: expected %s, found nothing"
-                 (String.concat " or " (List.map describe adm)))
-      | Some bytes -> (
-          match Prism_workload.Ycsb.version_of bytes with
-          | None -> fail "recovered value has no version stamp"
-          | Some v ->
-              if not (List.mem (Some v) adm) then
-                fail
-                  (Printf.sprintf
-                     "recovered version %d, expected %s (resurrected or \
-                      phantom write)"
-                     v
-                     (String.concat " or " (List.map describe adm)))
-              else if
-                not (Bytes.equal bytes (value_of cfg ~key ~version:v))
-              then fail (Printf.sprintf "payload of version %d corrupted" v)))
-    keys;
-  !violations
 
 (* ---- the stores under test ---- *)
 
@@ -394,9 +284,9 @@ let instance cfg engine =
                      log (Cluster.prepare_log cluster i))) );
           ];
         crash = (fun () -> Cluster.crash cluster);
-        (* Every in-doubt transaction gets a definite fate; the audits
-           verify that fate against the acknowledgement oracle, which is
-           exactly "recovery agrees on commit/abort". *)
+        (* Every in-doubt transaction gets a definite fate; the audit
+           checks that fate against the history, which is exactly
+           "recovery agrees on commit/abort". *)
         recover =
           (fun () ->
             ignore (Cluster.recover cluster : Cluster.resolution list));
@@ -424,24 +314,28 @@ let check_fault cfg =
   if not ok then
     invalid_arg "Crash_sweep: the store's sweep cannot inject this fault"
 
-(* The batch-atomicity check (nothing is in flight outside the cluster),
-   then the per-key check. The per-key check reads keys in table order,
-   which within a bucket follows insertion order, and reports violations
-   in that order: the cluster audits every key of the thread ranges, the
-   other stores the keys their ops touch, first touch first. *)
-let audit cfg s oracle ops ~crash_point ~boundary =
-  let keys = Hashtbl.create 256 in
-  let add key = Hashtbl.replace keys key () in
-  if s.batch = None then
-    Array.iter
-      (Array.iter (function Single (key, _) -> add key | Batch _ -> ()))
-      ops
-  else
-    for i = 0 to (cfg.threads * cfg.keys_per_thread) - 1 do
-      add (Prism_workload.Ycsb.key_of i)
-    done;
-  check_batch_atomicity s.kv oracle ~crash_point ~boundary
-  @ check_recovered cfg s.kv oracle ~crash_point ~boundary ~keys
+(* After recovery one scan reads every key of the thread ranges; the
+   history, its pending ops and that scan must linearize. A scan, not
+   per-key gets: the checker keeps gets in its per-key search, which
+   never sees a batch whole, while a scan is an atomic snapshot in the
+   search and so catches a torn batch. *)
+let audit cfg s hist ~crash_point ~boundary =
+  let kv = History.wrap hist s.kv in
+  ignore
+    (kv.Kv.scan ~tid:0
+       (Prism_workload.Ycsb.key_of 0)
+       (cfg.threads * cfg.keys_per_thread));
+  match Linearize.check (History.events hist) with
+  | Ok () -> []
+  | Error v ->
+      [
+        {
+          crash_point;
+          boundary;
+          key = v.Linearize.key;
+          detail = Format.asprintf "%a" Linearize.pp_violation v;
+        };
+      ]
 
 (* Where a run cuts power: nowhere, at the n-th boundary of a named kind,
    or (stores without hooks) at a virtual time, reported as its grid
@@ -466,14 +360,14 @@ let run_once ?(tie = Engine.Fifo) cfg cut =
   (match cut with
   | Grid (t, _) -> Engine.schedule engine ~after:t (fun () -> raise Crash_now)
   | Clean | Boundary _ -> ());
-  let oracle = make_oracle () in
+  let hist = History.create () in
   let store = ref None in
   let counts = ref [] in
   Engine.spawn engine (fun () ->
       let s = instance cfg engine in
       let txn_every = if s.batch = None then 0 else cfg.txn_every in
       let ops = Array.init cfg.threads (thread_ops cfg ~txn_every) in
-      store := Some (s, ops);
+      store := Some s;
       counts :=
         List.map
           (fun (name, arm) ->
@@ -488,7 +382,7 @@ let run_once ?(tie = Engine.Fifo) cfg cut =
                    if n = crash_at then raise Crash_now));
             (name, count))
           s.hooks;
-      run_workload cfg s oracle ops);
+      run_workload cfg s hist ops);
   match Engine.run engine with
   | (_ : float) ->
       Completed
@@ -500,7 +394,7 @@ let run_once ?(tie = Engine.Fifo) cfg cut =
   | exception Crash_now -> (
       match !store with
       | None -> Crashed_before_store
-      | Some (s, ops) ->
+      | Some s ->
           List.iter (fun (_, arm) -> arm None) s.hooks;
           Engine.clear_pending engine;
           s.crash ();
@@ -512,8 +406,9 @@ let run_once ?(tie = Engine.Fifo) cfg cut =
           in
           let violations = ref [] in
           Engine.spawn engine (fun () ->
+              History.cut hist;
               s.recover ();
-              violations := audit cfg s oracle ops ~crash_point ~boundary);
+              violations := audit cfg s hist ~crash_point ~boundary);
           ignore (Engine.run engine);
           Crashed !violations)
 
@@ -539,7 +434,7 @@ let prism_crash_once ?tie cfg ~boundary ~target =
    events.
 
    Parallel shape: every crash target becomes one fleet job — each job
-   builds its own engine, store and oracle from [cfg], so jobs share
+   builds its own engine, store and history from [cfg], so jobs share
    nothing mutable. The merge walks results in ascending target order
    and replays the serial driver's control flow exactly: count, collect
    violations, call [progress], and stop a boundary's sweep at the first

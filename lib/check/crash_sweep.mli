@@ -1,12 +1,16 @@
 (** Crash-point sweep: run a seeded workload, cut power at every k-th
-    durability boundary, recover, and check that the recovered state is a
-    consistent per-key prefix — every acknowledged write present (or
-    superseded by the one in-flight operation), no deleted key
-    resurrected, no value from the future.
+    durability boundary, recover, and check the recovery for durable
+    linearizability (Izraelevitz, Mendes and Scott, DISC 2016) with
+    {!Linearize}, the oracle the schedule explorer uses too.
 
-    Each workload thread owns a disjoint key range, so per-key operation
-    sequences are sequential and "last acknowledged write" needs no
-    linearizability search.
+    The workload runs through a {!History}. At the power cut,
+    {!History.cut} closes every op still in flight as pending: it may or
+    may not have taken effect. After recovery one scan reads every key of
+    the workload, and the whole history, pending ops and that scan
+    included, must linearize. So every acknowledged write must be
+    present or superseded, no deleted key may come back, no value may
+    come from the future, and a pending write batch must be all or
+    nothing. Each workload thread owns a disjoint key range.
 
     Every store enters the sweep as one small record: its client handle,
     its durability boundaries as named hook setters (each calls its hook
@@ -16,9 +20,10 @@
     store: it arms the hooks, runs the workload, and when the chosen
     hook raises inside the simulation (unwinding
     {!Prism_sim.Engine.run}) it clears pending events, crashes the store,
-    recovers, and audits. A store with no hooks (KVell, whose page writes
-    carry no content image) is cut on an even virtual-time grid sized to
-    one crash per [crash_every] executed events. *)
+    cuts the history, recovers, and checks. A store with no hooks (KVell,
+    whose page writes carry no content image) is cut on an even
+    virtual-time grid sized to one crash per [crash_every] executed
+    events. *)
 
 type config = {
   store : [ `Prism | `Kvell | `Lsm | `Cluster ];
@@ -50,14 +55,18 @@ type config = {
 
 val default : config
 
+(** A recovery that does not linearize; each crash point reports at most
+    one. *)
 type violation = {
   crash_point : int;  (** boundary ordinal (or grid index) injected at *)
   boundary : string;
       (** ["nvm-persist"], ["ssd-write"], ["wal-append"],
           ["sstable-publish"], ["virtual-time"], ["coord-log-persist"],
           ["prepare-log-persist"] *)
-  key : string;
+  key : string;  (** the key {!Linearize} blames ([""] if none) *)
   detail : string;
+      (** {!Linearize.pp_violation}: the virtual-time window, the reason,
+          and the ops involved, values named by version stamp ([v37]) *)
 }
 
 type report = {

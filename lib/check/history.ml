@@ -13,6 +13,7 @@ type outcome =
   | Existed of bool
   | Items of (string * bytes) list
   | Committed of bool
+  | Pending
 
 type event = {
   op : int;
@@ -27,12 +28,21 @@ type event = {
 
 type t = {
   mutable events_rev : event list;
+  open_ops : (int, int * call * int * float) Hashtbl.t;
+      (* invocations still running: op -> (tid, call, inv, inv_time) *)
   mutable stamp : int;
   mutable count : int;
   mutable enabled : bool;
 }
 
-let create () = { events_rev = []; stamp = 0; count = 0; enabled = true }
+let create () =
+  {
+    events_rev = [];
+    open_ops = Hashtbl.create 8;
+    stamp = 0;
+    count = 0;
+    enabled = true;
+  }
 
 let set_enabled t on = t.enabled <- on
 
@@ -176,13 +186,13 @@ let record t ~tid call run =
     Engine.annotate engine (op_label ~tid call);
     let inv = tick t in
     let inv_time = Engine.now engine in
+    Hashtbl.add t.open_ops op (tid, call, inv, inv_time);
     let outcome =
       try run ()
       with e ->
         (* A crash injection unwinding through the operation must not
            leak the op's label onto whatever the interrupted context runs
-           next. The op itself never completed, so it carries no
-           obligation and is deliberately not recorded. *)
+           next. The op stays open: [cut] closes it as pending. *)
         let bt = Printexc.get_raw_backtrace () in
         Engine.annotate engine saved;
         Printexc.raise_with_backtrace e bt
@@ -190,31 +200,43 @@ let record t ~tid call run =
     let resp = tick t in
     let resp_time = Engine.now engine in
     Engine.annotate engine saved;
+    Hashtbl.remove t.open_ops op;
     t.events_rev <-
       { op; tid; call; outcome; inv; resp; inv_time; resp_time }
       :: t.events_rev;
     outcome
   end
 
+let cut t =
+  let resp = tick t in
+  let resp_time = Engine.now (Engine.current ()) in
+  Hashtbl.iter
+    (fun op (tid, call, inv, inv_time) ->
+      t.events_rev <-
+        { op; tid; call; outcome = Pending; inv; resp; inv_time; resp_time }
+        :: t.events_rev)
+    t.open_ops;
+  Hashtbl.reset t.open_ops
+
 let unwrap_unit = function
   | Ok_unit -> ()
-  | Got _ | Existed _ | Items _ | Committed _ -> assert false
+  | Got _ | Existed _ | Items _ | Committed _ | Pending -> assert false
 
 let unwrap_got = function
   | Got v -> v
-  | Ok_unit | Existed _ | Items _ | Committed _ -> assert false
+  | Ok_unit | Existed _ | Items _ | Committed _ | Pending -> assert false
 
 let unwrap_existed = function
   | Existed e -> e
-  | Ok_unit | Got _ | Items _ | Committed _ -> assert false
+  | Ok_unit | Got _ | Items _ | Committed _ | Pending -> assert false
 
 let unwrap_items = function
   | Items l -> l
-  | Ok_unit | Got _ | Existed _ | Committed _ -> assert false
+  | Ok_unit | Got _ | Existed _ | Committed _ | Pending -> assert false
 
 let unwrap_committed = function
   | Committed c -> c
-  | Ok_unit | Got _ | Existed _ | Items _ -> assert false
+  | Ok_unit | Got _ | Existed _ | Items _ | Pending -> assert false
 
 let wrap t (kv : Prism_harness.Kv.t) =
   {
@@ -279,6 +301,7 @@ let pp_outcome fmt = function
   | Existed e -> Format.fprintf fmt "-> existed:%b" e
   | Items l -> Format.fprintf fmt "-> %d items" (List.length l)
   | Committed c -> Format.fprintf fmt "-> committed:%b" c
+  | Pending -> Format.fprintf fmt "-> pending"
 
 let pp_event fmt e =
   Format.fprintf fmt "[%d] tid%d %a %a (inv %d@@%.6fs, resp %d@@%.6fs)" e.op

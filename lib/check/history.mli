@@ -32,6 +32,9 @@ type outcome =
   | Existed of bool
   | Items of (string * bytes) list
   | Committed of bool  (** a batch's fate: committed or aborted *)
+  | Pending
+      (** cut off by a crash ({!cut}): the op may or may not have taken
+          effect, and any read it made is lost *)
 
 type event = {
   op : int;  (** dense index in invocation order *)
@@ -63,9 +66,16 @@ val wrap : t -> Prism_harness.Kv.t -> Prism_harness.Kv.t
 val record_batch :
   t -> tid:int -> (string * bytes) list -> (unit -> bool) -> bool
 
-(** Completed events sorted by invocation stamp. Operations that never
-    returned (e.g. cut off by a crash) are absent — they never completed,
-    so they carry no obligation in the history. *)
+(** [cut t] records a power cut: every operation still open responds at
+    one new stamp, at the current virtual time, with outcome [Pending].
+    Operations recorded afterwards (reads made after recovery) follow
+    every pending one in real time. Call it inside a simulation process.
+    A run that never crashes never calls it. *)
+val cut : t -> unit
+
+(** Responded events sorted by invocation stamp: every completed op,
+    and every op {!cut} closed as pending. Operations still open (no
+    response and no cut yet) are absent. *)
 val events : t -> event array
 
 (** Number of recorded invocations (including any still in flight). *)

@@ -11,9 +11,11 @@ type violation = {
    unrelated keys' interleavings. *)
 
 type sem =
-  | W of bytes (* put, or one key's share of a committed batch *)
+  | W of bytes (* put, or one key's share of a committed or pending batch *)
   | R of bytes option (* get outcome *)
-  | D of bool (* delete outcome: did the key exist *)
+  | D of bool option
+      (* delete outcome: did the key exist; [None] when the delete is
+         pending, so its outcome was never seen *)
 
 type op = { ev : History.event; sem : sem }
 
@@ -40,17 +42,21 @@ let project events =
   Array.iter
     (fun ev ->
       match (ev.History.call, ev.History.outcome) with
-      | History.Put (key, v), History.Ok_unit -> add key { ev; sem = W v }
+      | History.Put (key, v), (History.Ok_unit | History.Pending) ->
+          add key { ev; sem = W v }
       | History.Get key, History.Got v -> add key { ev; sem = R v }
-      | History.Delete key, History.Existed e -> add key { ev; sem = D e }
-      | History.Scan _, _ -> ()
-      (* A committed batch expands into independent per-key writes here —
-         a sound under-constraint (per-key it behaves like a put); its
-         atomicity obligation is enforced by the component search, where
-         the batch linearizes as one multi-slot write. An aborted batch
-         must be invisible everywhere, so it contributes nothing and the
-         per-key reads prove the invisibility. *)
-      | History.Batch writes, History.Committed true ->
+      | History.Delete key, History.Existed e ->
+          add key { ev; sem = D (Some e) }
+      | History.Delete key, History.Pending -> add key { ev; sem = D None }
+      (* A pending read returned nothing, so it constrains nothing. *)
+      | (History.Get _ | History.Scan _), _ -> ()
+      (* A committed or pending batch expands into independent per-key
+         writes here — a sound under-constraint (per-key it behaves like a
+         put); its atomicity obligation is enforced by the component
+         search, where the batch linearizes as one multi-slot write. An
+         aborted batch must be invisible everywhere, so it contributes
+         nothing and the per-key reads prove the invisibility. *)
+      | History.Batch writes, (History.Committed true | History.Pending) ->
           List.iter (fun (k, v) -> add k { ev; sem = W v }) (dedup_batch writes)
       | History.Batch _, History.Committed false -> ()
       | _ -> invalid_arg "Linearize: mismatched call/outcome")
@@ -113,8 +119,11 @@ let in_range s k =
    next, provided its recorded outcome is legal in the current state.
    Puts, gets and deletes step one slot; a committed batch steps all its
    slots at one point; a scan linearizes only at a point where its
-   result is exactly the live contents of its range. Failed
-   (linearized set, state vector) configurations are memoized. *)
+   result is exactly the live contents of its range. A pending write
+   (outcome [Pending]: a crash cut it off) takes either its effect or no
+   step at all; its response is the cut, so it is decided before any op
+   recorded after recovery. Failed (linearized set, state vector)
+   configurations are memoized. *)
 
 (* Register state between linearized ops, kept symbolic so memo entries
    compare in O(1): a value is named by the [op] index of the event that
@@ -158,7 +167,7 @@ let search ~init keys ops =
         | V_absent, None -> true
         | (V_put _ | V_absent), _ -> false)
     | D e ->
-        e = present slot
+        (match e with Some e -> e = present slot | None -> true)
         && begin
              states.(slot) <- V_absent;
              true
@@ -265,8 +274,8 @@ let search ~init keys ops =
           let j = !i in
           incr i;
           let ev, step = ops.(j) in
-          if (not linearized.(j)) && ev.History.inv < !min_resp then
-            match step with
+          if (not linearized.(j)) && ev.History.inv < !min_resp then begin
+            (match step with
             | Key (slot, sem) ->
                 let saved = states.(slot) in
                 if apply slot ev sem then
@@ -284,7 +293,14 @@ let search ~init keys ops =
                   List.iter2 (fun (slot, _) st -> states.(slot) <- st) ws saved
             | Scan (s, items) ->
                 if scan_at_point remaining s items && descend j remaining then
-                  found := true
+                  found := true);
+            (* The no-op step of a pending write. *)
+            if
+              (not !found)
+              && ev.History.outcome == History.Pending
+              && descend j remaining
+            then found := true
+          end
         done;
         if not !found then Hashtbl.add memo key ();
         !found
@@ -401,7 +417,9 @@ let check_scans ~init ~writes events =
    single point. It joins the component search as an {e anchor} exactly
    like a scan: its footprint is its write set, overlapping footprints
    merge into one component, and inside the search it steps every
-   written slot at once. Aborted batches never appear. *)
+   written slot at once. A pending batch joins the same way and may also
+   take no step, so a crash leaves it all or nothing. Aborted batches
+   never appear. *)
 
 type anchor =
   | A_scan of scan_rec
@@ -413,7 +431,7 @@ let batch_recs events =
   Array.fold_left
     (fun acc ev ->
       match (ev.History.call, ev.History.outcome) with
-      | History.Batch writes, History.Committed true ->
+      | History.Batch writes, (History.Committed true | History.Pending) ->
           A_batch (ev, dedup_batch writes) :: acc
       | _ -> acc)
     [] events
@@ -460,6 +478,17 @@ let check_preload_static ~init ~init_keys ~writes scans =
   in
   go init_keys
 
+let footprint writes a =
+  let keys = Hashtbl.create 16 in
+  (match a with
+  | A_scan s ->
+      Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) s.s_returned;
+      Hashtbl.iter
+        (fun k _ -> if in_range s k then Hashtbl.replace keys k ())
+        writes
+  | A_batch (_, ws) -> List.iter (fun (k, _) -> Hashtbl.replace keys k ()) ws);
+  keys
+
 (* Group anchors (scans and committed batches) into connected components
    of overlapping footprints, each with the union of its footprint
    keys. A scan's footprint is its returned keys plus every written key
@@ -473,21 +502,7 @@ let anchor_components anchors writes =
     let ra = find a and rb = find b in
     if ra <> rb then parent.(max ra rb) <- min ra rb
   in
-  let footprints =
-    Array.map
-      (fun a ->
-        let keys = Hashtbl.create 16 in
-        (match a with
-        | A_scan s ->
-            Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) s.s_returned;
-            Hashtbl.iter
-              (fun k _ -> if in_range s k then Hashtbl.replace keys k ())
-              writes
-        | A_batch (_, ws) ->
-            List.iter (fun (k, _) -> Hashtbl.replace keys k ()) ws);
-        keys)
-      anchors
-  in
+  let footprints = Array.map (footprint writes) anchors in
   let owner : (string, int) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
     (fun i keys ->
@@ -529,6 +544,17 @@ let check_component ~init anchors keys writes =
   in
   Array.iteri (fun i k -> Hashtbl.replace slot_of k i) keys;
   let to_slot (k, v) = (Hashtbl.find slot_of k, v) in
+  (* A scan's items on the component's keys: all of them, except for a
+     final scan, which joins every component. *)
+  let slot_items s =
+    let items = ref [] in
+    for slot = Array.length keys - 1 downto 0 do
+      match Hashtbl.find_opt s.s_returned keys.(slot) with
+      | Some v -> items := (slot, v) :: !items
+      | None -> ()
+    done;
+    !items
+  in
   let ops =
     let write_ops =
       Array.to_list keys
@@ -541,9 +567,7 @@ let check_component ~init anchors keys writes =
     let anchor_ops =
       List.map
         (function
-          | A_scan s ->
-              let items = Hashtbl.to_seq s.s_returned |> Seq.map to_slot in
-              (s.s_ev, Scan (s, List.of_seq items))
+          | A_scan s -> (s.s_ev, Scan (s, slot_items s))
           | A_batch (ev, ws) -> (ev, Batch (List.map to_slot ws)))
         anchors
     in
@@ -558,7 +582,10 @@ let check_component ~init anchors keys writes =
         {
           key;
           reason = Printf.sprintf "scan is not an atomic snapshot: %s" reason;
-          ops = scan_ev :: List.map (fun o -> o.ev) (key_writes writes key);
+          ops =
+            scan_ev
+            :: List.map (fun o -> o.ev)
+                 (Option.value ~default:[] (Hashtbl.find_opt writes key));
         }
   | Error None ->
       let count p = List.length (List.filter p anchors) in
@@ -575,6 +602,45 @@ let check_component ~init anchors keys writes =
               nbatches nscans (Array.length keys);
           ops = Array.to_list (Array.map fst ops);
         }
+
+(* The anchors' components. A scan invoked after every other op
+   responded (the read after a recovery is one) sees the final state,
+   and nothing can linearize between its parts, so it splits by key
+   without loss: every component gets the scan's share of its keys, and
+   every other key of its footprint is a component of its own. Left
+   whole, it would join all those keys into one component, whose search
+   walks every thread interleaving before it can fail. *)
+
+let components events scans batches writes =
+  let group scans =
+    anchor_components
+      (List.map (fun s -> A_scan s) scans @ batches
+      |> List.sort (fun a b ->
+             compare (anchor_ev a).History.inv (anchor_ev b).History.inv))
+      writes
+  in
+  match List.rev scans with
+  | s :: others
+    when Array.for_all
+           (fun e -> e == s.s_ev || e.History.resp < s.s_ev.History.inv)
+           events ->
+      let comps = group (List.rev others) in
+      let taken = Hashtbl.create 64 in
+      List.iter
+        (fun (_, keys) -> Array.iter (fun k -> Hashtbl.replace taken k ()) keys)
+        comps;
+      let alone =
+        Hashtbl.fold
+          (fun k () acc -> if Hashtbl.mem taken k then acc else k :: acc)
+          (footprint writes (A_scan s))
+          []
+        |> List.sort compare
+        |> List.map (fun k -> ([], [| k |]))
+      in
+      List.map
+        (fun (members, keys) -> (A_scan s :: members, keys))
+        (comps @ alone)
+  | _ -> group scans
 
 let check_anchors ~init ~init_keys events per_key =
   match (scan_recs events, batch_recs events) with
@@ -597,12 +663,6 @@ let check_anchors ~init ~init_keys events per_key =
           match check_preload_static ~init ~init_keys ~writes scans with
           | Error _ as e -> e
           | Ok () ->
-              let anchors =
-                List.map (fun s -> A_scan s) scans @ batches
-                |> List.sort (fun a b ->
-                       compare (anchor_ev a).History.inv
-                         (anchor_ev b).History.inv)
-              in
               let rec comps = function
                 | [] -> Ok ()
                 | (members, keys) :: rest -> (
@@ -610,7 +670,7 @@ let check_anchors ~init ~init_keys events per_key =
                     | Ok () -> comps rest
                     | Error _ as e -> e)
               in
-              comps (anchor_components anchors writes)))
+              comps (components events scans batches writes)))
 
 let check ?(init = fun _ -> None) ?(init_keys = []) events =
   let per_key = project events in

@@ -11,8 +11,8 @@
     operation that wrote it — so memo keys stay tiny.
 
     Linearizability is local, so the history is first split into per-key
-    register subhistories, each searched on its own. Committed batches
-    enter them as independent per-key writes.
+    register subhistories, each searched on its own. Committed and
+    pending batches enter them as independent per-key writes.
 
     {b Scans} and {b committed batches} span keys. Each scan must be an
     atomic snapshot read: some single point in a legal linearization at
@@ -27,6 +27,18 @@
     approximation: their constraints do not propagate into scan points).
     Cheap per-item scan conditions — sorted, bounded by the requested
     count, values that were written — run first as a pre-filter.
+
+    A scan invoked after every other operation responded (the read after
+    a crash recovery) sees the final state, so it splits by key without
+    loss: each component gets the scan's share of its keys, and each
+    other key it covers is searched alone with its writes.
+
+    {b Pending operations} ({!History.Pending}, cut off by a crash) follow
+    durable linearizability: a pending put, delete or batch takes either
+    its effect (a batch all its writes at one point) or no step at all.
+    Its response is the cut, so it is decided before any operation
+    recorded after recovery. A pending get or scan returned nothing and
+    is dropped.
 
     A scan's covered range is [[from, last-returned-key]] when it filled
     its requested count (anything above the last key was legitimately cut

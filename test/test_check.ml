@@ -217,6 +217,48 @@ let test_linearize_scan () =
       ev 2 1 (History.Scan ("a", 2)) (scan [ ("b", v2); ("a", v1) ]) 4 5;
     ]
 
+(* A crash cut ops off at stamp 4: a pending op may or may not have
+   taken effect, and the scan after recovery sees the outcome. *)
+let test_linearize_pending () =
+  let scan items = History.Items items in
+  check_bad "pending batch recovered half-applied"
+    [
+      ev 0 0 (History.Batch [ ("a", v1); ("b", v2) ]) History.Pending 0 4;
+      ev 1 1 (History.Scan ("a", 8)) (scan [ ("a", v1) ]) 5 6;
+    ];
+  check_ok "pending batch recovered whole"
+    [
+      ev 0 0 (History.Batch [ ("a", v1); ("b", v2) ]) History.Pending 0 4;
+      ev 1 1 (History.Scan ("a", 8)) (scan [ ("a", v1); ("b", v2) ]) 5 6;
+    ];
+  let acked_then_pending survivor =
+    [
+      ev 0 0 (put "a" v1) History.Ok_unit 0 1;
+      ev 1 0 (put "a" v2) History.Pending 2 4;
+      ev 2 1 (History.Scan ("a", 8)) (scan [ ("a", survivor) ]) 5 6;
+    ]
+  in
+  check_ok "pending put survived" (acked_then_pending v2);
+  check_ok "pending put lost" (acked_then_pending v1);
+  check_ok "pending delete survived"
+    [
+      ev 0 0 (put "a" v1) History.Ok_unit 0 1;
+      ev 1 0 (History.Delete "a") History.Pending 2 4;
+      ev 2 1 (History.Scan ("a", 8)) (scan []) 5 6;
+    ];
+  check_bad "acked put missing after the cut"
+    [
+      ev 0 0 (put "a" v1) History.Ok_unit 0 1;
+      ev 1 1 (put "b" v2) History.Pending 2 4;
+      ev 2 1 (History.Scan ("a", 8)) (scan [ ("b", v2) ]) 5 6;
+    ];
+  check_bad "pending put cannot land after a read past the cut"
+    [
+      ev 0 0 (put "a" v2) History.Pending 0 4;
+      ev 1 1 (History.Get "a") (got None) 5 6;
+      ev 2 1 (History.Get "a") (got (Some v2)) 7 8;
+    ]
+
 (* Memo sizing guard. Each key's search (and each scan component's)
    keeps a memo of dead-end configurations; on the checker's histories
    most keys see a few operations, so the memos must start small. A
@@ -534,7 +576,9 @@ let test_scan_atomic_store_accepted =
 
 (* The oracle tries every order that respects real time against a
    sequential map where scans and batches are atomic; an aborted batch
-   is a no-op. Exponential, so only for histories of a handful of ops. *)
+   is a no-op. A pending op (cut off by a crash) either takes effect or
+   is a no-op; a pending read is always a no-op. Exponential, so only
+   for histories of a handful of ops. *)
 let oracle ~init events =
   let n = Array.length events in
   let lookup m k = match List.assoc_opt k m with Some v -> v | None -> init k in
@@ -550,6 +594,11 @@ let oracle ~init events =
     | History.Batch ws, History.Committed true ->
         Some (List.fold_left (fun m (k, v) -> set m k (Some v)) m ws)
     | History.Batch _, History.Committed false -> Some m
+    | History.Put (k, v), History.Pending -> Some (set m k (Some v))
+    | History.Delete k, History.Pending -> Some (set m k None)
+    | History.Batch ws, History.Pending ->
+        Some (List.fold_left (fun m (k, v) -> set m k (Some v)) m ws)
+    | (History.Get _ | History.Scan _), History.Pending -> Some m
     | History.Scan (from, count), History.Items items ->
         let live =
           List.filter_map
@@ -581,14 +630,18 @@ let oracle ~init events =
       (fun i ->
         (not done_.(i))
         && events.(i).History.inv < !min_resp
-        &&
-        match apply m events.(i) with
-        | None -> false
-        | Some m' ->
-            done_.(i) <- true;
-            let ok = go m' (left - 1) in
-            done_.(i) <- false;
-            ok)
+        && List.exists
+             (function
+               | None -> false
+               | Some m' ->
+                   done_.(i) <- true;
+                   let ok = go m' (left - 1) in
+                   done_.(i) <- false;
+                   ok)
+             (apply m events.(i)
+             :: (if events.(i).History.outcome = History.Pending then
+                   [ Some m ]
+                 else [])))
       (List.init n Fun.id)
   in
   go [] n
@@ -597,7 +650,9 @@ let oracle ~init events =
    puts, gets and deletes; 1 draws everything but gets; 2 draws
    everything. Outcomes are random but drawn from plausible values (the
    key's preload and anything written to it, aborted batches included),
-   so both verdicts come up often. *)
+   so both verdicts come up often. Sometimes a crash cuts the history
+   off: a few ops become pending, responding at one stamp after every
+   other, and a full-range scan may follow the cut. *)
 let random_history =
   let open QCheck.Gen in
   let* mode = int_bound 2 in
@@ -678,20 +733,39 @@ let random_history =
                 later))
   in
   let* outcomes = flatten_l (List.map outcome calls) in
-  return
-    ( init,
-      preloaded,
-      Array.of_list
-        (List.mapi
-           (fun i (call, outcome) ->
-             let a = stamps.(2 * i) and b = stamps.((2 * i) + 1) in
-             ev i (i mod 3) call outcome (min a b) (max a b))
-           (List.combine calls outcomes)) )
+  let* crashed = float_bound_inclusive 1.0 >|= fun f -> f < 0.4 in
+  let* pending =
+    list_repeat n (float_bound_inclusive 1.0 >|= fun f -> crashed && f < 0.3)
+  in
+  let* after =
+    let scan = History.Scan ("a", 3) in
+    if crashed then
+      map2
+        (fun read items -> if read then [ (scan, items) ] else [])
+        bool (outcome scan)
+    else return []
+  in
+  let cut = 2 * n in
+  let before =
+    List.mapi
+      (fun i ((call, outcome), pending) ->
+        let a = stamps.(2 * i) and b = stamps.((2 * i) + 1) in
+        if pending then ev i (i mod 3) call History.Pending (min a b) cut
+        else ev i (i mod 3) call outcome (min a b) (max a b))
+      (List.combine (List.combine calls outcomes) pending)
+  in
+  let after =
+    List.map
+      (fun (call, outcome) -> ev n 0 call outcome (cut + 1) (cut + 2))
+      after
+  in
+  return (init, preloaded, Array.of_list (before @ after))
 
 (* Exact on register-only histories (Wing-Gong is complete per key) and
    on histories without gets (scans and batches are searched atomically
-   together); with gets and scans or committed batches mixed, gets stay
-   in the per-key search, so the checker may only be more permissive. *)
+   together), pending ops included; with gets and scans or committed or
+   pending batches mixed, gets stay in the per-key search, so the
+   checker may only be more permissive. *)
 let test_linearize_matches_oracle =
   qcase ~count:3000 "matches a brute-force oracle on tiny histories"
     (QCheck.make
@@ -707,13 +781,15 @@ let test_linearize_matches_oracle =
         Array.exists (fun e -> f e.History.call e.History.outcome) events
       in
       let gets =
-        has (fun c _ -> match c with History.Get _ -> true | _ -> false)
+        has (fun c o ->
+            match (c, o) with History.Get _, History.Got _ -> true | _ -> false)
       in
       let anchors =
         has (fun c o ->
             match (c, o) with
-            | History.Scan _, _ -> true
-            | History.Batch _, History.Committed true -> true
+            | History.Scan _, History.Items _ -> true
+            | History.Batch _, (History.Committed true | History.Pending) ->
+                true
             | _ -> false)
       in
       if gets && anchors then (not expected) || got else got = expected)
@@ -1250,9 +1326,28 @@ let test_sweep_catches_lost_writes () =
       { sweep_cfg with Crash_sweep.fault = Explore.Skip_hsit_flush;
         crash_every = 10 }
   in
-  Alcotest.(check string) "report digest" "46eaf2b4dec0df77167375f2bef01516" (sweep_digest report);
-  Alcotest.(check bool) "disabled HSIT flush loses acknowledged writes" true
-    (report.Crash_sweep.violations <> [])
+  Alcotest.(check string) "report digest" "1393b2aa9b696231e8ad72f4e593e994" (sweep_digest report);
+  match report.Crash_sweep.violations with
+  | [] -> Alcotest.fail "disabled HSIT flush lost no acknowledged write"
+  | v :: _ ->
+      (* The report is the violating history: a virtual-time window and
+         the ops in it, each value named by its version stamp. *)
+      let d = v.Crash_sweep.detail in
+      let has_window =
+        String.length d >= 8 && String.sub d 0 8 = "window ["
+      in
+      let names_version =
+        List.exists
+          (fun w ->
+            String.length w >= 2
+            && w.[0] = 'v'
+            && String.for_all (fun c -> c >= '0' && c <= '9')
+                 (String.sub w 1 (String.length w - 1)))
+          (String.split_on_char ' ' d)
+      in
+      Alcotest.(check bool) "report has a window span" true has_window;
+      Alcotest.(check bool) "report names a value by its version stamp" true
+        names_version
 
 let lsm_sweep_cfg =
   { sweep_cfg with Crash_sweep.store = `Lsm; crash_every = 7 }
@@ -1277,7 +1372,7 @@ let test_sweep_lsm_no_wal () =
     Crash_sweep.run
       { lsm_sweep_cfg with Crash_sweep.lsm_wal = false; crash_every = 1 }
   in
-  Alcotest.(check string) "report digest" "67ca81bc80de0be37d0414bf6d5b9065" (sweep_digest report);
+  Alcotest.(check string) "report digest" "4e34445c09efd12972f47812e55a8735" (sweep_digest report);
   Alcotest.(check bool) "WAL-less LSM loses acknowledged writes" true
     (report.Crash_sweep.violations <> []);
   Alcotest.(check bool) "losses are at the publish boundary" true
@@ -1389,7 +1484,7 @@ let test_sweep_hotness_catches_lost_writes () =
       { hotness_sweep_cfg with Crash_sweep.fault = Explore.Skip_hsit_flush;
         crash_every = 10 }
   in
-  Alcotest.(check string) "report digest" "eeea123270292492134ddc2ffd37dfb8" (sweep_digest report);
+  Alcotest.(check string) "report digest" "c887216532fe5b6ad4ce78d71ceb82fc" (sweep_digest report);
   Alcotest.(check bool) "disabled HSIT flush loses acknowledged writes" true
     (report.Crash_sweep.violations <> [])
 
@@ -1533,6 +1628,7 @@ let () =
           case "phantom read rejected" test_linearize_phantom_read;
           case "preloaded initial values" test_linearize_init;
           case "scan monotonic prefix" test_linearize_scan;
+          case "pending ops after a cut" test_linearize_pending;
           case "memos start small" test_linearize_memo_major_words;
           test_linearize_matches_oracle;
         ] );
