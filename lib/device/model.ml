@@ -4,8 +4,13 @@ type direction = Read | Write
 
 type t = {
   engine : Engine.t;
+  clock : float array; (* the engine's clock cells: [clock.(0)] is now *)
   spec : Spec.t;
-  mutable busy_until : float;
+  times : float array;
+      (* [times.(0)] is when the transfer stage frees up, [times.(1)] the
+         completion of the latest booking. Float cells, where a mixed
+         record's float field would box every store, and where the
+         engine reads the completion without it crossing a call boxed. *)
   mutable bytes_read : int;
   mutable bytes_written : int;
   mutable reads : int;
@@ -18,8 +23,9 @@ let create engine spec =
   let rec t =
     {
       engine;
+      clock = Engine.clock engine;
       spec;
-      busy_until = 0.0;
+      times = [| 0.0; 0.0 |];
       bytes_read = 0;
       bytes_written = 0;
       reads = 0;
@@ -49,32 +55,39 @@ let note t dir size =
       t.bytes_written <- t.bytes_written + size;
       t.writes <- t.writes + 1
 
-(* Books the transfer and counts it in flight; the caller queues
-   [t.retire] at the returned completion time. *)
+(* Books the transfer, counts it in flight and leaves its completion
+   time in [t.times.(1)]; the caller queues [t.retire] there. *)
 let book t dir ~size =
   if size < 0 then invalid_arg "Model.submit: negative size";
   note t dir size;
-  let start = Float.max (Engine.now t.engine) t.busy_until in
+  let times = t.times in
+  let start =
+    Float.max (Array.unsafe_get t.clock 0) (Array.unsafe_get times 0)
+  in
   let transfer_done = start +. (float_of_int size /. bandwidth t dir) in
-  t.busy_until <- transfer_done;
+  Array.unsafe_set times 0 transfer_done;
   t.in_flight <- t.in_flight + 1;
-  transfer_done +. latency t dir
+  Array.unsafe_set times 1 (transfer_done +. latency t dir)
 
 let submit t dir ~size =
-  let completion = book t dir ~size in
-  Engine.schedule t.engine ~after:(completion -. Engine.now t.engine) t.retire;
+  book t dir ~size;
+  let completion = Array.unsafe_get t.times 1 in
+  Engine.schedule t.engine
+    ~after:(completion -. Array.unsafe_get t.clock 0)
+    t.retire;
   completion
 
 let submit_then t dir ~size k =
-  let completion = book t dir ~size in
+  book t dir ~size;
+  let completion = Array.unsafe_get t.times 1 in
   Engine.schedule_behind t.engine
-    ~after:(completion -. Engine.now t.engine)
+    ~after:(completion -. Array.unsafe_get t.clock 0)
     t.retire
     (fun () -> k completion)
 
 let access t dir ~size =
-  let completion = book t dir ~size in
-  Engine.delay_behind (completion -. Engine.now t.engine) t.retire
+  book t dir ~size;
+  Engine.delay_behind_until t.times 1 t.retire
 
 let bytes_written t = t.bytes_written
 

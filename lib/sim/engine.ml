@@ -21,13 +21,14 @@ type policy =
 type t = {
   clock : float array;
       (* [clock.(0)] is the simulation's "now", [clock.(1)] the active
-         run's limit. A float array rather than [mutable now : float]: in
-         a mixed record the float field is a boxed pointer, so every
-         [t.now <- time] on the dispatch path would allocate; and handing
-         the array to {!Heap.advance_if_due}/{!Heap.push_after} keeps
-         event times from ever crossing the Heap module boundary as bare
-         floats (which box under dune's dev profile, where [-opaque]
-         disables cross-module inlining). *)
+         run's limit and [clock.(2)] the delay a parking process is about
+         to sleep (see {!Heap.advance_alone}/{!Heap.push_delay}). A float
+         array rather than [mutable now : float]: in a mixed record the
+         float field is a boxed pointer, so every [t.now <- time] on the
+         dispatch path would allocate; and handing the array to the heap
+         keeps event times and delays from ever crossing the Heap module
+         boundary as bare floats (which box under dune's dev profile,
+         where [-opaque] disables cross-module inlining). *)
   mutable seq : int;
   mutable stopped : bool;
   mutable executed : int;
@@ -49,10 +50,13 @@ type t = {
          never perturb the schedule *)
 }
 
+(* The payloads carry nothing a process's own handler can find by
+   itself: [Delay]'s sleep rides [clock.(2)], so it is a constant
+   constructor and performing it allocates nothing. *)
 type _ Effect.t +=
-  | Delay : (t * float) -> unit Effect.t
-  | Delay_behind : (t * float * (unit -> unit)) -> unit Effect.t
-  | Suspend : (t * ((unit -> unit) -> unit)) -> unit Effect.t
+  | Delay : unit Effect.t
+  | Delay_behind : (unit -> unit) -> unit Effect.t
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 (* The engine of the currently-running process. [run] sets it for the whole
    event loop (events only ever execute inside their own engine's loop), so
@@ -65,7 +69,7 @@ let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let create () =
   {
-    clock = [| 0.0; infinity |];
+    clock = [| 0.0; infinity; 0.0 |];
     seq = 0;
     stopped = false;
     executed = 0;
@@ -126,52 +130,99 @@ let schedule t ~after f =
   t.seq <- seq + 1;
   Heap.push_after t.events ~clock:t.clock ~after ~seq ~aux:t.cur_label f
 
-let handler (_ : t) =
-  let open Effect.Deep in
-  let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
-    function
-    | Delay (engine, d) ->
-        Some
-          (fun k ->
-            let seq = engine.seq in
-            engine.seq <- seq + 1;
-            Heap.push_after engine.events ~clock:engine.clock ~after:d ~seq
-              ~aux:engine.cur_label (fun () -> continue k ()))
-    | Delay_behind (engine, d, f) ->
-        (* [delay_behind]'s fused pair under FIFO: one entry at [f]'s
-           seq, the wake-up's seq reserved right behind it and counted
-           as its own event. *)
-        Some
-          (fun k ->
-            let seq = engine.seq in
-            engine.seq <- seq + 2;
-            Heap.push_after engine.events ~clock:engine.clock ~after:d ~seq
-              ~aux:engine.cur_label (fun () ->
-                f ();
-                engine.executed <- engine.executed + 1;
-                continue k ()))
-    | Suspend (engine, register) ->
-        Some
-          (fun k ->
-            let resumed = ref false in
-            (* The continuation belongs to the suspended context, so its
-               resume event keeps that context's label even when resume is
-               called from a differently-labelled completion. *)
-            let label = engine.cur_label in
-            register (fun () ->
-                if !resumed then invalid_arg "Engine: resume called twice";
-                resumed := true;
-                let seq = engine.seq in
-                engine.seq <- seq + 1;
-                Heap.push_after engine.events ~clock:engine.clock ~after:0.0
-                  ~seq ~aux:label (fun () -> continue k ())))
-    | _ -> None
-  in
-  { retc = Fun.id; exnc = raise; effc }
+(* A process's park state, built once by [spawn]: the slot its
+   continuation waits in while it sleeps, and the closures and handler
+   replies every park reuses. Parking then allocates only the
+   continuation the runtime captures, and stores one young pointer into
+   this (usually old) block: [k]. The other per-park writes are
+   immediates, or [behind], which holds a device's long-lived retire
+   callback; nothing is reset on wake-up (a stale [k] is a spent
+   continuation, a stale [behind] a callback its owner still holds).
+
+   [waiting] is set while the process is suspended and cleared by the
+   first resume, so a second call raises as long as the process has not
+   suspended again. *)
+type park = {
+  mutable k : (unit, unit) Effect.Deep.continuation;
+  mutable behind : unit -> unit;
+  mutable waiting : bool;
+  mutable label : int;
+      (* the suspended context's label: its resume event keeps it even
+         when resume is called from a differently-labelled completion *)
+}
+
+(* Placeholder for [k] before the first park. An immediate, so the GC
+   never follows it; [k] is only continued after a park has stored a
+   real continuation there. *)
+let no_continuation : (unit, unit) Effect.Deep.continuation = Obj.magic 0
 
 let spawn t ?at f =
+  let open Effect.Deep in
+  let p =
+    { k = no_continuation; behind = ignore; waiting = false; label = 0 }
+  in
+  let wake () = continue p.k () in
+  (* [delay_behind]'s fused pair under FIFO: one entry at [f]'s seq, the
+     wake-up's seq reserved right behind it and counted as its own
+     event. *)
+  let wake_behind () =
+    p.behind ();
+    t.executed <- t.executed + 1;
+    continue p.k ()
+  in
+  let resume () =
+    if not p.waiting then invalid_arg "Engine: resume called twice";
+    p.waiting <- false;
+    let seq = t.seq in
+    t.seq <- seq + 1;
+    Heap.push_after t.events ~clock:t.clock ~after:0.0 ~seq ~aux:p.label wake
+  in
+  let on_delay =
+    Some
+      (fun k ->
+        p.k <- k;
+        let seq = t.seq in
+        t.seq <- seq + 1;
+        Heap.push_delay t.events ~clock:t.clock ~seq ~aux:t.cur_label wake)
+  in
+  let on_delay_behind =
+    Some
+      (fun k ->
+        p.k <- k;
+        let seq = t.seq in
+        t.seq <- seq + 2;
+        Heap.push_delay t.events ~clock:t.clock ~seq ~aux:t.cur_label
+          wake_behind)
+  in
+  let on_suspend = Some (fun k -> p.k <- k) in
+  let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
+    function
+    | Delay -> on_delay
+    | Delay_behind f ->
+        (* Usually the same device's [retire] as last time: skip the
+           write barrier then. *)
+        if p.behind != f then p.behind <- f;
+        on_delay_behind
+    | Suspend register -> (
+        (* [register] may call [resume] at once: that only queues [wake],
+           which runs after [on_suspend] has stored the continuation. If
+           [register] raises, the reply still stores it before
+           re-raising, so a [wake] it queued can run. *)
+        p.waiting <- true;
+        p.label <- t.cur_label;
+        match register resume with
+        | () -> on_suspend
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Some
+              (fun k ->
+                p.k <- k;
+                Printexc.raise_with_backtrace e bt))
+    | _ -> None
+  in
+  let handler = { retc = Fun.id; exnc = raise; effc } in
   let at = match at with None -> now t | Some at -> at in
-  enqueue t ~at (fun () -> Effect.Deep.match_with f () (handler t))
+  enqueue t ~at (fun () -> match_with f () handler)
 
 (* Pop one event of the tie set at the minimum time under the active
    non-FIFO policy, make its label current and return its action. The
@@ -268,18 +319,27 @@ let current_engine () =
    round-tripping through the heap. [seq] and [executed] move exactly as
    the round trip would move them; the label is already the current one;
    and a strictly earliest event forms no tie set, so no policy is
-   consulted and no choice recorded. *)
+   consulted and no choice recorded. [sleep] is [delay] with its positive
+   delay already in [clock.(2)], where the heap and the handler read it;
+   [delay] repeats its body rather than pay a call on the hot path. *)
+let sleep t =
+  if (not t.stopped) && Heap.advance_alone t.events t.clock then begin
+    t.seq <- t.seq + 1;
+    t.executed <- t.executed + 1
+  end
+  else Effect.perform Delay
+
 let delay d =
   if d < 0.0 then invalid_arg "Engine.delay: negative delay";
   if d = 0.0 then ()
   else begin
     let t = current_engine () in
-    if (not t.stopped) && Heap.advance_alone t.events ~clock:t.clock ~after:d
-    then begin
+    Array.unsafe_set t.clock 2 d;
+    if (not t.stopped) && Heap.advance_alone t.events t.clock then begin
       t.seq <- t.seq + 1;
       t.executed <- t.executed + 1
     end
-    else Effect.perform (Delay (t, d))
+    else Effect.perform Delay
   end
 
 (* Under FIFO, [schedule ~after:d f; delay d] queues two entries with
@@ -288,23 +348,36 @@ let delay d =
    heap entry, or none when the wake-up is alone at the head of the
    queue (as in [delay]); [seq] and [executed] move by two either way.
    Other policies see both entries in their tie sets, so they keep the
-   queued pair. *)
-let delay_behind d f =
-  if d < 0.0 then invalid_arg "Engine.delay_behind: negative delay";
-  let t = current_engine () in
+   queued pair. [sleep_behind] takes the delay from [clock.(2)]. *)
+let sleep_behind t f =
+  let d = Array.unsafe_get t.clock 2 in
   match t.policy with
   | P_fifo when d > 0.0 ->
-      if (not t.stopped) && Heap.advance_alone t.events ~clock:t.clock ~after:d
-      then begin
+      if (not t.stopped) && Heap.advance_alone t.events t.clock then begin
         t.seq <- t.seq + 2;
         t.executed <- t.executed + 1;
         f ();
         t.executed <- t.executed + 1
       end
-      else Effect.perform (Delay_behind (t, d, f))
+      else Effect.perform (Delay_behind f)
   | _ ->
-      schedule t ~after:d f;
-      delay d
+      let seq = t.seq in
+      t.seq <- seq + 1;
+      Heap.push_delay t.events ~clock:t.clock ~seq ~aux:t.cur_label f;
+      if d > 0.0 then sleep t
+
+let delay_behind d f =
+  if d < 0.0 then invalid_arg "Engine.delay_behind: negative delay";
+  let t = current_engine () in
+  Array.unsafe_set t.clock 2 d;
+  sleep_behind t f
+
+let delay_behind_until cells i f =
+  let t = current_engine () in
+  let d = Array.unsafe_get cells i -. now t in
+  if d < 0.0 then invalid_arg "Engine.delay_behind_until: time in the past";
+  Array.unsafe_set t.clock 2 d;
+  sleep_behind t f
 
 let schedule_behind t ~after f g =
   match t.policy with
@@ -322,15 +395,18 @@ let schedule_behind t ~after f g =
 
 let yield () =
   let t = current_engine () in
-  Effect.perform (Delay (t, 0.0))
+  Array.unsafe_set t.clock 2 0.0;
+  Effect.perform Delay
 
 let suspend register =
-  let t = current_engine () in
-  Effect.perform (Suspend (t, register))
+  ignore (current_engine () : t);
+  Effect.perform (Suspend register)
 
 let current_now () = now (current_engine ())
 
 let current () = current_engine ()
+
+let clock t = t.clock
 
 let events_executed t = t.executed
 

@@ -135,6 +135,14 @@ val delay : float -> unit
     could otherwise separate it from the wake-up. *)
 val delay_behind : float -> (unit -> unit) -> unit
 
+(** [delay_behind_until cells i f] is [delay_behind (cells.(i) -. now) f]
+    for the engine currently executing: the wake-up time is read from a
+    caller's float cell, so it never crosses the call boundary boxed.
+    The wake-up lands at exactly [now +. (cells.(i) -. now)], as through
+    {!delay_behind}. A device model parks each synchronous access here.
+    @raise Invalid_argument if [cells.(i)] is before {!now}. *)
+val delay_behind_until : float array -> int -> (unit -> unit) -> unit
+
 (** [schedule_behind t ~after f g] is exactly [schedule t ~after f;
     schedule t ~after g], fused under [Fifo] into one queue entry that
     runs [f] and then [g], counted as two events — the same contract and
@@ -149,7 +157,9 @@ val yield : unit -> unit
 (** [suspend register] blocks the calling process. [register] is called
     immediately with a [resume] function; stash it somewhere, and call it
     (exactly once) to reschedule the process at the then-current virtual
-    time. *)
+    time. [resume] is built once per process and reused by each of its
+    suspensions, so passing it allocates nothing; a second call raises
+    [Invalid_argument] until the process suspends again. *)
 val suspend : ((unit -> unit) -> unit) -> unit
 
 (** [current_now ()] is the virtual time of the engine currently executing;
@@ -159,6 +169,12 @@ val current_now : unit -> float
 (** [current ()] is the engine currently executing, for code that needs to
     spawn or schedule without threading the handle explicitly. *)
 val current : unit -> t
+
+(** [clock t] is the engine's clock cells. Cell 0 always holds {!now}, so
+    a hot path in another module can read the time there without the
+    float being boxed across the call. Read-only: writing any cell breaks
+    the simulation. *)
+val clock : t -> float array
 
 (** Number of events executed so far; useful for tests and progress. *)
 val events_executed : t -> int

@@ -152,7 +152,12 @@ let[@inline] push_aux t ~time ~seq ~aux value =
     end
     else t.size
   in
-  Array.unsafe_set t.values slot value;
+  (* Skip the store, and its write barrier, when the slot already holds
+     [value]: the free stack is LIFO and [pop_unsafe] leaves payloads in
+     place, so a parked process that wakes and parks again usually gets
+     back the slot holding its own wake-up closure. *)
+  if Array.unsafe_get t.values slot != value then
+    Array.unsafe_set t.values slot value;
   Array.unsafe_set t.auxs slot aux;
   let i = t.size in
   t.size <- i + 1;
@@ -186,13 +191,13 @@ let advance_if_due t clock =
     else false
   end
 
-(* [advance_alone t ~clock ~after] : when [clock.(0) +. after] is within
+(* [advance_alone t clock] : when [clock.(0) +. clock.(2)] is within
    [clock.(1)] and strictly before the min time (an empty heap reads
    [infinity] there), write it into [clock.(0)] and return [true]: an
    entry pushed at that time would be the next one popped, alone in its
    tie set, so the caller may skip the push and the pop. *)
-let advance_alone t ~clock ~after =
-  let time = Array.unsafe_get clock 0 +. after in
+let advance_alone t clock =
+  let time = Array.unsafe_get clock 0 +. Array.unsafe_get clock 2 in
   if time <= Array.unsafe_get clock 1 && time < Array.unsafe_get t.times 0
   then begin
     Array.unsafe_set clock 0 time;
@@ -204,8 +209,16 @@ let advance_alone t ~clock ~after =
    after]. The addition happens on this side of the call boundary, so a
    scheduling site never boxes a freshly computed event time — its
    [after] argument is typically an already-boxed float it merely
-   forwards (a closure capture or an effect payload). *)
+   forwards (a closure capture). *)
 let push_after t ~clock ~after ~seq ~aux value =
+  assert (after >= 0.0);
+  push_aux t ~time:(Array.unsafe_get clock 0 +. after) ~seq ~aux value
+
+(* [push_delay t ~clock ~seq ~aux v] inserts at [clock.(0) +. clock.(2)]:
+   the engine's parking path, whose delay never exists as a boxed float
+   at all. *)
+let push_delay t ~clock ~seq ~aux value =
+  let after = Array.unsafe_get clock 2 in
   assert (after >= 0.0);
   push_aux t ~time:(Array.unsafe_get clock 0 +. after) ~seq ~aux value
 

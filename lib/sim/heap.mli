@@ -45,15 +45,15 @@ val min_time : 'a t -> float
     under dune's dev profile ([-opaque], no cross-module inlining). *)
 val advance_if_due : 'a t -> float array -> bool
 
-(** [advance_alone t ~clock ~after] — the engine's in-place delay. When
-    [clock.(0) +. after] is [<= clock.(1)] and strictly below the minimum
-    time (or the heap is empty), that time is written into [clock.(0)]
-    and the call returns [true]: an entry pushed there would be popped
-    next, alone in its tie set, so the push and pop can be skipped.
-    Otherwise nothing changes and the call returns [false]. As in
-    {!push_after}, the addition happens inside the heap, so the caller
-    never boxes the new time. *)
-val advance_alone : 'a t -> clock:float array -> after:float -> bool
+(** [advance_alone t clock] — the engine's in-place delay. [clock.(2)]
+    holds the delay. When [clock.(0) +. clock.(2)] is [<= clock.(1)] and
+    strictly below the minimum time (or the heap is empty), that time is
+    written into [clock.(0)] and the call returns [true]: an entry pushed
+    there would be popped next, alone in its tie set, so the push and pop
+    can be skipped. Otherwise nothing changes and the call returns
+    [false]. The delay and the new time never cross the call boundary,
+    so neither is boxed. *)
+val advance_alone : 'a t -> float array -> bool
 
 (** [push_after t ~clock ~after ~seq ~aux v] inserts [v] at time
     [clock.(0) +. after] — the addition happens inside the heap, so the
@@ -61,6 +61,11 @@ val advance_alone : 'a t -> clock:float array -> after:float -> bool
     [after] must be non-negative. *)
 val push_after :
   'a t -> clock:float array -> after:float -> seq:int -> aux:int -> 'a -> unit
+
+(** [push_delay t ~clock ~seq ~aux v] is [push_after] with [after] read
+    from [clock.(2)], the cell {!advance_alone} reads: the engine parks a
+    process there when it cannot advance in place. *)
+val push_delay : 'a t -> clock:float array -> seq:int -> aux:int -> 'a -> unit
 
 (** [min_seq t] is the seq of the minimum entry, or [-1] when empty. *)
 val min_seq : 'a t -> int

@@ -209,6 +209,126 @@ let test_engine_nested_calls_can_delay () =
   in
   Alcotest.(check (float 1e-12)) "nested delays" 2.0 t
 
+(* ---- Parking allocates no more than the continuation ---- *)
+
+(* Minor words per executed event over one [run]. Each process parks
+   [n] times, so what [spawn] builds once is amortized away and what is
+   left is the per-park cost: the continuation the runtime captures (and,
+   for [delay_behind], its one-field effect). *)
+let words_per_event setup =
+  let e = Engine.create () in
+  setup e;
+  let w0 = Gc.minor_words () in
+  ignore (Engine.run e);
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (Engine.events_executed e)
+
+let park_rounds = 2_000
+
+let check_words what words =
+  if words > 6.0 then
+    Alcotest.failf "%s: %.2f minor words per event (at most 6)" what words
+
+let test_engine_delay_words () =
+  (* Two processes with one period: each wake-up ties with the other's,
+     so no delay can advance in place and every one is queued. *)
+  check_words "queued delay"
+    (words_per_event (fun e ->
+         for _ = 1 to 2 do
+           Engine.spawn e (fun () ->
+               for _ = 1 to park_rounds do
+                 Engine.delay 1.0
+               done)
+         done))
+
+let test_engine_delay_behind_words () =
+  let fired = ref 0 in
+  let f () = incr fired in
+  check_words "queued delay_behind"
+    (words_per_event (fun e ->
+         for _ = 1 to 2 do
+           Engine.spawn e (fun () ->
+               for _ = 1 to park_rounds do
+                 Engine.delay_behind 1.0 f
+               done)
+         done));
+  Alcotest.(check int) "every callback ran" (2 * park_rounds) !fired
+
+let test_engine_suspend_words () =
+  let resumer = ref ignore in
+  let register resume = resumer := resume in
+  let resumed = ref 0 in
+  check_words "suspend/resume round trip"
+    (words_per_event (fun e ->
+         Engine.spawn e (fun () ->
+             for _ = 1 to park_rounds do
+               Engine.suspend register;
+               incr resumed
+             done);
+         Engine.spawn e (fun () ->
+             for _ = 1 to park_rounds do
+               Engine.delay 1.0;
+               !resumer ()
+             done)));
+  Alcotest.(check int) "every suspension resumed" park_rounds !resumed
+
+let test_engine_exception_after_park () =
+  List.iter
+    (fun (what, park) ->
+      let e = Engine.create () in
+      Engine.spawn e (fun () ->
+          park e;
+          failwith what);
+      Engine.spawn e (fun () -> Engine.delay 1.0);
+      Alcotest.check_raises what (Failure what) (fun () ->
+          ignore (Engine.run e)))
+    [
+      ("after delay", fun _ -> Engine.delay 1.0);
+      ("after delay_behind", fun _ -> Engine.delay_behind 1.0 ignore);
+      ( "after suspend",
+        fun e ->
+          Engine.suspend (fun resume ->
+              Engine.schedule e ~after:2.0 resume) );
+    ];
+  (* A [register] that resumes and then raises: the exception leaves
+     [run], and the resume it queued still wakes the process. *)
+  let e = Engine.create () in
+  let woke = ref false in
+  Engine.spawn e (fun () ->
+      Engine.suspend (fun resume ->
+          resume ();
+          failwith "register");
+      woke := true);
+  Alcotest.check_raises "register raises" (Failure "register") (fun () ->
+      ignore (Engine.run e));
+  ignore (Engine.run e);
+  Alcotest.(check bool) "queued resume still runs" true !woke
+
+let test_engine_runs_after_clear_pending () =
+  let e = Engine.create () in
+  let resumer = ref ignore in
+  Engine.spawn e (fun () ->
+      Engine.delay 1.0;
+      Engine.suspend (fun resume -> resumer := resume));
+  Engine.spawn e (fun () -> Engine.delay 5.0);
+  ignore (Engine.run ~until:2.0 e);
+  Engine.clear_pending e;
+  let log = ref [] in
+  Engine.spawn e (fun () ->
+      Engine.delay 1.0;
+      log := ("a", Engine.now e) :: !log;
+      Engine.suspend (fun resume -> Engine.schedule e ~after:0.5 resume);
+      log := ("b", Engine.now e) :: !log;
+      Engine.delay_behind 0.25 (fun () -> log := ("f", Engine.now e) :: !log);
+      log := ("c", Engine.now e) :: !log);
+  Engine.spawn e (fun () -> Engine.delay 1.0);
+  let final = Engine.run e in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "new processes run"
+    [ ("a", 3.0); ("b", 3.5); ("f", 3.75); ("c", 3.75) ]
+    (List.rev !log);
+  Alcotest.(check (float 0.0)) "clock" 3.75 final
+
 (* ---- Ivar ---- *)
 
 let test_ivar_fill_then_read () =
@@ -1358,6 +1478,11 @@ let () =
           case "double resume rejected" test_engine_double_resume_rejected;
           case "event count" test_engine_events_counted;
           case "nested delays" test_engine_nested_calls_can_delay;
+          case "queued delay allocation" test_engine_delay_words;
+          case "queued delay_behind allocation" test_engine_delay_behind_words;
+          case "suspend/resume allocation" test_engine_suspend_words;
+          case "exception after a park" test_engine_exception_after_park;
+          case "runs after clear pending" test_engine_runs_after_clear_pending;
           prop_fused_matches_queued;
         ] );
       ( "ivar",
