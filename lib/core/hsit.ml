@@ -33,16 +33,19 @@ let svc_off t id = t.base + (id * entry_size) + 8
 let check t id =
   if id < 0 || id >= t.capacity then invalid_arg "Hsit: entry id out of range"
 
+(* The SVC pointer word: an SVC index, or -1 for none. *)
+let no_svc = -1
+
 let alloc t =
   match t.free_list with
   | [] -> failwith "Hsit.alloc: table full"
   | id :: rest ->
       t.free_list <- rest;
       t.live <- t.live + 1;
-      Nvm.set_int64 t.nvm (primary_off t id)
+      Nvm.set_word t.nvm (primary_off t id)
         (Location.encode Location.Nowhere ~dirty:false)
         ~persist:true;
-      Nvm.set_int64 t.nvm (svc_off t id) (-1L) ~persist:false;
+      Nvm.set_word t.nvm (svc_off t id) no_svc ~persist:false;
       id
 
 let free t id =
@@ -55,21 +58,21 @@ let free t id =
    the clear is theirs to do. *)
 let clear_dirty_if t id w =
   ignore
-    (Nvm.atomic_rmw t.nvm (primary_off t id) ~f:(fun cur ->
-         if Int64.equal cur w then Some (Location.set_dirty w false) else None))
+    (Nvm.cas_word t.nvm (primary_off t id) ~mask:(-1) ~expect:w
+       (Location.set_dirty w false)
+      : int)
 
 let read_primary t id =
   check t id;
-  let w = Nvm.get_int64 t.nvm (primary_off t id) in
-  let loc, dirty = Location.decode w in
-  if dirty then begin
+  let w = Nvm.get_word t.nvm (primary_off t id) in
+  if Location.is_dirty w then begin
     (* Flush-on-read: persist on behalf of the writer, then clear the
        dirty bit with a CAS (§5.4). *)
     if not t.fault_skip_flush then
       Nvm.persist t.nvm ~off:(primary_off t id) ~len:8;
     clear_dirty_if t id w
   end;
-  loc
+  Location.decode w
 
 (* Writer protocol (§5.4): install the pointer with the dirty bit set via
    an atomic RMW, persist the line, then CAS the dirty bit off. Recovery
@@ -79,16 +82,16 @@ let finish_write t id dirty_word =
     Nvm.persist t.nvm ~off:(primary_off t id) ~len:8;
   clear_dirty_if t id dirty_word
 
+(* The CAS compares locations, so it masks the dirty bit out of the
+   current word. Stored words are all encodings, so equal locations have
+   equal clean words. *)
 let update_primary t id ~expect loc =
   check t id;
   let dirty_word = Location.encode loc ~dirty:true in
-  let seen =
-    Nvm.atomic_rmw t.nvm (primary_off t id) ~f:(fun w ->
-        let current, _ = Location.decode w in
-        if Location.equal current expect then Some dirty_word else None)
-  in
-  let current, _ = Location.decode seen in
-  if Location.equal current expect then begin
+  let expect = Location.encode expect ~dirty:false in
+  let mask = Location.set_dirty (-1) false in
+  let seen = Nvm.cas_word t.nvm (primary_off t id) ~mask ~expect dirty_word in
+  if seen land mask = expect then begin
     finish_write t id dirty_word;
     true
   end
@@ -98,51 +101,49 @@ let exchange_primary t id loc =
   check t id;
   let dirty_word = Location.encode loc ~dirty:true in
   let replaced =
-    Nvm.atomic_rmw t.nvm (primary_off t id) ~f:(fun _ -> Some dirty_word)
+    Nvm.cas_word t.nvm (primary_off t id) ~mask:0 ~expect:0 dirty_word
   in
   finish_write t id dirty_word;
-  fst (Location.decode replaced)
+  Location.decode replaced
 
 let write_primary t id loc = ignore (exchange_primary t id loc : Location.t)
 
-let decode_svc w = if w < 0L then None else Some (Int64.to_int w)
+let decode_svc w = if w < 0 then None else Some w
 
-let encode_svc = function None -> -1L | Some v -> Int64.of_int v
+let encode_svc = function None -> no_svc | Some v -> v
 
 let read_svc t id =
   check t id;
-  decode_svc (Nvm.get_int64 t.nvm (svc_off t id))
+  decode_svc (Nvm.get_word t.nvm (svc_off t id))
 
 let write_svc t id v =
   check t id;
-  Nvm.set_int64 t.nvm (svc_off t id) (encode_svc v) ~persist:false
+  Nvm.set_word t.nvm (svc_off t id) (encode_svc v) ~persist:false
 
+(* Every stored SVC word is [no_svc] or an index, so comparing words is
+   comparing their decodings. *)
 let cas_svc t id ~expect v =
   check t id;
-  let seen =
-    Nvm.atomic_rmw t.nvm (svc_off t id) ~f:(fun w ->
-        if decode_svc w = expect then Some (encode_svc v) else None)
-  in
-  decode_svc seen = expect
+  let expect = encode_svc expect in
+  Nvm.cas_word t.nvm (svc_off t id) ~mask:(-1) ~expect (encode_svc v) = expect
 
 let durable_primary t id =
   check t id;
   let b = Nvm.read_durable t.nvm ~off:(primary_off t id) ~len:8 in
-  let loc, _dirty = Location.decode (Bytes.get_int64_le b 0) in
-  loc
+  Location.decode (Int64.to_int (Bytes.get_int64_le b 0))
 
 let recover_entry t id =
   check t id;
   let loc = durable_primary t id in
   let b = Bytes.create 16 in
-  Bytes.set_int64_le b 0 (Location.encode loc ~dirty:false);
-  Bytes.set_int64_le b 8 (-1L);
+  Bytes.set_int64_le b 0 (Int64.of_int (Location.encode loc ~dirty:false));
+  Bytes.set_int64_le b 8 (Int64.of_int no_svc);
   Nvm.restore t.nvm ~off:(primary_off t id) b
 
 let restore_primary t id loc =
   check t id;
   let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Location.encode loc ~dirty:false);
+  Bytes.set_int64_le b 0 (Int64.of_int (Location.encode loc ~dirty:false));
   Nvm.restore t.nvm ~off:(primary_off t id) b
 
 let rebuild_free_list t ~reachable =

@@ -26,7 +26,9 @@ let pp fmt = function
       Format.fprintf fmt "vs[%d]chunk%d.%d slot%d" vs chunk gen slot
   | In_nvm { noff } -> Format.fprintf fmt "nvm@%d" noff
 
-let dirty_bit = Int64.shift_left 1L 62
+(* The word is an immediate [int]: its 63 bits hold the whole encoding,
+   so the dirty bit (bit 62) is the int's sign bit. *)
+let dirty_bit = 1 lsl 62
 
 let tag_shift = 60
 
@@ -53,17 +55,15 @@ let gen_mask = (1 lsl gen_bits) - 1
 let max_noff = (1 lsl 44) - 1
 
 let encode loc ~dirty =
-  let payload =
+  let w =
     match loc with
-    | Nowhere -> 0L
+    | Nowhere -> 0
     | In_pwb { thread; voff } ->
         if thread < 0 || thread > max_thread then
           invalid_arg "Location.encode: thread out of range";
         if voff < 0 || voff > max_voff then
           invalid_arg "Location.encode: voff out of range";
-        Int64.logor
-          (Int64.shift_left (Int64.of_int thread) 44)
-          (Int64.of_int voff)
+        (1 lsl tag_shift) lor (thread lsl 44) lor voff
     | In_vs { vs; gen; chunk; slot } ->
         if vs < 0 || vs > max_vs then
           invalid_arg "Location.encode: vs out of range";
@@ -72,57 +72,34 @@ let encode loc ~dirty =
         if slot < 0 || slot > max_slot then
           invalid_arg "Location.encode: slot out of range";
         let gen = gen land gen_mask in
-        Int64.of_int
-          (slot
-          lor (chunk lsl slot_bits)
-          lor (gen lsl (slot_bits + chunk_bits))
-          lor (vs lsl (slot_bits + chunk_bits + gen_bits)))
+        (2 lsl tag_shift)
+        lor slot
+        lor (chunk lsl slot_bits)
+        lor (gen lsl (slot_bits + chunk_bits))
+        lor (vs lsl (slot_bits + chunk_bits + gen_bits))
     | In_nvm { noff } ->
         if noff < 0 || noff > max_noff then
           invalid_arg "Location.encode: noff out of range";
-        Int64.of_int noff
+        (3 lsl tag_shift) lor noff
   in
-  let tag =
-    match loc with
-    | Nowhere -> 0L
-    | In_pwb _ -> 1L
-    | In_vs _ -> 2L
-    | In_nvm _ -> 3L
-  in
-  let w = Int64.logor (Int64.shift_left tag tag_shift) payload in
-  if dirty then Int64.logor w dirty_bit else w
-
-let mask bits = Int64.of_int ((1 lsl bits) - 1)
+  if dirty then w lor dirty_bit else w
 
 let decode w =
-  let dirty = Int64.logand w dirty_bit <> 0L in
-  let tag =
-    Int64.to_int (Int64.logand (Int64.shift_right_logical w tag_shift) 3L)
-  in
-  let loc =
-    match tag with
-    | 0 -> Nowhere
-    | 1 ->
-        let thread =
-          Int64.to_int (Int64.logand (Int64.shift_right_logical w 44) (mask 12))
-        in
-        let voff = Int64.to_int (Int64.logand w (mask 44)) in
-        In_pwb { thread; voff }
-    | 2 ->
-        let p = Int64.to_int (Int64.logand w (mask 60)) in
-        let slot = p land max_slot in
-        let chunk = (p lsr slot_bits) land max_chunk in
-        let gen = (p lsr (slot_bits + chunk_bits)) land gen_mask in
-        let vs = (p lsr (slot_bits + chunk_bits + gen_bits)) land max_vs in
-        In_vs { vs; gen; chunk; slot }
-    | 3 ->
-        let noff = Int64.to_int (Int64.logand w (mask 44)) in
-        In_nvm { noff }
-    | _ -> invalid_arg "Location.decode: bad tag"
-  in
-  (loc, dirty)
+  match (w lsr tag_shift) land 3 with
+  | 0 -> Nowhere
+  | 1 -> In_pwb { thread = (w lsr 44) land max_thread; voff = w land max_voff }
+  | 2 ->
+      In_vs
+        {
+          vs = (w lsr (slot_bits + chunk_bits + gen_bits)) land max_vs;
+          gen = (w lsr (slot_bits + chunk_bits)) land gen_mask;
+          chunk = (w lsr slot_bits) land max_chunk;
+          slot = w land max_slot;
+        }
+  | _ -> In_nvm { noff = w land max_noff }
 
-let set_dirty w b =
-  if b then Int64.logor w dirty_bit else Int64.logand w (Int64.lognot dirty_bit)
+let is_dirty w = w land dirty_bit <> 0
+
+let set_dirty w b = if b then w lor dirty_bit else w land lnot dirty_bit
 
 let truncate_gen gen = gen land gen_mask

@@ -1,8 +1,10 @@
-(** Value locations across heterogeneous media, and their packed 64-bit
+(** Value locations across heterogeneous media, and their packed word
     encoding stored in HSIT entries.
 
-    Encoding of the primary word:
-    - bit 62: dirty bit for the flush-on-read protocol (§5.4);
+    Encoding of the primary word, which fits in 63 bits and so is handled
+    as an immediate [int] (never a boxed [int64]):
+    - bit 62: dirty bit for the flush-on-read protocol (§5.4) — the
+      [int]'s sign bit;
     - bits 61..60: tag (0 nowhere, 1 PWB, 2 Value Storage, 3 NVM tier);
     - PWB payload: thread id (12 bits) and virtual offset (44 bits);
     - VS payload: value-storage id (8 bits), chunk generation (17 bits),
@@ -29,14 +31,19 @@ val same_slot : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
-(** [encode loc ~dirty] packs a location and dirty bit. *)
-val encode : t -> dirty:bool -> int64
+(** [encode loc ~dirty] packs a location and dirty bit. Raises
+    [Invalid_argument] when a field does not fit its bits; the generation
+    is truncated (see {!truncate_gen}). *)
+val encode : t -> dirty:bool -> int
 
-(** [decode w] is the location and dirty bit packed in [w]. *)
-val decode : int64 -> t * bool
+(** [decode w] is the location packed in [w], whatever its dirty bit. *)
+val decode : int -> t
+
+(** [is_dirty w] is the dirty bit of [w]. *)
+val is_dirty : int -> bool
 
 (** [set_dirty w b] returns [w] with the dirty bit forced to [b]. *)
-val set_dirty : int64 -> bool -> int64
+val set_dirty : int -> bool -> int
 
 (** Generations are stored modulo 2^17. *)
 val truncate_gen : int -> int

@@ -119,36 +119,41 @@ let write_persist t ~off src =
   write t ~off src;
   persist t ~off ~len:(Bytes.length src)
 
+(* The word at [off] as an immediate: its low 63 bits. *)
 let word image off =
-  if off + 8 <= Bytes.length image then Bytes.get_int64_le image off
-  else Bytes.get_int64_le (Backing.sub image off 8) 0
+  if off + 8 <= Bytes.length image then
+    Int64.to_int (Bytes.get_int64_le image off)
+  else Int64.to_int (Bytes.get_int64_le (Backing.sub image off 8) 0)
 
-let get_int64 t off =
+(* Store [w] sign-extended to 64 bits; [ensure] has backed the word. *)
+let store_word t off w =
+  Bytes.set_int64_le t.volatile off (Int64.of_int w);
+  mark_dirty t ~off ~len:8
+
+let get_word t off =
   check t ~off ~len:8;
   Model.access t.device Model.Read ~size:8;
   word t.volatile off
 
-let set_int64 t off v ~persist:do_persist =
+let set_word t off w ~persist:do_persist =
   check t ~off ~len:8;
   Model.access t.device Model.Write ~size:8;
   ensure t ~off ~len:8;
-  Bytes.set_int64_le t.volatile off v;
-  mark_dirty t ~off ~len:8;
+  store_word t off w;
   if do_persist then persist t ~off ~len:8
 
-let atomic_rmw t off ~f =
+let cas_word t off ~mask ~expect w =
   check t ~off ~len:8;
-  (* Charge first; the RMW itself is a single instant with no yields, so
-     the compare sees the word as it is when the swap lands. *)
+  (* Charge first; the compare-and-store itself is a single instant with
+     no yields, so the compare sees the word as it is when the swap
+     lands. *)
   Model.access t.device Model.Write ~size:8;
-  let w = word t.volatile off in
-  (match f w with
-  | Some w' ->
-      ensure t ~off ~len:8;
-      Bytes.set_int64_le t.volatile off w';
-      mark_dirty t ~off ~len:8
-  | None -> ());
-  w
+  let cur = word t.volatile off in
+  if cur land mask = expect then begin
+    ensure t ~off ~len:8;
+    store_word t off w
+  end;
+  cur
 
 let crash t =
   Bytes.blit t.durable 0 t.volatile 0 (Bytes.length t.durable);

@@ -59,21 +59,28 @@ val persist : t -> off:int -> len:int -> unit
     range. *)
 val write_persist : t -> off:int -> bytes -> unit
 
-(** 8-byte little-endian load from the volatile view (one small access). *)
-val get_int64 : t -> int -> int64
+(** Words are immediate [int]s, so no word access boxes. A word is
+    stored as its [int] sign-extended to 8 little-endian bytes and loaded
+    as those bytes' low 63 bits: every [int] round-trips, and an encoding
+    that fits in 63 bits (the HSIT's, see [Location]) reads back exactly. *)
 
-(** 8-byte little-endian store; [persist] additionally flushes the word's
-    line (default [false]). *)
-val set_int64 : t -> int -> int64 -> persist:bool -> unit
+(** [get_word t off] loads the word at [off] from the volatile view (one
+    small access). *)
+val get_word : t -> int -> int
 
-(** [atomic_rmw t off ~f] models an atomic read-modify-write instruction
-    (CAS family) on the 8-byte word at [off]: after the access cost is
-    charged, [f] is applied to the then-current volatile word with no
-    intervening simulation event. [Some w'] stores [w'] (volatile, marks
-    the line dirty); [None] leaves the word untouched. Returns the word
-    [f] observed. Use this — never a read followed by [set_int64] — for
-    any word that other threads update concurrently. *)
-val atomic_rmw : t -> int -> f:(int64 -> int64 option) -> int64
+(** [set_word t off w ~persist] stores [w] at [off]; [persist]
+    additionally flushes the word's line. *)
+val set_word : t -> int -> int -> persist:bool -> unit
+
+(** [cas_word t off ~mask ~expect w] models an atomic read-modify-write
+    instruction (CAS family) on the word at [off]: after the access cost
+    is charged, it stores [w] (volatile, marking the line dirty) if the
+    then-current word [cur] satisfies [cur land mask = expect], with no
+    intervening simulation event, and returns [cur]. [~mask:(-1)] is a
+    plain CAS, [~mask:0 ~expect:0] an unconditional swap. Use this —
+    never a read followed by [set_word] — for any word that other
+    threads update concurrently. *)
+val cas_word : t -> int -> mask:int -> expect:int -> int -> int
 
 (** [crash t] simulates a power failure: the volatile view reverts to the
     durable image and all dirty-line tracking is cleared. Timing costs are

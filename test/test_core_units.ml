@@ -29,7 +29,7 @@ let test_location_roundtrips () =
       List.iter
         (fun dirty ->
           let w = Location.encode loc ~dirty in
-          let loc', dirty' = Location.decode w in
+          let loc' = Location.decode w and dirty' = Location.is_dirty w in
           Alcotest.check loc_testable "roundtrip" loc loc';
           Alcotest.(check bool) "dirty bit" dirty dirty')
         [ false; true ])
@@ -45,9 +45,9 @@ let test_location_out_of_range () =
 let test_location_set_dirty () =
   let w = Location.encode (Location.In_pwb { thread = 1; voff = 2 }) ~dirty:false in
   let w' = Location.set_dirty w true in
-  let _, dirty = Location.decode w' in
+  let dirty = Location.is_dirty w' in
   Alcotest.(check bool) "set" true dirty;
-  Alcotest.(check int64) "clear restores" w (Location.set_dirty w' false)
+  Alcotest.(check int) "clear restores" w (Location.set_dirty w' false)
 
 let test_location_same_slot_ignores_gen () =
   let a = Location.In_vs { vs = 1; gen = 5; chunk = 2; slot = 3 } in
@@ -60,8 +60,109 @@ let prop_location_roundtrip =
     QCheck.(quad (int_bound 255) (int_bound ((1 lsl 17) - 1)) (int_bound ((1 lsl 20) - 1)) (int_bound ((1 lsl 15) - 1)))
     (fun (vs, gen, chunk, slot) ->
       let loc = Location.In_vs { vs; gen; chunk; slot } in
-      let loc', _ = Location.decode (Location.encode loc ~dirty:false) in
+      let loc' = Location.decode (Location.encode loc ~dirty:false) in
       Location.equal loc loc')
+
+(* The packed word's former [int64] codec, kept here as the reference
+   the immediate-[int] codec must agree with bit for bit. *)
+module Int64_codec = struct
+  open Location
+
+  let dirty_bit = Int64.shift_left 1L 62
+
+  let encode loc ~dirty =
+    let payload =
+      match loc with
+      | Nowhere -> 0L
+      | In_pwb { thread; voff } ->
+          if thread < 0 || thread > (1 lsl 12) - 1 || voff < 0
+             || voff > (1 lsl 44) - 1
+          then invalid_arg "encode";
+          Int64.logor
+            (Int64.shift_left (Int64.of_int thread) 44)
+            (Int64.of_int voff)
+      | In_vs { vs; gen; chunk; slot } ->
+          if vs < 0 || vs > 255 || chunk < 0 || chunk > (1 lsl 20) - 1
+             || slot < 0 || slot > (1 lsl 15) - 1
+          then invalid_arg "encode";
+          let gen = gen land ((1 lsl 17) - 1) in
+          Int64.of_int
+            (slot lor (chunk lsl 15) lor (gen lsl 35) lor (vs lsl 52))
+      | In_nvm { noff } ->
+          if noff < 0 || noff > (1 lsl 44) - 1 then invalid_arg "encode";
+          Int64.of_int noff
+    in
+    let tag =
+      match loc with
+      | Nowhere -> 0L
+      | In_pwb _ -> 1L
+      | In_vs _ -> 2L
+      | In_nvm _ -> 3L
+    in
+    let w = Int64.logor (Int64.shift_left tag 60) payload in
+    if dirty then Int64.logor w dirty_bit else w
+
+  let decode w =
+    let dirty = Int64.logand w dirty_bit <> 0L in
+    let field shift bits =
+      Int64.to_int
+        (Int64.logand
+           (Int64.shift_right_logical w shift)
+           (Int64.of_int ((1 lsl bits) - 1)))
+    in
+    let loc =
+      match field 60 2 with
+      | 0 -> Nowhere
+      | 1 -> In_pwb { thread = field 44 12; voff = field 0 44 }
+      | 2 ->
+          In_vs
+            {
+              vs = field 52 8;
+              gen = field 35 17;
+              chunk = field 15 20;
+              slot = field 0 15;
+            }
+      | _ -> In_nvm { noff = field 0 44 }
+    in
+    (loc, dirty)
+end
+
+(* Every field drawn from 0, its maximum or anywhere between. *)
+let gen_location =
+  let field bits =
+    let max = (1 lsl bits) - 1 in
+    QCheck.Gen.(
+      frequency [ (1, return 0); (1, return max); (2, int_bound max) ])
+  in
+  QCheck.Gen.(
+    oneof
+      [
+        return Location.Nowhere;
+        map2
+          (fun thread voff -> Location.In_pwb { thread; voff })
+          (field 12) (field 44);
+        map
+          (fun (vs, gen, chunk, slot) ->
+            Location.In_vs { vs; gen; chunk; slot })
+          (quad (field 8) (field 17) (field 20) (field 15));
+        map (fun noff -> Location.In_nvm { noff }) (field 44);
+      ])
+
+let prop_location_matches_int64_codec =
+  qcase ~count:1000 "int word codec matches the int64 codec"
+    (QCheck.make
+       ~print:(fun (loc, dirty) ->
+         Format.asprintf "%a dirty=%b" Location.pp loc dirty)
+       QCheck.Gen.(pair gen_location bool))
+    (fun (loc, dirty) ->
+      let w = Location.encode loc ~dirty in
+      let w64 = Int64_codec.encode loc ~dirty in
+      let loc64, dirty64 = Int64_codec.decode w64 in
+      Int64.to_int w64 = w
+      && Int64.equal (Int64.of_int w |> Int64.logand Int64.max_int) w64
+      && Location.equal (Location.decode w) loc64
+      && Location.is_dirty w = dirty64
+      && Location.equal loc64 loc && dirty64 = dirty)
 
 (* ---- Hsit ---- *)
 
@@ -1036,6 +1137,7 @@ let () =
           case "set dirty" test_location_set_dirty;
           case "same_slot" test_location_same_slot_ignores_gen;
           prop_location_roundtrip;
+          prop_location_matches_int64_codec;
         ] );
       ( "hsit",
         [

@@ -249,7 +249,7 @@ let lazy_size = 8192 + 37
 
 type nvm_op =
   | Write of int * int
-  | Set_int64 of int * bool
+  | Set_word of int * bool
   | Rmw of int * bool  (** whether [f] stores *)
   | Persist of int * int
   | Crash
@@ -259,7 +259,7 @@ type nvm_op =
 
 let show_nvm_op = function
   | Write (o, l) -> Printf.sprintf "write %d+%d" o l
-  | Set_int64 (o, p) -> Printf.sprintf "set_int64 %d persist=%b" o p
+  | Set_word (o, p) -> Printf.sprintf "set_word %d persist=%b" o p
   | Rmw (o, st) -> Printf.sprintf "rmw %d store=%b" o st
   | Persist (o, l) -> Printf.sprintf "persist %d+%d" o l
   | Crash -> "crash"
@@ -291,7 +291,7 @@ let gen_nvm_op =
     frequency
       [
         (4, map (fun (o, l) -> Write (o, l)) (gen_span ~size));
-        (2, map2 (fun o p -> Set_int64 (o, p)) (gen_off ~size 8) bool);
+        (2, map2 (fun o p -> Set_word (o, p)) (gen_off ~size 8) bool);
         (2, map2 (fun o st -> Rmw (o, st)) (gen_off ~size 8) bool);
         (3, map (fun (o, l) -> Persist (o, l)) (gen_span ~size));
         (1, return Crash);
@@ -300,11 +300,11 @@ let gen_nvm_op =
         (2, map (fun (o, l) -> Read_durable (o, l)) (gen_span ~size));
       ])
 
-let model_word m off = Bytes.get_int64_le m.vol off
+let model_word m off = Int64.to_int (Bytes.get_int64_le m.vol off)
 
 let model_set_word m off w =
   let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 w;
+  Bytes.set_int64_le b 0 (Int64.of_int w);
   model_write m ~off b
 
 let prop_nvm_lazy_images =
@@ -325,19 +325,20 @@ let prop_nvm_lazy_images =
                   let src = src len in
                   Nvm.write nvm ~off src;
                   model_write m ~off src
-              | Set_int64 (off, persist) ->
-                  let w = Int64.of_int ((i * 0x10001) + 1) in
-                  Nvm.set_int64 nvm off w ~persist;
+              | Set_word (off, persist) ->
+                  let w = (i * 0x10001) + 1 in
+                  Nvm.set_word nvm off w ~persist;
                   model_set_word m off w;
                   if persist then model_persist m ~off ~len:8
               | Rmw (off, store) ->
-                  let seen =
-                    Nvm.atomic_rmw nvm off ~f:(fun w ->
-                        if store then Some (Int64.add w 7L) else None)
-                  in
                   let expect = model_word m off in
-                  Alcotest.(check int64) (what ^ ": word seen") expect seen;
-                  if store then model_set_word m off (Int64.add expect 7L)
+                  let seen =
+                    Nvm.cas_word nvm off ~mask:(-1)
+                      ~expect:(if store then expect else expect lxor 1)
+                      (expect + 7)
+                  in
+                  Alcotest.(check int) (what ^ ": word seen") expect seen;
+                  if store then model_set_word m off (expect + 7)
               | Persist (off, len) ->
                   Nvm.persist nvm ~off ~len;
                   model_persist m ~off ~len
@@ -352,8 +353,8 @@ let prop_nvm_lazy_images =
                   Alcotest.check bytes_eq what (Bytes.sub m.vol off len)
                     (Nvm.read nvm ~off ~len);
                   if len >= 8 then
-                    Alcotest.(check int64) (what ^ ": get_int64")
-                      (model_word m off) (Nvm.get_int64 nvm off)
+                    Alcotest.(check int) (what ^ ": get_word")
+                      (model_word m off) (Nvm.get_word nvm off)
               | Read_durable (off, len) ->
                   Alcotest.check bytes_eq what (Bytes.sub m.dur off len)
                     (Nvm.read_durable nvm ~off ~len));
@@ -370,7 +371,7 @@ let test_nvm_resident_bytes () =
       Alcotest.(check int) "nothing backed before a store" 0
         (Nvm.resident_bytes nvm);
       ignore (Nvm.read nvm ~off:(lazy_size - 64) ~len:64);
-      ignore (Nvm.get_int64 nvm 4000);
+      ignore (Nvm.get_word nvm 4000);
       Nvm.persist nvm ~off:0 ~len:lazy_size;
       Nvm.crash nvm;
       Alcotest.(check int) "reads, persists and crashes back nothing" 0
@@ -378,7 +379,7 @@ let test_nvm_resident_bytes () =
       Nvm.write nvm ~off:100 (Bytes.make 8 'x');
       Alcotest.(check int) "first store backs 4 KiB per image" (2 * 4096)
         (Nvm.resident_bytes nvm);
-      Nvm.set_int64 nvm 4096 1L ~persist:true;
+      Nvm.set_word nvm 4096 1 ~persist:true;
       Alcotest.(check int) "the next doubles it" (2 * 8192)
         (Nvm.resident_bytes nvm);
       Nvm.restore nvm ~off:(lazy_size - 8) (Bytes.make 8 'y');
@@ -386,62 +387,106 @@ let test_nvm_resident_bytes () =
         (Nvm.resident_bytes nvm);
       Alcotest.(check int) "logical size unchanged" lazy_size (Nvm.size nvm))
 
-(* ---- int64 and atomic RMW ---- *)
+(* ---- words and atomic RMW ---- *)
 
-let test_nvm_int64_roundtrip () =
+let test_nvm_word_roundtrip () =
   in_sim (fun e ->
       let nvm = make_nvm e in
-      Nvm.set_int64 nvm 8 0x1122334455667788L ~persist:false;
-      Alcotest.(check int64) "roundtrip" 0x1122334455667788L
-        (Nvm.get_int64 nvm 8))
+      Nvm.set_word nvm 8 0x1122334455667788 ~persist:false;
+      Alcotest.(check int) "roundtrip" 0x1122334455667788 (Nvm.get_word nvm 8);
+      List.iter
+        (fun w ->
+          Nvm.set_word nvm 16 w ~persist:false;
+          Alcotest.(check int) (Printf.sprintf "roundtrip %d" w) w
+            (Nvm.get_word nvm 16))
+        [ -1; min_int; max_int; 1 lsl 62; 0 ];
+      Nvm.set_word nvm 24 (-1) ~persist:false;
+      Alcotest.(check string) "-1 is all ones" (String.make 8 '\255')
+        (Bytes.to_string (Nvm.read nvm ~off:24 ~len:8)))
 
-let test_nvm_int64_persist_flag () =
+let test_nvm_word_persist_flag () =
   in_sim (fun e ->
       let nvm = make_nvm e in
-      Nvm.set_int64 nvm 0 111L ~persist:true;
-      Nvm.set_int64 nvm 512 222L ~persist:false;
+      Nvm.set_word nvm 0 111 ~persist:true;
+      Nvm.set_word nvm 512 222 ~persist:false;
       Nvm.crash nvm;
-      Alcotest.(check int64) "persisted word" 111L (Nvm.get_int64 nvm 0);
-      Alcotest.(check int64) "volatile word lost" 0L (Nvm.get_int64 nvm 512))
+      Alcotest.(check int) "persisted word" 111 (Nvm.get_word nvm 0);
+      Alcotest.(check int) "volatile word lost" 0 (Nvm.get_word nvm 512))
 
 let test_nvm_atomic_rmw_applies () =
   in_sim (fun e ->
       let nvm = make_nvm e in
-      Nvm.set_int64 nvm 0 10L ~persist:false;
-      let seen = Nvm.atomic_rmw nvm 0 ~f:(fun w -> Some (Int64.add w 1L)) in
-      Alcotest.(check int64) "saw old" 10L seen;
-      Alcotest.(check int64) "applied" 11L (Nvm.get_int64 nvm 0))
+      Nvm.set_word nvm 0 10 ~persist:false;
+      let seen = Nvm.cas_word nvm 0 ~mask:(-1) ~expect:10 11 in
+      Alcotest.(check int) "saw old" 10 seen;
+      Alcotest.(check int) "applied" 11 (Nvm.get_word nvm 0);
+      (* The mask drops bits from the compare: bit 62 is ignored here. *)
+      Nvm.set_word nvm 0 (10 lor (1 lsl 62)) ~persist:false;
+      let mask = lnot (1 lsl 62) in
+      Alcotest.(check int) "masked saw old" (10 lor (1 lsl 62))
+        (Nvm.cas_word nvm 0 ~mask ~expect:10 12);
+      Alcotest.(check int) "masked applied" 12 (Nvm.get_word nvm 0);
+      Alcotest.(check int) "swap saw old" 12
+        (Nvm.cas_word nvm 0 ~mask:0 ~expect:0 13);
+      Alcotest.(check int) "swap applied" 13 (Nvm.get_word nvm 0))
 
 let test_nvm_atomic_rmw_can_decline () =
   in_sim (fun e ->
       let nvm = make_nvm e in
-      Nvm.set_int64 nvm 0 10L ~persist:false;
-      let seen =
-        Nvm.atomic_rmw nvm 0 ~f:(fun w -> if w = 99L then Some 1L else None)
-      in
-      Alcotest.(check int64) "saw" 10L seen;
-      Alcotest.(check int64) "unchanged" 10L (Nvm.get_int64 nvm 0))
+      Nvm.set_word nvm 0 10 ~persist:true;
+      let seen = Nvm.cas_word nvm 0 ~mask:(-1) ~expect:99 1 in
+      Alcotest.(check int) "saw" 10 seen;
+      Alcotest.(check int) "unchanged" 10 (Nvm.get_word nvm 0);
+      Alcotest.(check int) "line left clean" 0 (Nvm.dirty_lines nvm))
 
 let test_nvm_atomic_rmw_is_atomic_under_contention () =
-  (* N processes increment the same word through atomic_rmw; every
-     increment must survive despite the interleaving. *)
+  (* N processes increment the same word with CAS loops; every increment
+     must survive despite the interleaving (the load before each CAS is a
+     timed access, so other processes do get in between). *)
   let e = Engine.create () in
   let nvm = Nvm.create e ~spec:Spec.optane_dcpmm ~size:4096 () in
   let n = 10 and per = 50 in
+  let retries = ref 0 in
   for _ = 1 to n do
     Engine.spawn e (fun () ->
         for _ = 1 to per do
-          ignore (Nvm.atomic_rmw nvm 0 ~f:(fun w -> Some (Int64.add w 1L)));
+          let rec incr () =
+            let cur = Nvm.get_word nvm 0 in
+            if Nvm.cas_word nvm 0 ~mask:(-1) ~expect:cur (cur + 1) <> cur
+            then begin
+              Stdlib.incr retries;
+              incr ()
+            end
+          in
+          incr ();
           Engine.delay 1e-7
         done)
   done;
   ignore (Engine.run e);
-  let final = ref 0L in
-  Engine.spawn e (fun () -> final := Nvm.get_int64 nvm 0);
+  let final = ref 0 in
+  Engine.spawn e (fun () -> final := Nvm.get_word nvm 0);
   ignore (Engine.run e);
-  Alcotest.(check int64) "all increments applied"
-    (Int64.of_int (n * per))
-    !final
+  Alcotest.(check int) "all increments applied" (n * per) !final;
+  Alcotest.(check bool) "some CAS lost a race" true (!retries > 0)
+
+let test_nvm_atomic_rmw_crash_durable () =
+  in_sim (fun e ->
+      let nvm = make_nvm e in
+      let durable off =
+        Int64.to_int (Bytes.get_int64_le (Nvm.read_durable nvm ~off ~len:8) 0)
+      in
+      Nvm.set_word nvm 64 5 ~persist:true;
+      ignore (Nvm.cas_word nvm 64 ~mask:(-1) ~expect:5 6 : int);
+      Alcotest.(check int) "volatile has the swap" 6 (Nvm.get_word nvm 64);
+      Alcotest.(check int) "durable has not" 5 (durable 64);
+      Nvm.crash nvm;
+      Alcotest.(check int) "crash drops the unpersisted swap" 5
+        (Nvm.get_word nvm 64);
+      ignore (Nvm.cas_word nvm 64 ~mask:(-1) ~expect:5 (1 lsl 62) : int);
+      Nvm.persist nvm ~off:64 ~len:8;
+      Nvm.crash nvm;
+      Alcotest.(check int) "persisted swap survives" (1 lsl 62) (durable 64);
+      Alcotest.(check int) "and reads back" (1 lsl 62) (Nvm.get_word nvm 64))
 
 let test_nvm_allocation_accounting () =
   in_sim (fun e ->
@@ -603,11 +648,12 @@ let () =
         ] );
       ( "nvm-atomic",
         [
-          case "int64 roundtrip" test_nvm_int64_roundtrip;
-          case "int64 persist flag" test_nvm_int64_persist_flag;
+          case "word roundtrip" test_nvm_word_roundtrip;
+          case "word persist flag" test_nvm_word_persist_flag;
           case "rmw applies" test_nvm_atomic_rmw_applies;
           case "rmw declines" test_nvm_atomic_rmw_can_decline;
           case "rmw contention" test_nvm_atomic_rmw_is_atomic_under_contention;
+          case "rmw crash then durable read" test_nvm_atomic_rmw_crash_durable;
         ] );
       ( "ssd-image",
         [
