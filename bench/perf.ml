@@ -12,7 +12,10 @@
                                                    BENCH_sim.json)
      dune exec bench/perf.exe -- --baseline FILE   fail (exit 1) if a
                                                    gated rate drops >30%
-                                                   below FILE's value
+                                                   below FILE's value, or
+                                                   a gated minor-words/op
+                                                   count exceeds its
+                                                   ceiling there
      dune exec bench/perf.exe -- --gc-tune         large minor heap
 
    Every metric key in the JSON is globally unique, so the baseline gate
@@ -564,12 +567,44 @@ let gated_keys () =
        [ "fleet_speedup_per_sec" ]
      else [])
 
+(* Gate: minor words per op may not rise above the committed ceiling.
+   Unlike rates these counts are deterministic, so the ceilings sit just
+   above the measured values: one more boxed float per event shows.
+   engine.process is a parked process's queued delay, device.access a
+   synchronous device charge; both should allocate nothing but the
+   continuation the runtime captures (and [delay_behind]'s effect). *)
+let ceiling_keys = [ "engine_process"; "device_access" ]
+
+let check_ceilings text ~failed =
+  List.iter
+    (fun name ->
+      let key = name ^ "_minor_words_per_op" in
+      let measured =
+        List.find_opt
+          (fun (n, _) -> json_key n "per_sec" = name ^ "_per_sec")
+          !results
+      in
+      match (scan_number ~key text, measured) with
+      | None, _ -> pf "baseline: key %s absent, skipping\n" key
+      | _, None -> pf "ceiling gate: %s not measured this run\n" name
+      | Some ceiling, Some (_, s) ->
+          if s.minor_words_per_op > ceiling then begin
+            failed := true;
+            pf "ceiling gate FAILED: %s %.3f minor words/op is above %.3f\n"
+              name s.minor_words_per_op ceiling
+          end
+          else
+            pf "ceiling gate ok: %s %.3f minor words/op (ceiling %.3f)\n" name
+              s.minor_words_per_op ceiling)
+    ceiling_keys
+
 let check_baseline path =
   let ic = open_in path in
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
   let failed = ref false in
+  check_ceilings text ~failed;
   List.iter
     (fun key ->
       match scan_number ~key text with
@@ -616,7 +651,8 @@ let () =
       & info [ "baseline" ]
           ~doc:
             "Compare against $(docv); exit 1 if a gated rate drops more \
-             than 30% below it"
+             than 30% below it, or a gated minor-words/op count rises \
+             above its ceiling there"
           ~docv:"FILE")
   in
   let main () quick out baseline =
