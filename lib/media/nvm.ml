@@ -125,8 +125,9 @@ let word image off =
     Int64.to_int (Bytes.get_int64_le image off)
   else Int64.to_int (Bytes.get_int64_le (Backing.sub image off 8) 0)
 
-(* Store [w] sign-extended to 64 bits; [ensure] has backed the word. *)
+(* Store [w] sign-extended to 64 bits. *)
 let store_word t off w =
+  ensure t ~off ~len:8;
   Bytes.set_int64_le t.volatile off (Int64.of_int w);
   mark_dirty t ~off ~len:8
 
@@ -138,7 +139,6 @@ let get_word t off =
 let set_word t off w ~persist:do_persist =
   check t ~off ~len:8;
   Model.access t.device Model.Write ~size:8;
-  ensure t ~off ~len:8;
   store_word t off w;
   if do_persist then persist t ~off ~len:8
 
@@ -149,10 +149,7 @@ let cas_word t off ~mask ~expect w =
      lands. *)
   Model.access t.device Model.Write ~size:8;
   let cur = word t.volatile off in
-  if cur land mask = expect then begin
-    ensure t ~off ~len:8;
-    store_word t off w
-  end;
+  if cur land mask = expect then store_word t off w;
   cur
 
 let crash t =
