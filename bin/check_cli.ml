@@ -312,8 +312,8 @@ let main store placement seed schedules dpor crash_every replay
       threads;
       ops_per_thread = ops;
       records;
-      scan_every = max 1 scan_every;
-      delete_every = max 1 delete_every;
+      scan_every;
+      delete_every;
       fault;
       shards;
       txn_every;
@@ -328,7 +328,7 @@ let main store placement seed schedules dpor crash_every replay
       threads;
       ops_per_thread = ops;
       keys_per_thread;
-      crash_every = max 1 crash_every;
+      crash_every;
       fault;
       lsm_wal = not no_lsm_wal;
       shards;
@@ -442,30 +442,30 @@ let fault =
                acks race durability; only the crash sweep can see it).")
 
 let scan_every =
-  Arg.(value & opt int 16 & info [ "scan-every" ] ~docv:"N"
+  Arg.(value & opt Cli.pos_int 16 & info [ "scan-every" ] ~docv:"N"
          ~doc:"One in $(docv) reads of the explored workload becomes a \
                short scan (lower = more scan/write races).")
 
 let delete_every =
-  Arg.(value & opt int 8 & info [ "delete-every" ] ~docv:"N"
+  Arg.(value & opt Cli.pos_int 8 & info [ "delete-every" ] ~docv:"N"
          ~doc:"One in $(docv) updates of the explored workload becomes a \
                delete.")
 
 let threads =
-  Arg.(value & opt int 4 & info [ "threads" ] ~docv:"T"
+  Arg.(value & opt Cli.pos_int 4 & info [ "threads" ] ~docv:"T"
          ~doc:"Concurrent client threads.")
 
 let ops =
-  Arg.(value & opt int 48 & info [ "ops" ] ~docv:"OPS"
+  Arg.(value & opt Cli.pos_int 48 & info [ "ops" ] ~docv:"OPS"
          ~doc:"Operations per thread.")
 
 let records =
-  Arg.(value & opt int 128 & info [ "records" ] ~docv:"R"
+  Arg.(value & opt Cli.pos_int 128 & info [ "records" ] ~docv:"R"
          ~doc:"Preloaded keys for schedule exploration (kept small to force \
                contention).")
 
 let keys_per_thread =
-  Arg.(value & opt int 24 & info [ "keys-per-thread" ] ~docv:"KEYS"
+  Arg.(value & opt Cli.pos_int 24 & info [ "keys-per-thread" ] ~docv:"KEYS"
          ~doc:"Keys owned by each thread in the crash sweep.")
 
 let verbose =

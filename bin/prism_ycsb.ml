@@ -292,15 +292,20 @@ let () =
           ~docv:"NAME")
   in
   let records =
-    Arg.(value & opt int 20_000 & info [ "records" ] ~doc:"Dataset size in keys")
+    Arg.(
+      value & opt Cli.pos_int 20_000
+      & info [ "records" ] ~doc:"Dataset size in keys")
   in
   let value_size =
-    Arg.(value & opt int 256 & info [ "value-size" ] ~doc:"Value bytes")
+    Arg.(
+      value & opt Cli.pos_int 256 & info [ "value-size" ] ~doc:"Value bytes")
   in
   let threads =
-    Arg.(value & opt int 16 & info [ "threads" ] ~doc:"Client threads")
+    Arg.(value & opt Cli.pos_int 16 & info [ "threads" ] ~doc:"Client threads")
   in
-  let ssds = Arg.(value & opt int 4 & info [ "ssds" ] ~doc:"Simulated SSDs") in
+  let ssds =
+    Arg.(value & opt Cli.pos_int 4 & info [ "ssds" ] ~doc:"Simulated SSDs")
+  in
   let theta =
     Arg.(value & opt float 0.99 & info [ "theta" ] ~doc:"Zipfian coefficient")
   in

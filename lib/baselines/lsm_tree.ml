@@ -63,15 +63,9 @@ let max_levels = 7
 
 let name t = t.cfg.name
 
-let stalls t = Metric.Counter.value t.stalls
-
 let compactions t = Metric.Counter.value t.compactions
 
 let level_bytes_written t = Target.bytes_written t.level_target
-
-let l0_table_count t = List.length t.l0
-
-let wal_appends t = t.wal_appends
 
 let publishes t = t.publishes
 

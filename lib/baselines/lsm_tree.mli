@@ -75,15 +75,10 @@ val scan : t -> from:string -> count:int -> (string * bytes) list
     boundary in benchmarks). *)
 val quiesce : t -> unit
 
-(** Foreground stalls observed (write-stall events). *)
-val stalls : t -> int
-
 val compactions : t -> int
 
 (** Bytes written to the SSD level target (WAF numerator). *)
 val level_bytes_written : t -> int
-
-val l0_table_count : t -> int
 
 (** {2 Crash and recovery}
 
@@ -91,9 +86,6 @@ val l0_table_count : t -> int
     (record durable, memtable insert may still be lost) and every SSTable
     publish (flush or compaction output installed). Hooks receive the
     running count and may raise to cut the simulation at that boundary. *)
-
-(** WAL records made durable so far (0 when [wal_enabled] is false). *)
-val wal_appends : t -> int
 
 (** Flush/compaction outputs made visible so far. *)
 val publishes : t -> int

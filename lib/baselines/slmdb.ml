@@ -57,8 +57,6 @@ let create engine ~cost ~rng ~nvm ~data ~memtable_bytes ~page_cache_bytes
       Model.bytes_written t.nvm);
   t
 
-let table_count t = Hashtbl.length t.tables
-
 let compactions t = Metric.Counter.value t.compactions
 
 (* The B+-tree index lives on NVM and is persistent; bill accumulated node

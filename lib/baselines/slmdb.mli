@@ -39,6 +39,4 @@ val scan : t -> from:string -> count:int -> (string * bytes) list
 
 val quiesce : t -> unit
 
-val table_count : t -> int
-
 val compactions : t -> int

@@ -25,8 +25,6 @@ val bytes : t -> int
 
 val block_count : t -> int
 
-val block_size : int
-
 (** [build entries] from an ascending-sorted, duplicate-free list. *)
 val build : entry list -> t
 

@@ -31,13 +31,6 @@ let read t ~size =
       Raid.access r Model.Read ~off ~size
   | Nvm_dev d | Nvm_raw d -> Model.access d Model.Read ~size
 
-let write_async t ~size =
-  match t.kind with
-  | Ssd_raid r ->
-      let off = next_off t size in
-      Raid.submit r Model.Write ~off ~size
-  | Nvm_dev d | Nvm_raw d -> Model.submit d Model.Write ~size
-
 let bytes_written t =
   match t.kind with
   | Ssd_raid r -> Raid.bytes_written r

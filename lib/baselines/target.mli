@@ -23,10 +23,6 @@ val write : t -> size:int -> unit
 (** [read t ~size] charges a synchronous read. *)
 val read : t -> size:int -> unit
 
-(** [write_async t ~size] books the transfer and returns completion time
-    without blocking (compaction pipelines). *)
-val write_async : t -> size:int -> float
-
 (** Total bytes written (for WAF accounting). *)
 val bytes_written : t -> int
 

@@ -9,20 +9,6 @@ type scale = {
   column_bytes : int;
 }
 
-let kib = 1024
-
-let mib = 1024 * 1024
-
-let default_scale =
-  {
-    memtable_bytes = 512 * kib;
-    level_base_bytes = 2 * mib;
-    table_target_bytes = 512 * kib;
-    block_cache_bytes = 8 * mib;
-    container_bytes = 4 * mib;
-    column_bytes = 256 * kib;
-  }
-
 let lsm_config ~name ~scale ~l0_mode ~wal_enabled =
   {
     Lsm_tree.name;

@@ -11,9 +11,6 @@ type scale = {
   column_bytes : int;  (** MatrixKV column compaction unit *)
 }
 
-(** Proportions suitable for ~10⁵-key experiments. *)
-val default_scale : scale
-
 (** RocksDB with all SSTables and WAL on NVM (§7.1). *)
 val rocksdb_nvm :
   Prism_sim.Engine.t ->

@@ -101,7 +101,8 @@ val run :
     explorer-controlled tie-break — the building block for composing
     {!Dpor} with crash recovery. [`Completed] carries the clean run's
     (nvm-persist, ssd-write) boundary counts; [`Crashed_before_store]
-    means [target] fell inside store creation. *)
+    means [target] fell inside store creation. Only tests call it:
+    [test_check] "hsit fault within budget" and "svc fault within budget". *)
 val prism_crash_once :
   ?tie:Prism_sim.Engine.tie_break ->
   config ->

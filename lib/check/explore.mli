@@ -71,7 +71,8 @@ type schedule_stats = {
 (** [fingerprint ~events ~clock choices] identifies a schedule by its
     events executed, final clock and every tie-break decision: two
     equally long decision lists that differ anywhere get different
-    fingerprints. *)
+    fingerprints. Only tests call it directly: [test_check] "fingerprint sees
+    every decision". *)
 val fingerprint : events:int -> clock:float -> int array -> int
 
 type failure = { stats : schedule_stats; violation : string }
@@ -81,9 +82,6 @@ type report = {
   distinct : int;  (** number of distinct schedule fingerprints *)
   failures : failure list;
 }
-
-(** [tie_seed_for seed i] is the tie seed schedule [i] runs under. *)
-val tie_seed_for : int64 -> int -> int64
 
 (** [run ~schedules cfg] explores [schedules] seeded interleavings of the
     same workload and checks each history for linearizability (plus the

@@ -88,10 +88,13 @@ val length : t -> int
     across the many runs of one exploration; scan labels carry the
     interned start key so {!conflicting} can compare it against write
     keys. Raises [Invalid_argument] when [tid] exceeds {!max_tid} — tids
-    must never alias silently into a shared conflict class. *)
+    must never alias silently into a shared conflict class. Only tests call
+    it: [test_check] "tid widening kills aliasing", "scan/write range
+    conflicts" and "record is exception-safe". *)
 val op_label : tid:int -> call -> int
 
-(** Largest thread id representable in a scheduling label. *)
+(** Largest thread id representable in a scheduling label. Only tests read it:
+    [test_check] "tid widening kills aliasing". *)
 val max_tid : int
 
 (** [conflicting a b] is the dependency relation over scheduling labels:
@@ -106,7 +109,8 @@ val conflicting : int -> int -> bool
 
 (** Values print as their {!Prism_workload.Ycsb.version_of} stamp
     ([put k v37], [-> Some v0]), or as their size ([(64 B)]) when they
-    carry none. *)
+    carry none. Only tests call it: [test_check] "reports name values by
+    version". *)
 val pp_call : Format.formatter -> call -> unit
 
 val pp_event : Format.formatter -> event -> unit

@@ -59,8 +59,17 @@ let mix default =
     & opt (conv (parse, print)) (Option.get (Ycsb.mix_of_name default))
     & info [ "mix" ] ~docv:"MIX" ~doc:"Workload mix: a|b|c|d|e|nutanix.")
 
+let pos_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+        Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let count name ~doc =
-  Arg.(value & opt (some int) None & info [ name ] ~docv:"N" ~doc)
+  Arg.(value & opt (some pos_int) None & info [ name ] ~docv:"N" ~doc)
 
 let scenario ~threads:(threads_flag, threads_doc) ~ops =
   let apply records threads ops seed (s : Prism_harness.Setup.scenario) =

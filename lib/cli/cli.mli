@@ -36,14 +36,19 @@ val stats_json : doc:string -> string option Term.t
 
 (** {1 Workload and store shape} *)
 
+(** An integer that must be at least 1 (sizes and counts); [0] or a
+    negative value is a usage error, not a crash inside the run. *)
+val pos_int : int Arg.conv
+
 (** [--mix NAME] parsed with {!Prism_workload.Ycsb.mix_of_name};
     defaults to the mix the given name denotes. *)
 val mix : string -> Prism_workload.Ycsb.mix Term.t
 
 (** [scenario ~threads:(flag, doc) ~ops] overrides fields of a bench's
     base scenario: [--records N], [--ops N] (documented by [ops]), the
-    thread count under [--flag N], and [--seed SEED]. Absent flags keep
-    the base's fields, so [--quick] can choose the base first. *)
+    thread count under [--flag N] (all three {!pos_int}), and
+    [--seed SEED]. Absent flags keep the base's fields, so [--quick] can
+    choose the base first. *)
 val scenario :
   threads:string * string ->
   ops:string ->

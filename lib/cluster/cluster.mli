@@ -72,7 +72,8 @@ val shards : t -> int
 
 val net : t -> Net.t
 
-(** Which shard owns [key] (FNV-1a of the key mod shard count). *)
+(** Which shard owns [key] (FNV-1a of the key mod shard count). Only tests
+    call it: [test_cluster] picks keys on a chosen shard with it. *)
 val shard_of_key : t -> string -> int
 
 val store : t -> int -> Prism_core.Store.t

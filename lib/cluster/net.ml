@@ -5,7 +5,7 @@ type link_cfg = { latency : float; bandwidth : float; loss : float }
 let default_link = { latency = 5e-6; bandwidth = 1.25e9; loss = 0.0 }
 
 type link = {
-  mutable cfg : link_cfg;
+  cfg : link_cfg;
   mutable next_free : float;  (* when the serial pipe frees up *)
   mutable last_delivery : float;
   rng : Rng.t;  (* private loss stream: drop decisions depend only on
@@ -49,13 +49,6 @@ let nodes t = t.nodes
 let check_endpoint t n =
   if n < 0 || n >= t.nodes then invalid_arg "Net: endpoint out of range"
 
-let set_link t ~src ~dst cfg =
-  check_endpoint t src;
-  check_endpoint t dst;
-  if cfg.loss < 0.0 || cfg.loss > 1.0 then
-    invalid_arg "Net.set_link: loss must be in [0, 1]";
-  t.links.(src).(dst).cfg <- cfg
-
 let link t ~src ~dst =
   check_endpoint t src;
   check_endpoint t dst;
@@ -97,8 +90,6 @@ let msgs t = Metric.Counter.value t.msgs
 let bytes t = Metric.Counter.value t.bytes
 
 let dropped t = Metric.Counter.value t.dropped
-
-let delivered t = Metric.Counter.value t.delivered
 
 let register_stats t stats ~prefix =
   let p name = prefix ^ "." ^ name in

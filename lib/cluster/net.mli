@@ -34,9 +34,6 @@ val create :
 
 val nodes : t -> int
 
-(** [set_link t ~src ~dst cfg] overrides one directed link. *)
-val set_link : t -> src:int -> dst:int -> link_cfg -> unit
-
 val link : t -> src:int -> dst:int -> link_cfg
 
 (** [send t ~src ~dst ~size f] transmits a [size]-byte message and
@@ -46,14 +43,12 @@ val link : t -> src:int -> dst:int -> link_cfg
     sender; charges no sender time (NIC offload). *)
 val send : t -> src:int -> dst:int -> size:int -> (unit -> unit) -> unit
 
-(** Messages sent / payload bytes / messages dropped / delivered so far. *)
+(** Messages sent / payload bytes / messages dropped so far. *)
 val msgs : t -> int
 
 val bytes : t -> int
 
 val dropped : t -> int
-
-val delivered : t -> int
 
 (** [register_stats t stats ~prefix] publishes [<prefix>.msgs],
     [.bytes], [.dropped], [.delivered] counters and a [.nodes] gauge. *)

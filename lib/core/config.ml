@@ -1,25 +1,18 @@
 type t = {
   threads : int;
   pwb_size : int;
-  pwb_watermark : float;
   svc_capacity : int;
   num_value_storages : int;
   vs_size : int;
   chunk_size : int;
-  vs_gc_watermark : float;
   queue_depth : int;
   hsit_capacity : int;
   key_index : [ `Btree | `Art ];
   placement : [ `Static | `Hotness ];
   nvm_tier_size : int;
-  tier_promote_threshold : int;
-  tier_migration_budget : int;
   nvm_size : int;
   nvm_spec : Prism_device.Spec.t;
-  ssd_spec : Prism_device.Spec.t;
-  cost : Prism_device.Cost.t;
   use_thread_combining : bool;
-  ta_timeout : float;
   use_svc : bool;
   scan_reorganize : bool;
   async_reclaim : bool;
@@ -39,25 +32,18 @@ let default =
   {
     threads = 4;
     pwb_size = 1 * mib;
-    pwb_watermark = 0.5;
     svc_capacity = 8 * mib;
     num_value_storages = 2;
     vs_size = 32 * mib;
     chunk_size = 64 * kib;
-    vs_gc_watermark = 0.75;
     queue_depth = 64;
     hsit_capacity = 1 lsl 17;
     key_index = `Btree;
     placement = `Static;
     nvm_tier_size = 0;
-    tier_promote_threshold = 2;
-    tier_migration_budget = 256 * kib;
     nvm_size = 32 * mib;
     nvm_spec = Prism_device.Spec.optane_dcpmm;
-    ssd_spec = Prism_device.Spec.samsung_980_pro;
-    cost = Prism_device.Cost.default;
     use_thread_combining = true;
-    ta_timeout = 100e-6;
     use_svc = true;
     scan_reorganize = true;
     async_reclaim = true;
@@ -117,14 +103,10 @@ let validate t =
   let check cond msg = if not cond then invalid_arg ("Config: " ^ msg) in
   check (t.threads > 0) "threads <= 0";
   check (t.pwb_size > 4096) "pwb_size too small";
-  check (t.pwb_watermark > 0.0 && t.pwb_watermark < 1.0) "pwb_watermark";
   check (t.num_value_storages > 0) "num_value_storages <= 0";
   check (t.chunk_size > 0) "chunk_size <= 0";
   check (t.vs_size mod t.chunk_size = 0) "chunk_size must divide vs_size";
   check (t.vs_size / t.chunk_size >= 4) "need at least 4 chunks";
-  check
-    (t.vs_gc_watermark > 0.0 && t.vs_gc_watermark < 1.0)
-    "vs_gc_watermark";
   check (t.queue_depth > 0) "queue_depth <= 0";
   check (t.hsit_capacity > 0) "hsit_capacity <= 0";
   check (t.nvm_tier_size >= 0) "nvm_tier_size < 0";
@@ -133,11 +115,6 @@ let validate t =
     (t.placement = `Static || t.nvm_tier_size > 0)
     "hotness placement needs nvm_tier_size > 0";
   check
-    (t.tier_promote_threshold >= 1 && t.tier_promote_threshold <= 3)
-    "tier_promote_threshold out of [1, 3]";
-  check (t.tier_migration_budget > 0) "tier_migration_budget <= 0";
-  check
     (t.nvm_size
     >= (t.threads * t.pwb_size) + (t.hsit_capacity * 16) + t.nvm_tier_size)
-    "nvm_size cannot hold PWBs + HSIT + value tier";
-  check (t.ta_timeout > 0.0) "ta_timeout <= 0"
+    "nvm_size cannot hold PWBs + HSIT + value tier"

@@ -4,12 +4,10 @@
 type t = {
   threads : int;  (** application threads; one PWB each (§4.3) *)
   pwb_size : int;  (** bytes of NVM write buffer per thread *)
-  pwb_watermark : float;  (** reclamation trigger, fraction of PWB (0.5) *)
   svc_capacity : int;  (** DRAM bytes for the Scan-aware Value Cache *)
   num_value_storages : int;  (** one per SSD (§5.1) *)
   vs_size : int;  (** bytes per Value Storage *)
   chunk_size : int;  (** log-structured chunk, 512 KiB (§5.1) *)
-  vs_gc_watermark : float;  (** GC trigger: fraction of chunks in use *)
   queue_depth : int;  (** io_uring ring size / TCQ coalescing limit (64) *)
   hsit_capacity : int;  (** maximum number of live keys *)
   key_index : [ `Btree | `Art ];
@@ -23,19 +21,11 @@ type t = {
   nvm_tier_size : int;
       (** bytes of NVM reserved for the resident value tier (0 disables
           the tier; required > 0 for [`Hotness]) *)
-  tier_promote_threshold : int;
-      (** CLOCK value (1..3) at which an entry counts as hot *)
-  tier_migration_budget : int;
-      (** max bytes promoted + demoted per reclamation pass, bounding the
-          latency the migration step can add *)
   nvm_size : int;  (** total simulated NVM bytes (index + HSIT + PWBs) *)
   nvm_spec : Prism_device.Spec.t;
-  ssd_spec : Prism_device.Spec.t;
-  cost : Prism_device.Cost.t;
   (* Feature toggles for ablations (§7.6). *)
   use_thread_combining : bool;
       (** true: TCQ (§5.3); false: timeout-based async IO (TA) *)
-  ta_timeout : float;  (** TA flush timeout when TCQ is off (100 us) *)
   use_svc : bool;  (** false disables the DRAM value cache *)
   scan_reorganize : bool;  (** false disables SVC sort-on-evict (§4.4) *)
   async_reclaim : bool;

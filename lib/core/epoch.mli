@@ -12,11 +12,14 @@ val create : threads:int -> t
 val global : t -> int
 
 (** [pin t ~tid] marks thread [tid] as inside a critical section at the
-    current global epoch. *)
+    current global epoch. The store brackets its operations with
+    {!with_pinned}; only [test_core_units]'s epoch cases call [pin] and
+    {!unpin} directly. *)
 val pin : t -> tid:int -> unit
 
 (** [unpin t ~tid] leaves the critical section and opportunistically tries
-    to advance the epoch and run ripe reclamations. *)
+    to advance the epoch and run ripe reclamations. Only tests call it:
+    [test_core_units] "basic" and "pinned blocks". *)
 val unpin : t -> tid:int -> unit
 
 (** [with_pinned t ~tid f] brackets [f] with pin/unpin. *)

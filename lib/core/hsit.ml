@@ -116,10 +116,6 @@ let read_svc t id =
   check t id;
   decode_svc (Nvm.get_word t.nvm (svc_off t id))
 
-let write_svc t id v =
-  check t id;
-  Nvm.set_word t.nvm (svc_off t id) (encode_svc v) ~persist:false
-
 (* Every stored SVC word is [no_svc] or an index, so comparing words is
    comparing their decodings. *)
 let cas_svc t id ~expect v =

@@ -70,8 +70,6 @@ val exchange_primary : t -> int -> Location.t -> Location.t
     no flush cost beyond the NVM store). *)
 val read_svc : t -> int -> int option
 
-val write_svc : t -> int -> int option -> unit
-
 (** [cas_svc t id ~expect v] atomically updates the SVC pointer (used by
     lock-free cache admission, §4.4). *)
 val cas_svc : t -> int -> expect:int option -> int option -> bool

@@ -1,8 +1,10 @@
 let max_clock = 3
 
+(* CLOCK value at which an entry counts as hot. *)
+let promote_threshold = 2
+
 type hotness = {
   clock : Bytes.t; (* one saturating counter per HSIT entry *)
-  threshold : int;
   queue : int Queue.t; (* promotion candidates, FIFO *)
   queued : Bytes.t; (* dedup bitset over HSIT entries *)
 }
@@ -16,7 +18,6 @@ let create (cfg : Config.t) =
       Hotness
         {
           clock = Bytes.make cfg.Config.hsit_capacity '\000';
-          threshold = cfg.Config.tier_promote_threshold;
           queue = Queue.create ();
           queued = Bytes.make cfg.Config.hsit_capacity '\000';
         }
@@ -37,7 +38,7 @@ let note_vs_read t id =
   | Hotness h ->
       touch t id;
       if
-        Char.code (Bytes.unsafe_get h.clock id) >= h.threshold
+        Char.code (Bytes.unsafe_get h.clock id) >= promote_threshold
         && Bytes.unsafe_get h.queued id = '\000'
       then begin
         Bytes.unsafe_set h.queued id '\001';
@@ -48,7 +49,7 @@ let fresh_tier t ~hsit_id =
   match t with
   | Static -> `Ssd
   | Hotness h ->
-      if Char.code (Bytes.unsafe_get h.clock hsit_id) >= h.threshold then
+      if Char.code (Bytes.unsafe_get h.clock hsit_id) >= promote_threshold then
         `Nvm
       else `Ssd
 

@@ -15,16 +15,14 @@
     byte-identical to the code before the refactor.
 
     [Hotness] keeps a CLOCK-style access clock piggybacked on the HSIT:
-    one DRAM byte per HSIT entry, saturating at {!max_clock}, bumped on
-    every resolved read/write and decayed by the reclaimer's sweeps.
-    Entries at or above the configured threshold are promotion
-    candidates; residents whose clock decays to zero are demoted. All of
+    one DRAM byte per HSIT entry, saturating at 3, bumped on every
+    resolved read/write and decayed by the reclaimer's sweeps. Entries at
+    or above clock 2 are promotion candidates; residents whose clock
+    decays to zero are demoted. All of
     it is DRAM-side bookkeeping (the paper's HSIT has spare bits in the
     SVC word; modelling it as a sidecar array charges the same nothing). *)
 
 type t
-
-val max_clock : int
 
 (** [create cfg] builds the policy named by [cfg.placement]. *)
 val create : Config.t -> t

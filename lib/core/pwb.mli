@@ -41,12 +41,9 @@ val append : t -> hsit_id:int -> value:bytes -> int
     [head, tail) or doesn't start a record. *)
 val read : t -> voff:int -> int * bytes
 
-(** [read_header t ~voff] charges only the 16-byte header read — enough
-    for a coupling check. *)
-val read_header : t -> voff:int -> int * int
-
 (** [fold_records t f acc] walks records from head to tail (skipping
-    pads): [f acc ~voff ~hsit_id ~len]. Charges header reads. *)
+    pads): [f acc ~voff ~hsit_id ~len]. Charges header reads. Only tests call
+    it: [test_core_units] "fold skips pads". *)
 val fold_records :
   t -> ('a -> voff:int -> hsit_id:int -> len:int -> 'a) -> 'a -> 'a
 

@@ -9,8 +9,10 @@ type tiering = {
   promotions : Metric.Counter.t;
   demotions : Metric.Counter.t;
   migration_bytes : Metric.Counter.t;
-  budget : int; (* max promoted + demoted bytes per pass *)
 }
+
+(* Max promoted + demoted bytes per pass. *)
+let migration_budget = 256 * 1024
 
 type t = {
   engine : Engine.t;
@@ -28,7 +30,7 @@ type t = {
   span_tid : int; (* this reclaimer's own frame stack for its passes *)
 }
 
-let create ?tiering engine ~pwb ~hsit ~storages ~rng ~watermark =
+let create ?tiering ?(watermark = 0.5) engine ~pwb ~hsit ~storages ~rng =
   if Array.length storages = 0 then invalid_arg "Reclaimer.create: no storages";
   {
     engine;
@@ -45,6 +47,8 @@ let create ?tiering engine ~pwb ~hsit ~storages ~rng ~watermark =
     dead = Metric.Counter.create ();
     span_tid = Span.fresh_tid (Engine.spans engine);
   }
+
+let over_watermark t = Pwb.utilization t.pwb >= t.watermark
 
 let in_pass t = t.in_pass
 
@@ -170,7 +174,7 @@ let promote_pass t tg budget =
   drain ()
 
 let migrate t tg =
-  let budget = ref tg.budget in
+  let budget = ref migration_budget in
   demote_pass t tg budget;
   promote_pass t tg budget
 
@@ -238,14 +242,14 @@ let reclaim_now t =
     match t.tiering with
     | Some _
       when t.running
-           && Pwb.utilization t.pwb >= t.watermark
+           && over_watermark t
            && Sync.Mailbox.is_empty t.wakeup ->
         Sync.Mailbox.send t.wakeup ()
     | _ -> ()
   end
 
 let maybe_trigger t =
-  if Pwb.utilization t.pwb >= t.watermark then
+  if over_watermark t then
     if t.running then begin
       if Sync.Mailbox.is_empty t.wakeup && not t.in_pass then
         Sync.Mailbox.send t.wakeup ()

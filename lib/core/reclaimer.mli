@@ -21,27 +21,32 @@
 
 type t
 
-(** Shared migration state for one store: the NVM value tier, the policy,
-    the promotion/demotion/migration-byte counters, and the per-pass byte
-    budget that bounds added reclaim latency. *)
+(** Shared migration state for one store: the NVM value tier, the policy
+    and the promotion/demotion/migration-byte counters. Each pass migrates
+    at most 256 KiB (promoted plus demoted), which bounds the latency the
+    migration step adds. *)
 type tiering = {
   tier : Nvm_tier.t;
   placement : Placement.t;
   promotions : Prism_sim.Metric.Counter.t;
   demotions : Prism_sim.Metric.Counter.t;
   migration_bytes : Prism_sim.Metric.Counter.t;
-  budget : int;
 }
 
+(** [watermark] is the PWB utilization that triggers a pass (default
+    0.5). *)
 val create :
   ?tiering:tiering ->
+  ?watermark:float ->
   Prism_sim.Engine.t ->
   pwb:Pwb.t ->
   hsit:Hsit.t ->
   storages:Value_storage.t array ->
   rng:Prism_sim.Rng.t ->
-  watermark:float ->
   t
+
+(** True when the PWB's utilization is at or past the watermark. *)
+val over_watermark : t -> bool
 
 (** Spawn the background process ([async] mode). *)
 val start : t -> unit
@@ -50,7 +55,9 @@ val start : t -> unit
     watermark; cheap and non-blocking (call after every append). *)
 val maybe_trigger : t -> unit
 
-(** Run one reclamation pass synchronously on the calling process. *)
+(** Run one reclamation pass synchronously on the calling process. Only tests
+    call it: [test_core_units] "migrates live values", "skips superseded",
+    "watermark trigger" and "overlapping passes keep their spans". *)
 val reclaim_now : t -> unit
 
 (** True while a pass (tier migration included) is running. *)

@@ -139,9 +139,9 @@ let charge_index t =
   if w > 0 then begin
     Model.access (Nvm.device t.nvm) Model.Write ~size:w;
     Engine.delay
-      (t.cfg.Config.cost.Cost.flush_line
+      (Cost.default.Cost.flush_line
        *. float_of_int (Prism_sim.Bits.ceil_div w 64)
-      +. t.cfg.Config.cost.Cost.fence)
+      +. Cost.default.Cost.fence)
   end
 
 let invalidate_old t old =
@@ -306,7 +306,7 @@ let register_telemetry t =
 let create engine cfg =
   Config.validate cfg;
   let nvm =
-    Nvm.create engine ~cost:cfg.Config.cost ~spec:cfg.Config.nvm_spec
+    Nvm.create engine ~spec:cfg.Config.nvm_spec
       ~size:cfg.Config.nvm_size ()
   in
   let hsit =
@@ -332,8 +332,8 @@ let create engine cfg =
     Array.init cfg.Config.num_value_storages (fun i ->
         Value_storage.create engine ~id:i ~size:cfg.Config.vs_size
           ~chunk_size:cfg.Config.chunk_size
-          ~queue_depth:cfg.Config.queue_depth ~spec:cfg.Config.ssd_spec
-          ~cost:cfg.Config.cost ~gc_watermark:cfg.Config.vs_gc_watermark)
+          ~queue_depth:cfg.Config.queue_depth ~spec:Spec.samsung_980_pro
+          ~cost:Cost.default)
   in
   let read_paths =
     Array.map
@@ -341,12 +341,11 @@ let create engine cfg =
         if cfg.Config.use_thread_combining then
           Tc
             (Tcq.create (Value_storage.uring vs)
-               ~limit:cfg.Config.queue_depth ~cost:cfg.Config.cost)
+               ~limit:cfg.Config.queue_depth ~cost:Cost.default)
         else begin
           let ta =
             Ta_batcher.create engine (Value_storage.uring vs)
-              ~limit:cfg.Config.queue_depth ~timeout:cfg.Config.ta_timeout
-              ~cost:cfg.Config.cost
+              ~limit:cfg.Config.queue_depth ~cost:Cost.default
           in
           Ta_batcher.start ta;
           Ta ta
@@ -379,7 +378,6 @@ let create engine cfg =
             promotions = tier_promotions;
             demotions = tier_demotions;
             migration_bytes = tier_migration_bytes;
-            budget = cfg.Config.tier_migration_budget;
           }
     | Some _ | None -> None
   in
@@ -387,7 +385,7 @@ let create engine cfg =
     Array.map
       (fun pwb ->
         Reclaimer.create ?tiering engine ~pwb ~hsit ~storages:vss
-          ~rng:(Rng.split rng) ~watermark:cfg.Config.pwb_watermark)
+          ~rng:(Rng.split rng))
       pwbs
   in
   if cfg.Config.async_reclaim then Array.iter Reclaimer.start reclaimers;
@@ -395,7 +393,7 @@ let create engine cfg =
     if cfg.Config.use_svc then begin
       let svc =
         Svc.create engine ~capacity:cfg.Config.svc_capacity
-          ~cost:cfg.Config.cost ~epoch ~hsit
+          ~cost:Cost.default ~epoch ~hsit
       in
       Svc.start_manager svc;
       Some svc
@@ -912,11 +910,8 @@ let recover t =
   n
 
 let quiesce t =
-  let watermark = t.cfg.Config.pwb_watermark in
   let rec wait () =
-    let busy =
-      Array.exists (fun pwb -> Pwb.utilization pwb >= watermark) t.pwbs
-    in
+    let busy = Array.exists Reclaimer.over_watermark t.reclaimers in
     if busy then begin
       Array.iter Reclaimer.maybe_trigger t.reclaimers;
       Engine.delay 100e-6;

@@ -87,7 +87,8 @@ val value_storages : t -> Value_storage.t array
 val nvm : t -> Prism_media.Nvm.t
 
 (** The NVM-resident value tier, when the config reserves one
-    ([nvm_tier_size > 0]). *)
+    ([nvm_tier_size > 0]). Only tests call it: [test_store]'s single-home
+    audit and "hotness migrates and recovers". *)
 val nvm_tier : t -> Nvm_tier.t option
 
 (** [(tier_hits, promotions, demotions)]: reads served from the NVM value

@@ -76,8 +76,6 @@ val link_chain : t -> int list -> unit
 (** Statistics. *)
 val used_bytes : t -> int
 
-val live_entries : t -> int
-
 val evictions : t -> int
 
 val reorganizations : t -> int

@@ -20,7 +20,7 @@ type t = {
   mutable running : bool;
 }
 
-let create engine uring ~limit ~timeout ~cost =
+let create ?(timeout = 100e-6) engine uring ~limit ~cost =
   if limit <= 0 then invalid_arg "Ta_batcher.create: limit <= 0";
   if timeout <= 0.0 then invalid_arg "Ta_batcher.create: timeout <= 0";
   {

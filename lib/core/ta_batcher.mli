@@ -6,11 +6,12 @@
 
 type t
 
+(** [timeout] defaults to the paper's 100 us. *)
 val create :
+  ?timeout:float ->
   Prism_sim.Engine.t ->
   Prism_device.Io_uring.t ->
   limit:int ->
-  timeout:float ->
   cost:Prism_device.Cost.t ->
   t
 

@@ -49,7 +49,8 @@ type t = {
          each consume it before the next fill *)
 }
 
-let create engine ~id ~size ~chunk_size ~queue_depth ~spec ~cost ~gc_watermark =
+let create ?(gc_watermark = 0.75) engine ~id ~size ~chunk_size ~queue_depth
+    ~spec ~cost =
   if size mod chunk_size <> 0 then
     invalid_arg "Value_storage.create: chunk_size must divide size";
   let nchunks = size / chunk_size in
@@ -86,8 +87,6 @@ let create engine ~id ~size ~chunk_size ~queue_depth ~spec ~cost ~gc_watermark =
   }
 
 let id t = t.id
-
-let nchunks t = t.nchunks
 
 let free_chunks t = t.nfree
 

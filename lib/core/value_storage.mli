@@ -23,7 +23,10 @@
 
 type t
 
+(** GC runs while fewer than [1 - gc_watermark] of the chunks are free
+    (never fewer than 2); [gc_watermark] defaults to 0.75. *)
 val create :
+  ?gc_watermark:float ->
   Prism_sim.Engine.t ->
   id:int ->
   size:int ->
@@ -31,12 +34,9 @@ val create :
   queue_depth:int ->
   spec:Prism_device.Spec.t ->
   cost:Prism_device.Cost.t ->
-  gc_watermark:float ->
   t
 
 val id : t -> int
-
-val nchunks : t -> int
 
 val free_chunks : t -> int
 
@@ -67,7 +67,8 @@ val chunk_gen : t -> chunk:int -> int
     [(chunk, gen, completion)] where slot [i] corresponds to
     [List.nth values i]. Slots start invalid; the caller marks them valid
     once it has repointed HSIT (§5.2), as {!install} does. Values must
-    fit in one chunk. *)
+    fit in one chunk. The store writes through {!install}; only
+    [test_core_units]'s Value Storage cases call it directly. *)
 val write_chunk :
   ?io_counter:Prism_sim.Metric.Counter.t ->
   t ->
@@ -77,7 +78,8 @@ val write_chunk :
 (** [seal t ~chunk] marks a freshly written chunk as fully published
     (HSIT pointers and validity bits in place). Garbage collection only
     considers sealed chunks, so an in-publication chunk can never be
-    recycled out from under its writer. *)
+    recycled out from under its writer. The store seals through {!install};
+    only [test_core_units]'s Value Storage cases call it directly. *)
 val seal : t -> chunk:int -> unit
 
 (** [pick rng storages] is a random idle storage (no in-flight IO), or a
@@ -140,10 +142,13 @@ val set_valid : t -> gen:int -> chunk:int -> slot:int -> bool -> unit
 
 val is_valid : t -> gen:int -> chunk:int -> slot:int -> bool
 
+(** [live_slots t ~chunk] counts the chunk's valid slots. Only tests call it:
+    [test_core_units] "validity bitmap", "stale gen" and "recover". *)
 val live_slots : t -> chunk:int -> int
 
 (** [iter_valid t f] visits every currently valid slot with its backward
-    pointer (residency audits in tests). *)
+    pointer (residency audits in tests). Only [test_store]'s single-home audit
+    calls it. *)
 val iter_valid :
   t -> (gen:int -> chunk:int -> slot:int -> hsit_id:int -> unit) -> unit
 
@@ -166,12 +171,11 @@ val poke_gc : t -> unit
     list. Charges device time for the metadata scan. *)
 val recover : t -> couple:(hsit_id:int -> Location.t -> bool) -> unit
 
-(** Total payload bytes currently marked valid (for tests). *)
-val live_bytes : t -> int
-
 (** [check_live t] recomputes every chunk's live bytes (the greedy GC's
     victim key) by walking its slots, and raises [Failure] if the
-    incrementally maintained count disagrees (for tests). *)
+    incrementally maintained count disagrees (for tests). Kept as an audit:
+    [test_store] "vs gc under pressure" and [test_core_units]'s live-bytes
+    property call it. *)
 val check_live : t -> unit
 
 (** [register_stats t stats ~prefix] publishes the GC-run counter (by

@@ -72,10 +72,6 @@ let in_flight t = t.in_flight
 
 let is_idle t = t.in_flight = 0
 
-let submissions t = Metric.Counter.value t.submits
-
-let sqes_submitted t = Metric.Counter.value t.sqes
-
 let register_stats t stats ~prefix =
   Stats.register_counter stats (prefix ^ ".submits") t.submits;
   Stats.register_counter stats (prefix ^ ".sqes") t.sqes;

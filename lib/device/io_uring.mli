@@ -44,13 +44,6 @@ val in_flight : t -> int
     pick a Value Storage for reclamation writes (§5.2). *)
 val is_idle : t -> bool
 
-(** Number of [submit] calls so far (submission batches). *)
-val submissions : t -> int
-
-(** Total SQEs across all submissions; [sqes_submitted / submissions] is
-    the achieved batch size. *)
-val sqes_submitted : t -> int
-
 (** [register_stats t stats ~prefix] publishes [<prefix>.submits],
     [<prefix>.sqes] (counters) and [<prefix>.in_flight] (gauge). *)
 val register_stats : t -> Prism_sim.Stats.t -> prefix:string -> unit

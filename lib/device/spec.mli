@@ -19,15 +19,9 @@ val dram : t
 (** Intel Optane DCPMM: 6.8/1.9 GB/s, 0.30/0.09 us, $4096/TB, 292 PBW. *)
 val optane_dcpmm : t
 
-(** Intel Optane 905P NVM SSD: 2.6/2.2 GB/s, 10/10 us, $1024/TB. *)
-val optane_905p : t
-
 (** Samsung 980 PRO flash SSD (PCIe 4): 7/5 GB/s, 50/20 us, $150/TB,
     0.6 PBW. *)
 val samsung_980_pro : t
-
-(** Samsung 980 flash SSD (PCIe 3): 3.5/3 GB/s, 60/20 us, $100/TB. *)
-val samsung_980 : t
 
 (** CXL-attached persistent memory (§8 discussion): byte-addressable,
     non-volatile, higher latency than DDR-attached Optane but wide

@@ -32,15 +32,11 @@ type pool
 (** [create ~jobs] makes a pool of [jobs] lanes: the calling domain plus
     [jobs - 1] spawned worker domains. [jobs <= 1] spawns nothing and
     every operation degenerates to inline serial execution (the exact
-    code path a serial caller would run). [jobs] is clamped to
-    [max_jobs]. *)
+    code path a serial caller would run). [jobs] is clamped to 64. *)
 val create : jobs:int -> pool
 
 (** Lanes in the pool (1 means serial). *)
 val jobs : pool -> int
-
-(** Upper bound on [~jobs] (guards against pathological flag values). *)
-val max_jobs : int
 
 (** [Domain.recommended_domain_count ()] — the sensible [~jobs] value
     for "use the whole machine". *)
@@ -69,10 +65,6 @@ val submit : pool -> (unit -> 'a) -> 'a future
     a coordinator that awaits in a fixed order makes progress even when
     every worker is busy. *)
 val await : pool -> 'a future -> 'a
-
-(** [await_result pool fu] is {!await} without the re-raise. *)
-val await_result :
-  pool -> 'a future -> ('a, exn * Printexc.raw_backtrace) result
 
 (** [peek fu] is [Some result] if the job has settled, [None] while it
     is pending or running. Never blocks and never claims the job. *)

@@ -59,9 +59,6 @@ val instrument : Prism_sim.Engine.t -> t -> t
 (** Operation kinds, for keying per-op metrics. *)
 type op_kind = Put | Get | Delete | Scan
 
-(** ["put"], ["get"], ["delete"], ["scan"]. *)
-val op_kind_name : op_kind -> string
-
 (** The kind of store call a trace operation dispatches to (updates and
     inserts are both puts). *)
 val kind_of_op : Prism_workload.Trace.op -> op_kind

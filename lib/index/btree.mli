@@ -49,5 +49,6 @@ val fold : 'v t -> 'a -> ('a -> string -> 'v -> 'a) -> 'a
 (** Estimated resident bytes of all nodes — the NVM-footprint metric. *)
 val approx_bytes : 'v t -> int
 
-(** Tree height (leaf = 1); exposed for cost assertions in tests. *)
+(** Tree height (leaf = 1); exposed for cost assertions in tests. Only
+    [test_index] "splits" calls it. *)
 val height : 'v t -> int

@@ -5,7 +5,8 @@
 (** [fnv1a s] is the 64-bit FNV-1a hash of [s]. *)
 val fnv1a : string -> int64
 
-(** [fnv1a_int v] hashes an integer's 8-byte little-endian encoding. *)
+(** [fnv1a_int v] hashes an integer's 8-byte little-endian encoding. Only
+    [test_index] "int hashing" calls it. *)
 val fnv1a_int : int -> int64
 
 (** [mix h] applies a SplitMix64-style finalizer for better avalanche. *)

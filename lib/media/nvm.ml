@@ -17,13 +17,12 @@ type t = {
          flat array indexed by line *)
   mutable ndirty : int;
   device : Model.t;
-  cost : Cost.t;
   mutable allocated : int;
   mutable persists : int;
   mutable on_persist : (int -> unit) option;
 }
 
-let create engine ?(cost = Cost.default) ~spec ~size () =
+let create engine ~spec ~size () =
   if size <= 0 then invalid_arg "Nvm.create: size <= 0";
   {
     size;
@@ -32,7 +31,6 @@ let create engine ?(cost = Cost.default) ~spec ~size () =
     dirty = Bytes.empty;
     ndirty = 0;
     device = Model.create engine spec;
-    cost;
     allocated = 0;
     persists = 0;
     on_persist = None;
@@ -110,7 +108,9 @@ let flush_range t ~off ~len =
 let persist t ~off ~len =
   check t ~off ~len;
   let lines = if len = 0 then 0 else ((off + len - 1) / line_size) - (off / line_size) + 1 in
-  Engine.delay ((float_of_int lines *. t.cost.Cost.flush_line) +. t.cost.Cost.fence);
+  Engine.delay
+    ((float_of_int lines *. Cost.default.Cost.flush_line)
+    +. Cost.default.Cost.fence);
   flush_range t ~off ~len;
   t.persists <- t.persists + 1;
   match t.on_persist with Some f -> f t.persists | None -> ()
@@ -173,8 +173,6 @@ let restore t ~off src =
     done
 
 let dirty_lines t = t.ndirty
-
-let persist_count t = t.persists
 
 let set_persist_hook t f = t.on_persist <- f
 

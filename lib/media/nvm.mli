@@ -24,7 +24,6 @@ type t
     allocated until the first store. *)
 val create :
   Prism_sim.Engine.t ->
-  ?cost:Prism_device.Cost.t ->
   spec:Prism_device.Spec.t ->
   size:int ->
   unit ->
@@ -96,12 +95,10 @@ val read_durable : t -> off:int -> len:int -> bytes
     bulk (recovery is bandwidth-bound and parallelized, §5.5). *)
 val restore : t -> off:int -> bytes -> unit
 
-(** Number of currently dirty (written, unpersisted) cache lines. *)
+(** Number of currently dirty (written, unpersisted) cache lines. Only tests
+    call it: [test_media] "dirty tracking", "dirty map vs model", "rmw
+    declines" and the lazy-image property. *)
 val dirty_lines : t -> int
-
-(** Number of {!persist} operations completed so far — each one is a
-    durability boundary a crash can be injected after. *)
-val persist_count : t -> int
 
 (** [set_persist_hook t (Some f)] calls [f count] immediately after every
     {!persist} makes its range durable. The checker's crash-point sweep

@@ -32,7 +32,8 @@ val write : t -> off:int -> bytes -> unit
 val blit_to : t -> off:int -> bytes -> dst_off:int -> len:int -> unit
 
 (** Number of applied writes so far — each is an SSD write-completion
-    durability boundary a crash can be injected after. *)
+    durability boundary a crash can be injected after. Only [test_media]'s
+    lazy-image property calls it. *)
 val write_count : t -> int
 
 (** [set_write_hook t (Some f)] calls [f count] immediately after every

@@ -42,7 +42,8 @@ val find : string -> entry option
 
 val names : string list
 
-(** The generic checks plus the ones keyed to [store]. *)
+(** The generic checks plus the ones keyed to [store]. Only [test_scenario]
+    "flash crowd heats the SVC" calls it directly. *)
 val checks_for : built -> store:string -> Assertion.t list
 
 (** One executed (scenario, store) pair. *)

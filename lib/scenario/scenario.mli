@@ -71,11 +71,13 @@ type t = {
     names. *)
 val validate : t -> (unit, string) result
 
-(** Total of the phase durations, virtual seconds. *)
+(** Total of the phase durations, virtual seconds. Only [test_scenario]'s
+    durations property calls it directly. *)
 val total_duration : t -> float
 
 (** [[(start, end_)]] per phase, in order; ends are cumulative sums of
-    the durations, so the last end equals {!total_duration}. *)
+    the durations, so the last end equals {!total_duration}. Only
+    [test_scenario]'s durations property calls it directly. *)
 val phase_bounds : t -> (float * float) array
 
 (** Expected arrival count at [base_rate], integrating each phase's rate

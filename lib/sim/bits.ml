@@ -25,8 +25,6 @@ let msb v =
   if !v lsr 1 <> 0 then incr pos;
   !pos
 
-let clz63 v = 62 - msb v
-
 let is_power_of_two v = v > 0 && v land (v - 1) = 0
 
 let ceil_div a b = (a + b - 1) / b

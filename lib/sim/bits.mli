@@ -4,11 +4,7 @@
     ([msb 1 = 0], [msb 64 = 6]). Requires [v > 0]. *)
 val msb : int -> int
 
-(** [clz63 v] counts leading zeros of [v] viewed as a 63-bit value
-    (OCaml's native int width minus the tag bit). Requires [v > 0]. *)
-val clz63 : int -> int
-
-(** [is_power_of_two v] for [v > 0]. *)
+(** [is_power_of_two v] for [v > 0]. Only [test_sim] "helpers" calls it. *)
 val is_power_of_two : int -> bool
 
 (** [ceil_div a b] is the ceiling of [a / b] for positive [b]. *)

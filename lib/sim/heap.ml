@@ -23,9 +23,8 @@
    sequence is independent of arity and internal layout — rewriting the
    sift strategy cannot perturb event order.
 
-   The hot-path API ([min_time]/[min_seq]/[min_aux]/[pop_unsafe]) never
-   allocates; the option-returning entry points ([pop_min]/[peek_time])
-   remain for callers off the hot path. *)
+   The whole API after [create] ([advance_if_due]/[min_aux]/[pop_unsafe]
+   and the tie-set calls) never allocates beyond capacity growth. *)
 
 type 'a t = {
   mutable times : float array;
@@ -47,11 +46,8 @@ type 'a t = {
 let dummy : 'a = Obj.magic 0
 
 (* Invariant: [times.(0) = infinity] whenever the heap is empty (capacity
-   is never 0). This lets [min_time] be a branch-free unboxed load with no
-   float constant in its body — Closure-mode ocamlopt refuses to inline a
-   function whose body contains a structured constant (such as a boxed
-   [infinity]) across modules, and a non-inlined [min_time] boxes its
-   float return on every dispatch. *)
+   is never 0). This lets [advance_alone] compare against the min time
+   without a size check. *)
 let initial_capacity = 16
 
 let create () =
@@ -72,13 +68,6 @@ let create () =
 let length t = t.size
 
 let[@inline] is_empty t = t.size = 0
-
-(* Key of the minimum entry, readable without popping and without
-   allocating (callers compare the float directly; [infinity] when
-   empty, by the emptiness invariant on [times.(0)]). *)
-let[@inline] min_time t = Array.unsafe_get t.times 0
-
-let[@inline] min_seq t = if t.size = 0 then -1 else Array.unsafe_get t.seqs 0
 
 let[@inline] min_aux t =
   if t.size = 0 then 0
@@ -173,8 +162,8 @@ let[@inline] push t ~time ~seq ?(aux = 0) value =
    [float array] — cell 0 is "now", cell 1 the run limit — so event times
    never cross the module boundary as bare floats. That matters because
    dune's dev profile compiles with [-opaque], which disables cross-module
-   inlining entirely: an ordinary [min_time]/[push ~time] pair would box
-   two floats per dispatched event there, however aggressively the
+   inlining entirely: a float-returning min-time read and a [push ~time]
+   would box two floats per dispatched event there, however aggressively the
    callees are annotated. *)
 
 (* [advance_if_due t clock] : when the heap is nonempty and its min time
@@ -223,7 +212,7 @@ let push_delay t ~clock ~seq ~aux value =
   push_aux t ~time:(Array.unsafe_get clock 0 +. after) ~seq ~aux value
 
 (* Remove the minimum entry and return its payload without allocating.
-   Read [min_time]/[min_seq]/[min_aux] first if the key is needed. *)
+   Read the key first ([advance_if_due], [min_aux]) if it is needed. *)
 let pop_unsafe t =
   let n = t.size - 1 in
   if n < 0 then invalid_arg "Heap.pop_unsafe: empty heap";
@@ -351,17 +340,6 @@ let remove_tie t k =
   Array.unsafe_set seqs 0 seq;
   Array.unsafe_set slots 0 slot;
   pop_unsafe t
-
-let pop_min t =
-  if t.size = 0 then None
-  else begin
-    let time = Array.unsafe_get t.times 0 in
-    let seq = Array.unsafe_get t.seqs 0 in
-    let value = pop_unsafe t in
-    Some (time, seq, value)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
 
 let clear t =
   (* O(1) reset; dropping the backing arrays also releases the payloads'

@@ -4,8 +4,8 @@
 
     Entries are stored structure-of-arrays (flat [float array] keys, no
     per-entry record; payloads sit in stable slots so sifting never moves
-    them), and the [min_*]/[pop_unsafe] entry points neither allocate nor
-    box, so the engine's event loop can run allocation-free.
+    them), and {!advance_if_due}, {!min_aux} and {!pop_unsafe} neither
+    allocate nor box, so the engine's event loop can run allocation-free.
     Each entry also carries an auxiliary [int] channel ([aux], default 0) —
     the engine rides its scheduling labels on it so it needs no per-event
     record of its own. *)
@@ -29,12 +29,6 @@ val push : 'a t -> time:float -> seq:int -> ?aux:int -> 'a -> unit
     line on the heap's unboxed channels). The engine's dispatch path uses
     this entry point. *)
 val push_aux : 'a t -> time:float -> seq:int -> aux:int -> 'a -> unit
-
-(** [min_time t] is the key time of the minimum entry, or [infinity] when
-    the heap is empty. Never allocates inside the heap (the float return
-    itself boxes at call sites in builds without cross-module inlining —
-    the dispatch loop uses {!advance_if_due} instead). *)
-val min_time : 'a t -> float
 
 (** [advance_if_due t clock] — engine dispatch protocol. [clock] is a
     caller-owned float array: cell 0 holds the simulation's "now", cell 1
@@ -67,17 +61,14 @@ val push_after :
     process there when it cannot advance in place. *)
 val push_delay : 'a t -> clock:float array -> seq:int -> aux:int -> 'a -> unit
 
-(** [min_seq t] is the seq of the minimum entry, or [-1] when empty. *)
-val min_seq : 'a t -> int
-
 (** [min_aux t] is the aux channel of the minimum entry, or [0] when
     empty. *)
 val min_aux : 'a t -> int
 
 (** [pop_unsafe t] removes the minimum entry and returns its payload
-    without allocating. Read [min_time]/[min_seq]/[min_aux] {e before}
-    popping if the key is needed. @raise Invalid_argument on an empty
-    heap. *)
+    without allocating. Read the key ({!advance_if_due}, {!min_aux},
+    {!gather_ties}) {e before} popping if it is needed.
+    @raise Invalid_argument on an empty heap. *)
 val pop_unsafe : 'a t -> 'a
 
 (** {2 Tie sets}
@@ -103,14 +94,6 @@ val tie_aux : 'a t -> int -> int
     payload; every other entry stays where the heap order puts it. Index
     [0] is {!pop_unsafe}. Invalidates the gathered set. *)
 val remove_tie : 'a t -> int -> 'a
-
-(** [pop_min t] removes and returns the entry with the smallest key, or
-    [None] when the heap is empty. Allocates; off-hot-path compat API. *)
-val pop_min : 'a t -> (float * int * 'a) option
-
-(** [peek_time t] is the key time of the minimum entry without removing
-    it. Allocates an option; hot paths use {!min_time}. *)
-val peek_time : 'a t -> float option
 
 (** [clear t] drops every entry in O(1), releasing the backing storage. *)
 val clear : 'a t -> unit

@@ -22,6 +22,9 @@ val count : t -> int
 (** Mean of recorded values; 0 when empty. *)
 val mean : t -> float
 
+(** Smallest recorded value; 0 when empty. Only tests call it: [test_sim]
+    "exact small", "merge" and the percentile and quantile bound
+    properties. *)
 val min_value : t -> int
 
 val max_value : t -> int

@@ -15,7 +15,8 @@ val split : t -> t
 (** [copy t] duplicates the generator state. *)
 val copy : t -> t
 
-(** Next raw 64-bit output. *)
+(** Next raw 64-bit output. Only [test_sim] "deterministic" and "split
+    independent" call it directly. *)
 val next_int64 : t -> int64
 
 (** [float t] is uniform in [\[0, 1)]. *)

@@ -79,7 +79,8 @@ val register_gc : t -> unit
 val note_foreign_gc :
   minor_words:int -> minor_collections:int -> major_collections:int -> unit
 
-(** Total foreign minor words flushed so far (for tests/diagnostics). *)
+(** Total foreign minor words flushed so far (for tests/diagnostics). Only
+    [test_fleet] "worker flush reaches gauges" calls it. *)
 val foreign_gc_words : unit -> int
 
 (** [histogram t name] get-or-creates a histogram (see {!counter} for

@@ -62,7 +62,8 @@ module Semaphore : sig
   (** [acquire t] takes a permit, blocking while none are available. *)
   val acquire : t -> unit
 
-  (** [try_acquire t] takes a permit only if one is immediately available. *)
+  (** [try_acquire t] takes a permit only if one is immediately available.
+      Only [test_sim] "try acquire" calls it. *)
   val try_acquire : t -> bool
 
   (** [release t] returns a permit, waking the longest-blocked acquirer. *)

@@ -36,17 +36,6 @@ let record_timed gen ~gap ~ops =
   done;
   trace
 
-let ops_of_timed timed = Array.map (fun { op; _ } -> op) timed
-
-let materialize = function
-  | Read k -> Ycsb.Read k
-  | Update (k, size, version) ->
-      Ycsb.Update (k, Ycsb.value_for ~size ~key:k ~version)
-  | Insert (k, size, version) ->
-      Ycsb.Insert (k, Ycsb.value_for ~size ~key:k ~version)
-  | Scan (k, len) -> Ycsb.Scan (k, len)
-  | Delete _ -> invalid_arg "Trace.materialize: YCSB has no delete op"
-
 let op_to_string = function
   | Read k -> Printf.sprintf "R %s" k
   | Update (k, size, ver) -> Printf.sprintf "U %s %d %d" k size ver
@@ -91,43 +80,6 @@ let of_string s =
     | line :: rest -> (
         match op_of_string line with
         | Ok op -> parse (op :: acc) rest
-        | Error _ as e -> e)
-  in
-  parse [] lines
-
-(* "%.17g" round-trips every float exactly, so a saved arrival schedule
-   replays byte-identically. *)
-let timed_to_string t =
-  let buf = Buffer.create (Array.length t * 40) in
-  Array.iter
-    (fun { at; op } ->
-      Buffer.add_string buf (Printf.sprintf "%.17g %s\n" at (op_to_string op)))
-    t;
-  Buffer.contents buf
-
-let timed_of_string s =
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-  in
-  let parse_line line =
-    let line = String.trim line in
-    match String.index_opt line ' ' with
-    | None -> Error ("unparseable timed trace line: " ^ line)
-    | Some i -> (
-        match float_of_string_opt (String.sub line 0 i) with
-        | None -> Error ("bad arrival time: " ^ line)
-        | Some at -> (
-            match
-              op_of_string (String.sub line (i + 1) (String.length line - i - 1))
-            with
-            | Ok op -> Ok { at; op }
-            | Error _ as e -> e))
-  in
-  let rec parse acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | line :: rest -> (
-        match parse_line line with
-        | Ok timed -> parse (timed :: acc) rest
         | Error _ as e -> e)
   in
   parse [] lines

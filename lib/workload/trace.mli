@@ -36,20 +36,6 @@ type timed = { at : float; op : op }
     produce the identical timed trace. *)
 val record_timed : Ycsb.t -> gap:(unit -> float) -> ops:int -> timed array
 
-(** Strip the stamps. *)
-val ops_of_timed : timed array -> t
-
-(** Round-trippable text encoding of a timed trace: one
-    ["<time> <op-line>"] per op, times printed with full precision so a
-    saved schedule replays byte-identically. *)
-val timed_to_string : timed array -> string
-
-val timed_of_string : string -> (timed array, string) result
-
-(** [materialize op] converts a trace op into a concrete {!Ycsb.op}
-    ([Delete] has no YCSB equivalent and raises). *)
-val materialize : op -> Ycsb.op
-
 (** Round-trippable text encoding. *)
 val to_string : t -> string
 

@@ -28,8 +28,6 @@ val ycsb_b : mix
 
 val ycsb_c : mix
 
-val ycsb_d : mix
-
 val ycsb_e : mix
 
 (** Nutanix production mix: 57 % updates, 41 % reads, 2 % scans (§7.5). *)

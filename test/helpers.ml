@@ -23,6 +23,22 @@ let in_sim_drain f =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* The minimum entry's (time, seq), read the way the engine's dispatch
+   loop reads it: [advance_if_due] writes the time into a clock cell, and
+   the first gathered tie is the minimum entry. *)
+let heap_min h =
+  let clock = [| neg_infinity; infinity; 0.0 |] in
+  if Heap.advance_if_due h clock then begin
+    ignore (Heap.gather_ties h);
+    Some (clock.(0), Heap.tie_seq h 0)
+  end
+  else None
+
+let heap_pop h =
+  match heap_min h with
+  | Some (time, seq) -> Some (time, seq, Heap.pop_unsafe h)
+  | None -> None
+
 let qcase ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count gen prop)

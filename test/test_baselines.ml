@@ -272,12 +272,16 @@ let test_lsm_scan_hides_tombstones () =
         (List.map fst rs))
 
 let test_lsm_write_stalls_counted () =
-  with_rocks (fun _ tree ->
+  with_rocks (fun e tree ->
       (* Hammer writes with tiny memtable: flushes outpace compaction. *)
       for i = 0 to 4999 do
         Lsm_tree.put tree (key (i mod 500)) (value ~size:100 i)
       done;
-      Alcotest.(check bool) "stalls observed" true (Lsm_tree.stalls tree >= 0))
+      let stalls =
+        Stats.get_int (Engine.stats e)
+          (Stats.sanitize (Lsm_tree.name tree) ^ ".stalls")
+      in
+      Alcotest.(check bool) "stalls observed" true (stalls >= 0))
 
 let test_lsm_level_bytes_accounted () =
   with_rocks (fun _ tree ->

@@ -15,9 +15,9 @@ let test_heap_clear () =
     Heap.push h ~time:(float_of_int i) ~seq:i i
   done;
   Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Heap.pop_min h = None);
+  Alcotest.(check bool) "empty after clear" true (heap_pop h = None);
   Heap.push h ~time:1.0 ~seq:0 42;
-  (match Heap.pop_min h with
+  (match heap_pop h with
   | Some (_, _, v) -> Alcotest.(check int) "usable after clear" 42 v
   | None -> Alcotest.fail "push after clear lost")
 

@@ -13,6 +13,7 @@ let test_net_latency_bandwidth () =
   in_sim (fun e ->
       let link = { Net.latency = 1e-3; bandwidth = 1000.0; loss = 0.0 } in
       let net = Net.create e ~nodes:2 ~link ~seed:1L () in
+      Net.register_stats net (Engine.stats e) ~prefix:"net";
       let t0 = Engine.now e in
       let at = ref nan in
       Net.send net ~src:0 ~dst:1 ~size:500 (fun () ->
@@ -20,7 +21,8 @@ let test_net_latency_bandwidth () =
       Engine.delay 1.0;
       (* 500 B over 1000 B/s = 0.5 s transmission + 1 ms latency. *)
       check_approx "delivery time" !at 0.501;
-      Alcotest.(check int) "delivered" 1 (Net.delivered net);
+      Alcotest.(check int) "delivered" 1
+        (Stats.get_int (Engine.stats e) "net.delivered");
       Alcotest.(check int) "bytes" 500 (Net.bytes net))
 
 let test_net_fifo_per_link () =
@@ -46,6 +48,7 @@ let net_trace ~seed ~loss ~sizes =
   in_sim (fun e ->
       let link = { Net.latency = 2e-6; bandwidth = 1e6; loss } in
       let net = Net.create e ~nodes:3 ~link ~seed () in
+      Net.register_stats net (Engine.stats e) ~prefix:"net";
       let trace = ref [] in
       List.iteri
         (fun i size ->
@@ -59,7 +62,7 @@ let net_trace ~seed ~loss ~sizes =
         Net.msgs net,
         Net.bytes net,
         Net.dropped net,
-        Net.delivered net ))
+        Stats.get_int (Engine.stats e) "net.delivered" ))
 
 let test_net_deterministic_qcheck =
   qcase ~count:60 "medium is deterministic and order-preserving per link"

@@ -260,7 +260,8 @@ let test_hsit_svc_pointer () =
       let _, h = make_nvm_hsit e in
       let id = Hsit.alloc h in
       Alcotest.(check (option int)) "initial" None (Hsit.read_svc h id);
-      Hsit.write_svc h id (Some 5);
+      Alcotest.(check bool) "cas from none" true
+        (Hsit.cas_svc h id ~expect:None (Some 5));
       Alcotest.(check (option int)) "set" (Some 5) (Hsit.read_svc h id);
       Alcotest.(check bool) "cas wrong expect" false
         (Hsit.cas_svc h id ~expect:None (Some 6));
@@ -272,7 +273,8 @@ let test_hsit_svc_not_persisted () =
   in_sim (fun e ->
       let nvm, h = make_nvm_hsit e in
       let id = Hsit.alloc h in
-      Hsit.write_svc h id (Some 9);
+      Alcotest.(check bool) "cas from none" true
+        (Hsit.cas_svc h id ~expect:None (Some 9));
       Nvm.crash nvm;
       Hsit.recover_entry h id;
       Alcotest.(check (option int)) "nullified on recovery" None

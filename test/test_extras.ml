@@ -82,15 +82,33 @@ let test_trace_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error"
 
+(* A store that only records the calls [Kv.apply] makes on it. *)
+let recording_kv calls =
+  {
+    Kv.name = "recorder";
+    stat_prefix = "recorder";
+    put = (fun ~tid:_ k v -> calls := `Put (k, v) :: !calls);
+    get = (fun ~tid:_ k -> calls := `Get k :: !calls; None);
+    delete = (fun ~tid:_ k -> calls := `Delete k :: !calls; false);
+    scan = (fun ~tid:_ k n -> calls := `Scan (k, n) :: !calls; []);
+    quiesce = ignore;
+    recover = None;
+  }
+
 let test_trace_materialize () =
-  (match Trace.materialize (Trace.Update ("k", 64, 7)) with
-  | Ycsb.Update (k, v) ->
+  let calls = ref [] in
+  let kv = recording_kv calls in
+  Kv.apply kv ~tid:0 (Trace.Update ("k", 64, 7));
+  (match !calls with
+  | [ `Put (k, v) ] ->
       Alcotest.(check string) "key" "k" k;
       Alcotest.(check (option int)) "version" (Some 7) (Ycsb.version_of v);
       Alcotest.(check int) "size" 64 (Bytes.length v)
   | _ -> Alcotest.fail "expected update");
-  match Trace.materialize (Trace.Scan ("k", 9)) with
-  | Ycsb.Scan ("k", 9) -> ()
+  calls := [];
+  Kv.apply kv ~tid:0 (Trace.Scan ("k", 9));
+  match !calls with
+  | [ `Scan ("k", 9) ] -> ()
   | _ -> Alcotest.fail "expected scan"
 
 let test_trace_replay_deterministic () =
@@ -101,19 +119,14 @@ let test_trace_replay_deterministic () =
     let e = Engine.create () in
     let store = Prism_core.Store.create e Prism_core.Config.default in
     let out = ref [] in
-    Engine.spawn e (fun () ->
-        Array.iter
-          (fun op ->
-            match Trace.materialize op with
-            | Ycsb.Read k -> (
-                match Prism_core.Store.get store ~tid:0 k with
-                | Some v -> out := (k, Bytes.to_string v) :: !out
-                | None -> ())
-            | Ycsb.Update (k, v) | Ycsb.Insert (k, v) ->
-                Prism_core.Store.put store ~tid:0 k v
-            | Ycsb.Scan (k, n) ->
-                ignore (Prism_core.Store.scan store ~tid:0 k n))
-          t);
+    let kv = Kv.of_prism store in
+    let get ~tid k =
+      let r = kv.Kv.get ~tid k in
+      Option.iter (fun v -> out := (k, Bytes.to_string v) :: !out) r;
+      r
+    in
+    let kv = { kv with Kv.get } in
+    Engine.spawn e (fun () -> Array.iter (Kv.apply kv ~tid:0) t);
     ignore (Engine.run e);
     !out
   in
@@ -228,9 +241,10 @@ let test_svc_chain_reorganize_callback () =
 
 let test_svc_clear_drops_everything () =
   with_svc (fun e _hsit _ svc ->
-      ignore e;
+      let reg = Engine.stats e in
+      Svc.register_stats svc reg ~prefix:"svc";
       Svc.clear svc;
-      Alcotest.(check int) "no entries" 0 (Svc.live_entries svc);
+      Alcotest.(check int) "no entries" 0 (Stats.get_int reg "svc.entries");
       Alcotest.(check int) "no bytes" 0 (Svc.used_bytes svc))
 
 let () =

@@ -98,10 +98,10 @@ let test_await_helps_when_unclaimed () =
 let test_await_reraises () =
   Fleet.with_pool ~jobs:2 (fun p ->
       let fu = Fleet.submit p (fun () -> raise (Boom 7)) in
-      match Fleet.await_result p fu with
-      | Error (Boom 7, _) -> ()
-      | Error _ -> Alcotest.fail "wrong exception"
-      | Ok _ -> Alcotest.fail "expected failure")
+      match Fleet.await p fu with
+      | exception Boom 7 -> ()
+      | exception _ -> Alcotest.fail "wrong exception"
+      | _ -> Alcotest.fail "expected failure")
 
 let test_peek_settles () =
   Fleet.with_pool ~jobs:2 (fun p ->

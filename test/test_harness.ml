@@ -357,7 +357,11 @@ let test_cli_scenario_overrides () =
     [ s.records; s.threads; s.ops ];
   Alcotest.(check int64) "seed" 7L s.seed;
   Alcotest.(check bool) "absent flags keep the base" true
-    (Option.get (parse term []) tiny = tiny)
+    (Option.get (parse term []) tiny = tiny);
+  Alcotest.(check bool) "--records 0 rejected" true
+    (Option.is_none (parse term [ "--records"; "0" ]));
+  Alcotest.(check bool) "--ops=-3 rejected" true
+    (Option.is_none (parse term [ "--ops=-3" ]))
 
 let test_cli_shared_terms () =
   let open Prism_cli in
@@ -373,7 +377,12 @@ let test_cli_shared_terms () =
     (Some (Some [ 0.5; 1.5 ]))
     (parse (Cli.csv Cmdliner.Arg.float "points" ~doc:"") [ "--points"; "0.5,1.5" ]);
   Alcotest.(check bool) "placement" true
-    (parse Cli.placement [ "--placement"; "hotness" ] = Some `Hotness)
+    (parse Cli.placement [ "--placement"; "hotness" ] = Some `Hotness);
+  let n = Cmdliner.Arg.(value & opt Cli.pos_int 1 & info [ "size" ]) in
+  Alcotest.(check (option int)) "positive int rejects 0" None
+    (parse n [ "--size"; "0" ]);
+  Alcotest.(check (option int)) "positive int keeps 5" (Some 5)
+    (parse n [ "--size"; "5" ])
 
 let test_report_table_renders () =
   (* Smoke: must not raise, regardless of jagged rows. *)

@@ -130,8 +130,6 @@ let test_validate () =
 (* ---------------------------------------------------------------- *)
 (* Determinism (satellite: same seed => same bytes)                  *)
 
-let render_trace = Trace.timed_to_string
-
 let test_synthesize_deterministic () =
   let t1 =
     Scenario.synthesize small_spec ~base_rate:capacity ~records:300 ~seed:42L
@@ -139,13 +137,11 @@ let test_synthesize_deterministic () =
   let t2 =
     Scenario.synthesize small_spec ~base_rate:capacity ~records:300 ~seed:42L
   in
-  Alcotest.(check string) "same seed, byte-identical trace" (render_trace t1)
-    (render_trace t2);
+  Alcotest.(check bool) "same seed, identical trace" true (t1 = t2);
   let t3 =
     Scenario.synthesize small_spec ~base_rate:capacity ~records:300 ~seed:43L
   in
-  Alcotest.(check bool) "different seed differs" true
-    (render_trace t1 <> render_trace t3)
+  Alcotest.(check bool) "different seed differs" true (t1 <> t3)
 
 (* Render every observable of an executed run — window rows, phase
    boundaries and accounting, sojourn quantiles, verdict labels and

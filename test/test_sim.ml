@@ -13,7 +13,7 @@ let test_heap_order () =
   Heap.push h ~time:1.0 ~seq:1 "a";
   Heap.push h ~time:2.0 ~seq:2 "b";
   let pop () =
-    match Heap.pop_min h with Some (_, _, v) -> v | None -> "?"
+    match heap_pop h with Some (_, _, v) -> v | None -> "?"
   in
   let first = pop () in
   let second = pop () in
@@ -28,7 +28,7 @@ let test_heap_fifo_ties () =
   done;
   let order = ref [] in
   let rec drain () =
-    match Heap.pop_min h with
+    match heap_pop h with
     | Some (_, _, v) ->
         order := v :: !order;
         drain ()
@@ -42,20 +42,20 @@ let test_heap_fifo_ties () =
 let test_heap_empty () =
   let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop_min h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek_time h = None)
+  Alcotest.(check bool) "pop none" true (heap_pop h = None);
+  Alcotest.(check bool) "peek none" true (heap_min h = None)
 
 let test_heap_interleaved () =
   let h = Heap.create () in
   Heap.push h ~time:5.0 ~seq:0 5;
   Heap.push h ~time:1.0 ~seq:1 1;
-  (match Heap.pop_min h with
+  (match heap_pop h with
   | Some (t, _, v) ->
       Alcotest.(check int) "min first" 1 v;
       Alcotest.(check (float 0.0)) "time" 1.0 t
   | None -> Alcotest.fail "expected entry");
   Heap.push h ~time:0.5 ~seq:2 0;
-  match Heap.pop_min h with
+  match heap_pop h with
   | Some (_, _, v) -> Alcotest.(check int) "later smaller" 0 v
   | None -> Alcotest.fail "expected entry"
 
@@ -64,7 +64,7 @@ let prop_heap_sorted =
       let h = Heap.create () in
       List.iteri (fun i t -> Heap.push h ~time:t ~seq:i t) times;
       let rec drain acc =
-        match Heap.pop_min h with
+        match heap_pop h with
         | Some (t, _, _) -> drain (t :: acc)
         | None -> List.rev acc
       in
@@ -1001,7 +1001,7 @@ let test_json_pretty_layout () =
 
 (* Random pushes (times from a tiny set, to force ties) interleaved with
    pops, against a sorted-list reference. Checks the full key triple
-   (time, seq, aux) through the non-allocating min_* reads as well as the
+   (time, seq, aux) through the engine's dispatch reads as well as the
    popped payloads, then drains both to the end. *)
 let prop_heap_model =
   qcase ~count:300 "heap matches sorted-list model"
@@ -1015,11 +1015,11 @@ let prop_heap_model =
         match !model with
         | [] -> Heap.is_empty h
         | (t, s, a, _) :: _ ->
-            Heap.min_time h = t && Heap.min_seq h = s && Heap.min_aux h = a
+            heap_min h = Some (t, s) && Heap.min_aux h = a
       in
       let pop_agrees () =
         ok := !ok && min_agrees ();
-        match (Heap.pop_min h, !model) with
+        match (heap_pop h, !model) with
         | Some (t, s, v), (mt, ms, _, mv) :: rest ->
             ok := !ok && t = mt && s = ms && v = mv;
             model := rest
@@ -1064,7 +1064,9 @@ let prop_heap_tie_model =
         (fun (digit, kind, k) ->
           match (kind, !model) with
           | 2, (_, s, _, v) :: rest ->
-              check (Heap.min_seq h = s && Heap.pop_unsafe h = v);
+              check
+                (Option.map snd (heap_min h) = Some s
+                && Heap.pop_unsafe h = v);
               model := rest
           | 3, (t0, _, _, _) :: _ ->
               let ties = List.filter (fun (t, _, _, _) -> t = t0) !model in
@@ -1088,7 +1090,7 @@ let prop_heap_tie_model =
         ops;
       List.iter
         (fun (t, s, _, v) ->
-          check (Heap.min_time h = t && Heap.min_seq h = s);
+          check (heap_min h = Some (t, s));
           check (Heap.pop_unsafe h = v))
         !model;
       !ok && Heap.is_empty h)
@@ -1105,7 +1107,7 @@ let test_heap_clear_reuse () =
   Heap.push h ~time:2.0 ~seq:100 ~aux:9 100;
   Heap.push h ~time:1.0 ~seq:101 ~aux:8 101;
   Alcotest.(check int) "min aux after reuse" 8 (Heap.min_aux h);
-  match Heap.pop_min h with
+  match heap_pop h with
   | Some (t, s, v) ->
       Alcotest.(check (float 0.0)) "time" 1.0 t;
       Alcotest.(check int) "seq" 101 s;

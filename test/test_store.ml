@@ -333,8 +333,7 @@ let test_vs_gc_under_pressure () =
     ~cfg:
       {
         small_config with
-        vs_size = 256 * 1024;
-        vs_gc_watermark = 0.5;
+        vs_size = 192 * 1024;
         pwb_size = 16 * 1024;
       }
     (fun _ store ->

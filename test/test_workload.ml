@@ -145,7 +145,9 @@ let test_mix_e_scans () =
 
 let test_latest_distribution_prefers_recent () =
   let gen =
-    Ycsb.create Ycsb.ycsb_d ~records:10_000 ~theta:0.99 ~value_size:64
+    Ycsb.create
+      (Option.get (Ycsb.mix_of_name "d"))
+      ~records:10_000 ~theta:0.99 ~value_size:64
       (Rng.create 10L)
   in
   let recent = ref 0 and total = ref 0 in
