@@ -54,9 +54,7 @@ let write_file path contents =
 let run_open_loop engine kv mix (s : Setup.scenario) ~rate ~arrival ~policy
     ~servers =
   let policy_spec =
-    match Admission.of_string ~capacity:rate ~servers policy with
-    | Ok p -> p
-    | Error e -> failwith e
+    Result.get_ok (Admission.of_string ~capacity:rate ~servers policy)
   in
   let point_seed =
     Int64.add s.seed
@@ -78,46 +76,9 @@ let run_open_loop engine kv mix (s : Setup.scenario) ~rate ~arrival ~policy
   in
   Format.printf "open-loop(%s) %a@." arrival Frontend.pp_result r
 
-(* Scenario mode: calibrate the store's closed-loop capacity on a scratch
-   engine, scale the named scenario to the op budget, then synthesize and
-   replay it open-loop on the main engine — the single-store flavour of
-   bench/scenario.exe. *)
-let run_scenario make engine kv s ~ename ~policy ~servers =
-  let open Prism_scenario in
-  let entry =
-    match Library.find ename with
-    | Some e -> e
-    | None ->
-        failwith
-          (Printf.sprintf "unknown scenario %s (have: %s)" ename
-             (String.concat ", " Library.names))
-  in
-  let r =
-    Library.run entry ~make engine kv s ~servers ~policy
-      ~cal_ops:(min s.Setup.ops 6_000) ~seed_key:kv.Kv.name
-  in
-  Printf.printf "scenario %s: closed-loop capacity %.0f ops/s\n" ename
-    r.Library.capacity;
-  let q h p = Hist.us_of_ns (Hist.quantile h p) in
-  Array.iter
-    (fun ps ->
-      Printf.printf
-        "  phase %-10s [%6.3f,%6.3f)s offered %5d shed %5d completed %5d \
-         p50 %7.1f us p99 %7.1f us\n"
-        ps.Scenario.ps_name ps.Scenario.ps_start ps.Scenario.ps_end
-        ps.Scenario.ps_offered
-        (ps.Scenario.ps_shed_admission + ps.Scenario.ps_shed_dequeue)
-        ps.Scenario.ps_completed
-        (q ps.Scenario.ps_sojourn 50.0)
-        (q ps.Scenario.ps_sojourn 99.0))
-    r.Library.outcome.Scenario.phases;
-  Assertion.print_verdicts r.Library.checks r.Library.verdicts;
-  Printf.printf "scenario %s on %s: %s\n" ename kv.Kv.name
-    (if Assertion.passed r.Library.verdicts then "pass" else "FAIL")
-
-let run () store_name placement workloads scenario_arg records value_size
-    threads num_ssds theta ops shards txn_every open_loop arrival policy
-    servers trace_out trace_in stats stats_json chrome_trace =
+let run () store_name placement workloads records value_size threads
+    num_ssds theta ops shards txn_every open_loop arrival policy servers
+    trace_out trace_in stats stats_json chrome_trace =
   let shards = Option.value shards ~default:1 in
   let txn_every = Option.value txn_every ~default:0 in
   let scenario =
@@ -134,7 +95,7 @@ let run () store_name placement workloads scenario_arg records value_size
   in
   let cluster_cfg =
     if shards > 1 || txn_every > 0 then begin
-      if String.lowercase_ascii store_name <> "prism" then
+      if store_name <> "prism" then
         failwith "--shards/--txn-every need --store prism";
       if placement <> `Static then
         failwith "--shards/--txn-every support --placement static only";
@@ -153,7 +114,7 @@ let run () store_name placement workloads scenario_arg records value_size
         fun e -> snd (Prism_cluster.Cluster.of_scenario e ccfg scenario)
     | None ->
         Setup.of_name
-          (match (String.lowercase_ascii store_name, placement) with
+          (match (store_name, placement) with
           | "prism", `Hotness -> "prism-hotness"
           | name, _ -> name)
           scenario
@@ -202,11 +163,6 @@ let run () store_name placement workloads scenario_arg records value_size
       Trace.save trace ~path;
       Printf.printf "recorded %d %s-ops to %s\n" ops mix.Ycsb.name path
   | None -> ());
-  (match scenario_arg with
-  | Some ename ->
-      run_scenario make engine kv scenario ~ename ~policy
-        ~servers:(Option.value servers ~default:threads)
-  | None ->
   List.iter
     (fun phase ->
       match phase with
@@ -218,7 +174,7 @@ let run () store_name placement workloads scenario_arg records value_size
               Format.printf "%a@." Runner.pp_result
                 (Runner.run engine kv mix scenario)
           | None -> Printf.eprintf "skipping unknown workload %S\n" name))
-    phases);
+    phases;
   (match trace_in with
   | Some path -> replay_trace engine kv ~threads path
   | None -> ());
@@ -267,29 +223,47 @@ let run () store_name placement workloads scenario_arg records value_size
       Printf.printf "wrote Chrome trace to %s\n" path
   | None -> ()
 
+(* Open-loop flags are checked when parsed, so a bad value is a usage
+   error before any simulation starts. Whether a policy or arrival name
+   parses does not depend on the rate, servers or op count, so any
+   positive stand-ins do; the run resolves the name again with its own. *)
+let checked parse =
+  Cmdliner.Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      Format.pp_print_string )
+
+let policy_name =
+  checked (fun s ->
+      Result.map (fun _ -> s) (Admission.of_string ~capacity:1.0 ~servers:1 s))
+
+let arrival_name =
+  checked (fun s ->
+      match Arrival.of_name s ~rate:1.0 ~ops:1 (Rng.create 0L) with
+      | _ -> Ok s
+      | exception Failure e -> Error e)
+
+let pos_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when r > 0.0 && Float.is_finite r -> Ok r
+    | _ -> Error (`Msg (s ^ " is not a positive number"))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_float)
+
 let () =
   let open Cmdliner in
   let store =
+    let names = [ "prism"; "kvell"; "matrixkv"; "rocksdb-nvm"; "slm-db" ] in
     Arg.(
-      value & opt string "prism"
-      & info [ "store" ] ~doc:"prism | kvell | matrixkv | rocksdb-nvm | slm-db")
+      value
+      & opt (enum (List.map (fun n -> (n, n)) names)) "prism"
+      & info [ "store" ] ~docv:"STORE"
+          ~doc:("Store to drive: " ^ String.concat " | " names))
   in
   let workload =
     Arg.(
       value & opt string "load,a,b,c,d,e"
       & info [ "workload" ] ~doc:"Comma-separated: load,a,b,c,d,e,nutanix")
-  in
-  let scenario_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenario" ]
-          ~doc:
-            "Run a named time-varying scenario (flash-crowd, drift, \
-             heavy-tail, growth, delete-churn) instead of the workload \
-             phases, printing per-phase telemetry and assertion verdicts; \
-             pair with --policy bounded for overload phases"
-          ~docv:"NAME")
   in
   let records =
     Arg.(
@@ -310,12 +284,14 @@ let () =
     Arg.(value & opt float 0.99 & info [ "theta" ] ~doc:"Zipfian coefficient")
   in
   let ops =
-    Arg.(value & opt int 20_000 & info [ "ops" ] ~doc:"Operations per workload")
+    Arg.(
+      value & opt Cli.pos_int 20_000
+      & info [ "ops" ] ~doc:"Operations per workload")
   in
   let open_loop =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some pos_float) None
       & info [ "open-loop" ]
           ~doc:
             "After the workload phases, drive the first named mix open-loop \
@@ -325,13 +301,13 @@ let () =
   in
   let arrival =
     Arg.(
-      value & opt string "poisson"
+      value & opt arrival_name "poisson"
       & info [ "arrival" ]
           ~doc:"Open-loop arrival process: poisson | mmpp | diurnal")
   in
   let policy =
     Arg.(
-      value & opt string "unbounded"
+      value & opt policy_name "unbounded"
       & info [ "policy" ]
           ~doc:
             "Open-loop admission policy: unbounded | bounded[=N] | \
@@ -341,7 +317,7 @@ let () =
   let servers =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli.pos_int) None
       & info [ "servers" ]
           ~doc:"Server processes draining the open-loop queue (default: \
                 --threads)")
@@ -370,9 +346,9 @@ let () =
   in
   Cli.exec ~name:"prism-ycsb" ~doc:"Run YCSB workloads on simulated KV stores"
     Term.(
-      const run $ Cli.gc_tune $ store $ Cli.placement $ workload $ scenario_arg
-      $ records $ value_size $ threads $ ssds $ theta $ ops $ Cli.shards
-      $ Cli.txn_every $ open_loop $ arrival $ policy $ servers $ trace_out
-      $ trace_in $ Cli.stats
+      const run $ Cli.gc_tune $ store $ Cli.placement $ workload $ records
+      $ value_size $ threads $ ssds $ theta $ ops $ Cli.shards $ Cli.txn_every
+      $ open_loop $ arrival $ policy $ servers $ trace_out $ trace_in
+      $ Cli.stats
       $ Cli.stats_json ~doc:"Write the metric registry as JSON to $(docv)"
       $ chrome_trace)

@@ -131,8 +131,8 @@ let on_dequeue t ~now ~wait ~depth =
       if wait < c.target || depth = 0 then begin
         (* Standing delay is back under target (or the queue drained):
            leave the dropping state entirely, control-law memory
-           included — re-entering congestion later (e.g. in the next
-           scenario phase) must behave exactly like a fresh policy, with
+           included — re-entering congestion later (e.g. after a lull in
+           the offered load) must behave exactly like a fresh policy, with
            a full interval of grace and drop spacing restarted from 1. *)
         c.first_above <- 0.0;
         c.dropping <- false;

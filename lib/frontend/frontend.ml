@@ -36,25 +36,9 @@ let pp_result fmt r =
     (Hist.us_of_ns (Hist.quantile r.sojourn 99.0))
     (Hist.us_of_ns (Hist.quantile r.sojourn 99.9))
 
-type observer = {
-  arrived : int -> now:float -> Admission.outcome -> unit;
-  shed_dequeue : int -> now:float -> unit;
-  completed : int -> arrived:float -> done_at:float -> unit;
-  started : depth:(unit -> int) -> unit;
-}
-
-let no_observer =
-  {
-    arrived = (fun _ ~now:_ _ -> ());
-    shed_dequeue = (fun _ ~now:_ -> ());
-    completed = (fun _ ~arrived:_ ~done_at:_ -> ());
-    started = (fun ~depth:_ -> ());
-  }
-
 type item = Req of float * int (* arrival time, trace index *) | Poison
 
-let run ?(observe = no_observer) ?(servers = 16) engine kv ~policy
-    ~offered_rate ~trace =
+let run ?(servers = 16) engine kv ~policy ~offered_rate ~trace =
   if servers <= 0 then invalid_arg "Frontend.run: servers must be positive";
   let ops = Array.length trace in
   if ops = 0 then invalid_arg "Frontend.run: empty trace";
@@ -103,16 +87,14 @@ let run ?(observe = no_observer) ?(servers = 16) engine kv ~policy
           let depth = depth () in
           Metric.Counter.incr offered;
           Hist.record depth_hist depth;
-          let outcome = Admission.admit pol ~now ~depth in
-          (match outcome with
+          match Admission.admit pol ~now ~depth with
           | Admission.Shed ->
               Metric.Counter.incr shed_admission;
               Metric.Timeline.tick tl_shed ~now
           | Admission.Accept ->
               Metric.Counter.incr accepted;
               Sync.Mailbox.send mb (Req (now, i));
-              if depth + 1 > !max_depth then max_depth := depth + 1);
-          observe.arrived i ~now outcome)
+              if depth + 1 > !max_depth then max_depth := depth + 1)
         trace;
       (* FIFO: the poison pills sort behind every accepted request, so
          each server drains its share of the queue before exiting. *)
@@ -132,7 +114,6 @@ let run ?(observe = no_observer) ?(servers = 16) engine kv ~policy
               | Admission.Shed ->
                   Metric.Counter.incr shed_dequeue;
                   Metric.Timeline.tick tl_shed ~now;
-                  observe.shed_dequeue i ~now;
                   serve ()
               | Admission.Accept ->
                   let op = trace.(i).Trace.op in
@@ -145,12 +126,10 @@ let run ?(observe = no_observer) ?(servers = 16) engine kv ~policy
                   Metric.Counter.incr completed;
                   Metric.Timeline.tick tl_goodput ~now:done_at;
                   last_completion := done_at;
-                  observe.completed i ~arrived ~done_at;
                   serve ())
         in
         serve ())
   done;
-  observe.started ~depth;
   Engine.spawn engine (fun () ->
       Sync.Latch.wait latch;
       kv.Kv.quiesce ();

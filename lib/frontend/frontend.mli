@@ -54,39 +54,17 @@ val shed_rate : result -> float
 
 val pp_result : Format.formatter -> result -> unit
 
-(** Callbacks a caller threads through {!run} to keep its own accounting
-    (e.g. per-phase or per-window telemetry). Each receives the request's
-    index in the trace, so the caller can look up its stamp or op. The
-    per-request callbacks run inline on the driver's processes and must
-    not block or schedule events, so observing never moves the
-    schedule. *)
-type observer = {
-  arrived : int -> now:float -> Admission.outcome -> unit;
-      (** after the admission decision; [now] is the release time *)
-  shed_dequeue : int -> now:float -> unit;
-      (** a server dropped the request at dequeue (CoDel) *)
-  completed : int -> arrived:float -> done_at:float -> unit;
-      (** the store call returned at [done_at]; [arrived] is the release
-          time *)
-  started : depth:(unit -> int) -> unit;
-      (** once, after the generator and server processes are spawned and
-          before the process that stops the engine; [depth] reads the live
-          queue length. A caller may spawn a sampling process here. *)
-}
-
 (** [run engine kv ~policy ~offered_rate ~trace] replays an arrival-time
     stamped trace (see {!Prism_workload.Trace.record_timed}) open-loop
     against [kv]: a generator process releases each request at its stamp,
     [servers] worker processes drain the queue. Runs the engine to
     completion of all accepted requests. [offered_rate] is recorded in
-    the result for labelling (use {!Arrival.mean_rate}). [observe]
-    (default: nothing) sees every arrival, dequeue shed and completion.
+    the result for labelling (use {!Arrival.mean_rate}).
 
     Determinism: everything downstream of the trace is a pure function of
     the engine schedule, so the same seed reproduces the identical
     result. *)
 val run :
-  ?observe:observer ->
   ?servers:int ->
   Prism_sim.Engine.t ->
   Prism_harness.Kv.t ->

@@ -27,7 +27,7 @@ type t = {
 }
 
 (** [name] defaults to ["Prism"]; variants (e.g. the hotness-placement
-    store) pass their own so scenario checks stay keyed apart. The
+    store) pass their own so reports keep them apart. The
     [stat_prefix] stays ["prism"] for every variant — that is where the
     store registers — so two Prism variants must not share one engine. *)
 val of_prism : ?name:string -> Prism_core.Store.t -> t

@@ -25,4 +25,6 @@ val next_scrambled : t -> int
     as records are inserted). Cheap amortized re-computation of zeta. *)
 val grow : t -> items:int -> unit
 
+(** The current domain size. Only tests read it: [test_workload]
+    "zipfian grow". *)
 val items : t -> int

@@ -169,10 +169,10 @@ let test_codel_semantics () =
   Alcotest.(check bool) "recovers" true (deq 2e-4 1e-6 = Admission.Accept);
   Alcotest.(check bool) "re-arms" true (deq 2.5e-4 5e-5 = Admission.Accept)
 
-(* Regression for scenario phase transitions: when the queue fully drains
+(* Regression for load that ebbs and returns: when the queue fully drains
    (the dequeue that empties it sees depth = 0), CoDel must leave the
-   dropping state and forget its control-law memory, so congestion in a
-   later phase gets a full interval of grace and drop spacing restarted
+   dropping state and forget its control-law memory, so congestion that
+   returns later gets a full interval of grace and drop spacing restarted
    from interval / sqrt(1) — exactly like a fresh policy. *)
 let test_codel_drain_resets () =
   let target = 1e-5 and interval = 1e-4 in
@@ -288,9 +288,9 @@ let test_frontend_accounting () =
     ]
 
 (* Every count plus the p50/p99 of sojourn, wait and service, pinned per
-   policy to digests recorded before the scenario driver was folded into
-   [Frontend.run]: a rerun-equals-rerun check cannot catch a refactor
-   that shifts the schedule deterministically. *)
+   policy to digests that every refactor of [Frontend.run] must keep: a
+   rerun-equals-rerun check cannot catch a refactor that shifts the
+   schedule deterministically. *)
 let render_result r =
   let q h = Printf.sprintf "%.0f/%.0f" (Hist.quantile h 50.0) (Hist.quantile h 99.0) in
   Printf.sprintf "%d %d %d %d %d %d %s %s %s" r.Frontend.offered

@@ -1047,6 +1047,107 @@ let test_hotness_migrates_and_recovers () =
       Alcotest.(check int) "values readable after recovery" 0 !bad);
   ignore (Engine.run e)
 
+(* The tier must follow the working set when it moves, not only fill
+   once. Same shape as above (one thread, no SVC, tiny PWB, 64 KiB
+   tier). Each round does 20 gets of the hot keys, a put to each of the
+   other 180 keys (whose reclaim passes migrate values), then the 20 hot
+   gets again. Keys 0-19 are hot for [warm] rounds, then keys 100-119
+   for [shifted] rounds. A get was served from the tier when it moved the
+   tier-hit counter. At this size the tier drops the whole hot set about
+   every third round, so the checks ask for the first round that serves
+   every hot get from the tier, not for steady residency; and since the
+   migration counters advance every round, shift or not, they are backed
+   by checks on which keys the tier serves. Returns each check's name
+   and outcome. *)
+let hot_set_shift placement =
+  let cfg =
+    {
+      (Config.hotness ~tier_size:(64 * 1024)
+         { small_config with threads = 1; pwb_size = 8192 })
+      with
+      use_svc = false;
+      placement;
+    }
+  in
+  let n = 200 and width = 20 and warm = 4 and shifted = 4 in
+  with_store ~cfg (fun _ store ->
+      for i = 0 to n - 1 do
+        Store.put store ~tid:0 (key i) (value ~size:64 i)
+      done;
+      Store.quiesce store;
+      let tier_hits () =
+        let hits, _, _ = Store.tier_stats store in
+        hits
+      in
+      (* How many gets of keys [lo, lo + width) the tier served. *)
+      let served lo =
+        let count = ref 0 in
+        for i = lo to lo + width - 1 do
+          let before = tier_hits () in
+          ignore (Store.get store ~tid:0 (key i));
+          if tier_hits () > before then incr count
+        done;
+        !count
+      in
+      let puts = ref n in
+      (* One round with keys [lo, lo + width) hot: true when the tier
+         served every one of its hot gets. *)
+      let round lo =
+        let first = served lo in
+        for i = 0 to n - 1 do
+          if i < lo || i >= lo + width then begin
+            incr puts;
+            Store.put store ~tid:0 (key i) (value ~size:64 !puts)
+          end
+        done;
+        let second = served lo in
+        first + second = 2 * width
+      in
+      (* True when one of [k] rounds with [lo] hot was served in full. *)
+      let rounds k lo =
+        let full = ref false in
+        for _ = 1 to k do
+          if round lo then full := true
+        done;
+        !full
+      in
+      let old_served_before = rounds warm 0 in
+      let new_before = served 100 in
+      let _, promotions, demotions = Store.tier_stats store in
+      let new_served_after = rounds shifted 100 in
+      let _, promotions', demotions' = Store.tier_stats store in
+      let old_after = served 0 in
+      Store.quiesce store;
+      audit_single_tier store;
+      [
+        ("old hot set served from the tier before the shift", old_served_before);
+        ("new hot set not served from the tier before the shift", new_before = 0);
+        ("promotions advance after the shift", promotions' > promotions);
+        ("demotions advance after the shift", demotions' > demotions);
+        ("new hot set served from the tier after the shift", new_served_after);
+        ("old hot set no longer served from the tier", old_after = 0);
+      ])
+
+let test_hot_set_shift () =
+  List.iter
+    (fun (name, ok) -> Alcotest.(check bool) name true ok)
+    (hot_set_shift `Hotness)
+
+(* The same run under static placement, where nothing migrates, must
+   fail every check that needs the tier to react: the case above tests
+   the policy, not the workload. *)
+let test_hot_set_shift_static () =
+  let outcome = hot_set_shift `Static in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) name false (List.assoc name outcome))
+    [
+      "old hot set served from the tier before the shift";
+      "promotions advance after the shift";
+      "demotions advance after the shift";
+      "new hot set served from the tier after the shift";
+    ]
+
 let () =
   Alcotest.run "store"
     [
@@ -1113,6 +1214,9 @@ let () =
       ( "placement",
         [
           case "hotness migrates and recovers" test_hotness_migrates_and_recovers;
+          case "hotness follows a hot-set shift" test_hot_set_shift;
+          case "static placement fails the hot-set shift"
+            test_hot_set_shift_static;
           prop_hotness_single_tier;
           case "hotness: a move under a put is released"
             test_hotness_superseded_move;
