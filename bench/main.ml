@@ -831,13 +831,14 @@ let () =
             ^ doc_alts_enum ids ^ "."))
   in
   let scale =
-    Arg.(value & opt string "small" & info [ "scale" ] ~doc:"small or full")
+    Arg.(
+      value
+      & opt (enum [ ("small", small_scenario); ("full", full_scenario) ])
+          small_scenario
+      & info [ "scale" ] ~doc:"$(b,small) or $(b,full)")
   in
   let main () exp scale stats stats_json j =
-    (match scale with
-    | "full" -> scenario := full_scenario
-    | "small" -> scenario := small_scenario
-    | other -> failwith ("unknown scale: " ^ other));
+    scenario := scale;
     stats_requested := stats;
     stats_json_path := stats_json;
     jobs := j;

@@ -366,7 +366,9 @@ let bench_store_create ~quick ~reps =
   let creates = if quick then 200 else 1000 in
   let create () =
     for _ = 1 to creates do
-      ignore (Explore.make_kv Explore.default (Engine.create ()))
+      ignore
+        (Explore.instance Explore.default (Engine.create ())
+           ~pwb_size:(16 * 1024) ~keys:Explore.default.Explore.records)
     done
   in
   (* Minor words only reach the counters at a minor collection. *)

@@ -333,14 +333,14 @@ let () =
       $ Cli.quick ~doc:"CI-sized sweep: 2 stores x 2 policies x 3 points"
       $ Cli.csv Arg.string "stores"
           ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm"
-      $ Cli.csv Arg.string "policies"
+      $ Cli.csv Cli.policy_name "policies"
           ~doc:
             "Comma-separated admission policies: unbounded, bounded[=N], \
              token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]"
       $ Cli.csv Arg.float "points"
           ~doc:"Comma-separated offered-load multipliers of calibrated capacity"
       $ Arg.(
-          value & opt string "poisson"
+          value & opt Cli.arrival_name "poisson"
           & info [ "arrival" ] ~doc:"Arrival process: poisson | mmpp | diurnal")
       $ Cli.mix "b"
       $ Cli.scenario

@@ -43,19 +43,22 @@ let stores =
 
 let store_name s = fst (List.find (fun (_, t) -> t = s) stores)
 
-(* The explored setup, as the run headers print it. *)
+(* The checked store, as the run headers print it. *)
+let store_label cfg =
+  match cfg.Explore.store with
+  | `Prism -> "prism"
+  | `Kvell -> "kvell"
+  | `Cluster ->
+      Printf.sprintf "prism cluster (%d shards, txn every %d)"
+        cfg.Explore.shards cfg.Explore.txn_every
+  | `Lsm -> if cfg.Explore.lsm_wal then "lsm" else "lsm (WAL disabled!)"
+
+(* The explored setup, as the exploration headers print it. *)
 let describe cfg =
   Printf.sprintf
     "%s, %d threads x %d ops over %d keys, seed 0x%Lx, fault %s, strict scans"
-    (match cfg.Explore.store with
-    | `Kvell -> "kvell"
-    | `Prism ->
-        if cfg.Explore.shards > 1 || cfg.Explore.txn_every > 0 then
-          Printf.sprintf "prism cluster (%d shards, txn every %d)"
-            cfg.Explore.shards cfg.Explore.txn_every
-        else "prism")
-    cfg.Explore.threads cfg.Explore.ops_per_thread cfg.Explore.records
-    cfg.Explore.seed
+    (store_label cfg) cfg.Explore.threads cfg.Explore.ops_per_thread
+    cfg.Explore.records cfg.Explore.seed
     (fault_name cfg.Explore.fault)
 
 (* Replay hints must reproduce the checking setup, not just the schedule. *)
@@ -206,27 +209,20 @@ let run_sweep ~cfg ~verbose ~jobs =
   (try Crash_sweep.check_fault cfg
    with Invalid_argument _ ->
      Printf.eprintf "--fault %s: the %s crash sweep cannot inject it\n"
-       (fault_name cfg.Crash_sweep.fault)
-       (store_name cfg.Crash_sweep.store);
+       (fault_name cfg.Explore.fault)
+       (store_name cfg.Explore.store);
      exit 2);
   Printf.printf
     "crash sweep: %s, every %s%s boundary, %d threads x %d ops, seed 0x%Lx%s\n\
      %!"
-    (match cfg.Crash_sweep.store with
-    | `Prism -> "prism"
-    | `Kvell -> "kvell"
-    | `Cluster ->
-        Printf.sprintf "prism cluster (%d shards, txn every %d)"
-          cfg.Crash_sweep.shards cfg.Crash_sweep.txn_every
-    | `Lsm -> if cfg.Crash_sweep.lsm_wal then "lsm" else "lsm (WAL disabled!)")
-    (ordinal cfg.Crash_sweep.crash_every)
-    (match cfg.Crash_sweep.store with
+    (store_label cfg)
+    (ordinal cfg.Explore.crash_every)
+    (match cfg.Explore.store with
     | `Prism | `Lsm -> " durability"
     | `Cluster -> " 2PC log-persist"
     | `Kvell -> "-event time-grid")
-    cfg.Crash_sweep.threads cfg.Crash_sweep.ops_per_thread
-    cfg.Crash_sweep.seed
-    (match cfg.Crash_sweep.fault with
+    cfg.Explore.threads cfg.Explore.ops_per_thread cfg.Explore.seed
+    (match cfg.Explore.fault with
     | Explore.Skip_hsit_flush -> " (HSIT flush disabled!)"
     | Explore.Skip_2pc_log_flush -> " (commit-record flush disabled!)"
     | _ -> "");
@@ -268,115 +264,79 @@ let parse_choices s =
 let main store placement seed schedules dpor crash_every replay
     replay_choices shrink no_lsm_wal fault scan_every delete_every
     threads ops records keys_per_thread shards txn_every jobs verbose =
-  (* --store cluster defaults to 2 shards; --shards > 1 on prism implies
-     the cluster. Either way every sub-command sees the same topology. *)
-  let shards =
-    match shards with
-    | Some n when n > 0 -> n
-    | _ -> if store = `Cluster then 2 else 1
-  in
-  let store = if store = `Prism && shards > 1 then `Cluster else store in
-  let txn_every =
-    match txn_every with
-    | Some k when k >= 0 -> k
-    | _ ->
-        if store = `Cluster then Crash_sweep.default.Crash_sweep.txn_every
-        else 0
-  in
-  if store = `Kvell && (shards > 1 || txn_every > 0) then begin
-    Printf.eprintf "--shards/--txn-every need the prism-backed cluster\n";
+  let usage msg =
+    prerr_endline msg;
     exit 2
-  end;
-  let explore_store =
-    match store with
-    | `Prism | `Cluster -> `Prism
-    | `Kvell -> `Kvell
-    | `Lsm ->
-        (* Explore builds no LSM store, so the LSM store is checked by
-           the crash sweep only. *)
-        if
-          schedules > 0 || dpor > 0 || replay <> None
-          || replay_choices <> None
-        then begin
-          Printf.eprintf
-            "--store lsm supports only the crash sweep (--crash-every)\n";
-          exit 2
-        end;
-        `Prism
   in
-  let explore_cfg =
-    {
-      Explore.default with
-      Explore.store = explore_store;
-      placement;
-      threads;
-      ops_per_thread = ops;
-      records;
-      scan_every;
-      delete_every;
-      fault;
-      shards;
-      txn_every;
-      seed;
-    }
+  let replaying = replay <> None || replay_choices <> None in
+  (* A replay names one explored schedule; a sweep beside it would be
+     dropped, so the pair is refused rather than half-run. *)
+  if replaying && crash_every > 0 then
+    usage
+      "--crash-every cannot be combined with --replay or --replay-choices: \
+       a replay re-runs one explored schedule, not a crash sweep";
+  let cfg =
+    Explore.topology ?shards ?txn_every
+      {
+        Explore.default with
+        Explore.store;
+        placement;
+        threads;
+        records;
+        keys_per_thread;
+        ops_per_thread = ops;
+        delete_every;
+        scan_every;
+        fault;
+        crash_every;
+        lsm_wal = not no_lsm_wal;
+        seed;
+      }
   in
-  let sweep_cfg =
-    {
-      Crash_sweep.default with
-      Crash_sweep.store;
-      placement;
-      threads;
-      ops_per_thread = ops;
-      keys_per_thread;
-      crash_every;
-      fault;
-      lsm_wal = not no_lsm_wal;
-      shards;
-      txn_every;
-      seed;
-    }
-  in
-  if shrink && replay = None then begin
-    Printf.eprintf "--shrink needs --replay SEED to name the schedule\n";
-    exit 2
-  end;
+  if
+    cfg.Explore.store = `Kvell
+    && (cfg.Explore.shards > 1 || cfg.Explore.txn_every > 0)
+  then usage "--shards/--txn-every need the prism-backed cluster";
+  (* No exploration builds the LSM store: it is checked by the crash
+     sweep only. *)
+  if store = `Lsm && (schedules > 0 || dpor > 0 || replaying) then
+    usage "--store lsm supports only the crash sweep (--crash-every)";
+  if shrink && replay = None then
+    usage "--shrink needs --replay SEED to name the schedule";
   let ok = ref true in
   let did = ref false in
-  (match replay with
-  | Some tie_seed ->
-      did := true;
-      let r =
-        if shrink then run_shrink ~cfg:explore_cfg ~tie_seed
-        else run_replay ~cfg:explore_cfg ~tie_seed
-      in
-      if not r then ok := false
-  | None -> ());
-  (match replay_choices with
-  | Some s ->
-      did := true;
-      if not (run_replay_choices ~cfg:explore_cfg ~choices:(parse_choices s))
-      then ok := false
-  | None -> ());
-  if schedules > 0 then begin
+  let step run =
     did := true;
-    if not (run_explore ~schedules ~cfg:explore_cfg ~verbose ~jobs) then
-      ok := false
-  end;
-  if dpor > 0 then begin
-    did := true;
-    if not (run_dpor ~max_classes:dpor ~cfg:explore_cfg ~verbose ~jobs) then
-      ok := false
-  end;
-  if crash_every > 0 && replay = None && replay_choices = None then begin
-    did := true;
-    if not (run_sweep ~cfg:sweep_cfg ~verbose ~jobs) then ok := false
-  end;
-  if not !did then begin
-    Printf.eprintf
+    if not (run ()) then ok := false
+  in
+  Option.iter
+    (fun tie_seed ->
+      step (fun () ->
+          if shrink then run_shrink ~cfg ~tie_seed
+          else run_replay ~cfg ~tie_seed))
+    replay;
+  Option.iter
+    (fun s ->
+      step (fun () -> run_replay_choices ~cfg ~choices:(parse_choices s)))
+    replay_choices;
+  if schedules > 0 then
+    step (fun () -> run_explore ~schedules ~cfg ~verbose ~jobs);
+  if dpor > 0 then
+    step (fun () -> run_dpor ~max_classes:dpor ~cfg ~verbose ~jobs);
+  (* The sweep runs its own preset's value size. *)
+  if crash_every > 0 then
+    step (fun () ->
+        run_sweep
+          ~cfg:
+            {
+              cfg with
+              Explore.value_size = Crash_sweep.default.Explore.value_size;
+            }
+          ~verbose ~jobs);
+  if not !did then
+    usage
       "nothing to do: pass --schedules N, --dpor N, --crash-every K, \
-       --replay SEED, or --replay-choices LIST\n";
-    exit 2
-  end;
+       --replay SEED, or --replay-choices LIST";
   exit (if !ok then 0 else 1)
 
 open Cmdliner

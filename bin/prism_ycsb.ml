@@ -223,25 +223,6 @@ let run () store_name placement workloads records value_size threads
       Printf.printf "wrote Chrome trace to %s\n" path
   | None -> ()
 
-(* Open-loop flags are checked when parsed, so a bad value is a usage
-   error before any simulation starts. Whether a policy or arrival name
-   parses does not depend on the rate, servers or op count, so any
-   positive stand-ins do; the run resolves the name again with its own. *)
-let checked parse =
-  Cmdliner.Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
-      Format.pp_print_string )
-
-let policy_name =
-  checked (fun s ->
-      Result.map (fun _ -> s) (Admission.of_string ~capacity:1.0 ~servers:1 s))
-
-let arrival_name =
-  checked (fun s ->
-      match Arrival.of_name s ~rate:1.0 ~ops:1 (Rng.create 0L) with
-      | _ -> Ok s
-      | exception Failure e -> Error e)
-
 let pos_float =
   let parse s =
     match float_of_string_opt s with
@@ -301,13 +282,13 @@ let () =
   in
   let arrival =
     Arg.(
-      value & opt arrival_name "poisson"
+      value & opt Cli.arrival_name "poisson"
       & info [ "arrival" ]
           ~doc:"Open-loop arrival process: poisson | mmpp | diurnal")
   in
   let policy =
     Arg.(
-      value & opt policy_name "unbounded"
+      value & opt Cli.policy_name "unbounded"
       & info [ "policy" ]
           ~doc:
             "Open-loop admission policy: unbounded | bounded[=N] | \

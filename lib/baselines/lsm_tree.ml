@@ -67,8 +67,6 @@ let compactions t = Metric.Counter.value t.compactions
 
 let level_bytes_written t = Target.bytes_written t.level_target
 
-let publishes t = t.publishes
-
 let set_wal_hook t hook = t.wal_hook <- hook
 
 let set_publish_hook t hook = t.publish_hook <- hook

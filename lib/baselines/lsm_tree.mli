@@ -87,9 +87,6 @@ val level_bytes_written : t -> int
     publish (flush or compaction output installed). Hooks receive the
     running count and may raise to cut the simulation at that boundary. *)
 
-(** Flush/compaction outputs made visible so far. *)
-val publishes : t -> int
-
 val set_wal_hook : t -> (int -> unit) option -> unit
 
 val set_publish_hook : t -> (int -> unit) option -> unit

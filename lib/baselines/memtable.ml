@@ -19,10 +19,6 @@ let find t key = Prism_index.Skiplist.find t.list key
 
 let bytes t = t.bytes
 
-let entries t = Prism_index.Skiplist.length t.list
-
-let is_empty t = Prism_index.Skiplist.is_empty t.list
-
 let to_list t =
   let acc = ref [] in
   Prism_index.Skiplist.iter t.list (fun k v -> acc := (k, v) :: !acc);

@@ -15,10 +15,6 @@ val find : t -> string -> bytes option option
 
 val bytes : t -> int
 
-val entries : t -> int
-
-val is_empty : t -> bool
-
 (** Ascending entries for a flush. *)
 val to_list : t -> Sstable.entry list
 

@@ -36,11 +36,6 @@ let bytes_written t =
   | Ssd_raid r -> Raid.bytes_written r
   | Nvm_dev d | Nvm_raw d -> Model.bytes_written d
 
-let bytes_read t =
-  match t.kind with
-  | Ssd_raid r -> Raid.bytes_read r
-  | Nvm_dev d | Nvm_raw d -> Model.bytes_read d
-
 let io_overhead t cost =
   match t.kind with
   | Ssd_raid _ | Nvm_dev _ -> cost.Cost.syscall

@@ -26,8 +26,6 @@ val read : t -> size:int -> unit
 (** Total bytes written (for WAF accounting). *)
 val bytes_written : t -> int
 
-val bytes_read : t -> int
-
 (** Extra per-IO software cost: syscall for SSD, zero for NVM (§2.1 "the
     storage stack further amplifies access latency"). *)
 val io_overhead : t -> Prism_device.Cost.t -> float

@@ -3,57 +3,39 @@
     linearizability (Izraelevitz, Mendes and Scott, DISC 2016) with
     {!Linearize}, the oracle the schedule explorer uses too.
 
-    The workload runs through a {!History}. At the power cut,
-    {!History.cut} closes every op still in flight as pending: it may or
-    may not have taken effect. After recovery one scan reads every key of
-    the workload, and the whole history, pending ops and that scan
-    included, must linearize. So every acknowledged write must be
-    present or superseded, no deleted key may come back, no value may
-    come from the future, and a pending write batch must be all or
-    nothing. Each workload thread owns a disjoint key range.
+    Every run is one {!Explore.run_once} with a cut: at the power cut,
+    {!History.cut} closes every op still in flight as pending (it may or
+    may not have taken effect); after recovery one scan reads every key
+    of the workload, and the whole history, pending ops and that scan
+    included, must linearize. So every acknowledged write must be present
+    or superseded, no deleted key may come back, no value may come from
+    the future, and a pending write batch must be all or nothing. Each
+    workload thread owns a disjoint key range.
 
-    Every store enters the sweep as one small record: its client handle,
-    its durability boundaries as named hook setters (each calls its hook
-    with the boundary's ordinal, e.g. the NVM persist and SSD write hooks
-    of {!Prism_media}), power-cut and recovery functions, and, for the
-    cluster only, a write-batch submitter. One run function drives every
-    store: it arms the hooks, runs the workload, and when the chosen
-    hook raises inside the simulation (unwinding
-    {!Prism_sim.Engine.run}) it clears pending events, crashes the store,
-    cuts the history, recovers, and checks. A store with no hooks (KVell,
-    whose page writes carry no content image) is cut on an even
-    virtual-time grid sized to one crash per [crash_every] executed
-    events. *)
+    One clean run counts each boundary kind the store's hooks expose
+    ({!Explore.instance}); the sweep then crashes at every
+    [crash_every]-th one. A store with no hooks (KVell, whose page writes
+    carry no content image) is cut on an even virtual-time grid sized to
+    one crash per [crash_every] executed events. *)
 
-type config = {
-  store : [ `Prism | `Kvell | `Lsm | `Cluster ];
-  placement : [ `Static | `Hotness ];
-      (** [`Prism] only: [`Hotness] adds a checker-sized NVM value tier,
-          so nvm-persist crash points also land inside promote copies
-          (tier write vs. HSIT coupling update) and ssd-write points
-          inside demotion write-backs *)
-  threads : int;
-  keys_per_thread : int;  (** disjoint per-thread key ranges *)
-  ops_per_thread : int;
-  value_size : int;
-  crash_every : int;  (** inject at every k-th boundary *)
-  fault : Explore.fault;
-      (** deliberate bug to inject: [Skip_hsit_flush] breaks the §5.4
-          persist protocol ([`Prism] and [`Cluster]); [Skip_2pc_log_flush]
-          makes commit records skip their persist, so the client ack races
-          durability ([`Cluster] only). Either way the sweep must then
-          report lost acknowledged writes. *)
-  lsm_wal : bool;
-      (** [`Lsm] only: disable to model WAL-less RocksDB — the publish
-          sweep must then report lost acknowledged writes *)
-  shards : int;  (** [`Cluster] only: Prism shards behind the 2PC front *)
-  txn_every : int;
-      (** [`Cluster] only: every N-th op per thread is a multi-key 2PC
-          write batch over the thread's range (0 = singles only) *)
-  seed : int64;
-}
+(** The sweep's preset: {!Explore.default} with 60 ops per thread over
+    [keys_per_thread = 24] keys each, values of 128 B, and a 2-shard
+    cluster batching every 4th op when [store = `Cluster]. [fault] may
+    be [Skip_hsit_flush], which breaks the §5.4 persist protocol
+    ([`Prism] and [`Cluster]), or [Skip_2pc_log_flush], which makes
+    commit records skip their persist so the client ack races durability
+    ([`Cluster] only). Either way the sweep must then report lost
+    acknowledged writes. *)
+val default : Explore.config
 
-val default : config
+(** [workload cfg] is the sweep's workload: each thread writes and
+    deletes in its own range of [cfg.keys_per_thread] keys (on
+    [`Cluster], every [cfg.txn_every]-th op is a write batch over that
+    range); under hotness placement on [`Prism] each single write is
+    followed by a get of the range's first key, so that key is promoted
+    mid-run. {!run} uses it; [test_check] "hsit fault within budget"
+    crashes it under a DPOR walk through {!Explore.run_once}. *)
+val workload : Explore.config -> Explore.workload
 
 (** A recovery that does not linearize; each crash point reports at most
     one. *)
@@ -78,13 +60,13 @@ type report = {
 (** [check_fault cfg] raises [Invalid_argument] if the store's sweep
     cannot inject [cfg.fault]: any SVC or scan fault, [Skip_hsit_flush] on
     [`Kvell] or [`Lsm], or [Skip_2pc_log_flush] anywhere but [`Cluster].
-    Every run calls it first. *)
-val check_fault : config -> unit
+    {!run} calls it first. *)
+val check_fault : Explore.config -> unit
 
 (** [run cfg] performs the full sweep: one clean run to count boundaries,
-    then one crash-and-recover run per injection point. [progress] fires
-    after each injected crash (in ascending target order, whatever
-    [jobs] is). [jobs > 1] farms the crash runs out to that many fleet
+    then one crash-and-recover run per injection point, each over an
+    8 KiB PWB. [progress] fires after each injected crash (in ascending
+    target order, whatever [jobs] is). [jobs > 1] farms the crash runs out to that many fleet
     lanes — every target is an independent simulation — and merges the
     results in target order, replaying the serial driver's early-stop
     behaviour, so the report is byte-identical to [jobs = 1].
@@ -93,21 +75,5 @@ val check_fault : config -> unit
 val run :
   ?progress:(boundary:string -> crash_point:int -> unit) ->
   ?jobs:int ->
-  config ->
+  Explore.config ->
   report
-
-(** [prism_crash_once cfg ~boundary ~target] is one Prism
-    crash-at-boundary-[target] run (clean when [target = 0]), under an
-    explorer-controlled tie-break — the building block for composing
-    {!Dpor} with crash recovery. [`Completed] carries the clean run's
-    (nvm-persist, ssd-write) boundary counts; [`Crashed_before_store]
-    means [target] fell inside store creation. Only tests call it:
-    [test_check] "hsit fault within budget" and "svc fault within budget". *)
-val prism_crash_once :
-  ?tie:Prism_sim.Engine.tie_break ->
-  config ->
-  boundary:[ `Nvm_persist | `Ssd_write ] ->
-  target:int ->
-  [ `Completed of int * int
-  | `Crashed of violation list
-  | `Crashed_before_store ]

@@ -11,10 +11,11 @@ type fault =
   | Skip_2pc_log_flush
 
 type config = {
-  store : [ `Prism | `Kvell ];
+  store : [ `Prism | `Kvell | `Lsm | `Cluster ];
   placement : [ `Static | `Hotness ];
   threads : int;
   records : int;
+  keys_per_thread : int;
   value_size : int;
   ops_per_thread : int;
   theta : float;
@@ -23,6 +24,8 @@ type config = {
   fault : fault;
   shards : int;
   txn_every : int;
+  crash_every : int;
+  lsm_wal : bool;
   seed : int64;
 }
 
@@ -32,67 +35,68 @@ let default =
     placement = `Static;
     threads = 4;
     records = 128;
+    keys_per_thread = 24;
     value_size = 64;
     ops_per_thread = 48;
     theta = 0.6;
     delete_every = 8;
     scan_every = 16;
     fault = No_fault;
-    shards = 1;
-    txn_every = 0;
+    shards = 2;
+    txn_every = 4;
+    crash_every = 5;
+    lsm_wal = true;
     seed = 1L;
   }
 
-(* Cluster mode: a hash-partitioned Prism cluster replaces the single
-   store, and (with [txn_every > 0]) a slice of updates become multi-key
-   2PC write batches the checker folds in as atomic anchors. *)
-let cluster_mode cfg =
-  cfg.store = `Prism && (cfg.shards > 1 || cfg.txn_every > 0)
+(* Only the cluster has a 2PC front, so only it gets write batches. *)
+let txn_every cfg = if cfg.store = `Cluster then cfg.txn_every else 0
 
-type schedule_stats = {
-  index : int;
-  tie_seed : int64;
-  events : int;
-  clock : float;
-  choices : int;
-  fingerprint : int;
-}
+let topology ?shards ?txn_every cfg =
+  let shards =
+    match shards with
+    | Some n when n > 0 -> n
+    | _ -> if cfg.store = `Cluster then default.shards else 1
+  in
+  let cluster = cfg.store = `Cluster || (cfg.store = `Prism && shards > 1) in
+  let txn_every =
+    match txn_every with
+    | Some k when k >= 0 -> k
+    | _ -> if cluster then default.txn_every else 0
+  in
+  let store =
+    if cluster || (cfg.store = `Prism && txn_every > 0) then `Cluster
+    else cfg.store
+  in
+  { cfg with store; shards; txn_every }
 
-type failure = { stats : schedule_stats; violation : string }
-
-type report = {
-  schedules : schedule_stats list;
-  distinct : int;
-  failures : failure list;
-}
-
-(* Deterministic per-schedule tie seed: schedule [i] of master seed [s]
-   always explores the same interleaving (SplitMix64's odd-gamma mix). *)
-let tie_seed_for seed i =
-  Int64.logxor seed (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)
+(* ---- the workload ---- *)
 
 let preload_value cfg key =
   Prism_workload.Ycsb.value_for ~size:cfg.value_size ~key ~version:0
+
+type op =
+  | Put of string * bytes
+  | Get of string
+  | Delete of string
+  | Scan of string * int
+  | Batch of (string * bytes) list
+
+type workload = { keys : int; preload : int; ops : op array array }
 
 (* The YCSB-A slice: a 50/50 read/update stream from the shared generator,
    with a sprinkle of deletes and short scans so all four operations get
    history coverage. Generated once per (config, seed) — every schedule of
    a run replays the same per-thread op lists, so only the interleaving
    differs. *)
-type op =
-  | O_put of string * bytes
-  | O_get of string
-  | O_delete of string
-  | O_scan of string * int
-  | O_batch of (string * bytes) list
-
-let gen_ops cfg =
+let workload cfg =
   let rng = Rng.create cfg.seed in
   let gen =
     Prism_workload.Ycsb.create Prism_workload.Ycsb.ycsb_a ~records:cfg.records
       ~theta:cfg.theta ~value_size:cfg.value_size rng
   in
   let spice = Rng.create (Int64.lognot cfg.seed) in
+  let txn_every = txn_every cfg in
   (* Batch payloads carry versions from a reserved range so no two writes
      in the history share bytes — value equality is what lets the checker
      tell linearization points apart. *)
@@ -100,41 +104,51 @@ let gen_ops cfg =
   (* Scans stay single-shard: a scatter-gather scan is not covered by the
      cluster's strict-serializability argument (see [Cluster.scan]), so
      multi-shard workloads trade them for reads. *)
-  let scans_ok = cfg.shards <= 1 in
-  Array.init cfg.threads (fun _ ->
-      Array.init cfg.ops_per_thread (fun _ ->
-          match Prism_workload.Ycsb.next gen with
-          | Prism_workload.Ycsb.Update (key, value) ->
-              if
-                cfg.txn_every > 0
-                && Rng.int spice cfg.txn_every = 0
-              then
-                O_batch
-                  ((key, value)
-                  :: List.init 2 (fun _ ->
-                         let k =
-                           Prism_workload.Ycsb.key_of
-                             (Rng.int spice cfg.records)
-                         in
-                         incr batch_version;
-                         ( k,
-                           Prism_workload.Ycsb.value_for
-                             ~size:cfg.value_size ~key:k
-                             ~version:!batch_version )))
-              else if Rng.int spice cfg.delete_every = 0 then O_delete key
-              else O_put (key, value)
-          | Prism_workload.Ycsb.Read key ->
-              if scans_ok && Rng.int spice cfg.scan_every = 0 then
-                O_scan (key, 8)
-              else O_get key
-          | Prism_workload.Ycsb.Insert (key, value) -> O_put (key, value)
-          | Prism_workload.Ycsb.Scan (key, n) ->
-              if scans_ok then O_scan (key, n) else O_get key))
+  let scans_ok = cfg.store <> `Cluster || cfg.shards <= 1 in
+  let ops =
+    Array.init cfg.threads (fun _ ->
+        Array.init cfg.ops_per_thread (fun _ ->
+            match Prism_workload.Ycsb.next gen with
+            | Prism_workload.Ycsb.Update (key, value) ->
+                if txn_every > 0 && Rng.int spice txn_every = 0 then
+                  Batch
+                    ((key, value)
+                    :: List.init 2 (fun _ ->
+                           let k =
+                             Prism_workload.Ycsb.key_of
+                               (Rng.int spice cfg.records)
+                           in
+                           incr batch_version;
+                           ( k,
+                             Prism_workload.Ycsb.value_for
+                               ~size:cfg.value_size ~key:k
+                               ~version:!batch_version )))
+                else if Rng.int spice cfg.delete_every = 0 then Delete key
+                else Put (key, value)
+            | Prism_workload.Ycsb.Read key ->
+                if scans_ok && Rng.int spice cfg.scan_every = 0 then
+                  Scan (key, 8)
+                else Get key
+            | Prism_workload.Ycsb.Insert (key, value) -> Put (key, value)
+            | Prism_workload.Ycsb.Scan (key, n) ->
+                if scans_ok then Scan (key, n) else Get key))
+  in
+  { keys = cfg.records; preload = cfg.records; ops }
 
-let scenario cfg =
+(* ---- the store under test ---- *)
+
+type instance = {
+  kv : Kv.t;
+  hooks : (string * ((int -> unit) option -> unit)) list;
+  crash : unit -> unit;
+  recover : unit -> unit;
+  batch : (tid:int -> (string * bytes) list -> bool) option;
+}
+
+let scenario cfg ~keys =
   {
     Setup.default_scenario with
-    Setup.records = cfg.records;
+    Setup.records = keys;
     value_size = cfg.value_size;
     threads = cfg.threads;
     num_ssds = 2;
@@ -142,16 +156,19 @@ let scenario cfg =
     seed = cfg.seed;
   }
 
-let tweak cfg c =
-  (* A checker-sized PWB: small enough that reclamation migrates values to
-     Value Storage during the run, so reads exercise the full
-     PWB -> VS -> SVC path (with the scenario-sized 64 KiB PWBs the whole
-     dataset stays in the write buffer and the cache never fills). *)
-  let c = { c with Prism_core.Config.pwb_size = 16 * 1024 } in
-  (* A checker-sized NVM tier: with the ~8 KiB dataset, 16 KiB holds the
-     hot set but a cold key still has to be demoted to the SSD once the
-     CLOCK sweep catches it, so schedules interleave client operations
-     with both promotion copies and demotion write-backs. *)
+(* A checker-sized PWB ([pwb_size]) is small enough that reclamation
+   migrates values to Value Storage during the run, so reads exercise the
+   full PWB -> VS -> SVC path and crashes also land between chunk-write
+   completions (with the scenario-sized 64 KiB PWBs the whole dataset
+   stays in the write buffer). *)
+let prism_config cfg ~pwb_size c =
+  let c = { c with Prism_core.Config.pwb_size } in
+  (* A checker-sized NVM tier: with a dataset of ~8-12 KiB, 16 KiB holds
+     the hot set but a cold key still has to be demoted to the SSD once
+     the CLOCK sweep catches it, so schedules interleave client
+     operations with both promotion copies and demotion write-backs, and
+     nvm-persist crash points land inside promote copies (tier write vs.
+     HSIT coupling update). *)
   let c =
     match cfg.placement with
     | `Static -> c
@@ -159,9 +176,8 @@ let tweak cfg c =
   in
   match cfg.fault with
   | No_fault -> c
-  (* Cluster-level fault: injected via the cluster config in [make_kv],
-     not the store config — and only observable across a crash, so live
-     exploration of it is (correctly) clean. *)
+  (* Cluster-level fault: injected via the cluster config in [instance],
+     not the store config. *)
   | Skip_2pc_log_flush -> c
   | Skip_svc_invalidate ->
       { c with Prism_core.Config.fault_skip_svc_invalidate = true }
@@ -193,53 +209,286 @@ let kvell_sync engine s =
       put = (fun ~tid:_ key value -> Prism_baselines.Kvell.put kvell key value);
     } )
 
-let make_kv cfg engine =
-  if cluster_mode cfg then begin
-    let ccfg =
-      {
-        Prism_cluster.Cluster.default with
-        Prism_cluster.Cluster.shards = max 1 cfg.shards;
-        fault_skip_log_flush = cfg.fault = Skip_2pc_log_flush;
-        seed = cfg.seed;
-      }
-    in
-    let cluster, kv =
-      Prism_cluster.Cluster.of_scenario ~tweak:(tweak cfg) engine ccfg
-        (scenario cfg)
-    in
-    ( kv,
-      Some
-        (fun ~tid writes ->
-          Prism_cluster.Cluster.batch cluster ~tid writes
-          = Prism_cluster.Cluster.Committed) )
-  end
-  else
-    match cfg.store with
-    | `Prism ->
-        let kv, _store =
-          Setup.prism ~tweak:(tweak cfg) engine (scenario cfg)
-        in
-        (kv, None)
-    | `Kvell ->
-        let _kvell, kv = kvell_sync engine (scenario cfg) in
-        (kv, None)
+(* A boundary kind's hook setter over the devices that produce it (one
+   NVM, every SSD image, every shard's prepare log): one ordinal, counted
+   from the arming instant, numbers them all. *)
+let counted setters hook =
+  let seen = ref 0 in
+  List.iter
+    (fun set ->
+      set
+        (Option.map
+           (fun f _ ->
+             incr seen;
+             f !seen)
+           hook))
+    setters
 
-let run_op hist kv batch ~tid = function
-  | O_put (key, value) -> kv.Kv.put ~tid key value
-  | O_get key -> ignore (kv.Kv.get ~tid key)
-  | O_delete key -> ignore (kv.Kv.delete ~tid key)
-  | O_scan (key, n) -> ignore (kv.Kv.scan ~tid key n)
-  | O_batch writes -> (
-      match batch with
-      | Some submit ->
-          ignore
-            (History.record_batch hist ~tid writes (fun () ->
-                 submit ~tid writes))
-      | None ->
-          (* No transactional backend: degrade to individual puts so the
-             workload stays runnable (gen_ops only emits batches when
-             [txn_every > 0], which implies cluster mode for Prism). *)
-          List.iter (fun (k, v) -> kv.Kv.put ~tid k v) writes)
+(* A checker-sized RocksDB-NVM: tiny memtable and level budgets so a
+   short workload exercises flushes and compactions (with production
+   sizes nothing would ever leave the memtable and the publish sweep
+   would be vacuous). Everything on one NVM device — media layout is
+   irrelevant to recovery logic. *)
+let lsm_tree cfg engine =
+  let open Prism_device in
+  let nvm = Model.create engine Spec.optane_dcpmm in
+  let target = Prism_baselines.Target.nvm_dev nvm in
+  let lcfg =
+    {
+      Prism_baselines.Lsm_tree.name = "LSM(sweep)";
+      memtable_bytes = 2 * 1024;
+      l0_mode = Prism_baselines.Lsm_tree.Tables;
+      l0_compaction_trigger = 2;
+      l0_slowdown = 4;
+      l0_stall = 6;
+      level_base_bytes = 8 * 1024;
+      level_multiplier = 4;
+      table_target_bytes = 2 * 1024;
+      block_cache_bytes = 16 * 1024;
+      wal_enabled = cfg.lsm_wal;
+    }
+  in
+  Prism_baselines.Lsm_tree.create engine lcfg ~cost:Cost.default
+    ~rng:(Rng.create cfg.seed) ~wal:target ~l0:target ~levels:target
+
+(* Durability boundaries per store. Prism: every [clwb+sfence] and every
+   completed Value-Storage chunk write. KVell's page writes carry no
+   content image, so it has no hooks; a sweep cuts it on a virtual-time
+   grid instead. LSM: WAL appends and SSTable publishes. Cluster: the
+   durable 2PC log appends — the coordinator's commit records (the
+   transaction's ack point) and the participants' prepare records and
+   applied markers. *)
+let instance cfg engine ~pwb_size ~keys =
+  let tweak = prism_config cfg ~pwb_size in
+  match cfg.store with
+  | `Prism ->
+      let kv, store = Setup.prism ~tweak engine (scenario cfg ~keys) in
+      let images =
+        Array.to_list (Prism_core.Store.value_storages store)
+        |> List.map (fun vs ->
+               Prism_media.Ssd_image.set_write_hook
+                 (Prism_core.Value_storage.image vs))
+      in
+      {
+        kv;
+        hooks =
+          [
+            ( "nvm-persist",
+              counted
+                [
+                  Prism_media.Nvm.set_persist_hook (Prism_core.Store.nvm store);
+                ] );
+            ("ssd-write", counted images);
+          ];
+        crash = (fun () -> Prism_core.Store.crash store);
+        recover = (fun () -> ignore (Prism_core.Store.recover store));
+        batch = None;
+      }
+  | `Kvell ->
+      let kvell, kv = kvell_sync engine (scenario cfg ~keys) in
+      {
+        kv;
+        hooks = [];
+        crash = (fun () -> Prism_baselines.Kvell.crash kvell);
+        recover = (fun () -> Prism_baselines.Kvell.recover kvell);
+        batch = None;
+      }
+  | `Lsm ->
+      let open Prism_baselines in
+      let tree = lsm_tree cfg engine in
+      {
+        kv = Kv.of_lsm tree;
+        hooks =
+          [
+            ("wal-append", counted [ Lsm_tree.set_wal_hook tree ]);
+            ("sstable-publish", counted [ Lsm_tree.set_publish_hook tree ]);
+          ];
+        crash = (fun () -> Lsm_tree.crash tree);
+        recover = (fun () -> Lsm_tree.recover tree);
+        batch = None;
+      }
+  | `Cluster ->
+      let open Prism_cluster in
+      let ccfg =
+        {
+          Cluster.default with
+          Cluster.shards = max 1 cfg.shards;
+          fault_skip_log_flush = cfg.fault = Skip_2pc_log_flush;
+          seed = cfg.seed;
+        }
+      in
+      let cluster, kv =
+        Cluster.of_scenario ~tweak engine ccfg (scenario cfg ~keys)
+      in
+      let log nvm = Prism_media.Nvm.set_persist_hook nvm in
+      {
+        kv;
+        hooks =
+          [
+            ( "coord-log-persist",
+              counted [ log (Cluster.coordinator_log cluster) ] );
+            ( "prepare-log-persist",
+              counted
+                (List.init ccfg.Cluster.shards (fun i ->
+                     log (Cluster.prepare_log cluster i))) );
+          ];
+        crash = (fun () -> Cluster.crash cluster);
+        (* Every in-doubt transaction gets a definite fate; the check
+           compares that fate with the history, which is exactly
+           "recovery agrees on commit/abort". *)
+        recover =
+          (fun () ->
+            ignore (Cluster.recover cluster : Cluster.resolution list));
+        batch =
+          Some
+            (fun ~tid writes ->
+              Cluster.batch cluster ~tid writes = Cluster.Committed);
+      }
+
+(* ---- one run ---- *)
+
+exception Crash_now
+
+type cut = Clean | Boundary of string * int | Grid of float * int
+
+type run = {
+  crashed : (string * int) option;
+  counts : (string * int) list;
+  clock : float;
+  executed : int;
+  recorded : int;
+  choices : int array;
+  violation : Linearize.violation option;
+}
+
+let exec hist kv batch ~tid = function
+  | Put (key, value) -> kv.Kv.put ~tid key value
+  | Get key -> ignore (kv.Kv.get ~tid key)
+  | Delete key -> ignore (kv.Kv.delete ~tid key)
+  | Scan (key, n) -> ignore (kv.Kv.scan ~tid key n)
+  | Batch writes ->
+      ignore
+        (History.record_batch hist ~tid writes (fun () ->
+             Option.get batch ~tid writes))
+
+(* With a cut every hook is armed for the whole run and counts its
+   boundaries, so a run that completes reports the totals a sweep walks
+   over; the crash event of a [Grid] cut is scheduled before the store
+   exists. Once the cut unwinds {!Engine.run}, the run disarms the hooks,
+   drops pending events, cuts power, and recovers in a fresh process,
+   which then scans every workload key: the history, its pending ops and
+   that scan must linearize. A scan, not per-key gets: the checker keeps
+   gets in its per-key search, which never sees a batch whole, while a
+   scan is an atomic snapshot in the search and so catches a torn
+   batch. *)
+let run_once ?(tie = Engine.Fifo) ?cut ~pwb_size cfg w =
+  let engine = Engine.create () in
+  Engine.set_tie_break engine tie;
+  (match cut with
+  | Some (Grid (t, _)) ->
+      Engine.schedule engine ~after:t (fun () -> raise Crash_now)
+  | Some (Clean | Boundary _) | None -> ());
+  let hist = History.create () in
+  let s = instance cfg engine ~pwb_size ~keys:w.keys in
+  let kv = History.wrap hist s.kv in
+  let counts =
+    match cut with
+    | None -> []
+    | Some cut ->
+        List.map
+          (fun (name, arm) ->
+            let crash_at =
+              match cut with Boundary (b, n) when b = name -> n | _ -> 0
+            in
+            let count = ref 0 in
+            arm
+              (Some
+                 (fun n ->
+                   count := n;
+                   if n = crash_at then raise Crash_now));
+            (name, count))
+          s.hooks
+  in
+  History.set_enabled hist false;
+  Engine.spawn engine (fun () ->
+      if w.preload > 0 then begin
+        for i = 0 to w.preload - 1 do
+          let key = Prism_workload.Ycsb.key_of i in
+          kv.Kv.put ~tid:0 key (preload_value cfg key)
+        done;
+        kv.Kv.quiesce ()
+      end;
+      History.set_enabled hist true;
+      Array.iteri
+        (fun tid thread_ops ->
+          Engine.spawn engine (fun () ->
+              Array.iter (exec hist kv s.batch ~tid) thread_ops))
+        w.ops);
+  let crashed =
+    match Engine.run engine with
+    | (_ : float) -> None
+    | exception Crash_now ->
+        List.iter (fun (_, arm) -> arm None) s.hooks;
+        Engine.clear_pending engine;
+        s.crash ();
+        Engine.spawn engine (fun () ->
+            History.cut hist;
+            s.recover ();
+            ignore (kv.Kv.scan ~tid:0 (Prism_workload.Ycsb.key_of 0) w.keys));
+        ignore (Engine.run engine);
+        Some
+          (match cut with
+          | Some (Boundary (b, n)) -> (b, n)
+          | Some (Grid (_, i)) -> ("virtual-time", i)
+          | Some Clean | None -> assert false)
+  in
+  let events = History.events hist in
+  let init_keys = List.init w.preload Prism_workload.Ycsb.key_of in
+  let preloaded = Hashtbl.create w.preload in
+  List.iter (fun k -> Hashtbl.replace preloaded k ()) init_keys;
+  (* Preloaded keys start at version 0 of their deterministic payload;
+     everything else starts absent. *)
+  let init key =
+    if Hashtbl.mem preloaded key then Some (preload_value cfg key) else None
+  in
+  let violation =
+    match Linearize.check ~init ~init_keys events with
+    | Ok () -> None
+    | Error v -> Some v
+  in
+  {
+    crashed;
+    counts = List.map (fun (name, c) -> (name, !c)) counts;
+    clock = Engine.now engine;
+    executed = Engine.events_executed engine;
+    recorded = Array.length events;
+    choices = Engine.recorded_choices engine;
+    violation;
+  }
+
+(* ---- seeded exploration ---- *)
+
+type schedule_stats = {
+  index : int;
+  tie_seed : int64;
+  events : int;
+  clock : float;
+  choices : int;
+  fingerprint : int;
+}
+
+type failure = { stats : schedule_stats; violation : string }
+
+type report = {
+  schedules : schedule_stats list;
+  distinct : int;
+  failures : failure list;
+}
+
+(* Deterministic per-schedule tie seed: schedule [i] of master seed [s]
+   always explores the same interleaving (SplitMix64's odd-gamma mix). *)
+let tie_seed_for seed i =
+  Int64.logxor seed (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)
 
 (* [Hashtbl.hash] stops after about ten meaningful values, so hashing
    the choice list would see only its head. Fold every decision in
@@ -252,54 +501,22 @@ let fingerprint ~events ~clock choices =
     (Hashtbl.hash (events, clock))
     choices
 
+(* Exploration runs the YCSB-A slice uncut, over a 16 KiB PWB. *)
 let run_one cfg ~index ~tie_seed ~tie =
-  let engine = Engine.create () in
-  Engine.set_tie_break engine tie;
-  let hist = History.create () in
-  let ops = gen_ops cfg in
-  let kv, batch = make_kv cfg engine in
-  let kv = History.wrap hist kv in
-  History.set_enabled hist false;
-  Engine.spawn engine (fun () ->
-      for i = 0 to cfg.records - 1 do
-        let key = Prism_workload.Ycsb.key_of i in
-        kv.Kv.put ~tid:0 key (preload_value cfg key)
-      done;
-      kv.Kv.quiesce ();
-      History.set_enabled hist true;
-      Array.iteri
-        (fun tid thread_ops ->
-          Engine.spawn engine (fun () ->
-              Array.iter (run_op hist kv batch ~tid) thread_ops))
-        ops);
-  let clock = Engine.run engine in
-  let events = History.events hist in
-  let choices = Engine.recorded_choices engine in
+  let r = run_once ~tie ~pwb_size:(16 * 1024) cfg (workload cfg) in
   let stats =
     {
       index;
       tie_seed;
-      events = Array.length events;
-      clock;
-      choices = Array.length choices;
-      fingerprint =
-        fingerprint ~events:(Engine.events_executed engine) ~clock choices;
+      events = r.recorded;
+      clock = r.clock;
+      choices = Array.length r.choices;
+      fingerprint = fingerprint ~events:r.executed ~clock:r.clock r.choices;
     }
   in
-  let init_keys = List.init cfg.records Prism_workload.Ycsb.key_of in
-  let preloaded = Hashtbl.create cfg.records in
-  List.iter (fun k -> Hashtbl.replace preloaded k ()) init_keys;
-  (* Preloaded keys start at version 0 of their deterministic payload;
-     everything else starts absent. *)
-  let init key =
-    if Hashtbl.mem preloaded key then Some (preload_value cfg key) else None
-  in
-  let violation =
-    match Linearize.check ~init ~init_keys events with
-    | Ok () -> None
-    | Error v -> Some (Format.asprintf "%a" Linearize.pp_violation v)
-  in
-  (stats, choices, violation)
+  ( stats,
+    r.choices,
+    Option.map (Format.asprintf "%a" Linearize.pp_violation) r.violation )
 
 let run_schedule cfg ~index ~tie_seed =
   let stats, _choices, violation =

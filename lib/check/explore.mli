@@ -1,4 +1,6 @@
-(** Seeded schedule exploration with linearizability checking.
+(** Seeded schedule exploration with linearizability checking, and the
+    harness it shares with the crash sweep ({!Crash_sweep}): one
+    configuration, one store builder and one run function.
 
     One run = one tie-break seed handed to {!Prism_sim.Engine.set_tie_break}:
     the engine resolves every same-instant event tie with a SplitMix64
@@ -29,35 +31,142 @@ type fault =
           commit record — harmless live, loses acknowledged transactions
           across a crash; see {!Crash_sweep} *)
 
+(** One configuration serves both checkers: schedule exploration (this
+    module) and the crash sweep ({!Crash_sweep}). Each reads the fields it
+    needs; {!default} and {!Crash_sweep.default} are the two presets. *)
 type config = {
-  store : [ `Prism | `Kvell ];
+  store : [ `Prism | `Kvell | `Lsm | `Cluster ];
+      (** [`Cluster] is a hash-partitioned {!Prism_cluster.Cluster} of
+          [shards] Prism stores behind the 2PC front, the only store that
+          takes write batches; [`Lsm] has a crash sweep but no
+          exploration *)
   placement : [ `Static | `Hotness ];
       (** Prism value-placement policy; [`Hotness] adds a checker-sized
-          NVM value tier so schedules interleave promotions/demotions
-          with client operations ([`Kvell] ignores it) *)
+          NVM value tier, so schedules interleave promotions/demotions
+          with client operations and nvm-persist crash points land inside
+          promote copies ([`Kvell] and [`Lsm] ignore it) *)
   threads : int;
-  records : int;  (** preloaded keys (small, to force contention) *)
+  records : int;
+      (** exploration: preloaded keys (small, to force contention) *)
+  keys_per_thread : int;  (** sweep: disjoint per-thread key ranges *)
   value_size : int;
   ops_per_thread : int;
-  theta : float;  (** Zipfian skew of the YCSB-A slice *)
+  theta : float;  (** exploration: Zipfian skew of the YCSB-A slice *)
   delete_every : int;
-      (** 1-in-N updates become deletes (default 8; lower = more) *)
+      (** exploration: 1-in-N updates become deletes (default 8; lower =
+          more) *)
   scan_every : int;
-      (** 1-in-N reads become short scans (default 16; lower = more) *)
+      (** exploration: 1-in-N reads become short scans (default 16; lower
+          = more) *)
   fault : fault;
   shards : int;
-      (** > 1 runs a hash-partitioned {!Prism_cluster.Cluster} instead of
-          one store (Prism only); scans are traded for reads, since
+      (** [`Cluster] only: Prism shards behind the 2PC front. Explored
+          scans are traded for reads above one shard, since
           scatter-gather scans sit outside the cluster's
           strict-serializability argument *)
   txn_every : int;
-      (** 1-in-N updates become multi-key 2PC write batches (0 = never);
-          committed batches enter the check as atomic anchors, so a torn
-          or non-atomic transaction is a reported violation *)
+      (** [`Cluster] only: 1-in-N updates (exploration) or every N-th op
+          per thread (sweep) become multi-key 2PC write batches (0 =
+          never); committed batches enter the check as atomic anchors, so
+          a torn or non-atomic transaction is a reported violation *)
+  crash_every : int;  (** sweep: inject at every k-th boundary *)
+  lsm_wal : bool;
+      (** [`Lsm] only: disable to model WAL-less RocksDB — the publish
+          sweep must then report lost acknowledged writes *)
   seed : int64;  (** master seed: workload + all per-schedule tie seeds *)
 }
 
+(** Exploration's preset: 4 threads x 48 ops over 128 preloaded keys of
+    64 B; as [`Cluster], 2 shards batching every 4th update. *)
 val default : config
+
+(** [topology ?shards ?txn_every cfg] settles the store a command line's
+    [--store], [--shards] and [--txn-every] ask for, once for every mode.
+    An omitted count (or a shard count below 1, a negative [txn_every])
+    is {!default}'s on [`Cluster] and on [`Prism] with more than one
+    shard, and one shard without batches elsewhere. [`Prism] with more
+    than one shard or with batches is the [`Cluster]. *)
+val topology : ?shards:int -> ?txn_every:int -> config -> config
+
+(** {2 The store under test and one run}
+
+    Both checkers drive the store through {!run_once}: build it with
+    {!instance}, run a {!workload} on it through a {!History}, and check
+    the history with {!Linearize}. A run with a {!cut} can lose power;
+    one without is an exploration run and arms no hooks. *)
+
+(** [txn_every cfg] is the write-batch rate the workloads use:
+    [cfg.txn_every] on [`Cluster], 0 on every other store. *)
+val txn_every : config -> int
+
+type op =
+  | Put of string * bytes
+  | Get of string
+  | Delete of string
+  | Scan of string * int
+  | Batch of (string * bytes) list  (** a 2PC write batch ([`Cluster]) *)
+
+type workload = {
+  keys : int;
+      (** keys [0, keys) of {!Prism_workload.Ycsb.key_of}: the store is
+          sized for them, and the audit scan after a crash reads them *)
+  preload : int;
+      (** keys [0, preload) hold version 0 of their payload before
+          recording starts *)
+  ops : op array array;  (** per-thread op lists *)
+}
+
+(** One store under test: its client handle, its durability boundaries
+    as named hook setters (e.g. the NVM persist and SSD write hooks of
+    {!Prism_media}), power-cut and recovery functions, and, for the
+    cluster only, a write-batch submitter. *)
+type instance
+
+(** [instance cfg engine ~pwb_size ~keys] builds [cfg.store] sized for
+    [keys] keys, with [pwb_size]-byte Prism write buffers. KVell sits
+    behind a synchronous put (it returns only once durable), unlike
+    {!Prism_harness.Kv.of_kvell}'s injector-style pipelined puts: a
+    checker must not treat an unacknowledged write's return as its
+    response endpoint. *)
+val instance :
+  config -> Prism_sim.Engine.t -> pwb_size:int -> keys:int -> instance
+
+(** Where a run cuts power: nowhere (but with every hook armed and
+    counting), at the n-th boundary of a named kind, or (stores without
+    hooks) at a virtual time, reported as its grid index. *)
+type cut = Clean | Boundary of string * int | Grid of float * int
+
+type run = {
+  crashed : (string * int) option;
+      (** the boundary kind and ordinal power was cut at (["virtual-time"]
+          and the grid index for a [Grid] cut); [None] if the workload
+          completed *)
+  counts : (string * int) list;
+      (** boundaries each armed kind saw (none without a cut) *)
+  clock : float;  (** final virtual time *)
+  executed : int;  (** engine events executed *)
+  recorded : int;  (** history events *)
+  choices : int array;  (** tie-break decisions taken *)
+  violation : Linearize.violation option;
+}
+
+(** [run_once ?tie ?cut ~pwb_size cfg w] runs [w] on a fresh
+    [instance cfg _ ~pwb_size ~keys:w.keys] under [tie] (default FIFO),
+    after writing its preload outside the history, and checks the
+    history. With a [cut] every hook of the store is armed; when the
+    cut's boundary (or grid time) comes, the run drops pending events,
+    cuts power, recovers, and scans every workload key. The history with
+    its pending ops and that scan must then linearize (durable
+    linearizability, Izraelevitz, Mendes and Scott, DISC 2016). *)
+val run_once :
+  ?tie:Prism_sim.Engine.tie_break ->
+  ?cut:cut ->
+  pwb_size:int ->
+  config ->
+  workload ->
+  run
+
+(** {2 Seeded exploration} *)
 
 type schedule_stats = {
   index : int;
@@ -172,22 +281,3 @@ type shrunk = {
     (minimal-so-far if the cap is hit). [None] if [choices] doesn't
     reproduce a violation in the first place. *)
 val shrink : ?max_replays:int -> config -> choices:int array -> shrunk option
-
-(** [make_kv cfg engine] builds the store one run of [cfg] checks — a
-    Prism store, a KVell instance or a cluster, sized by [cfg] — plus the
-    cluster's transactional batch submitter when there is one. *)
-val make_kv :
-  config ->
-  Prism_sim.Engine.t ->
-  Prism_harness.Kv.t
-  * (tid:int -> (string * bytes) list -> bool) option
-
-(** [kvell_sync engine s] builds a KVell instance plus a {!Prism_harness.Kv.t}
-    whose [put] is synchronous (returns only once durable), unlike
-    {!Prism_harness.Kv.of_kvell}'s injector-style pipelined puts — a
-    checker must not treat an unacknowledged write's return as its
-    response endpoint. Shared with {!Crash_sweep}. *)
-val kvell_sync :
-  Prism_sim.Engine.t ->
-  Prism_harness.Setup.scenario ->
-  Prism_baselines.Kvell.t * Prism_harness.Kv.t

@@ -273,8 +273,6 @@ let events t =
   Array.sort (fun a b -> compare a.inv b.inv) a;
   a
 
-let length t = t.count
-
 (* Reports name a value by its YCSB version stamp ([v37]), so two
    writes of one key tell apart; a value without one shows its size. *)
 let pp_value fmt v =

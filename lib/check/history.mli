@@ -78,9 +78,6 @@ val cut : t -> unit
     response and no cut yet) are absent. *)
 val events : t -> event array
 
-(** Number of recorded invocations (including any still in flight). *)
-val length : t -> int
-
 (** [op_label ~tid call] packs (key id, tid, kind) into a nonzero
     scheduling label for {!Prism_sim.Engine.annotate}. Key identity is an
     interned index assigned on first sight and stable for the rest of the

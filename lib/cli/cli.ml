@@ -92,6 +92,29 @@ let scenario ~threads:(threads_flag, threads_doc) ~ops =
 let csv elt name ~doc =
   Arg.(value & opt (some (list elt)) None & info [ name ] ~docv:"LIST" ~doc)
 
+(* Whether a policy or arrival name parses does not depend on the rate,
+   servers or op count, so any positive stand-ins do; the run resolves
+   the name again with its own. *)
+let checked parse =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      Format.pp_print_string )
+
+let policy_name =
+  checked (fun s ->
+      Result.map
+        (fun _ -> s)
+        (Prism_frontend.Admission.of_string ~capacity:1.0 ~servers:1 s))
+
+let arrival_name =
+  checked (fun s ->
+      match
+        Prism_frontend.Arrival.of_name s ~rate:1.0 ~ops:1
+          (Prism_sim.Rng.create 0L)
+      with
+      | _ -> Ok s
+      | exception Failure e -> Error e)
+
 let placement =
   Arg.(
     value

@@ -58,6 +58,16 @@ val scenario :
     override of a config list, each item parsed by [elt]. *)
 val csv : 'a Arg.conv -> string -> doc:string -> 'a list option Term.t
 
+(** An admission-policy name as {!Prism_frontend.Admission.of_string}
+    reads it ([unbounded], [bounded=N], ...), checked while the command
+    line is parsed so a bad one is a usage error; the value is the name
+    itself. *)
+val policy_name : string Arg.conv
+
+(** An arrival-process name as {!Prism_frontend.Arrival.of_name} reads it
+    ([poisson], [mmpp], [diurnal]), checked like {!policy_name}. *)
+val arrival_name : string Arg.conv
+
 (** [--placement static|hotness]: Prism's value-placement policy. *)
 val placement : [ `Static | `Hotness ] Term.t
 

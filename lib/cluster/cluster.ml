@@ -238,8 +238,6 @@ let create engine cfg ~stores =
 
 let shards t = t.cfg.shards
 
-let net t = t.net
-
 let store t i = t.shard_tbl.(i).store
 
 let coordinator_log t = t.clog

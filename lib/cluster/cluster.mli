@@ -50,13 +50,6 @@ type config = {
 
 val default : config
 
-(** [create engine cfg ~stores] wires existing shard stores into a
-    cluster. Each store must be configured with at least
-    [client threads + 1] PWB threads: the last tid is reserved for the
-    apply/recovery path. *)
-val create :
-  Prism_sim.Engine.t -> config -> stores:Prism_core.Store.t array -> t
-
 (** [of_scenario ?tweak engine cfg s] builds [cfg.shards] Prism shards
     via {!Prism_harness.Setup.prism} — records split evenly, one extra
     PWB thread reserved for applies — plus the cluster and a
@@ -69,8 +62,6 @@ val of_scenario :
   t * Prism_harness.Kv.t
 
 val shards : t -> int
-
-val net : t -> Net.t
 
 (** Which shard owns [key] (FNV-1a of the key mod shard count). Only tests
     call it: [test_cluster] picks keys on a chosen shard with it. *)
@@ -107,9 +98,6 @@ type outcome = Committed | Aborted
     — or ever will be — visible. *)
 val batch : t -> tid:int -> (string * bytes) list -> outcome
 
-(** A {!Prism_harness.Kv.t} view over single-key operations. *)
-val kv : t -> Prism_harness.Kv.t
-
 (** [with_batches t kv ~every ~records ~seed] is [kv] with every
     [every]-th put upgraded to a 3-key {!batch}: the put's own write plus
     two keys drawn uniformly from [records] (RNG seeded [seed + 0x7c]).
@@ -118,8 +106,6 @@ val kv : t -> Prism_harness.Kv.t
 val with_batches :
   t -> Prism_harness.Kv.t -> every:int -> records:int -> seed:int64 ->
   Prism_harness.Kv.t
-
-val quiesce : t -> unit
 
 (** {2 Crash and recovery} *)
 

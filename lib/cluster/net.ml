@@ -44,15 +44,8 @@ let create engine ~nodes ?(link = default_link) ~seed () =
     delivered = Metric.Counter.create ();
   }
 
-let nodes t = t.nodes
-
 let check_endpoint t n =
   if n < 0 || n >= t.nodes then invalid_arg "Net: endpoint out of range"
-
-let link t ~src ~dst =
-  check_endpoint t src;
-  check_endpoint t dst;
-  t.links.(src).(dst).cfg
 
 let send t ~src ~dst ~size f =
   check_endpoint t src;

@@ -32,10 +32,6 @@ val default_link : link_cfg
 val create :
   Prism_sim.Engine.t -> nodes:int -> ?link:link_cfg -> seed:int64 -> unit -> t
 
-val nodes : t -> int
-
-val link : t -> src:int -> dst:int -> link_cfg
-
 (** [send t ~src ~dst ~size f] transmits a [size]-byte message and
     schedules [f] at its delivery time (unless the link drops it). [f]
     runs in a plain callback context and must not delay or suspend —

@@ -8,8 +8,6 @@ let create ~threads =
   if threads <= 0 then invalid_arg "Epoch.create: threads <= 0";
   { global = 0; locals = Array.make threads (-1); retired = Queue.create () }
 
-let global t = t.global
-
 let check_tid t tid =
   if tid < 0 || tid >= Array.length t.locals then
     invalid_arg "Epoch: thread id out of range"

@@ -9,8 +9,6 @@ type t
 
 val create : threads:int -> t
 
-val global : t -> int
-
 (** [pin t ~tid] marks thread [tid] as inside a critical section at the
     current global epoch. The store brackets its operations with
     {!with_pinned}; only [test_core_units]'s epoch cases call [pin] and

@@ -20,8 +20,6 @@ let create ?(fault_skip_flush = false) nvm ~capacity =
   let free_list = List.init capacity (fun i -> i) in
   { nvm; base; capacity; free_list; live = 0; fault_skip_flush }
 
-let capacity t = t.capacity
-
 let live t = t.live
 
 let bytes t = t.capacity * entry_size

@@ -26,8 +26,6 @@ type t
     resulting lost acknowledged writes. Never enable outside tests. *)
 val create : ?fault_skip_flush:bool -> Prism_media.Nvm.t -> capacity:int -> t
 
-val capacity : t -> int
-
 (** Entries currently allocated. *)
 val live : t -> int
 

@@ -35,12 +35,6 @@ let create nvm ~capacity =
     used = 0;
   }
 
-let capacity t = t.capacity
-
-let used_bytes t = t.used
-
-let resident t = Hashtbl.length t.meta
-
 let owner t ~noff =
   Option.map fst (Hashtbl.find_opt t.meta noff)
 

@@ -22,15 +22,6 @@ type t
 (** [create nvm ~capacity] carves [capacity] bytes out of [nvm]. *)
 val create : Prism_media.Nvm.t -> capacity:int -> t
 
-val capacity : t -> int
-
-(** Live record bytes (headers + padded payloads) — the NVM footprint of
-    the tier. *)
-val used_bytes : t -> int
-
-(** Number of resident values. *)
-val resident : t -> int
-
 (** [append t ~hsit_id ~value] writes and persists one record; returns its
     tier offset, or [None] when no free range fits. *)
 val append : t -> hsit_id:int -> value:bytes -> int option

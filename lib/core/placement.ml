@@ -63,11 +63,6 @@ let next_promote t =
           Bytes.unsafe_set h.queued id '\000';
           Some id)
 
-let clock t id =
-  match t with
-  | Static -> 0
-  | Hotness h -> Char.code (Bytes.unsafe_get h.clock id)
-
 let decay t id =
   match t with
   | Static -> true

@@ -42,9 +42,6 @@ val fresh_tier : t -> hsit_id:int -> [ `Nvm | `Ssd ]
 (** Pop the next promotion candidate (deduplicated), if any. *)
 val next_promote : t -> int option
 
-(** Current clock value of an entry (0 for [Static]). *)
-val clock : t -> int -> int
-
 (** Decay the entry's clock by one; returns [true] when it is now cold
     (zero). *)
 val decay : t -> int -> bool

@@ -214,13 +214,6 @@ let lookup t ~idx ~hsit_id =
     end
   end
 
-let key_of t ~idx =
-  if idx < 0 || idx >= t.nalloc then None
-  else begin
-    let e = entry t idx in
-    if e.e_state = Live then Some e.e_key else None
-  end
-
 (* ---- write/admission path ---- *)
 
 let admit t ~hsit_id ~key ~value ~cached_from =

@@ -49,9 +49,6 @@ val start_manager : t -> unit
     hold an epoch pin. Charges DRAM copy cost. *)
 val lookup : t -> idx:int -> hsit_id:int -> bytes option
 
-(** [key_of t ~idx] is the entry's key (for scan bookkeeping). *)
-val key_of : t -> idx:int -> string option
-
 (** [admit t ~hsit_id ~key ~value ~cached_from] inserts a value read from
     Value Storage and publishes it via HSIT's SVC pointer (lock-free;
     loses gracefully to a concurrent admit). Returns the entry index when

@@ -44,10 +44,6 @@ val chunk_size : t -> int
 
 val uring : t -> Prism_device.Io_uring.t
 
-(** True when this Value Storage has no in-flight async IO — used by the
-    reclaimer to pick an idle target (§5.2). *)
-val is_idle : t -> bool
-
 (** Device-level statistics for write-amplification accounting. *)
 val device : t -> Prism_device.Model.t
 

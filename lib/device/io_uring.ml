@@ -26,10 +26,6 @@ let create engine model ~queue_depth ~cost =
     sqes = Metric.Counter.create ();
   }
 
-let queue_depth t = t.queue_depth
-
-let model t = t.model
-
 let submit t entries =
   let n = List.length entries in
   if n = 0 then []

@@ -23,10 +23,6 @@ type entry = {
 val create :
   Prism_sim.Engine.t -> Model.t -> queue_depth:int -> cost:Cost.t -> t
 
-val queue_depth : t -> int
-
-val model : t -> Model.t
-
 (** [submit t entries] pushes a batch; returns one ivar per entry, filled
     with the entry's completion time. Blocks (in virtual time) while the
     ring lacks room, and charges the submitting thread the amortized

@@ -36,8 +36,6 @@ let create engine spec =
   in
   t
 
-let spec t = t.spec
-
 let bandwidth t = function
   | Read -> t.spec.Spec.read_bw
   | Write -> t.spec.Spec.write_bw

@@ -16,8 +16,6 @@ type t
 (** [create engine spec] attaches a device to a simulation. *)
 val create : Prism_sim.Engine.t -> Spec.t -> t
 
-val spec : t -> Spec.t
-
 (** [submit t dir ~size] books a transfer of [size] bytes and returns the
     virtual completion time. Does not block the caller. *)
 val submit : t -> direction -> size:int -> float

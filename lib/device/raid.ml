@@ -7,8 +7,6 @@ let create ?(stripe_unit = 512 * 1024) devices =
   if stripe_unit <= 0 then invalid_arg "Raid.create: stripe_unit <= 0";
   { stripe_unit; devices = Array.of_list devices }
 
-let devices t = Array.to_list t.devices
-
 (* Split [off, off+size) at stripe boundaries and issue each piece to the
    device owning that stripe. *)
 let submit t dir ~off ~size =
@@ -42,5 +40,3 @@ let bytes_written t =
 
 let bytes_read t =
   Array.fold_left (fun acc d -> acc + Model.bytes_read d) 0 t.devices
-
-let reset_stats t = Array.iter Model.reset_stats t.devices

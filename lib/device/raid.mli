@@ -11,12 +11,6 @@ type t
     mdadm default. *)
 val create : ?stripe_unit:int -> Model.t list -> t
 
-val devices : t -> Model.t list
-
-(** [submit t dir ~off ~size] books the striped transfer; returns the
-    completion time of the whole request. *)
-val submit : t -> Model.direction -> off:int -> size:int -> float
-
 (** [access t dir ~off ~size] blocks the calling process until the striped
     request completes. *)
 val access : t -> Model.direction -> off:int -> size:int -> unit
@@ -25,5 +19,3 @@ val access : t -> Model.direction -> off:int -> size:int -> unit
 val bytes_written : t -> int
 
 val bytes_read : t -> int
-
-val reset_stats : t -> unit

@@ -22,8 +22,6 @@ val prism : Setup.scenario -> bill
 
 val kvell : Setup.scenario -> bill
 
-val matrixkv : Setup.scenario -> bill
-
 val all : Setup.scenario -> bill list
 
 (** True when every bill is within [tolerance] (fraction) of the first —

@@ -126,8 +126,6 @@ let rec find_at t node key depth =
 
 let find t key = find_at t t.root key 0
 
-let mem t key = Option.is_some (find t key)
-
 (* ---- insert ---- *)
 
 let common_prefix_len a b start =

@@ -22,8 +22,6 @@ val is_empty : 'v t -> bool
 
 val find : 'v t -> string -> 'v option
 
-val mem : 'v t -> string -> bool
-
 (** [insert t key v] binds (replacing); returns the previous binding. *)
 val insert : 'v t -> string -> 'v -> 'v option
 

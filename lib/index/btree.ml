@@ -96,8 +96,6 @@ let find t key =
     Some l.lvals.(i)
   else None
 
-let mem t key = Option.is_some (find t key)
-
 type 'v split = { sep : string; right : 'v node }
 
 let split_leaf l =

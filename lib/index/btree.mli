@@ -26,8 +26,6 @@ val is_empty : 'v t -> bool
 (** [find t key] is the value bound to [key], if any. *)
 val find : 'v t -> string -> 'v option
 
-val mem : 'v t -> string -> bool
-
 (** [insert t key v] binds [key] to [v], replacing any previous binding.
     Returns the previous binding, if any. *)
 val insert : 'v t -> string -> 'v -> 'v option

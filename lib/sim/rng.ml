@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 finalizer (Steele, Lea, Flood 2014). *)
 let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -33,8 +31,6 @@ let int t bound =
   assert (bound > 0);
   let v = Int64.to_int (Int64.logand (next_int64 t) int_mask) in
   v mod bound
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let exponential t ~mean =
   let u = float t in

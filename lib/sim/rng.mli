@@ -12,9 +12,6 @@ val create : int64 -> t
 (** [split t] derives an independent child stream; the parent advances. *)
 val split : t -> t
 
-(** [copy t] duplicates the generator state. *)
-val copy : t -> t
-
 (** Next raw 64-bit output. Only [test_sim] "deterministic" and "split
     independent" call it directly. *)
 val next_int64 : t -> int64
@@ -24,9 +21,6 @@ val float : t -> float
 
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 val int : t -> int -> int
-
-(** [bool t] is a fair coin flip. *)
-val bool : t -> bool
 
 (** [exponential t ~mean] draws from an exponential distribution. *)
 val exponential : t -> mean:float -> float

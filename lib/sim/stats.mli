@@ -45,10 +45,6 @@ val counter : t -> string -> Metric.Counter.t
     name wins. *)
 val register_counter : t -> string -> Metric.Counter.t -> unit
 
-(** [gauge t name f] registers a gauge sampled at snapshot time. [f] must
-    be a pure read of live state (no event scheduling). Last wins. *)
-val gauge : t -> string -> (unit -> value) -> unit
-
 val gauge_int : t -> string -> (unit -> int) -> unit
 
 val gauge_float : t -> string -> (unit -> float) -> unit
@@ -96,9 +92,6 @@ val timeline : t -> string -> interval:float -> Metric.Timeline.t
 
 val find : t -> string -> metric option
 
-(** Registered names, sorted. *)
-val names : t -> string list
-
 (** [snapshot t] samples every metric: counters and timelines as [Int],
     gauges as whatever they return, histograms as [Dist]. Sorted by
     name. *)
@@ -124,7 +117,5 @@ val reset : t -> unit
     histograms as [{"count":..,"mean":..,"p50":..,"p99":..,"max":..}],
     timelines as [[[start,count],...]]. Keys sorted. *)
 val to_json : t -> string
-
-val pp_value : Format.formatter -> value -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -121,8 +121,6 @@ module Semaphore = struct
     match Queue.take_opt t.waiters with
     | None -> ()
     | Some resume -> resume ()
-
-  let available t = t.permits
 end
 
 module Mutex = struct

@@ -68,9 +68,6 @@ module Semaphore : sig
 
   (** [release t] returns a permit, waking the longest-blocked acquirer. *)
   val release : t -> unit
-
-  (** Permits currently available (may be negative under no circumstance). *)
-  val available : t -> int
 end
 
 (** Mutual exclusion built on {!Semaphore}. *)

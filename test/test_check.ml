@@ -1079,15 +1079,15 @@ let test_dpor_svc_budget () =
         && String.sub f.Explore.violation 0 7 = "window ")
 
 (* Same budget argument for the crash-consistency fault: skip-HSIT-flush
-   only manifests across a crash, so the DPOR walk drives the
-   crash-at-boundary run via [prism_crash_once ~tie:(Guided _)]. PR 1's
+   only manifests across a crash, so the DPOR walk drives the sweep's
+   crash-at-boundary run via [Explore.run_once ~tie:(Guided _) ~cut]. PR 1's
    sweep scanned every [crash_every]-th persist boundary; pinning one
    boundary and exploring schedule classes finds the lost write within
    the same 2-class budget. *)
 let hsit_sweep_cfg =
   {
     Crash_sweep.default with
-    Crash_sweep.threads = 2;
+    Explore.threads = 2;
     keys_per_thread = 12;
     ops_per_thread = 30;
     crash_every = 40;
@@ -1100,13 +1100,13 @@ let test_dpor_hsit_budget () =
   Alcotest.(check bool) "dpor budget is under the blind budget" true
     (dpor_budget < blind_budget);
   let run ~choose =
-    match
-      Crash_sweep.prism_crash_once
-        ~tie:(Engine.Guided choose)
-        hsit_sweep_cfg ~boundary:`Nvm_persist ~target:11
-    with
-    | `Crashed violations -> List.length violations
-    | `Completed _ | `Crashed_before_store -> 0
+    let r =
+      Explore.run_once ~tie:(Engine.Guided choose)
+        ~cut:(Explore.Boundary ("nvm-persist", 11))
+        ~pwb_size:(8 * 1024) hsit_sweep_cfg
+        (Crash_sweep.workload hsit_sweep_cfg)
+    in
+    if r.Explore.crashed <> None && r.Explore.violation <> None then 1 else 0
   in
   let rep =
     Dpor.explore
@@ -1173,7 +1173,7 @@ let test_scan_clean_strict () =
       | [] -> ()
       | f :: _ ->
           Alcotest.failf "clean %s store rejected by strict scan check: %s"
-            (match store with `Prism -> "prism" | `Kvell -> "kvell")
+            (if store = `Prism then "prism" else "kvell")
             f.Explore.violation)
     [ `Prism; `Kvell ]
 
@@ -1292,7 +1292,7 @@ let test_shrink_svc () =
 let sweep_cfg =
   {
     Crash_sweep.default with
-    Crash_sweep.threads = 2;
+    Explore.threads = 2;
     keys_per_thread = 12;
     ops_per_thread = 30;
     crash_every = 40;
@@ -1312,7 +1312,7 @@ let test_sweep_prism () =
 
 let test_sweep_kvell () =
   let report =
-    Crash_sweep.run { sweep_cfg with Crash_sweep.store = `Kvell }
+    Crash_sweep.run { sweep_cfg with Explore.store = `Kvell }
   in
   Alcotest.(check string) "report digest" "b0d33ddc3c59096116d2ac64921d5824" (sweep_digest report);
   Alcotest.(check bool) "injected some crashes" true
@@ -1323,7 +1323,7 @@ let test_sweep_kvell () =
 let test_sweep_catches_lost_writes () =
   let report =
     Crash_sweep.run
-      { sweep_cfg with Crash_sweep.fault = Explore.Skip_hsit_flush;
+      { sweep_cfg with Explore.fault = Explore.Skip_hsit_flush;
         crash_every = 10 }
   in
   Alcotest.(check string) "report digest" "1393b2aa9b696231e8ad72f4e593e994" (sweep_digest report);
@@ -1350,7 +1350,7 @@ let test_sweep_catches_lost_writes () =
         names_version
 
 let lsm_sweep_cfg =
-  { sweep_cfg with Crash_sweep.store = `Lsm; crash_every = 7 }
+  { sweep_cfg with Explore.store = `Lsm; crash_every = 7 }
 
 let test_sweep_lsm () =
   let report = Crash_sweep.run lsm_sweep_cfg in
@@ -1370,7 +1370,7 @@ let test_sweep_lsm_no_wal () =
      acknowledged write still sitting in the volatile memtable. *)
   let report =
     Crash_sweep.run
-      { lsm_sweep_cfg with Crash_sweep.lsm_wal = false; crash_every = 1 }
+      { lsm_sweep_cfg with Explore.lsm_wal = false; crash_every = 1 }
   in
   Alcotest.(check string) "report digest" "4e34445c09efd12972f47812e55a8735" (sweep_digest report);
   Alcotest.(check bool) "WAL-less LSM loses acknowledged writes" true
@@ -1380,12 +1380,28 @@ let test_sweep_lsm_no_wal () =
        (fun v -> v.Crash_sweep.boundary = "sstable-publish")
        report.Crash_sweep.violations)
 
+(* [--txn-every] without [--shards] asks for a one-shard cluster, and
+   every mode must get it: the sweep crashes at the 2PC log boundaries
+   of the batches, instead of running plain Prism and dropping them. *)
+let test_sweep_txn_without_shards () =
+  let cfg =
+    Explore.topology ~txn_every:4 { sweep_cfg with Explore.store = `Prism }
+  in
+  Alcotest.(check bool) "a one-shard cluster" true
+    (cfg.Explore.store = `Cluster && cfg.Explore.shards = 1);
+  let report = Crash_sweep.run cfg in
+  Alcotest.(check bool) "coord-log-persist boundaries swept" true
+    (List.assoc_opt "coord-log-persist" report.Crash_sweep.boundaries
+     |> Option.fold ~none:false ~some:(fun n -> n > 0));
+  Alcotest.(check bool) "recoveries consistent" true
+    (report.Crash_sweep.violations = [])
+
 (* A fault the sweep cannot inject must not pass as a clean sweep: KVell
    has no HSIT, and the SVC fault is invisible across a crash. *)
 let test_sweep_rejects_faults () =
   List.iter
     (fun (store, fault) ->
-      match Crash_sweep.run { sweep_cfg with Crash_sweep.store; fault } with
+      match Crash_sweep.run { sweep_cfg with Explore.store; fault } with
       | (_ : Crash_sweep.report) ->
           Alcotest.fail "sweep accepted a fault it cannot inject"
       | exception Invalid_argument _ -> ())
@@ -1446,7 +1462,7 @@ let test_dpor_hotness_clean () =
 let hotness_sweep_cfg =
   {
     Crash_sweep.default with
-    Crash_sweep.placement = `Hotness;
+    Explore.placement = `Hotness;
     threads = 2;
     keys_per_thread = 12;
     ops_per_thread = 120;
@@ -1468,7 +1484,7 @@ let test_sweep_hotness () =
      they are extra nvm-persists the static run doesn't perform. *)
   let static =
     Crash_sweep.run
-      { hotness_sweep_cfg with Crash_sweep.placement = `Static;
+      { hotness_sweep_cfg with Explore.placement = `Static;
         crash_every = 100_000 }
   in
   Alcotest.(check string) "static report digest" "825a17daf68e52f768fe240401dc95fb" (sweep_digest static);
@@ -1481,7 +1497,7 @@ let test_sweep_hotness_catches_lost_writes () =
      protocol bug still reads as lost acknowledged writes. *)
   let report =
     Crash_sweep.run
-      { hotness_sweep_cfg with Crash_sweep.fault = Explore.Skip_hsit_flush;
+      { hotness_sweep_cfg with Explore.fault = Explore.Skip_hsit_flush;
         crash_every = 10 }
   in
   Alcotest.(check string) "report digest" "c887216532fe5b6ad4ce78d71ceb82fc" (sweep_digest report);
@@ -1541,7 +1557,7 @@ let test_fleet_dpor_deterministic () =
     [ 2; 4 ]
 
 let test_fleet_sweep_deterministic () =
-  let cfg = { sweep_cfg with Crash_sweep.crash_every = 13 } in
+  let cfg = { sweep_cfg with Explore.crash_every = 13 } in
   let serial = Crash_sweep.run ~jobs:1 cfg in
   List.iter
     (fun jobs ->
@@ -1685,6 +1701,8 @@ let () =
           case "lsm wal recovers every point" test_sweep_lsm;
           case "lsm without wal loses writes" test_sweep_lsm_no_wal;
           case "faults it cannot inject are rejected" test_sweep_rejects_faults;
+          case "txn-every without shards sweeps a cluster"
+            test_sweep_txn_without_shards;
         ] );
       ( "placement",
         [

@@ -239,7 +239,8 @@ let test_batch_commit_and_single_ops () =
 let cluster_explore_cfg =
   {
     Prism_check.Explore.default with
-    Prism_check.Explore.threads = 2;
+    Prism_check.Explore.store = `Cluster;
+    threads = 2;
     records = 48;
     ops_per_thread = 10;
     shards = 2;
@@ -271,7 +272,7 @@ let test_dpor_cluster_clean () =
 let cluster_sweep_cfg =
   {
     Prism_check.Crash_sweep.default with
-    Prism_check.Crash_sweep.store = `Cluster;
+    Prism_check.Explore.store = `Cluster;
     threads = 2;
     keys_per_thread = 6;
     ops_per_thread = 10;
@@ -295,7 +296,7 @@ let test_sweep_cluster_catches_skipped_commit_flush () =
   let open Prism_check in
   let report =
     Crash_sweep.run
-      { cluster_sweep_cfg with Crash_sweep.fault = Explore.Skip_2pc_log_flush }
+      { cluster_sweep_cfg with Explore.fault = Explore.Skip_2pc_log_flush }
   in
   Alcotest.(check string) "report digest" "5da8770906a7299f2932eb10e484f339" (sweep_digest report);
   Alcotest.(check bool)
