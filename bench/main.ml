@@ -43,10 +43,12 @@ let full_scenario =
 
 let scenario = ref small_scenario
 
-(* --jobs: fleet lanes. Every simulation below is a Runner cell; an
-   experiment farms its cells and prints on the coordinator, in the
-   order it declared them, so the output is byte-identical for any lane
-   count. *)
+(* --jobs: fleet worker processes. Every simulation below is a Runner
+   cell; an experiment farms its cells and prints on the coordinator, in
+   the order it declared them, so the output is byte-identical for any
+   worker count. A cell's readings leave its worker marshalled, so they
+   are plain data: a registry travels as its dump, never as the live
+   [Stats.t], whose gauges close over the whole store. *)
 let jobs = ref 1
 
 (* --stats / --stats-json: the fig7 and fig17 registries, emitted in
@@ -59,10 +61,15 @@ let collected_stats : (string * string) list ref = ref []
 
 let stats_wanted () = !stats_requested || !stats_json_path <> None
 
-let emit_stats label reg =
+(* A registry as plain data, so the probe's result can leave a fleet
+   worker: its JSON export and its text dump. *)
+let dump reg =
   Stats.register_gc reg;
-  collected_stats := (label, Stats.to_json reg) :: !collected_stats;
-  if !stats_requested then Format.printf "  [%s registry]@.%a@." label Stats.pp reg
+  (Stats.to_json reg, Format.asprintf "%a" Stats.pp reg)
+
+let emit_stats label (json, text) =
+  collected_stats := (label, json) :: !collected_stats;
+  if !stats_requested then Format.printf "  [%s registry]@.%s@." label text
 
 let write_collected_stats () =
   match !stats_json_path with
@@ -234,7 +241,9 @@ let fig7 () =
        s.Setup.threads s.Setup.num_ssds s.Setup.records s.Setup.value_size
        s.Setup.theta);
   let names = [ "Prism"; "KVell"; "MatrixKV"; "RocksDB-NVM" ] in
-  let harvest = if stats_wanted () then [ Runner.Read registry ] else [] in
+  let harvest =
+    if stats_wanted () then [ Runner.Read (fun p -> dump (registry p)) ] else []
+  in
   let outcome =
     farm names (fun name ->
         cell ("fig7." ^ Stats.sanitize name) s (named name)
@@ -608,23 +617,35 @@ let fig17 () =
           chunk;
     }
   in
-  (* GC passes so far, and the registry: its timeline is the figure, and
-     --stats-json exports it under "bench.throughput". *)
-  let gc p = (Prism_core.Store.gc_runs (Option.get p.Runner.prism), registry p) in
+  (* GC passes so far; after the run also the throughput timeline's
+     windows, which are the figure, and (for --stats-json, which exports
+     the timeline under "bench.throughput") the registry. *)
+  let gc p = Prism_core.Store.gc_runs (Option.get p.Runner.prism) in
+  let after p =
+    let reg = registry p in
+    ( gc p,
+      Metric.Timeline.windows (Stats.timeline reg "bench.throughput" ~interval:1e-3),
+      if stats_wanted () then Some (dump reg) else None )
+  in
   let outcome =
     farm [ () ] (fun () ->
         cell "fig17.prism" s (prism ~tweak)
-          Runner.[ Read gc; Run_timeline ("bench.throughput", Ycsb.ycsb_a); Read gc ])
+          Runner.
+            [
+              Read (fun p -> (gc p, [], None));
+              Run_timeline ("bench.throughput", Ycsb.ycsb_a);
+              Read after;
+            ])
   in
   match (outcome ()).Runner.reads with
-  | [ (gc_before, _); (gc_after, reg) ] ->
-      if stats_wanted () then emit_stats "fig17.prism" reg;
+  | [ (gc_before, _, _); (gc_after, windows, registry) ] ->
+      Option.iter (emit_stats "fig17.prism") registry;
       Report.table
         ~title:
           (Printf.sprintf "ops per 1ms window (GC passes during run: %d)"
              (gc_after - gc_before))
         ~columns:[ "t (ms)"; "kops/s" ]
-        (Metric.Timeline.windows (Stats.timeline reg "bench.throughput" ~interval:1e-3)
+        (windows
         |> List.map (fun (t, count, _) ->
                [
                  Printf.sprintf "%.0f" (t *. 1e3);

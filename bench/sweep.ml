@@ -336,7 +336,7 @@ let () =
       $ Cli.csv Cli.policy_name "policies"
           ~doc:
             "Comma-separated admission policies: unbounded, bounded[=N], \
-             token-bucket[=RATE[,BURST]], codel[=TARGET_US,INTERVAL_US]"
+             token-bucket[=RATE[:BURST]], codel[=TARGET_US:INTERVAL_US]"
       $ Cli.csv Arg.float "points"
           ~doc:"Comma-separated offered-load multipliers of calibrated capacity"
       $ Arg.(

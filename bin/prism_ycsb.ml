@@ -292,7 +292,7 @@ let () =
       & info [ "policy" ]
           ~doc:
             "Open-loop admission policy: unbounded | bounded[=N] | \
-             token-bucket[=RATE[,BURST]] | codel[=TARGET_US,INTERVAL_US]; \
+             token-bucket[=RATE[:BURST]] | codel[=TARGET_US:INTERVAL_US]; \
              defaults scale with the offered rate")
   in
   let servers =

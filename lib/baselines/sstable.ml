@@ -18,11 +18,9 @@ type t = {
   bytes : int;
 }
 
-(* Process-global so ids stay unique when fleet worker domains build
-   tables concurrently. Ids are only identity keys (LSM/SLM-DB cache and
-   index maps); their numeric values never reach any output, so the
-   cross-domain allocation order is immaterial. *)
-let next_id = Atomic.make 0
+(* Ids are only identity keys (LSM/SLM-DB cache and index maps); their
+   numeric values never reach any output. *)
+let next_id = ref 0
 
 let id t = t.id
 
@@ -74,8 +72,9 @@ let build entries_list =
     + Prism_index.Bloom.byte_size bloom
   in
   let last = blocks.(Array.length blocks - 1) in
+  incr next_id;
   {
-    id = 1 + Atomic.fetch_and_add next_id 1;
+    id = !next_id;
     min_key = blocks.(0).first;
     max_key = fst last.items.(Array.length last.items - 1);
     blocks;

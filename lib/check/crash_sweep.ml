@@ -85,14 +85,14 @@ let check_fault (cfg : Explore.config) =
    even virtual-time grid instead, sized to one crash per k executed
    events.
 
-   Parallel shape: every crash target becomes one fleet job — each job
+   Parallel shape: every crash target of every boundary kind becomes
+   one job of a single farm, forked after the clean run — each job
    builds its own engine, store and history from [cfg], so jobs share
-   nothing mutable. The merge walks results in ascending target order
-   and replays the serial driver's control flow exactly: count, collect
-   violations, call [progress], and stop a boundary's sweep at the first
-   run that completes uncut (the serial loop stops issuing targets there; the merge
-   stops {e consuming} there, discarding the speculatively-run tail), so
-   the report is byte-identical to a serial sweep for any [jobs]. *)
+   nothing mutable. The merge walks each kind's results in ascending
+   target order: count, collect violations, call [progress], and stop
+   consuming that kind at the first run that completes uncut (it got
+   past the last boundary, so every later target would too). The
+   report is therefore the same for any [jobs]. *)
 
 let targets_of ~k ~total =
   Array.init (total / k) (fun i -> (i + 1) * k)
@@ -105,67 +105,62 @@ let run ?(progress = fun ~boundary:_ ~crash_point:_ -> ()) ?(jobs = 1) cfg =
     Explore.run_once ~cut ~pwb_size:(8 * 1024) cfg (workload cfg)
   in
   let k = max 1 cfg.Explore.crash_every in
-  Fleet.with_pool ~jobs (fun pool ->
-      let clean = run_once Explore.Clean in
-      let sweeps =
-        match clean.counts with
-        | [] ->
-            let n = max 1 (clean.executed / k) in
-            [
-              ( "virtual-time",
-                n,
-                targets_of ~k:1 ~total:n,
-                fun i ->
-                  Explore.Grid
-                    (clean.clock *. float_of_int i /. float_of_int (n + 1), i)
-              );
-            ]
-        | counts ->
-            List.map
-              (fun (name, total) ->
-                ( name,
-                  total,
-                  targets_of ~k ~total,
-                  fun n -> Explore.Boundary (name, n) ))
-              counts
-      in
-      let crash_points = ref 0 in
-      let violations = ref [] in
-      List.iter
-        (fun (name, _, targets, cut) ->
-          let results =
-            Fleet.map pool (Array.length targets) (fun i ->
-                run_once (cut targets.(i)))
-          in
-          try
-            Array.iteri
-              (fun i (r : Explore.run) ->
-                match r.crashed with
-                | Some (boundary, crash_point) ->
-                    incr crash_points;
-                    Option.iter
-                      (fun v ->
-                        violations :=
-                          {
-                            crash_point;
-                            boundary;
-                            key = v.Linearize.key;
-                            detail =
-                              Format.asprintf "%a" Linearize.pp_violation v;
-                          }
-                          :: !violations)
-                      r.violation;
-                    progress ~boundary:name ~crash_point:targets.(i)
-                | None ->
-                    (* Past the last boundary of this run; the serial sweep
-                       stops here, so later targets are dropped
-                       unconsumed. *)
-                    raise Exit)
-              results
-          with Exit -> ())
-        sweeps;
-      {
-        crash_points = !crash_points;
-        boundaries = List.map (fun (name, total, _, _) -> (name, total)) sweeps;
-        violations = List.rev !violations;
-      })
+  let clean = run_once Explore.Clean in
+  let sweeps =
+    match clean.counts with
+    | [] ->
+        let n = max 1 (clean.executed / k) in
+        [
+          ( "virtual-time",
+            n,
+            targets_of ~k:1 ~total:n,
+            fun i ->
+              Explore.Grid
+                (clean.clock *. float_of_int i /. float_of_int (n + 1), i) );
+        ]
+    | counts ->
+        List.map
+          (fun (name, total) ->
+            (name, total, targets_of ~k ~total, fun n -> Explore.Boundary (name, n)))
+          counts
+  in
+  let cuts =
+    Array.concat
+      (List.map (fun (_, _, targets, cut) -> Array.map cut targets) sweeps)
+  in
+  let runs = Fleet.farm ~jobs (Array.length cuts) (fun i -> run_once cuts.(i)) in
+  let crash_points = ref 0 in
+  let violations = ref [] in
+  let first = ref 0 in
+  List.iter
+    (fun (name, _, targets, _) ->
+      let base = !first in
+      first := base + Array.length targets;
+      try
+        Array.iteri
+          (fun i target ->
+            let r : Explore.run = runs.(base + i) in
+            match r.crashed with
+            | Some (boundary, crash_point) ->
+                incr crash_points;
+                Option.iter
+                  (fun v ->
+                    violations :=
+                      {
+                        crash_point;
+                        boundary;
+                        key = v.Linearize.key;
+                        detail = Format.asprintf "%a" Linearize.pp_violation v;
+                      }
+                      :: !violations)
+                  r.violation;
+                progress ~boundary:name ~crash_point:target
+            | None -> raise Exit)
+          targets
+      with Exit -> ())
+    sweeps;
+  {
+    crash_points = !crash_points;
+    boundaries = List.map (fun (name, total, _, _) -> (name, total)) sweeps;
+    violations = List.rev !violations;
+  }

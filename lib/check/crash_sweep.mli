@@ -66,10 +66,12 @@ val check_fault : Explore.config -> unit
 (** [run cfg] performs the full sweep: one clean run to count boundaries,
     then one crash-and-recover run per injection point, each over an
     8 KiB PWB. [progress] fires after each injected crash (in ascending
-    target order, whatever [jobs] is). [jobs > 1] farms the crash runs out to that many fleet
-    lanes — every target is an independent simulation — and merges the
-    results in target order, replaying the serial driver's early-stop
-    behaviour, so the report is byte-identical to [jobs = 1].
+    target order, whatever [jobs] is). [jobs > 1] farms the crash runs
+    of every boundary kind, in one farm, to that many fleet worker
+    processes forked after the clean run — every target is an
+    independent simulation — and merges the results in target order,
+    stopping a kind at its first uncut run, so the report is
+    byte-identical to [jobs = 1].
 
     @raise Invalid_argument as {!check_fault} does. *)
 val run :

@@ -135,8 +135,49 @@ let set_label labels (a : Engine.alt) =
   labels.(a.seq) <- a.label;
   labels
 
+(* A speculative run crosses the fleet's pipes twice: the target node
+   out, the fresh nodes back. Paths travel as flat int arrays, three
+   ints a step, because a list of small records costs the marshaller two
+   blocks a step and a path is thousands of steps deep. [unflatten a
+   tail] conses the steps back onto [tail]. *)
+let flatten steps =
+  Array.of_list (List.concat_map (fun s -> [ s.n_alts; s.seq; s.pick ]) steps)
+
+let unflatten a tail =
+  List.init
+    (Array.length a / 3)
+    (fun k -> { n_alts = a.(3 * k); seq = a.((3 * k) + 1); pick = a.((3 * k) + 2) })
+  @ tail
+
+(* Every fresh node of a run lies on that run's route below its target,
+   so each fresh path is a suffix of the deepest one's. Only that path's
+   steps below the target travel back; the coordinator splices them onto
+   its own copy of the target's path, so the tree shares path tails as a
+   serial walk's does. *)
+let pack ~depth (result, redundant, rdepth, choices, fresh) =
+  let below =
+    match List.rev fresh with
+    | [] -> [||]
+    | (deepest : node) :: _ ->
+        flatten (List.filteri (fun k _ -> k < deepest.depth - depth) deepest.path)
+  in
+  (result, redundant, rdepth, choices, List.map (fun f -> { f with path = [] }) fresh, below)
+
+let unpack (target : node) (result, redundant, rdepth, choices, fresh, below) =
+  let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+  let rec attach route depth = function
+    | [] -> []
+    | (f : node) :: rest ->
+        let route = drop (depth - f.depth) route in
+        { f with path = route } :: attach route f.depth rest
+  in
+  let route = unflatten below target.path in
+  let deepest = target.depth + (Array.length below / 3) in
+  (result, redundant, rdepth, choices, List.rev (attach route deepest (List.rev fresh)))
+
 let explore ?(full = false) ?(stop_on = fun _ -> false)
-    ?(on_commit = fun ~run:_ _ -> ()) ?pool ~max_classes ~dependent run_fn =
+    ?(on_commit = fun ~run:_ _ -> ()) ?(jobs = 1) ~max_classes ~dependent
+    run_fn =
   (* The frontier: nodes with a branch candidate left, in non-empty
      per-depth buckets, each in commit order. The walk targets the head
      of the shallowest bucket — shallowest first, commit order breaking
@@ -161,8 +202,8 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
   let pruned = ref 0 in
   let complete = ref false in
   (* One run against [target], touching no shared exploration state —
-     so it can execute speculatively on a worker domain and be committed
-     (or discarded) later by the coordinator.
+     so it can execute speculatively on a worker process and be
+     committed (or discarded) later by the coordinator.
 
      The label table is run-local. That is equivalent to a persistent
      global one: every seq consulted by sleep-set filtering is a member
@@ -341,8 +382,8 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
      the batch. Commits are the only mutation of shared state, so
      discarded speculations leave no trace and the report is
      byte-identical to the serial walk. *)
-  let speculative pool =
-    let window = 2 * Fleet.jobs pool in
+  let speculative workers =
+    let window = 2 * jobs in
     (* Predict the next [window] (node, alt, started-snapshot) targets by
        replaying the selection rule against a shadow [started] set that
        grows with each predicted pick. Only the node under the cursor has
@@ -373,12 +414,12 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
     in
     (* In-flight speculations, head = predicted next commit. After a
        mispredict the tail is re-predicted against the corrected frontier
-       instead of being discarded: any in-flight future whose (node,
+       instead of being discarded: any in-flight request whose (node,
        alternative, snapshot) triple survives re-prediction is still a
        valid run of that target and is kept; only genuinely new targets
-       are submitted. Stale futures are dropped — never committed, so
-       they never existed as far as the report is concerned (an idle
-       worker may still burn cycles on one). *)
+       are submitted. Stale requests are dropped — never committed, so
+       they never existed as far as the report is concerned. A request
+       is plain data: the worker gets its own copy of the node. *)
     let inflight = ref [] in
     let refill () =
       let old = !inflight in
@@ -396,17 +437,22 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
                 ( n,
                   i,
                   snap,
-                  Fleet.submit pool (fun () ->
-                      spec_run (Some (n, i)) ~snapshot:snap) ))
-          (predict ())
+                  Fleet.submit workers
+                    ({ n with path = [] }, flatten n.path, i, snap) ))
+          (predict ());
+      List.iter
+        (fun (_, _, _, ticket) ->
+          if not (List.exists (fun (_, _, _, t) -> t = ticket) !inflight) then
+            Fleet.drop workers ticket)
+        old
     in
     fun (n', i') ->
       (if !inflight = [] then refill ());
       match !inflight with
-      | (n, i, snap, fu) :: rest
+      | (n, i, snap, ticket) :: rest
         when n' == n && i' = i && Iset.equal snap n.started ->
           inflight := rest;
-          commit (Fleet.await pool fu) (Some (n, i))
+          commit (unpack n (Fleet.await workers ticket)) (Some (n, i))
       | _ ->
           (* Mispredicted (or prediction exhausted): one inline serial
              step against the true frontier, then rebuild the window,
@@ -414,20 +460,26 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
           run_inline (n', i');
           refill ()
   in
-  let step =
-    match pool with
-    | Some pool when Fleet.jobs pool > 1 -> speculative pool
-    | _ -> run_inline
+  let walk step =
+    while not !stopped do
+      match next_target () with
+      | None ->
+          complete := true;
+          stopped := true
+      | Some t -> step t
+    done
   in
-  (* The root run builds the initial tree and must run alone. *)
+  (* The root run builds the initial tree and must run alone. It also
+     interns every workload key, so workers forked after it agree with
+     the coordinator on every key id inside a label. *)
   commit (spec_run None ~snapshot:Iset.empty) None;
-  while not !stopped do
-    match next_target () with
-    | None ->
-        complete := true;
-        stopped := true
-    | Some t -> step t
-  done;
+  if jobs > 1 && not !stopped then
+    Fleet.with_workers ~jobs
+      (fun (n, path, i, snapshot) ->
+        let n = { n with path = unflatten path [] } in
+        pack ~depth:n.depth (spec_run (Some (n, i)) ~snapshot))
+      (fun workers -> walk (speculative workers))
+  else walk run_inline;
   {
     classes = List.rev !classes;
     explored = !n_classes;

@@ -93,25 +93,26 @@ exception Diverged
 
     [on_commit ~run result] fires once per committed run (including
     pruned ones), in commit order, with the 1-based run number — use it
-    for progress reporting that must stay deterministic under [pool].
+    for progress reporting that must stay deterministic under [jobs].
 
-    {b Parallel exploration.} With [pool] (of more than one lane), runs
-    execute speculatively on worker domains: the coordinator predicts
-    the next few serial selections (one ordered pass over the frontier),
-    farms them out, and commits results
-    strictly in the serial selection order after re-validating each
-    prediction against committed state (falling back to one serial step
-    when a committed run's fresh nodes preempt the predicted target).
-    Shared state is only ever mutated at commit, so the report — class
-    set, indices, run numbers, choices, [complete] — is byte-identical
-    to the serial walk for any worker count. [run] must then be
-    domain-safe: each call builds its own engine/stores and shares
-    nothing mutable. *)
+    {b Parallel exploration.} With [jobs > 1], runs execute
+    speculatively on [jobs] worker processes forked after the root run:
+    the coordinator predicts the next few serial selections (one ordered
+    pass over the frontier), sends each as a plain (node, alternative,
+    snapshot) request, and commits answers strictly in the serial
+    selection order after re-validating each prediction against
+    committed state (falling back to one serial step when a committed
+    run's fresh nodes preempt the predicted target). Shared state is
+    only ever mutated at commit, so the report — class set, indices, run
+    numbers, choices, [complete] — is byte-identical to the serial walk
+    for any worker count. [run]'s result must then be marshalable (no
+    closures), and [run] must give every label the same meaning in every
+    process: the root run has to intern whatever its labels refer to. *)
 val explore :
   ?full:bool ->
   ?stop_on:('a -> bool) ->
   ?on_commit:(run:int -> 'a -> unit) ->
-  ?pool:Prism_fleet.Fleet.pool ->
+  ?jobs:int ->
   max_classes:int ->
   dependent:(int -> int -> bool) ->
   (choose:(Prism_sim.Engine.alt array -> int) -> 'a) ->

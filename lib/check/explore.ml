@@ -543,13 +543,12 @@ let run ?(progress = fun _ -> ()) ?(jobs = 1) ~schedules cfg =
     done
   else begin
     (* Schedules are independent by construction (each names its own
-       interleaving via its tie seed), so this is a pure fleet map;
+       interleaving via its tie seed), so this is a pure fleet farm;
        merging in index order makes the report byte-identical to the
        serial loop. *)
     let results =
-      Prism_fleet.Fleet.with_pool ~jobs (fun pool ->
-          Prism_fleet.Fleet.map pool schedules (fun i ->
-              run_schedule cfg ~index:i ~tie_seed:(tie_seed_for cfg.seed i)))
+      Prism_fleet.Fleet.farm ~jobs schedules (fun i ->
+          run_schedule cfg ~index:i ~tie_seed:(tie_seed_for cfg.seed i))
     in
     Array.iter merge results
   end;
@@ -584,7 +583,7 @@ type dpor_report = {
 let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
     ~max_classes cfg =
   (* The run body must be pure with respect to exploration state so it
-     can execute speculatively on a worker domain: no counters, no
+     can execute speculatively on a worker process: no counters, no
      progress calls. The committed run number arrives via [on_commit]
      (serial order), which is where progress fires — so a stats line is
      only ever reported for runs the serial walk would have executed,
@@ -595,15 +594,11 @@ let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
     in
     (stats, violation)
   in
-  let explore pool =
-    Dpor.explore ?pool
+  let report =
+    Dpor.explore ~jobs
       ~on_commit:(fun ~run:r (stats, _) -> progress { stats with index = r - 1 })
       ~stop_on:(fun (_, violation) -> stop_on_failure && violation <> None)
       ~max_classes ~dependent:History.conflicting run
-  in
-  let report =
-    if jobs <= 1 then explore None
-    else Prism_fleet.Fleet.with_pool ~jobs (fun p -> explore (Some p))
   in
   let dpor_failures =
     List.filter_map

@@ -195,9 +195,10 @@ type report = {
 (** [run ~schedules cfg] explores [schedules] seeded interleavings of the
     same workload and checks each history for linearizability (plus the
     scan sanity conditions). [progress] is called after each schedule,
-    in schedule order. With [jobs > 1] the schedules execute on a
-    {!Prism_fleet.Fleet} pool; the report (and the [progress] sequence)
-    is byte-identical to the serial run for any job count. *)
+    in schedule order. With [jobs > 1] the schedules are farmed to that
+    many {!Prism_fleet.Fleet} worker processes; the report (and the
+    [progress] sequence) is byte-identical to the serial run for any job
+    count. *)
 val run :
   ?progress:(schedule_stats -> unit) ->
   ?jobs:int ->
@@ -235,7 +236,7 @@ type dpor_report = {
 (** [run_dpor ~max_classes cfg] explores up to [max_classes] distinct
     interleaving classes of the workload. With [stop_on_failure] the walk
     stops at the first linearizability violation. With [jobs > 1] the
-    frontier is explored speculatively on worker domains (see
+    frontier is explored speculatively on worker processes (see
     {!Dpor.explore}); the report and [progress] sequence are
     byte-identical to the serial walk. *)
 val run_dpor :

@@ -71,15 +71,13 @@ let kind_scan = 3
 
 let max_keys = 1 lsl 22
 
-(* The interning tables are process-global and shared by every fleet
-   worker domain, so all access goes through [keys_mutex]. Global (as
-   opposed to per-domain) numbering is deliberate: labels compare key
-   {e ids} for equality and the scan range check compares key {e strings}
-   (see [conflicting]), so id-equality coincides with string-equality
-   whatever order domains happen to intern keys in — the numbering order
-   never reaches any output. *)
-
-let keys_mutex = Mutex.create ()
+(* The interning tables are process-global. Numbering is global rather
+   than per history: labels compare key {e ids} for equality and the scan
+   range check compares key {e strings} (see [conflicting]), so the
+   numbering order never reaches any output. A DPOR walk that speculates
+   on fleet worker processes forks them after its root run, which has
+   interned every workload key; so a label made in one process means the
+   same keys in every other. *)
 
 let key_ids : (string, int) Hashtbl.t = Hashtbl.create 1024
 
@@ -88,34 +86,23 @@ let key_names = ref (Array.make 1024 "")
 let n_keys = ref 0
 
 let key_id key =
-  Mutex.lock keys_mutex;
-  let i =
-    match Hashtbl.find_opt key_ids key with
-    | Some i -> i
-    | None ->
-        let i = !n_keys in
-        if i >= max_keys then begin
-          Mutex.unlock keys_mutex;
-          failwith "History: key-label space exhausted (2^22 distinct keys)"
-        end;
-        if i >= Array.length !key_names then begin
-          let bigger = Array.make (2 * Array.length !key_names) "" in
-          Array.blit !key_names 0 bigger 0 i;
-          key_names := bigger
-        end;
-        !key_names.(i) <- key;
-        Hashtbl.add key_ids key i;
-        n_keys := i + 1;
-        i
-  in
-  Mutex.unlock keys_mutex;
-  i
+  match Hashtbl.find_opt key_ids key with
+  | Some i -> i
+  | None ->
+      let i = !n_keys in
+      if i >= max_keys then
+        failwith "History: key-label space exhausted (2^22 distinct keys)";
+      if i >= Array.length !key_names then begin
+        let bigger = Array.make (2 * Array.length !key_names) "" in
+        Array.blit !key_names 0 bigger 0 i;
+        key_names := bigger
+      end;
+      !key_names.(i) <- key;
+      Hashtbl.add key_ids key i;
+      n_keys := i + 1;
+      i
 
-let key_of_id i =
-  Mutex.lock keys_mutex;
-  let name = !key_names.(i) in
-  Mutex.unlock keys_mutex;
-  name
+let key_of_id i = !key_names.(i)
 
 (* Layout: bits 0-1 kind, bits 2-12 tid+1 (11 bits), bits 13-34 key id,
    bit 35 multi-key batch. The tid field holds tid+1 so an all-zero label

@@ -21,8 +21,9 @@ let jobs =
         value & opt int 1
         & info [ "jobs"; "j" ] ~docv:"N"
             ~doc:
-              "Worker domains running independent simulations. Output is \
-               byte-identical for any $(docv); $(b,0) means one per core."))
+              "Worker processes running independent simulations. Output \
+               is byte-identical for any $(docv); $(b,1) forks nothing; \
+               $(b,0) means one per core."))
 
 let gc_tune =
   let apply on = if on then Prism_harness.Setup.gc_tune () in

@@ -16,7 +16,7 @@ val quick : doc:string -> bool Term.t
 (** [--seed SEED], defaulting to the given value. *)
 val seed : int64 -> int64 Term.t
 
-(** [--jobs N] / [-j N] worker domains, already resolved: [0] means
+(** [--jobs N] / [-j N] worker processes, already resolved: [0] means
     {!Prism_fleet.Fleet.default_jobs}, anything else is at least 1.
     Every consumer merges by job id, so output never depends on it. *)
 val jobs : int Term.t

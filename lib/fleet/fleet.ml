@@ -1,241 +1,246 @@
-(* Work-stealing fleet over OCaml 5 domains.
+(* Fleet over forked worker processes.
 
-   Jobs here are coarse — whole deterministic simulations, milliseconds
-   to seconds each — so the scheduler is deliberately simple: one pool
-   lock guarding per-worker deques plus every future's state. At this
-   granularity the lock is touched a handful of times per job and can
-   never become the bottleneck, and a single lock makes the state
-   machine easy to reason about (every [st] transition happens under
-   it, so workers, stealers and a claiming coordinator can never run
-   the same job twice).
+   The coordinator owns every decision: it keeps the request queue and
+   hands the next request to whichever worker is idle, so each worker
+   has at most one request outstanding and one answer to send. That is
+   what lets [receive] [select] on the busy workers' answer pipes and
+   then read one whole message from each ready one.
 
-   Determinism does not come from the scheduler at all: results land in
-   slots indexed by job id ([map]) and failures re-raise smallest-id
-   first, so merged output is a pure function of the job function —
-   byte-identical for any worker count or completion interleaving. *)
+   Determinism does not come from the dispatch at all: results are
+   looked up by ticket and [farm] raises the smallest failing id, so
+   merged output is a pure function of the job function. *)
 
-type 'a state =
-  | Pending of (unit -> 'a)
-  | Running
-  | Done of 'a
-  | Failed of exn * Printexc.raw_backtrace
+(* A job's exception, as the worker reported it. [Failure] keeps its
+   message, so a coordinator handler that matches [Failure _] still
+   does; anything else keeps only its text. *)
+type failure = Failed of string | Raised of string
 
-type 'a future = {
-  mutable st : 'a state; (* guarded by [fm] *)
-  fm : Mutex.t; (* the owning pool's lock *)
-  fsettled : Condition.t; (* the owning pool's settled condvar *)
+exception Remote of string
+
+let () = Printexc.register_printer (function Remote s -> Some s | _ -> None)
+
+let rebuild = function Failed msg -> Failure msg | Raised text -> Remote text
+
+type 'res answer = {
+  minor_words : int;
+  minor_collections : int;
+  major_collections : int;
+  outcome : ('res, failure) result;
 }
 
-type task = Task : 'a future -> task
+type worker = {
+  mutable pid : int;  (* 0 once reaped *)
+  requests : out_channel;
+  answers : in_channel;
+  mutable job : int;  (* ticket in flight; -1 when idle *)
+}
 
-type pool = {
-  lanes : int; (* calling domain + workers; 1 = serial *)
-  m : Mutex.t;
-  work : Condition.t; (* new task enqueued, or shutdown *)
-  settled : Condition.t; (* some future reached Done/Failed *)
-  deques : task Queue.t array; (* one per worker domain *)
-  mutable rr : int; (* round-robin placement cursor *)
-  mutable live : bool;
-  mutable domains : unit Domain.t array;
+type ('req, 'res) t = {
+  mutable workers : worker array;
+  queue : (int * 'req) Queue.t;
+  settled : (int, ('res, exn) result) Hashtbl.t;
+  dropped : (int, unit) Hashtbl.t;
+  mutable next : int;
 }
 
 let max_jobs = 64
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let jobs pool = pool.lanes
-
-(* Run a job body to a settled state. Never called under the lock. *)
-let settle f =
-  match f () with
-  | v -> Done v
-  | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-
-(* Execute a task if it is still unclaimed. [flush_gc] is set on worker
-   lanes: OCaml 5 minor-GC counters are per-domain and a joined domain's
-   words are never folded into the coordinator's counter, so each worker
-   pushes its allocation delta into the process-wide accumulator after
-   every job (collections are left to [Gc.quick_stat], which absorbs
-   terminated domains on its own — flushing them too would double
-   count). *)
-let execute ~flush_gc (Task fu) =
-  Mutex.lock fu.fm;
-  match fu.st with
-  | Pending f ->
-      fu.st <- Running;
-      Mutex.unlock fu.fm;
-      let w0 = if flush_gc then Gc.minor_words () else 0.0 in
-      let st = settle f in
-      if flush_gc then
-        Prism_sim.Stats.note_foreign_gc
-          ~minor_words:(int_of_float (Gc.minor_words () -. w0))
-          ~minor_collections:0 ~major_collections:0;
-      Mutex.lock fu.fm;
-      fu.st <- st;
-      Condition.broadcast fu.fsettled;
-      Mutex.unlock fu.fm
-  | _ ->
-      (* Claimed from the deque by an awaiting coordinator (or already
-         settled): nothing to do — deque entries are droppable because
-         claiming goes through [st], never through the deque. *)
-      Mutex.unlock fu.fm
-
-(* Take a task under the lock: own deque first, then sweep the others
-   (the steal). Coarse jobs make the choice of steal end cosmetic. *)
-let find_task pool wid =
-  let nw = Array.length pool.deques in
-  let rec scan k =
-    if k >= nw then None
-    else begin
-      let q = pool.deques.((wid + k) mod nw) in
-      if Queue.is_empty q then scan (k + 1) else Some (Queue.pop q)
-    end
-  in
-  scan 0
-
-let worker pool wid () =
+(* The worker's loop: one answer per request until the coordinator
+   closes the request pipe. An answer that cannot be marshalled (it
+   holds a closure) turns into its job's failure. *)
+let serve f requests answers =
   let rec loop () =
-    Mutex.lock pool.m;
-    match find_task pool wid with
-    | Some t ->
-        Mutex.unlock pool.m;
-        execute ~flush_gc:true t;
+    match Marshal.from_channel requests with
+    | exception End_of_file -> ()
+    | req ->
+        (* [quick_stat]'s word count lags to the last minor collection;
+           [Gc.minor_words] does not. *)
+        let w0 = Gc.minor_words () and g0 = Gc.quick_stat () in
+        let outcome =
+          match f req with
+          | v -> Ok v
+          | exception Failure msg -> Error (Failed msg)
+          | exception e -> Error (Raised (Printexc.to_string e))
+        in
+        (* Empty the minor heap, so the next job allocates over the same
+           pages. The child shares the coordinator's pages copy-on-write,
+           and each first write to one is a page fault and a copy; without
+           this, every job faults on fresh pages until the worker has
+           cycled through its whole minor heap (16 MB under --gc-tune). *)
+        Gc.minor ();
+        let w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
+        let answer outcome =
+          Marshal.to_string
+            {
+              minor_words = int_of_float (w1 -. w0);
+              minor_collections = g1.minor_collections - g0.minor_collections;
+              major_collections = g1.major_collections - g0.major_collections;
+              outcome;
+            }
+            []
+        in
+        let bytes =
+          try answer outcome
+          with e -> answer (Error (Raised (Printexc.to_string e)))
+        in
+        output_string answers bytes;
+        flush answers;
         loop ()
-    | None ->
-        if pool.live then begin
-          Condition.wait pool.work pool.m;
-          Mutex.unlock pool.m;
-          loop ()
-        end
-        else Mutex.unlock pool.m
-        (* drained and shut down: exit *)
   in
-  loop ()
+  Unix._exit (try loop (); 0 with _ -> 2)
 
-let create ~jobs =
-  let lanes = if jobs < 1 then 1 else if jobs > max_jobs then max_jobs else jobs in
-  let pool =
+(* Fork one worker. The child closes the coordinator's ends of the
+   workers forked before it: a copy of another worker's request pipe
+   left open would keep that worker from ever seeing end of file. *)
+let fork_worker f earlier =
+  let req_r, req_w = Unix.pipe () in
+  let ans_r, ans_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Array.iter
+        (fun w ->
+          Unix.close (Unix.descr_of_out_channel w.requests);
+          Unix.close (Unix.descr_of_in_channel w.answers))
+        earlier;
+      Unix.close req_w;
+      Unix.close ans_r;
+      serve f (Unix.in_channel_of_descr req_r) (Unix.out_channel_of_descr ans_w)
+  | pid ->
+      Unix.close req_r;
+      Unix.close ans_w;
+      {
+        pid;
+        requests = Unix.out_channel_of_descr req_w;
+        answers = Unix.in_channel_of_descr ans_r;
+        job = -1;
+      }
+
+let reap w =
+  if w.pid > 0 then begin
+    ignore (Unix.waitpid [] w.pid);
+    w.pid <- 0
+  end
+
+(* Stop every worker: closing a request pipe ends an idle worker's
+   loop; one still busy is running a dropped job and is killed. All are
+   told before any is reaped, so they tear down side by side. *)
+let stop t =
+  Array.iter
+    (fun w ->
+      close_out_noerr w.requests;
+      if w.pid > 0 && w.job >= 0 then Unix.kill w.pid Sys.sigkill;
+      close_in_noerr w.answers)
+    t.workers;
+  Array.iter reap t.workers
+
+let with_workers ~jobs f body =
+  (* Buffered output would otherwise sit in every child too. *)
+  flush stdout;
+  flush stderr;
+  (* Start the workers at the end of a major cycle: a child that inherits
+     one half done finishes it over the coordinator's whole heap, which
+     it shares copy-on-write, so every page the collector writes is a
+     fault and a copy. *)
+  Gc.full_major ();
+  let t =
     {
-      lanes;
-      m = Mutex.create ();
-      work = Condition.create ();
-      settled = Condition.create ();
-      deques = Array.init (lanes - 1) (fun _ -> Queue.create ());
-      rr = 0;
-      live = true;
-      domains = [||];
+      workers = [||];
+      queue = Queue.create ();
+      settled = Hashtbl.create 16;
+      dropped = Hashtbl.create 16;
+      next = 0;
     }
   in
-  if lanes > 1 then
-    pool.domains <- Array.init (lanes - 1) (fun wid -> Domain.spawn (worker pool wid));
-  pool
+  Fun.protect
+    ~finally:(fun () -> stop t)
+    (fun () ->
+      for _ = 1 to max 1 (min jobs max_jobs) do
+        t.workers <- Array.append t.workers [| fork_worker f t.workers |]
+      done;
+      body t)
 
-let submit pool f =
-  if pool.lanes <= 1 then
-    (* Serial pool: run inline — the exact code path a serial caller
-       would execute, in the exact order of submission. *)
-    { st = settle f; fm = pool.m; fsettled = pool.settled }
-  else begin
-    let fu = { st = Pending f; fm = pool.m; fsettled = pool.settled } in
-    Mutex.lock pool.m;
-    let nw = Array.length pool.deques in
-    Queue.add (Task fu) pool.deques.(pool.rr mod nw);
-    pool.rr <- pool.rr + 1;
-    Condition.signal pool.work;
-    Mutex.unlock pool.m;
-    fu
-  end
+(* Hand queued requests to idle workers, skipping dropped tickets. *)
+let dispatch t =
+  Array.iter
+    (fun w ->
+      let rec next () =
+        match Queue.take_opt t.queue with
+        | None -> ()
+        | Some (ticket, _) when Hashtbl.mem t.dropped ticket ->
+            Hashtbl.remove t.dropped ticket;
+            next ()
+        | Some (ticket, req) ->
+            w.job <- ticket;
+            Marshal.to_channel w.requests req [];
+            flush w.requests
+      in
+      if w.job < 0 then next ())
+    t.workers
 
-let await_result pool fu =
-  Mutex.lock fu.fm;
-  let rec loop () =
-    match fu.st with
-    | Done v -> Ok v
-    | Failed (e, bt) -> Error (e, bt)
-    | Pending f ->
-        (* Claim and help rather than block: the coordinator awaiting in
-           job-id order keeps making progress even when every worker is
-           busy, and the claim-through-[st] protocol means the deque
-           entry left behind is inert. *)
-        fu.st <- Running;
-        Mutex.unlock fu.fm;
-        let st = settle f in
-        Mutex.lock fu.fm;
-        fu.st <- st;
-        Condition.broadcast fu.fsettled;
-        loop ()
-    | Running ->
-        Condition.wait fu.fsettled fu.fm;
-        loop ()
-  in
-  let r = loop () in
-  Mutex.unlock fu.fm;
-  ignore pool;
-  r
+let submit t req =
+  let ticket = t.next in
+  t.next <- ticket + 1;
+  Queue.push (ticket, req) t.queue;
+  dispatch t;
+  ticket
 
-let await pool fu =
-  match await_result pool fu with
-  | Ok v -> v
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+let describe = function
+  | Unix.WSIGNALED s when s = Sys.sigkill -> "was killed by SIGKILL"
+  | Unix.WSIGNALED s -> Printf.sprintf "was killed by signal %d" s
+  | Unix.WEXITED c | Unix.WSTOPPED c -> Printf.sprintf "exited (status %d)" c
 
-let peek fu =
-  Mutex.lock fu.fm;
-  let r =
-    match fu.st with
-    | Done v -> Some (Ok v)
-    | Failed (e, bt) -> Some (Error (e, bt))
-    | Pending _ | Running -> None
-  in
-  Mutex.unlock fu.fm;
-  r
+(* Read one answer from every busy worker that has one ready. *)
+let receive t =
+  let fd w = Unix.descr_of_in_channel w.answers in
+  let busy = List.filter (fun w -> w.job >= 0) (Array.to_list t.workers) in
+  if busy = [] then invalid_arg "Fleet.await: no such ticket in flight";
+  let ready, _, _ = Unix.select (List.map fd busy) [] [] (-1.0) in
+  List.iter
+    (fun w ->
+      if List.mem (fd w) ready then begin
+        let ticket = w.job in
+        match (Marshal.from_channel w.answers : _ answer) with
+        | exception (End_of_file | Failure _) ->
+            let _, status = Unix.waitpid [] w.pid in
+            w.pid <- 0;
+            failwith
+              (Printf.sprintf "Fleet: the worker running job %d %s" ticket
+                 (describe status))
+        | a ->
+            w.job <- -1;
+            Prism_sim.Stats.note_foreign_gc ~minor_words:a.minor_words
+              ~minor_collections:a.minor_collections
+              ~major_collections:a.major_collections;
+            if Hashtbl.mem t.dropped ticket then Hashtbl.remove t.dropped ticket
+            else
+              Hashtbl.replace t.settled ticket
+                (Result.map_error rebuild a.outcome)
+      end)
+    busy
 
-let map pool n f =
-  if n <= 0 then [||]
-  else if pool.lanes <= 1 || n = 1 then begin
-    (* Serial: inline, ascending — byte-for-byte the serial behaviour. *)
-    let r0 = f 0 in
-    let r = Array.make n r0 in
-    for i = 1 to n - 1 do
-      r.(i) <- f i
-    done;
-    r
-  end
-  else begin
-    let rec submit_all i acc =
-      if i >= n then List.rev acc
-      else submit_all (i + 1) (submit pool (fun () -> f i) :: acc)
-    in
-    let futs = Array.of_list (submit_all 0 []) in
-    (* Collect in job-id order (helping inline when a job is unclaimed),
-       then merge: results land in their id's slot, and if anything
-       failed the smallest failing id's exception is re-raised — both
-       independent of completion interleaving. *)
-    let results = Array.map (fun fu -> await_result pool fu) futs in
-    Array.iter
-      (function
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Ok _ -> ())
-      results;
-    Array.map (function Ok v -> v | Error _ -> assert false) results
-  end
+let rec await_result t ticket =
+  match Hashtbl.find_opt t.settled ticket with
+  | Some r ->
+      Hashtbl.remove t.settled ticket;
+      r
+  | None ->
+      dispatch t;
+      receive t;
+      await_result t ticket
 
-let shutdown pool =
-  if pool.lanes > 1 then begin
-    Mutex.lock pool.m;
-    if pool.live then begin
-      pool.live <- false;
-      Condition.broadcast pool.work;
-      Mutex.unlock pool.m;
-      (* Workers drain their deques before exiting, so outstanding
-         submitted work still completes. *)
-      Array.iter Domain.join pool.domains;
-      pool.domains <- [||]
-    end
-    else Mutex.unlock pool.m
-  end
+let await t ticket =
+  match await_result t ticket with Ok v -> v | Error e -> raise e
 
-let with_pool ~jobs f =
-  let pool = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+let drop t ticket =
+  if Hashtbl.mem t.settled ticket then Hashtbl.remove t.settled ticket
+  else Hashtbl.replace t.dropped ticket ()
 
-let farm ~jobs n f = with_pool ~jobs:(min jobs n) (fun pool -> map pool n f)
+let farm ~jobs n f =
+  if jobs <= 1 || n <= 1 then Array.init n f
+  else
+    with_workers ~jobs:(min jobs n) f (fun t ->
+        let tickets = Array.init n (submit t) in
+        Array.map (await_result t) tickets
+        |> Array.map (function Ok v -> v | Error e -> raise e))

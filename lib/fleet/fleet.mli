@@ -1,85 +1,66 @@
-(** Work-stealing runner for independent deterministic simulations.
+(** Independent deterministic simulations farmed out to forked worker
+    processes.
 
-    A pool farms pure jobs out to OCaml 5 worker domains. Jobs are
-    coarse — whole simulation runs (a crash boundary, a sweep cell, a
-    DPOR class execution), milliseconds to seconds each — so the
-    scheduler optimises for simplicity and determinism rather than
-    fine-grained throughput: per-worker deques with stealing, one pool
-    lock, and results merged by job id.
+    Jobs are coarse — whole simulation runs (a crash point, a sweep
+    cell, a DPOR class execution), milliseconds to seconds each — and
+    share nothing, so each runs in a worker process of its own heap and
+    its own GC. The coordinator forks the workers once, after it has
+    built whatever state the job function reads; a worker then applies
+    that function to each request value the coordinator sends it over a
+    pipe and answers with the result, [Marshal]led without the
+    [Closures] flag: a result that holds a closure fails its job.
+    Dispatch is dynamic: an idle worker gets the next queued request.
 
-    Determinism contract: {!map} returns results indexed by job id, so
+    Determinism contract: {!farm} returns results indexed by job id, so
     the merged output is a pure function of the job function alone —
-    byte-identical whatever the worker count or completion interleaving.
-    The scheduler decides only {e where} and {e when} a job runs, never
-    what is returned where. Exceptions are part of the contract too: if
-    any job raises, {!map} re-raises the failure of the {e smallest}
-    failing job id (after every job has settled), so failure behaviour
-    does not depend on scheduling either.
+    byte-identical whatever the worker count or completion order. If
+    jobs fail, the failure of the {e smallest} failing id is raised. A
+    worker's exception cannot cross the pipe as a value, so it is
+    rebuilt: [Failure msg] stays [Failure msg], and any other exception
+    prints as the worker printed it.
 
-    Jobs must be domain-safe: each job builds its own engine/store from
-    its spec and shares nothing mutable with other jobs. The simulation
-    stack holds to that discipline ([Engine.current] is domain-local;
-    the few process-global tables — history key interning, sstable ids —
-    are internally synchronised).
+    Each answer carries the worker's minor words and minor and major
+    collections for that job, which go into
+    {!Prism_sim.Stats.note_foreign_gc}, so the coordinator's process GC
+    gauges count the whole fleet.
 
-    Workers flush their minor-allocation deltas to
-    {!Prism_sim.Stats.note_foreign_gc} after every job, so process GC
-    gauges sampled from the coordinator stay meaningful under OCaml 5's
-    per-domain counters. *)
+    Workers exit through [Unix._exit], so they never flush output
+    buffers inherited from the coordinator, and every worker is reaped
+    before {!with_workers} or {!farm} returns, normally or not. A worker
+    that dies (a signal, an abort) fails the call with a message naming
+    the job it was running. *)
 
-type pool
+(** Workers applying a fixed ['req -> 'res]. *)
+type ('req, 'res) t
 
-(** [create ~jobs] makes a pool of [jobs] lanes: the calling domain plus
-    [jobs - 1] spawned worker domains. [jobs <= 1] spawns nothing and
-    every operation degenerates to inline serial execution (the exact
-    code path a serial caller would run). [jobs] is clamped to 64. *)
-val create : jobs:int -> pool
-
-(** Lanes in the pool (1 means serial). *)
-val jobs : pool -> int
-
-(** [Domain.recommended_domain_count ()] — the sensible [~jobs] value
-    for "use the whole machine". *)
+(** [Domain.recommended_domain_count ()]: the host's CPU count, the
+    sensible [~jobs] for "use the whole machine". *)
 val default_jobs : unit -> int
 
-(** [map pool n f] computes [| f 0; f 1; ...; f (n-1) |]. With a serial
-    pool (or [n <= 1]) the calls happen inline in ascending order;
-    otherwise jobs are distributed round-robin over worker deques,
-    stolen by idle workers, and the calling domain both helps execute
-    and collects. The result array is always indexed by job id. If any
-    [f i] raises, the exception of the smallest failing [i] is re-raised
-    (with its backtrace) after all jobs settle. *)
-val map : pool -> int -> (int -> 'a) -> 'a array
+(** [with_workers ~jobs f body] forks [jobs] workers (clamped to
+    [1..64]) that each apply [f], runs [body] on them, then stops and
+    reaps them, also when [body] raises. A worker still running a job
+    at that point (a dropped speculation) is killed. *)
+val with_workers :
+  jobs:int -> ('req -> 'res) -> (('req, 'res) t -> 'a) -> 'a
 
-(** A single in-flight job (see {!submit}/{!await}). *)
-type 'a future
+(** [submit t req] queues [f req] and returns its ticket. Tickets count
+    up from 0 in submission order. *)
+val submit : ('req, 'res) t -> 'req -> int
 
-(** [submit pool f] enqueues [f] for execution by some worker lane and
-    returns immediately. With a serial pool, [f] runs inline before
-    [submit] returns. *)
-val submit : pool -> (unit -> 'a) -> 'a future
+(** [await t ticket] waits for the answer to [ticket], collecting any
+    other answer that arrives first and keeping every worker busy while
+    work is queued. Raises the job's rebuilt exception if it failed.
+    Each ticket is awaited at most once. *)
+val await : ('req, 'res) t -> int -> 'res
 
-(** [await pool fu] returns [fu]'s result, re-raising its exception
-    (with backtrace) if it failed. If the job has not started yet, the
-    calling domain claims and runs it inline rather than blocking — so
-    a coordinator that awaits in a fixed order makes progress even when
-    every worker is busy. *)
-val await : pool -> 'a future -> 'a
+(** [drop t ticket] gives up on [ticket]: a queued request is never
+    sent, and an answer already on its way is read and discarded. *)
+val drop : ('req, 'res) t -> int -> unit
 
-(** [peek fu] is [Some result] if the job has settled, [None] while it
-    is pending or running. Never blocks and never claims the job. *)
-val peek : 'a future -> ('a, exn * Printexc.raw_backtrace) result option
-
-(** [shutdown pool] stops the workers and joins their domains.
-    Outstanding futures are completed first ({!await} them beforehand if
-    order matters to you). Idempotent. *)
-val shutdown : pool -> unit
-
-(** [with_pool ~jobs f] runs [f] over a fresh pool and always shuts it
-    down, including on exception. *)
-val with_pool : jobs:int -> (pool -> 'a) -> 'a
-
-(** [farm ~jobs n f] is {!map} of [f] over [n] jobs on a pool of at most
-    [jobs] lanes (never more lanes than jobs), created and shut down
-    around the call. *)
+(** [farm ~jobs n f] is [[| f 0; ...; f (n-1) |]]. With [jobs <= 1] or
+    [n <= 1] the calls run inline in ascending order and nothing is
+    forked; otherwise on [min jobs n] workers. If any [f i] raises, the
+    exception of the smallest failing [i] is raised (on workers, after
+    every job has settled). *)
 val farm : jobs:int -> int -> (int -> 'a) -> 'a array

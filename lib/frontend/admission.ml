@@ -28,8 +28,10 @@ let of_string ~capacity ~servers s =
      budgets are multiples of [servers] and delay budgets multiples of
      the slot. *)
   let slot = float_of_int servers /. Float.max 1.0 capacity in
+  (* Parameters split on ':', never ',': a comma separates the policies
+     of a list such as [sweep --policies]. *)
   let split_params v =
-    String.split_on_char ',' v |> List.map float_of_string_opt
+    String.split_on_char ':' v |> List.map float_of_string_opt
   in
   match String.split_on_char '=' (String.lowercase_ascii (String.trim s)) with
   | [ "unbounded" ] -> Ok Unbounded
@@ -55,18 +57,18 @@ let of_string ~capacity ~servers s =
                { rate; burst = Float.max 8.0 (float_of_int (2 * servers)) })
       | [ Some rate; Some burst ] when rate > 0.0 && burst >= 1.0 ->
           Ok (Token_bucket { rate; burst })
-      | _ -> Error (Printf.sprintf "token-bucket=%s: RATE or RATE,BURST expected" v))
+      | _ -> Error (Printf.sprintf "token-bucket=%s: RATE or RATE:BURST expected" v))
   | [ "codel" ] -> Ok (Codel { target = 5.0 *. slot; interval = 20.0 *. slot })
   | [ "codel"; v ] -> (
       match split_params v with
       | [ Some target_us; Some interval_us ] when target_us > 0.0 && interval_us > 0.0 ->
           Ok (Codel { target = target_us *. 1e-6; interval = interval_us *. 1e-6 })
-      | _ -> Error (Printf.sprintf "codel=%s: TARGET_US,INTERVAL_US expected" v))
+      | _ -> Error (Printf.sprintf "codel=%s: TARGET_US:INTERVAL_US expected" v))
   | _ ->
       Error
         (Printf.sprintf
-           "unknown policy %S (unbounded | bounded[=N] | token-bucket[=RATE[,BURST]] \
-            | codel[=TARGET_US,INTERVAL_US])"
+           "unknown policy %S (unbounded | bounded[=N] | token-bucket[=RATE[:BURST]] \
+            | codel[=TARGET_US:INTERVAL_US])"
            s)
 
 type state =

@@ -45,9 +45,12 @@ val describe : spec -> string
     - ["bounded"] (bound = 25 x servers, >= 16 — about 25 slots of
       queueing delay) or ["bounded=N"]
     - ["token-bucket"] (rate = 0.95 x capacity, burst = 2 x servers)
-      or ["token-bucket=RATE"] / ["token-bucket=RATE,BURST"]
+      or ["token-bucket=RATE"] / ["token-bucket=RATE:BURST"]
     - ["codel"] (target = 5 slots, interval = 20 slots) or
-      ["codel=TARGET_US,INTERVAL_US"] *)
+      ["codel=TARGET_US:INTERVAL_US"]
+
+    Parameters are separated by [':'], so a comma-separated list of
+    policies can carry them. *)
 val of_string :
   capacity:float -> servers:int -> string -> (spec, string) result
 

@@ -47,7 +47,8 @@ val run :
 
     A cell is one whole simulation declared as data: a fresh engine, the
     store [make] builds on it, {!load}, then [phases] in order. Cells
-    share nothing, so a set of them can be farmed across domains. *)
+    share nothing, so a set of them can be farmed to worker processes;
+    a farmed cell's readings must then be plain data (no closures). *)
 
 (** What a [Read] sees: the engine, the instrumented store and, when
     [make] returned it, the Prism store behind it. *)

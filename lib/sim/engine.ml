@@ -61,11 +61,8 @@ type _ Effect.t +=
 (* The engine of the currently-running process. [run] sets it for the whole
    event loop (events only ever execute inside their own engine's loop), so
    [delay]/[suspend] can find their engine without every call site threading
-   it explicitly — and without a save/restore per event. Domain-local so
-   fleet workers can each drive their own engine concurrently: effects are
-   handled in the domain that performed them, so the binding never needs to
-   cross domains. *)
-let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+   it explicitly — and without a save/restore per event. *)
+let running : t option ref = ref None
 
 let create () =
   {
@@ -268,10 +265,10 @@ let pop_tie_set t =
 let run ?(until = infinity) t =
   t.stopped <- false;
   Array.unsafe_set t.clock 1 until;
-  let saved = Domain.DLS.get current_key in
-  Domain.DLS.set current_key (Some t);
+  let saved = !running in
+  running := Some t;
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set current_key saved)
+    ~finally:(fun () -> running := saved)
     (fun () ->
       let continue_running = ref true in
       while !continue_running && not t.stopped do
@@ -309,7 +306,7 @@ let stop t = t.stopped <- true
 let clear_pending t = Heap.clear t.events
 
 let current_engine () =
-  match Domain.DLS.get current_key with
+  match !running with
   | Some t -> t
   | None -> invalid_arg "Engine: not inside a simulation process"
 

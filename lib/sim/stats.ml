@@ -69,47 +69,31 @@ let gauge_float t name f = gauge t name (fun () -> Float (f ()))
    [Gc.quick_stat] never triggers a collection and never touches the
    event queue, so the determinism invariant holds.
 
-   OCaml 5 semantics (measured on 5.1.1): [Gc.minor_words ()] counts
-   only the calling domain — a terminated domain's words are never
-   folded into another domain's counter — while [Gc.quick_stat ()]
-   reports the current domain {e plus} already-terminated domains. So:
+   Jobs farmed to fleet worker processes allocate in their own heaps,
+   which this process's counters never see. Each answer carries its
+   job's deltas, which the fleet adds here, so the gauges count the
+   coordinator plus every job it farmed out. *)
 
-   - minor_words: gauge reads the domain-local counter plus the
-     cross-domain accumulator below; fleet workers flush their deltas
-     via [note_foreign_gc] after every job (no double count, since the
-     local counter never absorbs other domains).
-   - minor/major_collections: gauge reads [quick_stat], which absorbs
-     terminated domains by itself — workers must NOT flush collection
-     deltas for domains that will be joined, or they would be counted
-     twice. The accumulators accept them only for callers managing
-     domains that are never joined. Live unflushed workers are invisible
-     until their next flush; that slack is documented, not corrected. *)
-
-let foreign_minor_words = Atomic.make 0
-let foreign_minor_collections = Atomic.make 0
-let foreign_major_collections = Atomic.make 0
+let foreign_minor_words = ref 0
+let foreign_minor_collections = ref 0
+let foreign_major_collections = ref 0
 
 let note_foreign_gc ~minor_words ~minor_collections ~major_collections =
-  if minor_words > 0 then
-    ignore (Atomic.fetch_and_add foreign_minor_words minor_words);
-  if minor_collections > 0 then
-    ignore (Atomic.fetch_and_add foreign_minor_collections minor_collections);
-  if major_collections > 0 then
-    ignore (Atomic.fetch_and_add foreign_major_collections major_collections)
-
-let foreign_gc_words () = Atomic.get foreign_minor_words
+  foreign_minor_words := !foreign_minor_words + max 0 minor_words;
+  foreign_minor_collections :=
+    !foreign_minor_collections + max 0 minor_collections;
+  foreign_major_collections :=
+    !foreign_major_collections + max 0 major_collections
 
 let register_gc t =
   gauge_float t "process.gc.minor_words" (fun () ->
-      Gc.minor_words () +. float_of_int (Atomic.get foreign_minor_words));
+      Gc.minor_words () +. float_of_int !foreign_minor_words);
   gauge_int t "process.gc.minor_collections" (fun () ->
-      (Gc.quick_stat ()).Gc.minor_collections
-      + Atomic.get foreign_minor_collections);
+      (Gc.quick_stat ()).Gc.minor_collections + !foreign_minor_collections);
   gauge_int t "process.gc.major_collections" (fun () ->
-      (Gc.quick_stat ()).Gc.major_collections
-      + Atomic.get foreign_major_collections);
-  (* [heap_words] is a view of the major heap, which OCaml 5 domains
-     share — no foreign correction needed (or possible). *)
+      (Gc.quick_stat ()).Gc.major_collections + !foreign_major_collections);
+  (* The coordinator's own major heap; workers' heaps are gone by the
+     time anyone reads this. *)
   gauge_int t "process.gc.heap_words" (fun () ->
       (Gc.quick_stat ()).Gc.heap_words)
 

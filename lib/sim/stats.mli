@@ -54,30 +54,16 @@ val gauge_float : t -> string -> (unit -> float) -> unit
     ["process.gc.major_collections"] and ["process.gc.heap_words"], so
     JSON exports record the run's real allocation behaviour alongside the
     virtual-time metrics. Reads [Gc.quick_stat] at snapshot time only.
-
-    OCaml 5: [Gc.minor_words] is per-domain and never absorbs other
-    domains (not even joined ones), so that gauge reports the sampling
-    domain's own words {e plus} whatever workers have flushed via
-    {!note_foreign_gc} (fleet workers flush after each job). The
-    collection-count gauges read [Gc.quick_stat], which does absorb
-    terminated domains on its own. [heap_words] is the shared major heap
-    and needs no correction. *)
+    The first three add whatever {!note_foreign_gc} has collected from
+    fleet worker processes; [heap_words] is this process's heap alone. *)
 val register_gc : t -> unit
 
 (** [note_foreign_gc ~minor_words ~minor_collections ~major_collections]
-    adds a worker domain's GC deltas to the process-wide accumulators
-    behind {!register_gc}'s gauges. Thread-safe; negative or zero deltas
-    are ignored. Call from the domain that allocated, with deltas since
-    its last flush ([minor_words] rounded to whole words). Pass [0] for
-    the collection counts if the domain will eventually be joined —
-    [Gc.quick_stat] absorbs a terminated domain's collections by itself,
-    so flushing them too would double-count. *)
+    adds a fleet job's GC deltas, measured in the worker process that ran
+    it, to the accumulators behind {!register_gc}'s gauges. Negative
+    deltas count as zero. *)
 val note_foreign_gc :
   minor_words:int -> minor_collections:int -> major_collections:int -> unit
-
-(** Total foreign minor words flushed so far (for tests/diagnostics). Only
-    [test_fleet] "worker flush reaches gauges" calls it. *)
-val foreign_gc_words : unit -> int
 
 (** [histogram t name] get-or-creates a histogram (see {!counter} for
     sharing semantics).

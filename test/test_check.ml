@@ -1581,10 +1581,9 @@ let test_dpor_mispredict_tail_deterministic () =
   let walk jobs =
     let commits = ref [] in
     let report =
-      Prism_fleet.Fleet.with_pool ~jobs (fun pool ->
-          Dpor.explore ~pool
-            ~on_commit:(fun ~run:r result -> commits := (r, result) :: !commits)
-            ~max_classes:20 ~dependent:History.conflicting run)
+      Dpor.explore ~jobs
+        ~on_commit:(fun ~run:r result -> commits := (r, result) :: !commits)
+        ~max_classes:20 ~dependent:History.conflicting run
     in
     (report, List.rev !commits)
   in

@@ -1,31 +1,37 @@
-(* Tests for the domain fleet: merge determinism under arbitrary worker
-   counts and completion interleavings, failure ordering, the
-   coordinator-helps protocol, and the OCaml 5 GC-gauge aggregation the
-   fleet relies on. *)
+(* Tests for the process fleet: merge determinism under any worker count
+   and completion order, failure ordering and failure paths (a failing
+   job, a killed worker, an unmarshalable result), dropped requests,
+   worker GC accounting, and that every worker is reaped. *)
 
 open Helpers
 open Prism_fleet
 
-(* ---- map: id-indexed merge ---- *)
+(* Every farm and walk reaps its workers before returning. *)
+let check_reaped what =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "%s: child %d left unreaped" what pid
+
+(* ---- farm: id-indexed merge ---- *)
 
 let test_map_serial_order () =
-  let pool = Fleet.create ~jobs:1 in
+  (* [trace] is the coordinator's: jobs that ran in a forked worker
+     would leave it empty. *)
   let trace = ref [] in
   let r =
-    Fleet.map pool 8 (fun i ->
+    Fleet.farm ~jobs:1 8 (fun i ->
         trace := i :: !trace;
         i * i)
   in
-  Fleet.shutdown pool;
   Alcotest.(check (array int)) "results by id"
     (Array.init 8 (fun i -> i * i))
     r;
-  Alcotest.(check (list int)) "serial pool runs inline, ascending"
+  Alcotest.(check (list int)) "jobs 1 runs inline, ascending"
     [ 0; 1; 2; 3; 4; 5; 6; 7 ] (List.rev !trace)
 
 let test_map_parallel_matches_serial () =
-  (* The job function simulates unequal work so completion order differs
-     from id order; results must still land by id. *)
+  (* Unequal work so completion order differs from id order; results
+     must still land by id. *)
   let job i =
     let acc = ref 0 in
     for k = 0 to 1000 * ((i * 7 mod 5) + 1) do
@@ -33,113 +39,124 @@ let test_map_parallel_matches_serial () =
     done;
     (i, !acc)
   in
-  let serial = Fleet.with_pool ~jobs:1 (fun p -> Fleet.map p 17 job) in
+  let serial = Fleet.farm ~jobs:1 17 job in
   List.iter
     (fun jobs ->
-      let par = Fleet.with_pool ~jobs (fun p -> Fleet.map p 17 job) in
+      let par = Fleet.farm ~jobs 17 job in
+      check_reaped (Printf.sprintf "jobs=%d" jobs);
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d matches serial" jobs)
         true (par = serial))
     [ 2; 3; 4 ]
 
 let test_map_empty_and_single () =
-  Fleet.with_pool ~jobs:4 (fun p ->
-      Alcotest.(check (array int)) "n=0" [||] (Fleet.map p 0 (fun i -> i));
-      Alcotest.(check (array int)) "n=1" [| 42 |]
-        (Fleet.map p 1 (fun _ -> 42)))
+  Alcotest.(check (array int)) "n=0" [||] (Fleet.farm ~jobs:4 0 (fun i -> i));
+  Alcotest.(check (array int)) "n=1" [| 42 |] (Fleet.farm ~jobs:4 1 (fun _ -> 42))
 
 exception Boom of int
 
 let test_map_failure_smallest_id () =
-  (* Jobs 2 and 5 fail; whatever the interleaving, the reported failure
-     must be job 2's. *)
+  (* Jobs 2 and 5 fail; whatever the completion order, the reported
+     failure is job 2's, with the text a serial run gives it. *)
+  let failure jobs f =
+    match Fleet.farm ~jobs 8 f with
+    | _ -> Alcotest.fail "expected a failure"
+    | exception e ->
+        check_reaped (Printf.sprintf "jobs=%d" jobs);
+        e
+  in
   List.iter
     (fun jobs ->
       let got =
-        try
-          ignore
-            (Fleet.with_pool ~jobs (fun p ->
-                 Fleet.map p 8 (fun i ->
-                     if i = 2 || i = 5 then raise (Boom i);
-                     i)));
-          None
-        with Boom i -> Some i
+        failure jobs (fun i ->
+            if i = 2 || i = 5 then failwith (Printf.sprintf "boom %d" i);
+            i)
       in
-      Alcotest.(check (option int))
-        (Printf.sprintf "jobs=%d reports smallest failing id" jobs)
-        (Some 2) got)
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d keeps Failure, smallest id" jobs)
+        true
+        (got = Failure "boom 2");
+      let got =
+        failure jobs (fun i ->
+            if i = 2 || i = 5 then raise (Boom i);
+            i)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d prints as serial" jobs)
+        (Printexc.to_string (Boom 2))
+        (Printexc.to_string got))
     [ 1; 2; 4 ]
 
-(* ---- submit/await: coordinator helping ---- *)
+let test_killed_worker_names_job () =
+  (* A job that kills its own worker must fail the farm, naming the job,
+     rather than hang it. *)
+  List.iter
+    (fun jobs ->
+      match
+        Fleet.farm ~jobs 6 (fun i ->
+            if i = 3 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+            i)
+      with
+      | _ -> Alcotest.fail "expected a failure"
+      | exception Failure msg ->
+          check_reaped (Printf.sprintf "jobs=%d" jobs);
+          Alcotest.(check string)
+            (Printf.sprintf "jobs=%d names job 3" jobs)
+            "Fleet: the worker running job 3 was killed by SIGKILL" msg)
+    [ 2; 4 ]
 
-let test_await_helps_when_unclaimed () =
-  (* A serial-sized... rather: a 2-lane pool whose single worker is held
-     busy by a gate; awaiting an unclaimed job must run it inline on the
-     coordinator instead of deadlocking. *)
-  let gate = Atomic.make false in
-  Fleet.with_pool ~jobs:2 (fun p ->
-      let blocker =
-        Fleet.submit p (fun () ->
-            while not (Atomic.get gate) do
-              Domain.cpu_relax ()
-            done;
-            "unblocked")
-      in
-      let quick = Fleet.submit p (fun () -> Domain.self ()) in
-      (* The worker is (very likely) parked in the blocker; the await
-         below must claim [quick] and run it here. Correctness does not
-         depend on the race: whoever runs it, the result returns. *)
-      let ran_on = Fleet.await p quick in
-      Atomic.set gate true;
-      Alcotest.(check string) "blocker completes" "unblocked"
-        (Fleet.await p blocker);
-      ignore ran_on)
+let test_closure_result_fails () =
+  (* A closure cannot cross the pipe: that job fails, the coordinator
+     carries on to report it. *)
+  match
+    Fleet.farm ~jobs:2 4 (fun i -> if i = 1 then Some (fun () -> i) else None)
+  with
+  | _ -> Alcotest.fail "expected a failure"
+  | exception e ->
+      check_reaped "closure";
+      Alcotest.(check string) "marshalling error"
+        "Invalid_argument(\"output_value: functional value\")"
+        (Printexc.to_string e)
+
+(* ---- submit/await/drop ---- *)
 
 let test_await_reraises () =
-  Fleet.with_pool ~jobs:2 (fun p ->
-      let fu = Fleet.submit p (fun () -> raise (Boom 7)) in
-      match Fleet.await p fu with
-      | exception Boom 7 -> ()
-      | exception _ -> Alcotest.fail "wrong exception"
-      | _ -> Alcotest.fail "expected failure")
+  Fleet.with_workers ~jobs:2
+    (fun x -> if x = 7 then raise (Boom 7) else x)
+    (fun w ->
+      let ok = Fleet.submit w 1 in
+      let bad = Fleet.submit w 7 in
+      (match Fleet.await w bad with
+      | exception e ->
+          Alcotest.(check string) "rebuilt text" (Printexc.to_string (Boom 7))
+            (Printexc.to_string e)
+      | _ -> Alcotest.fail "expected failure");
+      Alcotest.(check int) "other ticket unaffected" 1 (Fleet.await w ok));
+  check_reaped "await"
 
-let test_peek_settles () =
-  Fleet.with_pool ~jobs:2 (fun p ->
-      let fu = Fleet.submit p (fun () -> 9) in
-      let v = Fleet.await p fu in
-      Alcotest.(check int) "await" 9 v;
-      match Fleet.peek fu with
-      | Some (Ok 9) -> ()
-      | _ -> Alcotest.fail "peek after settle")
+let test_dropped_answers_discarded () =
+  (* Dropped tickets, queued or in flight, never surface; the kept ones
+     still answer in any await order, and a walk that ends with work in
+     flight still reaps every worker. *)
+  Fleet.with_workers ~jobs:2
+    (fun x ->
+      let acc = ref 0 in
+      for k = 0 to 20_000 * x do
+        acc := !acc + (k land 7)
+      done;
+      x)
+    (fun w ->
+      let tickets = Array.init 8 (fun x -> Fleet.submit w (x + 1)) in
+      Array.iteri (fun i t -> if i mod 2 = 0 then Fleet.drop w t) tickets;
+      List.iter
+        (fun i ->
+          Alcotest.(check int) (Printf.sprintf "ticket %d" i) (i + 1)
+            (Fleet.await w tickets.(i)))
+        [ 7; 1; 5; 3 ];
+      ignore (Fleet.submit w 50));
+  check_reaped "dropped"
 
-(* ---- qcheck: merge preserves job-id order for arbitrary
-   completion interleavings ---- *)
-
-(* Model the merge discipline directly: jobs finish in an arbitrary
-   permutation (the generated interleaving), each writing to its id slot;
-   the merged output must equal the id-ordered results whatever the
-   permutation. This is the exact argument the parallel consumers lean
-   on, kept as a property so a future "optimisation" reordering the
-   merge gets caught. *)
-let test_merge_order_qcheck =
-  qcase ~count:200 "work-stealing merge is interleaving-invariant"
-    QCheck.(pair (int_bound 30) (list_of_size Gen.(return 40) small_int))
-    (fun (n, perm_seed) ->
-      let n = n + 2 in
-      (* Build a permutation of 0..n-1 from the seed list. *)
-      let order = Array.init n (fun i -> i) in
-      List.iteri
-        (fun k s ->
-          let i = k mod n and j = s mod n in
-          let t = order.(i) in
-          order.(i) <- order.(j);
-          order.(j) <- t)
-        perm_seed;
-      (* "Complete" jobs in permuted order into id slots. *)
-      let slots = Array.make n (-1) in
-      Array.iter (fun id -> slots.(id) <- id * 3) order;
-      (* Merge = read slots in id order; must be interleaving-invariant. *)
-      slots = Array.init n (fun i -> i * 3))
+(* ---- qcheck: stable merge over real workers ---- *)
 
 let test_parallel_interleaving_qcheck =
   qcase ~count:25 "real pool: varying job sizes, stable merge"
@@ -147,8 +164,7 @@ let test_parallel_interleaving_qcheck =
     (fun (jobs_minus_2, n_minus_1) ->
       let jobs = jobs_minus_2 + 2 and n = n_minus_1 + 1 in
       let job i =
-        (* Spin proportional to a pseudo-random amount so completion
-           order varies run to run. *)
+        (* Spin a pseudo-random amount so completion order varies. *)
         let spin = (i * 2654435761) land 0xFFF in
         let acc = ref 0 in
         for k = 0 to spin do
@@ -156,60 +172,41 @@ let test_parallel_interleaving_qcheck =
         done;
         (i, !acc)
       in
-      let expected = Array.init n job in
-      let got = Fleet.with_pool ~jobs (fun p -> Fleet.map p n job) in
-      got = expected)
+      Fleet.farm ~jobs n job = Array.init n job)
 
-(* ---- Stats GC aggregation (OCaml 5 per-domain counters) ---- *)
+(* ---- Stats GC aggregation ---- *)
 
 let test_foreign_gc_flush () =
-  (* A worker-domain job that allocates must become visible to the
-     process.gc.minor_words gauge via the fleet's flush, even though
-     OCaml 5 keeps minor counters per-domain (and never folds a joined
-     domain's words into the coordinator's counter). *)
+  (* Words a worker allocates must reach the coordinator's
+     process.gc.minor_words gauge through the answers. *)
   let open Prism_sim in
   let stats = Stats.create () in
   Stats.register_gc stats;
-  let before = Stats.foreign_gc_words () in
-  Fleet.with_pool ~jobs:2 (fun p ->
-      let fu =
-        Fleet.submit p (fun () ->
-            (* Force the job onto the worker: the coordinator never
-               claims because the worker is idle and we give it time by
-               awaiting settle passively. *)
-            let acc = ref [] in
-            for i = 1 to 50_000 do
-              acc := i :: !acc
-            done;
-            List.length !acc)
-      in
-      (* Passive wait so the coordinator does not claim-and-run inline
-         (which would put the words in our own domain counter). *)
-      let rec wait () =
-        match Fleet.peek fu with
-        | Some (Ok n) -> n
-        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | None ->
-            Domain.cpu_relax ();
-            wait ()
-      in
-      Alcotest.(check int) "job result" 50_000 (wait ()));
-  let flushed = Stats.foreign_gc_words () - before in
-  (* 50k 3-word cons cells: at least 150k words must have been flushed
-     by the worker. *)
+  let words () =
+    match Stats.find stats "process.gc.minor_words" with
+    | Some (Stats.Gauge f) -> (
+        match f () with
+        | Stats.Float w -> w
+        | _ -> Alcotest.fail "minor_words gauge is not a float")
+    | _ -> Alcotest.fail "process.gc.minor_words not registered"
+  in
+  let before = words () in
+  let lengths =
+    Fleet.farm ~jobs:2 2 (fun _ ->
+        let acc = ref [] in
+        for i = 1 to 50_000 do
+          acc := i :: !acc
+        done;
+        List.length !acc)
+  in
+  let noted = words () -. before in
+  check_reaped "gc";
+  Alcotest.(check (array int)) "job results" [| 50_000; 50_000 |] lengths;
+  (* Two jobs of 50k 3-word cons cells, which the coordinator never
+     allocated itself. *)
   Alcotest.(check bool)
-    (Printf.sprintf "worker flushed its minor words (got %d)" flushed)
-    true
-    (flushed >= 150_000);
-  (* And the gauge must include the accumulator. *)
-  match Stats.find stats "process.gc.minor_words" with
-  | Some (Stats.Gauge f) -> (
-      match f () with
-      | Stats.Float w ->
-          Alcotest.(check bool) "gauge >= own + flushed" true
-            (w >= float_of_int flushed)
-      | _ -> Alcotest.fail "minor_words gauge is not a float")
-  | _ -> Alcotest.fail "process.gc.minor_words not registered"
+    (Printf.sprintf "workers' minor words reach the gauge (got %.0f)" noted)
+    true (noted >= 300_000.0)
 
 let test_gc_gauges_present () =
   let open Prism_sim in
@@ -227,34 +224,6 @@ let test_gc_gauges_present () =
       "process.gc.heap_words";
     ]
 
-(* ---- engine isolation across domains ---- *)
-
-let test_engine_domain_isolation () =
-  (* Two domains each run their own engine concurrently; Engine.current
-     is domain-local, so both simulations must complete with their own
-     clocks and the DLS binding never leaks across. *)
-  let open Prism_sim in
-  let run_sim salt () =
-    let e = Engine.create () in
-    let ticks = ref 0 in
-    Engine.spawn e (fun () ->
-        for _ = 1 to 100 do
-          Engine.delay (0.001 *. float_of_int (salt + 1));
-          incr ticks;
-          (* current () must resolve to this domain's engine. *)
-          assert (Engine.current () == e)
-        done);
-    let t = Engine.run e in
-    (!ticks, t)
-  in
-  let d = Domain.spawn (run_sim 1) in
-  let a = run_sim 0 () in
-  let b = Domain.join d in
-  Alcotest.(check int) "domain-0 ticks" 100 (fst a);
-  Alcotest.(check int) "domain-1 ticks" 100 (fst b);
-  check_approx "domain-0 clock" (snd a) 0.1;
-  check_approx "domain-1 clock" (snd b) 0.2
-
 let () =
   Alcotest.run "fleet"
     [
@@ -264,20 +233,18 @@ let () =
           case "parallel matches serial" test_map_parallel_matches_serial;
           case "empty and single" test_map_empty_and_single;
           case "smallest failing id wins" test_map_failure_smallest_id;
+          case "killed worker names its job" test_killed_worker_names_job;
+          case "closure result fails its job" test_closure_result_fails;
         ] );
       ( "futures",
         [
-          case "await helps on unclaimed jobs" test_await_helps_when_unclaimed;
           case "await reraises" test_await_reraises;
-          case "peek after settle" test_peek_settles;
+          case "dropped answers are discarded" test_dropped_answers_discarded;
         ] );
-      ( "determinism",
-        [ test_merge_order_qcheck; test_parallel_interleaving_qcheck ] );
+      ("determinism", [ test_parallel_interleaving_qcheck ]);
       ( "gc",
         [
           case "worker flush reaches gauges" test_foreign_gc_flush;
           case "gauges registered" test_gc_gauges_present;
         ] );
-      ( "domains",
-        [ case "engines are domain-isolated" test_engine_domain_isolation ] );
     ]

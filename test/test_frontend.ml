@@ -118,11 +118,11 @@ let test_policy_parse () =
       check_approx "rate 0.95 x capacity" rate 95_000.0;
       check_approx "burst 2 x servers" burst 16.0
   | _ -> Alcotest.fail "token-bucket default");
-  (match parse "codel=10,100" with
+  (match parse "codel=10:100" with
   | Ok (Admission.Codel { target; interval }) ->
       check_approx "target us" target 1e-5;
       check_approx "interval us" interval 1e-4
-  | _ -> Alcotest.fail "codel=10,100");
+  | _ -> Alcotest.fail "codel=10:100");
   (match parse "unbounded" with
   | Ok Admission.Unbounded -> ()
   | _ -> Alcotest.fail "unbounded");
