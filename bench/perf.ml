@@ -393,12 +393,12 @@ let bench_store_create ~quick ~reps =
    fleet.speedup abuses the sample shape: its "rate" is the wall-clock
    ratio serial / two-process on a fleet of independent schedule runs.
    Each worker process has its own heap and GC, but starting one is a
-   fixed cost per farm: the fork, and a copy-on-write fault at each
+   fixed cost per farm: the fork and teardown, and a page fault at each
    first write to a page it shares with the coordinator. The committed
    baseline floor (1.1) expects two cores to beat serial; the gate's
    30% slack absorbs a noisy runner. On the 2-vCPU development host this
-   16 ms farm does not repay the start-up (EXPERIMENTS.md, "Process
-   fleet"). *)
+   16 ms farm beats the floor only while both vCPUs run at once
+   (EXPERIMENTS.md, "Process fleet"). *)
 let bench_fleet ~quick ~reps =
   let open Prism_check in
   let cfg =

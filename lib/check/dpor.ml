@@ -135,20 +135,6 @@ let set_label labels (a : Engine.alt) =
   labels.(a.seq) <- a.label;
   labels
 
-(* A speculative run crosses the fleet's pipes twice: the target node
-   out, the fresh nodes back. Paths travel as flat int arrays, three
-   ints a step, because a list of small records costs the marshaller two
-   blocks a step and a path is thousands of steps deep. [unflatten a
-   tail] conses the steps back onto [tail]. *)
-let flatten steps =
-  Array.of_list (List.concat_map (fun s -> [ s.n_alts; s.seq; s.pick ]) steps)
-
-let unflatten a tail =
-  List.init
-    (Array.length a / 3)
-    (fun k -> { n_alts = a.(3 * k); seq = a.((3 * k) + 1); pick = a.((3 * k) + 2) })
-  @ tail
-
 (* Every fresh node of a run lies on that run's route below its target,
    so each fresh path is a suffix of the deepest one's. Only that path's
    steps below the target travel back; the coordinator splices them onto
@@ -157,9 +143,9 @@ let unflatten a tail =
 let pack ~depth (result, redundant, rdepth, choices, fresh) =
   let below =
     match List.rev fresh with
-    | [] -> [||]
+    | [] -> []
     | (deepest : node) :: _ ->
-        flatten (List.filteri (fun k _ -> k < deepest.depth - depth) deepest.path)
+        List.filteri (fun k _ -> k < deepest.depth - depth) deepest.path
   in
   (result, redundant, rdepth, choices, List.map (fun f -> { f with path = [] }) fresh, below)
 
@@ -171,8 +157,8 @@ let unpack (target : node) (result, redundant, rdepth, choices, fresh, below) =
         let route = drop (depth - f.depth) route in
         { f with path = route } :: attach route f.depth rest
   in
-  let route = unflatten below target.path in
-  let deepest = target.depth + (Array.length below / 3) in
+  let route = below @ target.path in
+  let deepest = target.depth + List.length below in
   (result, redundant, rdepth, choices, List.rev (attach route deepest (List.rev fresh)))
 
 let explore ?(full = false) ?(stop_on = fun _ -> false)
@@ -437,8 +423,7 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
                 ( n,
                   i,
                   snap,
-                  Fleet.submit workers
-                    ({ n with path = [] }, flatten n.path, i, snap) ))
+                  Fleet.submit workers (n, i, snap) ))
           (predict ());
       List.iter
         (fun (_, _, _, ticket) ->
@@ -475,8 +460,7 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
   commit (spec_run None ~snapshot:Iset.empty) None;
   if jobs > 1 && not !stopped then
     Fleet.with_workers ~jobs
-      (fun (n, path, i, snapshot) ->
-        let n = { n with path = unflatten path [] } in
+      (fun ((n : node), i, snapshot) ->
         pack ~depth:n.depth (spec_run (Some (n, i)) ~snapshot))
       (fun workers -> walk (speculative workers))
   else walk run_inline;

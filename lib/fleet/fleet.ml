@@ -10,22 +10,19 @@
    looked up by ticket and [farm] raises the smallest failing id, so
    merged output is a pure function of the job function. *)
 
-(* A job's exception, as the worker reported it. [Failure] keeps its
-   message, so a coordinator handler that matches [Failure _] still
-   does; anything else keeps only its text. *)
-type failure = Failed of string | Raised of string
-
+(* A job's exception cannot cross the pipe as a value (an unmarshalled
+   exception is a fresh constructor no handler matches), so the worker
+   sends its text and the coordinator raises it as [Remote], which
+   prints as the worker printed it. *)
 exception Remote of string
 
 let () = Printexc.register_printer (function Remote s -> Some s | _ -> None)
-
-let rebuild = function Failed msg -> Failure msg | Raised text -> Remote text
 
 type 'res answer = {
   minor_words : int;
   minor_collections : int;
   major_collections : int;
-  outcome : ('res, failure) result;
+  outcome : ('res, string) result;
 }
 
 type worker = {
@@ -61,14 +58,12 @@ let serve f requests answers =
         let outcome =
           match f req with
           | v -> Ok v
-          | exception Failure msg -> Error (Failed msg)
-          | exception e -> Error (Raised (Printexc.to_string e))
+          | exception e -> Error (Printexc.to_string e)
         in
         (* Empty the minor heap, so the next job allocates over the same
-           pages. The child shares the coordinator's pages copy-on-write,
-           and each first write to one is a page fault and a copy; without
-           this, every job faults on fresh pages until the worker has
-           cycled through its whole minor heap (16 MB under --gc-tune). *)
+           pages. Each first write to a page is a fault; without this,
+           every job faults on fresh pages until the worker has cycled
+           through its whole minor heap (16 MB under --gc-tune). *)
         Gc.minor ();
         let w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
         let answer outcome =
@@ -83,7 +78,7 @@ let serve f requests answers =
         in
         let bytes =
           try answer outcome
-          with e -> answer (Error (Raised (Printexc.to_string e)))
+          with e -> answer (Error (Printexc.to_string e))
         in
         output_string answers bytes;
         flush answers;
@@ -93,8 +88,9 @@ let serve f requests answers =
 
 (* Fork one worker. The child closes the coordinator's ends of the
    workers forked before it: a copy of another worker's request pipe
-   left open would keep that worker from ever seeing end of file. *)
-let fork_worker f earlier =
+   left open would keep that worker from ever seeing end of file. It
+   then takes a minor heap of its own, sized [gc]. *)
+let fork_worker gc f earlier =
   let req_r, req_w = Unix.pipe () in
   let ans_r, ans_w = Unix.pipe () in
   match Unix.fork () with
@@ -106,6 +102,7 @@ let fork_worker f earlier =
         earlier;
       Unix.close req_w;
       Unix.close ans_r;
+      Gc.set gc;
       serve f (Unix.in_channel_of_descr req_r) (Unix.out_channel_of_descr ans_w)
   | pid ->
       Unix.close req_r;
@@ -156,9 +153,18 @@ let with_workers ~jobs f body =
   Fun.protect
     ~finally:(fun () -> stop t)
     (fun () ->
+      (* Fork with the minor heap shrunk to 32 KB. Forking copies the
+         page tables and an exiting child tears its copy down, both in
+         proportion to what is mapped, and the minor heap is a large
+         part of that (16 MB under --gc-tune). Each side then takes a
+         fresh minor heap of the configured size, which no other process
+         shares. *)
+      let gc = Gc.get () in
+      Gc.set { gc with minor_heap_size = 4096 };
       for _ = 1 to max 1 (min jobs max_jobs) do
-        t.workers <- Array.append t.workers [| fork_worker f t.workers |]
+        t.workers <- Array.append t.workers [| fork_worker gc f t.workers |]
       done;
+      Gc.set gc;
       body t)
 
 (* Hand queued requests to idle workers, skipping dropped tickets. *)
@@ -216,7 +222,7 @@ let receive t =
             if Hashtbl.mem t.dropped ticket then Hashtbl.remove t.dropped ticket
             else
               Hashtbl.replace t.settled ticket
-                (Result.map_error rebuild a.outcome)
+                (Result.map_error (fun text -> Remote text) a.outcome)
       end)
     busy
 

@@ -15,9 +15,8 @@
     the merged output is a pure function of the job function alone —
     byte-identical whatever the worker count or completion order. If
     jobs fail, the failure of the {e smallest} failing id is raised. A
-    worker's exception cannot cross the pipe as a value, so it is
-    rebuilt: [Failure msg] stays [Failure msg], and any other exception
-    prints as the worker printed it.
+    worker's exception cannot cross the pipe as a value, so the
+    coordinator raises one that prints as the worker printed it.
 
     Each answer carries the worker's minor words and minor and major
     collections for that job, which go into
@@ -50,7 +49,8 @@ val submit : ('req, 'res) t -> 'req -> int
 
 (** [await t ticket] waits for the answer to [ticket], collecting any
     other answer that arrives first and keeping every worker busy while
-    work is queued. Raises the job's rebuilt exception if it failed.
+    work is queued. If the job failed, raises an exception printing as
+    the worker's did.
     Each ticket is awaited at most once. *)
 val await : ('req, 'res) t -> int -> 'res
 

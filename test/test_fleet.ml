@@ -72,10 +72,10 @@ let test_map_failure_smallest_id () =
             if i = 2 || i = 5 then failwith (Printf.sprintf "boom %d" i);
             i)
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d keeps Failure, smallest id" jobs)
-        true
-        (got = Failure "boom 2");
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d smallest id, printed as serial" jobs)
+        (Printexc.to_string (Failure "boom 2"))
+        (Printexc.to_string got);
       let got =
         failure jobs (fun i ->
             if i = 2 || i = 5 then raise (Boom i);
@@ -128,7 +128,7 @@ let test_await_reraises () =
       let bad = Fleet.submit w 7 in
       (match Fleet.await w bad with
       | exception e ->
-          Alcotest.(check string) "rebuilt text" (Printexc.to_string (Boom 7))
+          Alcotest.(check string) "worker's text" (Printexc.to_string (Boom 7))
             (Printexc.to_string e)
       | _ -> Alcotest.fail "expected failure");
       Alcotest.(check int) "other ticket unaffected" 1 (Fleet.await w ok));
