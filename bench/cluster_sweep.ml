@@ -258,7 +258,7 @@ let () =
     Term.(
       const main
       $ Cli.quick ~doc:"CI-sized sweep: 2 shard counts, smaller run"
-      $ Cli.csv Arg.int "shard-counts" ~doc:"Comma-separated shard counts"
+      $ Cli.csv Cli.pos_int "shard-counts" ~doc:"Comma-separated shard counts"
       $ Cli.txn_every $ Cli.mix "a"
       $ Cli.scenario ~threads:("threads", "Client threads")
           ~ops:"Operations per cell"

@@ -537,13 +537,12 @@ let scan_number ~key text =
    committed baseline. Store rates are mostly reported but not gated
    (they are noisier: simulated-hardware model work dominates) — except
    store.prism, whose baseline is conservative enough to absorb the
-   noise and which guards the static-placement dispatch on the put/get
-   hot path staying free; store.prism_scan, which guards the scan path
-   (per-binding resolve, per-chunk coalesced reads, scan chains and
-   sort-on-evict write-back); store.create, which guards store creation
-   staying proportional to the bytes a store writes rather than the
-   bytes it provisions; device.access, which guards a synchronous
-   device access costing at most one queue entry; and
+   noise and which guards the put/get hot path; store.prism_scan, which
+   guards the scan path (per-binding resolve, per-chunk coalesced reads,
+   scan chains and sort-on-evict write-back); store.create, which guards
+   store creation staying proportional to the bytes a store writes
+   rather than the bytes it provisions; device.access, which guards a
+   synchronous device access costing at most one queue entry; and
    engine.tie_dispatch, which guards the non-FIFO dispatch path every
    checker walk takes. *)
 let gated_keys () =

@@ -331,7 +331,7 @@ let () =
     Term.(
       const main $ Cli.gc_tune
       $ Cli.quick ~doc:"CI-sized sweep: 2 stores x 2 policies x 3 points"
-      $ Cli.csv Arg.string "stores"
+      $ Cli.csv Cli.store_name "stores"
           ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm"
       $ Cli.csv Cli.policy_name "policies"
           ~doc:

@@ -261,7 +261,7 @@ let parse_choices s =
     Printf.eprintf "bad --replay-choices %S (use e.g. 0,2,1)\n" s;
     exit 2
 
-let main store placement seed schedules dpor crash_every replay
+let main store seed schedules dpor crash_every replay
     replay_choices shrink no_lsm_wal fault scan_every delete_every
     threads ops records keys_per_thread shards txn_every jobs verbose =
   let usage msg =
@@ -280,7 +280,6 @@ let main store placement seed schedules dpor crash_every replay
       {
         Explore.default with
         Explore.store;
-        placement;
         threads;
         records;
         keys_per_thread;
@@ -439,7 +438,7 @@ let () =
   in
   Cli.exec ~name:"prism-check" ~doc
     Term.(
-      const main $ store $ Cli.placement $ Cli.seed 1L $ schedules $ dpor
+      const main $ store $ Cli.seed 1L $ schedules $ dpor
       $ crash_every $ replay $ replay_choices $ shrink $ no_lsm_wal $ fault
       $ scan_every $ delete_every $ threads $ ops $ records
       $ keys_per_thread $ Cli.shards $ Cli.txn_every $ Cli.jobs $ verbose)

@@ -76,7 +76,7 @@ let run_open_loop engine kv mix (s : Setup.scenario) ~rate ~arrival ~policy
   in
   Format.printf "open-loop(%s) %a@." arrival Frontend.pp_result r
 
-let run () store_name placement workloads records value_size threads
+let run () store_name workloads records value_size threads
     num_ssds theta ops shards txn_every open_loop arrival policy servers
     trace_out trace_in stats stats_json chrome_trace =
   let shards = Option.value shards ~default:1 in
@@ -97,8 +97,6 @@ let run () store_name placement workloads records value_size threads
     if shards > 1 || txn_every > 0 then begin
       if store_name <> "prism" then
         failwith "--shards/--txn-every need --store prism";
-      if placement <> `Static then
-        failwith "--shards/--txn-every support --placement static only";
       Some
         {
           Prism_cluster.Cluster.default with
@@ -112,12 +110,7 @@ let run () store_name placement workloads records value_size threads
     match cluster_cfg with
     | Some ccfg ->
         fun e -> snd (Prism_cluster.Cluster.of_scenario e ccfg scenario)
-    | None ->
-        Setup.of_name
-          (match (store_name, placement) with
-          | "prism", `Hotness -> "prism-hotness"
-          | name, _ -> name)
-          scenario
+    | None -> Setup.of_name store_name scenario
   in
   let engine = Engine.create () in
   (match chrome_trace with
@@ -201,16 +194,6 @@ let run () store_name placement workloads records value_size threads
         commits aborts prepares
         (Stats.get_int reg "prism.cluster.ops.routed")
   | None -> ());
-  if placement = `Hotness then
-    Printf.printf
-      "NVM tier: %d hits, %d promotions, %d demotions, %.1f MB resident, \
-       %.1f MB migration writes\n"
-      (Stats.get_int reg "prism.tier.hits")
-      (Stats.get_int reg "prism.tier.promotions")
-      (Stats.get_int reg "prism.tier.demotions")
-      (float_of_int (Stats.get_int reg "prism.tier.used_bytes") /. 1048576.0)
-      (float_of_int (Stats.get_int reg "prism.tier.migration.bytes")
-      /. 1048576.0);
   if stats then Format.printf "@.%a@." Stats.pp reg;
   (match stats_json with
   | Some path ->
@@ -234,12 +217,11 @@ let pos_float =
 let () =
   let open Cmdliner in
   let store =
-    let names = [ "prism"; "kvell"; "matrixkv"; "rocksdb-nvm"; "slm-db" ] in
     Arg.(
       value
-      & opt (enum (List.map (fun n -> (n, n)) names)) "prism"
+      & opt Cli.store_name "prism"
       & info [ "store" ] ~docv:"STORE"
-          ~doc:("Store to drive: " ^ String.concat " | " names))
+          ~doc:("Store to drive: " ^ String.concat " | " Setup.store_names))
   in
   let workload =
     Arg.(
@@ -327,7 +309,7 @@ let () =
   in
   Cli.exec ~name:"prism-ycsb" ~doc:"Run YCSB workloads on simulated KV stores"
     Term.(
-      const run $ Cli.gc_tune $ store $ Cli.placement $ workload $ records
+      const run $ Cli.gc_tune $ store $ workload $ records
       $ value_size $ threads $ ssds $ theta $ ops $ Cli.shards $ Cli.txn_every
       $ open_loop $ arrival $ policy $ servers $ trace_out $ trace_in
       $ Cli.stats

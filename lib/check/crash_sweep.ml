@@ -21,15 +21,9 @@ type report = {
    every [txn_every]-th op is a write batch over the thread's own range —
    the keys still hash across shards, so most batches have several 2PC
    participants. Batch versions live in a reserved range (>= 1000) so a
-   recovered value names exactly one write. Under hotness placement each
-   thread re-reads its range's first key after every single write:
-   promotion fires on Value-Storage reads, so a write-only sweep would
-   leave the NVM tier empty and the promote copy untested; this way the
-   key's CLOCK saturates, it migrates into the tier mid-run, and
-   nvm-persist crash points land inside promote copies. *)
+   recovered value names exactly one write. *)
 let workload (cfg : Explore.config) =
   let txn_every = Explore.txn_every cfg in
-  let reread = cfg.store = `Prism && cfg.placement = `Hotness in
   let value key version =
     Prism_workload.Ycsb.value_for ~size:cfg.value_size ~key ~version
   in
@@ -44,20 +38,15 @@ let workload (cfg : Explore.config) =
         if txn_every > 0 && j mod txn_every = txn_every - 1 then
           let base = Rng.int rng cfg.keys_per_thread in
           let n = min cfg.keys_per_thread (2 + Rng.int rng 2) in
-          [
-            Explore.Batch
-              (List.init n (fun s ->
-                   let key = key_at ((base + s) mod cfg.keys_per_thread) in
-                   (key, value key (1000 + (j * 10) + s))));
-          ]
+          Explore.Batch
+            (List.init n (fun s ->
+                 let key = key_at ((base + s) mod cfg.keys_per_thread) in
+                 (key, value key (1000 + (j * 10) + s))))
         else
           let key = key_at (Rng.int rng cfg.keys_per_thread) in
-          let write =
-            if Rng.int rng 5 = 0 then Explore.Delete key
-            else Explore.Put (key, value key (j + 1))
-          in
-          if reread then [ write; Explore.Get (key_at 0) ] else [ write ])
-    |> List.concat |> Array.of_list
+          if Rng.int rng 5 = 0 then Explore.Delete key
+          else Explore.Put (key, value key (j + 1)))
+    |> Array.of_list
   in
   let keys = cfg.threads * cfg.keys_per_thread in
   { Explore.keys; preload = 0; ops = Array.init cfg.threads thread_ops }

@@ -31,9 +31,7 @@ val default : Explore.config
 (** [workload cfg] is the sweep's workload: each thread writes and
     deletes in its own range of [cfg.keys_per_thread] keys (on
     [`Cluster], every [cfg.txn_every]-th op is a write batch over that
-    range); under hotness placement on [`Prism] each single write is
-    followed by a get of the range's first key, so that key is promoted
-    mid-run. {!run} uses it; [test_check] "hsit fault within budget"
+    range). {!run} uses it; [test_check] "hsit fault within budget"
     crashes it under a DPOR walk through {!Explore.run_once}. *)
 val workload : Explore.config -> Explore.workload
 

@@ -12,7 +12,6 @@ type fault =
 
 type config = {
   store : [ `Prism | `Kvell | `Lsm | `Cluster ];
-  placement : [ `Static | `Hotness ];
   threads : int;
   records : int;
   keys_per_thread : int;
@@ -32,7 +31,6 @@ type config = {
 let default =
   {
     store = `Prism;
-    placement = `Static;
     threads = 4;
     records = 128;
     keys_per_thread = 24;
@@ -163,17 +161,6 @@ let scenario cfg ~keys =
    stays in the write buffer). *)
 let prism_config cfg ~pwb_size c =
   let c = { c with Prism_core.Config.pwb_size } in
-  (* A checker-sized NVM tier: with a dataset of ~8-12 KiB, 16 KiB holds
-     the hot set but a cold key still has to be demoted to the SSD once
-     the CLOCK sweep catches it, so schedules interleave client
-     operations with both promotion copies and demotion write-backs, and
-     nvm-persist crash points land inside promote copies (tier write vs.
-     HSIT coupling update). *)
-  let c =
-    match cfg.placement with
-    | `Static -> c
-    | `Hotness -> Prism_core.Config.hotness ~tier_size:(16 * 1024) c
-  in
   match cfg.fault with
   | No_fault -> c
   (* Cluster-level fault: injected via the cluster config in [instance],

@@ -40,11 +40,6 @@ type config = {
           [shards] Prism stores behind the 2PC front, the only store that
           takes write batches; [`Lsm] has a crash sweep but no
           exploration *)
-  placement : [ `Static | `Hotness ];
-      (** Prism value-placement policy; [`Hotness] adds a checker-sized
-          NVM value tier, so schedules interleave promotions/demotions
-          with client operations and nvm-persist crash points land inside
-          promote copies ([`Kvell] and [`Lsm] ignore it) *)
   threads : int;
   records : int;
       (** exploration: preloaded keys (small, to force contention) *)

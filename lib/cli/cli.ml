@@ -116,16 +116,8 @@ let arrival_name =
       | _ -> Ok s
       | exception Failure e -> Error e)
 
-let placement =
-  Arg.(
-    value
-    & opt (enum [ ("static", `Static); ("hotness", `Hotness) ]) `Static
-    & info [ "placement" ] ~docv:"POLICY"
-        ~doc:
-          "Prism value-placement policy: $(b,static) (all values to SSD \
-           Value Storage, the paper's layout) or $(b,hotness) (CLOCK-tracked \
-           hot values promoted to an NVM value tier, cold residents demoted \
-           during reclaim).")
+let store_name =
+  Arg.enum (List.map (fun n -> (n, n)) Prism_harness.Setup.store_names)
 
 let shards =
   Arg.(

@@ -68,8 +68,9 @@ val policy_name : string Arg.conv
     ([poisson], [mmpp], [diurnal]), checked like {!policy_name}. *)
 val arrival_name : string Arg.conv
 
-(** [--placement static|hotness]: Prism's value-placement policy. *)
-val placement : [ `Static | `Hotness ] Term.t
+(** A store name, one of {!Prism_harness.Setup.store_names}; any other
+    is a usage error. The value is the name itself. *)
+val store_name : string Arg.conv
 
 (** [--shards N]: hash-partition across N Prism shards behind the 2PC
     coordinator. [None] leaves the tool's default topology. *)

@@ -568,10 +568,9 @@ let with_batches t (kv : Prism_harness.Kv.t) ~every ~records ~seed =
 let of_scenario ?tweak engine cfg (s : Prism_harness.Setup.scenario) =
   let per = max 1 (s.records / max 1 cfg.shards) in
   let stores =
-    Array.init cfg.shards (fun i ->
-        let name = Printf.sprintf "Prism-shard%d" i in
+    Array.init cfg.shards (fun _ ->
         snd
-          (Prism_harness.Setup.prism ?tweak ~name engine
+          (Prism_harness.Setup.prism ?tweak engine
              { s with records = per; threads = s.threads + 1 }))
   in
   let t = create engine cfg ~stores in

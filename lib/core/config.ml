@@ -8,8 +8,6 @@ type t = {
   queue_depth : int;
   hsit_capacity : int;
   key_index : [ `Btree | `Art ];
-  placement : [ `Static | `Hotness ];
-  nvm_tier_size : int;
   nvm_size : int;
   nvm_spec : Prism_device.Spec.t;
   use_thread_combining : bool;
@@ -39,8 +37,6 @@ let default =
     queue_depth = 64;
     hsit_capacity = 1 lsl 17;
     key_index = `Btree;
-    placement = `Static;
-    nvm_tier_size = 0;
     nvm_size = 32 * mib;
     nvm_spec = Prism_device.Spec.optane_dcpmm;
     use_thread_combining = true;
@@ -79,24 +75,7 @@ let scaled ~threads ~keys ~value_size t =
     vs_size;
     svc_capacity = max t.svc_capacity (dataset / 4);
     nvm_size =
-      (threads * pwb_size) + (hsit_capacity * 16) + t.nvm_tier_size
-      + (16 * mib);
-  }
-
-(* Switch a config to hotness-driven placement. The tier defaults to a
-   quarter of the Value-Storage budget, and the NVM region grows by
-   exactly the tier so every other allocation keeps its offset. *)
-let hotness ?tier_size t =
-  let tier_size =
-    match tier_size with
-    | Some s -> Prism_sim.Bits.round_up (max s 4096) 16
-    | None -> max (1 * mib) (t.num_value_storages * t.vs_size / 4)
-  in
-  {
-    t with
-    placement = `Hotness;
-    nvm_tier_size = tier_size;
-    nvm_size = t.nvm_size + tier_size - t.nvm_tier_size;
+      (threads * pwb_size) + (hsit_capacity * 16) + (16 * mib);
   }
 
 let validate t =
@@ -109,12 +88,6 @@ let validate t =
   check (t.vs_size / t.chunk_size >= 4) "need at least 4 chunks";
   check (t.queue_depth > 0) "queue_depth <= 0";
   check (t.hsit_capacity > 0) "hsit_capacity <= 0";
-  check (t.nvm_tier_size >= 0) "nvm_tier_size < 0";
-  check (t.nvm_tier_size mod 16 = 0) "nvm_tier_size must be 16-aligned";
   check
-    (t.placement = `Static || t.nvm_tier_size > 0)
-    "hotness placement needs nvm_tier_size > 0";
-  check
-    (t.nvm_size
-    >= (t.threads * t.pwb_size) + (t.hsit_capacity * 16) + t.nvm_tier_size)
-    "nvm_size cannot hold PWBs + HSIT + value tier"
+    (t.nvm_size >= (t.threads * t.pwb_size) + (t.hsit_capacity * 16))
+    "nvm_size cannot hold PWBs + HSIT"

@@ -13,14 +13,6 @@ type t = {
   key_index : [ `Btree | `Art ];
       (** Persistent Key Index implementation — the paper stresses Prism
           accepts any range index (§4.1, §6) *)
-  placement : [ `Static | `Hotness ];
-      (** Value-placement policy ({!Placement}): [`Static] is the
-          hard-coded everything-to-SSD behaviour; [`Hotness] promotes hot
-          values into an NVM-resident tier and demotes cold residents
-          during reclamation *)
-  nvm_tier_size : int;
-      (** bytes of NVM reserved for the resident value tier (0 disables
-          the tier; required > 0 for [`Hotness]) *)
   nvm_size : int;  (** total simulated NVM bytes (index + HSIT + PWBs) *)
   nvm_spec : Prism_device.Spec.t;
   (* Feature toggles for ablations (§7.6). *)
@@ -64,13 +56,6 @@ val default : t
 (** [scaled ~threads ~keys ~value_size t] grows buffer/cache/storage sizes
     to sensible proportions for a dataset of [keys] values. *)
 val scaled : threads:int -> keys:int -> value_size:int -> t -> t
-
-(** [hotness ?tier_size t] switches [t] to hotness-driven placement:
-    sets [placement = `Hotness], reserves [tier_size] NVM bytes for the
-    resident value tier (default: a quarter of the total Value-Storage
-    budget), and grows [nvm_size] by exactly the reservation so every
-    other NVM allocation keeps its offset. *)
-val hotness : ?tier_size:int -> t -> t
 
 (** Sanity-check invariants (chunk divides VS size, positive sizes, ...).
     Raises [Invalid_argument] when violated. *)

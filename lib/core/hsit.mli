@@ -60,7 +60,7 @@ val write_primary : t -> int -> Location.t -> unit
 (** [exchange_primary t id loc] is [write_primary] returning the location
     its atomic swap replaced. A writer that must release the value it
     supersedes releases this one: a location read earlier may have been
-    moved since (by reclamation, GC or tier migration), and releasing
+    moved since (by reclamation, sort-on-evict or GC), and releasing
     the stale copy would leave the new home live and unreferenced. *)
 val exchange_primary : t -> int -> Location.t -> Location.t
 

@@ -2,7 +2,6 @@ type t =
   | Nowhere
   | In_pwb of { thread : int; voff : int }
   | In_vs of { vs : int; gen : int; chunk : int; slot : int }
-  | In_nvm of { noff : int }
 
 let equal a b =
   match (a, b) with
@@ -10,21 +9,18 @@ let equal a b =
   | In_pwb a, In_pwb b -> a.thread = b.thread && a.voff = b.voff
   | In_vs a, In_vs b ->
       a.vs = b.vs && a.gen = b.gen && a.chunk = b.chunk && a.slot = b.slot
-  | In_nvm a, In_nvm b -> a.noff = b.noff
-  | (Nowhere | In_pwb _ | In_vs _ | In_nvm _), _ -> false
+  | (Nowhere | In_pwb _ | In_vs _), _ -> false
 
 let same_slot a b =
   match (a, b) with
   | In_vs a, In_vs b -> a.vs = b.vs && a.chunk = b.chunk && a.slot = b.slot
-  | In_nvm a, In_nvm b -> a.noff = b.noff
-  | (Nowhere | In_pwb _ | In_vs _ | In_nvm _), _ -> false
+  | (Nowhere | In_pwb _ | In_vs _), _ -> false
 
 let pp fmt = function
   | Nowhere -> Format.fprintf fmt "nowhere"
   | In_pwb { thread; voff } -> Format.fprintf fmt "pwb[%d]@%d" thread voff
   | In_vs { vs; gen; chunk; slot } ->
       Format.fprintf fmt "vs[%d]chunk%d.%d slot%d" vs chunk gen slot
-  | In_nvm { noff } -> Format.fprintf fmt "nvm@%d" noff
 
 (* The word is an immediate [int]: its 63 bits hold the whole encoding,
    so the dirty bit (bit 62) is the int's sign bit. *)
@@ -52,8 +48,6 @@ let max_slot = (1 lsl slot_bits) - 1
 
 let gen_mask = (1 lsl gen_bits) - 1
 
-let max_noff = (1 lsl 44) - 1
-
 let encode loc ~dirty =
   let w =
     match loc with
@@ -77,10 +71,6 @@ let encode loc ~dirty =
         lor (chunk lsl slot_bits)
         lor (gen lsl (slot_bits + chunk_bits))
         lor (vs lsl (slot_bits + chunk_bits + gen_bits))
-    | In_nvm { noff } ->
-        if noff < 0 || noff > max_noff then
-          invalid_arg "Location.encode: noff out of range";
-        (3 lsl tag_shift) lor noff
   in
   if dirty then w lor dirty_bit else w
 
@@ -96,7 +86,7 @@ let decode w =
           chunk = (w lsr slot_bits) land max_chunk;
           slot = w land max_slot;
         }
-  | _ -> In_nvm { noff = w land max_noff }
+  | _ -> invalid_arg "Location.decode: tag 3 encodes no location"
 
 let is_dirty w = w land dirty_bit <> 0
 

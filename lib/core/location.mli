@@ -5,11 +5,11 @@
     as an immediate [int] (never a boxed [int64]):
     - bit 62: dirty bit for the flush-on-read protocol (§5.4) — the
       [int]'s sign bit;
-    - bits 61..60: tag (0 nowhere, 1 PWB, 2 Value Storage, 3 NVM tier);
+    - bits 61..60: tag (0 nowhere, 1 PWB, 2 Value Storage; 3 is unused
+      and {!decode} rejects it);
     - PWB payload: thread id (12 bits) and virtual offset (44 bits);
     - VS payload: value-storage id (8 bits), chunk generation (17 bits),
-      chunk (20 bits), slot (15 bits);
-    - NVM-tier payload: byte offset into the tier region (44 bits).
+      chunk (20 bits), slot (15 bits).
 
     The generation is the chunk's reuse counter: it makes a location into
     a tagged pointer, so a stale reference into a recycled chunk can never
@@ -20,13 +20,11 @@ type t =
   | Nowhere
   | In_pwb of { thread : int; voff : int }
   | In_vs of { vs : int; gen : int; chunk : int; slot : int }
-  | In_nvm of { noff : int }
 
 val equal : t -> t -> bool
 
 (** Equality ignoring the generation tag — used during recovery, when
-    generations restart from zero. NVM-tier locations carry no
-    generation; they compare by offset. *)
+    generations restart from zero. *)
 val same_slot : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
@@ -36,7 +34,8 @@ val pp : Format.formatter -> t -> unit
     is truncated (see {!truncate_gen}). *)
 val encode : t -> dirty:bool -> int
 
-(** [decode w] is the location packed in [w], whatever its dirty bit. *)
+(** [decode w] is the location packed in [w], whatever its dirty bit.
+    Raises [Invalid_argument] on tag 3, which no location encodes. *)
 val decode : int -> t
 
 (** [is_dirty w] is the dirty bit of [w]. *)

@@ -8,35 +8,13 @@
     every flushed chunk, so blocked appenders resume quickly.
 
     With [async:false] (the §7.6 ablation) the same pass runs inline on
-    the application thread via {!reclaim_now}.
-
-    Under hotness placement ([tiering] present) the reclaimer is also the
-    migration engine: during the ring scan, records the policy calls hot
-    are copied into the NVM value tier instead of the SSD batch, and each
-    pass ends with a budget-bounded migration step — a CLOCK decay sweep
-    demoting cold tier residents to Value Storage, then a drain of the
-    policy's promotion queue (read-hot values copied NVM-ward). With
-    [tiering] absent every pass is exactly the pre-placement-layer code
-    path. *)
+    the application thread via {!reclaim_now}. *)
 
 type t
-
-(** Shared migration state for one store: the NVM value tier, the policy
-    and the promotion/demotion/migration-byte counters. Each pass migrates
-    at most 256 KiB (promoted plus demoted), which bounds the latency the
-    migration step adds. *)
-type tiering = {
-  tier : Nvm_tier.t;
-  placement : Placement.t;
-  promotions : Prism_sim.Metric.Counter.t;
-  demotions : Prism_sim.Metric.Counter.t;
-  migration_bytes : Prism_sim.Metric.Counter.t;
-}
 
 (** [watermark] is the PWB utilization that triggers a pass (default
     0.5). *)
 val create :
-  ?tiering:tiering ->
   ?watermark:float ->
   Prism_sim.Engine.t ->
   pwb:Pwb.t ->
@@ -60,7 +38,7 @@ val maybe_trigger : t -> unit
     "watermark trigger" and "overlapping passes keep their spans". *)
 val reclaim_now : t -> unit
 
-(** True while a pass (tier migration included) is running. *)
+(** True while a pass is running. *)
 val in_pass : t -> bool
 
 (** Values migrated to Value Storage so far. *)

@@ -26,7 +26,6 @@ type op_counters = {
   c_vs_reads : Metric.Counter.t;
   c_misses : Metric.Counter.t;
   c_put_bytes : Metric.Counter.t; (* application value bytes: WAF denominator *)
-  c_tier_hits : Metric.Counter.t; (* reads served from the NVM value tier *)
 }
 
 type read_path = Tc of Tcq.t | Ta of Ta_batcher.t
@@ -87,11 +86,6 @@ type t = {
   reclaimers : Reclaimer.t array;
   svc : Svc.t option;
   rng : Rng.t;
-  placement : Placement.t;
-  tier : Nvm_tier.t option;
-  tier_promotions : Metric.Counter.t;
-  tier_demotions : Metric.Counter.t;
-  tier_migration_bytes : Metric.Counter.t;
   ctr : op_counters;
   (* Last scan result per start key — only written/read under the
      [fault_scan_stale_snapshot] deliberate-bug switch. *)
@@ -119,13 +113,6 @@ let value_storages t = t.vss
 
 let nvm t = t.nvm
 
-let nvm_tier t = t.tier
-
-let tier_stats t =
-  ( Metric.Counter.value t.ctr.c_tier_hits,
-    Metric.Counter.value t.tier_promotions,
-    Metric.Counter.value t.tier_demotions )
-
 (* The Key Index is charged as NVM traffic, but its structural mutations
    must be atomic with respect to the cooperative scheduler (PACTree is
    lock-free; our B+-tree is not). So node visits only *accumulate* sizes,
@@ -148,10 +135,6 @@ let invalidate_old t old =
   match old with
   | Location.In_vs { vs; gen; chunk; slot } ->
       Value_storage.set_valid t.vss.(vs) ~gen ~chunk ~slot false
-  | Location.In_nvm { noff } -> (
-      match t.tier with
-      | Some tier -> Nvm_tier.free tier ~noff
-      | None -> ())
   | Location.Nowhere | Location.In_pwb _ -> ()
 
 let repoint t ~hsit_id ~from_ ~to_ =
@@ -194,8 +177,6 @@ let ssd_bytes_written t =
   Array.fold_left
     (fun acc vs -> acc + Model.bytes_written (Value_storage.device vs))
     0 t.vss
-
-let nvm_bytes_written t = Model.bytes_written (Nvm.device t.nvm)
 
 let gc_runs t =
   Array.fold_left (fun acc vs -> acc + Value_storage.gc_runs vs) 0 t.vss
@@ -281,27 +262,10 @@ let register_telemetry t =
       Array.fold_left
         (fun acc vs -> acc + Model.bytes_read (Value_storage.device vs))
         0 t.vss);
-  (* WAF counts application-induced SSD writes only: chunk writes that
-     demote tier residents are accounted separately so the figure stays
-     comparable across placement policies. *)
   Stats.gauge_float reg "prism.device.ssd.waf" (fun () ->
       let app = Metric.Counter.value c.c_put_bytes in
       if app = 0 then 0.0
-      else
-        float_of_int
-          (ssd_bytes_written t - Metric.Counter.value t.tier_migration_bytes)
-        /. float_of_int app);
-  Stats.register_counter reg "prism.tier.hits" c.c_tier_hits;
-  Stats.register_counter reg "prism.tier.promotions" t.tier_promotions;
-  Stats.register_counter reg "prism.tier.demotions" t.tier_demotions;
-  Stats.register_counter reg "prism.tier.migration.bytes"
-    t.tier_migration_bytes;
-  match t.tier with
-  | Some tier -> Nvm_tier.register_stats tier reg ~prefix:"prism.tier"
-  | None ->
-      (* The footprint gauge exists under every policy so probes and
-         sweeps can compare static vs hotness uniformly. *)
-      Stats.gauge_int reg "prism.tier.used_bytes" (fun () -> 0)
+      else float_of_int (ssd_bytes_written t) /. float_of_int app)
 
 let create engine cfg =
   Config.validate cfg;
@@ -357,34 +321,10 @@ let create engine cfg =
     Array.init cfg.Config.threads (fun i ->
         Pwb.create nvm ~thread:i ~size:cfg.Config.pwb_size)
   in
-  let placement = Placement.create cfg in
-  let tier =
-    (* Carved after the PWBs so a zero-size tier (the Static default)
-       leaves every NVM offset exactly where it was. *)
-    if cfg.Config.nvm_tier_size > 0 then
-      Some (Nvm_tier.create nvm ~capacity:cfg.Config.nvm_tier_size)
-    else None
-  in
-  let tier_promotions = Metric.Counter.create () in
-  let tier_demotions = Metric.Counter.create () in
-  let tier_migration_bytes = Metric.Counter.create () in
-  let tiering =
-    match tier with
-    | Some tier when Placement.is_hotness placement ->
-        Some
-          {
-            Reclaimer.tier;
-            placement;
-            promotions = tier_promotions;
-            demotions = tier_demotions;
-            migration_bytes = tier_migration_bytes;
-          }
-    | Some _ | None -> None
-  in
   let reclaimers =
     Array.map
       (fun pwb ->
-        Reclaimer.create ?tiering engine ~pwb ~hsit ~storages:vss
+        Reclaimer.create engine ~pwb ~hsit ~storages:vss
           ~rng:(Rng.split rng))
       pwbs
   in
@@ -416,11 +356,6 @@ let create engine cfg =
       reclaimers;
       svc;
       rng;
-      placement;
-      tier;
-      tier_promotions;
-      tier_demotions;
-      tier_migration_bytes;
       ctr =
         {
           c_puts = Metric.Counter.create ();
@@ -432,7 +367,6 @@ let create engine cfg =
           c_vs_reads = Metric.Counter.create ();
           c_misses = Metric.Counter.create ();
           c_put_bytes = Metric.Counter.create ();
-          c_tier_hits = Metric.Counter.create ();
         };
       scan_stale_cache = None;
     }
@@ -477,7 +411,6 @@ let put t ~tid key value =
               (Location.In_pwb { thread = tid; voff })
           in
           invalidate_old t old;
-          Placement.touch t.placement id;
           (match t.svc with
           | Some svc when not t.cfg.Config.fault_skip_svc_invalidate ->
               Svc.invalidate svc ~hsit_id:id
@@ -488,7 +421,6 @@ let put t ~tid key value =
           let voff = Pwb.append t.pwbs.(tid) ~hsit_id:id ~value in
           Hsit.write_primary t.hsit id
             (Location.In_pwb { thread = tid; voff });
-          Placement.touch t.placement id;
           let prev = t.index.ki_insert key id in
           charge_index t;
           (match prev with
@@ -523,7 +455,6 @@ let delete t ~tid key =
             ignore (Hsit.read_primary t.hsit id : Location.t);
             let old = Hsit.exchange_primary t.hsit id Location.Nowhere in
             invalidate_old t old;
-            Placement.forget t.placement id;
             let hsit = t.hsit in
             Epoch.retire t.epoch (fun () -> Hsit.free hsit id);
             true
@@ -531,7 +462,7 @@ let delete t ~tid key =
 
 (* ---- read path (§4.4, §5.3) ---- *)
 
-(* [Hit]: served by the SVC, a PWB or the NVM tier. [On_ssd]: the caller
+(* [Hit]: served by the SVC or a PWB. [On_ssd]: the caller
    reads the Value Storage slot, which the HSIT named as [loc] (the SVC
    admission's [cached_from]). [Moved]: the value moved while we
    followed its pointer; a point read retries. *)
@@ -573,17 +504,6 @@ let resolve t ~skip_pwb ~id =
               Hit payload
             end
           end
-      | Location.In_nvm { noff } -> (
-          (* A failed ownership check means a demotion or overwrite moved
-             the value. *)
-          match t.tier with
-          | None -> Moved
-          | Some tier -> (
-              match Nvm_tier.read tier ~noff ~expect:id with
-              | None -> Moved
-              | Some value ->
-                  Metric.Counter.incr t.ctr.c_tier_hits;
-                  Hit value))
       | Location.In_vs { vs; gen; chunk; slot } -> (
           match Value_storage.slot_backptr t.vss.(vs) ~gen ~chunk ~slot with
           | Some bp when bp = id -> On_ssd { vs; gen; chunk; slot; loc }
@@ -619,14 +539,6 @@ let livelock t ~id ~key =
           (Value_storage.chunk_gen t.vss.(vs) ~chunk)
           slot
           (Value_storage.free_chunks t.vss.(vs))
-    | Location.In_nvm { noff } ->
-        Printf.sprintf "nvm@%d owner=%s" noff
-          (match t.tier with
-          | None -> "no-tier"
-          | Some tier -> (
-              match Nvm_tier.owner tier ~noff with
-              | None -> "free"
-              | Some o -> string_of_int o))
     | Location.Nowhere -> "nowhere"
   in
   failwith
@@ -638,9 +550,7 @@ let rec get_resolved ?(attempt = 0) t ~tid ~id ~key =
   match resolve t ~skip_pwb:false ~id with
   | Absent -> None
   | Moved -> retry ()
-  | Hit value ->
-      Placement.touch t.placement id;
-      Some value
+  | Hit value -> Some value
   | On_ssd { vs; gen; chunk; slot; loc } -> (
       let cell = ref None in
       match Value_storage.read_entry t.vss.(vs) ~gen ~chunk ~slot ~cell with
@@ -655,9 +565,6 @@ let rec get_resolved ?(attempt = 0) t ~tid ~id ~key =
               retry ()
           | Some value ->
               ignore (admit_to_svc t ~id ~key ~value ~loc);
-              (* SSD-served point read: bump heat and, once hot, queue the
-                 value for promotion into the tier. *)
-              Placement.note_vs_read t.placement id;
               Some value))
 
 let get t ~tid key =
@@ -800,9 +707,6 @@ let scan t ~tid key count =
 let crash t =
   Nvm.crash t.nvm;
   (match t.svc with Some svc -> Svc.clear svc | None -> ());
-  (* Tier allocator/offset map and the access clock live in DRAM. *)
-  (match t.tier with Some tier -> Nvm_tier.reset tier | None -> ());
-  Placement.reset t.placement;
   t.scan_stale_cache <- None;
   Epoch.reset t.epoch
 
@@ -819,24 +723,11 @@ let recover t =
      pointers) and validate PWB couplings. *)
   let pwb_ranges = Array.make (Array.length t.pwbs) None in
   let lost = ref [] in
-  let tier_live = ref [] in
   List.iter
     (fun (key, id) ->
       Hsit.recover_entry t.hsit id;
       match Hsit.durable_primary t.hsit id with
       | Location.Nowhere -> lost := (key, id) :: !lost
-      | Location.In_nvm { noff } -> (
-          (* Tier coupling mirrors the PWB rule: the durable record at the
-             pointed-to offset must point back at the entry. The promote
-             copy persists before the pointer, so a durable pointer
-             implies a durable record. *)
-          match t.tier with
-          | None -> lost := (key, id) :: !lost
-          | Some tier -> (
-              match Nvm_tier.read_durable tier ~noff with
-              | Some (bid, _) when bid = id ->
-                  tier_live := (id, noff) :: !tier_live
-              | Some _ | None -> lost := (key, id) :: !lost))
       | Location.In_pwb { thread; voff } -> (
           match Pwb.read_durable t.pwbs.(thread) ~voff with
           | Some (bid, payload) when bid = id ->
@@ -860,11 +751,6 @@ let recover t =
           Hashtbl.mem reachable hsit_id
           && Location.same_slot (Hsit.durable_primary t.hsit hsit_id) loc))
     t.vss;
-  (* Rebuild the tier's DRAM allocator and offset map from the surviving
-     couplings. *)
-  (match t.tier with
-  | Some tier -> Nvm_tier.recover tier ~live:!tier_live
-  | None -> ());
   (* Chunk generations restarted at zero: canonicalize the generation bits
      of every recovered In_vs pointer so live lookups validate. *)
   List.iter
@@ -873,7 +759,7 @@ let recover t =
       | Location.In_vs { vs; gen = _; chunk; slot } ->
           Hsit.restore_primary t.hsit id
             (Location.In_vs { vs; gen = 0; chunk; slot })
-      | Location.Nowhere | Location.In_pwb _ | Location.In_nvm _ -> ())
+      | Location.Nowhere | Location.In_pwb _ -> ())
     bindings;
   (* VS entries whose slot vanished (in-flight chunk write lost) are gone. *)
   List.iter
@@ -882,7 +768,7 @@ let recover t =
       | Location.In_vs { vs; gen = _; chunk; slot } ->
           if not (Value_storage.is_valid t.vss.(vs) ~gen:0 ~chunk ~slot) then
             lost := (key, id) :: !lost
-      | Location.Nowhere | Location.In_pwb _ | Location.In_nvm _ -> ())
+      | Location.Nowhere | Location.In_pwb _ -> ())
     bindings;
   (* 4. Drop lost keys from the index so the store is consistent. *)
   List.iter

@@ -60,9 +60,6 @@ val nvm_index_bytes : t -> int
     numerator). *)
 val ssd_bytes_written : t -> int
 
-(** Aggregate NVM bytes written. *)
-val nvm_bytes_written : t -> int
-
 (** Sum of GC passes across Value Storages. *)
 val gc_runs : t -> int
 
@@ -85,16 +82,6 @@ val value_storages : t -> Value_storage.t array
 
 (** The NVM region (for endurance accounting). *)
 val nvm : t -> Prism_media.Nvm.t
-
-(** The NVM-resident value tier, when the config reserves one
-    ([nvm_tier_size > 0]). Only tests call it: [test_store]'s single-home
-    audit and "hotness migrates and recovers". *)
-val nvm_tier : t -> Nvm_tier.t option
-
-(** [(tier_hits, promotions, demotions)]: reads served from the NVM value
-    tier and values migrated into/out of it by the placement policy. All
-    zero under [`Static]. *)
-val tier_stats : t -> int * int * int
 
 (** [crash t] simulates a power failure: pending simulation events are
     discarded by the caller (see {!Prism_sim.Engine.clear_pending});

@@ -153,7 +153,7 @@ let release_chunk t c =
 
 let padded len = header_size + Prism_sim.Bits.round_up len header_size
 
-let write_into_chunk ?io_counter t chunk values =
+let write_into_chunk t chunk values =
   (match values with
   | [] -> invalid_arg "Value_storage.write_chunk: empty"
   | _ -> ());
@@ -197,9 +197,6 @@ let write_into_chunk ?io_counter t chunk values =
     min t.chunk_size
       (Prism_sim.Bits.round_up (!pos + header_size) 4096)
   in
-  (match io_counter with
-  | None -> ()
-  | Some c -> Metric.Counter.add c io_size);
   let entry =
     {
       Io_uring.dir = Model.Write;
@@ -212,9 +209,9 @@ let write_into_chunk ?io_counter t chunk values =
   | [ ivar ] -> (chunk, meta.gen, ivar)
   | _ -> assert false
 
-let write_chunk ?io_counter t values =
+let write_chunk t values =
   let chunk = alloc_chunk t ~reserve:1 in
-  write_into_chunk ?io_counter t chunk values
+  write_into_chunk t chunk values
 
 let seal t ~chunk =
   let meta = t.chunks.(chunk) in
@@ -320,12 +317,12 @@ let set_valid t ~gen ~chunk ~slot v =
    may consider the chunk only after every slot is settled. A value whose
    entry moved on while the chunk was in flight stays invalid: it is
    garbage in the new chunk. *)
-let install ?io_counter ?chunk t values ~repoint ~moved =
+let install ?chunk t values ~repoint ~moved =
   let chunk =
     match chunk with Some c -> c | None -> alloc_chunk t ~reserve:1
   in
   let chunk, gen, done_ =
-    write_into_chunk ?io_counter t chunk
+    write_into_chunk t chunk
       (List.map (fun (hsit_id, value, _) -> (hsit_id, value)) values)
   in
   ignore (Sync.Ivar.read done_);
@@ -487,7 +484,7 @@ let gc_pass t ~relocate =
       let victim_of (_, _, loc) =
         match loc with
         | Location.In_vs { chunk; _ } -> chunk
-        | Location.Nowhere | Location.In_pwb _ | Location.In_nvm _ -> -1
+        | Location.Nowhere | Location.In_pwb _ -> -1
       in
       let rec shrink victims gathered =
         let batches = plan_batches t (List.rev gathered) in
@@ -523,9 +520,7 @@ let gc_pass t ~relocate =
                   match from_ with
                   | Location.In_vs { gen; chunk; slot; _ } ->
                       set_valid t ~gen ~chunk ~slot false
-                  | Location.Nowhere | Location.In_pwb _ | Location.In_nvm _
-                    ->
-                      ()))
+                  | Location.Nowhere | Location.In_pwb _ -> ()))
             outputs batches;
           (* Recycle victims: the generation bump makes any stale
              reference fail its check and retry. *)

@@ -66,7 +66,6 @@ val chunk_gen : t -> chunk:int -> int
     fit in one chunk. The store writes through {!install}; only
     [test_core_units]'s Value Storage cases call it directly. *)
 val write_chunk :
-  ?io_counter:Prism_sim.Metric.Counter.t ->
   t ->
   (int * bytes) list ->
   int * int * float Prism_sim.Sync.Ivar.t
@@ -88,10 +87,9 @@ val pick : Prism_sim.Rng.t -> t array -> t
     for the write, then for each slot in order: if [repoint ~hsit_id
     ~from_ ~to_] wins the HSIT CAS, marks the slot valid and calls
     [moved ~from_ ~value]. Last, seals the chunk. Every mover — PWB
-    reclamation, tier demotion, sort-on-evict and GC — goes through this
-    one step (§5.2, §5.4). *)
+    reclamation, sort-on-evict and GC — goes through this one step
+    (§5.2, §5.4). *)
 val install :
-  ?io_counter:Prism_sim.Metric.Counter.t ->
   ?chunk:int ->
   t ->
   (int * bytes * Location.t) list ->
@@ -129,8 +127,9 @@ val read_run_entry :
   slots:(int * bytes option ref) list ->
   Prism_device.Io_uring.entry option
 
-(** [read_slot_sync t ~gen ~chunk ~slot] is a single-slot synchronous read
-    (tests); [None] when the generation went stale. *)
+(** [read_slot_sync t ~gen ~chunk ~slot] is a single-slot synchronous read;
+    [None] when the generation went stale. Only [test_core_units]'s Value
+    Storage cases call it. *)
 val read_slot_sync : t -> gen:int -> chunk:int -> slot:int -> bytes option
 
 (** Validity bitmap operations (§5.1). Stale generations are no-ops. *)

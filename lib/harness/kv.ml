@@ -9,12 +9,9 @@ type t = {
   recover : (unit -> unit) option;
 }
 
-let of_prism ?(name = "Prism") store =
+let of_prism store =
   {
-    name;
-    (* The store registers its telemetry under the fixed "prism.*"
-       prefix whatever the adapter is called, so variants (e.g.
-       "Prism-hotness") must keep reading device counters there. *)
+    name = "Prism";
     stat_prefix = Prism_sim.Stats.sanitize "Prism";
     put = (fun ~tid key value -> Prism_core.Store.put store ~tid key value);
     get = (fun ~tid key -> Prism_core.Store.get store ~tid key);

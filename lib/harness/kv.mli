@@ -26,11 +26,9 @@ type t = {
           §7.6 recovery experiment *)
 }
 
-(** [name] defaults to ["Prism"]; variants (e.g. the hotness-placement
-    store) pass their own so reports keep them apart. The
-    [stat_prefix] stays ["prism"] for every variant — that is where the
-    store registers — so two Prism variants must not share one engine. *)
-val of_prism : ?name:string -> Prism_core.Store.t -> t
+(** The adapter is named ["Prism"]; its [stat_prefix] is ["prism"],
+    where the store registers its telemetry. *)
+val of_prism : Prism_core.Store.t -> t
 
 val of_lsm : Prism_baselines.Lsm_tree.t -> t
 

@@ -39,7 +39,7 @@ let nvm_array_spec =
     write_bw = Spec.optane_dcpmm.Spec.write_bw *. 6.0;
   }
 
-let prism ?(tweak = Fun.id) ?(name = "Prism") engine s =
+let prism ?(tweak = Fun.id) engine s =
   let d = dataset_bytes s in
   let chunk = 64 * kib in
   let pwb_size =
@@ -72,15 +72,7 @@ let prism ?(tweak = Fun.id) ?(name = "Prism") engine s =
   in
   let cfg = tweak cfg in
   let store = Prism_core.Store.create engine cfg in
-  (Kv.of_prism ~name store, store)
-
-(* Same Table 1 proportions, hotness placement: the NVM budget grows by
-   the tier carve (Config.hotness), everything else identical — so
-   static-vs-hotness comparisons isolate the placement policy. *)
-let prism_hotness ?(tweak = Fun.id) engine s =
-  prism
-    ~tweak:(fun cfg -> tweak (Prism_core.Config.hotness cfg))
-    ~name:"Prism-hotness" engine s
+  (Kv.of_prism store, store)
 
 let ssd_specs s = List.init s.num_ssds (fun _ -> Spec.samsung_980_pro)
 
@@ -154,15 +146,18 @@ let slmdb engine s =
   in
   Kv.of_slmdb db
 
-let of_name name s =
-  match String.lowercase_ascii name with
-  | "prism" -> fun e -> fst (prism e s)
-  | "prism-hotness" -> fun e -> fst (prism_hotness e s)
-  | "kvell" -> fun e -> kvell e s
-  | "matrixkv" -> fun e -> matrixkv e s
-  | "rocksdb-nvm" | "rocksdb" -> fun e -> rocksdb_nvm e s
-  | "slm-db" | "slmdb" -> fun e -> slmdb e s
-  | other -> failwith ("unknown store: " ^ other)
+let stores =
+  [
+    ("prism", fun s e -> fst (prism e s));
+    ("kvell", fun s e -> kvell e s);
+    ("matrixkv", fun s e -> matrixkv e s);
+    ("rocksdb-nvm", fun s e -> rocksdb_nvm e s);
+    ("slm-db", fun s e -> slmdb e s);
+  ]
+
+let store_names = List.map fst stores
+
+let of_name name = List.assoc (String.lowercase_ascii name) stores
 
 (* A simulation allocates briefly-live objects (events, continuations,
    closures) at a high rate; the 256 K-word default minor heap forces a

@@ -34,18 +34,6 @@ val nvm_array_spec : Prism_device.Spec.t
     the underlying store for component-level statistics. *)
 val prism :
   ?tweak:(Prism_core.Config.t -> Prism_core.Config.t) ->
-  ?name:string ->
-  Prism_sim.Engine.t ->
-  scenario ->
-  Kv.t * Prism_core.Store.t
-
-(** [prism_hotness engine s] is {!prism} under hotness placement
-    ({!Prism_core.Config.hotness}): an NVM value tier is carved and the
-    CLOCK policy migrates values across it. The Kv is named
-    ["Prism-hotness"] so its metrics don't collide with the static store
-    in the same engine. [tweak] runs after the hotness rewrite. *)
-val prism_hotness :
-  ?tweak:(Prism_core.Config.t -> Prism_core.Config.t) ->
   Prism_sim.Engine.t ->
   scenario ->
   Kv.t * Prism_core.Store.t
@@ -61,11 +49,14 @@ val matrixkv : Prism_sim.Engine.t -> scenario -> Kv.t
     (§7.4); the caller passes a suitably reduced scenario. *)
 val slmdb : Prism_sim.Engine.t -> scenario -> Kv.t
 
-(** [of_name name s] is the maker of the store a command line names,
-    ignoring case: ["prism"], ["prism-hotness"], ["kvell"], ["matrixkv"],
-    ["rocksdb-nvm"] (or ["rocksdb"]), ["slm-db"] (or ["slmdb"]). Display
-    the made store by its [Kv.name].
-    @raise Failure on any other name. *)
+(** The stores a command line can name: ["prism"], ["kvell"],
+    ["matrixkv"], ["rocksdb-nvm"], ["slm-db"]. *)
+val store_names : string list
+
+(** [of_name name s] is the maker of the store [name] names, one of
+    {!store_names} ignoring case. Display the made store by its
+    [Kv.name]. Command lines parse the name with [Prism_cli.Cli.store_name],
+    so only a misspelt literal reaches the [Not_found]. *)
 val of_name : string -> scenario -> Prism_sim.Engine.t -> Kv.t
 
 (** Tune the host GC for simulation workloads: a 64 MB minor heap (so the

@@ -40,6 +40,12 @@ let test_location_out_of_range () =
     (try
        ignore (Location.encode (Location.In_pwb { thread = 5000; voff = 0 }) ~dirty:false);
        false
+     with Invalid_argument _ -> true);
+  (* Tag 3 encodes no location: a word carrying it is corrupt. *)
+  Alcotest.(check bool) "tag 3 rejected" true
+    (try
+       ignore (Location.decode (3 lsl 60));
+       false
      with Invalid_argument _ -> true)
 
 let test_location_set_dirty () =
@@ -88,16 +94,9 @@ module Int64_codec = struct
           let gen = gen land ((1 lsl 17) - 1) in
           Int64.of_int
             (slot lor (chunk lsl 15) lor (gen lsl 35) lor (vs lsl 52))
-      | In_nvm { noff } ->
-          if noff < 0 || noff > (1 lsl 44) - 1 then invalid_arg "encode";
-          Int64.of_int noff
     in
     let tag =
-      match loc with
-      | Nowhere -> 0L
-      | In_pwb _ -> 1L
-      | In_vs _ -> 2L
-      | In_nvm _ -> 3L
+      match loc with Nowhere -> 0L | In_pwb _ -> 1L | In_vs _ -> 2L
     in
     let w = Int64.logor (Int64.shift_left tag 60) payload in
     if dirty then Int64.logor w dirty_bit else w
@@ -122,7 +121,7 @@ module Int64_codec = struct
               chunk = field 15 20;
               slot = field 0 15;
             }
-      | _ -> In_nvm { noff = field 0 44 }
+      | _ -> invalid_arg "decode"
     in
     (loc, dirty)
 end
@@ -145,7 +144,6 @@ let gen_location =
           (fun (vs, gen, chunk, slot) ->
             Location.In_vs { vs; gen; chunk; slot })
           (quad (field 8) (field 17) (field 20) (field 15));
-        map (fun noff -> Location.In_nvm { noff }) (field 44);
       ])
 
 let prop_location_matches_int64_codec =

@@ -376,8 +376,11 @@ let test_cli_shared_terms () =
   Alcotest.(check (option (option (list (float 0.0))))) "csv"
     (Some (Some [ 0.5; 1.5 ]))
     (parse (Cli.csv Cmdliner.Arg.float "points" ~doc:"") [ "--points"; "0.5,1.5" ]);
-  Alcotest.(check bool) "placement" true
-    (parse Cli.placement [ "--placement"; "hotness" ] = Some `Hotness);
+  let store = Cmdliner.Arg.(value & opt Cli.store_name "prism" & info [ "store" ]) in
+  Alcotest.(check (option string)) "store by name" (Some "kvell")
+    (parse store [ "--store"; "kvell" ]);
+  Alcotest.(check (option string)) "unknown store rejected" None
+    (parse store [ "--store"; "bogus" ]);
   let n = Cmdliner.Arg.(value & opt Cli.pos_int 1 & info [ "size" ]) in
   Alcotest.(check (option int)) "positive int rejects 0" None
     (parse n [ "--size"; "0" ]);

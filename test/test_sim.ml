@@ -948,7 +948,7 @@ let test_json_golden_registry_and_trace () =
     {|{"traceEvents":[{"name":"op \"q\"","ph":"X","pid":0,"tid":3,"ts":1.000,"dur":2.000},{"name":"b","ph":"X","pid":0,"tid":1,"ts":4.000,"dur":0.500}]}|}
     (Span.to_chrome_json sp)
 
-(* The pretty layout every bench report (knee, tier, cluster) shares:
+(* The pretty layout every bench report (knee, cluster) shares:
    objects and arrays one item per line, rows on one line,
    empty arrays still closed on their own line. *)
 let test_json_pretty_layout () =

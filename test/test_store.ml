@@ -842,46 +842,36 @@ let prop_crash_anytime =
       ignore (Engine.run e);
       !ok)
 
-(* ---- hotness placement ---- *)
+(* ---- single home ---- *)
 
-(* Tiny PWBs force constant reclamation (hence migration chances); a
-   small tier forces demotion pressure too. *)
-let hotness_config =
-  Config.hotness ~tier_size:(64 * 1024)
-    { small_config with threads = 2; pwb_size = 8192 }
+(* Tiny PWBs on two threads force constant reclamation. *)
+let churn_config = { small_config with threads = 2; pwb_size = 8192 }
 
-(* Every HSIT entry must be claimed by at most one value home: a valid
-   Value-Storage slot or an NVM-tier record, never both (a double claim
-   means a migration moved the value without releasing the source). The
-   audit waits out any reclaimer pass still running after [quiesce]: a
-   migration in flight holds both homes until its pointer swap persists. *)
-let audit_single_tier store =
+(* Every HSIT entry must be claimed by at most one valid Value-Storage
+   slot: a double claim means a move left its source live. The audit
+   waits out any reclaimer pass still running after [quiesce]: a move in
+   flight holds both homes until its pointer swap persists. *)
+let audit_single_home store =
   while Store.reclaiming store do
     Engine.delay 10e-6
   done;
   let claims = Hashtbl.create 64 in
-  let claim id where =
-    match Hashtbl.find_opt claims id with
-    | Some other ->
-        Alcotest.failf "hsit id %d live in both %s and %s" id other where
-    | None -> Hashtbl.add claims id where
-  in
   Array.iteri
     (fun vsi vs ->
       Value_storage.iter_valid vs (fun ~gen:_ ~chunk ~slot ~hsit_id ->
-          claim hsit_id (Printf.sprintf "vs%d(chunk %d, slot %d)" vsi chunk slot)))
-    (Store.value_storages store);
-  match Store.nvm_tier store with
-  | None -> ()
-  | Some tier ->
-      Nvm_tier.iter tier (fun ~hsit_id ~noff ~len:_ ->
-          claim hsit_id (Printf.sprintf "tier@%d" noff))
+          let where = Printf.sprintf "vs%d(chunk %d, slot %d)" vsi chunk slot in
+          match Hashtbl.find_opt claims hsit_id with
+          | Some other ->
+              Alcotest.failf "hsit id %d live in both %s and %s" hsit_id
+                other where
+          | None -> Hashtbl.add claims hsit_id where))
+    (Store.value_storages store)
 
 (* Runs [(key, action)] ops on two alternating threads (actions 0-4
    put, 5-8 get, 9 delete), then checks the single-home invariant, that
    every acked value reads back, and the store's length. *)
-let single_tier_run ops =
-  with_store ~cfg:hotness_config (fun _ store ->
+let single_home_run ops =
+  with_store ~cfg:churn_config (fun _ store ->
       let model = Hashtbl.create 64 in
       List.iteri
         (fun i (k, action) ->
@@ -899,7 +889,7 @@ let single_tier_run ops =
           end)
         ops;
       Store.quiesce store;
-      audit_single_tier store;
+      audit_single_home store;
       Hashtbl.iter
         (fun k v ->
           match Store.get store ~tid:0 k with
@@ -908,7 +898,7 @@ let single_tier_run ops =
           | None -> Alcotest.failf "acked key %s unreadable" k)
         model;
       (* One scan over the whole key range (keys 0..30) reaches every
-         home — SVC, PWB, tier and Value Storage — through the scan path. *)
+         home — SVC, PWB and Value Storage — through the scan path. *)
       let want =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -925,228 +915,74 @@ let single_tier_run ops =
           (String.concat " " (List.map fst want));
       Store.length store = Hashtbl.length model)
 
-let prop_hotness_single_tier =
-  qcase ~count:40 "hotness: acked values live in exactly one tier"
+let prop_single_home =
+  qcase ~count:40 "acked values live in exactly one home"
     QCheck.(
       list_of_size Gen.(int_range 60 400) (pair (int_bound 30) (int_bound 9)))
-    single_tier_run
+    single_home_run
 
-(* A run the property above once failed with "hsit id 3 live in both
-   vs0(chunk 1, slot 0) and tier@192". A put or delete reads the entry's
-   location, suspends on that NVM read, then swaps in its own. A
-   reclamation, GC or tier move landing in between used to leave the
-   value's new home live and unreferenced, because the writer released
-   the stale location it had read. It now releases the one its swap
-   replaced. *)
-let superseded_move_ops =
-  [
-    (21, 1); (5, 9); (16, 1); (25, 7); (8, 0); (4, 2); (4, 4); (25, 5);
-    (13, 1); (17, 3); (17, 2); (16, 7); (16, 7); (9, 1); (17, 4); (17, 6);
-    (0, 2); (17, 7); (1, 4); (7, 2); (21, 4); (2, 7); (1, 7); (30, 4);
-    (12, 3); (0, 5); (3, 0); (15, 2); (7, 4); (29, 9); (24, 5); (27, 0);
-    (22, 6); (5, 4); (1, 3); (18, 4); (8, 1); (11, 1); (22, 6); (27, 1);
-    (27, 3); (14, 2); (24, 6); (14, 4); (26, 4); (19, 2); (8, 9); (2, 0);
-    (19, 5); (14, 2); (11, 3); (25, 6); (30, 1); (14, 0); (5, 8); (8, 0);
-    (0, 3); (6, 0); (6, 3); (15, 4); (10, 6); (19, 2); (12, 2); (19, 3);
-    (19, 3); (28, 3); (12, 1); (21, 1); (8, 3); (2, 1); (0, 0); (25, 5);
-    (22, 3); (1, 3); (14, 0); (8, 2); (20, 9); (25, 6); (27, 3); (1, 8);
-    (0, 4); (13, 3); (27, 1); (8, 7); (28, 2); (15, 2); (9, 3); (20, 2);
-    (7, 0); (10, 5); (10, 3); (13, 7); (20, 2); (12, 5); (4, 0); (10, 6);
-    (13, 3); (22, 4); (26, 5); (1, 0); (7, 8); (24, 2); (28, 1); (21, 4);
-    (20, 2); (10, 0); (23, 2); (1, 7); (22, 3); (28, 1); (25, 0); (1, 2);
-    (7, 3); (28, 9); (23, 0); (24, 8); (12, 3); (13, 6); (28, 1); (22, 7);
-    (22, 2); (25, 2); (1, 5); (9, 7); (26, 0); (3, 9); (7, 0); (8, 0);
-    (30, 9); (19, 4); (4, 6); (18, 3); (30, 5); (13, 5); (18, 2); (22, 0);
-    (22, 9); (0, 4); (25, 3); (18, 3); (17, 6); (11, 8); (0, 4); (18, 2);
-    (20, 1); (14, 3); (16, 7); (14, 9); (4, 2); (11, 5); (29, 3); (2, 3);
-    (0, 8); (20, 5); (28, 9); (16, 9); (23, 2); (13, 6); (21, 0); (1, 9);
-    (21, 4); (26, 4); (24, 7); (22, 1); (12, 2); (15, 4); (9, 0); (6, 9);
-    (20, 0); (14, 4); (6, 3); (22, 5); (17, 4); (8, 8); (14, 3); (20, 5);
-    (16, 1); (1, 0); (19, 0); (15, 4); (13, 5); (10, 4); (21, 1); (28, 3);
-    (7, 2); (24, 0); (27, 0); (22, 2); (16, 6); (14, 6); (2, 6); (21, 4);
-    (28, 7); (12, 6); (3, 7); (11, 1); (18, 9); (14, 1); (19, 5); (4, 0);
-    (14, 6); (13, 4); (15, 4); (8, 2); (5, 0); (21, 3)
-  ]
+(* A put reads the entry's location (one NVM read), then swaps in its
+   own (one NVM write charge, then the swap). A reclaim pass whose
+   [install] CAS lands between the two has moved the value from the PWB
+   to Value Storage under the put. Releasing the location the put read
+   (the PWB record, a no-op) would leave the new slot valid and
+   unreferenced, and once the put's own record is reclaimed the key has
+   two valid homes; the put must release the one its swap replaced.
+   Random churn almost never lands in that window, so this steps the
+   put's start across the pass's first CAS.
 
-let test_hotness_superseded_move () =
-  Alcotest.(check bool) "single home, every value readable" true
-    (single_tier_run superseded_move_ops)
+   Thread 0 writes [fill] keys, enough to pass its PWB's watermark, so
+   its reclaimer moves them (key 0 in the chunk's first slot) while a
+   put of key 0 on thread 1 starts [delay] seconds later. Thread 1 then
+   writes [fill] more keys so its own record of key 0 is reclaimed too.
+   Returns the virtual time, from the end of thread 0's writes, at which
+   the reclaimer had repointed its first value, when [watch] is set. *)
+let fill = 64
 
-(* Deterministic end-to-end: a skewed read/update loop must actually
-   promote values into the tier, serve reads from it, and keep every
-   value correct — and the whole state must survive crash + recovery
-   (tier records re-coupled from their durable backpointers). One
-   thread (so the tier sees one CLOCK decay sweep per reclaim pass) and
-   no SVC (so hot reads land on VS/tier and keep the policy fed). *)
-let test_hotness_migrates_and_recovers () =
-  let e = Engine.create () in
-  let cfg =
-    {
-      (Config.hotness ~tier_size:(64 * 1024)
-         { small_config with threads = 1; pwb_size = 8192 })
-      with
-      use_svc = false;
-    }
-  in
-  let store = Store.create e cfg in
-  let n = 200 in
-  Engine.spawn e (fun () ->
-      for i = 0 to n - 1 do
-        Store.put store ~tid:0 (key i) (value ~size:64 i)
+let move_under_put ?(watch = false) ~delay () =
+  with_store ~cfg:churn_config (fun e store ->
+      for i = 0 to fill - 1 do
+        Store.put store ~tid:0 (key i) (value ~size:48 i)
+      done;
+      let t0 = Engine.now e in
+      let first_move = ref infinity in
+      if watch then
+        Engine.spawn e (fun () ->
+            while fst (Store.reclaim_stats store) = 0 do
+              Engine.delay 10e-9
+            done;
+            first_move := Engine.now e -. t0);
+      let put_done = ref false in
+      Engine.spawn e (fun () ->
+          Engine.delay delay;
+          Store.put store ~tid:1 (key 0) (value ~size:48 fill);
+          put_done := true);
+      while not !put_done do
+        Engine.delay 1e-6
+      done;
+      for i = fill + 1 to (2 * fill) - 1 do
+        Store.put store ~tid:1 (key i) (value ~size:48 i)
       done;
       Store.quiesce store;
-      (* Heat a VS-resident hot subset: each read lands on Value Storage
-         and (clock past threshold) queues the key for promotion. *)
-      for _ = 1 to 3 do
-        for i = 0 to 19 do
-          ignore (Store.get store ~tid:0 (key i))
-        done
-      done;
-      (* Filler churn on the cold keys drives reclamation passes, whose
-         promote drain copies the queued hot values into the tier; the
-         interleaved reads (now tier hits) keep their CLOCK counts up
-         against the decay sweep of each pass. *)
-      for round = 1 to 2 do
-        for i = 20 to n - 1 do
-          Store.put store ~tid:0 (key i) (value ~size:64 (i + (round * n)))
-        done;
-        for i = 0 to 19 do
-          ignore (Store.get store ~tid:0 (key i))
-        done
-      done;
-      Store.quiesce store;
-      audit_single_tier store;
-      let tier_hits, promotions, _ = Store.tier_stats store in
-      Alcotest.(check bool) "hot values promoted" true (promotions > 0);
-      Alcotest.(check bool) "reads served from tier" true (tier_hits > 0);
-      (match Store.nvm_tier store with
-      | None -> Alcotest.fail "hotness config must carve a tier"
-      | Some tier ->
-          let residents = ref 0 in
-          Nvm_tier.iter tier (fun ~hsit_id:_ ~noff:_ ~len:_ -> incr residents);
-          Alcotest.(check bool) "tier has residents" true (!residents > 0)));
-  ignore (Engine.run e);
-  Engine.clear_pending e;
-  Store.crash store;
-  let recovered = ref (-1) in
-  Engine.spawn e (fun () -> recovered := Store.recover store);
-  ignore (Engine.run e);
-  Alcotest.(check int) "all keys recovered" n !recovered;
-  Engine.spawn e (fun () ->
-      audit_single_tier store;
-      let bad = ref 0 in
-      for i = 0 to n - 1 do
-        match Store.get store ~tid:0 (key i) with
-        | Some v ->
-            (* Some version of this key: latest acked or the pre-update
-               one is not distinguishable here (we only quiesced before
-               the crash, so all are durable); sizes must match. *)
-            if Bytes.length v <> 64 then incr bad
-        | None -> incr bad
-      done;
-      Alcotest.(check int) "values readable after recovery" 0 !bad);
-  ignore (Engine.run e)
+      audit_single_home store;
+      Alcotest.check bytes_eq "key 0 holds the put's value" (value ~size:48 fill)
+        (Option.get (Store.get store ~tid:0 (key 0)));
+      !first_move)
 
-(* The tier must follow the working set when it moves, not only fill
-   once. Same shape as above (one thread, no SVC, tiny PWB, 64 KiB
-   tier). Each round does 20 gets of the hot keys, a put to each of the
-   other 180 keys (whose reclaim passes migrate values), then the 20 hot
-   gets again. Keys 0-19 are hot for [warm] rounds, then keys 100-119
-   for [shifted] rounds. A get was served from the tier when it moved the
-   tier-hit counter. At this size the tier drops the whole hot set about
-   every third round, so the checks ask for the first round that serves
-   every hot get from the tier, not for steady residency; and since the
-   migration counters advance every round, shift or not, they are backed
-   by checks on which keys the tier serves. Returns each check's name
-   and outcome. *)
-let hot_set_shift placement =
-  let cfg =
-    {
-      (Config.hotness ~tier_size:(64 * 1024)
-         { small_config with threads = 1; pwb_size = 8192 })
-      with
-      use_svc = false;
-      placement;
-    }
-  in
-  let n = 200 and width = 20 and warm = 4 and shifted = 4 in
-  with_store ~cfg (fun _ store ->
-      for i = 0 to n - 1 do
-        Store.put store ~tid:0 (key i) (value ~size:64 i)
-      done;
-      Store.quiesce store;
-      let tier_hits () =
-        let hits, _, _ = Store.tier_stats store in
-        hits
-      in
-      (* How many gets of keys [lo, lo + width) the tier served. *)
-      let served lo =
-        let count = ref 0 in
-        for i = lo to lo + width - 1 do
-          let before = tier_hits () in
-          ignore (Store.get store ~tid:0 (key i));
-          if tier_hits () > before then incr count
-        done;
-        !count
-      in
-      let puts = ref n in
-      (* One round with keys [lo, lo + width) hot: true when the tier
-         served every one of its hot gets. *)
-      let round lo =
-        let first = served lo in
-        for i = 0 to n - 1 do
-          if i < lo || i >= lo + width then begin
-            incr puts;
-            Store.put store ~tid:0 (key i) (value ~size:64 !puts)
-          end
-        done;
-        let second = served lo in
-        first + second = 2 * width
-      in
-      (* True when one of [k] rounds with [lo] hot was served in full. *)
-      let rounds k lo =
-        let full = ref false in
-        for _ = 1 to k do
-          if round lo then full := true
-        done;
-        !full
-      in
-      let old_served_before = rounds warm 0 in
-      let new_before = served 100 in
-      let _, promotions, demotions = Store.tier_stats store in
-      let new_served_after = rounds shifted 100 in
-      let _, promotions', demotions' = Store.tier_stats store in
-      let old_after = served 0 in
-      Store.quiesce store;
-      audit_single_tier store;
-      [
-        ("old hot set served from the tier before the shift", old_served_before);
-        ("new hot set not served from the tier before the shift", new_before = 0);
-        ("promotions advance after the shift", promotions' > promotions);
-        ("demotions advance after the shift", demotions' > demotions);
-        ("new hot set served from the tier after the shift", new_served_after);
-        ("old hot set no longer served from the tier", old_after = 0);
-      ])
-
-let test_hot_set_shift () =
-  List.iter
-    (fun (name, ok) -> Alcotest.(check bool) name true ok)
-    (hot_set_shift `Hotness)
-
-(* The same run under static placement, where nothing migrates, must
-   fail every check that needs the tier to react: the case above tests
-   the policy, not the workload. *)
-let test_hot_set_shift_static () =
-  let outcome = hot_set_shift `Static in
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) name false (List.assoc name outcome))
-    [
-      "old hot set served from the tier before the shift";
-      "promotions advance after the shift";
-      "demotions advance after the shift";
-      "new hot set served from the tier after the shift";
-    ]
+let test_move_under_put () =
+  let first_move = move_under_put ~watch:true ~delay:0.0 () in
+  Alcotest.(check bool) "the reclaimer moved a value" true
+    (Float.is_finite first_move);
+  (* The put reaches its read after an index lookup and a persisted PWB
+     append: about 5 us here, so the sweep covers 10 us before the first
+     move. Between the read and the swap lies one NVM write charge
+     (~90 ns), so 20 ns steps cannot skip the window. *)
+  let step = 20e-9 and span = 10e-6 in
+  let steps = int_of_float (span /. step) in
+  for i = 0 to steps do
+    let delay = Float.max 0.0 (first_move -. span +. (float_of_int i *. step)) in
+    ignore (move_under_put ~delay () : float)
+  done
 
 let () =
   Alcotest.run "store"
@@ -1211,14 +1047,9 @@ let () =
           prop_store_crash_recovery_durability;
           prop_crash_anytime;
         ] );
-      ( "placement",
+      ( "single-home",
         [
-          case "hotness migrates and recovers" test_hotness_migrates_and_recovers;
-          case "hotness follows a hot-set shift" test_hot_set_shift;
-          case "static placement fails the hot-set shift"
-            test_hot_set_shift_static;
-          prop_hotness_single_tier;
-          case "hotness: a move under a put is released"
-            test_hotness_superseded_move;
+          prop_single_home;
+          case "a move under a put is released" test_move_under_put;
         ] );
     ]
