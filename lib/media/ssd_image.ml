@@ -4,11 +4,12 @@ type t = {
   mutable data : Bytes.t;
   mutable writes : int;
   mutable on_write : (int -> unit) option;
+  mutable on_read : (off:int -> len:int -> unit) option;
 }
 
 let create ~size =
   if size <= 0 then invalid_arg "Ssd_image.create: size <= 0";
-  { size; data = Bytes.empty; writes = 0; on_write = None }
+  { size; data = Bytes.empty; writes = 0; on_write = None; on_read = None }
 
 let size t = t.size
 
@@ -22,6 +23,7 @@ let check t ~off ~len =
 
 let read t ~off ~len =
   check t ~off ~len;
+  (match t.on_read with Some f -> f ~off ~len | None -> ());
   Backing.sub t.data off len
 
 let write t ~off src =
@@ -40,3 +42,5 @@ let blit_to t ~off dst ~dst_off ~len =
 let write_count t = t.writes
 
 let set_write_hook t f = t.on_write <- f
+
+let set_read_hook t f = t.on_read <- f

@@ -40,3 +40,8 @@ val write_count : t -> int
     {!write} lands. Used by the checker's crash-point sweep (the hook may
     raise to abort the simulation at that instant). [None] uninstalls. *)
 val set_write_hook : t -> (int -> unit) option -> unit
+
+(** [set_read_hook t (Some f)] calls [f ~off ~len] at every {!read}, before
+    the bytes are copied out: the order in which value reads land. Only
+    [test_store]'s scan read-order pin installs one. [None] uninstalls. *)
+val set_read_hook : t -> (off:int -> len:int -> unit) option -> unit

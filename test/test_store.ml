@@ -760,6 +760,69 @@ let test_scan_mixed_residency () =
   ignore (Engine.run e);
   Alcotest.(check bool) "scan spans PWB+SVC+VS" true !ok
 
+(* Pinned from the store before its scan path was rebuilt on flat
+   buffers: a scan's SSD reads are grouped per chunk and issued in one
+   fixed order, which sets virtual time. Values are spread over many
+   small chunks on both storages (four writers, 4 KiB chunks), so the
+   first scan reads more than 32 chunks per storage; its SVC admissions
+   overflow the cache, evicted chains are rewritten, and the second scan
+   reads some of those rewritten runs. Each read landing is recorded as
+   (storage, chunk), consecutive repeats folded, with the virtual time
+   at which the scan returns. *)
+let test_scan_read_order_pinned () =
+  let cfg = { small_config with chunk_size = 4096 } in
+  with_store ~cfg (fun e store ->
+      let n = 6000 in
+      for i = 0 to n - 1 do
+        Store.put store ~tid:(i mod 4) (key i) (value ~size:100 i)
+      done;
+      Store.quiesce store;
+      let reads = ref [] in
+      Array.iter
+        (fun vs ->
+          let id = Value_storage.id vs in
+          Prism_media.Ssd_image.set_read_hook (Value_storage.image vs)
+            (Some
+               (fun ~off ~len:_ ->
+                 let here = (id, off / cfg.Config.chunk_size) in
+                 match !reads with
+                 | last :: _ when last = here -> ()
+                 | _ -> reads := here :: !reads)))
+        (Store.value_storages store);
+      let scan from count =
+        reads := [];
+        let items = Store.scan store ~tid:0 (key from) count in
+        let order =
+          List.rev_map (fun (v, c) -> Printf.sprintf "%d:%d" v c) !reads
+          |> String.concat " "
+        in
+        (items, order, Printf.sprintf "%h" (Engine.now e))
+      in
+      let expect from count items =
+        Alcotest.(check (list string))
+          "keys"
+          (List.init count (fun j -> key (from + j)))
+          (List.map fst items);
+        List.iteri
+          (fun j (_, v) ->
+            Alcotest.check bytes_eq "value" (value ~size:100 (from + j)) v)
+          items
+      in
+      let items, order, t1 = scan 0 n in
+      expect 0 n items;
+      Alcotest.(check int)
+        "first scan: chunk reads" 180
+        (List.length (String.split_on_char ' ' order));
+      Alcotest.(check string)
+        "first scan: read order digest" "cad02cd23321ba6cc6ce369cd8426ce1"
+        (Digest.to_hex (Digest.string order));
+      Alcotest.(check string) "first scan: done at" "0x1.5e360fc7d8c27p-6" t1;
+      let items, order, t2 = scan 1000 60 in
+      expect 1000 60 items;
+      Alcotest.(check string)
+        "second scan: read order" "0:15 0:19 0:18 0:17 0:16" order;
+      Alcotest.(check string) "second scan: done at" "0x1.5fddd55bc6911p-6" t2)
+
 let test_hsit_capacity_exhaustion_is_loud () =
   let e = Engine.create () in
   let store =
@@ -1023,6 +1086,7 @@ let () =
           case "get during reclamation" test_get_during_reclamation_races;
           case "delete vs put churn" test_interleaved_delete_and_put;
           case "scan mixed residency" test_scan_mixed_residency;
+          case "scan read order pinned" test_scan_read_order_pinned;
           case "hsit exhaustion" test_hsit_capacity_exhaustion_is_loud;
           case "vs gc under pressure" test_vs_gc_under_pressure;
         ] );
