@@ -60,7 +60,7 @@ let clear_dirty_if t id w =
        (Location.set_dirty w false)
       : int)
 
-let read_primary t id =
+let read_primary_word t id =
   check t id;
   let w = Nvm.get_word t.nvm (primary_off t id) in
   if Location.is_dirty w then begin
@@ -70,7 +70,9 @@ let read_primary t id =
       Nvm.persist t.nvm ~off:(primary_off t id) ~len:8;
     clear_dirty_if t id w
   end;
-  Location.decode w
+  Location.set_dirty w false
+
+let read_primary t id = Location.decode (read_primary_word t id)
 
 (* Writer protocol (§5.4): install the pointer with the dirty bit set via
    an atomic RMW, persist the line, then CAS the dirty bit off. Recovery
@@ -83,10 +85,9 @@ let finish_write t id dirty_word =
 (* The CAS compares locations, so it masks the dirty bit out of the
    current word. Stored words are all encodings, so equal locations have
    equal clean words. *)
-let update_primary t id ~expect loc =
+let update_primary_word t id ~expect w =
   check t id;
-  let dirty_word = Location.encode loc ~dirty:true in
-  let expect = Location.encode expect ~dirty:false in
+  let dirty_word = Location.set_dirty w true in
   let mask = Location.set_dirty (-1) false in
   let seen = Nvm.cas_word t.nvm (primary_off t id) ~mask ~expect dirty_word in
   if seen land mask = expect then begin
@@ -95,31 +96,36 @@ let update_primary t id ~expect loc =
   end
   else false
 
-let exchange_primary t id loc =
+let update_primary t id ~expect loc =
+  update_primary_word t id
+    ~expect:(Location.encode expect ~dirty:false)
+    (Location.encode loc ~dirty:false)
+
+let exchange_primary_word t id w =
   check t id;
-  let dirty_word = Location.encode loc ~dirty:true in
+  let dirty_word = Location.set_dirty w true in
   let replaced =
     Nvm.cas_word t.nvm (primary_off t id) ~mask:0 ~expect:0 dirty_word
   in
   finish_write t id dirty_word;
-  Location.decode replaced
+  Location.set_dirty replaced false
 
-let write_primary t id loc = ignore (exchange_primary t id loc : Location.t)
+let write_primary t id loc =
+  ignore (exchange_primary_word t id (Location.encode loc ~dirty:false) : int)
 
-let decode_svc w = if w < 0 then None else Some w
-
-let encode_svc = function None -> no_svc | Some v -> v
+let svc_index t id =
+  check t id;
+  Nvm.get_word t.nvm (svc_off t id)
 
 let read_svc t id =
-  check t id;
-  decode_svc (Nvm.get_word t.nvm (svc_off t id))
+  let w = svc_index t id in
+  if w = no_svc then None else Some w
 
 (* Every stored SVC word is [no_svc] or an index, so comparing words is
    comparing their decodings. *)
-let cas_svc t id ~expect v =
+let cas_svc_index t id ~expect v =
   check t id;
-  let expect = encode_svc expect in
-  Nvm.cas_word t.nvm (svc_off t id) ~mask:(-1) ~expect (encode_svc v) = expect
+  Nvm.cas_word t.nvm (svc_off t id) ~mask:(-1) ~expect v = expect
 
 let durable_primary t id =
   check t id;

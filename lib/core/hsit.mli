@@ -45,11 +45,20 @@ val free : t -> int -> unit
     writer and clears the bit (§5.4). *)
 val read_primary : t -> int -> Location.t
 
+(** [read_primary_word t id] is {!read_primary} as the location's clean
+    word (see {!Location.vs_word}): what the read path and the movers
+    use, so no location is built. *)
+val read_primary_word : t -> int -> int
+
 (** [update_primary t id ~expect loc] is the writer protocol: atomically
     replaces the word only if the current location still equals [expect]
     (CAS), sets the dirty bit, persists, then clears the bit. Returns
     [false] when the CAS lost a race. *)
 val update_primary : t -> int -> expect:Location.t -> Location.t -> bool
+
+(** [update_primary_word t id ~expect w] is {!update_primary} on clean
+    words. *)
+val update_primary_word : t -> int -> expect:int -> int -> bool
 
 (** [write_primary t id loc] is the unconditional variant, used by the
     owner thread on the put path where no other writer can interfere (all
@@ -57,20 +66,25 @@ val update_primary : t -> int -> expect:Location.t -> Location.t -> bool
     conflicts"). *)
 val write_primary : t -> int -> Location.t -> unit
 
-(** [exchange_primary t id loc] is [write_primary] returning the location
-    its atomic swap replaced. A writer that must release the value it
-    supersedes releases this one: a location read earlier may have been
-    moved since (by reclamation, sort-on-evict or GC), and releasing
-    the stale copy would leave the new home live and unreferenced. *)
-val exchange_primary : t -> int -> Location.t -> Location.t
+(** [exchange_primary_word t id w] is [write_primary] on clean words
+    (see {!Location.vs_word}), returning the word its atomic swap
+    replaced. A writer that must release the value it supersedes
+    releases this one: a location read earlier may have been moved since
+    (by reclamation, sort-on-evict or GC), and releasing the stale copy
+    would leave the new home live and unreferenced. *)
+val exchange_primary_word : t -> int -> int -> int
 
 (** SVC pointer accessors. [None] is encoded as -1. Volatile (no persist,
     no flush cost beyond the NVM store). *)
 val read_svc : t -> int -> int option
 
-(** [cas_svc t id ~expect v] atomically updates the SVC pointer (used by
+(** [svc_index t id] is {!read_svc} as a bare word: the index, or -1. *)
+val svc_index : t -> int -> int
+
+(** [cas_svc_index t id ~expect v] atomically updates the SVC pointer,
+    as bare words (-1 for none), if it still is [expect] (used by
     lock-free cache admission, §4.4). *)
-val cas_svc : t -> int -> expect:int option -> int option -> bool
+val cas_svc_index : t -> int -> expect:int -> int -> bool
 
 (** Recovery interface: the durable view of an entry's primary word. The
     dirty bit having survived means the pointer itself was persisted, so

@@ -48,44 +48,61 @@ let max_slot = (1 lsl slot_bits) - 1
 
 let gen_mask = (1 lsl gen_bits) - 1
 
+let vs_shift = slot_bits + chunk_bits + gen_bits
+
+let pwb_word ~thread ~voff =
+  if thread < 0 || thread > max_thread then
+    invalid_arg "Location.encode: thread out of range";
+  if voff < 0 || voff > max_voff then
+    invalid_arg "Location.encode: voff out of range";
+  (1 lsl tag_shift) lor (thread lsl 44) lor voff
+
+let vs_word ~vs ~gen ~chunk ~slot =
+  if vs < 0 || vs > max_vs then invalid_arg "Location.encode: vs out of range";
+  if chunk < 0 || chunk > max_chunk then
+    invalid_arg "Location.encode: chunk out of range";
+  if slot < 0 || slot > max_slot then
+    invalid_arg "Location.encode: slot out of range";
+  (2 lsl tag_shift)
+  lor slot
+  lor (chunk lsl slot_bits)
+  lor ((gen land gen_mask) lsl (slot_bits + chunk_bits))
+  lor (vs lsl vs_shift)
+
+let nowhere_word = 0
+
+let[@inline] is_pwb w = (w lsr tag_shift) land 3 = 1
+
+let[@inline] is_vs w = (w lsr tag_shift) land 3 = 2
+
+let[@inline] pwb_thread w = (w lsr 44) land max_thread
+
+let[@inline] pwb_voff w = w land max_voff
+
+let[@inline] vs_id w = (w lsr vs_shift) land max_vs
+
+let[@inline] vs_gen w = (w lsr (slot_bits + chunk_bits)) land gen_mask
+
+let[@inline] vs_chunk w = (w lsr slot_bits) land max_chunk
+
+let[@inline] vs_slot w = w land max_slot
+
 let encode loc ~dirty =
   let w =
     match loc with
-    | Nowhere -> 0
-    | In_pwb { thread; voff } ->
-        if thread < 0 || thread > max_thread then
-          invalid_arg "Location.encode: thread out of range";
-        if voff < 0 || voff > max_voff then
-          invalid_arg "Location.encode: voff out of range";
-        (1 lsl tag_shift) lor (thread lsl 44) lor voff
-    | In_vs { vs; gen; chunk; slot } ->
-        if vs < 0 || vs > max_vs then
-          invalid_arg "Location.encode: vs out of range";
-        if chunk < 0 || chunk > max_chunk then
-          invalid_arg "Location.encode: chunk out of range";
-        if slot < 0 || slot > max_slot then
-          invalid_arg "Location.encode: slot out of range";
-        let gen = gen land gen_mask in
-        (2 lsl tag_shift)
-        lor slot
-        lor (chunk lsl slot_bits)
-        lor (gen lsl (slot_bits + chunk_bits))
-        lor (vs lsl (slot_bits + chunk_bits + gen_bits))
+    | Nowhere -> nowhere_word
+    | In_pwb { thread; voff } -> pwb_word ~thread ~voff
+    | In_vs { vs; gen; chunk; slot } -> vs_word ~vs ~gen ~chunk ~slot
   in
   if dirty then w lor dirty_bit else w
 
 let decode w =
   match (w lsr tag_shift) land 3 with
   | 0 -> Nowhere
-  | 1 -> In_pwb { thread = (w lsr 44) land max_thread; voff = w land max_voff }
+  | 1 -> In_pwb { thread = pwb_thread w; voff = pwb_voff w }
   | 2 ->
       In_vs
-        {
-          vs = (w lsr (slot_bits + chunk_bits + gen_bits)) land max_vs;
-          gen = (w lsr (slot_bits + chunk_bits)) land gen_mask;
-          chunk = (w lsr slot_bits) land max_chunk;
-          slot = w land max_slot;
-        }
+        { vs = vs_id w; gen = vs_gen w; chunk = vs_chunk w; slot = vs_slot w }
   | _ -> invalid_arg "Location.decode: tag 3 encodes no location"
 
 let is_dirty w = w land dirty_bit <> 0

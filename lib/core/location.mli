@@ -38,6 +38,43 @@ val encode : t -> dirty:bool -> int
     Raises [Invalid_argument] on tag 3, which no location encodes. *)
 val decode : int -> t
 
+(** {2 Words}
+
+    The hot paths (readers, SVC admission and the movers) carry a
+    location as its clean word, the encoding with the dirty bit off,
+    instead of a boxed [t]. Stored words are all encodings, so two clean
+    words are equal exactly when their locations are. *)
+
+(** [pwb_word ~thread ~voff] is [encode (In_pwb {thread; voff})
+    ~dirty:false], without building the location. *)
+val pwb_word : thread:int -> voff:int -> int
+
+(** [vs_word ~vs ~gen ~chunk ~slot] is [encode (In_vs {vs; gen; chunk;
+    slot}) ~dirty:false], without building the location. *)
+val vs_word : vs:int -> gen:int -> chunk:int -> slot:int -> int
+
+(** The word of [Nowhere]. *)
+val nowhere_word : int
+
+(** [is_pwb w] and [is_vs w] read the tag of a word. *)
+val is_pwb : int -> bool
+
+val is_vs : int -> bool
+
+(** Fields of a PWB word. *)
+val pwb_thread : int -> int
+
+val pwb_voff : int -> int
+
+(** Fields of a Value Storage word; the generation is truncated. *)
+val vs_id : int -> int
+
+val vs_gen : int -> int
+
+val vs_chunk : int -> int
+
+val vs_slot : int -> int
+
 (** [is_dirty w] is the dirty bit of [w]. *)
 val is_dirty : int -> bool
 

@@ -13,6 +13,7 @@ type t = {
   reclaimed : Metric.Counter.t;
   dead : Metric.Counter.t;
   span_tid : int; (* this reclaimer's own frame stack for its passes *)
+  batch : Value_storage.moves; (* the pass's live records for one chunk *)
 }
 
 let create ?(watermark = 0.5) engine ~pwb ~hsit ~storages ~rng =
@@ -30,6 +31,7 @@ let create ?(watermark = 0.5) engine ~pwb ~hsit ~storages ~rng =
     reclaimed = Metric.Counter.create ();
     dead = Metric.Counter.create ();
     span_tid = Span.fresh_tid (Engine.spans engine);
+    batch = Value_storage.moves ();
   }
 
 let over_watermark t = Pwb.utilization t.pwb >= t.watermark
@@ -41,18 +43,20 @@ let reclaimed_values t = Metric.Counter.value t.reclaimed
 let skipped_dead t = Metric.Counter.value t.dead
 
 let repoint t ~hsit_id ~from_ ~to_ =
-  Hsit.update_primary t.hsit hsit_id ~expect:from_ to_
+  Hsit.update_primary_word t.hsit hsit_id ~expect:from_ to_
 
-(* Write one batch of live values to a chunk and repoint their HSIT
+(* Write the batch of live values to a chunk and repoint their HSIT
    entries (values superseded meanwhile stay garbage in the chunk). *)
-let flush_batch t batch =
-  match List.rev batch with
-  | [] -> ()
-  | values ->
-      let vs = Value_storage.pick t.rng t.storages in
-      Value_storage.install vs values ~repoint:(repoint t)
-        ~moved:(fun ~from_:_ ~value:_ -> Metric.Counter.incr t.reclaimed);
-      Value_storage.poke_gc vs
+let flush_batch t =
+  let batch = t.batch in
+  if batch.Value_storage.count > 0 then begin
+    let vs = Value_storage.pick t.rng t.storages in
+    Value_storage.install vs batch ~pos:0 ~len:batch.Value_storage.count
+      ~repoint:(repoint t)
+      ~moved:(fun _ -> Metric.Counter.incr t.reclaimed);
+    Value_storage.clear_moves batch;
+    Value_storage.poke_gc vs
+  end
 
 let reclaim_now t =
   if t.in_pass then ()
@@ -62,44 +66,43 @@ let reclaim_now t =
     Fun.protect
       ~finally:(fun () -> t.in_pass <- false)
       (fun () ->
+        (* A pass cut short by a crash may have left its batch behind. *)
+        Value_storage.clear_moves t.batch;
         let target_tail = Pwb.tail t.pwb in
         let budget =
           Value_storage.chunk_size t.storages.(0) - (4 * 16)
         in
-        let rec scan pos batch batch_bytes =
+        let rec scan pos batch_bytes =
           match Pwb.next_record t.pwb ~voff:pos with
           | Some (voff, hsit_id, len) when voff < target_tail ->
               let next = voff + Pwb.record_extent ~len in
-              let here = Location.In_pwb { thread = Pwb.thread t.pwb; voff } in
-              let live =
-                Location.equal (Hsit.read_primary t.hsit hsit_id) here
-              in
-              if not live then begin
+              let here = Location.pwb_word ~thread:(Pwb.thread t.pwb) ~voff in
+              if Hsit.read_primary_word t.hsit hsit_id <> here then begin
                 (* Superseded or deleted: skip without any SSD write. *)
                 Metric.Counter.incr t.dead;
-                scan next batch batch_bytes
+                scan next batch_bytes
               end
               else begin
                 let record_bytes = Pwb.record_extent ~len in
                 if batch_bytes + record_bytes > budget then begin
-                  flush_batch t batch;
+                  flush_batch t;
                   (* Space up to (and excluding) this record is migrated or
                      dead; release it to unblock appenders. *)
                   Pwb.advance_head t.pwb ~to_:voff;
-                  scan pos [] 0
+                  scan pos 0
                 end
                 else begin
                   let _, payload = Pwb.read t.pwb ~voff in
-                  scan next
-                    ((hsit_id, payload, here) :: batch)
-                    (batch_bytes + record_bytes)
+                  Value_storage.add_move t.batch ~id:hsit_id ~value:payload
+                    ~from_:here;
+                  scan next (batch_bytes + record_bytes)
                 end
               end
           | Some _ | None ->
-              flush_batch t batch;
+              flush_batch t;
               Pwb.advance_head t.pwb ~to_:(min target_tail (Pwb.tail t.pwb))
         in
-        scan (Pwb.head t.pwb) [] 0)
+        scan (Pwb.head t.pwb) 0)
   end
 
 let maybe_trigger t =

@@ -37,7 +37,7 @@ type key_index = {
   ki_find : string -> int option;
   ki_insert : string -> int -> int option;
   ki_delete : string -> bool;
-  ki_scan : from:string -> count:int -> (string * int) list;
+  ki_scan : from:string -> count:int -> (string -> int -> unit) -> unit;
   ki_bindings : unit -> (string * int) list;
   ki_length : unit -> int;
   ki_bytes : unit -> int;
@@ -49,7 +49,7 @@ let btree_index ~on_access =
     ki_find = Prism_index.Btree.find t;
     ki_insert = Prism_index.Btree.insert t;
     ki_delete = Prism_index.Btree.delete t;
-    ki_scan = (fun ~from ~count -> Prism_index.Btree.scan t ~from ~count);
+    ki_scan = Prism_index.Btree.iter_range t;
     ki_bindings =
       (fun () ->
         List.rev (Prism_index.Btree.fold t [] (fun acc k v -> (k, v) :: acc)));
@@ -63,7 +63,7 @@ let art_index ~on_access =
     ki_find = Prism_index.Art.find t;
     ki_insert = Prism_index.Art.insert t;
     ki_delete = Prism_index.Art.delete t;
-    ki_scan = (fun ~from ~count -> Prism_index.Art.scan t ~from ~count);
+    ki_scan = Prism_index.Art.iter_range t;
     ki_bindings =
       (fun () ->
         List.rev (Prism_index.Art.fold t [] (fun acc k v -> (k, v) :: acc)));
@@ -131,43 +131,50 @@ let charge_index t =
       +. Cost.default.Cost.fence)
   end
 
-let invalidate_old t old =
-  match old with
-  | Location.In_vs { vs; gen; chunk; slot } ->
-      Value_storage.set_valid t.vss.(vs) ~gen ~chunk ~slot false
-  | Location.Nowhere | Location.In_pwb _ -> ()
+(* Release the Value Storage slot a superseded location word names. *)
+let invalidate_old t w =
+  if Location.is_vs w then
+    Value_storage.set_valid
+      t.vss.(Location.vs_id w)
+      ~gen:(Location.vs_gen w) ~chunk:(Location.vs_chunk w)
+      ~slot:(Location.vs_slot w) false
 
 let repoint t ~hsit_id ~from_ ~to_ =
-  Hsit.update_primary t.hsit hsit_id ~expect:from_ to_
+  Hsit.update_primary_word t.hsit hsit_id ~expect:from_ to_
 
-let reorganize_members t members =
+let reorganize_members t (members : Svc.member array) =
   (* Sort-on-evict write-back (§4.4): rewrite a scan chain contiguously
      into Value Storage. Members arrive sorted by key. *)
   let budget = t.cfg.Config.chunk_size - (4 * 16) in
-  let flush batch =
-    match List.rev batch with
-    | [] -> ()
-    | batch ->
-        let vs = Value_storage.pick t.rng t.vss in
-        Value_storage.install vs
-          (List.map
-             (fun m -> (m.Svc.hsit_id, m.Svc.value, m.Svc.cached_from))
-             batch)
-          ~repoint:(repoint t)
-          ~moved:(fun ~from_ ~value:_ -> invalidate_old t from_);
-        Value_storage.poke_gc vs
+  let n = Array.length members in
+  let m =
+    {
+      Value_storage.ids = Array.map (fun m -> m.Svc.hsit_id) members;
+      values = Array.map (fun m -> m.Svc.value) members;
+      froms = Array.map (fun m -> m.Svc.cached_from) members;
+      count = n;
+    }
   in
-  let rec batch_up acc acc_bytes = function
-    | [] -> flush acc
-    | m :: rest ->
-        let sz = 16 + Prism_sim.Bits.round_up (Bytes.length m.Svc.value) 16 in
-        if acc_bytes + sz > budget && acc <> [] then begin
-          flush acc;
-          batch_up [ m ] sz rest
-        end
-        else batch_up (m :: acc) (acc_bytes + sz) rest
+  let flush pos stop =
+    if stop > pos then begin
+      let vs = Value_storage.pick t.rng t.vss in
+      Value_storage.install vs m ~pos ~len:(stop - pos) ~repoint:(repoint t)
+        ~moved:(invalidate_old t);
+      Value_storage.poke_gc vs
+    end
   in
-  batch_up [] 0 members
+  let rec batch_up pos i bytes =
+    if i = n then flush pos n
+    else begin
+      let sz = 16 + Prism_sim.Bits.round_up (Bytes.length m.values.(i)) 16 in
+      if bytes + sz > budget && i > pos then begin
+        flush pos i;
+        batch_up i (i + 1) sz
+      end
+      else batch_up pos (i + 1) (bytes + sz)
+    end
+  in
+  batch_up 0 0 0
 
 let length t = t.index.ki_length ()
 
@@ -405,10 +412,10 @@ let put t ~tid key value =
           (* The read's charge and flush-on-read are part of the modelled
              put, but the home it names may move while it is in flight:
              release the one the swap replaces. *)
-          ignore (Hsit.read_primary t.hsit id : Location.t);
+          ignore (Hsit.read_primary_word t.hsit id : int);
           let old =
-            Hsit.exchange_primary t.hsit id
-              (Location.In_pwb { thread = tid; voff })
+            Hsit.exchange_primary_word t.hsit id
+              (Location.pwb_word ~thread:tid ~voff)
           in
           invalidate_old t old;
           (match t.svc with
@@ -419,8 +426,10 @@ let put t ~tid key value =
       | None ->
           let id = Hsit.alloc t.hsit in
           let voff = Pwb.append t.pwbs.(tid) ~hsit_id:id ~value in
-          Hsit.write_primary t.hsit id
-            (Location.In_pwb { thread = tid; voff });
+          ignore
+            (Hsit.exchange_primary_word t.hsit id
+               (Location.pwb_word ~thread:tid ~voff)
+              : int);
           let prev = t.index.ki_insert key id in
           charge_index t;
           (match prev with
@@ -452,8 +461,10 @@ let delete t ~tid key =
             | Some svc when not t.cfg.Config.fault_skip_svc_invalidate ->
                 Svc.invalidate svc ~hsit_id:id
             | Some _ | None -> ());
-            ignore (Hsit.read_primary t.hsit id : Location.t);
-            let old = Hsit.exchange_primary t.hsit id Location.Nowhere in
+            ignore (Hsit.read_primary_word t.hsit id : int);
+            let old =
+              Hsit.exchange_primary_word t.hsit id Location.nowhere_word
+            in
             invalidate_old t old;
             let hsit = t.hsit in
             Epoch.retire t.epoch (fun () -> Hsit.free hsit id);
@@ -462,69 +473,75 @@ let delete t ~tid key =
 
 (* ---- read path (§4.4, §5.3) ---- *)
 
-(* [Hit]: served by the SVC or a PWB. [On_ssd]: the caller
-   reads the Value Storage slot, which the HSIT named as [loc] (the SVC
-   admission's [cached_from]). [Moved]: the value moved while we
-   followed its pointer; a point read retries. *)
-type resolved =
-  | Hit of bytes
-  | On_ssd of { vs : int; gen : int; chunk : int; slot : int; loc : Location.t }
-  | Moved
-  | Absent
+(* What [resolve] found besides a Value Storage slot, whose clean HSIT
+   word (never negative) it returns instead. *)
+let hit = -1 (* served by the SVC or a PWB *)
+
+let moved = -2 (* the value moved while we followed its pointer *)
+
+let absent = -3
 
 (* The reader side of §5.4: follow the HSIT entry of [id] to the one home
-   of its value, bumping the hit counter of the home that served it. SSD
-   reads are left to the caller, which may batch them. [skip_pwb] is the
-   [fault_scan_skip_pwb] injection: the write buffer looks empty. *)
-let resolve t ~skip_pwb ~id =
+   of its value, bumping the hit counter of the home that served it. A
+   hit leaves the value in [values.(i)]; an SSD slot is returned as its
+   word, and reading it is left to the caller, which may batch reads. A
+   point read retries on [moved]. [skip_pwb] is the [fault_scan_skip_pwb]
+   injection: the write buffer looks empty. *)
+let resolve t ~skip_pwb ~id ~values ~i =
   let cached =
     match t.svc with
-    | None -> None
-    | Some svc -> (
-        match Hsit.read_svc t.hsit id with
-        | None -> None
-        | Some idx -> Svc.lookup svc ~idx ~hsit_id:id)
+    | None -> Bytes.empty
+    | Some svc ->
+        let idx = Hsit.svc_index t.hsit id in
+        if idx < 0 then Bytes.empty else Svc.lookup_value svc ~idx ~hsit_id:id
   in
-  match cached with
-  | Some value ->
-      Metric.Counter.incr t.ctr.c_svc_hits;
-      Hit value
-  | None -> (
-      let loc = Hsit.read_primary t.hsit id in
-      match loc with
-      | Location.Nowhere -> Absent
-      | Location.In_pwb _ when skip_pwb -> Moved
-      | Location.In_pwb { thread; voff } ->
-          if voff < Pwb.head t.pwbs.(thread) then Moved
-          else begin
-            let bid, payload = Pwb.read t.pwbs.(thread) ~voff in
-            if bid <> id then Moved
-            else begin
-              Metric.Counter.incr t.ctr.c_pwb_hits;
-              Hit payload
-            end
-          end
-      | Location.In_vs { vs; gen; chunk; slot } -> (
-          match Value_storage.slot_backptr t.vss.(vs) ~gen ~chunk ~slot with
-          | Some bp when bp = id -> On_ssd { vs; gen; chunk; slot; loc }
-          | Some _ | None -> Moved))
+  if Bytes.length cached > 0 then begin
+    Metric.Counter.incr t.ctr.c_svc_hits;
+    values.(i) <- cached;
+    hit
+  end
+  else begin
+    let w = Hsit.read_primary_word t.hsit id in
+    if Location.is_pwb w then begin
+      let pwb = t.pwbs.(Location.pwb_thread w) and voff = Location.pwb_voff w in
+      if skip_pwb || voff < Pwb.head pwb then moved
+      else begin
+        let bid, payload = Pwb.read pwb ~voff in
+        if bid <> id then moved
+        else begin
+          Metric.Counter.incr t.ctr.c_pwb_hits;
+          values.(i) <- payload;
+          hit
+        end
+      end
+    end
+    else if Location.is_vs w then
+      if
+        Value_storage.backptr
+          t.vss.(Location.vs_id w)
+          ~gen:(Location.vs_gen w) ~chunk:(Location.vs_chunk w)
+          ~slot:(Location.vs_slot w)
+        = id
+      then w
+      else moved
+    else absent
+  end
 
-let admit_to_svc t ~id ~key ~value ~loc =
+(* Cache a value read from the slot [word] names; the SVC index, or -1. *)
+let admit_to_svc t ~id ~key ~value ~word =
   match t.svc with
-  | None -> None
-  | Some svc -> (
-      match Svc.admit svc ~hsit_id:id ~key ~value ~cached_from:loc with
-      | None -> None
-      | Some idx ->
-          (* Verify-after-publish: if a writer moved the value while we
-             were caching it, unpublish our stale copy. The writer's own
-             invalidate covers the symmetric interleaving. *)
-          let now = Hsit.read_primary t.hsit id in
-          if Location.equal now loc then Some idx
-          else begin
-            Svc.invalidate svc ~hsit_id:id;
-            None
-          end)
+  | None -> -1
+  | Some svc ->
+      let idx = Svc.admit_index svc ~hsit_id:id ~key ~value ~from_:word in
+      if idx < 0 then -1
+      else if Hsit.read_primary_word t.hsit id = word then idx
+      else begin
+        (* Verify-after-publish: if a writer moved the value while we
+           were caching it, unpublish our stale copy. The writer's own
+           invalidate covers the symmetric interleaving. *)
+        Svc.invalidate svc ~hsit_id:id;
+        -1
+      end
 
 let livelock t ~id ~key =
   let detail =
@@ -544,28 +561,41 @@ let livelock t ~id ~key =
   failwith
     (Printf.sprintf "Store.get livelock: key=%s id=%d loc=%s" key id detail)
 
-let rec get_resolved ?(attempt = 0) t ~tid ~id ~key =
-  if attempt > 1000 then livelock t ~id ~key;
-  let retry () = get_resolved ~attempt:(attempt + 1) t ~tid ~id ~key in
-  match resolve t ~skip_pwb:false ~id with
-  | Absent -> None
-  | Moved -> retry ()
-  | Hit value -> Some value
-  | On_ssd { vs; gen; chunk; slot; loc } -> (
-      let cell = ref None in
-      match Value_storage.read_entry t.vss.(vs) ~gen ~chunk ~slot ~cell with
-      | None -> retry ()
-      | Some entry -> (
+(* The [order] of a one-slot read: binding 0. *)
+let first_only = [| 0 |]
+
+let get_resolved t ~id ~key =
+  let values = [| Bytes.empty |] and words = [| Location.nowhere_word |] in
+  let rec attempt n =
+    if n > 1000 then livelock t ~id ~key;
+    let r = resolve t ~skip_pwb:false ~id ~values ~i:0 in
+    if r = hit then Some values.(0)
+    else if r = absent then None
+    else if r = moved then attempt (n + 1)
+    else begin
+      let vs = Location.vs_id r in
+      words.(0) <- r;
+      match
+        Value_storage.read_run t.vss.(vs) ~gen:(Location.vs_gen r)
+          ~chunk:(Location.vs_chunk r) ~words ~values ~order:first_only
+          ~pos:0 ~len:1
+      with
+      | None -> attempt (n + 1)
+      | Some entry ->
           read_vs t ~vs entry;
           Metric.Counter.incr t.ctr.c_vs_reads;
-          match !cell with
-          | None ->
-              (* The chunk was recycled while the IO was in flight; retry
-                 from HSIT. *)
-              retry ()
-          | Some value ->
-              ignore (admit_to_svc t ~id ~key ~value ~loc);
-              Some value))
+          let value = values.(0) in
+          if Bytes.length value = 0 then
+            (* The chunk was recycled while the IO was in flight; retry
+               from HSIT. *)
+            attempt (n + 1)
+          else begin
+            ignore (admit_to_svc t ~id ~key ~value ~word:r : int);
+            Some value
+          end
+    end
+  in
+  attempt 0
 
 let get t ~tid key =
   Metric.Counter.incr t.ctr.c_gets;
@@ -577,13 +607,81 @@ let get t ~tid key =
           Metric.Counter.incr t.ctr.c_misses;
           None
       | Some id -> (
-          match get_resolved t ~tid ~id ~key with
+          match get_resolved t ~id ~key with
           | None ->
               Metric.Counter.incr t.ctr.c_misses;
               None
           | Some v -> Some v))
 
 (* ---- scan (§4.4) ---- *)
+
+(* The SSD reads of the bindings [pending] (indices into [words], all on
+   storage [vs], ascending), one entry per chunk, in issue order.
+
+   Reads of one chunk share an entry, so values a previous scan's
+   reorganization placed contiguously cost one IO for the whole run
+   (§4.4 "reduces SSD IO for subsequent scan operations"). The order of
+   the entries is the fold order of the per-chunk [Hashtbl] this scan
+   once grouped its reads in, and it sets the order of the IOs, so
+   virtual time depends on it: descending bucket of [Hashtbl.hash (gen,
+   chunk)] in a table of [16 * 2^k] buckets (the fewest holding the
+   chunks at two per bucket), then the chunk whose last binding comes
+   later first. *)
+let chunk_reads t ~vs ~words ~values pending =
+  let w i = words.(i) in
+  Array.stable_sort
+    (fun a b ->
+      let c = Int.compare (Location.vs_gen (w a)) (Location.vs_gen (w b)) in
+      if c <> 0 then c
+      else Int.compare (Location.vs_chunk (w a)) (Location.vs_chunk (w b)))
+    pending;
+  (* Runs of one chunk: [starts.(g) .. starts.(g + 1) - 1]. *)
+  let n = Array.length pending in
+  let starts = Array.make (n + 1) n in
+  let groups = ref 0 in
+  for k = 0 to n - 1 do
+    if
+      k = 0
+      || Location.vs_chunk (w pending.(k)) <> Location.vs_chunk (w pending.(k - 1))
+      || Location.vs_gen (w pending.(k)) <> Location.vs_gen (w pending.(k - 1))
+    then begin
+      starts.(!groups) <- k;
+      incr groups
+    end
+  done;
+  let groups = !groups in
+  starts.(groups) <- n;
+  let buckets = ref 16 in
+  while groups > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let bucket =
+    Array.init groups (fun g ->
+        let r = w pending.(starts.(g)) in
+        Hashtbl.hash (Location.vs_gen r, Location.vs_chunk r)
+        land (!buckets - 1))
+  in
+  let last g = pending.(starts.(g + 1) - 1) in
+  let by_issue = Array.init groups Fun.id in
+  Array.sort
+    (fun a b ->
+      if bucket.(a) <> bucket.(b) then Int.compare bucket.(b) bucket.(a)
+      else Int.compare (last b) (last a))
+    by_issue;
+  let entries = ref [] in
+  for k = groups - 1 downto 0 do
+    let g = by_issue.(k) in
+    let r = w pending.(starts.(g)) in
+    match
+      Value_storage.read_run t.vss.(vs) ~gen:(Location.vs_gen r)
+        ~chunk:(Location.vs_chunk r) ~words ~values ~order:pending
+        ~pos:starts.(g)
+        ~len:(starts.(g + 1) - starts.(g))
+    with
+    | Some entry -> entries := entry :: !entries
+    | None -> ()
+  done;
+  !entries
 
 let scan t ~tid key count =
   Metric.Counter.incr t.ctr.c_scans;
@@ -597,76 +695,74 @@ let scan t ~tid key count =
   | _ ->
   let items =
   Epoch.with_pinned t.epoch ~tid (fun () ->
-      let bindings = t.index.ki_scan ~from:key ~count in
+      (* The bindings, then each one's value (empty until found) and, for
+         a value on SSD, its slot's word (-1 otherwise): flat arrays, one
+         cell per binding. *)
+      let cap = max 0 (min count (t.index.ki_length ())) in
+      let keys = Array.make cap "" and ids = Array.make cap 0 in
+      let n = ref 0 in
+      t.index.ki_scan ~from:key ~count (fun k id ->
+          keys.(!n) <- k;
+          ids.(!n) <- id;
+          incr n);
       charge_index t;
-      (* Resolve every binding, gathering its Value-Storage reads so they
-         can be coalesced into large batches per storage. Scans do not
-         bump the access clock: range reads would pollute the hot set the
-         CLOCK is meant to capture (the SVC owns scan locality, §4.4). *)
-      let results = Array.make (List.length bindings) None in
-      let pending = Array.make (Array.length t.vss) [] in
-      List.iteri
-        (fun i ((k, id) as binding) ->
-          match
-            resolve t ~skip_pwb:t.cfg.Config.fault_scan_skip_pwb ~id
-          with
-          | Hit value -> results.(i) <- Some (k, value)
-          | On_ssd { vs; gen; chunk; slot; loc } ->
-              pending.(vs) <-
-                (i, binding, loc, (gen, chunk), slot, ref None) :: pending.(vs)
-          | Moved | Absent -> ())
-        bindings;
-      (* Coalesce reads per chunk: values that a previous scan's
-         reorganization placed contiguously now cost one IO for the whole
-         run (§4.4 "reduces SSD IO for subsequent scan operations"). *)
+      let n = !n in
+      let values = Array.make n Bytes.empty and words = Array.make n (-1) in
+      let on_ssd = Array.make (Array.length t.vss) 0 in
+      for i = 0 to n - 1 do
+        let r =
+          resolve t ~skip_pwb:t.cfg.Config.fault_scan_skip_pwb ~id:ids.(i)
+            ~values ~i
+        in
+        if r >= 0 then begin
+          words.(i) <- r;
+          let vs = Location.vs_id r in
+          on_ssd.(vs) <- on_ssd.(vs) + 1
+        end
+      done;
+      (* Coalesce reads per storage and per chunk. *)
+      let pending_on vs =
+        let p = Array.make on_ssd.(vs) 0 and k = ref 0 in
+        for i = 0 to n - 1 do
+          if words.(i) >= 0 && Location.vs_id words.(i) = vs then begin
+            p.(!k) <- i;
+            incr k
+          end
+        done;
+        p
+      in
       Array.iteri
-        (fun vs reqs ->
-          match reqs with
-          | [] -> ()
-          | reqs ->
-              Metric.Counter.add t.ctr.c_vs_reads (List.length reqs);
-              let by_chunk = Hashtbl.create 8 in
-              List.iter
-                (fun (_, _, _, gen_chunk, slot, cell) ->
-                  let cur =
-                    Option.value ~default:[]
-                      (Hashtbl.find_opt by_chunk gen_chunk)
-                  in
-                  Hashtbl.replace by_chunk gen_chunk ((slot, cell) :: cur))
-                reqs;
-              let entries =
-                Hashtbl.fold
-                  (fun (gen, chunk) slots acc ->
-                    match
-                      Value_storage.read_run_entry t.vss.(vs) ~gen ~chunk
-                        ~slots
-                    with
-                    | Some entry -> entry :: acc
-                    | None -> acc)
-                  by_chunk []
-              in
-              read_vs_many t ~vs entries)
-        pending;
-      (* Admit fetched values and link the whole range into a scan chain so
-         an eviction rewrites them contiguously (§4.4). *)
-      let chain = ref [] in
-      Array.iter
-        (fun reqs ->
-          List.iter
-            (fun (i, (k, id), loc, _, _, cell) ->
-              match !cell with
-              | None -> ()
-              | Some value -> (
-                  results.(i) <- Some (k, value);
-                  match admit_to_svc t ~id ~key:k ~value ~loc with
-                  | Some idx -> chain := idx :: !chain
-                  | None -> ()))
-            reqs)
-        pending;
+        (fun vs reads ->
+          if reads > 0 then begin
+            Metric.Counter.add t.ctr.c_vs_reads reads;
+            read_vs_many t ~vs (chunk_reads t ~vs ~words ~values (pending_on vs))
+          end)
+        on_ssd;
+      (* Admit fetched values, storage by storage and last binding first,
+         and link the whole range into a scan chain so an eviction
+         rewrites them contiguously (§4.4). *)
+      let chain = Array.make n 0 and linked = ref 0 in
+      Array.iteri
+        (fun vs reads ->
+          if reads > 0 then
+            for i = n - 1 downto 0 do
+              let r = words.(i) in
+              if r >= 0 && Location.vs_id r = vs && Bytes.length values.(i) > 0
+              then begin
+                let idx =
+                  admit_to_svc t ~id:ids.(i) ~key:keys.(i) ~value:values.(i)
+                    ~word:r
+                in
+                if idx >= 0 then begin
+                  chain.(!linked) <- idx;
+                  incr linked
+                end
+              end
+            done)
+        on_ssd;
       (match t.svc with
-      | Some svc when t.cfg.Config.scan_reorganize && List.length !chain >= 2
-        ->
-          Svc.link_chain svc (List.rev !chain)
+      | Some svc when t.cfg.Config.scan_reorganize && !linked >= 2 ->
+          Svc.link_chain svc chain !linked
       | Some _ | None -> ());
       (* Read-repair: a value can move while [resolve] follows it — PWB
          reclamation advances [head] past the recorded offset, or the VS
@@ -679,16 +775,18 @@ let scan t ~tid key count =
          [fault_scan_skip_pwb] injection, which exists to demonstrate the
          omission. *)
       if not t.cfg.Config.fault_scan_skip_pwb then
-        List.iteri
-          (fun i (k, id) ->
-            match results.(i) with
-            | Some _ -> ()
-            | None -> (
-                match get_resolved t ~tid ~id ~key:k with
-                | Some value -> results.(i) <- Some (k, value)
-                | None -> ()))
-          bindings;
-      Array.to_list results |> List.filter_map Fun.id)
+        for i = 0 to n - 1 do
+          if Bytes.length values.(i) = 0 then
+            match get_resolved t ~id:ids.(i) ~key:keys.(i) with
+            | Some value -> values.(i) <- value
+            | None -> ()
+        done;
+      let items = ref [] in
+      for i = n - 1 downto 0 do
+        if Bytes.length values.(i) > 0 then
+          items := (keys.(i), values.(i)) :: !items
+      done;
+      !items)
   in
   let items =
     match items with

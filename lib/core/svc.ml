@@ -5,7 +5,7 @@ type member = {
   hsit_id : int;
   key : string;
   value : bytes;
-  cached_from : Location.t;
+  cached_from : int;
 }
 
 type lru = No_list | Inactive | Active
@@ -16,7 +16,7 @@ type entry = {
   mutable e_hsit : int;
   mutable e_key : string;
   mutable e_value : bytes;
-  mutable e_from : Location.t;
+  mutable e_from : int; (* clean HSIT word the value was cached from *)
   mutable e_state : state;
   mutable e_lru : lru;
   mutable prev : int;
@@ -48,7 +48,7 @@ type t = {
   active : dlist;
   mailbox : msg Sync.Mailbox.t;
   mutable pending_bytes : int;
-  mutable reorganize : (member list -> unit) option;
+  mutable reorganize : (member array -> unit) option;
   evictions : Metric.Counter.t;
   reorgs : Metric.Counter.t;
   mutable manager_running : bool;
@@ -61,7 +61,7 @@ let fresh_entry () =
     e_hsit = -1;
     e_key = "";
     e_value = Bytes.empty;
-    e_from = Location.Nowhere;
+    e_from = Location.nowhere_word;
     e_state = Free;
     e_lru = No_list;
     prev = -1;
@@ -141,28 +141,26 @@ let chain_unlink t idx =
   e.cprev <- -1;
   e.cnext <- -1
 
-let chain_members t idx =
-  let rec back i = if (entry t i).cprev >= 0 then back (entry t i).cprev else i in
-  let start = back idx in
-  let rec collect acc i =
-    let acc = i :: acc in
-    if (entry t i).cnext >= 0 then collect acc (entry t i).cnext else List.rev acc
-  in
-  collect [] start
+(* The first member of the chain through [idx]. *)
+let rec chain_head t idx =
+  let p = (entry t idx).cprev in
+  if p >= 0 then chain_head t p else idx
 
-let dissolve_chain t members = List.iter (fun i -> chain_unlink t i) members
-
-let link_chain t idxs =
-  let live = List.filter (fun i -> (entry t i).e_state = Live) idxs in
-  List.iter (fun i -> chain_unlink t i) live;
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-        (entry t a).cnext <- b;
-        (entry t b).cprev <- a;
-        link rest
-    | [ _ ] | [] -> ()
-  in
-  link live
+(* Link the live entries among [idxs.(0 .. n - 1)], in that order, into
+   one chain. *)
+let link_chain t idxs n =
+  let prev = ref (-1) in
+  for k = 0 to n - 1 do
+    let i = idxs.(k) in
+    if (entry t i).e_state = Live then begin
+      chain_unlink t i;
+      if !prev >= 0 then begin
+        (entry t !prev).cnext <- i;
+        (entry t i).cprev <- !prev
+      end;
+      prev := i
+    end
+  done
 
 (* ---- allocation ---- *)
 
@@ -198,27 +196,32 @@ let register_stats t stats ~prefix =
 
 (* ---- read path ---- *)
 
-let lookup t ~idx ~hsit_id =
+(* A miss is the empty value: stored values are never empty. *)
+let lookup_value t ~idx ~hsit_id =
   Engine.delay t.cost.Cost.cache_op;
-  if idx < 0 || idx >= t.nalloc then None
+  if idx < 0 || idx >= t.nalloc then Bytes.empty
   else begin
     let e = entry t idx in
-    if e.e_state <> Live || e.e_hsit <> hsit_id then None
+    if e.e_state <> Live || e.e_hsit <> hsit_id then Bytes.empty
     else begin
       Engine.delay (Cost.memcpy t.cost (Bytes.length e.e_value));
       if not e.referenced then begin
         e.referenced <- true;
         Sync.Mailbox.send t.mailbox (Touch idx)
       end;
-      Some (Bytes.copy e.e_value)
+      Bytes.copy e.e_value
     end
   end
 
+let lookup t ~idx ~hsit_id =
+  let v = lookup_value t ~idx ~hsit_id in
+  if Bytes.length v = 0 then None else Some v
+
 (* ---- write/admission path ---- *)
 
-let admit t ~hsit_id ~key ~value ~cached_from =
+let admit_index t ~hsit_id ~key ~value ~from_ =
   (* Hard cap: refuse admissions when eviction is far behind. *)
-  if used_bytes t > t.capacity * 2 then None
+  if used_bytes t > t.capacity * 2 then -1
   else begin
     Engine.delay t.cost.Cost.cache_op;
     let idx = alloc t in
@@ -226,15 +229,15 @@ let admit t ~hsit_id ~key ~value ~cached_from =
     e.e_hsit <- hsit_id;
     e.e_key <- key;
     e.e_value <- Bytes.copy value;
-    e.e_from <- cached_from;
+    e.e_from <- from_;
     e.e_state <- Live;
     e.e_lru <- No_list;
     e.referenced <- false;
     Engine.delay t.cost.Cost.atomic_op;
-    if Hsit.cas_svc t.hsit hsit_id ~expect:None (Some idx) then begin
+    if Hsit.cas_svc_index t.hsit hsit_id ~expect:(-1) idx then begin
       t.pending_bytes <- t.pending_bytes + entry_bytes e;
       Sync.Mailbox.send t.mailbox (Admit idx);
-      Some idx
+      idx
     end
     else begin
       (* Someone else cached it first; roll back the never-published
@@ -242,9 +245,16 @@ let admit t ~hsit_id ~key ~value ~cached_from =
       e.e_state <- Free;
       e.e_value <- Bytes.empty;
       t.free <- idx :: t.free;
-      None
+      -1
     end
   end
+
+let admit t ~hsit_id ~key ~value ~cached_from =
+  let idx =
+    admit_index t ~hsit_id ~key ~value
+      ~from_:(Location.encode cached_from ~dirty:false)
+  in
+  if idx < 0 then None else Some idx
 
 let retire_entry t idx =
   let e = entry t idx in
@@ -257,19 +267,53 @@ let retire_entry t idx =
       t.free <- idx :: t.free)
 
 let invalidate t ~hsit_id =
-  match Hsit.read_svc t.hsit hsit_id with
-  | None -> ()
-  | Some idx ->
-      let e = entry t idx in
-      if e.e_state = Live && e.e_hsit = hsit_id then begin
-        Engine.delay t.cost.Cost.atomic_op;
-        if Hsit.cas_svc t.hsit hsit_id ~expect:(Some idx) None then
-          Sync.Mailbox.send t.mailbox (Drop idx)
-      end
+  let idx = Hsit.svc_index t.hsit hsit_id in
+  if idx >= 0 then begin
+    let e = entry t idx in
+    if e.e_state = Live && e.e_hsit = hsit_id then begin
+      Engine.delay t.cost.Cost.atomic_op;
+      if Hsit.cas_svc_index t.hsit hsit_id ~expect:idx (-1) then
+        Sync.Mailbox.send t.mailbox (Drop idx)
+    end
+  end
 
 (* ---- manager ---- *)
 
 let in_pending e = e.e_state = Live && e.e_lru = No_list
+
+(* The live members of the chain starting at [head], in chain order.
+   Their values go to the write-back as they are: an entry's value is
+   never mutated, and only copies of it leave through [lookup]. *)
+let live_members t head =
+  let rec count i n =
+    if i < 0 then n
+    else count (entry t i).cnext (if (entry t i).e_state = Live then n + 1 else n)
+  in
+  let members =
+    Array.make (count head 0)
+      { hsit_id = -1; key = ""; value = Bytes.empty; cached_from = 0 }
+  in
+  let rec fill i k =
+    if i >= 0 then begin
+      let m = entry t i in
+      if m.e_state = Live then begin
+        members.(k) <-
+          { hsit_id = m.e_hsit; key = m.e_key; value = m.e_value;
+            cached_from = m.e_from };
+        fill m.cnext (k + 1)
+      end
+      else fill m.cnext k
+    end
+  in
+  fill head 0;
+  members
+
+let rec dissolve_chain t i =
+  if i >= 0 then begin
+    let next = (entry t i).cnext in
+    chain_unlink t i;
+    dissolve_chain t next
+  end
 
 let evict_entry t idx =
   let e = entry t idx in
@@ -277,33 +321,17 @@ let evict_entry t idx =
   (* Sort-on-evict write-back of the whole scan chain (§4.4). *)
   (match t.reorganize with
   | Some reorganize when e.cprev >= 0 || e.cnext >= 0 ->
-      let members = chain_members t idx in
-      let payload =
-        List.filter_map
-          (fun i ->
-            let m = entry t i in
-            if m.e_state = Live then
-              Some
-                {
-                  hsit_id = m.e_hsit;
-                  key = m.e_key;
-                  value = Bytes.copy m.e_value;
-                  cached_from = m.e_from;
-                }
-            else None)
-          members
-      in
-      dissolve_chain t members;
-      if List.length payload >= 2 then begin
+      let head = chain_head t idx in
+      let members = live_members t head in
+      dissolve_chain t head;
+      if Array.length members >= 2 then begin
         Metric.Counter.incr t.reorgs;
-        let sorted =
-          List.sort (fun a b -> String.compare a.key b.key) payload
-        in
-        reorganize sorted
+        Array.stable_sort (fun a b -> String.compare a.key b.key) members;
+        reorganize members
       end
   | Some _ | None -> chain_unlink t idx);
   (* Logical deletion: disconnect from HSIT first (§4.4). *)
-  if Hsit.cas_svc t.hsit e.e_hsit ~expect:(Some idx) None then ();
+  ignore (Hsit.cas_svc_index t.hsit e.e_hsit ~expect:idx (-1) : bool);
   unlink t idx;
   retire_entry t idx
 

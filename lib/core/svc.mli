@@ -19,13 +19,14 @@
 type t
 
 (** What the reorganize callback receives per chain member: the backward
-    pointer, key, cached value, and the Value-Storage location the value
-    was cached from (used as the CAS expectation when repointing). *)
+    pointer, key, cached value (the entry's own, not a copy), and the
+    clean HSIT word of the Value-Storage location the value was cached
+    from (used as the CAS expectation when repointing). *)
 type member = {
   hsit_id : int;
   key : string;
   value : bytes;
-  cached_from : Location.t;
+  cached_from : int;
 }
 
 val create :
@@ -39,7 +40,7 @@ val create :
 (** [set_reorganize t f] installs the sort-on-evict write-back hook; when
     absent, chains are simply dissolved on eviction. [f] runs on the
     manager process and receives members sorted by key. *)
-val set_reorganize : t -> (member list -> unit) -> unit
+val set_reorganize : t -> (member array -> unit) -> unit
 
 (** Spawn the background manager process. *)
 val start_manager : t -> unit
@@ -48,6 +49,10 @@ val start_manager : t -> unit
     still live and bound to [hsit_id]; bumps its reference bit. Caller must
     hold an epoch pin. Charges DRAM copy cost. *)
 val lookup : t -> idx:int -> hsit_id:int -> bytes option
+
+(** [lookup_value t ~idx ~hsit_id] is {!lookup} with a miss as the empty
+    value (a cached value is never empty): the store's read path. *)
+val lookup_value : t -> idx:int -> hsit_id:int -> bytes
 
 (** [admit t ~hsit_id ~key ~value ~cached_from] inserts a value read from
     Value Storage and publishes it via HSIT's SVC pointer (lock-free;
@@ -61,14 +66,21 @@ val admit :
   cached_from:Location.t ->
   int option
 
+(** [admit_index t ~hsit_id ~key ~value ~from_] is {!admit} with the
+    location as its clean HSIT word and a refusal as -1: the store's read
+    path. *)
+val admit_index :
+  t -> hsit_id:int -> key:string -> value:bytes -> from_:int -> int
+
 (** [invalidate t ~hsit_id] unpublishes and retires the entry bound to
     [hsit_id], if any — used by writers before overwriting or deleting a
     key. *)
 val invalidate : t -> hsit_id:int -> unit
 
-(** [link_chain t idxs] links the entries into one scan chain (dissolving
-    any chains they belonged to). *)
-val link_chain : t -> int list -> unit
+(** [link_chain t idxs n] links the live entries among [idxs.(0 .. n -
+    1)], in that order, into one scan chain (dissolving any chains they
+    belonged to). *)
+val link_chain : t -> int array -> int -> unit
 
 (** Statistics. *)
 val used_bytes : t -> int

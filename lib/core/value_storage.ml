@@ -26,6 +26,41 @@ type chunk_meta = {
          the slots *)
 }
 
+(* A mover's batch as parallel arrays: HSIT id, payload and the clean
+   HSIT word of the location each value moves from; [count] are in
+   use. *)
+type moves = {
+  mutable ids : int array;
+  mutable values : bytes array;
+  mutable froms : int array;
+  mutable count : int;
+}
+
+let moves () = { ids = [||]; values = [||]; froms = [||]; count = 0 }
+
+let add_move m ~id ~value ~from_ =
+  let n = m.count in
+  if n = Array.length m.ids then begin
+    let cap = max 16 (2 * n) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    m.ids <- grow m.ids 0;
+    m.values <- grow m.values Bytes.empty;
+    m.froms <- grow m.froms 0
+  end;
+  m.ids.(n) <- id;
+  m.values.(n) <- value;
+  m.froms.(n) <- from_;
+  m.count <- n + 1
+
+(* Empty [m] for its next batch, dropping its payloads. *)
+let clear_moves m =
+  Array.fill m.values 0 m.count Bytes.empty;
+  m.count <- 0
+
 type t = {
   id : int;
   engine : Engine.t;
@@ -47,6 +82,11 @@ type t = {
       (* whole-chunk read buffer of GC passes and recovery, allocated on
          first use; this storage's single GC process and its recovery
          each consume it before the next fill *)
+  mutable staging : Bytes.t list;
+      (* chunk-write buffers whose write has landed, for the next write
+         to reuse *)
+  victim_heap : int array; (* GC's min-heap of sealed chunks, by key *)
+  gc_moves : moves; (* the GC pass's gathered live slots *)
 }
 
 let create ?(gc_watermark = 0.75) engine ~id ~size ~chunk_size ~queue_depth
@@ -84,6 +124,9 @@ let create ?(gc_watermark = 0.75) engine ~id ~size ~chunk_size ~queue_depth
     gc_runs = Metric.Counter.create ();
     gc_span_tid = Span.fresh_tid (Engine.spans engine);
     chunk_buf = Bytes.empty;
+    staging = [];
+    victim_heap = Array.make nchunks 0;
+    gc_moves = moves ();
   }
 
 let id t = t.id
@@ -153,39 +196,42 @@ let release_chunk t c =
 
 let padded len = header_size + Prism_sim.Bits.round_up len header_size
 
-let write_into_chunk t chunk values =
-  (match values with
-  | [] -> invalid_arg "Value_storage.write_chunk: empty"
-  | _ -> ());
-  let total =
-    List.fold_left
-      (fun acc (_, v) ->
-        if Bytes.length v = 0 then
-          invalid_arg "Value_storage.write_chunk: empty value";
-        acc + padded (Bytes.length v))
-      0 values
-  in
-  if total + header_size > t.chunk_size then
+(* A zeroed chunk-sized buffer: a landed write's, or a fresh one. *)
+let take_staging t =
+  match t.staging with
+  | buf :: rest ->
+      t.staging <- rest;
+      Bytes.fill buf 0 t.chunk_size '\000';
+      buf
+  | [] -> Bytes.make t.chunk_size '\000'
+
+let write_into_chunk t chunk m ~pos ~len =
+  if len <= 0 then invalid_arg "Value_storage.write_chunk: empty";
+  let total = ref 0 in
+  for i = pos to pos + len - 1 do
+    let n = Bytes.length m.values.(i) in
+    if n = 0 then invalid_arg "Value_storage.write_chunk: empty value";
+    total := !total + padded n
+  done;
+  if !total + header_size > t.chunk_size then
     invalid_arg "Value_storage.write_chunk: values exceed chunk";
-  let buf = Bytes.make t.chunk_size '\000' in
-  let slots =
-    Array.make (List.length values) { backptr = 0; off = 0; len = 0 }
-  in
-  let pos = ref 0 in
-  List.iteri
-    (fun i (hsit_id, value) ->
-      let len = Bytes.length value in
-      Bytes.set_int64_le buf !pos (Int64.of_int hsit_id);
-      Bytes.set_int32_le buf (!pos + 8) (Int32.of_int len);
-      Bytes.blit value 0 buf (!pos + header_size) len;
-      slots.(i) <- { backptr = hsit_id; off = !pos; len };
-      pos := !pos + padded len)
-    values;
-  Bytes.set_int64_le buf !pos terminator;
+  let buf = take_staging t in
+  let slots = Array.make len { backptr = 0; off = 0; len = 0 } in
+  let off = ref 0 in
+  for slot = 0 to len - 1 do
+    let hsit_id = m.ids.(pos + slot) and value = m.values.(pos + slot) in
+    let vlen = Bytes.length value in
+    Bytes.set_int64_le buf !off (Int64.of_int hsit_id);
+    Bytes.set_int32_le buf (!off + 8) (Int32.of_int vlen);
+    Bytes.blit value 0 buf (!off + header_size) vlen;
+    slots.(slot) <- { backptr = hsit_id; off = !off; len = vlen };
+    off := !off + padded vlen
+  done;
+  Bytes.set_int64_le buf !off terminator;
   let meta = t.chunks.(chunk) in
   meta.state <- Open;
   meta.slots <- slots;
-  meta.valid <- Array.make (Array.length slots) false;
+  meta.valid <- Array.make len false;
   meta.live <- 0;
   meta.live_padded <- 0;
   (* A partially filled chunk only transfers its used pages; the log is
@@ -195,14 +241,16 @@ let write_into_chunk t chunk values =
      fabricate write amplification.) *)
   let io_size =
     min t.chunk_size
-      (Prism_sim.Bits.round_up (!pos + header_size) 4096)
+      (Prism_sim.Bits.round_up (!off + header_size) 4096)
   in
   let entry =
     {
       Io_uring.dir = Model.Write;
       size = io_size;
       action =
-        (fun () -> Ssd_image.write t.image ~off:(chunk * t.chunk_size) buf);
+        (fun () ->
+          Ssd_image.write t.image ~off:(chunk * t.chunk_size) buf;
+          t.staging <- buf :: t.staging);
     }
   in
   match Io_uring.submit t.uring [ entry ] with
@@ -210,8 +258,10 @@ let write_into_chunk t chunk values =
   | _ -> assert false
 
 let write_chunk t values =
+  let m = moves () in
+  List.iter (fun (id, value) -> add_move m ~id ~value ~from_:0) values;
   let chunk = alloc_chunk t ~reserve:1 in
-  write_into_chunk t chunk values
+  write_into_chunk t chunk m ~pos:0 ~len:m.count
 
 let seal t ~chunk =
   let meta = t.chunks.(chunk) in
@@ -224,77 +274,64 @@ let pick rng storages =
   | [] -> storages.(Rng.int rng (Array.length storages))
   | idle -> List.nth idle (Rng.int rng (List.length idle))
 
-let get_slot t ~gen ~chunk ~slot =
-  if chunk < 0 || chunk >= t.nchunks then None
+(* The slot's metadata while [gen] is current, else [no_slot]. *)
+let no_slot = { backptr = -1; off = 0; len = 0 }
+
+let slot_at t ~gen ~chunk ~slot =
+  if chunk < 0 || chunk >= t.nchunks then no_slot
   else begin
     let meta = t.chunks.(chunk) in
-    if meta.state = Free || meta.gen <> gen then None
-    else if slot < 0 || slot >= Array.length meta.slots then None
-    else Some meta.slots.(slot)
+    if meta.state = Free || meta.gen <> gen then no_slot
+    else if slot < 0 || slot >= Array.length meta.slots then no_slot
+    else meta.slots.(slot)
   end
 
-let slot_backptr t ~gen ~chunk ~slot =
-  Option.map (fun s -> s.backptr) (get_slot t ~gen ~chunk ~slot)
+let backptr t ~gen ~chunk ~slot = (slot_at t ~gen ~chunk ~slot).backptr
 
-let read_entry t ~gen ~chunk ~slot ~cell =
-  match get_slot t ~gen ~chunk ~slot with
-  | None -> None
-  | Some s ->
-      let io_size = Prism_sim.Bits.round_up (header_size + s.len) sector in
-      Some
-        {
-          Io_uring.dir = Model.Read;
-          size = io_size;
-          action =
-            (fun () ->
-              (* Gen re-check at completion: the chunk may have been
-                 recycled while the IO was in flight. *)
-              if t.chunks.(chunk).gen = gen then begin
-                let off = (chunk * t.chunk_size) + s.off + header_size in
-                cell := Some (Ssd_image.read t.image ~off ~len:s.len)
-              end);
-        }
-
-let read_run_entry t ~gen ~chunk ~slots =
-  let resolved =
-    List.filter_map
-      (fun (slot, cell) ->
-        Option.map (fun s -> (s, cell)) (get_slot t ~gen ~chunk ~slot))
-      slots
-  in
-  match resolved with
-  | [] -> None
-  | first :: _ ->
-      let lo, hi =
-        List.fold_left
-          (fun (lo, hi) (s, _) ->
-            (min lo s.off, max hi (s.off + header_size + s.len)))
-          (let s, _ = first in
-           (s.off, s.off + header_size + s.len))
-          resolved
-      in
-      let io_size = Prism_sim.Bits.round_up (hi - lo) sector in
-      Some
-        {
-          Io_uring.dir = Model.Read;
-          size = io_size;
-          action =
-            (fun () ->
-              if t.chunks.(chunk).gen = gen then
-                List.iter
-                  (fun (s, cell) ->
-                    let off = (chunk * t.chunk_size) + s.off + header_size in
-                    cell := Some (Ssd_image.read t.image ~off ~len:s.len))
-                  resolved);
-        }
+let read_run t ~gen ~chunk ~words ~values ~order ~pos ~len =
+  let lo = ref max_int and hi = ref (-1) in
+  for k = pos to pos + len - 1 do
+    let s = slot_at t ~gen ~chunk ~slot:(Location.vs_slot words.(order.(k))) in
+    if s != no_slot then begin
+      lo := min !lo s.off;
+      hi := max !hi (s.off + header_size + s.len)
+    end
+  done;
+  if !hi < 0 then None
+  else
+    Some
+      {
+        Io_uring.dir = Model.Read;
+        size = Prism_sim.Bits.round_up (!hi - !lo) sector;
+        action =
+          (fun () ->
+            (* Gen re-check at completion: the chunk may have been
+               recycled while the IO was in flight. *)
+            if t.chunks.(chunk).gen = gen then
+              for k = pos to pos + len - 1 do
+                let i = order.(k) in
+                let s =
+                  slot_at t ~gen ~chunk ~slot:(Location.vs_slot words.(i))
+                in
+                if s != no_slot then
+                  values.(i) <-
+                    Ssd_image.read t.image
+                      ~off:((chunk * t.chunk_size) + s.off + header_size)
+                      ~len:s.len
+              done);
+      }
 
 let read_slot_sync t ~gen ~chunk ~slot =
-  let cell = ref None in
-  match read_entry t ~gen ~chunk ~slot ~cell with
+  let values = [| Bytes.empty |] in
+  match
+    read_run t ~gen ~chunk
+      ~words:[| Location.vs_word ~vs:t.id ~gen ~chunk ~slot |]
+      ~values ~order:[| 0 |] ~pos:0 ~len:1
+  with
   | None -> None
   | Some entry ->
       ignore (Io_uring.submit_and_wait t.uring [ entry ]);
-      !cell
+      if Bytes.length values.(0) = 0 then None else Some values.(0)
 
 let set_valid t ~gen ~chunk ~slot v =
   if chunk >= 0 && chunk < t.nchunks then begin
@@ -317,23 +354,20 @@ let set_valid t ~gen ~chunk ~slot v =
    may consider the chunk only after every slot is settled. A value whose
    entry moved on while the chunk was in flight stays invalid: it is
    garbage in the new chunk. *)
-let install ?chunk t values ~repoint ~moved =
+let install ?chunk t m ~pos ~len ~repoint ~moved =
   let chunk =
     match chunk with Some c -> c | None -> alloc_chunk t ~reserve:1
   in
-  let chunk, gen, done_ =
-    write_into_chunk t chunk
-      (List.map (fun (hsit_id, value, _) -> (hsit_id, value)) values)
-  in
+  let chunk, gen, done_ = write_into_chunk t chunk m ~pos ~len in
   ignore (Sync.Ivar.read done_);
-  List.iteri
-    (fun slot (hsit_id, value, from_) ->
-      let to_ = Location.In_vs { vs = t.id; gen; chunk; slot } in
-      if repoint ~hsit_id ~from_ ~to_ then begin
-        set_valid t ~gen ~chunk ~slot true;
-        moved ~from_ ~value
-      end)
-    values;
+  for slot = 0 to len - 1 do
+    let from_ = m.froms.(pos + slot) in
+    let to_ = Location.vs_word ~vs:t.id ~gen ~chunk ~slot in
+    if repoint ~hsit_id:m.ids.(pos + slot) ~from_ ~to_ then begin
+      set_valid t ~gen ~chunk ~slot true;
+      moved from_
+    end
+  done;
   seal t ~chunk
 
 let is_valid t ~gen ~chunk ~slot =
@@ -383,63 +417,79 @@ let check_live t =
              c meta.live_padded !walked))
     t.chunks
 
-(* Greedy order: least live bytes first, then lowest chunk index. *)
-let compare_candidates ((l1 : int), (c1 : int)) (l2, c2) =
-  if l1 <> l2 then Int.compare l1 l2 else Int.compare c1 c2
+(* ---- victim pick: [victim_heap] as a binary min-heap of keys ---- *)
 
-(* Pick victim chunks greedily by live payload (§5.2). Compaction may
-   write several output chunks; the pick only requires a net gain (more
-   victims than outputs) and enough free chunks to host the outputs — at
-   high occupancy this still makes progress where a single-output policy
-   would wedge. *)
+let rec sift_down h n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+    if h.(c) < h.(i) then begin
+      let x = h.(i) in
+      h.(i) <- h.(c);
+      h.(c) <- x;
+      sift_down h n c
+    end
+  end
+
+(* Pick victim chunks greedily by live payload (§5.2): least live bytes
+   first, then lowest chunk index. Compaction may write several output
+   chunks; the pick only requires a net gain (more victims than outputs)
+   and enough free chunks to host the outputs — at high occupancy this
+   still makes progress where a single-output policy would wedge.
+
+   The sealed chunks' keys ([live_padded * nchunks + chunk], so integer
+   order is that order) are heapified in place and popped one at a time
+   until the smallest such victim set is found: a pass that stops after
+   k victims costs O(nchunks + k log nchunks) and allocates only the
+   victim list. *)
 let pick_victims t =
-  let candidates = ref [] in
-  Array.iteri
-    (fun c meta ->
-      if meta.state = Sealed then
-        candidates := (meta.live_padded, c) :: !candidates)
-    t.chunks;
-  let sorted = List.sort compare_candidates !candidates in
+  let h = t.victim_heap in
+  let n = ref 0 in
+  for c = 0 to t.nchunks - 1 do
+    let meta = t.chunks.(c) in
+    if meta.state = Sealed then begin
+      h.(!n) <- (meta.live_padded * t.nchunks) + c;
+      incr n
+    end
+  done;
+  for i = (!n / 2) - 1 downto 0 do
+    sift_down h !n i
+  done;
   let budget = t.chunk_size - (2 * header_size) in
   let outputs_for bytes = Prism_sim.Bits.ceil_div (max 1 bytes) budget in
   (* Smallest victim set (least-live first) that nets at least one freed
      chunk; one pass per wakeup keeps each pass cheap and lets foreground
      work interleave. *)
-  let rec take acc bytes n = function
-    | [] -> []
-    | (live, c) :: rest ->
-        let bytes = bytes + live in
-        let n = n + 1 in
-        let acc = c :: acc in
-        let n_out = if bytes = 0 then 0 else outputs_for bytes in
-        if n >= 2 && n_out < n && n_out <= t.nfree then List.rev acc
-        else take acc bytes n rest
+  let rec take acc bytes k =
+    if !n = 0 then []
+    else begin
+      let key = h.(0) in
+      decr n;
+      h.(0) <- h.(!n);
+      sift_down h !n 0;
+      let bytes = bytes + (key / t.nchunks) in
+      let k = k + 1 in
+      let acc = (key mod t.nchunks) :: acc in
+      let n_out = if bytes = 0 then 0 else outputs_for bytes in
+      if k >= 2 && n_out < k && n_out <= t.nfree then List.rev acc
+      else take acc bytes k
+    end
   in
-  take [] 0 0 sorted
+  take [] 0 0
 
-(* Plan greedy chunk batches for a value list; returns batches in order. *)
-let plan_batches t values =
+(* Ends of the greedy chunk batches of [m.values.(0 .. len - 1)], in
+   order. *)
+let plan_batches t m ~len =
   let budget = t.chunk_size - (2 * header_size) in
-  let batches = ref [] in
-  let current = ref [] in
-  let bytes = ref 0 in
-  let flush () =
-    match List.rev !current with
-    | [] -> ()
-    | b ->
-        batches := b :: !batches;
-        current := [];
-        bytes := 0
+  let rec go i bytes ends =
+    if i = len then if bytes > 0 then i :: ends else ends
+    else begin
+      let sz = padded (Bytes.length m.values.(i)) in
+      if bytes + sz > budget && bytes > 0 then go (i + 1) sz (i :: ends)
+      else go (i + 1) (bytes + sz) ends
+    end
   in
-  List.iter
-    (fun ((_, v, _) as entry) ->
-      let sz = padded (Bytes.length v) in
-      if !bytes + sz > budget && !current <> [] then flush ();
-      current := entry :: !current;
-      bytes := !bytes + sz)
-    values;
-  flush ();
-  List.rev !batches
+  List.rev (go 0 0 [])
 
 let gc_pass t ~relocate =
   let victims = pick_victims t in
@@ -448,10 +498,14 @@ let gc_pass t ~relocate =
   | _ ->
       Metric.Counter.incr t.gc_runs;
       (* Read whole victim chunks (large sequential reads), then gather the
-         still-valid payloads, remembering which victim each came from. *)
-      let gathered = ref [] in
-      List.iter
-        (fun chunk ->
+         still-valid payloads in victim order; [starts.(k)] is where the
+         [k]-th victim's begin. *)
+      let m = t.gc_moves in
+      clear_moves m;
+      let starts = Array.make (List.length victims) 0 in
+      List.iteri
+        (fun k chunk ->
+          starts.(k) <- m.count;
           let meta = t.chunks.(chunk) in
           let gen = meta.gen in
           if meta.live > 0 then begin
@@ -469,62 +523,47 @@ let gc_pass t ~relocate =
                 (* A slot may have been invalidated while we were reading;
                    skip it then. *)
                 if is_valid t ~gen ~chunk ~slot then
-                  gathered :=
-                    ( s.backptr,
-                      Bytes.sub data (s.off + header_size) s.len,
-                      Location.In_vs { vs = t.id; gen; chunk; slot } )
-                    :: !gathered)
+                  add_move m ~id:s.backptr
+                    ~value:(Bytes.sub data (s.off + header_size) s.len)
+                    ~from_:(Location.vs_word ~vs:t.id ~gen ~chunk ~slot))
               meta.slots
           end)
         victims;
       (* Exact output planning on the real values. If the batches cannot
          fit in the currently free chunks, or the pass would not net a
-         gain, drop the most-live victims (they were appended last by the
-         least-live-first picker) until it does. *)
-      let victim_of (_, _, loc) =
-        match loc with
-        | Location.In_vs { chunk; _ } -> chunk
-        | Location.Nowhere | Location.In_pwb _ -> -1
-      in
-      let rec shrink victims gathered =
-        let batches = plan_batches t (List.rev gathered) in
-        let n_out = List.length batches in
-        let n_victims = List.length victims in
+         gain, drop the most-live victims (picked last, so their values
+         are the tail of [m]) until it does. *)
+      let rec shrink n_victims len =
+        let ends = plan_batches t m ~len in
+        let n_out = List.length ends in
         if n_victims < 2 then None
         else if n_out < n_victims && n_out <= t.nfree then
-          Some (victims, batches)
-        else begin
-          match List.rev victims with
-          | [] -> None
-          | worst :: rest_rev ->
-              let victims = List.rev rest_rev in
-              let gathered =
-                List.filter (fun entry -> victim_of entry <> worst) gathered
-              in
-              shrink victims gathered
-        end
+          Some (n_victims, ends)
+        else shrink (n_victims - 1) starts.(n_victims - 1)
       in
-      (match shrink victims !gathered with
+      (match shrink (Array.length starts) m.count with
       | None -> false
-      | Some (victims, batches) ->
+      | Some (n_victims, ends) ->
           (* Reserve every output chunk up front — no suspension point
              between the feasibility check and the allocations, so the GC
              can never wedge mid-pass holding its victims hostage. *)
-          let outputs =
-            List.map (fun _ -> alloc_chunk t ~reserve:0) batches
-          in
-          List.iter2
-            (fun chunk batch ->
-              install ~chunk t batch ~repoint:relocate
-                ~moved:(fun ~from_ ~value:_ ->
-                  match from_ with
-                  | Location.In_vs { gen; chunk; slot; _ } ->
-                      set_valid t ~gen ~chunk ~slot false
-                  | Location.Nowhere | Location.In_pwb _ -> ()))
-            outputs batches;
+          let outputs = List.map (fun _ -> alloc_chunk t ~reserve:0) ends in
+          ignore
+            (List.fold_left2
+               (fun pos chunk stop ->
+                 install ~chunk t m ~pos ~len:(stop - pos) ~repoint:relocate
+                   ~moved:(fun from_ ->
+                     set_valid t ~gen:(Location.vs_gen from_)
+                       ~chunk:(Location.vs_chunk from_)
+                       ~slot:(Location.vs_slot from_) false);
+                 stop)
+               0 outputs ends
+              : int);
           (* Recycle victims: the generation bump makes any stale
              reference fail its check and retry. *)
-          List.iter (fun chunk -> release_chunk t chunk) victims;
+          List.iteri
+            (fun k chunk -> if k < n_victims then release_chunk t chunk)
+            victims;
           true)
 
 let start_gc t ~relocate =

@@ -23,6 +23,24 @@
 
 type t
 
+(** A mover's batch as parallel arrays: entry [i < count] moves the value
+    [values.(i)] of HSIT entry [ids.(i)] from the location whose clean
+    HSIT word is [froms.(i)] (see {!Location.vs_word}). *)
+type moves = {
+  mutable ids : int array;
+  mutable values : bytes array;
+  mutable froms : int array;
+  mutable count : int;
+}
+
+(** [moves ()] is an empty batch; it grows as entries are added. *)
+val moves : unit -> moves
+
+val add_move : moves -> id:int -> value:bytes -> from_:int -> unit
+
+(** [clear_moves m] empties [m] for reuse and drops its payloads. *)
+val clear_moves : moves -> unit
+
 (** GC runs while fewer than [1 - gc_watermark] of the chunks are free
     (never fewer than 2); [gc_watermark] defaults to 0.75. *)
 val create :
@@ -81,50 +99,47 @@ val seal : t -> chunk:int -> unit
     random one when all are busy: the target of every mover (§5.2). *)
 val pick : Prism_sim.Rng.t -> t array -> t
 
-(** [install ?chunk t values ~repoint ~moved] moves [values] — each an
-    HSIT id, its payload and the location it moves from — into one chunk
-    of [t] (the given [chunk], already allocated, or a fresh one), waits
-    for the write, then for each slot in order: if [repoint ~hsit_id
-    ~from_ ~to_] wins the HSIT CAS, marks the slot valid and calls
-    [moved ~from_ ~value]. Last, seals the chunk. Every mover — PWB
+(** [install ?chunk t m ~pos ~len ~repoint ~moved] moves the entries
+    [pos .. pos + len - 1] of [m] into one chunk of [t] (the given
+    [chunk], already allocated, or a fresh one), waits for the write,
+    then for each slot in order: if [repoint ~hsit_id ~from_ ~to_] wins
+    the HSIT CAS (locations as clean words), marks the slot valid and
+    calls [moved from_]. Last, seals the chunk. Every mover — PWB
     reclamation, sort-on-evict and GC — goes through this one step
-    (§5.2, §5.4). *)
+    (§5.2, §5.4). The chunk-write buffer comes from, and returns to, a
+    per-storage free list once the write has landed. *)
 val install :
   ?chunk:int ->
   t ->
-  (int * bytes * Location.t) list ->
-  repoint:(hsit_id:int -> from_:Location.t -> to_:Location.t -> bool) ->
-  moved:(from_:Location.t -> value:bytes -> unit) ->
+  moves ->
+  pos:int ->
+  len:int ->
+  repoint:(hsit_id:int -> from_:int -> to_:int -> bool) ->
+  moved:(int -> unit) ->
   unit
 
-(** [slot_backptr t ~gen ~chunk ~slot] is the embedded backward pointer,
-    or [None] when the generation is stale or the slot unknown. *)
-val slot_backptr : t -> gen:int -> chunk:int -> slot:int -> int option
+(** [backptr t ~gen ~chunk ~slot] is the embedded backward pointer, or
+    -1 when the generation is stale or the slot unknown. *)
+val backptr : t -> gen:int -> chunk:int -> slot:int -> int
 
-(** [read_entry t ~gen ~chunk ~slot ~cell] builds an io_uring entry that,
-    at completion, deposits the slot's payload into [cell] — but only if
-    the chunk generation still matches at completion time; otherwise
-    [cell] stays [None] and the caller retries. Returns [None] when the
-    generation is already stale. *)
-val read_entry :
+(** [read_run t ~gen ~chunk ~words ~values ~order ~pos ~len] builds ONE
+    io_uring entry whose single IO covers the slots of the chunk named by
+    [words.(i)] (clean HSIT words, see {!Location.vs_slot}) for each [i]
+    among [order.(pos .. pos + len - 1)]: a point read is a run of one,
+    and a scan reads every slot it needs from one chunk at once, which
+    after SVC reorganization is one contiguous key range (§4.4). At
+    completion each slot's payload lands in [values.(i)] — unless the
+    chunk generation went stale, in which case [values] is left as it
+    was. Returns [None] when the generation is already stale. *)
+val read_run :
   t ->
   gen:int ->
   chunk:int ->
-  slot:int ->
-  cell:bytes option ref ->
-  Prism_device.Io_uring.entry option
-
-(** [read_run_entry t ~gen ~chunk ~slots] builds ONE io_uring entry whose
-    single IO covers every listed slot of the chunk (used by the scan path
-    after SVC reorganization has made a key range contiguous, §4.4). At
-    completion each slot's payload lands in its cell — unless the chunk
-    generation went stale, in which case the cells stay [None]. Returns
-    [None] when the generation is already stale or [slots] is empty. *)
-val read_run_entry :
-  t ->
-  gen:int ->
-  chunk:int ->
-  slots:(int * bytes option ref) list ->
+  words:int array ->
+  values:bytes array ->
+  order:int array ->
+  pos:int ->
+  len:int ->
   Prism_device.Io_uring.entry option
 
 (** [read_slot_sync t ~gen ~chunk ~slot] is a single-slot synchronous read;
@@ -147,13 +162,19 @@ val live_slots : t -> chunk:int -> int
 val iter_valid :
   t -> (gen:int -> chunk:int -> slot:int -> hsit_id:int -> unit) -> unit
 
+(** [pick_victims t] is the chunks the next GC pass compacts, in pick
+    order: the shortest run of sealed chunks, least live bytes first
+    (ties: lowest index), that nets a freed chunk and whose outputs fit
+    the free chunks; [[]] when there is none. *)
+val pick_victims : t -> int list
+
 (** [start_gc t ~relocate] spawns the background GC process. [relocate
-    ~hsit_id ~from_ ~to_] must atomically repoint the HSIT entry and
-    return whether it succeeded (the CAS may lose to a concurrent
-    update). *)
+    ~hsit_id ~from_ ~to_] must atomically repoint the HSIT entry (clean
+    words) and return whether it succeeded (the CAS may lose to a
+    concurrent update). *)
 val start_gc :
   t ->
-  relocate:(hsit_id:int -> from_:Location.t -> to_:Location.t -> bool) ->
+  relocate:(hsit_id:int -> from_:int -> to_:int -> bool) ->
   unit
 
 (** Ask GC to run if the free-chunk watermark is breached. *)

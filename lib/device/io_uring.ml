@@ -45,11 +45,11 @@ let submit t entries =
         Sync.Semaphore.acquire t.slots;
         let ivar = Sync.Ivar.create () in
         t.in_flight <- t.in_flight + 1;
-        Model.submit_then t.model entry.dir ~size:entry.size (fun completion ->
+        Model.submit_then t.model entry.dir ~size:entry.size (fun () ->
             entry.action ();
             t.in_flight <- t.in_flight - 1;
             Sync.Semaphore.release t.slots;
-            Sync.Ivar.fill ivar completion);
+            Sync.Ivar.fill ivar (Engine.now t.engine));
         ivar)
       entries
   end

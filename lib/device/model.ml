@@ -69,19 +69,12 @@ let book t dir ~size =
 
 let submit t dir ~size =
   book t dir ~size;
-  let completion = Array.unsafe_get t.times 1 in
-  Engine.schedule t.engine
-    ~after:(completion -. Array.unsafe_get t.clock 0)
-    t.retire;
-  completion
+  Engine.schedule_until t.engine t.times 1 t.retire;
+  Array.unsafe_get t.times 1
 
 let submit_then t dir ~size k =
   book t dir ~size;
-  let completion = Array.unsafe_get t.times 1 in
-  Engine.schedule_behind t.engine
-    ~after:(completion -. Array.unsafe_get t.clock 0)
-    t.retire
-    (fun () -> k completion)
+  Engine.schedule_behind_until t.engine t.times 1 t.retire k
 
 let access t dir ~size =
   book t dir ~size;

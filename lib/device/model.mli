@@ -20,11 +20,12 @@ val create : Prism_sim.Engine.t -> Spec.t -> t
     virtual completion time. Does not block the caller. *)
 val submit : t -> direction -> size:int -> float
 
-(** [submit_then t dir ~size k] is [submit] followed by scheduling
-    [k completion] at the returned completion time, right behind the
-    model's own completion bookkeeping (see
-    {!Prism_sim.Engine.schedule_behind}). Does not block the caller. *)
-val submit_then : t -> direction -> size:int -> (float -> unit) -> unit
+(** [submit_then t dir ~size k] is [submit] followed by scheduling [k]
+    at the completion time, right behind the model's own completion
+    bookkeeping (see {!Prism_sim.Engine.schedule_behind_until}); [k]
+    reads the completion time as the engine's [now]. Neither time is
+    boxed on the way. Does not block the caller. *)
+val submit_then : t -> direction -> size:int -> (unit -> unit) -> unit
 
 (** [access t dir ~size] performs a synchronous byte-addressable access:
     blocks the calling process for the device latency plus transfer time.

@@ -246,14 +246,12 @@ let fold t init f =
   iter t (fun k v -> acc := f !acc k v);
   !acc
 
-let scan t ~from ~count =
-  if count <= 0 then []
-  else begin
-    let out = ref [] in
+let iter_range t ~from ~count f =
+  if count > 0 then begin
     let remaining = ref count in
     let buf = Buffer.create 64 in
     let emit k v =
-      out := (k, v) :: !out;
+      f k v;
       decr remaining;
       if !remaining = 0 then raise Stop
     in
@@ -300,9 +298,13 @@ let scan t ~from ~count =
       end;
       Buffer.truncate buf saved
     in
-    (try walk t.root ~selective:true with Stop -> ());
-    List.rev !out
+    try walk t.root ~selective:true with Stop -> ()
   end
+
+let scan t ~from ~count =
+  let acc = ref [] in
+  iter_range t ~from ~count (fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
 
 let approx_bytes t =
   let rec bytes node =

@@ -27,8 +27,13 @@ val insert : 'v t -> string -> 'v -> 'v option
 
 val delete : 'v t -> string -> bool
 
-(** [scan t ~from ~count] — up to [count] bindings with keys [>= from] in
-    ascending order. *)
+(** [iter_range t ~from ~count f] calls [f key v] on up to [count]
+    bindings with keys [>= from], in ascending order, charging every node
+    it visits. [f] must not modify [t]. *)
+val iter_range : 'v t -> from:string -> count:int -> (string -> 'v -> unit) -> unit
+
+(** [scan t ~from ~count] is the bindings {!iter_range} visits, as a
+    list. *)
 val scan : 'v t -> from:string -> count:int -> (string * 'v) list
 
 val iter : 'v t -> (string -> 'v -> unit) -> unit

@@ -185,28 +185,33 @@ let delete t key =
   end
   else false
 
-let scan t ~from ~count =
-  if count <= 0 then []
-  else begin
-    let acc = ref [] in
+let iter_range t ~from ~count f =
+  if count > 0 then begin
+    let leaf = ref (find_leaf t t.root from) in
+    let i = ref (lower_bound !leaf.lkeys from) in
     let remaining = ref count in
-    let leaf = ref (Some (find_leaf t t.root from)) in
-    let start = ref (lower_bound (Option.get !leaf).lkeys from) in
-    while !remaining > 0 && !leaf <> None do
-      let l = Option.get !leaf in
-      touch t `Read (Leaf l);
+    let more = ref true in
+    while !more do
+      let l = !leaf in
+      t.on_access `Read (node_charge (Array.length l.lkeys));
       let n = Array.length l.lkeys in
-      let i = ref !start in
       while !remaining > 0 && !i < n do
-        acc := (l.lkeys.(!i), l.lvals.(!i)) :: !acc;
+        f l.lkeys.(!i) l.lvals.(!i);
         decr remaining;
         incr i
       done;
-      leaf := l.next;
-      start := 0
-    done;
-    List.rev !acc
+      match l.next with
+      | Some next when !remaining > 0 ->
+          leaf := next;
+          i := 0
+      | Some _ | None -> more := false
+    done
   end
+
+let scan t ~from ~count =
+  let acc = ref [] in
+  iter_range t ~from ~count (fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
 
 let rec leftmost_leaf = function
   | Leaf l -> l

@@ -34,8 +34,13 @@ val insert : 'v t -> string -> 'v -> 'v option
     Uses lazy deletion (no rebalancing), as many production B-trees do. *)
 val delete : 'v t -> string -> bool
 
-(** [scan t ~from ~count] returns up to [count] bindings with keys
-    [>= from], in ascending key order. *)
+(** [iter_range t ~from ~count f] calls [f key v] on up to [count]
+    bindings with keys [>= from], in ascending key order, charging every
+    leaf it visits. [f] must not modify [t]. *)
+val iter_range : 'v t -> from:string -> count:int -> (string -> 'v -> unit) -> unit
+
+(** [scan t ~from ~count] is the bindings {!iter_range} visits, as a
+    list. *)
 val scan : 'v t -> from:string -> count:int -> (string * 'v) list
 
 (** [iter t f] visits all bindings in ascending key order. *)

@@ -20,6 +20,8 @@ type t = {
   mutable allocated : int;
   mutable persists : int;
   mutable on_persist : (int -> unit) option;
+  flush_cost : float array;
+      (* one cell: a persist's CPU cost, handed to the engine unboxed *)
 }
 
 let create engine ~spec ~size () =
@@ -34,6 +36,7 @@ let create engine ~spec ~size () =
     allocated = 0;
     persists = 0;
     on_persist = None;
+    flush_cost = [| 0.0 |];
   }
 
 let size t = t.size
@@ -108,9 +111,10 @@ let flush_range t ~off ~len =
 let persist t ~off ~len =
   check t ~off ~len;
   let lines = if len = 0 then 0 else ((off + len - 1) / line_size) - (off / line_size) + 1 in
-  Engine.delay
+  Array.unsafe_set t.flush_cost 0
     ((float_of_int lines *. Cost.default.Cost.flush_line)
     +. Cost.default.Cost.fence);
+  Engine.delay_cell t.flush_cost 0;
   flush_range t ~off ~len;
   t.persists <- t.persists + 1;
   match t.on_persist with Some f -> f t.persists | None -> ()

@@ -128,13 +128,13 @@ let schedule t ~after f =
   Heap.push_after t.events ~clock:t.clock ~after ~seq ~aux:t.cur_label f
 
 (* A process's park state, built once by [spawn]: the slot its
-   continuation waits in while it sleeps, and the closures and handler
-   replies every park reuses. Parking then allocates only the
-   continuation the runtime captures, and stores one young pointer into
-   this (usually old) block: [k]. The other per-park writes are
-   immediates, or [behind], which holds a device's long-lived retire
-   callback; nothing is reset on wake-up (a stale [k] is a spent
-   continuation, a stale [behind] a callback its owner still holds).
+   continuation waits in while it sleeps, and the wake-up closures every
+   park reuses. Parking then allocates only the continuation the runtime
+   captures, and stores one young pointer into this (usually old)
+   block: [k]. The other per-park writes are immediates, or [behind],
+   which holds a device's long-lived retire callback; nothing is reset on
+   wake-up (a stale [k] is a spent continuation, a stale [behind] a
+   callback its owner still holds).
 
    [waiting] is set while the process is suspended and cleared by the
    first resume, so a second call raises as long as the process has not
@@ -146,69 +146,102 @@ type park = {
   mutable label : int;
       (* the suspended context's label: its resume event keeps it even
          when resume is called from a differently-labelled completion *)
+  mutable wake : unit -> unit;
+  mutable wake_behind : unit -> unit;
+  eng : t;
 }
 
-(* Placeholder for [k] before the first park. An immediate, so the GC
-   never follows it; [k] is only continued after a park has stored a
-   real continuation there. *)
+(* Placeholders before the first park. Immediates, so the GC never
+   follows them; [k] is only continued after a park has stored a real
+   continuation there, and [parking] is only read by a handler reply
+   right after the handler has set it. *)
 let no_continuation : (unit, unit) Effect.Deep.continuation = Obj.magic 0
 
+(* The park of the process whose handler is replying. A handler sets it
+   and returns one of the replies below, which the runtime applies at
+   once to the captured continuation; so the replies are shared by every
+   process, and spawning one builds none. [run] resets it on return, so
+   it never keeps a finished run's engine reachable. *)
+let no_park : park = Obj.magic 0
+
+let parking = ref no_park
+
+let reply_delay : ((unit, unit) Effect.Deep.continuation -> unit) option =
+  Some
+    (fun k ->
+      let p = !parking in
+      p.k <- k;
+      let t = p.eng in
+      let seq = t.seq in
+      t.seq <- seq + 1;
+      Heap.push_delay t.events ~clock:t.clock ~seq ~aux:t.cur_label p.wake)
+
+(* [delay_behind]'s fused pair under FIFO: one entry at [f]'s seq, the
+   wake-up's seq reserved right behind it and counted as its own
+   event. *)
+let reply_delay_behind :
+    ((unit, unit) Effect.Deep.continuation -> unit) option =
+  Some
+    (fun k ->
+      let p = !parking in
+      p.k <- k;
+      let t = p.eng in
+      let seq = t.seq in
+      t.seq <- seq + 2;
+      Heap.push_delay t.events ~clock:t.clock ~seq ~aux:t.cur_label
+        p.wake_behind)
+
+let reply_suspend : ((unit, unit) Effect.Deep.continuation -> unit) option =
+  Some (fun k -> !parking.k <- k)
+
+(* The closures of one process share one block (a [let rec] of
+   functions) with [p], [t] and [f] as its environment. *)
 let spawn t ?at f =
   let open Effect.Deep in
   let p =
-    { k = no_continuation; behind = ignore; waiting = false; label = 0 }
+    {
+      k = no_continuation;
+      behind = ignore;
+      waiting = false;
+      label = 0;
+      wake = ignore;
+      wake_behind = ignore;
+      eng = t;
+    }
   in
-  let wake () = continue p.k () in
-  (* [delay_behind]'s fused pair under FIFO: one entry at [f]'s seq, the
-     wake-up's seq reserved right behind it and counted as its own
-     event. *)
-  let wake_behind () =
+  let rec wake () = continue p.k ()
+  and wake_behind () =
     p.behind ();
     t.executed <- t.executed + 1;
     continue p.k ()
-  in
-  let resume () =
+  and resume () =
     if not p.waiting then invalid_arg "Engine: resume called twice";
     p.waiting <- false;
     let seq = t.seq in
     t.seq <- seq + 1;
     Heap.push_after t.events ~clock:t.clock ~after:0.0 ~seq ~aux:p.label wake
-  in
-  let on_delay =
-    Some
-      (fun k ->
-        p.k <- k;
-        let seq = t.seq in
-        t.seq <- seq + 1;
-        Heap.push_delay t.events ~clock:t.clock ~seq ~aux:t.cur_label wake)
-  in
-  let on_delay_behind =
-    Some
-      (fun k ->
-        p.k <- k;
-        let seq = t.seq in
-        t.seq <- seq + 2;
-        Heap.push_delay t.events ~clock:t.clock ~seq ~aux:t.cur_label
-          wake_behind)
-  in
-  let on_suspend = Some (fun k -> p.k <- k) in
-  let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
+  and effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     function
-    | Delay -> on_delay
+    | Delay ->
+        parking := p;
+        reply_delay
     | Delay_behind f ->
         (* Usually the same device's [retire] as last time: skip the
            write barrier then. *)
         if p.behind != f then p.behind <- f;
-        on_delay_behind
+        parking := p;
+        reply_delay_behind
     | Suspend register -> (
         (* [register] may call [resume] at once: that only queues [wake],
-           which runs after [on_suspend] has stored the continuation. If
+           which runs after the reply has stored the continuation. If
            [register] raises, the reply still stores it before
            re-raising, so a [wake] it queued can run. *)
         p.waiting <- true;
         p.label <- t.cur_label;
         match register resume with
-        | () -> on_suspend
+        | () ->
+            parking := p;
+            reply_suspend
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             Some
@@ -216,10 +249,16 @@ let spawn t ?at f =
                 p.k <- k;
                 Printexc.raise_with_backtrace e bt))
     | _ -> None
-  in
-  let handler = { retc = Fun.id; exnc = raise; effc } in
-  let at = match at with None -> now t | Some at -> at in
-  enqueue t ~at (fun () -> match_with f () handler)
+  and start () = match_with f () { retc = Fun.id; exnc = raise; effc } in
+  p.wake <- wake;
+  p.wake_behind <- wake_behind;
+  match at with
+  | None ->
+      let seq = t.seq in
+      t.seq <- seq + 1;
+      Heap.push_after t.events ~clock:t.clock ~after:0.0 ~seq
+        ~aux:t.cur_label start
+  | Some at -> enqueue t ~at start
 
 (* Pop one event of the tie set at the minimum time under the active
    non-FIFO policy, make its label current and return its action. The
@@ -268,7 +307,9 @@ let run ?(until = infinity) t =
   let saved = !running in
   running := Some t;
   Fun.protect
-    ~finally:(fun () -> running := saved)
+    ~finally:(fun () ->
+      running := saved;
+      parking := no_park)
     (fun () ->
       let continue_running = ref true in
       while !continue_running && not t.stopped do
@@ -363,6 +404,17 @@ let sleep_behind t f =
       Heap.push_delay t.events ~clock:t.clock ~seq ~aux:t.cur_label f;
       if d > 0.0 then sleep t
 
+(* [delay] of a delay the caller computed into its own float cell, so
+   it never crosses the call boundary boxed. *)
+let delay_cell cells i =
+  let d = Array.unsafe_get cells i in
+  if d < 0.0 then invalid_arg "Engine.delay: negative delay";
+  if d > 0.0 then begin
+    let t = current_engine () in
+    Array.unsafe_set t.clock 2 d;
+    sleep t
+  end
+
 let delay_behind d f =
   if d < 0.0 then invalid_arg "Engine.delay_behind: negative delay";
   let t = current_engine () in
@@ -376,19 +428,24 @@ let delay_behind_until cells i f =
   Array.unsafe_set t.clock 2 d;
   sleep_behind t f
 
-let schedule_behind t ~after f g =
+let schedule_until t cells i f =
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  Heap.push_until t.events ~clock:t.clock ~cells ~i ~seq ~aux:t.cur_label f
+
+let schedule_behind_until t cells i f g =
   match t.policy with
   | P_fifo ->
       let seq = t.seq in
       t.seq <- seq + 2;
-      Heap.push_after t.events ~clock:t.clock ~after ~seq ~aux:t.cur_label
+      Heap.push_until t.events ~clock:t.clock ~cells ~i ~seq ~aux:t.cur_label
         (fun () ->
           f ();
           t.executed <- t.executed + 1;
           g ())
   | _ ->
-      schedule t ~after f;
-      schedule t ~after g
+      schedule_until t cells i f;
+      schedule_until t cells i g
 
 let yield () =
   let t = current_engine () in

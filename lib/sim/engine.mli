@@ -93,6 +93,12 @@ val spawn : t -> ?at:float -> (unit -> unit) -> unit
     virtual time. Unlike {!spawn}, [f] must not delay or suspend. *)
 val schedule : t -> after:float -> (unit -> unit) -> unit
 
+(** [schedule_until t cells i f] is [schedule t ~after:(cells.(i) -. now
+    t) f], with the time read from the caller's float cell so that it
+    never crosses the call boundary boxed: [f] runs at exactly [now +.
+    (cells.(i) -. now)]. *)
+val schedule_until : t -> float array -> int -> (unit -> unit) -> unit
+
 (** [run t] executes events until the queue is empty, [stop] is called, or
     virtual time would exceed [until]. Returns the final virtual time. *)
 val run : ?until:float -> t -> float
@@ -116,6 +122,11 @@ val clear_pending : t -> unit
     in-place resumption still counts as one event in
     {!events_executed}. *)
 val delay : float -> unit
+
+(** [delay_cell cells i] is [delay cells.(i)], with the delay read from
+    the caller's float cell so that it never crosses the call boundary
+    boxed. *)
+val delay_cell : float array -> int -> unit
 
 (** [delay_behind d f] is exactly [schedule (current ()) ~after:d f;
     delay d]: plain callback [f] runs at the wake-up instant, just before
@@ -143,12 +154,12 @@ val delay_behind : float -> (unit -> unit) -> unit
     @raise Invalid_argument if [cells.(i)] is before {!now}. *)
 val delay_behind_until : float array -> int -> (unit -> unit) -> unit
 
-(** [schedule_behind t ~after f g] is exactly [schedule t ~after f;
-    schedule t ~after g], fused under [Fifo] into one queue entry that
-    runs [f] and then [g], counted as two events — the same contract and
-    the same restriction on [f] as {!delay_behind}. *)
-val schedule_behind :
-  t -> after:float -> (unit -> unit) -> (unit -> unit) -> unit
+(** [schedule_behind_until t cells i f g] is exactly [schedule_until t
+    cells i f; schedule_until t cells i g], fused under [Fifo] into one
+    queue entry that runs [f] and then [g], counted as two events — the
+    same contract and the same restriction on [f] as {!delay_behind}. *)
+val schedule_behind_until :
+  t -> float array -> int -> (unit -> unit) -> (unit -> unit) -> unit
 
 (** [yield ()] re-schedules the calling process at the current time, letting
     same-time events that were scheduled earlier run first. *)

@@ -203,6 +203,16 @@ let push_after t ~clock ~after ~seq ~aux value =
   assert (after >= 0.0);
   push_aux t ~time:(Array.unsafe_get clock 0 +. after) ~seq ~aux value
 
+(* [push_until t ~clock ~cells ~i ~seq ~aux v] inserts at [clock.(0) +.
+   (cells.(i) -. clock.(0))], where [push_after] would put the delay
+   that reaches [cells.(i)]: a device's completion time, read from its
+   own cell so that no scheduling site boxes it. *)
+let push_until t ~clock ~cells ~i ~seq ~aux value =
+  let now = Array.unsafe_get clock 0 in
+  let after = Array.unsafe_get cells i -. now in
+  assert (after >= 0.0);
+  push_aux t ~time:(now +. after) ~seq ~aux value
+
 (* [push_delay t ~clock ~seq ~aux v] inserts at [clock.(0) +. clock.(2)]:
    the engine's parking path, whose delay never exists as a boxed float
    at all. *)

@@ -61,6 +61,19 @@ val push_after :
     process there when it cannot advance in place. *)
 val push_delay : 'a t -> clock:float array -> seq:int -> aux:int -> 'a -> unit
 
+(** [push_until t ~clock ~cells ~i ~seq ~aux v] inserts [v] at
+    [clock.(0) +. (cells.(i) -. clock.(0))], exactly where {!push_after}
+    puts the delay [cells.(i) -. clock.(0)]. *)
+val push_until :
+  'a t ->
+  clock:float array ->
+  cells:float array ->
+  i:int ->
+  seq:int ->
+  aux:int ->
+  'a ->
+  unit
+
 (** [min_aux t] is the aux channel of the minimum entry, or [0] when
     empty. *)
 val min_aux : 'a t -> int

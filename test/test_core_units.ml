@@ -259,12 +259,12 @@ let test_hsit_svc_pointer () =
       let id = Hsit.alloc h in
       Alcotest.(check (option int)) "initial" None (Hsit.read_svc h id);
       Alcotest.(check bool) "cas from none" true
-        (Hsit.cas_svc h id ~expect:None (Some 5));
+        (Hsit.cas_svc_index h id ~expect:(-1) 5);
       Alcotest.(check (option int)) "set" (Some 5) (Hsit.read_svc h id);
       Alcotest.(check bool) "cas wrong expect" false
-        (Hsit.cas_svc h id ~expect:None (Some 6));
+        (Hsit.cas_svc_index h id ~expect:(-1) 6);
       Alcotest.(check bool) "cas right expect" true
-        (Hsit.cas_svc h id ~expect:(Some 5) None);
+        (Hsit.cas_svc_index h id ~expect:5 (-1));
       Alcotest.(check (option int)) "cleared" None (Hsit.read_svc h id))
 
 let test_hsit_svc_not_persisted () =
@@ -272,7 +272,7 @@ let test_hsit_svc_not_persisted () =
       let nvm, h = make_nvm_hsit e in
       let id = Hsit.alloc h in
       Alcotest.(check bool) "cas from none" true
-        (Hsit.cas_svc h id ~expect:None (Some 9));
+        (Hsit.cas_svc_index h id ~expect:(-1) 9);
       Nvm.crash nvm;
       Hsit.recover_entry h id;
       Alcotest.(check (option int)) "nullified on recovery" None
@@ -530,8 +530,8 @@ let test_vs_write_read_chunk () =
       Value_storage.seal vs ~chunk;
       List.iteri
         (fun slot (id, v) ->
-          Alcotest.(check (option int)) "backptr" (Some id)
-            (Value_storage.slot_backptr vs ~gen ~chunk ~slot);
+          Alcotest.(check int) "backptr" id
+            (Value_storage.backptr vs ~gen ~chunk ~slot);
           match Value_storage.read_slot_sync vs ~gen ~chunk ~slot with
           | Some data -> Alcotest.check bytes_eq "payload" v data
           | None -> Alcotest.fail "slot unreadable")
@@ -561,8 +561,8 @@ let test_vs_stale_gen_rejected () =
       ignore (Sync.Ivar.read done_);
       Value_storage.seal vs ~chunk;
       let stale = gen + 1 in
-      Alcotest.(check (option int)) "backptr stale" None
-        (Value_storage.slot_backptr vs ~gen:stale ~chunk ~slot:0);
+      Alcotest.(check int) "backptr stale" (-1)
+        (Value_storage.backptr vs ~gen:stale ~chunk ~slot:0);
       Alcotest.(check bool) "is_valid stale" false
         (Value_storage.is_valid vs ~gen:stale ~chunk ~slot:0);
       (* Stale set_valid must be a no-op. *)
@@ -626,7 +626,8 @@ let fill_with_garbage h vs =
   done;
   ids
 
-let relocate_in h ~hsit_id ~from_ ~to_ = Hsit.update_primary h hsit_id ~expect:from_ to_
+let relocate_in h ~hsit_id ~from_ ~to_ =
+  Hsit.update_primary_word h hsit_id ~expect:from_ to_
 
 let test_vs_gc_compacts () =
   let e = Engine.create () in
@@ -675,12 +676,17 @@ let test_vs_install () =
     let won = Hsit.alloc h and lost = Hsit.alloc h in
     List.iter (fun id -> Hsit.write_primary h id (from_of id)) [ won; lost ];
     let homes = ref [] and moved = ref [] in
-    Value_storage.install ?chunk vs
-      [ (won, value won, from_of won); (lost, value lost, from_of lost) ]
+    let m = Value_storage.moves () in
+    List.iter
+      (fun id ->
+        Value_storage.add_move m ~id ~value:(value id)
+          ~from_:(Location.encode (from_of id) ~dirty:false))
+      [ won; lost ];
+    Value_storage.install ?chunk vs m ~pos:0 ~len:2
       ~repoint:(fun ~hsit_id ~from_ ~to_ ->
-        homes := to_ :: !homes;
+        homes := Location.decode to_ :: !homes;
         hsit_id = won && relocate_in h ~hsit_id ~from_ ~to_)
-      ~moved:(fun ~from_ ~value -> moved := (from_, value) :: !moved);
+      ~moved:(fun from_ -> moved := Location.decode from_ :: !moved);
     match List.rev !homes with
     | [ (Location.In_vs { gen; chunk; slot = 0; _ } as home);
         Location.In_vs { gen = gen1; chunk = chunk1; slot = 1; _ } ]
@@ -694,9 +700,7 @@ let test_vs_install () =
         Alcotest.check loc_testable "lost entry untouched" (from_of lost)
           (Hsit.read_primary h lost);
         (match !moved with
-        | [ (from_, v) ] ->
-            Alcotest.check loc_testable "moved from" (from_of won) from_;
-            Alcotest.check bytes_eq "moved value" (value won) v
+        | [ from_ ] -> Alcotest.check loc_testable "moved from" (from_of won) from_
         | l ->
             Alcotest.failf "moved reported %d slots, want 1" (List.length l));
         (won, chunk)
@@ -733,18 +737,28 @@ let test_vs_run_entry_coalesces () =
       let chunk, gen, done_ = Value_storage.write_chunk vs values in
       ignore (Sync.Ivar.read done_);
       Value_storage.seal vs ~chunk;
-      let cells = List.init 6 (fun _ -> ref None) in
-      let slots = List.mapi (fun i c -> (i, c)) cells in
-      (match Value_storage.read_run_entry vs ~gen ~chunk ~slots with
+      (* Bindings 0..5 name slots 5..0: the run covers them all at once. *)
+      let words =
+        Array.init 6 (fun i ->
+            Location.vs_word ~vs:(Value_storage.id vs) ~gen ~chunk ~slot:(5 - i))
+      in
+      let got = Array.make 6 Bytes.empty in
+      (match
+         Value_storage.read_run vs ~gen ~chunk ~words ~values:got
+           ~order:(Array.init 6 Fun.id) ~pos:0 ~len:6
+       with
       | None -> Alcotest.fail "expected an entry"
       | Some entry ->
+          (* Five 528-byte records, then the last one's header and payload,
+             rounded up to 512-byte sectors. *)
+          Alcotest.(check int) "one IO over the run"
+            (Prism_sim.Bits.round_up ((5 * 528) + 16 + 500) 512)
+            entry.Io_uring.size;
           ignore (Io_uring.submit_and_wait (Value_storage.uring vs) [ entry ]));
-      List.iteri
-        (fun i c ->
-          match !c with
-          | Some data -> Alcotest.check bytes_eq "payload" (value ~size:500 i) data
-          | None -> Alcotest.fail "cell not filled")
-        cells)
+      Array.iteri
+        (fun i data ->
+          Alcotest.check bytes_eq "payload" (value ~size:500 (5 - i)) data)
+        got)
 
 let test_vs_recover_rebuilds () =
   in_sim (fun e ->
@@ -773,6 +787,65 @@ let test_vs_recover_rebuilds () =
    equal a walk over its valid slots. GC runs as it does in the store, in
    the background whenever free chunks run low, so its passes interleave
    with the writes and release their victims. *)
+(* [pick_victims] against the sort it replaced: every sealed chunk as
+   (live padded bytes, index), sorted, then the shortest prefix that nets
+   a freed chunk and fits the free chunks. Random chunk states: up to
+   all-but-one of 4..24 chunks written, each with 1..6 values of sizes
+   drawn from a few (so live counts tie), random validity, sealed or left
+   open. *)
+let prop_pick_victims_matches_sort =
+  let chunk_gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 6)
+           (pair (oneofl [ 16; 100; 1000; 2000 ]) bool))
+        bool unit)
+  in
+  qcase ~count:200 "victim pick matches sort-then-take"
+    QCheck.(make Gen.(pair (int_range 4 24) (list_size (int_bound 23) chunk_gen)))
+    (fun (nchunks, chunks) ->
+      let chunk_size = 16 * 1024 in
+      let chunks = List.filteri (fun i _ -> i < nchunks - 1) chunks in
+      in_sim (fun e ->
+          let vs = make_vs ~size:(nchunks * chunk_size) ~chunk_size e in
+          let sealed =
+            List.filter_map
+              (fun (values, seal, ()) ->
+                let chunk, gen, done_ =
+                  Value_storage.write_chunk vs
+                    (List.mapi (fun i (len, _) -> (i, Bytes.make len 'v')) values)
+                in
+                ignore (Sync.Ivar.read done_);
+                let live = ref 0 in
+                List.iteri
+                  (fun slot (len, valid) ->
+                    if valid then begin
+                      Value_storage.set_valid vs ~gen ~chunk ~slot true;
+                      live := !live + 16 + Prism_sim.Bits.round_up len 16
+                    end)
+                  values;
+                if seal then begin
+                  Value_storage.seal vs ~chunk;
+                  Some (!live, chunk)
+                end
+                else None)
+              chunks
+          in
+          let budget = chunk_size - 32 in
+          let nfree = Value_storage.free_chunks vs in
+          let rec take acc bytes n = function
+            | [] -> []
+            | (live, c) :: rest ->
+                let bytes = bytes + live and n = n + 1 in
+                let n_out =
+                  if bytes = 0 then 0
+                  else Prism_sim.Bits.ceil_div (max 1 bytes) budget
+                in
+                if n >= 2 && n_out < n && n_out <= nfree then List.rev (c :: acc)
+                else take (c :: acc) bytes n rest
+          in
+          Value_storage.pick_victims vs = take [] 0 0 (List.sort compare sealed)))
+
 let prop_vs_live_bytes =
   let op =
     QCheck.Gen.(
@@ -1184,6 +1257,7 @@ let () =
           case "run entry coalesces" test_vs_run_entry_coalesces;
           case "recover" test_vs_recover_rebuilds;
           prop_vs_live_bytes;
+          prop_pick_victims_matches_sort;
         ] );
       ( "reclaimer",
         [

@@ -219,14 +219,14 @@ let test_svc_chain_reorganize_callback () =
   with_svc ~capacity:(2 * 1024) (fun e hsit _ svc ->
       let got = ref [] in
       Svc.set_reorganize svc (fun members ->
-          got := List.map (fun m -> m.Svc.key) members :: !got);
+          got := Array.to_list (Array.map (fun m -> m.Svc.key) members) :: !got);
       (* Admit three values, link them into a scan chain, then force
          eviction. *)
       let idxs =
         List.filter_map (fun i -> snd (admit svc hsit i)) [ 3; 1; 2 ]
       in
       Engine.delay 1e-3;
-      Svc.link_chain svc idxs;
+      Svc.link_chain svc (Array.of_list idxs) (List.length idxs);
       for i = 100 to 140 do
         ignore (admit svc hsit i)
       done;

@@ -488,6 +488,49 @@ let test_strhash_int_matches_encoding () =
   Alcotest.(check bool) "distinct" true
     (Strhash.fnv1a_int 5 <> Strhash.fnv1a_int 6)
 
+(* ---- Range iterators (both range indexes) ---- *)
+
+(* [iter_range] against a sorted association list: random keys over a
+   three-letter alphabet (so ART prefixes are shared, and the empty key
+   occurs), a start key anywhere, past the end ("d...") included, and
+   counts from 0 to past the number of keys. The list wrapper [scan]
+   must return the same bindings. *)
+let prop_iter_range_matches_sorted_list =
+  let str = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_bound 5)) in
+  let from = QCheck.Gen.(oneof [ str; map (fun s -> "d" ^ s) str ]) in
+  qcase ~count:300 "iter_range matches a sorted assoc list"
+    QCheck.(
+      make
+        ~print:
+          Print.(triple (list (pair string int)) string int)
+        Gen.(triple (list_size (int_bound 60) (pair str small_nat)) from (int_bound 70)))
+    (fun (bindings, from, count) ->
+      (* Later bindings of a key replace earlier ones. *)
+      let oracle =
+        List.fold_left
+          (fun acc (k, v) -> (k, v) :: List.remove_assoc k acc)
+          [] bindings
+        |> List.sort compare
+        |> List.filter (fun (k, _) -> String.compare k from >= 0)
+        |> List.filteri (fun i _ -> i < count)
+      in
+      let collect iter =
+        let acc = ref [] in
+        iter ~from ~count (fun k v -> acc := (k, v) :: !acc);
+        List.rev !acc
+      in
+      let b = make_btree ~order:4 () in
+      let a = Art.create ~on_access:no_charge () in
+      List.iter
+        (fun (k, v) ->
+          ignore (Btree.insert b k v);
+          ignore (Art.insert a k v))
+        bindings;
+      collect (Btree.iter_range b) = oracle
+      && Btree.scan b ~from ~count = oracle
+      && collect (Art.iter_range a) = oracle
+      && Art.scan a ~from ~count = oracle)
+
 let () =
   Alcotest.run "index"
     [
@@ -529,6 +572,7 @@ let () =
           prop_art_scan_matches_map;
           prop_art_random_strings;
         ] );
+      ("range iterators", [ prop_iter_range_matches_sorted_list ]);
       ( "bloom",
         [
           case "no false negatives" test_bloom_no_false_negatives;

@@ -1319,7 +1319,7 @@ let test_golden_delay_schedule () =
 
 (* ---- Fused completion bookkeeping (qcheck) ---- *)
 
-(* Under [Fifo], [Engine.delay_behind] and [Engine.schedule_behind] fuse
+(* Under [Fifo], [Engine.delay_behind] and [Engine.schedule_behind_until] fuse
    a device's completion bookkeeping into the wake-up or the io_uring
    completion it precedes. [Replay [||]] picks tie index 0 everywhere,
    which is FIFO order, but keeps every event queued. Random programs of
