@@ -616,7 +616,7 @@ let get t ~tid key =
 (* ---- scan (§4.4) ---- *)
 
 (* The SSD reads of the bindings [pending] (indices into [words], all on
-   storage [vs], ascending), one entry per chunk, in issue order.
+   storage [vs], ascending), one entry per chunk, in submission order.
 
    Reads of one chunk share an entry, so values a previous scan's
    reorganization placed contiguously cost one IO for the whole run
@@ -662,15 +662,15 @@ let chunk_reads t ~vs ~words ~values pending =
         land (!buckets - 1))
   in
   let last g = pending.(starts.(g + 1) - 1) in
-  let by_issue = Array.init groups Fun.id in
+  let submit_order = Array.init groups Fun.id in
   Array.sort
     (fun a b ->
       if bucket.(a) <> bucket.(b) then Int.compare bucket.(b) bucket.(a)
       else Int.compare (last b) (last a))
-    by_issue;
+    submit_order;
   let entries = ref [] in
   for k = groups - 1 downto 0 do
-    let g = by_issue.(k) in
+    let g = submit_order.(k) in
     let r = w pending.(starts.(g)) in
     match
       Value_storage.read_run t.vss.(vs) ~gen:(Location.vs_gen r)

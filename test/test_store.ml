@@ -761,7 +761,7 @@ let test_scan_mixed_residency () =
   Alcotest.(check bool) "scan spans PWB+SVC+VS" true !ok
 
 (* Pinned from the store before its scan path was rebuilt on flat
-   buffers: a scan's SSD reads are grouped per chunk and issued in one
+   buffers: a scan's SSD reads are grouped per chunk and submitted in one
    fixed order, which sets virtual time. Values are spread over many
    small chunks on both storages (four writers, 4 KiB chunks), so the
    first scan reads more than 32 chunks per storage; its SVC admissions
