@@ -66,8 +66,6 @@ let reclaim_now t =
     Fun.protect
       ~finally:(fun () -> t.in_pass <- false)
       (fun () ->
-        (* A pass cut short by a crash may have left its batch behind. *)
-        Value_storage.clear_moves t.batch;
         let target_tail = Pwb.tail t.pwb in
         let budget =
           Value_storage.chunk_size t.storages.(0) - (4 * 16)
