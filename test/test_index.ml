@@ -572,7 +572,7 @@ let () =
           prop_art_scan_matches_map;
           prop_art_random_strings;
         ] );
-      ("range iterators", [ prop_iter_range_matches_sorted_list ]);
+      ("range", [ prop_iter_range_matches_sorted_list ]);
       ( "bloom",
         [
           case "no false negatives" test_bloom_no_false_negatives;
