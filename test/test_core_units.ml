@@ -1200,6 +1200,63 @@ let test_ta_batches_accumulate () =
   Alcotest.(check int) "served" 10 !fired;
   Alcotest.(check bool) "few batches" true (Ta_batcher.batches ta <= 2)
 
+(* The combining paths' schedule, pinned: a TCQ batch (a leader, three
+   followers and a [read_many]) on a two-slot ring, so the leader parks
+   on the ring mid-batch and some IOs finish before their hand-off, and
+   a TA batch of three readers filling a limit of two, so a full batch
+   and a timed-out straggler both dispatch. The trace lists each
+   reader's completion time in completion order, then the events
+   executed and the tie-break decisions taken. *)
+let combining_trace tie =
+  let e = Engine.create () in
+  Engine.set_tie_break e tie;
+  let uring qd =
+    Io_uring.create e
+      (Model.create e Spec.samsung_980_pro)
+      ~queue_depth:qd ~cost:Cost.default
+  in
+  let tcq = Tcq.create (uring 2) ~limit:8 ~cost:Cost.default in
+  let ta = Ta_batcher.create e (uring 64) ~limit:2 ~cost:Cost.default in
+  Ta_batcher.start ta;
+  let log = Buffer.create 256 in
+  let entry size = { Io_uring.dir = Model.Read; size; action = ignore } in
+  let reader name read =
+    Engine.spawn e (fun () ->
+        read ();
+        Printf.bprintf log "%s@%h " name (Engine.now e))
+  in
+  List.iteri
+    (fun i size ->
+      reader (Printf.sprintf "tcq%d" i) (fun () -> Tcq.read tcq (entry size)))
+    [ 512; 4096; 1024; 8192 ];
+  reader "many" (fun () ->
+      Tcq.read_many tcq [ entry 512; entry 2048; entry 512 ]);
+  List.iteri
+    (fun i size ->
+      reader (Printf.sprintf "ta%d" i) (fun () -> Ta_batcher.read ta (entry size)))
+    [ 4096; 512; 1024 ];
+  ignore (Engine.run e);
+  Printf.bprintf log "events=%d choices=%s" (Engine.events_executed e)
+    (String.concat ","
+       (Array.to_list (Array.map string_of_int (Engine.recorded_choices e))));
+  Buffer.contents log
+
+let test_combining_schedule_pinned () =
+  Alcotest.(check string) "fifo"
+    "ta0@0x1.b0faacded0d3ep-15 ta1@0x1.b197bf94d237p-15 \
+     ta2@0x1.3eed558e757ep-13 tcq0@0x1.43d8fc9c0e9dcp-13 \
+     tcq1@0x1.43d8fc9c0e9dcp-13 tcq2@0x1.43d8fc9c0e9dcp-13 \
+     tcq3@0x1.43d8fc9c0e9dcp-13 many@0x1.acdbccf600033p-13 events=69 \
+     choices="
+    (combining_trace Engine.Fifo);
+  Alcotest.(check string) "seeded"
+    "ta2@0x1.ad4c3c9ac8816p-15 ta1@0x1.ade94f50c9e47p-15 \
+     ta0@0x1.3fd8f19f7792bp-13 tcq3@0x1.462602c693d14p-13 \
+     tcq0@0x1.462602c693d14p-13 tcq2@0x1.462602c693d14p-13 \
+     tcq1@0x1.462602c693d14p-13 many@0x1.af28d3208536bp-13 events=69 \
+     choices=8,4,2,1,0,1,0,0,0,1,1,0,0,1,0,0,1,1,1,0,1,1,1,1,0,1,0,1,1,1,0,0,2,0,1,1,0"
+    (combining_trace (Engine.Seeded 7L))
+
 let () =
   Alcotest.run "core-units"
     [
@@ -1281,5 +1338,6 @@ let () =
           case "timeout" test_ta_waits_for_timeout;
           case "full batch early" test_ta_full_batch_submits_early;
           case "accumulates" test_ta_batches_accumulate;
+          case "combining schedule pinned" test_combining_schedule_pinned;
         ] );
     ]
