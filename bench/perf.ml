@@ -450,7 +450,9 @@ let bench_fleet ~quick ~reps =
    but not across stores. store.prism_scan runs LOAD + YCSB-E through the
    same Prism store: its scans fill SVC chains whose sort-on-evict
    write-backs keep Value Storage GC busy, so host cost in GC victim
-   selection shows up there. *)
+   selection shows up there. store.prism_miss runs LOAD + uniform YCSB-C
+   gets, most of which miss the SVC: the TCQ, io_uring and SVC admission
+   path. *)
 let bench_stores ~quick ~reps =
   let s =
     {
@@ -462,7 +464,7 @@ let bench_stores ~quick ~reps =
       ops = (if quick then 8_000 else 20_000);
     }
   in
-  let row name store mix ~ops =
+  let row ?(s = s) name store mix ~ops =
     let run () =
       let e = Engine.create () in
       let kv = Setup.of_name store s e in
@@ -474,7 +476,9 @@ let bench_stores ~quick ~reps =
   List.iter
     (fun store -> row ("store." ^ store) store Ycsb.ycsb_a ~ops:s.Setup.ops)
     ([ "prism"; "kvell" ] @ if quick then [] else [ "matrixkv"; "rocksdb-nvm" ]);
-  row "store.prism_scan" "prism" Ycsb.ycsb_e ~ops:s.Setup.scan_ops
+  row "store.prism_scan" "prism" Ycsb.ycsb_e ~ops:s.Setup.scan_ops;
+  row ~s:{ s with theta = 0.0 } "store.prism_miss" "prism" Ycsb.ycsb_c
+    ~ops:s.Setup.ops
 
 (* ---------------------------------------------------------------- *)
 (* JSON report + baseline gate                                       *)
@@ -575,8 +579,18 @@ let gated_keys () =
    continuation the runtime captures (and [delay_behind]'s effect).
    store.prism_scan is LOAD + YCSB-E on Prism, whose scan path (flat
    per-scan buffers, word-level resolve, per-chunk reads) and movers
-   should allocate little beyond the values they return or cache. *)
-let ceiling_keys = [ "engine_process"; "device_access"; "store_prism_scan" ]
+   should allocate little beyond the values they return or cache;
+   store.prism_miss (uniform gets, mostly SVC misses) and store.prism
+   (YCSB-A) hold the point-read miss path and the put path to the
+   same. *)
+let ceiling_keys =
+  [
+    "engine_process";
+    "device_access";
+    "store_prism_scan";
+    "store_prism";
+    "store_prism_miss";
+  ]
 
 let check_ceilings text ~failed =
   List.iter

@@ -10,21 +10,22 @@ type t
 val create : threads:int -> t
 
 (** [pin t ~tid] marks thread [tid] as inside a critical section at the
-    current global epoch. The store brackets its operations with
-    {!with_pinned}; only [test_core_units]'s epoch cases call [pin] and
-    {!unpin} directly. *)
+    current global epoch. The store pins and unpins around each
+    operation itself, unpinning on exceptions too. *)
 val pin : t -> tid:int -> unit
 
 (** [unpin t ~tid] leaves the critical section and opportunistically tries
-    to advance the epoch and run ripe reclamations. Only tests call it:
-    [test_core_units] "basic" and "pinned blocks". *)
+    to advance the epoch and run ripe reclamations. Allocates nothing of
+    its own. *)
 val unpin : t -> tid:int -> unit
 
 (** [with_pinned t ~tid f] brackets [f] with pin/unpin. *)
 val with_pinned : t -> tid:int -> (unit -> 'a) -> 'a
 
-(** [retire t free] schedules [free] to run two epochs from now. *)
-val retire : t -> (unit -> unit) -> unit
+(** [retire t free arg] schedules [free arg] to run two epochs from now.
+    Callers pass a function built once and the object's index, so
+    retiring allocates nothing. *)
+val retire : t -> (int -> unit) -> int -> unit
 
 (** Objects retired but not yet freed (for tests). *)
 val pending : t -> int

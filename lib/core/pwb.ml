@@ -15,6 +15,11 @@ type t = {
   waiters : (unit -> unit) Queue.t;
 }
 
+(* A record header as read from NVM. Every reader decodes it right after
+   its read lands, before it can be suspended again, so one buffer
+   serves every ring. *)
+let header = Bytes.create header_size
+
 let create nvm ~thread ~size =
   if size < 4 * header_size then invalid_arg "Pwb.create: size too small";
   if size mod header_size <> 0 then
@@ -23,7 +28,15 @@ let create nvm ~thread ~size =
   Nvm.note_alloc nvm size;
   if Nvm.allocated nvm > Nvm.size nvm then
     invalid_arg "Pwb.create: NVM region too small";
-  { nvm; base; capacity = size; thread; head = 0; tail = 0; waiters = Queue.create () }
+  {
+    nvm;
+    base;
+    capacity = size;
+    thread;
+    head = 0;
+    tail = 0;
+    waiters = Queue.create ();
+  }
 
 let thread t = t.thread
 
@@ -83,43 +96,51 @@ let check_range t voff =
   if voff < t.head || voff >= t.tail then
     invalid_arg "Pwb: virtual offset outside live range"
 
-let decode_header b = (Int64.to_int (Bytes.get_int64_le b 0), Int32.to_int (Bytes.get_int32_le b 8))
+let header_id b = Int64.to_int (Bytes.get_int64_le b 0)
 
-let read_header t ~voff =
+let header_len b = Int32.to_int (Bytes.get_int32_le b 8)
+
+(* Read the header at [voff] into [header], charging the NVM read. *)
+let read_header t ~voff = Nvm.read_into t.nvm ~off:(phys t voff) header
+
+let read t ~voff ~hsit_id =
   check_range t voff;
-  let b = Nvm.read t.nvm ~off:(phys t voff) ~len:header_size in
-  decode_header b
-
-let read t ~voff =
-  let hsit_id, len = read_header t ~voff in
-  if hsit_id < 0 then invalid_arg "Pwb.read: pad record";
+  read_header t ~voff;
+  let id = header_id header and len = header_len header in
+  if id < 0 then invalid_arg "Pwb.read: pad record";
   let payload = Nvm.read t.nvm ~off:(phys t voff + header_size) ~len in
-  (hsit_id, payload)
+  if id = hsit_id then payload else Bytes.empty
 
 let record_extent ~len = header_size + Prism_sim.Bits.round_up len header_size
 
-let rec next_record t ~voff =
+let rec next_record t ~voff found =
   let voff = max voff t.head in
-  if voff >= t.tail then None
+  if voff >= t.tail then -1
   else begin
     let pos = voff mod t.capacity in
     let remaining = t.capacity - pos in
-    if remaining < header_size then next_record t ~voff:(voff + remaining)
+    if remaining < header_size then next_record t ~voff:(voff + remaining) found
     else begin
-      let b = Nvm.read t.nvm ~off:(phys t voff) ~len:header_size in
-      let hsit_id, len = decode_header b in
+      read_header t ~voff;
+      let hsit_id = header_id header and len = header_len header in
       if Int64.of_int hsit_id = pad_marker then
-        next_record t ~voff:(voff + header_size + len)
-      else Some (voff, hsit_id, len)
+        next_record t ~voff:(voff + header_size + len) found
+      else begin
+        found.(0) <- hsit_id;
+        found.(1) <- len;
+        voff
+      end
     end
   end
 
 let fold_records t f acc =
+  let found = [| 0; 0 |] in
   let rec go acc voff =
-    match next_record t ~voff with
-    | None -> acc
-    | Some (voff, hsit_id, len) ->
-        go (f acc ~voff ~hsit_id ~len) (voff + record_extent ~len)
+    let voff = next_record t ~voff found in
+    if voff < 0 then acc
+    else
+      let len = found.(1) in
+      go (f acc ~voff ~hsit_id:found.(0) ~len) (voff + record_extent ~len)
   in
   go acc t.head
 
@@ -135,19 +156,21 @@ let advance_head t ~to_ =
     | None -> ()
   done
 
-let read_durable t ~voff =
-  if voff < t.head || voff >= t.tail then None
+let read_durable t ~voff found =
+  found.(0) <- -1;
+  if voff < t.head || voff >= t.tail then Bytes.empty
   else begin
     let pos = voff mod t.capacity in
-    if t.capacity - pos < header_size then None
+    if t.capacity - pos < header_size then Bytes.empty
     else begin
       let b = Nvm.read_durable t.nvm ~off:(phys t voff) ~len:header_size in
-      let hsit_id, len = decode_header b in
-      if hsit_id < 0 || len < 0 || len > t.capacity then None
-      else if t.capacity - pos < header_size + len then None
-      else
-        Some
-          (hsit_id, Nvm.read_durable t.nvm ~off:(phys t voff + header_size) ~len)
+      let hsit_id = header_id b and len = header_len b in
+      if hsit_id < 0 || len < 0 || len > t.capacity then Bytes.empty
+      else if t.capacity - pos < header_size + len then Bytes.empty
+      else begin
+        found.(0) <- hsit_id;
+        Nvm.read_durable t.nvm ~off:(phys t voff + header_size) ~len
+      end
     end
   end
 

@@ -36,10 +36,12 @@ val utilization : t -> float
     reclamation to advance the head. *)
 val append : t -> hsit_id:int -> value:bytes -> int
 
-(** [read t ~voff] returns the record's backward pointer and payload,
-    charging NVM read time. Raises [Invalid_argument] if [voff] is outside
-    [head, tail) or doesn't start a record. *)
-val read : t -> voff:int -> int * bytes
+(** [read t ~voff ~hsit_id] returns the record's payload when its
+    backward pointer is [hsit_id], else [Bytes.empty] (the payload is
+    read, and charged, either way). Charges NVM read time. Raises
+    [Invalid_argument] if [voff] is outside [head, tail) or is a pad
+    record. *)
+val read : t -> voff:int -> hsit_id:int -> bytes
 
 (** [fold_records t f acc] walks records from head to tail (skipping
     pads): [f acc ~voff ~hsit_id ~len]. Charges header reads. Only tests call
@@ -47,10 +49,12 @@ val read : t -> voff:int -> int * bytes
 val fold_records :
   t -> ('a -> voff:int -> hsit_id:int -> len:int -> 'a) -> 'a -> 'a
 
-(** [next_record t ~voff] finds the first record at virtual offset [>=
-    voff] (skipping pads), returning [(voff', hsit_id, len)]. [None] when
-    the live region past [voff] holds no record. Charges header reads. *)
-val next_record : t -> voff:int -> (int * int * int) option
+(** [next_record t ~voff found] finds the first record at virtual offset
+    [>= voff] (skipping pads) and returns its offset, leaving its
+    backward pointer in [found.(0)] and its payload length in
+    [found.(1)]; -1 when the live region past [voff] holds no record.
+    Charges header reads. *)
+val next_record : t -> voff:int -> int array -> int
 
 (** [record_extent ~len] is the bytes a record with a [len]-byte payload
     occupies (header plus padding). *)
@@ -60,9 +64,11 @@ val record_extent : len:int -> int
     wakes blocked appenders. *)
 val advance_head : t -> to_:int -> unit
 
-(** Recovery: read a record from the durable NVM image without charging
-    time. Returns [None] if the header is insane. *)
-val read_durable : t -> voff:int -> (int * bytes) option
+(** Recovery: [read_durable t ~voff found] reads a record from the
+    durable NVM image without charging time, returning its payload and
+    leaving its backward pointer in [found.(0)]; -1 there (and
+    [Bytes.empty]) when the header is insane. *)
+val read_durable : t -> voff:int -> int array -> bytes
 
 (** Recovery: reset the ring to cover exactly the given virtual range
     (both 0 to make it empty). *)

@@ -16,6 +16,10 @@ type t = {
   batch : Value_storage.moves; (* the pass's live records for one chunk *)
 }
 
+(* The header [Pwb.next_record] found, read back before the pass can be
+   suspended again, so one pair of cells serves every reclaimer. *)
+let found = [| 0; 0 |]
+
 let create ?(watermark = 0.5) engine ~pwb ~hsit ~storages ~rng =
   if Array.length storages = 0 then invalid_arg "Reclaimer.create: no storages";
   {
@@ -71,34 +75,37 @@ let reclaim_now t =
           Value_storage.chunk_size t.storages.(0) - (4 * 16)
         in
         let rec scan pos batch_bytes =
-          match Pwb.next_record t.pwb ~voff:pos with
-          | Some (voff, hsit_id, len) when voff < target_tail ->
-              let next = voff + Pwb.record_extent ~len in
-              let here = Location.pwb_word ~thread:(Pwb.thread t.pwb) ~voff in
-              if Hsit.read_primary_word t.hsit hsit_id <> here then begin
-                (* Superseded or deleted: skip without any SSD write. *)
-                Metric.Counter.incr t.dead;
-                scan next batch_bytes
+          let voff = Pwb.next_record t.pwb ~voff:pos found in
+          if voff >= 0 && voff < target_tail then begin
+            let hsit_id = found.(0) and len = found.(1) in
+            let next = voff + Pwb.record_extent ~len in
+            let here = Location.pwb_word ~thread:(Pwb.thread t.pwb) ~voff in
+            if Hsit.read_primary_word t.hsit hsit_id <> here then begin
+              (* Superseded or deleted: skip without any SSD write. *)
+              Metric.Counter.incr t.dead;
+              scan next batch_bytes
+            end
+            else begin
+              let record_bytes = Pwb.record_extent ~len in
+              if batch_bytes + record_bytes > budget then begin
+                flush_batch t;
+                (* Space up to (and excluding) this record is migrated or
+                   dead; release it to unblock appenders. *)
+                Pwb.advance_head t.pwb ~to_:voff;
+                scan pos 0
               end
               else begin
-                let record_bytes = Pwb.record_extent ~len in
-                if batch_bytes + record_bytes > budget then begin
-                  flush_batch t;
-                  (* Space up to (and excluding) this record is migrated or
-                     dead; release it to unblock appenders. *)
-                  Pwb.advance_head t.pwb ~to_:voff;
-                  scan pos 0
-                end
-                else begin
-                  let _, payload = Pwb.read t.pwb ~voff in
-                  Value_storage.add_move t.batch ~id:hsit_id ~value:payload
-                    ~from_:here;
-                  scan next (batch_bytes + record_bytes)
-                end
+                let payload = Pwb.read t.pwb ~voff ~hsit_id in
+                Value_storage.add_move t.batch ~id:hsit_id ~value:payload
+                  ~from_:here;
+                scan next (batch_bytes + record_bytes)
               end
-          | Some _ | None ->
-              flush_batch t;
-              Pwb.advance_head t.pwb ~to_:(min target_tail (Pwb.tail t.pwb))
+            end
+          end
+          else begin
+            flush_batch t;
+            Pwb.advance_head t.pwb ~to_:(min target_tail (Pwb.tail t.pwb))
+          end
         in
         scan (Pwb.head t.pwb) 0)
   end

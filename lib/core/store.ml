@@ -87,6 +87,8 @@ type t = {
   svc : Svc.t option;
   rng : Rng.t;
   ctr : op_counters;
+  flush : float array; (* one cell: [charge_index]'s flush, unboxed *)
+  free_hsit : int -> unit; (* [Hsit.free hsit], built once for [Epoch.retire] *)
   (* Last scan result per start key — only written/read under the
      [fault_scan_stale_snapshot] deliberate-bug switch. *)
   mutable scan_stale_cache : (string * (string * bytes) list) option;
@@ -125,10 +127,11 @@ let charge_index t =
   if r > 0 then Model.access (Nvm.device t.nvm) Model.Read ~size:r;
   if w > 0 then begin
     Model.access (Nvm.device t.nvm) Model.Write ~size:w;
-    Engine.delay
-      (Cost.default.Cost.flush_line
-       *. float_of_int (Prism_sim.Bits.ceil_div w 64)
-      +. Cost.default.Cost.fence)
+    t.flush.(0) <-
+      Cost.default.Cost.flush_line
+      *. float_of_int (Prism_sim.Bits.ceil_div w 64)
+      +. Cost.default.Cost.fence;
+    Engine.delay_cell t.flush 0
   end
 
 (* Release the Value Storage slot a superseded location word names. *)
@@ -376,6 +379,8 @@ let create engine cfg =
           c_put_bytes = Metric.Counter.create ();
         };
       scan_stale_cache = None;
+      flush = [| 0.0 |];
+      free_hsit = Hsit.free hsit;
     }
   in
   (match (svc, cfg.Config.scan_reorganize) with
@@ -385,91 +390,108 @@ let create engine cfg =
   register_telemetry t;
   t
 
-let read_vs t ~vs entry =
+let read_vs t ~vs r =
   match t.read_paths.(vs) with
-  | Tc tcq -> Tcq.read tcq entry
-  | Ta ta -> Ta_batcher.read ta entry
+  | Tc tcq -> Tcq.read_request tcq r
+  | Ta ta -> Ta_batcher.read_request ta r
 
-let read_vs_many t ~vs entries =
+let read_vs_many t ~vs reqs n =
   match t.read_paths.(vs) with
-  | Tc tcq -> Tcq.read_many tcq entries
-  | Ta ta -> Ta_batcher.read_many ta entries
+  | Tc tcq -> Tcq.read_requests tcq reqs n
+  | Ta ta -> Ta_batcher.read_requests ta reqs n
 
 (* ---- write path (§5.4, §5.5) ---- *)
+
+(* Each operation pins its thread's epoch around its body and unpins on
+   every way out, an exception (a crash cut) included. *)
+let unpin_raise t ~tid e =
+  let bt = Printexc.get_raw_backtrace () in
+  Epoch.unpin t.epoch ~tid;
+  Printexc.raise_with_backtrace e bt
+
+let put_pinned t ~tid key value =
+  let found = t.index.ki_find key in
+  charge_index t;
+  match found with
+  | Some id ->
+      (* Update: value to PWB first (durability), then repoint HSIT —
+         the linearization point (§5.4). *)
+      let voff = Pwb.append t.pwbs.(tid) ~hsit_id:id ~value in
+      (* The read's charge and flush-on-read are part of the modelled
+         put, but the home it names may move while it is in flight:
+         release the one the swap replaces. *)
+      ignore (Hsit.read_primary_word t.hsit id : int);
+      let old =
+        Hsit.exchange_primary_word t.hsit id
+          (Location.pwb_word ~thread:tid ~voff)
+      in
+      invalidate_old t old;
+      (match t.svc with
+      | Some svc when not t.cfg.Config.fault_skip_svc_invalidate ->
+          Svc.invalidate svc ~hsit_id:id
+      | Some _ | None -> ());
+      Reclaimer.maybe_trigger t.reclaimers.(tid)
+  | None ->
+      let id = Hsit.alloc t.hsit in
+      let voff = Pwb.append t.pwbs.(tid) ~hsit_id:id ~value in
+      ignore
+        (Hsit.exchange_primary_word t.hsit id
+           (Location.pwb_word ~thread:tid ~voff)
+          : int);
+      let prev = t.index.ki_insert key id in
+      charge_index t;
+      (match prev with
+      | None -> ()
+      | Some other ->
+          (* A concurrent insert of the same key slipped in between
+             our lookup and our insert; its entry is now unreachable.
+             Retire it after two epochs. *)
+          Epoch.retire t.epoch t.free_hsit other);
+      Reclaimer.maybe_trigger t.reclaimers.(tid)
 
 let put t ~tid key value =
   if Bytes.length value = 0 then invalid_arg "Store.put: empty value";
   Metric.Counter.incr t.ctr.c_puts;
   Metric.Counter.add t.ctr.c_put_bytes (Bytes.length value);
-  Epoch.with_pinned t.epoch ~tid (fun () ->
-      let found = t.index.ki_find key in
-      charge_index t;
-      match found with
-      | Some id ->
-          (* Update: value to PWB first (durability), then repoint HSIT —
-             the linearization point (§5.4). *)
-          let voff = Pwb.append t.pwbs.(tid) ~hsit_id:id ~value in
-          (* The read's charge and flush-on-read are part of the modelled
-             put, but the home it names may move while it is in flight:
-             release the one the swap replaces. *)
-          ignore (Hsit.read_primary_word t.hsit id : int);
-          let old =
-            Hsit.exchange_primary_word t.hsit id
-              (Location.pwb_word ~thread:tid ~voff)
-          in
-          invalidate_old t old;
-          (match t.svc with
-          | Some svc when not t.cfg.Config.fault_skip_svc_invalidate ->
-              Svc.invalidate svc ~hsit_id:id
-          | Some _ | None -> ());
-          Reclaimer.maybe_trigger t.reclaimers.(tid)
-      | None ->
-          let id = Hsit.alloc t.hsit in
-          let voff = Pwb.append t.pwbs.(tid) ~hsit_id:id ~value in
-          ignore
-            (Hsit.exchange_primary_word t.hsit id
-               (Location.pwb_word ~thread:tid ~voff)
-              : int);
-          let prev = t.index.ki_insert key id in
-          charge_index t;
-          (match prev with
-          | None -> ()
-          | Some other ->
-              (* A concurrent insert of the same key slipped in between
-                 our lookup and our insert; its entry is now unreachable.
-                 Retire it after two epochs. *)
-              let hsit = t.hsit in
-              Epoch.retire t.epoch (fun () -> Hsit.free hsit other));
-          Reclaimer.maybe_trigger t.reclaimers.(tid))
+  Epoch.pin t.epoch ~tid;
+  match put_pinned t ~tid key value with
+  | () -> Epoch.unpin t.epoch ~tid
+  | exception e -> unpin_raise t ~tid e
+
+let delete_pinned t key =
+  (* Lookup and removal happen back-to-back with no suspension point,
+     so the id we retire is exactly the binding we removed — a yield
+     in between would let a concurrent delete+reinsert swap the
+     binding and leak its HSIT entry. *)
+  let found = t.index.ki_find key in
+  let removed = match found with Some _ -> t.index.ki_delete key | None -> false in
+  charge_index t;
+  match found with
+  | None -> false
+  | Some id ->
+      if not removed then false
+      else begin
+        (match t.svc with
+        | Some svc when not t.cfg.Config.fault_skip_svc_invalidate ->
+            Svc.invalidate svc ~hsit_id:id
+        | Some _ | None -> ());
+        ignore (Hsit.read_primary_word t.hsit id : int);
+        let old =
+          Hsit.exchange_primary_word t.hsit id Location.nowhere_word
+        in
+        invalidate_old t old;
+        Epoch.retire t.epoch t.free_hsit id;
+        true
+      end
 
 let delete t ~tid key =
   Metric.Counter.incr t.ctr.c_deletes;
-  Epoch.with_pinned t.epoch ~tid (fun () ->
-      (* Lookup and removal happen back-to-back with no suspension point,
-         so the id we retire is exactly the binding we removed — a yield
-         in between would let a concurrent delete+reinsert swap the
-         binding and leak its HSIT entry. *)
-      let found = t.index.ki_find key in
-      let removed = match found with Some _ -> t.index.ki_delete key | None -> false in
-      charge_index t;
-      match found with
-      | None -> false
-      | Some id ->
-          if not removed then false
-          else begin
-            (match t.svc with
-            | Some svc when not t.cfg.Config.fault_skip_svc_invalidate ->
-                Svc.invalidate svc ~hsit_id:id
-            | Some _ | None -> ());
-            ignore (Hsit.read_primary_word t.hsit id : int);
-            let old =
-              Hsit.exchange_primary_word t.hsit id Location.nowhere_word
-            in
-            invalidate_old t old;
-            let hsit = t.hsit in
-            Epoch.retire t.epoch (fun () -> Hsit.free hsit id);
-            true
-          end)
+  Epoch.pin t.epoch ~tid;
+  match delete_pinned t key with
+  | removed ->
+      Epoch.unpin t.epoch ~tid;
+      removed
+  | exception e -> unpin_raise t ~tid e
 
 (* ---- read path (§4.4, §5.3) ---- *)
 
@@ -506,8 +528,8 @@ let resolve t ~skip_pwb ~id ~values ~i =
       let pwb = t.pwbs.(Location.pwb_thread w) and voff = Location.pwb_voff w in
       if skip_pwb || voff < Pwb.head pwb then moved
       else begin
-        let bid, payload = Pwb.read pwb ~voff in
-        if bid <> id then moved
+        let payload = Pwb.read pwb ~voff ~hsit_id:id in
+        if Bytes.length payload = 0 then moved
         else begin
           Metric.Counter.incr t.ctr.c_pwb_hits;
           values.(i) <- payload;
@@ -574,49 +596,60 @@ let get_resolved t ~id ~key =
     else if r = moved then attempt (n + 1)
     else begin
       let vs = Location.vs_id r in
+      let storage = t.vss.(vs) in
       words.(0) <- r;
-      match
-        Value_storage.read_run t.vss.(vs) ~gen:(Location.vs_gen r)
+      let k =
+        Value_storage.read_run storage ~gen:(Location.vs_gen r)
           ~chunk:(Location.vs_chunk r) ~words ~values ~order:first_only
           ~pos:0 ~len:1
-      with
-      | None -> attempt (n + 1)
-      | Some entry ->
-          read_vs t ~vs entry;
-          Metric.Counter.incr t.ctr.c_vs_reads;
-          let value = values.(0) in
-          if Bytes.length value = 0 then
-            (* The chunk was recycled while the IO was in flight; retry
-               from HSIT. *)
-            attempt (n + 1)
-          else begin
-            ignore (admit_to_svc t ~id ~key ~value ~word:r : int);
-            Some value
-          end
+      in
+      if k < 0 then attempt (n + 1)
+      else begin
+        read_vs t ~vs (Value_storage.read_request storage k);
+        Value_storage.release_read storage k;
+        Metric.Counter.incr t.ctr.c_vs_reads;
+        let value = values.(0) in
+        if Bytes.length value = 0 then
+          (* The chunk was recycled while the IO was in flight; retry
+             from HSIT. *)
+          attempt (n + 1)
+        else begin
+          ignore (admit_to_svc t ~id ~key ~value ~word:r : int);
+          Some value
+        end
+      end
     end
   in
   attempt 0
 
-let get t ~tid key =
-  Metric.Counter.incr t.ctr.c_gets;
-  Epoch.with_pinned t.epoch ~tid (fun () ->
-      let found = t.index.ki_find key in
-      charge_index t;
-      match found with
+let get_pinned t key =
+  let found = t.index.ki_find key in
+  charge_index t;
+  match found with
+  | None ->
+      Metric.Counter.incr t.ctr.c_misses;
+      None
+  | Some id -> (
+      match get_resolved t ~id ~key with
       | None ->
           Metric.Counter.incr t.ctr.c_misses;
           None
-      | Some id -> (
-          match get_resolved t ~id ~key with
-          | None ->
-              Metric.Counter.incr t.ctr.c_misses;
-              None
-          | Some v -> Some v))
+      | Some v -> Some v)
+
+let get t ~tid key =
+  Metric.Counter.incr t.ctr.c_gets;
+  Epoch.pin t.epoch ~tid;
+  match get_pinned t key with
+  | v ->
+      Epoch.unpin t.epoch ~tid;
+      v
+  | exception e -> unpin_raise t ~tid e
 
 (* ---- scan (§4.4) ---- *)
 
 (* The SSD reads of the bindings [pending] (indices into [words], all on
-   storage [vs], ascending), one entry per chunk, in submission order.
+   storage [vs], ascending), one read handle per chunk, in submission
+   order.
 
    Reads of one chunk share an entry, so values a previous scan's
    reorganization placed contiguously cost one IO for the whole run
@@ -668,20 +701,121 @@ let chunk_reads t ~vs ~words ~values pending =
       if bucket.(a) <> bucket.(b) then Int.compare bucket.(b) bucket.(a)
       else Int.compare (last b) (last a))
     submit_order;
-  let entries = ref [] in
-  for k = groups - 1 downto 0 do
+  let handles = Array.make groups 0 and reads = ref 0 in
+  for k = 0 to groups - 1 do
     let g = submit_order.(k) in
     let r = w pending.(starts.(g)) in
-    match
+    let h =
       Value_storage.read_run t.vss.(vs) ~gen:(Location.vs_gen r)
         ~chunk:(Location.vs_chunk r) ~words ~values ~order:pending
         ~pos:starts.(g)
         ~len:(starts.(g + 1) - starts.(g))
-    with
-    | Some entry -> entries := entry :: !entries
-    | None -> ()
+    in
+    if h >= 0 then begin
+      handles.(!reads) <- h;
+      incr reads
+    end
   done;
-  !entries
+  Array.sub handles 0 !reads
+
+let scan_pinned t key count =
+  (* The bindings, then each one's value (empty until found) and, for
+     a value on SSD, its slot's word (-1 otherwise): flat arrays, one
+     cell per binding. *)
+  let cap = max 0 (min count (t.index.ki_length ())) in
+  let keys = Array.make cap "" and ids = Array.make cap 0 in
+  let n = ref 0 in
+  t.index.ki_scan ~from:key ~count (fun k id ->
+      keys.(!n) <- k;
+      ids.(!n) <- id;
+      incr n);
+  charge_index t;
+  let n = !n in
+  let values = Array.make n Bytes.empty and words = Array.make n (-1) in
+  let on_ssd = Array.make (Array.length t.vss) 0 in
+  for i = 0 to n - 1 do
+    let r =
+      resolve t ~skip_pwb:t.cfg.Config.fault_scan_skip_pwb ~id:ids.(i)
+        ~values ~i
+    in
+    if r >= 0 then begin
+      words.(i) <- r;
+      let vs = Location.vs_id r in
+      on_ssd.(vs) <- on_ssd.(vs) + 1
+    end
+  done;
+  (* Coalesce reads per storage and per chunk. *)
+  let pending_on vs =
+    let p = Array.make on_ssd.(vs) 0 and k = ref 0 in
+    for i = 0 to n - 1 do
+      if words.(i) >= 0 && Location.vs_id words.(i) = vs then begin
+        p.(!k) <- i;
+        incr k
+      end
+    done;
+    p
+  in
+  Array.iteri
+    (fun vs reads ->
+      if reads > 0 then begin
+        Metric.Counter.add t.ctr.c_vs_reads reads;
+        let storage = t.vss.(vs) in
+        let handles = chunk_reads t ~vs ~words ~values (pending_on vs) in
+        read_vs_many t ~vs
+          (Array.map (Value_storage.read_request storage) handles)
+          (Array.length handles);
+        Array.iter (Value_storage.release_read storage) handles
+      end)
+    on_ssd;
+  (* Admit fetched values, storage by storage and last binding first,
+     and link the whole range into a scan chain so an eviction
+     rewrites them contiguously (§4.4). *)
+  let chain = Array.make n 0 and linked = ref 0 in
+  Array.iteri
+    (fun vs reads ->
+      if reads > 0 then
+        for i = n - 1 downto 0 do
+          let r = words.(i) in
+          if r >= 0 && Location.vs_id r = vs && Bytes.length values.(i) > 0
+          then begin
+            let idx =
+              admit_to_svc t ~id:ids.(i) ~key:keys.(i) ~value:values.(i)
+                ~word:r
+            in
+            if idx >= 0 then begin
+              chain.(!linked) <- idx;
+              incr linked
+            end
+          end
+        done)
+    on_ssd;
+  (match t.svc with
+  | Some svc when t.cfg.Config.scan_reorganize && !linked >= 2 ->
+      Svc.link_chain svc chain !linked
+  | Some _ | None -> ());
+  (* Read-repair: a value can move while [resolve] follows it — PWB
+     reclamation advances [head] past the recorded offset, or the VS
+     chunk is recycled before the batched IO lands — and the binding
+     is left unresolved. The point read retries
+     in exactly these cases (see [get_resolved]); without the same
+     care here a scan silently omits a live key. Re-resolve leftovers
+     through the retrying read; a key that is genuinely gone resolves
+     to [Nowhere] and stays out of the result. Skipped under the
+     [fault_scan_skip_pwb] injection, which exists to demonstrate the
+     omission. *)
+  if not t.cfg.Config.fault_scan_skip_pwb then
+    for i = 0 to n - 1 do
+      if Bytes.length values.(i) = 0 then
+        match get_resolved t ~id:ids.(i) ~key:keys.(i) with
+        | Some value -> values.(i) <- value
+        | None -> ()
+    done;
+  let items = ref [] in
+  for i = n - 1 downto 0 do
+    if Bytes.length values.(i) > 0 then
+      items := (keys.(i), values.(i)) :: !items
+  done;
+  !items
 
 let scan t ~tid key count =
   Metric.Counter.incr t.ctr.c_scans;
@@ -693,100 +827,13 @@ let scan t ~tid key count =
          deleted keys, outdated values, and miss later writes. *)
       List.filteri (fun i _ -> i < count) items
   | _ ->
+  Epoch.pin t.epoch ~tid;
   let items =
-  Epoch.with_pinned t.epoch ~tid (fun () ->
-      (* The bindings, then each one's value (empty until found) and, for
-         a value on SSD, its slot's word (-1 otherwise): flat arrays, one
-         cell per binding. *)
-      let cap = max 0 (min count (t.index.ki_length ())) in
-      let keys = Array.make cap "" and ids = Array.make cap 0 in
-      let n = ref 0 in
-      t.index.ki_scan ~from:key ~count (fun k id ->
-          keys.(!n) <- k;
-          ids.(!n) <- id;
-          incr n);
-      charge_index t;
-      let n = !n in
-      let values = Array.make n Bytes.empty and words = Array.make n (-1) in
-      let on_ssd = Array.make (Array.length t.vss) 0 in
-      for i = 0 to n - 1 do
-        let r =
-          resolve t ~skip_pwb:t.cfg.Config.fault_scan_skip_pwb ~id:ids.(i)
-            ~values ~i
-        in
-        if r >= 0 then begin
-          words.(i) <- r;
-          let vs = Location.vs_id r in
-          on_ssd.(vs) <- on_ssd.(vs) + 1
-        end
-      done;
-      (* Coalesce reads per storage and per chunk. *)
-      let pending_on vs =
-        let p = Array.make on_ssd.(vs) 0 and k = ref 0 in
-        for i = 0 to n - 1 do
-          if words.(i) >= 0 && Location.vs_id words.(i) = vs then begin
-            p.(!k) <- i;
-            incr k
-          end
-        done;
-        p
-      in
-      Array.iteri
-        (fun vs reads ->
-          if reads > 0 then begin
-            Metric.Counter.add t.ctr.c_vs_reads reads;
-            read_vs_many t ~vs (chunk_reads t ~vs ~words ~values (pending_on vs))
-          end)
-        on_ssd;
-      (* Admit fetched values, storage by storage and last binding first,
-         and link the whole range into a scan chain so an eviction
-         rewrites them contiguously (§4.4). *)
-      let chain = Array.make n 0 and linked = ref 0 in
-      Array.iteri
-        (fun vs reads ->
-          if reads > 0 then
-            for i = n - 1 downto 0 do
-              let r = words.(i) in
-              if r >= 0 && Location.vs_id r = vs && Bytes.length values.(i) > 0
-              then begin
-                let idx =
-                  admit_to_svc t ~id:ids.(i) ~key:keys.(i) ~value:values.(i)
-                    ~word:r
-                in
-                if idx >= 0 then begin
-                  chain.(!linked) <- idx;
-                  incr linked
-                end
-              end
-            done)
-        on_ssd;
-      (match t.svc with
-      | Some svc when t.cfg.Config.scan_reorganize && !linked >= 2 ->
-          Svc.link_chain svc chain !linked
-      | Some _ | None -> ());
-      (* Read-repair: a value can move while [resolve] follows it — PWB
-         reclamation advances [head] past the recorded offset, or the VS
-         chunk is recycled before the batched IO lands — and the binding
-         is left unresolved. The point read retries
-         in exactly these cases (see [get_resolved]); without the same
-         care here a scan silently omits a live key. Re-resolve leftovers
-         through the retrying read; a key that is genuinely gone resolves
-         to [Nowhere] and stays out of the result. Skipped under the
-         [fault_scan_skip_pwb] injection, which exists to demonstrate the
-         omission. *)
-      if not t.cfg.Config.fault_scan_skip_pwb then
-        for i = 0 to n - 1 do
-          if Bytes.length values.(i) = 0 then
-            match get_resolved t ~id:ids.(i) ~key:keys.(i) with
-            | Some value -> values.(i) <- value
-            | None -> ()
-        done;
-      let items = ref [] in
-      for i = n - 1 downto 0 do
-        if Bytes.length values.(i) > 0 then
-          items := (keys.(i), values.(i)) :: !items
-      done;
-      !items)
+    match scan_pinned t key count with
+    | items ->
+        Epoch.unpin t.epoch ~tid;
+        items
+    | exception e -> unpin_raise t ~tid e
   in
   let items =
     match items with
@@ -821,22 +868,24 @@ let recover t =
      pointers) and validate PWB couplings. *)
   let pwb_ranges = Array.make (Array.length t.pwbs) None in
   let lost = ref [] in
+  let found = [| -1 |] in
   List.iter
     (fun (key, id) ->
       Hsit.recover_entry t.hsit id;
       match Hsit.durable_primary t.hsit id with
       | Location.Nowhere -> lost := (key, id) :: !lost
-      | Location.In_pwb { thread; voff } -> (
-          match Pwb.read_durable t.pwbs.(thread) ~voff with
-          | Some (bid, payload) when bid = id ->
-              let extent = Pwb.record_extent ~len:(Bytes.length payload) in
-              let lo, hi =
-                match pwb_ranges.(thread) with
-                | None -> (voff, voff + extent)
-                | Some (lo, hi) -> (min lo voff, max hi (voff + extent))
-              in
-              pwb_ranges.(thread) <- Some (lo, hi)
-          | Some _ | None -> lost := (key, id) :: !lost)
+      | Location.In_pwb { thread; voff } ->
+          let payload = Pwb.read_durable t.pwbs.(thread) ~voff found in
+          if found.(0) = id then begin
+            let extent = Pwb.record_extent ~len:(Bytes.length payload) in
+            let lo, hi =
+              match pwb_ranges.(thread) with
+              | None -> (voff, voff + extent)
+              | Some (lo, hi) -> (min lo voff, max hi (voff + extent))
+            in
+            pwb_ranges.(thread) <- Some (lo, hi)
+          end
+          else lost := (key, id) :: !lost
       | Location.In_vs _ ->
           (* Validity established by the Value Storage scan below. *)
           ())

@@ -33,20 +33,33 @@ type dlist = {
   mutable count : int;
 }
 
-type msg = Admit of int | Touch of int | Drop of int
+(* Manager messages are immediates: an entry index and its kind in the
+   low two bits. *)
+let admit_msg = 0
+
+let touch_msg = 1
+
+let drop_msg = 2
+
+let msg kind idx = (idx lsl 2) lor kind
 
 type t = {
   engine : Engine.t;
   capacity : int;
   cost : Cost.t;
+  delays : float array;
+      (* [| cache_op; atomic_op; the copy being charged |], handed to the
+         engine unboxed *)
   epoch : Epoch.t;
   hsit : Hsit.t;
   mutable entries : entry array;
   mutable nalloc : int;
-  mutable free : int list;
+  mutable free : int array; (* stack of recycled indices *)
+  mutable nfree : int;
+  mutable release : int -> unit; (* [release_entry t], built once *)
   inactive : dlist;
   active : dlist;
-  mailbox : msg Sync.Mailbox.t;
+  mailbox : int Sync.Mailbox.t;
   mutable pending_bytes : int;
   mutable reorganize : (member array -> unit) option;
   evictions : Metric.Counter.t;
@@ -69,27 +82,6 @@ let fresh_entry () =
     cprev = -1;
     cnext = -1;
     referenced = false;
-  }
-
-let create engine ~capacity ~cost ~epoch ~hsit =
-  if capacity <= 0 then invalid_arg "Svc.create: capacity <= 0";
-  {
-    engine;
-    capacity;
-    cost;
-    epoch;
-    hsit;
-    entries = Array.init 64 (fun _ -> fresh_entry ());
-    nalloc = 0;
-    free = [];
-    inactive = { head = -1; tail = -1; bytes = 0; count = 0 };
-    active = { head = -1; tail = -1; bytes = 0; count = 0 };
-    mailbox = Sync.Mailbox.create ();
-    pending_bytes = 0;
-    reorganize = None;
-    evictions = Metric.Counter.create ();
-    reorgs = Metric.Counter.create ();
-    manager_running = false;
   }
 
 let set_reorganize t f = t.reorganize <- Some f
@@ -169,16 +161,26 @@ let grow t =
   let entries = Array.init (n * 2) (fun i -> if i < n then t.entries.(i) else fresh_entry ()) in
   t.entries <- entries
 
+let push_free t idx =
+  if t.nfree = Array.length t.free then begin
+    let bigger = Array.make (max 64 (2 * t.nfree)) 0 in
+    Array.blit t.free 0 bigger 0 t.nfree;
+    t.free <- bigger
+  end;
+  t.free.(t.nfree) <- idx;
+  t.nfree <- t.nfree + 1
+
 let alloc t =
-  match t.free with
-  | idx :: rest ->
-      t.free <- rest;
-      idx
-  | [] ->
-      if t.nalloc = Array.length t.entries then grow t;
-      let idx = t.nalloc in
-      t.nalloc <- t.nalloc + 1;
-      idx
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+  else begin
+    if t.nalloc = Array.length t.entries then grow t;
+    let idx = t.nalloc in
+    t.nalloc <- t.nalloc + 1;
+    idx
+  end
 
 let used_bytes t = t.pending_bytes + t.inactive.bytes + t.active.bytes
 
@@ -198,16 +200,18 @@ let register_stats t stats ~prefix =
 
 (* A miss is the empty value: stored values are never empty. *)
 let lookup_value t ~idx ~hsit_id =
-  Engine.delay t.cost.Cost.cache_op;
+  Engine.delay_cell t.delays 0;
   if idx < 0 || idx >= t.nalloc then Bytes.empty
   else begin
     let e = entry t idx in
     if e.e_state <> Live || e.e_hsit <> hsit_id then Bytes.empty
     else begin
-      Engine.delay (Cost.memcpy t.cost (Bytes.length e.e_value));
+      t.delays.(2) <-
+        float_of_int (Bytes.length e.e_value) *. t.cost.Cost.memcpy_per_byte;
+      Engine.delay_cell t.delays 2;
       if not e.referenced then begin
         e.referenced <- true;
-        Sync.Mailbox.send t.mailbox (Touch idx)
+        Sync.Mailbox.send t.mailbox (msg touch_msg idx)
       end;
       Bytes.copy e.e_value
     end
@@ -223,7 +227,7 @@ let admit_index t ~hsit_id ~key ~value ~from_ =
   (* Hard cap: refuse admissions when eviction is far behind. *)
   if used_bytes t > t.capacity * 2 then -1
   else begin
-    Engine.delay t.cost.Cost.cache_op;
+    Engine.delay_cell t.delays 0;
     let idx = alloc t in
     let e = entry t idx in
     e.e_hsit <- hsit_id;
@@ -233,10 +237,10 @@ let admit_index t ~hsit_id ~key ~value ~from_ =
     e.e_state <- Live;
     e.e_lru <- No_list;
     e.referenced <- false;
-    Engine.delay t.cost.Cost.atomic_op;
+    Engine.delay_cell t.delays 1;
     if Hsit.cas_svc_index t.hsit hsit_id ~expect:(-1) idx then begin
       t.pending_bytes <- t.pending_bytes + entry_bytes e;
-      Sync.Mailbox.send t.mailbox (Admit idx);
+      Sync.Mailbox.send t.mailbox (msg admit_msg idx);
       idx
     end
     else begin
@@ -244,7 +248,7 @@ let admit_index t ~hsit_id ~key ~value ~from_ =
          entry. *)
       e.e_state <- Free;
       e.e_value <- Bytes.empty;
-      t.free <- idx :: t.free;
+      push_free t idx;
       -1
     end
   end
@@ -256,24 +260,55 @@ let admit t ~hsit_id ~key ~value ~cached_from =
   in
   if idx < 0 then None else Some idx
 
-let retire_entry t idx =
+(* Free a retired entry once no reader can hold it (see [retire_entry]). *)
+let release_entry t idx =
   let e = entry t idx in
-  e.e_state <- Retired;
-  Epoch.retire t.epoch (fun () ->
-      e.e_state <- Free;
-      e.e_value <- Bytes.empty;
-      e.e_key <- "";
-      e.e_hsit <- -1;
-      t.free <- idx :: t.free)
+  e.e_state <- Free;
+  e.e_value <- Bytes.empty;
+  e.e_key <- "";
+  e.e_hsit <- -1;
+  push_free t idx
+
+let retire_entry t idx =
+  (entry t idx).e_state <- Retired;
+  Epoch.retire t.epoch t.release idx
+
+let create engine ~capacity ~cost ~epoch ~hsit =
+  if capacity <= 0 then invalid_arg "Svc.create: capacity <= 0";
+  let t =
+    {
+      engine;
+      capacity;
+      cost;
+      delays = [| cost.Cost.cache_op; cost.Cost.atomic_op; 0.0 |];
+      epoch;
+      hsit;
+      entries = Array.init 64 (fun _ -> fresh_entry ());
+      nalloc = 0;
+      free = [||];
+      nfree = 0;
+      release = ignore;
+      inactive = { head = -1; tail = -1; bytes = 0; count = 0 };
+      active = { head = -1; tail = -1; bytes = 0; count = 0 };
+      mailbox = Sync.Mailbox.create ();
+      pending_bytes = 0;
+      reorganize = None;
+      evictions = Metric.Counter.create ();
+      reorgs = Metric.Counter.create ();
+      manager_running = false;
+    }
+  in
+  t.release <- release_entry t;
+  t
 
 let invalidate t ~hsit_id =
   let idx = Hsit.svc_index t.hsit hsit_id in
   if idx >= 0 then begin
     let e = entry t idx in
     if e.e_state = Live && e.e_hsit = hsit_id then begin
-      Engine.delay t.cost.Cost.atomic_op;
+      Engine.delay_cell t.delays 1;
       if Hsit.cas_svc_index t.hsit hsit_id ~expect:idx (-1) then
-        Sync.Mailbox.send t.mailbox (Drop idx)
+        Sync.Mailbox.send t.mailbox (msg drop_msg idx)
     end
   end
 
@@ -354,39 +389,36 @@ let enforce t =
     else progress := false
   done
 
-let handle t msg =
-  Engine.delay t.cost.Cost.cache_op;
-  let in_range idx = idx >= 0 && idx < Array.length t.entries in
-  (match msg with
-  | (Admit idx | Touch idx | Drop idx) when not (in_range idx) -> ()
-  | Admit idx ->
-      let e = entry t idx in
-      if in_pending e then begin
-        t.pending_bytes <- t.pending_bytes - entry_bytes e;
-        push_front t Inactive idx
-      end
-  | Touch idx ->
-      let e = entry t idx in
-      if e.e_state = Live then begin
-        e.referenced <- false;
-        match e.e_lru with
-        | Inactive ->
-            unlink t idx;
-            push_front t Active idx
-        | Active ->
-            unlink t idx;
-            push_front t Active idx
-        | No_list -> ()
-      end
-  | Drop idx ->
-      let e = entry t idx in
-      if e.e_state = Live then begin
-        if in_pending e then
-          t.pending_bytes <- t.pending_bytes - entry_bytes e;
-        chain_unlink t idx;
-        unlink t idx;
-        retire_entry t idx
-      end);
+let handle t m =
+  Engine.delay_cell t.delays 0;
+  let idx = m asr 2 and kind = m land 3 in
+  (if idx >= 0 && idx < Array.length t.entries then
+     let e = entry t idx in
+     if kind = admit_msg then begin
+       if in_pending e then begin
+         t.pending_bytes <- t.pending_bytes - entry_bytes e;
+         push_front t Inactive idx
+       end
+     end
+     else if kind = touch_msg then begin
+       if e.e_state = Live then begin
+         e.referenced <- false;
+         match e.e_lru with
+         | Inactive ->
+             unlink t idx;
+             push_front t Active idx
+         | Active ->
+             unlink t idx;
+             push_front t Active idx
+         | No_list -> ()
+       end
+     end
+     else if e.e_state = Live then begin
+       if in_pending e then t.pending_bytes <- t.pending_bytes - entry_bytes e;
+       chain_unlink t idx;
+       unlink t idx;
+       retire_entry t idx
+     end);
   enforce t
 
 let start_manager t =
@@ -394,8 +426,7 @@ let start_manager t =
   t.manager_running <- true;
   Engine.spawn t.engine (fun () ->
       let rec loop () =
-        let msg = Sync.Mailbox.recv t.mailbox in
-        handle t msg;
+        handle t (Sync.Mailbox.recv t.mailbox);
         loop ()
       in
       loop ())
@@ -418,7 +449,7 @@ let clear t =
     e.cprev <- -1;
     e.cnext <- -1
   done;
-  t.free <- [];
+  t.nfree <- 0;
   t.nalloc <- 0;
   t.pending_bytes <- 0;
   t.inactive.head <- -1;

@@ -1,18 +1,16 @@
 open Prism_sim
 open Prism_device
 
-type request = {
-  entry : Io_uring.entry;
-  handed : float Sync.Ivar.t Sync.Ivar.t;
-}
-
 type t = {
   engine : Engine.t;
   uring : Io_uring.t;
   limit : int;
   timeout : float;
-  cost : Cost.t;
-  queue : request Queue.t;
+  costs : float array; (* [| cache_op |], handed to the engine unboxed *)
+  queue : Io_uring.request Ring.t;
+  mutable batch : Io_uring.request array;
+      (* the dispatcher's drain buffer, [limit] long from the first drain; a
+         cell past the current batch may still name a finished request *)
   mutable first_arrived : unit Sync.Ivar.t;
   mutable full : unit Sync.Ivar.t;
   batches : Metric.Counter.t;
@@ -28,8 +26,9 @@ let create ?(timeout = 100e-6) engine uring ~limit ~cost =
     uring;
     limit;
     timeout;
-    cost;
-    queue = Queue.create ();
+    costs = [| cost.Cost.cache_op |];
+    queue = Ring.create ();
+    batch = [||];
     first_arrived = Sync.Ivar.create ();
     full = Sync.Ivar.create ();
     batches = Metric.Counter.create ();
@@ -45,68 +44,65 @@ let register_stats t stats ~prefix =
   Stats.register_counter stats (prefix ^ ".batches") t.batches;
   Stats.register_counter stats (prefix ^ ".requests") t.reqs
 
-let enqueue t entry =
-  let r = { entry; handed = Sync.Ivar.create () } in
-  Queue.add r t.queue;
-  if Queue.length t.queue = 1 && not (Sync.Ivar.is_filled t.first_arrived)
+let enqueue t r =
+  Ring.push t.queue r;
+  if Ring.length t.queue = 1 && not (Sync.Ivar.is_filled t.first_arrived)
   then Sync.Ivar.fill t.first_arrived ();
-  if Queue.length t.queue >= t.limit && not (Sync.Ivar.is_filled t.full) then
-    Sync.Ivar.fill t.full ();
-  r
+  if Ring.length t.queue >= t.limit && not (Sync.Ivar.is_filled t.full) then
+    Sync.Ivar.fill t.full ()
 
 (* Dispatcher: wait for the first request, then give stragglers [timeout]
    seconds (or until the batch is full), then submit everything queued.
    The drain and ivar reset happen without an intervening suspension, so
    no enqueue can race between them. *)
-let dispatcher t () =
-  let rec loop () =
-    Sync.Ivar.read t.first_arrived;
-    if Queue.length t.queue < t.limit then
-      ignore (Sync.Ivar.read_with_timeout t.full t.timeout);
-    let batch = ref [] in
-    let n = ref 0 in
-    while !n < t.limit && not (Queue.is_empty t.queue) do
-      batch := Queue.pop t.queue :: !batch;
-      incr n
-    done;
-    let leftovers_pending = not (Queue.is_empty t.queue) in
-    t.first_arrived <- Sync.Ivar.create ();
-    t.full <- Sync.Ivar.create ();
-    if leftovers_pending then begin
-      Sync.Ivar.fill t.first_arrived ();
-      if Queue.length t.queue >= t.limit then Sync.Ivar.fill t.full ()
-    end;
-    let batch = List.rev !batch in
-    if batch <> [] then begin
-      Metric.Counter.incr t.batches;
-      Metric.Counter.add t.reqs !n;
-      let ivars =
-        Io_uring.submit t.uring (List.map (fun r -> r.entry) batch)
-      in
-      List.iter2 (fun r ivar -> Sync.Ivar.fill r.handed ivar) batch ivars
-    end;
-    loop ()
-  in
-  loop ()
+let rec dispatch t =
+  Sync.Ivar.read t.first_arrived;
+  if Ring.length t.queue < t.limit then
+    ignore (Sync.Ivar.read_with_timeout t.full t.timeout);
+  let n = ref 0 in
+  while !n < t.limit && not (Ring.is_empty t.queue) do
+    let r = Ring.pop t.queue in
+    if Array.length t.batch = 0 then t.batch <- Array.make t.limit r;
+    t.batch.(!n) <- r;
+    incr n
+  done;
+  let n = !n in
+  let leftovers_pending = not (Ring.is_empty t.queue) in
+  t.first_arrived <- Sync.Ivar.create ();
+  t.full <- Sync.Ivar.create ();
+  if leftovers_pending then begin
+    Sync.Ivar.fill t.first_arrived ();
+    if Ring.length t.queue >= t.limit then Sync.Ivar.fill t.full ()
+  end;
+  if n > 0 then begin
+    Metric.Counter.incr t.batches;
+    Metric.Counter.add t.reqs n;
+    Io_uring.submit_batch t.uring t.batch n;
+    for i = 0 to n - 1 do
+      Io_uring.hand_off t.batch.(i)
+    done
+  end;
+  dispatch t
 
 let start t =
   if t.running then invalid_arg "Ta_batcher.start: already running";
   t.running <- true;
-  Engine.spawn t.engine (dispatcher t)
+  Engine.spawn t.engine (fun () -> dispatch t)
 
-let await r =
-  let completion = Sync.Ivar.read r.handed in
-  ignore (Sync.Ivar.read completion)
+let read_request t r =
+  Engine.delay_cell t.costs 0;
+  enqueue t r;
+  Io_uring.await_combined r
 
-let read t entry =
-  Engine.delay t.cost.Cost.cache_op;
-  let r = enqueue t entry in
-  await r
+let read_requests t reqs n =
+  if n > 0 then begin
+    Engine.delay_cell t.costs 0;
+    for i = 0 to n - 1 do
+      enqueue t reqs.(i)
+    done;
+    for i = 0 to n - 1 do
+      Io_uring.await_combined reqs.(i)
+    done
+  end
 
-let read_many t entries =
-  match entries with
-  | [] -> ()
-  | entries ->
-      Engine.delay t.cost.Cost.cache_op;
-      let rs = List.map (fun e -> enqueue t e) entries in
-      List.iter await rs
+let read t entry = read_request t (Io_uring.of_entry t.uring entry)

@@ -18,10 +18,15 @@ val create :
 (** Spawn the dispatcher process. *)
 val start : t -> unit
 
-(** [read t entry] blocks until the entry's data is available. *)
-val read : t -> Prism_device.Io_uring.entry -> unit
+(** [read_request t r] blocks until [r]'s data is available. *)
+val read_request : t -> Prism_device.Io_uring.request -> unit
 
-val read_many : t -> Prism_device.Io_uring.entry list -> unit
+(** [read_requests t reqs n] queues [reqs.(0 .. n - 1)] together and
+    waits for all. *)
+val read_requests : t -> Prism_device.Io_uring.request array -> int -> unit
+
+(** [read t entry] is {!read_request} of a fresh request for [entry]. *)
+val read : t -> Prism_device.Io_uring.entry -> unit
 
 val batches : t -> int
 

@@ -1,17 +1,14 @@
 open Prism_sim
 open Prism_device
 
-type request = {
-  entry : Io_uring.entry;
-  handed : float Sync.Ivar.t Sync.Ivar.t;
-      (* filled by the leader with the io_uring completion ivar *)
-}
-
 type t = {
   uring : Io_uring.t;
   limit : int;
-  cost : Cost.t;
-  queue : request Queue.t;
+  costs : float array; (* [| atomic_op; cache_op |], handed to the engine unboxed *)
+  queue : Io_uring.request Ring.t;
+  mutable batch : Io_uring.request array;
+      (* the leader's drain buffer, [limit] long from the first drain; a
+         cell past the current batch may still name a finished request *)
   mutable leader_active : bool;
   batches : Metric.Counter.t;
   reqs : Metric.Counter.t;
@@ -22,8 +19,9 @@ let create uring ~limit ~cost =
   {
     uring;
     limit;
-    cost;
-    queue = Queue.create ();
+    costs = [| cost.Cost.atomic_op; cost.Cost.cache_op |];
+    queue = Ring.create ();
+    batch = [||];
     leader_active = false;
     batches = Metric.Counter.create ();
     reqs = Metric.Counter.create ();
@@ -42,56 +40,57 @@ let register_stats t stats ~prefix =
    before releasing leadership guarantees no enqueued request is ever
    stranded: a new arrival either sees an active leader (and is a follower)
    or becomes the leader itself. *)
-let drive_leader t =
-  let rec loop () =
-    if Queue.is_empty t.queue then t.leader_active <- false
-    else begin
-      (* Traverse the TCQ, collecting up to [limit] requests. *)
-      let batch = ref [] in
-      let n = ref 0 in
-      while !n < t.limit && not (Queue.is_empty t.queue) do
-        batch := Queue.pop t.queue :: !batch;
-        incr n;
-        Engine.delay t.cost.Cost.cache_op
-      done;
-      let batch = List.rev !batch in
-      Metric.Counter.incr t.batches;
-      Metric.Counter.add t.reqs !n;
-      let ivars =
-        Io_uring.submit t.uring (List.map (fun r -> r.entry) batch)
-      in
-      List.iter2 (fun r ivar -> Sync.Ivar.fill r.handed ivar) batch ivars;
-      loop ()
-    end
-  in
-  loop ()
+let rec drive_leader t =
+  if Ring.is_empty t.queue then t.leader_active <- false
+  else begin
+    (* Traverse the TCQ, collecting up to [limit] requests. *)
+    let n = ref 0 in
+    while !n < t.limit && not (Ring.is_empty t.queue) do
+      let r = Ring.pop t.queue in
+      if Array.length t.batch = 0 then t.batch <- Array.make t.limit r;
+      t.batch.(!n) <- r;
+      incr n;
+      Engine.delay_cell t.costs 1
+    done;
+    let n = !n in
+    Metric.Counter.incr t.batches;
+    Metric.Counter.add t.reqs n;
+    Io_uring.submit_batch t.uring t.batch n;
+    for i = 0 to n - 1 do
+      Io_uring.hand_off t.batch.(i)
+    done;
+    drive_leader t
+  end
 
-let enqueue t entry =
-  let r = { entry; handed = Sync.Ivar.create () } in
+let enqueue t r =
   (* Atomic swap on the TCQ tail (MCS-style enqueue). *)
-  Engine.delay t.cost.Cost.atomic_op;
-  Queue.add r t.queue;
-  r
+  Engine.delay_cell t.costs 0;
+  Ring.push t.queue r
 
-let await r =
-  let completion = Sync.Ivar.read r.handed in
-  ignore (Sync.Ivar.read completion)
-
-let read t entry =
-  let r = enqueue t entry in
+let lead t =
   if not t.leader_active then begin
     t.leader_active <- true;
     drive_leader t
-  end;
-  await r
+  end
+
+let read_request t r =
+  enqueue t r;
+  lead t;
+  Io_uring.await_combined r
+
+let read_requests t reqs n =
+  if n > 0 then begin
+    for i = 0 to n - 1 do
+      enqueue t reqs.(i)
+    done;
+    lead t;
+    for i = 0 to n - 1 do
+      Io_uring.await_combined reqs.(i)
+    done
+  end
+
+let read t entry = read_request t (Io_uring.of_entry t.uring entry)
 
 let read_many t entries =
-  match entries with
-  | [] -> ()
-  | entries ->
-      let rs = List.map (fun e -> enqueue t e) entries in
-      if not t.leader_active then begin
-        t.leader_active <- true;
-        drive_leader t
-      end;
-      List.iter await rs
+  let reqs = Array.of_list (List.map (Io_uring.of_entry t.uring) entries) in
+  read_requests t reqs (Array.length reqs)

@@ -20,12 +20,23 @@ val create :
   cost:Prism_device.Cost.t ->
   t
 
-(** [read t entry] blocks until [entry]'s completion action has run (its
-    data is available). Must be called from within a process. *)
+(** [read_request t r] queues [r], leads the queue if no leader is
+    active, and blocks until [r]'s completion action has run (its data
+    is available). The miss path's entry point: [r] is the caller's, so
+    a caller that keeps its requests reads without allocating. Must be
+    called from within a process. *)
+val read_request : t -> Prism_device.Io_uring.request -> unit
+
+(** [read_requests t reqs n] coalesces [reqs.(0 .. n - 1)] from one
+    thread (scan path) and waits for all. *)
+val read_requests : t -> Prism_device.Io_uring.request array -> int -> unit
+
+(** [read t entry] is {!read_request} of a fresh request for [entry]. *)
 val read : t -> Prism_device.Io_uring.entry -> unit
 
-(** [read_many t entries] coalesces several reads from one thread (scan
-    path) and waits for all. *)
+(** [read_many t entries] is {!read_requests} of fresh requests for
+    [entries]. Only tests call it: [test_core_units] "read_many" and
+    "combining schedule pinned". *)
 val read_many : t -> Prism_device.Io_uring.entry list -> unit
 
 (** Total batches submitted and total requests, for the Figure 11

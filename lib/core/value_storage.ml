@@ -8,6 +8,20 @@ let sector = 512
 
 let terminator = -1L
 
+(* A pooled run read (see [read_run]): its IO request, built once with
+   the completion that copies the run's payloads out, and the run it
+   fills this time. *)
+type read = {
+  io : Io_uring.request;
+  mutable gen : int;
+  mutable chunk : int;
+  mutable words : int array;
+  mutable values : bytes array;
+  mutable order : int array;
+  mutable pos : int;
+  mutable len : int;
+}
+
 (* Open: written, but its writer is still publishing HSIT pointers and
    validity bits — GC must not touch it yet. *)
 type chunk_state = Free | Open | Sealed
@@ -87,6 +101,8 @@ type t = {
          to reuse *)
   victim_heap : int array; (* GC's min-heap of sealed chunks, by key *)
   gc_moves : moves; (* the GC pass's gathered live slots *)
+  mutable reads : read array; (* every read handle made so far *)
+  spare_reads : int Ring.t; (* handles whose reader has released them *)
 }
 
 let create ?(gc_watermark = 0.75) engine ~id ~size ~chunk_size ~queue_depth
@@ -127,6 +143,8 @@ let create ?(gc_watermark = 0.75) engine ~id ~size ~chunk_size ~queue_depth
     staging = [];
     victim_heap = Array.make nchunks 0;
     gc_moves = moves ();
+    reads = [||];
+    spare_reads = Ring.create ();
   }
 
 let id t = t.id
@@ -254,7 +272,7 @@ let write_into_chunk t chunk m ~pos ~len =
     }
   in
   match Io_uring.submit t.uring [ entry ] with
-  | [ ivar ] -> (chunk, meta.gen, ivar)
+  | [ io ] -> (chunk, meta.gen, io)
   | _ -> assert false
 
 let write_chunk t values =
@@ -288,6 +306,44 @@ let slot_at t ~gen ~chunk ~slot =
 
 let backptr t ~gen ~chunk ~slot = (slot_at t ~gen ~chunk ~slot).backptr
 
+(* Copy the payloads of read [k]'s run out of the image, at its IO's
+   completion. *)
+let copy_out t k () =
+  let rd = t.reads.(k) in
+  let gen = rd.gen and chunk = rd.chunk in
+  (* Gen re-check at completion: the chunk may have been recycled while
+     the IO was in flight. *)
+  if t.chunks.(chunk).gen = gen then
+    for j = rd.pos to rd.pos + rd.len - 1 do
+      let i = rd.order.(j) in
+      let s = slot_at t ~gen ~chunk ~slot:(Location.vs_slot rd.words.(i)) in
+      if s != no_slot then
+        rd.values.(i) <-
+          Ssd_image.read t.image
+            ~off:((chunk * t.chunk_size) + s.off + header_size)
+            ~len:s.len
+    done
+
+let take_read t =
+  if not (Ring.is_empty t.spare_reads) then Ring.pop t.spare_reads
+  else begin
+    let k = Array.length t.reads in
+    let rd =
+      {
+        io = Io_uring.request t.uring ~dir:Model.Read ~size:0 (copy_out t k);
+        gen = 0;
+        chunk = 0;
+        words = [||];
+        values = [||];
+        order = [||];
+        pos = 0;
+        len = 0;
+      }
+    in
+    t.reads <- Array.append t.reads [| rd |];
+    k
+  end
+
 let read_run t ~gen ~chunk ~words ~values ~order ~pos ~len =
   let lo = ref max_int and hi = ref (-1) in
   for k = pos to pos + len - 1 do
@@ -297,41 +353,45 @@ let read_run t ~gen ~chunk ~words ~values ~order ~pos ~len =
       hi := max !hi (s.off + header_size + s.len)
     end
   done;
-  if !hi < 0 then None
-  else
-    Some
-      {
-        Io_uring.dir = Model.Read;
-        size = Prism_sim.Bits.round_up (!hi - !lo) sector;
-        action =
-          (fun () ->
-            (* Gen re-check at completion: the chunk may have been
-               recycled while the IO was in flight. *)
-            if t.chunks.(chunk).gen = gen then
-              for k = pos to pos + len - 1 do
-                let i = order.(k) in
-                let s =
-                  slot_at t ~gen ~chunk ~slot:(Location.vs_slot words.(i))
-                in
-                if s != no_slot then
-                  values.(i) <-
-                    Ssd_image.read t.image
-                      ~off:((chunk * t.chunk_size) + s.off + header_size)
-                      ~len:s.len
-              done);
-      }
+  if !hi < 0 then -1
+  else begin
+    let k = take_read t in
+    let rd = t.reads.(k) in
+    rd.gen <- gen;
+    rd.chunk <- chunk;
+    rd.words <- words;
+    rd.values <- values;
+    rd.order <- order;
+    rd.pos <- pos;
+    rd.len <- len;
+    Io_uring.rearm rd.io ~size:(Prism_sim.Bits.round_up (!hi - !lo) sector);
+    k
+  end
+
+let read_request t k = t.reads.(k).io
+
+let release_read t k =
+  let rd = t.reads.(k) in
+  rd.words <- [||];
+  rd.values <- [||];
+  rd.order <- [||];
+  Ring.push t.spare_reads k
 
 let read_slot_sync t ~gen ~chunk ~slot =
   let values = [| Bytes.empty |] in
-  match
+  let k =
     read_run t ~gen ~chunk
       ~words:[| Location.vs_word ~vs:t.id ~gen ~chunk ~slot |]
       ~values ~order:[| 0 |] ~pos:0 ~len:1
-  with
-  | None -> None
-  | Some entry ->
-      ignore (Io_uring.submit_and_wait t.uring [ entry ]);
-      if Bytes.length values.(0) = 0 then None else Some values.(0)
+  in
+  if k < 0 then None
+  else begin
+    let size = Io_uring.size (read_request t k) in
+    Io_uring.submit_and_wait t.uring
+      [ { Io_uring.dir = Model.Read; size; action = copy_out t k } ];
+    release_read t k;
+    if Bytes.length values.(0) = 0 then None else Some values.(0)
+  end
 
 let set_valid t ~gen ~chunk ~slot v =
   if chunk >= 0 && chunk < t.nchunks then begin
@@ -358,8 +418,8 @@ let install ?chunk t m ~pos ~len ~repoint ~moved =
   let chunk =
     match chunk with Some c -> c | None -> alloc_chunk t ~reserve:1
   in
-  let chunk, gen, done_ = write_into_chunk t chunk m ~pos ~len in
-  ignore (Sync.Ivar.read done_);
+  let chunk, gen, written = write_into_chunk t chunk m ~pos ~len in
+  Io_uring.await written;
   for slot = 0 to len - 1 do
     let from_ = m.froms.(pos + slot) in
     let to_ = Location.vs_word ~vs:t.id ~gen ~chunk ~slot in
@@ -516,7 +576,7 @@ let gc_pass t ~relocate =
                 action = (fun () -> read_chunk t chunk);
               }
             in
-            ignore (Io_uring.submit_and_wait t.uring [ entry ]);
+            Io_uring.submit_and_wait t.uring [ entry ];
             let data = t.chunk_buf in
             Array.iteri
               (fun slot s ->

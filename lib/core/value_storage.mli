@@ -78,7 +78,7 @@ val chunk_gen : t -> chunk:int -> int
 (** [write_chunk t values] allocates a free chunk (blocking while none is
     available, and never taking the one chunk reserved for GC), assembles
     the records, and submits one asynchronous chunk-sized write. Returns
-    [(chunk, gen, completion)] where slot [i] corresponds to
+    [(chunk, gen, write)] where slot [i] corresponds to
     [List.nth values i]. Slots start invalid; the caller marks them valid
     once it has repointed HSIT (§5.2), as {!install} does. Values must
     fit in one chunk. The store writes through {!install}; only
@@ -86,7 +86,7 @@ val chunk_gen : t -> chunk:int -> int
 val write_chunk :
   t ->
   (int * bytes) list ->
-  int * int * float Prism_sim.Sync.Ivar.t
+  int * int * Prism_device.Io_uring.request
 
 (** [seal t ~chunk] marks a freshly written chunk as fully published
     (HSIT pointers and validity bits in place). Garbage collection only
@@ -122,15 +122,18 @@ val install :
     -1 when the generation is stale or the slot unknown. *)
 val backptr : t -> gen:int -> chunk:int -> slot:int -> int
 
-(** [read_run t ~gen ~chunk ~words ~values ~order ~pos ~len] builds ONE
-    io_uring entry whose single IO covers the slots of the chunk named by
+(** [read_run t ~gen ~chunk ~words ~values ~order ~pos ~len] prepares
+    ONE read whose single IO covers the slots of the chunk named by
     [words.(i)] (clean HSIT words, see {!Location.vs_slot}) for each [i]
     among [order.(pos .. pos + len - 1)]: a point read is a run of one,
     and a scan reads every slot it needs from one chunk at once, which
     after SVC reorganization is one contiguous key range (§4.4). At
     completion each slot's payload lands in [values.(i)] — unless the
     chunk generation went stale, in which case [values] is left as it
-    was. Returns [None] when the generation is already stale. *)
+    was. Returns a read handle, or -1 when the generation is already
+    stale. Handles and their requests are pooled: submit
+    [read_request t k], and once its waiter has returned and [values]
+    is consumed, give the handle back with {!release_read}. *)
 val read_run :
   t ->
   gen:int ->
@@ -140,7 +143,14 @@ val read_run :
   order:int array ->
   pos:int ->
   len:int ->
-  Prism_device.Io_uring.entry option
+  int
+
+(** The IO request of read handle [k]. *)
+val read_request : t -> int -> Prism_device.Io_uring.request
+
+(** [release_read t k] returns handle [k] to the pool; its request may
+    be submitted again by the next {!read_run}. *)
+val release_read : t -> int -> unit
 
 (** [read_slot_sync t ~gen ~chunk ~slot] is a single-slot synchronous read;
     [None] when the generation went stale. Only [test_core_units]'s Value

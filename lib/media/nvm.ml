@@ -86,6 +86,12 @@ let read t ~off ~len =
   Model.access t.device Model.Read ~size:len;
   Backing.sub t.volatile off len
 
+let read_into t ~off dst =
+  let len = Bytes.length dst in
+  check t ~off ~len;
+  Model.access t.device Model.Read ~size:len;
+  Backing.blit_out t.volatile off dst 0 len
+
 let write t ~off src =
   let len = Bytes.length src in
   check t ~off ~len;

@@ -46,6 +46,11 @@ val resident_bytes : t -> int
     calling thread one NVM read access of [len] bytes. *)
 val read : t -> off:int -> len:int -> bytes
 
+(** [read_into t ~off dst] is [read t ~off ~len:(Bytes.length dst)]
+    copied into [dst] instead of a fresh buffer: same charge, and the
+    bytes are those visible when the access completes. *)
+val read_into : t -> off:int -> bytes -> unit
+
 (** [write t ~off src] stores [src] at [off] in the volatile view and marks
     the lines dirty. Charges one NVM write access. *)
 val write : t -> off:int -> bytes -> unit

@@ -62,50 +62,63 @@ module Ivar = struct
     match t.state with Full _ -> 0 | Empty q -> Queue.length q
 end
 
-module Mailbox = struct
-  type 'a t = {
-    messages : 'a Queue.t;
-    waiters : (unit -> unit) Queue.t;
-  }
+(* Mailboxes and semaphores keep messages and blocked processes in
+   rings, and share one registration closure: [Engine.suspend] calls
+   [park] at once, while [parking] names the ring to join. Sending,
+   receiving and blocking then allocate nothing of their own. *)
+let no_waiters : (unit -> unit) Ring.t = Ring.create ()
 
-  let create () = { messages = Queue.create (); waiters = Queue.create () }
+let parking = ref no_waiters
+
+let park resume =
+  let waiters = !parking in
+  parking := no_waiters;
+  Ring.push waiters resume
+
+let wait_in waiters =
+  parking := waiters;
+  Engine.suspend park
+
+let wake_first waiters =
+  if not (Ring.is_empty waiters) then (Ring.pop waiters) ()
+
+module Mailbox = struct
+  type 'a t = { messages : 'a Ring.t; waiters : (unit -> unit) Ring.t }
+
+  let create () = { messages = Ring.create (); waiters = Ring.create () }
 
   let send t v =
-    Queue.add v t.messages;
-    match Queue.take_opt t.waiters with
-    | None -> ()
-    | Some resume -> resume ()
+    Ring.push t.messages v;
+    wake_first t.waiters
 
-  let try_recv t = Queue.take_opt t.messages
+  let try_recv t =
+    if Ring.is_empty t.messages then None else Some (Ring.pop t.messages)
 
   let rec recv t =
-    match Queue.take_opt t.messages with
-    | Some v -> v
-    | None ->
-        Engine.suspend (fun resume -> Queue.add resume t.waiters);
-        (* Another receiver woken at the same instant may have taken the
-           message; retry until one is really available. *)
-        recv t
+    if not (Ring.is_empty t.messages) then Ring.pop t.messages
+    else begin
+      wait_in t.waiters;
+      (* Another receiver woken at the same instant may have taken the
+         message; retry until one is really available. *)
+      recv t
+    end
 
-  let length t = Queue.length t.messages
+  let length t = Ring.length t.messages
 
-  let is_empty t = Queue.is_empty t.messages
+  let is_empty t = Ring.is_empty t.messages
 end
 
 module Semaphore = struct
-  type t = {
-    mutable permits : int;
-    waiters : (unit -> unit) Queue.t;
-  }
+  type t = { mutable permits : int; waiters : (unit -> unit) Ring.t }
 
   let create n =
     if n < 0 then invalid_arg "Semaphore.create: negative permits";
-    { permits = n; waiters = Queue.create () }
+    { permits = n; waiters = Ring.create () }
 
   let rec acquire t =
     if t.permits > 0 then t.permits <- t.permits - 1
     else begin
-      Engine.suspend (fun resume -> Queue.add resume t.waiters);
+      wait_in t.waiters;
       acquire t
     end
 
@@ -118,9 +131,7 @@ module Semaphore = struct
 
   let release t =
     t.permits <- t.permits + 1;
-    match Queue.take_opt t.waiters with
-    | None -> ()
-    | Some resume -> resume ()
+    wake_first t.waiters
 end
 
 module Mutex = struct

@@ -312,9 +312,10 @@ let test_pwb_append_read () =
   in_sim (fun e ->
       let _, p = make_pwb e in
       let voff = Pwb.append p ~hsit_id:7 ~value:(Bytes.of_string "payload") in
-      let id, data = Pwb.read p ~voff in
-      Alcotest.(check int) "backptr" 7 id;
-      Alcotest.check bytes_eq "payload" (Bytes.of_string "payload") data)
+      let data = Pwb.read p ~voff ~hsit_id:7 in
+      Alcotest.check bytes_eq "payload" (Bytes.of_string "payload") data;
+      Alcotest.check bytes_eq "another backptr reads nothing" Bytes.empty
+        (Pwb.read p ~voff ~hsit_id:8))
 
 let test_pwb_monotonic_voffs () =
   in_sim (fun e ->
@@ -344,8 +345,7 @@ let test_pwb_wraparound () =
         in
         List.iter
           (fun (i, voff) ->
-            let id, data = Pwb.read p ~voff in
-            Alcotest.(check int) "backptr" i id;
+            let data = Pwb.read p ~voff ~hsit_id:i in
             Alcotest.check bytes_eq "data survives wrap"
               (value ~size:100 (round + i))
               data)
@@ -390,13 +390,12 @@ let test_pwb_read_durable_coupling () =
       let nvm, p = make_pwb e in
       let voff = Pwb.append p ~hsit_id:5 ~value:(Bytes.of_string "keepme") in
       Nvm.crash nvm;
-      (match Pwb.read_durable p ~voff with
-      | Some (id, data) ->
-          Alcotest.(check int) "backptr" 5 id;
-          Alcotest.check bytes_eq "data" (Bytes.of_string "keepme") data
-      | None -> Alcotest.fail "record should be durable");
-      Alcotest.(check bool) "out of range" true
-        (Pwb.read_durable p ~voff:(Pwb.tail p + 64) = None))
+      let found = [| -1 |] in
+      let data = Pwb.read_durable p ~voff found in
+      Alcotest.(check int) "backptr" 5 found.(0);
+      Alcotest.check bytes_eq "data" (Bytes.of_string "keepme") data;
+      ignore (Pwb.read_durable p ~voff:(Pwb.tail p + 64) found);
+      Alcotest.(check int) "out of range" (-1) found.(0))
 
 let test_pwb_too_large_value_rejected () =
   in_sim (fun e ->
@@ -446,8 +445,8 @@ let prop_pwb_ring_model =
             ops;
           Queue.iter
             (fun (voff, id, data) ->
-              let id', data' = Pwb.read p ~voff in
-              if id' <> id || not (Bytes.equal data' data) then ok := false)
+              let data' = Pwb.read p ~voff ~hsit_id:id in
+              if not (Bytes.equal data' data) then ok := false)
             live;
           !ok))
 
@@ -456,7 +455,7 @@ let prop_pwb_ring_model =
 let test_epoch_basic_reclamation () =
   let ep = Epoch.create ~threads:2 in
   let freed = ref false in
-  Epoch.retire ep (fun () -> freed := true);
+  Epoch.retire ep (fun _ -> freed := true) 0;
   Alcotest.(check int) "pending" 1 (Epoch.pending ep);
   Epoch.pin ep ~tid:0;
   Epoch.unpin ep ~tid:0;
@@ -468,7 +467,7 @@ let test_epoch_pinned_blocks_advance () =
   let ep = Epoch.create ~threads:2 in
   let freed = ref false in
   Epoch.pin ep ~tid:1;
-  Epoch.retire ep (fun () -> freed := true);
+  Epoch.retire ep (fun _ -> freed := true) 0;
   (* Thread 0 churns, but thread 1 stays pinned in the old epoch. *)
   for _ = 1 to 5 do
     Epoch.pin ep ~tid:0;
@@ -486,7 +485,7 @@ let test_epoch_drain () =
   let ep = Epoch.create ~threads:1 in
   let count = ref 0 in
   for _ = 1 to 10 do
-    Epoch.retire ep (fun () -> incr count)
+    Epoch.retire ep (fun _ -> incr count) 0
   done;
   Epoch.drain ep;
   Alcotest.(check int) "all freed" 10 !count
@@ -495,7 +494,7 @@ let test_epoch_reset_discards () =
   let ep = Epoch.create ~threads:1 in
   let ran = ref false in
   Epoch.pin ep ~tid:0;
-  Epoch.retire ep (fun () -> ran := true);
+  Epoch.retire ep (fun _ -> ran := true) 0;
   Epoch.reset ep;
   Epoch.drain ep;
   Alcotest.(check bool) "discarded, not run" false !ran;
@@ -526,7 +525,7 @@ let test_vs_write_read_chunk () =
       let vs = make_vs e in
       let values = List.init 5 (fun i -> (i + 100, value ~size:200 i)) in
       let chunk, gen, done_ = Value_storage.write_chunk vs values in
-      ignore (Sync.Ivar.read done_);
+      Io_uring.await done_;
       Value_storage.seal vs ~chunk;
       List.iteri
         (fun slot (id, v) ->
@@ -543,7 +542,7 @@ let test_vs_validity_bitmap () =
       let chunk, gen, done_ =
         Value_storage.write_chunk vs [ (1, value 1); (2, value 2) ]
       in
-      ignore (Sync.Ivar.read done_);
+      Io_uring.await done_;
       Value_storage.seal vs ~chunk;
       Alcotest.(check int) "initially invalid" 0 (Value_storage.live_slots vs ~chunk);
       Value_storage.set_valid vs ~gen ~chunk ~slot:0 true;
@@ -558,7 +557,7 @@ let test_vs_stale_gen_rejected () =
   in_sim (fun e ->
       let vs = make_vs e in
       let chunk, gen, done_ = Value_storage.write_chunk vs [ (1, value 1) ] in
-      ignore (Sync.Ivar.read done_);
+      Io_uring.await done_;
       Value_storage.seal vs ~chunk;
       let stale = gen + 1 in
       Alcotest.(check int) "backptr stale" (-1)
@@ -582,7 +581,7 @@ let test_vs_chunk_exhaustion_blocks () =
   Engine.spawn e (fun () ->
       for i = 0 to 4 do
         let chunk, _, done_ = Value_storage.write_chunk vs [ (i, value i) ] in
-        ignore (Sync.Ivar.read done_);
+        Io_uring.await done_;
         Value_storage.seal vs ~chunk;
         incr written
       done);
@@ -605,7 +604,7 @@ let fill_with_garbage h vs =
         values
     in
     let chunk, gen, done_ = Value_storage.write_chunk vs batch in
-    ignore (Sync.Ivar.read done_);
+    Io_uring.await done_;
     List.iteri
       (fun slot i ->
         let loc = Location.In_vs { vs = Value_storage.id vs; gen; chunk; slot } in
@@ -710,14 +709,14 @@ let test_vs_install () =
   Engine.spawn e (fun () ->
       let first = install () in
       let given, _, done_ = Value_storage.write_chunk vs [ (99, value 99) ] in
-      ignore (Sync.Ivar.read done_);
+      Io_uring.await done_;
       let ((_, chunk) as second) = install ~chunk:given () in
       Alcotest.(check int) "writes the given chunk" given chunk;
       survivors := [ first; second ];
       (* A third chunk leaves one free and wakes GC, which only ever
          takes sealed chunks. *)
       let _, _, done_ = Value_storage.write_chunk vs [ (98, value 98) ] in
-      ignore (Sync.Ivar.read done_));
+      Io_uring.await done_);
   ignore (Engine.run ~until:1.0 e);
   Alcotest.(check int) "gc ran" 1 (Value_storage.gc_runs vs);
   Engine.spawn e (fun () ->
@@ -735,7 +734,7 @@ let test_vs_run_entry_coalesces () =
       let vs = make_vs e in
       let values = List.init 6 (fun i -> (i, value ~size:500 i)) in
       let chunk, gen, done_ = Value_storage.write_chunk vs values in
-      ignore (Sync.Ivar.read done_);
+      Io_uring.await done_;
       Value_storage.seal vs ~chunk;
       (* Bindings 0..5 name slots 5..0: the run covers them all at once. *)
       let words =
@@ -743,18 +742,20 @@ let test_vs_run_entry_coalesces () =
             Location.vs_word ~vs:(Value_storage.id vs) ~gen ~chunk ~slot:(5 - i))
       in
       let got = Array.make 6 Bytes.empty in
-      (match
-         Value_storage.read_run vs ~gen ~chunk ~words ~values:got
-           ~order:(Array.init 6 Fun.id) ~pos:0 ~len:6
-       with
-      | None -> Alcotest.fail "expected an entry"
-      | Some entry ->
-          (* Five 528-byte records, then the last one's header and payload,
-             rounded up to 512-byte sectors. *)
-          Alcotest.(check int) "one IO over the run"
-            (Prism_sim.Bits.round_up ((5 * 528) + 16 + 500) 512)
-            entry.Io_uring.size;
-          ignore (Io_uring.submit_and_wait (Value_storage.uring vs) [ entry ]));
+      let k =
+        Value_storage.read_run vs ~gen ~chunk ~words ~values:got
+          ~order:(Array.init 6 Fun.id) ~pos:0 ~len:6
+      in
+      if k < 0 then Alcotest.fail "expected a read";
+      let io = Value_storage.read_request vs k in
+      (* Five 528-byte records, then the last one's header and payload,
+         rounded up to 512-byte sectors. *)
+      Alcotest.(check int) "one IO over the run"
+        (Prism_sim.Bits.round_up ((5 * 528) + 16 + 500) 512)
+        (Io_uring.size io);
+      Io_uring.submit_batch (Value_storage.uring vs) [| io |] 1;
+      Io_uring.await io;
+      Value_storage.release_read vs k;
       Array.iteri
         (fun i data ->
           Alcotest.check bytes_eq "payload" (value ~size:500 (5 - i)) data)
@@ -765,7 +766,7 @@ let test_vs_recover_rebuilds () =
       let vs = make_vs e in
       let values = List.init 3 (fun i -> (i + 10, value ~size:300 i)) in
       let chunk, gen, done_ = Value_storage.write_chunk vs values in
-      ignore (Sync.Ivar.read done_);
+      Io_uring.await done_;
       Value_storage.seal vs ~chunk;
       ignore gen;
       (* Couple only slot 1. *)
@@ -815,7 +816,7 @@ let prop_pick_victims_matches_sort =
                   Value_storage.write_chunk vs
                     (List.mapi (fun i (len, _) -> (i, Bytes.make len 'v')) values)
                 in
-                ignore (Sync.Ivar.read done_);
+                Io_uring.await done_;
                 let live = ref 0 in
                 List.iteri
                   (fun slot (len, valid) ->
@@ -891,7 +892,7 @@ let prop_vs_live_bytes =
                     let chunk, gen, done_ =
                       Value_storage.write_chunk vs values
                     in
-                    ignore (Sync.Ivar.read done_);
+                    Io_uring.await done_;
                     written :=
                       Array.append !written
                         [| (chunk, gen, List.length values) |]

@@ -171,9 +171,9 @@ let test_uring_is_idle () =
       let _, u = make_uring e in
       Alcotest.(check bool) "idle initially" true (Io_uring.is_idle u);
       let entry = { Io_uring.dir = Model.Read; size = 512; action = ignore } in
-      let ivars = Io_uring.submit u [ entry ] in
+      let reqs = Io_uring.submit u [ entry ] in
       Alcotest.(check bool) "busy while in flight" false (Io_uring.is_idle u);
-      List.iter (fun iv -> ignore (Sync.Ivar.read iv)) ivars;
+      List.iter Io_uring.await reqs;
       Alcotest.(check bool) "idle after completion" true (Io_uring.is_idle u))
 
 let test_uring_empty_submit () =
