@@ -4,9 +4,9 @@
     arrival (atomic swap on the queue tail, MCS-style) becomes the leader;
     it coalesces its own and the followers' read requests — up to the
     coalescing limit (queue depth) — into a single io_uring submission,
-    then hands leadership to later arrivals. Followers return as soon as
-    the leader has taken their request and are woken individually when the
-    background completion path posts their CQE.
+    then hands leadership to later arrivals. A follower wakes when the
+    leader hands its request to the ring, and again, individually, when
+    the background completion path posts its CQE if that comes later.
 
     The effect: with many concurrent readers, batches are large (high SSD
     bandwidth, low per-IO CPU cost); with few, batches are small (low
