@@ -276,32 +276,19 @@ let bench_index ~ops ~reps =
                     { vs = 1; gen = i land 0xFFFF; chunk = 7; slot = 3 })
                  ~dirty:false))))
 
-(* Arrival processes: the open-loop generator hot path. One gap draw per
-   op; the sweep driver calls this once per offered request, so it has to
-   stay cheap relative to the event loop. *)
+(* Poisson arrivals: the open-loop generator hot path. One exponential
+   gap draw per op; the sweep driver calls this once per offered request,
+   so it has to stay cheap relative to the event loop. *)
 let bench_arrival ~ops ~reps =
-  let open Prism_frontend in
-  List.iter
-    (fun (label, make) ->
-      let acc = ref 0.0 in
-      let run () =
-        let a = make (Rng.create 3L) in
-        for _ = 1 to ops do
-          acc := !acc +. Arrival.next_gap a
-        done
-      in
-      report label (measure ~reps ~ops run);
-      ignore !acc)
-    [
-      ("arrival.poisson", fun rng -> Arrival.poisson ~rate:1e6 rng);
-      ( "arrival.mmpp",
-        fun rng ->
-          Arrival.mmpp ~rate_low:2.5e5 ~rate_high:1.75e6 ~dwell_low:2e-4
-            ~dwell_high:2e-4 rng );
-      ( "arrival.diurnal",
-        fun rng ->
-          Arrival.diurnal ~base_rate:5e5 ~peak_rate:1.5e6 ~period:1e-2 rng );
-    ]
+  let acc = ref 0.0 in
+  let run () =
+    let rng = Rng.create 3L in
+    for _ = 1 to ops do
+      acc := !acc +. Rng.exponential rng ~mean:1e-6
+    done
+  in
+  report "arrival.poisson" (measure ~reps ~ops run);
+  ignore !acc
 
 (* Kv.instrument middleware overhead: a null store wrapped by the
    middleware, driven from inside an engine process so Engine.now

@@ -1,15 +1,16 @@
 (* bench/sweep: offered-load knee curves.
 
    For each store, calibrate its closed-loop capacity, then drive it
-   open-loop (Prism_frontend) at multiples of that capacity under each
-   admission policy and record goodput, shed rate and latency quantiles —
-   the latency-vs-offered-load "knee curve" family no paper figure covers.
+   open-loop (Prism_frontend) with Poisson arrivals at multiples of that
+   capacity under each admission policy and record goodput, shed rate and
+   latency quantiles — the latency-vs-offered-load "knee curve" family no
+   paper figure covers.
 
      dune exec bench/sweep.exe --                      default sweep
      dune exec bench/sweep.exe -- --quick              CI-sized (2 stores
                                                        x 2 policies)
      dune exec bench/sweep.exe -- --stores prism,kvell --policies \
-         unbounded,codel --points 0.6,1.0,1.4 --json knee.json
+         unbounded,bounded=64 --points 0.6,1.0,1.4 --json knee.json
 
    Everything is virtual time, so a given --seed reproduces the sweep —
    including the JSON — byte-identically. *)
@@ -30,7 +31,6 @@ type config = {
   stores : string list;
   policies : string list;
   points : float list; (* offered load as multiples of calibrated capacity *)
-  arrival : string; (* poisson | mmpp | diurnal *)
   mix : Ycsb.mix;
   s : Setup.scenario; (* threads = servers; ops = arrivals per point *)
   cal_ops : int; (* closed-loop calibration ops *)
@@ -39,9 +39,8 @@ type config = {
 let default_config =
   {
     stores = [ "prism"; "kvell"; "rocksdb-nvm" ];
-    policies = [ "unbounded"; "bounded"; "token-bucket"; "codel" ];
+    policies = [ "unbounded"; "bounded" ];
     points = [ 0.5; 0.75; 0.9; 1.05; 1.2; 1.5 ];
-    arrival = "poisson";
     mix = Ycsb.ycsb_b;
     s =
       { Setup.default_scenario with records = 10_000; threads = 16; ops = 8_000 };
@@ -52,7 +51,6 @@ let quick_config =
   {
     default_config with
     stores = [ "prism"; "kvell" ];
-    policies = [ "unbounded"; "bounded" ];
     points = [ 0.6; 1.0; 1.8 ];
     s = { default_config.s with records = 4_000; threads = 8; ops = 6_000 };
   }
@@ -66,7 +64,7 @@ type point = {
   result : Frontend.result;
 }
 
-type curve = { policy_arg : string; policy : Admission.spec; points : point list }
+type curve = { policy_arg : string; policy : Frontend.policy; points : point list }
 
 type store_sweep = {
   store_name : string;
@@ -85,24 +83,23 @@ let run_point cfg make ~policy ~policy_arg ~capacity ~multiplier =
   let point_seed =
     Int64.add s.seed
       (Prism_index.Strhash.fnv1a
-         (Printf.sprintf "knee/%s/%s/%s/%.4f" kv.Kv.name policy_arg cfg.arrival
+         (Printf.sprintf "knee/%s/%s/poisson/%.4f" kv.Kv.name policy_arg
             multiplier))
   in
   let rng = Rng.create point_seed in
-  let arrival =
-    Arrival.of_name cfg.arrival ~rate:(multiplier *. capacity) ~ops:s.ops
-      (Rng.split rng)
-  in
+  let rate = multiplier *. capacity in
+  let arng = Rng.split rng in
   let gen =
     Ycsb.create cfg.mix ~records:s.records ~theta:s.theta
       ~value_size:s.value_size rng
   in
   let trace =
-    Trace.record_timed gen ~gap:(fun () -> Arrival.next_gap arrival) ~ops:s.ops
+    Trace.record_timed gen
+      ~gap:(fun () -> Rng.exponential arng ~mean:(1.0 /. rate))
+      ~ops:s.ops
   in
   let result =
-    Frontend.run ~servers:s.threads e kv ~policy
-      ~offered_rate:(Arrival.mean_rate arrival) ~trace
+    Frontend.run ~servers:s.threads e kv ~policy ~offered_rate:rate ~trace
   in
   { multiplier; result }
 
@@ -112,25 +109,23 @@ let run_point cfg make ~policy ~policy_arg ~capacity ~multiplier =
    and JSON byte-identical for any --jobs. *)
 let sweep cfg ~jobs =
   let makers = Array.of_list (List.map (fun n -> Setup.of_name n cfg.s) cfg.stores) in
+  let policies =
+    List.map
+      (fun arg ->
+        match Frontend.of_string ~servers:cfg.s.threads arg with
+        | Ok p -> (arg, p)
+        | Error e -> failwith e)
+      cfg.policies
+  in
   let calibrations =
     Prism_fleet.Fleet.farm ~jobs (Array.length makers) (fun i ->
-        let r = Runner.calibrate ~ops:cfg.cal_ops makers.(i) cfg.mix cfg.s in
-        let capacity = r.Runner.kops *. 1e3 in
-        let policies =
-          List.map
-            (fun arg ->
-              match Admission.of_string ~capacity ~servers:cfg.s.threads arg with
-              | Ok p -> (arg, p)
-              | Error e -> failwith e)
-            cfg.policies
-        in
-        (r, policies))
+        Runner.calibrate ~ops:cfg.cal_ops makers.(i) cfg.mix cfg.s)
   in
   let cells =
     Array.of_list
       (List.concat
          (List.mapi
-            (fun si (r, policies) ->
+            (fun si r ->
               List.concat_map
                 (fun (policy_arg, policy) ->
                   List.map (fun m -> (si, r, policy_arg, policy, m)) cfg.points)
@@ -146,7 +141,7 @@ let sweep cfg ~jobs =
   let npts = List.length cfg.points in
   let next = ref 0 in
   Array.to_list calibrations
-  |> List.map (fun (r, policies) ->
+  |> List.map (fun r ->
          let store_name = r.Runner.store in
          let capacity = r.Runner.kops *. 1e3 in
          let service_p50 = Hist.quantile r.Runner.latency 50.0 *. 1e-9 in
@@ -158,7 +153,7 @@ let sweep cfg ~jobs =
                let points =
                  List.init npts (fun k ->
                      let p = results.(!next + k) in
-                     pf "  %-22s x%.2f done\n%!" (Admission.describe policy)
+                     pf "  %-22s x%.2f done\n%!" (Frontend.describe policy)
                        p.multiplier;
                      p)
                in
@@ -180,7 +175,7 @@ let print_tables sw =
       Report.table
         ~title:
           (Printf.sprintf "%s / %s — knee curve" sw.store_name
-             (Admission.describe c.policy))
+             (Frontend.describe c.policy))
         ~columns:
           [
             "x cap"; "offered/s"; "goodput/s"; "shed %"; "depth";
@@ -212,24 +207,24 @@ let print_verdict sw =
     | { result; _ } :: _ -> q result.Frontend.sojourn 99.0
   in
   match
-    List.find_opt (fun c -> c.policy = Admission.Unbounded) sw.curves
+    List.find_opt (fun c -> c.policy = Frontend.Unbounded) sw.curves
   with
   | None -> ()
   | Some baseline ->
       let base_p99 = last_p99 baseline in
       List.iter
         (fun c ->
-          if c.policy <> Admission.Unbounded then begin
+          if c.policy <> Frontend.Unbounded then begin
             let p99 = last_p99 c in
             if p99 > 0.0 && base_p99 >= 3.0 *. p99 then
               pf
                 "  knee: %s bounds p99 at max overload (%.0f us vs unbounded \
                  %.0f us, %.0fx)\n"
-                (Admission.describe c.policy)
+                (Frontend.describe c.policy)
                 p99 base_p99 (base_p99 /. p99)
             else
               pf "  knee: %s p99 %.0f us vs unbounded %.0f us\n"
-                (Admission.describe c.policy)
+                (Frontend.describe c.policy)
                 p99 base_p99
           end)
         sw.curves
@@ -247,7 +242,7 @@ let json_of_sweeps cfg sweeps =
         ("shed_rate", fixed 6 (Frontend.shed_rate r));
         ("offered", Int r.Frontend.offered);
         ("completed", Int r.Frontend.completed);
-        ("shed", Int (Frontend.shed r));
+        ("shed", Int r.Frontend.shed);
         ("max_depth", Int r.Frontend.max_depth);
         ("p50_us", fixed 3 (q r.Frontend.sojourn 50.0));
         ("p99_us", fixed 3 (q r.Frontend.sojourn 99.0));
@@ -259,8 +254,8 @@ let json_of_sweeps cfg sweeps =
   let curve c =
     Obj
       [
-        ("policy", Str (Admission.name c.policy));
-        ("policy_detail", Str (Admission.describe c.policy));
+        ("policy", Str (Frontend.name c.policy));
+        ("policy_detail", Str (Frontend.describe c.policy));
         ("points", Arr (List.map point c.points));
       ]
   in
@@ -278,7 +273,7 @@ let json_of_sweeps cfg sweeps =
       ("schema", Str "prism-knee-v1");
       ("seed", int64 cfg.s.seed);
       ("mix", Str cfg.mix.Ycsb.name);
-      ("arrival", Str cfg.arrival);
+      ("arrival", Str "poisson");
       ("servers", Int cfg.s.threads);
       ("records", Int cfg.s.records);
       ("value_size", Int cfg.s.value_size);
@@ -292,7 +287,7 @@ let json_of_sweeps cfg sweeps =
 
 let () =
   let open Cmdliner in
-  let main () quick stores policies points arrival mix scenario json jobs =
+  let main () quick stores policies points mix scenario json jobs =
     let base = if quick then quick_config else default_config in
     let o = Option.value in
     let cfg =
@@ -301,7 +296,6 @@ let () =
         stores = o stores ~default:base.stores;
         policies = o policies ~default:base.policies;
         points = o points ~default:base.points;
-        arrival;
         mix;
         s = scenario base.s;
       }
@@ -309,9 +303,9 @@ let () =
     let t0 = Unix.gettimeofday () in
     Report.section
       (Printf.sprintf
-         "Offered-load knee curves: %s arrivals, mix %s, %d keys x %dB, %d \
-          servers, %d arrivals/point"
-         cfg.arrival cfg.mix.Ycsb.name cfg.s.records cfg.s.value_size
+         "Offered-load knee curves: poisson arrivals, mix %s, %d keys x %dB, \
+          %d servers, %d arrivals/point"
+         cfg.mix.Ycsb.name cfg.s.records cfg.s.value_size
          cfg.s.threads cfg.s.ops);
     let sweeps = sweep cfg ~jobs in
     List.iter
@@ -334,14 +328,9 @@ let () =
       $ Cli.csv Cli.store_name "stores"
           ~doc:"Comma-separated: prism,kvell,matrixkv,rocksdb-nvm"
       $ Cli.csv Cli.policy_name "policies"
-          ~doc:
-            "Comma-separated admission policies: unbounded, bounded[=N], \
-             token-bucket[=RATE[:BURST]], codel[=TARGET_US:INTERVAL_US]"
-      $ Cli.csv Arg.float "points"
+          ~doc:"Comma-separated admission policies: unbounded, bounded[=N]"
+      $ Cli.csv Cli.pos_float "points"
           ~doc:"Comma-separated offered-load multipliers of calibrated capacity"
-      $ Arg.(
-          value & opt Cli.arrival_name "poisson"
-          & info [ "arrival" ] ~doc:"Arrival process: poisson | mmpp | diurnal")
       $ Cli.mix "b"
       $ Cli.scenario
           ~threads:("servers", "Server processes draining the queue")

@@ -47,37 +47,33 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* Open-loop phase: requests arrive at a fixed offered rate regardless of
-   completions, queue in front of the store, and an admission policy
-   decides what to shed — the knee-curve setup of bench/sweep.exe, but for
-   a single hand-picked operating point. *)
-let run_open_loop engine kv mix (s : Setup.scenario) ~rate ~arrival ~policy
-    ~servers =
-  let policy_spec =
-    Result.get_ok (Admission.of_string ~capacity:rate ~servers policy)
-  in
+(* Open-loop phase: requests arrive as a Poisson stream at a fixed
+   offered rate regardless of completions, queue in front of the store,
+   and an admission policy decides what to shed — the knee-curve setup of
+   bench/sweep.exe, but for a single hand-picked operating point. *)
+let run_open_loop engine kv mix (s : Setup.scenario) ~rate ~policy ~servers =
+  let policy = Result.get_ok (Frontend.of_string ~servers policy) in
   let point_seed =
     Int64.add s.seed
       (Prism_index.Strhash.fnv1a
-         (Printf.sprintf "open-loop/%s/%s/%.3f" mix.Ycsb.name arrival rate))
+         (Printf.sprintf "open-loop/%s/poisson/%.3f" mix.Ycsb.name rate))
   in
   let rng = Rng.create point_seed in
-  let arr = Arrival.of_name arrival ~rate ~ops:s.ops (Rng.split rng) in
+  let arng = Rng.split rng in
   let gen =
     Ycsb.create mix ~records:s.records ~theta:s.theta ~value_size:s.value_size
       rng
   in
   let trace =
-    Trace.record_timed gen ~gap:(fun () -> Arrival.next_gap arr) ~ops:s.ops
+    Trace.record_timed gen
+      ~gap:(fun () -> Rng.exponential arng ~mean:(1.0 /. rate))
+      ~ops:s.ops
   in
-  let r =
-    Frontend.run ~servers engine kv ~policy:policy_spec
-      ~offered_rate:(Arrival.mean_rate arr) ~trace
-  in
-  Format.printf "open-loop(%s) %a@." arrival Frontend.pp_result r
+  let r = Frontend.run ~servers engine kv ~policy ~offered_rate:rate ~trace in
+  Format.printf "open-loop(poisson) %a@." Frontend.pp_result r
 
 let run () store_name workloads records value_size threads
-    num_ssds theta ops shards txn_every open_loop arrival policy servers
+    num_ssds theta ops shards txn_every open_loop policy servers
     trace_out trace_in stats stats_json chrome_trace =
   let shards = Option.value shards ~default:1 in
   let txn_every = Option.value txn_every ~default:0 in
@@ -174,7 +170,7 @@ let run () store_name workloads records value_size threads
   (match open_loop with
   | Some rate ->
       run_open_loop engine kv (first_mix ~default:Ycsb.ycsb_b) scenario ~rate
-        ~arrival ~policy ~servers:(Option.value servers ~default:threads)
+        ~policy ~servers:(Option.value servers ~default:threads)
   | None -> ());
   let reg = Engine.stats engine in
   Stats.register_gc reg;
@@ -205,14 +201,6 @@ let run () store_name workloads records value_size threads
       write_file path (Span.to_chrome_json (Engine.spans engine));
       Printf.printf "wrote Chrome trace to %s\n" path
   | None -> ()
-
-let pos_float =
-  let parse s =
-    match float_of_string_opt s with
-    | Some r when r > 0.0 && Float.is_finite r -> Ok r
-    | _ -> Error (`Msg (s ^ " is not a positive number"))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_float)
 
 let () =
   let open Cmdliner in
@@ -254,28 +242,21 @@ let () =
   let open_loop =
     Arg.(
       value
-      & opt (some pos_float) None
+      & opt (some Cli.pos_float) None
       & info [ "open-loop" ]
           ~doc:
             "After the workload phases, drive the first named mix open-loop \
-             at $(docv) offered ops per virtual second through a bounded \
-             queue and admission policy"
+             at $(docv) offered ops per virtual second (Poisson arrivals) \
+             through a bounded queue and admission policy"
           ~docv:"RATE")
-  in
-  let arrival =
-    Arg.(
-      value & opt Cli.arrival_name "poisson"
-      & info [ "arrival" ]
-          ~doc:"Open-loop arrival process: poisson | mmpp | diurnal")
   in
   let policy =
     Arg.(
       value & opt Cli.policy_name "unbounded"
       & info [ "policy" ]
           ~doc:
-            "Open-loop admission policy: unbounded | bounded[=N] | \
-             token-bucket[=RATE[:BURST]] | codel[=TARGET_US:INTERVAL_US]; \
-             defaults scale with the offered rate")
+            "Open-loop admission policy: unbounded | bounded[=N]; the \
+             default bound scales with --servers")
   in
   let servers =
     Arg.(
@@ -311,7 +292,7 @@ let () =
     Term.(
       const run $ Cli.gc_tune $ store $ workload $ records
       $ value_size $ threads $ ssds $ theta $ ops $ Cli.shards $ Cli.txn_every
-      $ open_loop $ arrival $ policy $ servers $ trace_out $ trace_in
+      $ open_loop $ policy $ servers $ trace_out $ trace_in
       $ Cli.stats
       $ Cli.stats_json ~doc:"Write the metric registry as JSON to $(docv)"
       $ chrome_trace)

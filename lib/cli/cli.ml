@@ -69,6 +69,14 @@ let pos_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let pos_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when r > 0.0 && Float.is_finite r -> Ok r
+    | _ -> Error (`Msg (s ^ " is not a positive number"))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let count name ~doc =
   Arg.(value & opt (some pos_int) None & info [ name ] ~docv:"N" ~doc)
 
@@ -93,28 +101,16 @@ let scenario ~threads:(threads_flag, threads_doc) ~ops =
 let csv elt name ~doc =
   Arg.(value & opt (some (list elt)) None & info [ name ] ~docv:"LIST" ~doc)
 
-(* Whether a policy or arrival name parses does not depend on the rate,
-   servers or op count, so any positive stand-ins do; the run resolves
-   the name again with its own. *)
-let checked parse =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
-      Format.pp_print_string )
-
+(* Whether a policy name parses does not depend on the server count, so
+   any positive stand-in does; the run resolves the name again with its
+   own. *)
 let policy_name =
-  checked (fun s ->
-      Result.map
-        (fun _ -> s)
-        (Prism_frontend.Admission.of_string ~capacity:1.0 ~servers:1 s))
-
-let arrival_name =
-  checked (fun s ->
-      match
-        Prism_frontend.Arrival.of_name s ~rate:1.0 ~ops:1
-          (Prism_sim.Rng.create 0L)
-      with
-      | _ -> Ok s
-      | exception Failure e -> Error e)
+  Arg.conv
+    ( (fun s ->
+        match Prism_frontend.Frontend.of_string ~servers:1 s with
+        | Ok _ -> Ok s
+        | Error e -> Error (`Msg e)),
+      Format.pp_print_string )
 
 let store_name =
   Arg.enum (List.map (fun n -> (n, n)) Prism_harness.Setup.store_names)

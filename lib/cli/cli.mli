@@ -40,6 +40,10 @@ val stats_json : doc:string -> string option Term.t
     negative value is a usage error, not a crash inside the run. *)
 val pos_int : int Arg.conv
 
+(** A finite float greater than 0 (rates and load multipliers), checked
+    like {!pos_int}. *)
+val pos_float : float Arg.conv
+
 (** [--mix NAME] parsed with {!Prism_workload.Ycsb.mix_of_name};
     defaults to the mix the given name denotes. *)
 val mix : string -> Prism_workload.Ycsb.mix Term.t
@@ -58,15 +62,11 @@ val scenario :
     override of a config list, each item parsed by [elt]. *)
 val csv : 'a Arg.conv -> string -> doc:string -> 'a list option Term.t
 
-(** An admission-policy name as {!Prism_frontend.Admission.of_string}
-    reads it ([unbounded], [bounded=N], ...), checked while the command
-    line is parsed so a bad one is a usage error; the value is the name
-    itself. *)
+(** An admission-policy name as {!Prism_frontend.Frontend.of_string}
+    reads it ([unbounded], [bounded], [bounded=N]), checked while the
+    command line is parsed so a bad one is a usage error; the value is
+    the name itself. *)
 val policy_name : string Arg.conv
-
-(** An arrival-process name as {!Prism_frontend.Arrival.of_name} reads it
-    ([poisson], [mmpp], [diurnal]), checked like {!policy_name}. *)
-val arrival_name : string Arg.conv
 
 (** A store name, one of {!Prism_harness.Setup.store_names}; any other
     is a usage error. The value is the name itself. *)

@@ -2,17 +2,39 @@ open Prism_sim
 open Prism_workload
 open Prism_harness
 
+type policy = Unbounded | Bounded of int
+
+let name = function Unbounded -> "unbounded" | Bounded _ -> "bounded"
+
+let describe = function
+  | Unbounded -> "unbounded"
+  | Bounded b -> Printf.sprintf "bounded(%d)" b
+
+let of_string ~servers s =
+  match String.split_on_char '=' (String.lowercase_ascii (String.trim s)) with
+  | [ "unbounded" ] -> Ok Unbounded
+  | [ "bounded" ] ->
+      (* ~25 service slots of queueing delay at full drain rate: a queue
+         of depth d costs about d / servers slots of wait. *)
+      Ok (Bounded (max 16 (25 * servers)))
+  | [ "bounded"; v ] -> (
+      match int_of_string_opt v with
+      | Some b when b > 0 -> Ok (Bounded b)
+      | _ -> Error (Printf.sprintf "bounded=%s: positive integer expected" v))
+  | _ -> Error (Printf.sprintf "unknown policy %S (unbounded | bounded[=N])" s)
+
+let admits policy ~depth =
+  match policy with Unbounded -> true | Bounded b -> depth < b
+
 type result = {
   store : string;
   policy : string;
   offered_rate : float;
   offered : int;
   accepted : int;
-  shed_admission : int;
-  shed_dequeue : int;
+  shed : int;
   completed : int;
   max_depth : int;
-  duration : float;
   elapsed : float;
   goodput : float;
   wait : Hist.t;
@@ -20,10 +42,8 @@ type result = {
   sojourn : Hist.t;
 }
 
-let shed r = r.shed_admission + r.shed_dequeue
-
 let shed_rate r =
-  if r.offered = 0 then 0.0 else float_of_int (shed r) /. float_of_int r.offered
+  if r.offered = 0 then 0.0 else float_of_int r.shed /. float_of_int r.offered
 
 let pp_result fmt r =
   Format.fprintf fmt
@@ -38,12 +58,11 @@ let pp_result fmt r =
 
 type item = Req of float * int (* arrival time, trace index *) | Poison
 
-let run ?(servers = 16) engine kv ~policy ~offered_rate ~trace =
+let run ~servers engine kv ~policy ~offered_rate ~trace =
   if servers <= 0 then invalid_arg "Frontend.run: servers must be positive";
   let ops = Array.length trace in
   if ops = 0 then invalid_arg "Frontend.run: empty trace";
   let reg = Engine.stats engine in
-  let pol = Admission.create policy in
   let mb : item Sync.Mailbox.t = Sync.Mailbox.create () in
   let depth () = Sync.Mailbox.length mb in
   (* Result histograms are registered in the engine registry, so one
@@ -57,8 +76,7 @@ let run ?(servers = 16) engine kv ~policy ~offered_rate ~trace =
   Stats.gauge_int reg "frontend.queue.depth.live" depth;
   let offered = Stats.counter reg "frontend.offered" in
   let accepted = Stats.counter reg "frontend.accepted" in
-  let shed_admission = Stats.counter reg "frontend.shed.admission" in
-  let shed_dequeue = Stats.counter reg "frontend.shed.dequeue" in
+  let shed = Stats.counter reg "frontend.shed.admission" in
   let completed = Stats.counter reg "frontend.completed" in
   let duration = trace.(ops - 1).Trace.at in
   let tl_interval = Float.max 1e-4 (duration /. 100.0) in
@@ -87,14 +105,15 @@ let run ?(servers = 16) engine kv ~policy ~offered_rate ~trace =
           let depth = depth () in
           Metric.Counter.incr offered;
           Hist.record depth_hist depth;
-          match Admission.admit pol ~now ~depth with
-          | Admission.Shed ->
-              Metric.Counter.incr shed_admission;
-              Metric.Timeline.tick tl_shed ~now
-          | Admission.Accept ->
-              Metric.Counter.incr accepted;
-              Sync.Mailbox.send mb (Req (now, i));
-              if depth + 1 > !max_depth then max_depth := depth + 1)
+          if admits policy ~depth then begin
+            Metric.Counter.incr accepted;
+            Sync.Mailbox.send mb (Req (now, i));
+            if depth + 1 > !max_depth then max_depth := depth + 1
+          end
+          else begin
+            Metric.Counter.incr shed;
+            Metric.Timeline.tick tl_shed ~now
+          end)
         trace;
       (* FIFO: the poison pills sort behind every accepted request, so
          each server drains its share of the queue before exiting. *)
@@ -107,26 +126,20 @@ let run ?(servers = 16) engine kv ~policy ~offered_rate ~trace =
         let rec serve () =
           match Sync.Mailbox.recv mb with
           | Poison -> Sync.Latch.arrive latch
-          | Req (arrived, i) -> (
+          | Req (arrived, i) ->
               let now = Engine.now engine in
               let wait_s = now -. arrived in
-              match Admission.on_dequeue pol ~now ~wait:wait_s ~depth:(depth ()) with
-              | Admission.Shed ->
-                  Metric.Counter.incr shed_dequeue;
-                  Metric.Timeline.tick tl_shed ~now;
-                  serve ()
-              | Admission.Accept ->
-                  let op = trace.(i).Trace.op in
-                  Hist.record_span wait wait_s;
-                  Hist.record_span (kv_wait (Kv.kind_of_op op)) wait_s;
-                  Kv.apply kv ~tid op;
-                  let done_at = Engine.now engine in
-                  Hist.record_span service (done_at -. now);
-                  Hist.record_span sojourn (done_at -. arrived);
-                  Metric.Counter.incr completed;
-                  Metric.Timeline.tick tl_goodput ~now:done_at;
-                  last_completion := done_at;
-                  serve ())
+              let op = trace.(i).Trace.op in
+              Hist.record_span wait wait_s;
+              Hist.record_span (kv_wait (Kv.kind_of_op op)) wait_s;
+              Kv.apply kv ~tid op;
+              let done_at = Engine.now engine in
+              Hist.record_span service (done_at -. now);
+              Hist.record_span sojourn (done_at -. arrived);
+              Metric.Counter.incr completed;
+              Metric.Timeline.tick tl_goodput ~now:done_at;
+              last_completion := done_at;
+              serve ()
         in
         serve ())
   done;
@@ -136,25 +149,20 @@ let run ?(servers = 16) engine kv ~policy ~offered_rate ~trace =
       Engine.stop engine);
   ignore (Engine.run engine);
   let n_completed = Metric.Counter.value completed in
-  if
-    n_completed + Metric.Counter.value shed_admission
-    + Metric.Counter.value shed_dequeue
-    <> ops
-  then failwith "Frontend.run: requests lost (deadlock or missing poison)";
+  if n_completed + Metric.Counter.value shed <> ops then
+    failwith "Frontend.run: requests lost (deadlock or missing poison)";
   let elapsed =
     if n_completed = 0 then 0.0 else !last_completion -. !first_arrival
   in
   {
     store = kv.Kv.name;
-    policy = Admission.describe policy;
+    policy = describe policy;
     offered_rate;
     offered = Metric.Counter.value offered;
     accepted = Metric.Counter.value accepted;
-    shed_admission = Metric.Counter.value shed_admission;
-    shed_dequeue = Metric.Counter.value shed_dequeue;
+    shed = Metric.Counter.value shed;
     completed = n_completed;
     max_depth = !max_depth;
-    duration;
     elapsed;
     goodput = (if elapsed > 0.0 then float_of_int n_completed /. elapsed else 0.0);
     wait;

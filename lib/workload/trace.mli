@@ -31,7 +31,8 @@ type timed = { at : float; op : op }
 
 (** [record_timed gen ~gap ~ops] draws [ops] operations and stamps each
     with a cumulative arrival time, pulling successive interarrival gaps
-    from [gap] (e.g. [Prism_frontend.Arrival.next_gap]). Both streams are
+    from [gap] (for Poisson arrivals at [rate], e.g.
+    [fun () -> Rng.exponential rng ~mean:(1.0 /. rate)]). Both streams are
     consumed in index order, so the same generator and gap stream always
     produce the identical timed trace. *)
 val record_timed : Ycsb.t -> gap:(unit -> float) -> ops:int -> timed array

@@ -584,12 +584,19 @@ let test_rng_shuffle_permutation () =
 let test_rng_exponential_mean () =
   let rng = Rng.create 11L in
   let n = 50_000 in
-  let sum = ref 0.0 in
+  let sum = ref 0.0 and sum_sq = ref 0.0 in
   for _ = 1 to n do
-    sum := !sum +. Rng.exponential rng ~mean:5.0
+    let x = Rng.exponential rng ~mean:5.0 in
+    sum := !sum +. x;
+    sum_sq := !sum_sq +. (x *. x)
   done;
   let mean = !sum /. float_of_int n in
-  if mean < 4.8 || mean > 5.2 then Alcotest.failf "mean %f not ~5.0" mean
+  if mean < 4.8 || mean > 5.2 then Alcotest.failf "mean %f not ~5.0" mean;
+  (* Exponential draws — the open-loop front-end's Poisson interarrival
+     gaps: squared coefficient of variation = 1. *)
+  let var = (!sum_sq /. float_of_int n) -. (mean *. mean) in
+  let scv = var /. (mean *. mean) in
+  if scv < 0.9 || scv > 1.1 then Alcotest.failf "scv %g, want ~1" scv
 
 (* ---- Bits ---- *)
 
