@@ -1216,6 +1216,38 @@ let test_dpor_frontier_spread () =
   let _, front_all = first_tids 64 in
   Alcotest.(check int) "frontier exhausts to all 8 classes" 8 front_all
 
+(* Tie sets wider than a machine word. 70 lockstep threads, paired from
+   both ends so that threads [i] and [69 - i] write key [i]: every
+   instant is a 70-member tie set, wider than any bit mask over tie-set
+   indices, and the reduced walk's first conflicting pair sits at
+   indices 0 and 69. The digest pins both walks' class sequences, so a
+   compact encoding of the walk's per-decision state must reproduce
+   them exactly. *)
+let test_dpor_wide_ties () =
+  let progs =
+    List.init 70 (fun tid ->
+        let k = min tid (69 - tid) in
+        [ (k, true); (k, true) ])
+  in
+  let run ~choose = micro_run progs ~tie:(Engine.Guided choose) in
+  let digest full =
+    let rep =
+      Dpor.explore ~full ~max_classes:16 ~dependent:History.conflicting run
+    in
+    let b = Buffer.create 4096 in
+    Printf.bprintf b "%d/%d/%d/%b;" rep.Dpor.explored rep.Dpor.runs
+      rep.Dpor.pruned rep.Dpor.complete;
+    List.iter
+      (fun (c : _ Dpor.class_result) ->
+        Printf.bprintf b "%d:%d:" c.Dpor.run c.Dpor.depth;
+        Array.iter (fun x -> Printf.bprintf b "%d," x) c.Dpor.choices;
+        Buffer.add_char b ';')
+      rep.Dpor.classes;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  Alcotest.(check string) "reduced walk digest" "f5c8bc98c9b232631c1ad534a614c5a5" (digest false);
+  Alcotest.(check string) "full walk digest" "ec894043cbbda24f7005dd7eff8c51de" (digest true)
+
 (* Golden walk of the default checker shape. The digest pins the exact
    class sequence — run numbers and every decision list — so a change to
    how the tree is stored or the frontier is kept must reproduce the
@@ -1600,6 +1632,7 @@ let () =
           case "svc fault within budget" test_dpor_svc_budget;
           case "hsit fault within budget" test_dpor_hsit_budget;
           case "frontier spreads a truncated budget" test_dpor_frontier_spread;
+          case "tie sets wider than a word" test_dpor_wide_ties;
           case "default walk matches its golden digest" test_dpor_golden_default;
           case "FIFO verdicts of seeds 1-200" test_dpor_fifo_verdicts;
         ] );
