@@ -89,10 +89,10 @@ let targets_of ~k ~total =
 let run ?(progress = fun ~boundary:_ ~crash_point:_ -> ()) ?(jobs = 1) cfg =
   check_fault cfg;
   (* An 8 KiB PWB, half the explorer's: reclamation then moves values
-     to Value Storage early enough for a short sweep workload. *)
-  let run_once cut =
-    Explore.run_once ~cut ~pwb_size:(8 * 1024) cfg (workload cfg)
-  in
+     to Value Storage early enough for a short sweep workload, built once
+     and shared by every cut. *)
+  let w = workload cfg in
+  let run_once cut = Explore.run_once ~cut ~pwb_size:(8 * 1024) cfg w in
   let k = max 1 cfg.Explore.crash_every in
   let clean = run_once Explore.Clean in
   let sweeps =

@@ -1,33 +1,50 @@
 open Prism_sim
 open Prism_fleet
 
-module Iset = Set.Make (Int)
 module Imap = Map.Make (Int)
 
-(* One decision taken on the way to a node: the pick made at an
-   ancestor, with just enough of that ancestor's tie set to detect
-   divergence on replay. *)
-type step = { n_alts : int; seq : int; pick : int }
+(* The decisions of one run, as rows of three ints — tie-set size, seq of
+   the member picked, its index — for the depths at and below [base]:
+   row [k] is depth [base + k]. Rows above [base] live in [up], the log
+   of the run whose node this run targeted at depth [base], so a run
+   adds rows only below its target, and paths share their prefixes as
+   the tree does. [rows] is filled in when the run ends, cut just below
+   its deepest kept node. *)
+type log = { up : log; base : int; mutable rows : int array }
 
-(* One decision point of the choice tree. [alts] is the tie set the
-   engine presented (scheduling order, so index 0 is the FIFO pick);
-   event seq numbers are the stable identity of an alternative — the
-   simulation is deterministic, so re-running the same choice prefix
-   reproduces the same tie set with the same seqs.
+let rec no_log = { up = no_log; base = 0; rows = [||] }
+
+(* [load log depth dst] copies rows [0, depth) of [log]'s chain to
+   [dst], three ints per depth. *)
+let rec load log depth dst =
+  if depth > 0 then begin
+    Array.blit log.rows 0 dst (3 * log.base) (3 * (depth - log.base));
+    load log.up log.base dst
+  end
+
+(* One decision point of the choice tree that still has a subtree to
+   start. Event seq numbers are the stable identity of an alternative:
+   the simulation is deterministic, so re-running the node's path
+   reproduces its tie set with the same seqs, and a node keeps only what
+   a run needs to check that and branch there.
+
+   Its eligible alternatives are the tie-set members in the persistent
+   set and not asleep, in scheduling order. The first is the first-awake
+   member the creating run took, and subtrees start in that order (a
+   target is always the first eligible member not yet started), so the
+   started set is the prefix [0, next) of [elig] and one int tracks it.
 
    Exploration is tree-shaped rather than a DFS stack: every node with a
    branch candidate left stays on the frontier until all its candidates
    have started, and each run targets one (node, alternative) pair,
-   replaying the node's path to get there. A path is its parent's path
-   plus one step, sharing the tail, so it costs one step per node and
-   keeps no ancestor node alive. *)
+   replaying the node's path to get there. *)
 type node = {
   depth : int;  (* decision index of this node within its runs *)
-  path : step list;  (* picks from the root, innermost first *)
-  alts : Engine.alt array;
-  sleep : Iset.t;  (* seqs asleep on entry to this node *)
-  branch : Iset.t;  (* persistent set: seqs eligible for branching here *)
-  mutable started : Iset.t;  (* seqs whose subtrees have begun exploring *)
+  log : log;  (* its path: rows [0, depth) of this log's chain *)
+  n_alts : int;  (* tie-set size *)
+  elig : int array;  (* eligible members: index and seq pairs *)
+  sleep : int array;  (* seqs asleep on entry to this node *)
+  mutable next : int;  (* eligible members whose subtrees have begun *)
 }
 
 type 'a class_result = {
@@ -48,118 +65,147 @@ type 'a report = {
 
 exception Diverged
 
-(* Dependency-closure persistent set: the connected component of the
-   chosen alternative under [dependent], within the tie set. Members of
-   other components commute with everything we will branch on here, and
-   their own conflicts are branched at the later decision points where
-   they meet — so branching only inside the component covers every
-   inequivalent ordering this node can influence. With [full] the whole
-   tie set is eligible (no reduction). *)
-let closure ~full ~dependent (alts : Engine.alt array) taken_seq =
-  if full then
-    Array.fold_left (fun s (a : Engine.alt) -> Iset.add a.seq s) Iset.empty alts
-  else begin
-    (* Dependency edges require at least one endpoint to carry an
-       operation label. [dependent] treats label 0 (simulator machinery
-       owned by no KV operation) as conflicting with everything, so
-       admitting 0–0 edges would connect every tie set completely and the
-       tree would drown in reorderings of background events no history
-       can distinguish. With the restriction, machinery-only tie sets
-       stay in scheduling order, and branching happens exactly where an
-       operation's event races something dependent on it. *)
-    let edge (a : Engine.alt) (b : Engine.alt) =
-      (a.label <> 0 || b.label <> 0) && dependent a.label b.label
-    in
-    let members = ref (Iset.singleton taken_seq) in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iter
-        (fun (a : Engine.alt) ->
-          if not (Iset.mem a.seq !members) then
-            if
-              Array.exists
-                (fun (b : Engine.alt) -> Iset.mem b.seq !members && edge a b)
-                alts
-            then begin
-              members := Iset.add a.seq !members;
-              changed := true
-            end)
-        alts
-    done;
-    !members
-  end
+(* Per-walk scratch, reused by every run a process executes (runs are
+   sequential within a process), so that a decision writes into it and
+   allocates nothing unless it keeps a node. *)
+type scratch = {
+  mutable rows : int array;
+      (* the current run's decisions from the root, in {!log} rows: the
+         target's path is loaded below the target's depth, and every
+         decision writes its own row *)
+  mutable labels : int array;
+      (* run-local label of each seq the run's tie sets have shown,
+         [absent] for the others; cleared between runs *)
+  mutable sleep : int array;
+      (* [sleep.(0 .. n_sleep - 1)]: the seqs asleep on entry to the
+         next decision, before the last pick wakes any *)
+  mutable n_sleep : int;
+  mutable comp : Bytes.t;
+      (* persistent-set marks, one byte per tie-set member *)
+}
 
-(* First alternative at [n] eligible to start a new subtree under the
-   given [started] set: in the persistent set, not already started, not
-   asleep. -1 when exhausted. Parameterising [started] lets the
-   speculative scheduler evaluate candidates against a predicted future
-   state without touching the node. *)
-let candidate_with started n =
-  let c = ref (-1) in
-  Array.iteri
-    (fun i (a : Engine.alt) ->
-      if
-        !c < 0
-        && Iset.mem a.seq n.branch
-        && (not (Iset.mem a.seq started))
-        && not (Iset.mem a.seq n.sleep)
-      then c := i)
-    n.alts;
-  !c
-
-let candidate n = candidate_with n.started n
-
-(* Run-local label table. Event seqs are dense per-run counters, so the
-   labels live in an int array indexed by seq, grown by doubling, with
-   [absent] marking seqs no tie set has shown. A hashtable here costs a
-   bucket cell per tie-set member, which the major GC then promotes and
-   scans for the rest of the run. A real label of [min_int] would read
-   as absent, which only drops its event from a sleep set (less pruning,
-   never a lost class). *)
+(* Seq labels live in an int array indexed by seq (seqs are dense
+   per-run counters), with [absent] marking seqs no tie set has shown. A
+   real label of [min_int] would read as absent, which only drops its
+   event from a sleep set (less pruning, never a lost class). *)
 let absent = min_int
 
-let label_of labels s = if s < Array.length labels then labels.(s) else absent
+let no_sleep : int array = [||]
 
-let set_label labels (a : Engine.alt) =
-  let labels =
-    if a.seq < Array.length labels then labels
-    else begin
-      let bigger =
-        Array.make (max 256 (2 * max a.seq (Array.length labels))) absent
-      in
-      Array.blit labels 0 bigger 0 (Array.length labels);
-      bigger
-    end
-  in
-  labels.(a.seq) <- a.label;
-  labels
+let new_scratch () =
+  {
+    rows = Array.make 768 0;
+    labels = Array.make 256 absent;
+    sleep = Array.make 16 0;
+    n_sleep = 0;
+    comp = Bytes.create 16;
+  }
 
-(* Every fresh node of a run lies on that run's route below its target,
-   so each fresh path is a suffix of the deepest one's. Only that path's
-   steps below the target travel back; the coordinator splices them onto
-   its own copy of the target's path, so the tree shares path tails as a
-   serial walk's does. *)
-let pack ~depth (result, redundant, rdepth, choices, fresh) =
-  let below =
-    match List.rev fresh with
-    | [] -> []
-    | (deepest : node) :: _ ->
-        List.filteri (fun k _ -> k < deepest.depth - depth) deepest.path
-  in
-  (result, redundant, rdepth, choices, List.map (fun f -> { f with path = [] }) fresh, below)
+let grow a n fill =
+  let bigger = Array.make (max n (2 * Array.length a)) fill in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
 
-let unpack (target : node) (result, redundant, rdepth, choices, fresh, below) =
-  let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
-  let rec attach route depth = function
-    | [] -> []
-    | (f : node) :: rest ->
-        let route = drop (depth - f.depth) route in
-        { f with path = route } :: attach route f.depth rest
-  in
-  let route = below @ target.path in
-  let deepest = target.depth + List.length below in
-  (result, redundant, rdepth, choices, List.rev (attach route deepest (List.rev fresh)))
+let set_label st s l =
+  if s >= Array.length st.labels then
+    st.labels <- grow st.labels (s + 1) absent;
+  st.labels.(s) <- l
+
+(* Room for the rows of depths [0, depth). *)
+let reserve_rows st depth =
+  if 3 * depth > Array.length st.rows then
+    st.rows <- grow st.rows (3 * depth) 0
+
+let label_of st s = if s < Array.length st.labels then st.labels.(s) else absent
+
+let rec asleep_from st s k =
+  k < st.n_sleep && (st.sleep.(k) = s || asleep_from st s (k + 1))
+
+let asleep st s = asleep_from st s 0
+
+let set_sleep st a =
+  let n = Array.length a in
+  if n > Array.length st.sleep then st.sleep <- grow st.sleep n 0;
+  Array.blit a 0 st.sleep 0 n;
+  st.n_sleep <- n
+
+let add_sleep st s =
+  if not (asleep st s) then begin
+    if st.n_sleep = Array.length st.sleep then
+      st.sleep <- grow st.sleep (st.n_sleep + 1) 0;
+    st.sleep.(st.n_sleep) <- s;
+    st.n_sleep <- st.n_sleep + 1
+  end
+
+(* Dependency-closure persistent set, marked in [st.comp]: the connected
+   component of the taken member under [dependent], within the tie set.
+   Members of other components commute with everything we will branch on
+   here, and their own conflicts are branched at the later decision
+   points where they meet — so branching only inside the component
+   covers every inequivalent ordering this node can influence.
+
+   Dependency edges require at least one endpoint to carry an operation
+   label. [dependent] treats label 0 (simulator machinery owned by no KV
+   operation) as conflicting with everything, so admitting 0–0 edges
+   would connect every tie set completely and the tree would drown in
+   reorderings of background events no history can distinguish. With the
+   restriction, machinery-only tie sets stay in scheduling order, and
+   branching happens exactly where an operation's event races something
+   dependent on it. *)
+let in_comp st k = Bytes.get st.comp k = '\001'
+
+(* A marked member from [b] on has an edge to a member labelled [la]. *)
+let rec linked st ~dependent e n la b =
+  b < n
+  && (in_comp st b
+      && (let lb = Engine.tie_label e b in
+          (la <> 0 || lb <> 0) && dependent la lb)
+     || linked st ~dependent e n la (b + 1))
+
+let mark_closure st ~dependent e n taken =
+  if n > Bytes.length st.comp then
+    st.comp <- Bytes.create (max n (2 * Bytes.length st.comp));
+  Bytes.fill st.comp 0 n '\000';
+  Bytes.set st.comp taken '\001';
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for a = 0 to n - 1 do
+      if
+        (not (in_comp st a))
+        && linked st ~dependent e n (Engine.tie_label e a) 0
+      then begin
+        Bytes.set st.comp a '\001';
+        changed := true
+      end
+    done
+  done
+
+(* Member [k] may start a subtree at the decision being taken: in the
+   persistent set and not asleep. *)
+let eligible st ~full e k =
+  (full || in_comp st k) && not (asleep st (Engine.tie_seq e k))
+
+let n_elig n = Array.length n.elig / 2
+
+(* Every fresh node of a run references that run's log, which holds the
+   rows below the target: only those travel back, and the coordinator
+   chains them onto its own copy of the target's log. *)
+let pack (result, redundant, rdepth, choices, fresh) =
+  let rows = match fresh with [] -> [||] | (f : node) :: _ -> f.log.rows in
+  let fresh = List.map (fun f -> { f with log = no_log }) fresh in
+  (result, redundant, rdepth, choices, fresh, rows)
+
+let unpack (target : node) (result, redundant, rdepth, choices, fresh, rows) =
+  let log = { up = target.log; base = target.depth; rows } in
+  (result, redundant, rdepth, choices, List.map (fun f -> { f with log }) fresh)
+
+(* A target for a worker: the node with its path flattened into one log,
+   so the request carries exactly the rows a replay reads. *)
+let detach (n : node) =
+  let rows = Array.make (3 * n.depth) 0 in
+  load n.log n.depth rows;
+  { n with log = { up = no_log; base = 0; rows } }
 
 let explore ?(full = false) ?(stop_on = fun _ -> false)
     ?(on_commit = fun ~run:_ _ -> ()) ?(jobs = 1) ~max_classes ~dependent
@@ -177,162 +223,178 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
         frontier := Imap.add f.depth (Queue.of_seq (Seq.return f)) !frontier
   in
   let next_target () =
-    Imap.min_binding_opt !frontier
-    |> Option.map (fun (_, q) ->
-           let n = Queue.peek q in
-           (n, candidate n))
+    Imap.min_binding_opt !frontier |> Option.map (fun (_, q) -> Queue.peek q)
   in
   let classes = ref [] in
   let n_classes = ref 0 in
   let runs = ref 0 in
   let pruned = ref 0 in
   let complete = ref false in
-  (* One run against [target], touching no shared exploration state —
-     so it can execute speculatively on a worker process and be
-     committed (or discarded) later by the coordinator.
+  let st = new_scratch () in
+  (* One run against [target], starting the subtree of its eligible
+     member [snapshot] and touching no shared exploration state — so it
+     can execute speculatively on a worker process and be committed (or
+     discarded) later by the coordinator, which checks that [snapshot]
+     is still the node's [next] at commit time. Only fresh nodes with a
+     branch candidate are returned, since the rest can never be
+     targeted.
 
      The label table is run-local. That is equivalent to a persistent
      global one: every seq consulted by sleep-set filtering is a member
-     of some ancestor's sleep/started set, and those sets are (by
-     construction) subsets of the seqs of tie sets at shallower depths
-     along the same path — tie sets this run replays itself, recording
-     every member's label before the first consultation. A global table
-     could only differ on seqs this run never consults.
-
-     [snapshot] is the [started] set the run assumes at the target node;
-     the run works on a local shadow of the node (grown by its own pick)
-     instead of publishing the update, and the coordinator validates the
-     snapshot is still current at commit time. Only fresh nodes with a
-     branch candidate are returned, since the rest can never be
-     targeted. *)
-  let spec_run (target : (node * int) option) ~snapshot =
-    (* Steps still to replay before the target, root first. *)
-    let replay =
-      ref (match target with Some (n, _) -> List.rev n.path | None -> [])
+     of some ancestor's sleep or started set, and those are (by
+     construction) seqs of tie sets at shallower depths along the same
+     path — tie sets this run replays itself, recording every member's
+     label before the first consultation. A global table could only
+     differ on seqs this run never consults. *)
+  let spec_run (target : node option) ~snapshot =
+    let tdepth, log =
+      match target with
+      | Some t -> (t.depth, { up = t.log; base = t.depth; rows = [||] })
+      | None -> (-1, { up = no_log; base = 0; rows = [||] })
     in
-    let labels = ref [||] in
+    Array.fill st.labels 0 (Array.length st.labels) absent;
+    set_sleep st no_sleep;
+    if tdepth > 0 then begin
+      reserve_rows st tdepth;
+      load log.up tdepth st.rows
+    end;
     let fresh : node list ref = ref [] in
-    (* Parent of the next fresh decision point, with the index taken
-       there — seeds the child's sleep set. *)
-    let last : (node * int) option ref = ref None in
+    (* Label of the member picked at the previous decision: the
+       transition that wakes the sleepers dependent on it. *)
+    let last_label = ref 0 in
     let depth = ref 0 in
     let redundant = ref false in
     let target_forced = ref false in
-    let choices_rev = ref [] in
-    let choose (alts : Engine.alt array) =
-      Array.iter (fun (a : Engine.alt) -> labels := set_label !labels a) alts;
+    let choose e n =
+      for k = 0 to n - 1 do
+        set_label st (Engine.tie_seq e k) (Engine.tie_label e k)
+      done;
       let d = !depth in
       incr depth;
+      reserve_rows st (d + 1);
+      let rows = st.rows in
       let pick =
-        match (!replay, target) with
-        | s :: rest, _ ->
-            replay := rest;
-            if Array.length alts <> s.n_alts || alts.(s.pick).seq <> s.seq
-            then raise Diverged;
-            s.pick
-        | [], Some (n, i) when d = n.depth ->
-            if
-              Array.length n.alts <> Array.length alts
-              || n.alts.(i).seq <> alts.(i).seq
-            then raise Diverged;
-            target_forced := true;
-            (* Run-local shadow: descendants must see [started] grown by
-               this run's own pick, but the real node is only updated at
-               commit. Children only read [last]'s fields, never mutate
-               it, so the copy is safe to thread through their paths. *)
-            last := Some ({ n with started = Iset.add n.alts.(i).seq snapshot }, i);
-            i
-        | _ ->
-            if !redundant then 0
-            else begin
-              (* Sleep set: alternatives whose subtrees an earlier
-                 sibling has already begun covering stay asleep until
-                 something dependent executes (Godefroid). The invariant
-                 is order-independent — a sibling falls asleep as soon as
-                 its exploration {e starts}, whatever order subtrees are
-                 scheduled in — so at exhaustion every completed run is
-                 still a distinct class, and within a budget no class is
-                 ever counted twice. *)
-              let sleep =
-                if full then Iset.empty
-                else
-                  match !last with
-                  | None -> Iset.empty
-                  | Some (p, ti) ->
-                      let tl = p.alts.(ti).label in
-                      let tseq = p.alts.(ti).seq in
-                      Iset.union p.sleep (Iset.remove tseq p.started)
-                      |> Iset.filter (fun s ->
-                             let l = label_of !labels s in
-                             l <> absent && not (dependent l tl))
-              in
-              let taken = ref (-1) in
-              Array.iteri
-                (fun i (a : Engine.alt) ->
-                  if !taken < 0 && not (Iset.mem a.seq sleep) then taken := i)
-                alts;
-              if !taken < 0 then begin
-                (* Every enabled alternative is asleep: any completion of
-                   this prefix is Mazurkiewicz-equivalent to an
-                   already-covered schedule. Finish the run FIFO but
-                   report it pruned. *)
-                redundant := true;
-                0
-              end
-              else begin
-                let path =
-                  match !last with
-                  | None -> []
-                  | Some (p, ti) ->
-                      let seq = p.alts.(ti).seq in
-                      { n_alts = Array.length p.alts; seq; pick = ti } :: p.path
-                in
-                let node =
-                  {
-                    depth = d;
-                    path;
-                    alts;
-                    sleep;
-                    branch = closure ~full ~dependent alts alts.(!taken).seq;
-                    started = Iset.singleton alts.(!taken).seq;
-                  }
-                in
-                if candidate node >= 0 then fresh := node :: !fresh;
-                last := Some (node, !taken);
-                !taken
-              end
+        if d < tdepth then begin
+          let p = rows.((3 * d) + 2) in
+          if n <> rows.(3 * d) || Engine.tie_seq e p <> rows.((3 * d) + 1) then
+            raise Diverged;
+          p
+        end
+        else if d = tdepth then begin
+          let t = Option.get target in
+          let i = t.elig.(2 * snapshot) in
+          if t.n_alts <> n || t.elig.((2 * snapshot) + 1) <> Engine.tie_seq e i
+          then raise Diverged;
+          target_forced := true;
+          (* Run-local shadow of the target grown by this run's pick: the
+             members whose subtrees started before it fall asleep beside
+             the target's own sleepers. The node itself is only updated
+             at commit. *)
+          set_sleep st t.sleep;
+          if not full then
+            for k = 0 to snapshot - 1 do
+              add_sleep st t.elig.((2 * k) + 1)
+            done;
+          last_label := Engine.tie_label e i;
+          i
+        end
+        else if !redundant then 0
+        else begin
+          (* Sleep set: alternatives whose subtrees an earlier sibling
+             has already begun covering stay asleep until something
+             dependent executes (Godefroid). The invariant is
+             order-independent — a sibling falls asleep as soon as its
+             exploration {e starts}, whatever order subtrees are
+             scheduled in — so at exhaustion every completed run is still
+             a distinct class, and within a budget no class is ever
+             counted twice. *)
+          let tl = !last_label in
+          let j = ref 0 in
+          for k = 0 to st.n_sleep - 1 do
+            let s = st.sleep.(k) in
+            let l = label_of st s in
+            if l <> absent && not (dependent l tl) then begin
+              st.sleep.(!j) <- s;
+              incr j
             end
+          done;
+          st.n_sleep <- !j;
+          let taken = ref 0 in
+          while !taken < n && asleep st (Engine.tie_seq e !taken) do
+            incr taken
+          done;
+          if !taken = n then begin
+            (* Every enabled alternative is asleep: any completion of
+               this prefix is Mazurkiewicz-equivalent to an
+               already-covered schedule. Finish the run FIFO but report
+               it pruned. *)
+            redundant := true;
+            0
+          end
+          else begin
+            let taken = !taken in
+            if not full then mark_closure st ~dependent e n taken;
+            let count = ref 0 in
+            for k = 0 to n - 1 do
+              if eligible st ~full e k then incr count
+            done;
+            if !count >= 2 then begin
+              let elig = Array.make (2 * !count) 0 in
+              let c = ref 0 in
+              for k = 0 to n - 1 do
+                if eligible st ~full e k then begin
+                  elig.(2 * !c) <- k;
+                  elig.((2 * !c) + 1) <- Engine.tie_seq e k;
+                  incr c
+                end
+              done;
+              let sleep =
+                if st.n_sleep = 0 then no_sleep
+                else Array.sub st.sleep 0 st.n_sleep
+              in
+              fresh :=
+                { depth = d; log; n_alts = n; elig; sleep; next = 1 } :: !fresh
+            end;
+            last_label := Engine.tie_label e taken;
+            taken
+          end
+        end
       in
-      choices_rev := pick :: !choices_rev;
+      rows.(3 * d) <- n;
+      rows.((3 * d) + 1) <- Engine.tie_seq e pick;
+      rows.((3 * d) + 2) <- pick;
       pick
     in
     let result = run_fn ~choose in
-    (match target with
-    | Some _ when not !target_forced ->
-        (* The run ended before reaching the targeted decision point —
-           the simulation is not reproducing its prefix. *)
-        raise Diverged
-    | _ -> ());
-    ( result,
-      !redundant,
-      !depth,
-      Array.of_list (List.rev !choices_rev),
-      List.rev !fresh (* creation order *) )
+    if tdepth >= 0 && not !target_forced then
+      (* The run ended before reaching the targeted decision point — the
+         simulation is not reproducing its prefix. *)
+      raise Diverged;
+    (match !fresh with
+    | [] -> ()
+    | deepest :: _ ->
+        log.rows <-
+          Array.sub st.rows (3 * log.base) (3 * (deepest.depth - log.base)));
+    let choices =
+      if !redundant then [||]
+      else Array.init !depth (fun k -> st.rows.((3 * k) + 2))
+    in
+    (result, !redundant, !depth, choices, List.rev !fresh (* creation order *))
   in
   let stopped = ref false in
-  (* Publish a finished run: update the target's persistent state
-     (dropping it from the frontier once exhausted), adopt the fresh
-     nodes, account the class. Commit order IS the serial exploration
-     order, so everything downstream (frontier order, run numbers, class
-     indices, [on_commit] calls) is byte-identical to the serial walk
-     whatever executed the runs. *)
+  (* Publish a finished run: start the target's subtree (dropping the
+     node from the frontier once exhausted), adopt the fresh nodes,
+     account the class. Commit order IS the serial exploration order, so
+     everything downstream (frontier order, run numbers, class indices,
+     [on_commit] calls) is byte-identical to the serial walk whatever
+     executed the runs. *)
   let commit (result, redundant, rdepth, choices, fresh) target =
     (match target with
-    | Some ((n : node), i) ->
-        n.started <- Iset.add n.alts.(i).seq n.started;
+    | Some (n : node) ->
+        n.next <- n.next + 1;
         (* Every commit's target came from [next_target]: the head of
            the shallowest bucket. *)
-        if candidate n < 0 then begin
+        if n.next = n_elig n then begin
           let q = Imap.find n.depth !frontier in
           let head = Queue.pop q in
           assert (head == n);
@@ -353,9 +415,7 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
     if !n_classes >= max_classes then stopped := true
   in
   (* One serial step: run the target inline, then commit it. *)
-  let run_inline ((n, _) as t) =
-    commit (spec_run (Some t) ~snapshot:n.started) (Some t)
-  in
+  let run_inline n = commit (spec_run (Some n) ~snapshot:n.next) (Some n) in
   (* Speculative frontier walk. The serial algorithm is a chain — each
      run's fresh nodes feed the next selection — so parallelism comes
      from *predicting* the next few selections and running them
@@ -363,86 +423,74 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
      selection order. Before consuming each speculative result it
      recomputes the true next target from committed state; a prediction
      holds unless a committed run created a node that preempts the
-     selection (or grew the target's [started] under it), in which case
+     selection (or started the target's member under it), in which case
      the walk falls back to one serial step and re-predicts the rest of
      the batch. Commits are the only mutation of shared state, so
      discarded speculations leave no trace and the report is
      byte-identical to the serial walk. *)
   let speculative workers =
     let window = 2 * jobs in
-    (* Predict the next [window] (node, alt, started-snapshot) targets by
-       replaying the selection rule against a shadow [started] set that
-       grows with each predicted pick. Only the node under the cursor has
-       a shadow: every node before it in frontier order is exhausted under
-       its own shadow, and shadows only grow, so one ascending pass over
-       the frontier is the selection sequence. Fresh speculative nodes
-       are invisible to the pass (they only join at commit), so
-       predictions beyond the next commit can be preempted. *)
+    (* Predict the next [window] (node, snapshot) targets by replaying
+       the selection rule against a shadow [next] that grows with each
+       predicted pick. Only the node under the cursor has a shadow
+       ([shadow >= 0]): every node before it in frontier order is
+       exhausted under its own shadow, and shadows only grow, so one
+       ascending pass over the frontier is the selection sequence. Fresh
+       speculative nodes are invisible to the pass (they only join at
+       commit), so predictions beyond the next commit can be
+       preempted. *)
     let predict () =
-      let rec go nodes started k acc =
+      let rec go nodes shadow k acc =
         if k = window then List.rev acc
         else
           match nodes () with
           | Seq.Nil -> List.rev acc
           | Seq.Cons (n, rest) ->
-              let snap = Option.value started ~default:n.started in
-              let i = candidate_with snap n in
-              if i < 0 then go rest None k acc
-              else
-                go nodes
-                  (Some (Iset.add n.alts.(i).seq snap))
-                  (k + 1)
-                  ((n, i, snap) :: acc)
+              let snap = if shadow < 0 then n.next else shadow in
+              if snap >= n_elig n then go rest (-1) k acc
+              else go nodes (snap + 1) (k + 1) ((n, snap) :: acc)
       in
       Imap.to_seq !frontier
       |> Seq.flat_map (fun (_, q) -> Queue.to_seq q)
-      |> fun nodes -> go nodes None 0 []
+      |> fun nodes -> go nodes (-1) 0 []
     in
     (* In-flight speculations, head = predicted next commit. After a
        mispredict the tail is re-predicted against the corrected frontier
        instead of being discarded: any in-flight request whose (node,
-       alternative, snapshot) triple survives re-prediction is still a
-       valid run of that target and is kept; only genuinely new targets
-       are submitted. Stale requests are dropped — never committed, so
-       they never existed as far as the report is concerned. A request
-       is plain data: the worker gets its own copy of the node. *)
+       snapshot) pair survives re-prediction is still a valid run of that
+       target and is kept; only genuinely new targets are submitted.
+       Stale requests are dropped — never committed, so they never
+       existed as far as the report is concerned. A request is plain
+       data: the worker gets its own copy of the node and its path. *)
     let inflight = ref [] in
     let refill () =
       let old = !inflight in
       inflight :=
         List.map
-          (fun (n, i, snap) ->
+          (fun (n, snap) ->
             match
-              List.find_opt
-                (fun (n', i', snap', _) ->
-                  n' == n && i' = i && Iset.equal snap snap')
-                old
+              List.find_opt (fun (n', snap', _) -> n' == n && snap = snap') old
             with
             | Some entry -> entry
-            | None ->
-                ( n,
-                  i,
-                  snap,
-                  Fleet.submit workers (n, i, snap) ))
+            | None -> (n, snap, Fleet.submit workers (detach n, snap)))
           (predict ());
       List.iter
-        (fun (_, _, _, ticket) ->
-          if not (List.exists (fun (_, _, _, t) -> t = ticket) !inflight) then
+        (fun (_, _, ticket) ->
+          if not (List.exists (fun (_, _, t) -> t = ticket) !inflight) then
             Fleet.drop workers ticket)
         old
     in
-    fun (n', i') ->
+    fun n' ->
       (if !inflight = [] then refill ());
       match !inflight with
-      | (n, i, snap, ticket) :: rest
-        when n' == n && i' = i && Iset.equal snap n.started ->
+      | (n, snap, ticket) :: rest when n' == n && snap = n.next ->
           inflight := rest;
-          commit (unpack n (Fleet.await workers ticket)) (Some (n, i))
+          commit (unpack n (Fleet.await workers ticket)) (Some n)
       | _ ->
           (* Mispredicted (or prediction exhausted): one inline serial
              step against the true frontier, then rebuild the window,
              reusing whatever still matches. *)
-          run_inline (n', i');
+          run_inline n';
           refill ()
   in
   let walk step =
@@ -451,17 +499,16 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
       | None ->
           complete := true;
           stopped := true
-      | Some t -> step t
+      | Some n -> step n
     done
   in
   (* The root run builds the initial tree and must run alone. It also
      interns every workload key, so workers forked after it agree with
      the coordinator on every key id inside a label. *)
-  commit (spec_run None ~snapshot:Iset.empty) None;
+  commit (spec_run None ~snapshot:0) None;
   if jobs > 1 && not !stopped then
     Fleet.with_workers ~jobs
-      (fun ((n : node), i, snapshot) ->
-        pack ~depth:n.depth (spec_run (Some (n, i)) ~snapshot))
+      (fun ((n : node), snapshot) -> pack (spec_run (Some n) ~snapshot))
       (fun workers -> walk (speculative workers))
   else walk run_inline;
   {

@@ -49,15 +49,22 @@
     {e which} classes a truncated budget sees, not the class set at
     exhaustion.
 
-    {b Memory.} A node does not copy its ancestor path. Its path is an
-    immutable list of parent steps — the tie-set size, picked index and
-    picked seq of each ancestor decision — whose tail it shares with its
-    parent and siblings; a run unrolls its target's path once and checks
-    every replayed tie set against it, raising {!Diverged} on a
-    mismatch. Decision points with no alternative left never join the
-    frontier and leave it once exhausted, so the collector reclaims them
-    while their descendants' steps live on. State therefore grows
-    linearly in the number of explored nodes, not in depth squared. *)
+    {b Memory.} A decision allocates nothing unless it keeps a node: the
+    sleep set, persistent set and previous pick live in scratch the walk
+    reuses run after run, and each run writes its decisions (tie-set
+    size, picked seq, picked index) as rows of one flat buffer. A run
+    keeps the rows below its target, cut at its deepest kept node, as
+    its log, chained to the target's log; a node's path is (log, depth),
+    so a node never copies its ancestor path. A run copies its target's
+    chain into the buffer once and checks every replayed tie set
+    against it, raising {!Diverged} on a mismatch. A kept node holds
+    only its depth, log, tie-set size, eligible members (index and seq),
+    sleep set and a count of started members. Decision points with no
+    alternative left never join the frontier and leave it once
+    exhausted, so the collector reclaims them while their descendants'
+    logs live on. State therefore grows linearly in the number of
+    explored nodes, not in depth squared. A class's [choices] is the
+    pick column of its run's buffer. *)
 
 type 'a class_result = {
   index : int;  (** 0-based equivalence-class index, exploration order *)
@@ -83,9 +90,9 @@ exception Diverged
     exploration. *)
 
 (** [explore ~max_classes ~dependent run] drives [run] repeatedly, each
-    time passing a [choose] callback the engine's [Guided] policy calls
-    at every tie decision; [choose] replays the targeted node's path and
-    extends it by first-awake choices. Exploration stops when the tree is
+    time passing a [choose] callback for the engine's [Guided] policy,
+    which calls it at every tie decision; [choose] replays the targeted
+    node's path and extends it by first-awake choices. Exploration stops when the tree is
     exhausted, [max_classes] classes completed, or [stop_on result] is
     true for a completed class. [dependent] is the conflict relation over
     event labels; [full = true] disables persistent-set pruning {e and}
@@ -98,8 +105,8 @@ exception Diverged
     {b Parallel exploration.} With [jobs > 1], runs execute
     speculatively on [jobs] worker processes forked after the root run:
     the coordinator predicts the next few serial selections (one ordered
-    pass over the frontier), sends each as a plain (node, alternative,
-    snapshot) request, and commits answers strictly in the serial
+    pass over the frontier), sends each as a plain (node with its path,
+    started-count snapshot) request, and commits answers strictly in the serial
     selection order after re-validating each prediction against
     committed state (falling back to one serial step when a committed
     run's fresh nodes preempt the predicted target). Shared state is
@@ -115,5 +122,5 @@ val explore :
   ?jobs:int ->
   max_classes:int ->
   dependent:(int -> int -> bool) ->
-  (choose:(Prism_sim.Engine.alt array -> int) -> 'a) ->
+  (choose:(Prism_sim.Engine.t -> int -> int) -> 'a) ->
   'a report

@@ -84,9 +84,10 @@ type workload = { keys : int; preload : int; ops : op array array }
 
 (* The YCSB-A slice: a 50/50 read/update stream from the shared generator,
    with a sprinkle of deletes and short scans so all four operations get
-   history coverage. Generated once per (config, seed) — every schedule of
-   a run replays the same per-thread op lists, so only the interleaving
-   differs. *)
+   history coverage. Generated once per walk and shared by every run of
+   it, including runs on forked workers — every schedule replays the same
+   per-thread op lists, so only the interleaving differs. Sharing is safe
+   because a run never writes to the ops' keys or values. *)
 let workload cfg =
   let rng = Rng.create cfg.seed in
   let gen =
@@ -489,8 +490,8 @@ let fingerprint ~events ~clock choices =
     choices
 
 (* Exploration runs the YCSB-A slice uncut, over a 16 KiB PWB. *)
-let run_one cfg ~index ~tie_seed ~tie =
-  let r = run_once ~tie ~pwb_size:(16 * 1024) cfg (workload cfg) in
+let run_one cfg w ~index ~tie_seed ~tie =
+  let r = run_once ~tie ~pwb_size:(16 * 1024) cfg w in
   let stats =
     {
       index;
@@ -505,13 +506,14 @@ let run_one cfg ~index ~tie_seed ~tie =
     r.choices,
     Option.map (Format.asprintf "%a" Linearize.pp_violation) r.violation )
 
-let run_schedule cfg ~index ~tie_seed =
+let run_schedule cfg w ~index ~tie_seed =
   let stats, _choices, violation =
-    run_one cfg ~index ~tie_seed ~tie:(Engine.Seeded tie_seed)
+    run_one cfg w ~index ~tie_seed ~tie:(Engine.Seeded tie_seed)
   in
   (stats, violation)
 
 let run ?(progress = fun _ -> ()) ?(jobs = 1) ~schedules cfg =
+  let w = workload cfg in
   let stats = ref [] in
   let failures = ref [] in
   let fingerprints = Hashtbl.create (2 * schedules) in
@@ -526,7 +528,7 @@ let run ?(progress = fun _ -> ()) ?(jobs = 1) ~schedules cfg =
   if jobs <= 1 then
     (* Serial: run and merge interleaved, so [progress] stays live. *)
     for i = 0 to schedules - 1 do
-      merge (run_schedule cfg ~index:i ~tie_seed:(tie_seed_for cfg.seed i))
+      merge (run_schedule cfg w ~index:i ~tie_seed:(tie_seed_for cfg.seed i))
     done
   else begin
     (* Schedules are independent by construction (each names its own
@@ -535,7 +537,7 @@ let run ?(progress = fun _ -> ()) ?(jobs = 1) ~schedules cfg =
        serial loop. *)
     let results =
       Prism_fleet.Fleet.farm ~jobs schedules (fun i ->
-          run_schedule cfg ~index:i ~tie_seed:(tie_seed_for cfg.seed i))
+          run_schedule cfg w ~index:i ~tie_seed:(tie_seed_for cfg.seed i))
     in
     Array.iter merge results
   end;
@@ -546,7 +548,7 @@ let run ?(progress = fun _ -> ()) ?(jobs = 1) ~schedules cfg =
   }
 
 let replay cfg ~tie_seed =
-  let stats, fail = run_schedule cfg ~index:0 ~tie_seed in
+  let stats, fail = run_schedule cfg (workload cfg) ~index:0 ~tie_seed in
   ignore stats;
   fail
 
@@ -575,9 +577,10 @@ let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
      (serial order), which is where progress fires — so a stats line is
      only ever reported for runs the serial walk would have executed,
      with the index it would have carried. *)
+  let w = workload cfg in
   let run ~choose =
     let stats, _choices, violation =
-      run_one cfg ~index:0 ~tie_seed:0L ~tie:(Engine.Guided choose)
+      run_one cfg w ~index:0 ~tie_seed:0L ~tie:(Engine.Guided choose)
     in
     (stats, violation)
   in
@@ -613,14 +616,18 @@ let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
 (* ---- choice-list replay and shrinking ---- *)
 
 let run_tie cfg ~tie =
-  let _stats, choices, violation = run_one cfg ~index:0 ~tie_seed:0L ~tie in
+  let _stats, choices, violation =
+    run_one cfg (workload cfg) ~index:0 ~tie_seed:0L ~tie
+  in
   (choices, violation)
 
-let replay_choices cfg ~choices =
+let replay_in cfg w ~choices =
   let _stats, _recorded, violation =
-    run_one cfg ~index:0 ~tie_seed:0L ~tie:(Engine.Replay choices)
+    run_one cfg w ~index:0 ~tie_seed:0L ~tie:(Engine.Replay choices)
   in
   violation
+
+let replay_choices cfg ~choices = replay_in cfg (workload cfg) ~choices
 
 (* Trailing FIFO entries are no-ops under replay (an exhausted list
    reads as 0): strip them so a reported list is the shortest one that
@@ -657,7 +664,8 @@ let count_non_fifo choices =
    indices — O(k log n) replays when k decisions are load-bearing.
    [max_replays] caps the cost; the result is minimal-so-far if hit. *)
 let shrink ?(max_replays = 200) cfg ~choices =
-  match replay_choices cfg ~choices with
+  let w = workload cfg in
+  match replay_in cfg w ~choices with
   | None -> None
   | Some v0 ->
       let n = Array.length choices in
@@ -676,7 +684,7 @@ let shrink ?(max_replays = 200) cfg ~choices =
           let candidate = Array.copy !cur in
           Array.fill candidate lo (hi - lo) 0;
           incr replays;
-          match replay_choices cfg ~choices:candidate with
+          match replay_in cfg w ~choices:candidate with
           | Some v ->
               cur := candidate;
               violation := v;

@@ -111,6 +111,15 @@ type workload = {
   ops : op array array;  (** per-thread op lists *)
 }
 
+(** [workload cfg] is the checker's YCSB-A slice for [cfg]: per-thread
+    op lists drawn from [cfg.seed], where about one update in
+    [delete_every] is a [Delete], one read in [scan_every] a [Scan] and,
+    on the cluster, one update in [txn_every] a 2PC [Batch]. {!run} and
+    {!run_dpor} build it once and share it across every run, forked
+    workers included: a run reads its keys and values and never writes
+    them. *)
+val workload : config -> workload
+
 (** One store under test: its client handle, its durability boundaries
     as named hook setters (e.g. the NVM persist and SSD write hooks of
     {!Prism_media}), power-cut and recovery functions, and, for the

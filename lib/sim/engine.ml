@@ -1,24 +1,22 @@
-type alt = { seq : int; label : int }
-
 type tie_break =
   | Fifo
   | Seeded of int64
   | Replay of int array
-  | Guided of (alt array -> int)
+  | Guided of (t -> int -> int)
 
 (* Resolved form of the policy: [Seeded] carries its RNG stream, [Replay]
    its cursor. *)
-type policy =
+and policy =
   | P_fifo
   | P_seeded of Rng.t
   | P_replay of { choices : int array; mutable pos : int }
-  | P_guided of (alt array -> int)
+  | P_guided of (t -> int -> int)
 
 (* Events are bare actions; the scheduling label each one inherited from
    the context that enqueued it (see [annotate]) rides the heap's aux
    channel, so the queue needs no per-event record at all. *)
 
-type t = {
+and t = {
   clock : float array;
       (* [clock.(0)] is the simulation's "now", [clock.(1)] the active
          run's limit and [clock.(2)] the delay a parking process is about
@@ -86,6 +84,10 @@ let set_tie_break t = function
   | Guided f -> t.policy <- P_guided f
 
 let recorded_choices t = Array.sub t.choices 0 t.n_choices
+
+let tie_seq t k = Heap.tie_seq t.events k
+
+let tie_label t k = Heap.tie_aux t.events k
 
 let record_choice t c =
   let n = t.n_choices in
@@ -264,7 +266,8 @@ let spawn t ?at f =
    non-FIFO policy, make its label current and return its action. The
    tie set (all events at the minimum time, in seq order) is gathered in
    place, one member is chosen — uniformly from the seeded stream, by the
-   recorded decision, or by the guided callback — and only that member
+   recorded decision, or by the guided callback, which reads the members
+   through [tie_seq]/[tie_label] — and only that member
    leaves the heap; the rest keep their place, seq and label. Decisions
    are recorded only for tie sets larger than one, so a replay consumes
    them at exactly the positions the recording produced them. *)
@@ -285,11 +288,7 @@ let pop_tie_set t =
             r.pos <- r.pos + 1;
             if c < 0 || c >= n then 0 else c
         | P_guided f ->
-            let alts =
-              Array.init n (fun k ->
-                  { seq = Heap.tie_seq h k; label = Heap.tie_aux h k })
-            in
-            let c = f alts in
+            let c = f t n in
             if c < 0 || c >= n then
               invalid_arg "Engine: guided tie-break chose out of range";
             c

@@ -17,13 +17,6 @@
 
 type t
 
-(** One member of a same-instant tie set, as presented to a [Guided]
-    tie-break callback: the event's unique scheduling sequence number
-    (stable identity — an event not chosen keeps its [seq]) and the
-    scheduling label it inherited from the context that enqueued it (see
-    {!annotate}; [0] means unlabelled). *)
-type alt = { seq : int; label : int }
-
 (** Policy for ordering events that fire at the same virtual instant.
 
     - [Fifo] (the default): scheduling order, the historical behaviour.
@@ -34,10 +27,13 @@ type alt = { seq : int; label : int }
       (see {!recorded_choices}); out-of-range or exhausted entries fall
       back to FIFO, so a replay against a diverged simulation degrades
       rather than crashes.
-    - [Guided f]: call [f] with the tie set (in scheduling order) at every
-      decision point of size >= 2 and follow its choice — the hook a
-      systematic explorer (DPOR) uses to own the schedule. [f] must
-      return a valid index into its argument.
+    - [Guided f]: call [f t n] at every decision point whose tie set has
+      [n >= 2] members and follow its choice — the hook a systematic
+      explorer (DPOR) uses to own the schedule. During the call, and only
+      then, {!tie_seq} and {!tie_label} read member [k] of the tie set,
+      in scheduling order; nothing is built to present it, so a callback
+      that allocates nothing makes the decision allocation-free. [f] must
+      return an index in [\[0, n)].
 
     Under every policy but [Fifo], each dispatch gathers the tie set in
     place: the events at the minimum time, in seq order (so index 0 is
@@ -48,7 +44,7 @@ type tie_break =
   | Fifo
   | Seeded of int64
   | Replay of int array
-  | Guided of (alt array -> int)
+  | Guided of (t -> int -> int)
 
 (** [set_tie_break t p] installs the tie-break policy. Decisions made
     under a non-FIFO policy are recorded and can be fetched with
@@ -61,6 +57,17 @@ val set_tie_break : t -> tie_break -> unit
     in the order they were taken — feed to [Replay] to reproduce the
     schedule without the seed. *)
 val recorded_choices : t -> int array
+
+(** [tie_seq t k] is the unique scheduling sequence number of member [k]
+    of the tie set a [Guided] callback is deciding: a stable identity,
+    since an event not chosen keeps its seq. Valid only during that
+    call. *)
+val tie_seq : t -> int -> int
+
+(** [tie_label t k] is the scheduling label member [k] of the tie set
+    inherited from the context that enqueued it (see {!annotate}; [0]
+    means unlabelled). Valid only during a [Guided] callback. *)
+val tie_label : t -> int -> int
 
 (** [annotate t label] labels the currently executing context: events it
     enqueues from now on (delays, suspend resumes, spawns) carry [label],

@@ -1,8 +1,15 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than a [mutable int64]
+   field: a field holds a boxed Int64, so every draw would allocate a new
+   box, while reading and writing the bytes keeps the arithmetic
+   unboxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
 (* SplitMix64 finalizer (Steele, Lea, Flood 2014). *)
 let[@inline] mix z =
@@ -11,12 +18,11 @@ let[@inline] mix z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let[@inline] next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix state
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
+let split t = create (next_int64 t)
 
 let float t =
   (* Use the top 53 bits for a uniform double in [0, 1). *)

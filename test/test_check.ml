@@ -81,11 +81,11 @@ let test_guided_tie () =
      last member diverges, and the recorded decisions replay it. *)
   let t_fifo, _, _ = tie_heavy_trace Engine.Fifo in
   let t_first, _, _ =
-    tie_heavy_trace (Engine.Guided (fun _ -> 0))
+    tie_heavy_trace (Engine.Guided (fun _ _ -> 0))
   in
   Alcotest.(check string) "guided-first is FIFO" t_fifo t_first;
   let t_last, _, choices =
-    tie_heavy_trace (Engine.Guided (fun alts -> Array.length alts - 1))
+    tie_heavy_trace (Engine.Guided (fun _ n -> n - 1))
   in
   Alcotest.(check bool) "guided-last diverges" true (t_last <> t_fifo);
   Alcotest.(check bool) "guided decisions recorded" true
@@ -910,6 +910,40 @@ let test_explore_catches_stale_cache () =
       Alcotest.(check bool) "failure replays from its seed" true
         (replayed <> None)
 
+(* [Explore.run], [run_dpor] and the crash sweep build one workload per
+   walk and hand it to every run, forked workers included. That is only
+   sound if a run leaves every key and value it was given byte-identical
+   -- a store that kept a put's bytes and wrote into them would change
+   the program of every later run. Checked on each store, for a run
+   under a seeded schedule and for one cut mid-way and recovered. *)
+let test_workload_unchanged_by_runs () =
+  List.iter
+    (fun (name, cfg) ->
+      let w = Explore.workload cfg in
+      let before = Marshal.to_string w [] in
+      let clean =
+        Explore.run_once ~tie:(Engine.Seeded 5L) ~cut:Explore.Clean
+          ~pwb_size:(16 * 1024) cfg w
+      in
+      (match clean.Explore.counts with
+      | (boundary, total) :: _ when total > 1 ->
+          let cut = Explore.Boundary (boundary, total / 2) in
+          let r = Explore.run_once ~cut ~pwb_size:(16 * 1024) cfg w in
+          Alcotest.(check bool) (name ^ " run was cut") true
+            (r.Explore.crashed <> None)
+        | _ -> ());
+      Alcotest.(check bool)
+        (name ^ " workload byte-identical after its runs")
+        true
+        (Marshal.to_string w [] = before))
+    [
+      ("prism", explore_cfg);
+      ("kvell", { explore_cfg with Explore.store = `Kvell });
+      ( "cluster",
+        Explore.topology ~shards:2 { explore_cfg with Explore.store = `Cluster }
+      );
+    ]
+
 let test_explore_kvell () =
   let report =
     Explore.run ~schedules:3 { explore_cfg with Explore.store = `Kvell }
@@ -1625,6 +1659,8 @@ let () =
           case "fingerprint sees every decision" test_fingerprint_whole_list;
           case "stale-cache fault caught" test_explore_catches_stale_cache;
           case "kvell" test_explore_kvell;
+          case "runs leave the shared workload unchanged"
+            test_workload_unchanged_by_runs;
         ] );
       ( "dpor",
         [

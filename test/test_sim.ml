@@ -1309,10 +1309,12 @@ let delay_schedule tie_break =
    too: it logs them and picks the newest member. *)
 let guided_delay_schedule () =
   let seen = Buffer.create 256 in
-  let pick alts =
-    Array.iter (fun a -> Printf.bprintf seen "%d," a.Engine.seq) alts;
+  let pick e n =
+    for k = 0 to n - 1 do
+      Printf.bprintf seen "%d," (Engine.tie_seq e k)
+    done;
     Buffer.add_char seen '/';
-    Array.length alts - 1
+    n - 1
   in
   let run = delay_schedule (Engine.Guided pick) in
   Printf.sprintf "%s seqs=%s" run (Buffer.contents seen)
@@ -1421,8 +1423,10 @@ let fused_trace tie_break (procs, horizons) =
   let seqs = Buffer.create 16 in
   Engine.set_tie_break e
     (Engine.Guided
-       (fun alts ->
-         Array.iter (fun a -> Printf.bprintf seqs "%d," a.Engine.seq) alts;
+       (fun e n ->
+         for k = 0 to n - 1 do
+           Printf.bprintf seqs "%d," (Engine.tie_seq e k)
+         done;
          0));
   Engine.spawn e ignore;
   Engine.spawn e ignore;
