@@ -137,6 +137,16 @@ let add_sleep st s =
     st.n_sleep <- st.n_sleep + 1
   end
 
+let in_comp st k = Bytes.get st.comp k = '\001'
+
+(* A marked member from [b] on has an edge to a member labelled [la]. *)
+let rec linked st ~dependent e n la b =
+  b < n
+  && (in_comp st b
+      && (let lb = Engine.tie_label e b in
+          (la <> 0 || lb <> 0) && dependent la lb)
+     || linked st ~dependent e n la (b + 1))
+
 (* Dependency-closure persistent set, marked in [st.comp]: the connected
    component of the taken member under [dependent], within the tie set.
    Members of other components commute with everything we will branch on
@@ -152,16 +162,6 @@ let add_sleep st s =
    restriction, machinery-only tie sets stay in scheduling order, and
    branching happens exactly where an operation's event races something
    dependent on it. *)
-let in_comp st k = Bytes.get st.comp k = '\001'
-
-(* A marked member from [b] on has an edge to a member labelled [la]. *)
-let rec linked st ~dependent e n la b =
-  b < n
-  && (in_comp st b
-      && (let lb = Engine.tie_label e b in
-          (la <> 0 || lb <> 0) && dependent la lb)
-     || linked st ~dependent e n la (b + 1))
-
 let mark_closure st ~dependent e n taken =
   if n > Bytes.length st.comp then
     st.comp <- Bytes.create (max n (2 * Bytes.length st.comp));
