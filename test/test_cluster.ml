@@ -234,6 +234,75 @@ let test_batch_commit_and_single_ops () =
       Alcotest.(check int) "no aborts" 0 aborts;
       Alcotest.(check int) "two prepares" 2 prepares)
 
+(* ---- the cluster's event schedule, pinned ----
+
+   A 2-shard cluster whose every fourth put becomes a 3-key 2PC batch,
+   driven by 4 threads of 50 mixed ops each over 16 keys, so batches
+   meet held locks. The trace is everything the schedule determines:
+   the engine's event count, a digest of its tie-break decisions, each
+   op's completion time, the network counters and the transaction
+   outcomes. A rework of the routing, RPC or 2PC
+   paths that keeps virtual time must leave it unchanged under FIFO and
+   under a seeded tie-break. *)
+let cluster_schedule_trace tie =
+  let e = Engine.create () in
+  Engine.set_tie_break e tie;
+  let records = 16 in
+  let c, kv =
+    Cluster.of_scenario e
+      { Cluster.default with Cluster.shards = 2 }
+      {
+        Prism_harness.Setup.default_scenario with
+        records;
+        value_size = 64;
+        threads = 4;
+        num_ssds = 1;
+        ops = 0;
+        seed = 7L;
+      }
+  in
+  let kv = Cluster.with_batches c kv ~every:4 ~records ~seed:7L in
+  let times = Buffer.create 4096 in
+  for tid = 0 to 3 do
+    Engine.spawn e (fun () ->
+        let rng = Rng.create (Int64.of_int (100 + tid)) in
+        for i = 0 to 49 do
+          let key = Prism_workload.Ycsb.key_of (Rng.int rng records) in
+          (match Rng.int rng 10 with
+          | 0 -> ignore (kv.Prism_harness.Kv.delete ~tid key : bool)
+          | 1 -> ignore (kv.Prism_harness.Kv.scan ~tid key 4 : _ list)
+          | 2 | 3 | 4 | 5 -> ignore (kv.Prism_harness.Kv.get ~tid key : _ option)
+          | _ -> kv.Prism_harness.Kv.put ~tid key (value ~size:64 ((tid * 50) + i)));
+          Printf.bprintf times "%d.%d@%h " tid i (Engine.now e)
+        done)
+  done;
+  ignore (Engine.run e);
+  let reg = Engine.stats e in
+  let commits, aborts, _ = Cluster.txn_stats c in
+  let choices = Engine.recorded_choices e in
+  Printf.sprintf
+    "events=%d choices=%d/%s times=%s msgs=%d bytes=%d delivered=%d \
+     commits=%d aborts=%d"
+    (Engine.events_executed e) (Array.length choices)
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "," (Array.to_list (Array.map string_of_int choices)))))
+    (Digest.to_hex (Digest.string (Buffer.contents times)))
+    (Stats.get_int reg "net.msgs") (Stats.get_int reg "net.bytes")
+    (Stats.get_int reg "net.delivered") commits aborts
+
+let test_cluster_schedule_pinned () =
+  Alcotest.(check string) "fifo"
+    "events=4489 choices=0/d41d8cd98f00b204e9800998ecf8427e \
+     times=80fa834dc73bb18ba65824b6323165c8 msgs=499 bytes=38880 \
+     delivered=499 commits=18 aborts=1"
+    (cluster_schedule_trace Engine.Fifo);
+  Alcotest.(check string) "seeded"
+    "events=4477 choices=1654/c5a37d3c2ce7f52f378bde9c205c403c \
+     times=5043dea4be4cde8f04a34a188b14d3f5 msgs=496 bytes=38776 \
+     delivered=496 commits=18 aborts=1"
+    (cluster_schedule_trace (Engine.Seeded 7L))
+
 (* ---- strict serializability of cluster schedules ---- *)
 
 let cluster_explore_cfg =
@@ -326,6 +395,7 @@ let () =
             test_batch_vote_no_no_partial_writes;
           case "vote timeout leaves no partial writes"
             test_batch_timeout_no_partial_writes;
+          case "schedule pinned" test_cluster_schedule_pinned;
         ] );
       ( "strict-serializability",
         [
