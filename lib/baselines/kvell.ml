@@ -255,8 +255,7 @@ let create engine ~cost ~rng ~ssd_specs ~workers_per_ssd ~queue_depth
 let workers t = Array.length t.workers
 
 let owner t key =
-  let h = Prism_index.Strhash.fnv1a key in
-  t.workers.(Prism_index.Strhash.to_bucket h (Array.length t.workers))
+  t.workers.(Prism_index.Strhash.bucket key (Array.length t.workers))
 
 let enqueue t w request =
   let reply = Sync.Ivar.create () in

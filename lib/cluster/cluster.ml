@@ -81,48 +81,47 @@ let hdr = 32 (* message header: kind, txn, lengths *)
 
 let write_bytes (k, v) = String.length k + Bytes.length v + 8
 
-let writes_bytes ws = List.fold_left (fun a w -> a + write_bytes w) 0 ws
+let rec writes_bytes = function
+  | [] -> 0
+  | w :: ws -> write_bytes w + writes_bytes ws
 
 (* ---- NVM log records ----
 
    Framing: [len:4][payload]; a zero length terminates the log. Payload
    tags: 'P' txn:8 n:4 (klen:4 key vlen:4 value)*  prepare record
          'A' txn:8                                 applied marker
-         'C' txn:8                                 commit record *)
+         'C' txn:8                                 commit record
+
+   Records are built with their frame in place: [tagged] allocates the
+   whole framed record once, and [append] writes it as it is. *)
 
 let put_i32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 let get_i32 b off = Int32.to_int (Bytes.get_int32_le b off)
 
-let frame payload =
-  let n = Bytes.length payload in
-  let b = Bytes.create (4 + n) in
-  put_i32 b 0 n;
-  Bytes.blit payload 0 b 4 n;
-  b
-
 let tagged tag txn extra =
-  let b = Bytes.create (9 + extra) in
-  Bytes.set b 0 tag;
-  Bytes.set_int64_le b 1 (Int64.of_int txn);
+  let b = Bytes.create (13 + extra) in
+  put_i32 b 0 (9 + extra);
+  Bytes.set b 4 tag;
+  Bytes.set_int64_le b 5 (Int64.of_int txn);
   b
 
 let encode_prepare txn writes =
-  let body = tagged 'P' txn (4 + writes_bytes writes) in
-  let off = ref 9 in
-  put_i32 body !off (List.length writes);
-  off := !off + 4;
-  List.iter
-    (fun (k, v) ->
-      let kl = String.length k and vl = Bytes.length v in
-      put_i32 body !off kl;
-      Bytes.blit_string k 0 body (!off + 4) kl;
-      off := !off + 4 + kl;
-      put_i32 body !off vl;
-      Bytes.blit v 0 body (!off + 4) vl;
-      off := !off + 4 + vl)
-    writes;
-  body
+  let b = tagged 'P' txn (4 + writes_bytes writes) in
+  put_i32 b 13 (List.length writes);
+  let rec put off = function
+    | [] -> ()
+    | (k, v) :: rest ->
+        let kl = String.length k and vl = Bytes.length v in
+        put_i32 b off kl;
+        Bytes.blit_string k 0 b (off + 4) kl;
+        let off = off + 4 + kl in
+        put_i32 b off vl;
+        Bytes.blit v 0 b (off + 4) vl;
+        put (off + 4 + vl) rest
+  in
+  put 17 writes;
+  b
 
 let decode_prepare payload =
   let txn = Int64.to_int (Bytes.get_int64_le payload 1) in
@@ -140,11 +139,10 @@ let decode_prepare payload =
   done;
   (txn, List.rev !writes)
 
-(* Append a framed record at [off], returning the new tail offset;
+(* Append framed record [b] at [off], returning the new tail offset;
    [persist] = false models the injected skip-log-flush fault (the
    record stays in volatile cache lines). *)
-let append nvm off payload ~persist =
-  let b = frame payload in
+let append nvm off b ~persist =
   if off + Bytes.length b + 4 > Nvm.size nvm then
     failwith "Cluster: NVM log full";
   if persist then Nvm.write_persist nvm ~off b else Nvm.write nvm ~off b;
@@ -244,18 +242,15 @@ let coordinator_log t = t.clog
 
 let prepare_log t i = t.shard_tbl.(i).plog
 
-let shard_of_key t key =
-  Prism_index.Strhash.to_bucket
-    (Prism_index.Strhash.fnv1a key)
-    t.cfg.shards
+let shard_of_key t key = Prism_index.Strhash.bucket key t.cfg.shards
 
-let plog_append sh payload ~persist =
+let plog_append sh record ~persist =
   Sync.Mutex.with_lock sh.log_lock (fun () ->
-      sh.plog_off <- append sh.plog sh.plog_off payload ~persist)
+      sh.plog_off <- append sh.plog sh.plog_off record ~persist)
 
-let clog_append t payload ~persist =
+let clog_append t record ~persist =
   Sync.Mutex.with_lock t.clog_lock (fun () ->
-      t.clog_off <- append t.clog t.clog_off payload ~persist)
+      t.clog_off <- append t.clog t.clog_off record ~persist)
 
 let txn_stats t =
   ( Metric.Counter.value t.c_commits,
@@ -281,91 +276,100 @@ let rec wait_unlocked sh key =
 
 (* Check-then-set with no intervening suspension: atomic in the
    simulation, so partially-taken lock sets cannot exist. *)
-let try_lock_all sh txn keys =
-  if List.exists (Hashtbl.mem sh.locks) keys then false
+let try_lock_all sh txn writes =
+  if List.exists (fun (k, _) -> Hashtbl.mem sh.locks k) writes then false
   else begin
-    List.iter (fun k -> Hashtbl.replace sh.locks k txn) keys;
+    List.iter (fun (k, _) -> Hashtbl.replace sh.locks k txn) writes;
     true
   end
 
-let release sh keys =
+(* Releases the locks on the keys of [writes]. *)
+let release sh writes =
   List.iter
-    (fun k ->
+    (fun (k, _) ->
       Hashtbl.remove sh.locks k;
       match Hashtbl.find_opt sh.waiters k with
       | None -> ()
       | Some q ->
           Hashtbl.remove sh.waiters k;
           Queue.iter (fun resume -> resume ()) q)
-    keys
+    writes
 
 (* ---- single-key operations ----
 
-   The client process sends a request over the mesh, a handler process
-   spawned at the delivery runs the store operation on the shard, and
-   the response message fills the client's ivar. Scheduling labels
-   (DPOR's conflict tracking) ride along automatically: the delivery
-   event inherits the client context's label, and the spawned handler
-   inherits the delivery's. *)
+   The client process runs the shard's side of a single-key operation
+   itself, run to completion where the request lands (as eRPC's
+   dispatch does): it sends the request and suspends until the request's
+   delivery resumes it, runs the store operation against the shard, then
+   sends the response and suspends until that delivery resumes it.
+
+   This is event for event the schedule of a handler process spawned at
+   the delivery that fills an ivar the client reads: the resume at the
+   request's delivery pushes the client's wake-up where the spawn pushed
+   the handler's start, at the same instant with the same seq step, and
+   the response's delivery resumes the client as the ivar's fill did.
+   Every event carries the client's scheduling label (DPOR's conflict
+   tracking) in both: deliveries inherit it from the sending context,
+   a spawned handler from its delivery, and a resume from the suspended
+   context. Nothing inside an operation changes it, so FIFO order and
+   every tie set are the same; the cost of a spawn, an ivar and a
+   handler closure per operation is gone. *)
 
 let coord = 0
 
 let node_of_shard i = i + 1
 
-let rpc t s ~req_size ~resp_size handler =
+(* [hop t ~src ~dst ~size] sends a [size]-byte message and suspends the
+   calling process until its delivery. *)
+let hop t ~src ~dst ~size =
+  Engine.suspend (fun resume -> Net.send t.net ~src ~dst ~size resume)
+
+(* The request leg: returns shard [s] once the request has reached it. *)
+let request t s ~size =
   Metric.Counter.incr t.c_routed;
-  let sh = t.shard_tbl.(s) in
-  let iv = Sync.Ivar.create () in
-  Net.send t.net ~src:coord ~dst:(node_of_shard s) ~size:req_size (fun () ->
-      Engine.spawn t.engine (fun () ->
-          let r = handler sh in
-          Net.send t.net ~src:(node_of_shard s) ~dst:coord
-            ~size:(hdr + resp_size r) (fun () -> Sync.Ivar.fill iv r)));
-  Sync.Ivar.read iv
+  hop t ~src:coord ~dst:(node_of_shard s) ~size;
+  t.shard_tbl.(s)
+
+(* The response leg: [size] payload bytes back to the client. *)
+let respond t s ~size = hop t ~src:(node_of_shard s) ~dst:coord ~size:(hdr + size)
 
 let put t ~tid key value =
   let s = shard_of_key t key in
-  rpc t s
-    ~req_size:(hdr + String.length key + Bytes.length value)
-    ~resp_size:(fun () -> 0)
-    (fun sh ->
-      wait_unlocked sh key;
-      Store.put sh.store ~tid key value)
+  let sh = request t s ~size:(hdr + String.length key + Bytes.length value) in
+  wait_unlocked sh key;
+  Store.put sh.store ~tid key value;
+  respond t s ~size:0
 
 let get t ~tid key =
   let s = shard_of_key t key in
-  rpc t s
-    ~req_size:(hdr + String.length key)
-    ~resp_size:(fun r -> match r with Some v -> Bytes.length v | None -> 0)
-    (fun sh ->
-      wait_unlocked sh key;
-      Store.get sh.store ~tid key)
+  let sh = request t s ~size:(hdr + String.length key) in
+  wait_unlocked sh key;
+  let r = Store.get sh.store ~tid key in
+  respond t s ~size:(match r with Some v -> Bytes.length v | None -> 0);
+  r
 
 let delete t ~tid key =
   let s = shard_of_key t key in
-  rpc t s
-    ~req_size:(hdr + String.length key)
-    ~resp_size:(fun _ -> 1)
-    (fun sh ->
-      wait_unlocked sh key;
-      Store.delete sh.store ~tid key)
+  let sh = request t s ~size:(hdr + String.length key) in
+  wait_unlocked sh key;
+  let r = Store.delete sh.store ~tid key in
+  respond t s ~size:1;
+  r
 
 let scan t ~tid key count =
   (* Scatter-gather: every shard returns its first [count] matches, the
      client merges in key order. Shards own disjoint key sets, so the
      merge never sees duplicates. *)
   let parts =
-    Array.to_list
-      (Array.mapi
-         (fun s _ ->
-           rpc t s
-             ~req_size:(hdr + String.length key)
-             ~resp_size:(fun l ->
-               List.fold_left
-                 (fun a (k, v) -> a + String.length k + Bytes.length v)
-                 0 l)
-             (fun sh -> Store.scan sh.store ~tid key count))
-         t.shard_tbl)
+    List.init t.cfg.shards (fun s ->
+        let sh = request t s ~size:(hdr + String.length key) in
+        let l = Store.scan sh.store ~tid key count in
+        respond t s
+          ~size:
+            (List.fold_left
+               (fun a (k, v) -> a + String.length k + Bytes.length v)
+               0 l);
+        l)
   in
   let rec merge acc n lists =
     if n = 0 then List.rev acc
@@ -394,29 +398,52 @@ let scan t ~tid key count =
 
 (* ---- 2PC ---- *)
 
-let dedup_writes writes =
-  (* Later write to the same key wins; preserve first-occurrence order. *)
-  let seen = Hashtbl.create 8 in
-  List.iter (fun (k, v) -> Hashtbl.replace seen k v) writes;
-  List.filter_map
-    (fun (k, _) ->
-      match Hashtbl.find_opt seen k with
-      | Some v ->
-          Hashtbl.remove seen k;
-          Some (k, v)
-      | None -> None)
-    writes
+(* A batch holds a handful of writes, so both passes below scan the
+   list instead of building a table. *)
 
+let rec mem_key k = function
+  | [] -> false
+  | (k', _) :: rest -> String.equal k k' || mem_key k rest
+
+(* Later write to the same key wins; preserve first-occurrence order.
+   A batch without repeated keys comes back as it is. *)
+let dedup_writes writes =
+  let rec repeats = function
+    | [] -> false
+    | (k, _) :: rest -> mem_key k rest || repeats rest
+  in
+  let rec last k v = function
+    | [] -> v
+    | (k', v') :: rest -> last k (if String.equal k k' then v' else v) rest
+  in
+  (* [seen] is the reversed prefix already kept. *)
+  let rec keep seen = function
+    | [] -> List.rev seen
+    | (k, v) :: rest ->
+        if mem_key k seen then keep seen rest
+        else keep ((k, last k v rest) :: seen) rest
+  in
+  if repeats writes then keep [] writes else writes
+
+(* The writes grouped by owning shard, in ascending shard order; each
+   group keeps the batch's order. *)
 let group_by_shard t writes =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (k, v) ->
-      let s = shard_of_key t k in
-      let l = try Hashtbl.find tbl s with Not_found -> [] in
-      Hashtbl.replace tbl s ((k, v) :: l))
-    writes;
-  Hashtbl.fold (fun s l acc -> (s, List.rev l) :: acc) tbl []
-  |> List.sort compare
+  let owners = List.map (fun (k, _) -> shard_of_key t k) writes in
+  let rec pick s ws os =
+    match (ws, os) with
+    | w :: ws, o :: os -> if o = s then w :: pick s ws os else pick s ws os
+    | _ -> []
+  in
+  (* The smallest owner at or above [lo], or [max_int]. *)
+  let rec lowest lo m = function
+    | [] -> m
+    | o :: os -> lowest lo (if o >= lo && o < m then o else m) os
+  in
+  let rec from lo =
+    let s = lowest lo max_int owners in
+    if s = max_int then [] else (s, pick s writes owners) :: from (s + 1)
+  in
+  from 0
 
 (* Commit-time apply on one shard: buffered writes go through the normal
    Store.put path on the reserved applier tid, the applied marker
@@ -431,9 +458,9 @@ let apply_prepared t sh txn =
           plog_append sh (tagged 'A' txn 0) ~persist:true;
           Metric.Counter.incr t.c_applied);
       Hashtbl.remove sh.prepared txn;
-      release sh (List.map fst writes)
+      release sh writes
 
-let batch t ~tid writes =
+let batch t ~tid:_ writes =
   match dedup_writes writes with
   | [] -> Committed
   | writes ->
@@ -453,7 +480,6 @@ let batch t ~tid writes =
       in
       List.iter
         (fun (s, group) ->
-          ignore tid;
           let sh = t.shard_tbl.(s) in
           Net.send t.net ~src:coord ~dst:(node_of_shard s)
             ~size:(hdr + writes_bytes group)
@@ -464,10 +490,9 @@ let batch t ~tid writes =
                        vote — the coordinator times out and aborts. *)
                     ()
                   else begin
-                    let keys = List.map fst group in
                     let ok =
                       t.cfg.vote_no_shard <> Some s
-                      && try_lock_all sh txn keys
+                      && try_lock_all sh txn group
                     in
                     let ok =
                       if ok then begin
@@ -477,7 +502,7 @@ let batch t ~tid writes =
                            have landed meanwhile. *)
                         if Hashtbl.mem sh.aborted txn then begin
                           Hashtbl.remove sh.aborted txn;
-                          release sh keys;
+                          release sh group;
                           false
                         end
                         else begin
@@ -509,7 +534,7 @@ let batch t ~tid writes =
          never logged) just discards the prepare and releases. Per-link
          FIFO guarantees the decision arrives after the prepare. *)
       List.iter
-        (fun (s, group) ->
+        (fun (s, _) ->
           let sh = t.shard_tbl.(s) in
           Net.send t.net ~src:coord ~dst:(node_of_shard s) ~size:(hdr + 8)
             (fun () ->
@@ -523,9 +548,8 @@ let batch t ~tid writes =
                         Hashtbl.replace sh.aborted txn ()
                     | Some writes ->
                         Hashtbl.remove sh.prepared txn;
-                        release sh (List.map fst writes)
-                  end));
-          ignore group)
+                        release sh writes
+                  end)))
         groups;
       if committed then Committed else Aborted
 

@@ -4,18 +4,19 @@ type link_cfg = { latency : float; bandwidth : float; loss : float }
 
 let default_link = { latency = 5e-6; bandwidth = 1.25e9; loss = 0.0 }
 
-type link = {
-  cfg : link_cfg;
-  mutable next_free : float;  (* when the serial pipe frees up *)
-  mutable last_delivery : float;
-  rng : Rng.t;  (* private loss stream: drop decisions depend only on
-                   the link's seed and the message's sequence number *)
-}
-
 type t = {
   engine : Engine.t;
+  clock : float array;  (* the engine's clock cells; [clock.(0)] is now *)
   nodes : int;
-  links : link array array;  (* links.(src).(dst) *)
+  link : link_cfg;
+  times : float array;
+      (* two cells per directed link [l = src * nodes + dst]: [2l] is
+         when its serial pipe frees up, [2l + 1] its last delivery time.
+         Float cells, so updating them boxes nothing, and delivery is
+         scheduled straight from cell [2l + 1]. *)
+  rngs : Rng.t array;
+      (* per-link private loss streams: drop decisions depend only on
+         the link's seed and the message's sequence number *)
   msgs : Metric.Counter.t;
   bytes : Metric.Counter.t;
   dropped : Metric.Counter.t;
@@ -24,20 +25,15 @@ type t = {
 
 let create engine ~nodes ?(link = default_link) ~seed () =
   if nodes <= 0 then invalid_arg "Net.create: nodes must be positive";
-  let mk src dst =
-    {
-      cfg = link;
-      next_free = 0.0;
-      last_delivery = 0.0;
-      rng =
-        Rng.create
-          (Int64.add seed (Int64.of_int ((src * nodes) + dst + 1)));
-    }
-  in
   {
     engine;
+    clock = Engine.clock engine;
     nodes;
-    links = Array.init nodes (fun src -> Array.init nodes (mk src));
+    link;
+    times = Array.make (2 * nodes * nodes) 0.0;
+    rngs =
+      Array.init (nodes * nodes) (fun l ->
+          Rng.create (Int64.add seed (Int64.of_int (l + 1))));
     msgs = Metric.Counter.create ();
     bytes = Metric.Counter.create ();
     dropped = Metric.Counter.create ();
@@ -51,29 +47,29 @@ let send t ~src ~dst ~size f =
   check_endpoint t src;
   check_endpoint t dst;
   if size < 0 then invalid_arg "Net.send: negative size";
-  let l = t.links.(src).(dst) in
+  let l = (src * t.nodes) + dst in
+  let free = 2 * l and last = (2 * l) + 1 in
   Metric.Counter.incr t.msgs;
   Metric.Counter.add t.bytes size;
-  let now = Engine.now t.engine in
-  let start = Float.max now l.next_free in
+  let now = Array.unsafe_get t.clock 0 in
+  let next_free = t.times.(free) in
+  let start = if now >= next_free then now else next_free in
   let tx =
-    if l.cfg.bandwidth <= 0.0 then 0.0
-    else float_of_int size /. l.cfg.bandwidth
+    if t.link.bandwidth <= 0.0 then 0.0
+    else float_of_int size /. t.link.bandwidth
   in
-  l.next_free <- start +. tx;
+  t.times.(free) <- start +. tx;
   (* The pipe is occupied whether or not the message survives — loss
      happens in flight, after transmission. *)
-  if l.cfg.loss > 0.0 && Rng.float l.rng < l.cfg.loss then
+  if t.link.loss > 0.0 && Rng.float t.rngs.(l) < t.link.loss then
     Metric.Counter.incr t.dropped
   else begin
-    let at = start +. tx +. l.cfg.latency in
+    let at = start +. tx +. t.link.latency in
     (* Strictly monotone per link: two deliveries can otherwise tie on
        the clock, and a seeded tie-break would reorder them. *)
-    let at =
-      if at <= l.last_delivery then l.last_delivery +. 1e-12 else at
-    in
-    l.last_delivery <- at;
-    Engine.schedule t.engine ~after:(at -. now) (fun () ->
+    let prev = t.times.(last) in
+    t.times.(last) <- (if at <= prev then prev +. 1e-12 else at);
+    Engine.schedule_until t.engine t.times last (fun () ->
         Metric.Counter.incr t.delivered;
         f ())
   end

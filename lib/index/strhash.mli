@@ -14,3 +14,7 @@ val mix : int64 -> int64
 
 (** [to_bucket h n] maps a hash onto [\[0, n)]. *)
 val to_bucket : int64 -> int -> int
+
+(** [bucket s n] is [to_bucket (fnv1a s) n], computed without boxing the
+    hash: it allocates nothing. *)
+val bucket : string -> int -> int

@@ -462,6 +462,34 @@ let test_strhash_deterministic () =
   Alcotest.(check bool) "different inputs differ" true
     (Strhash.fnv1a "hello" <> Strhash.fnv1a "hellp")
 
+(* The published 64-bit FNV-1a test vectors. *)
+let test_strhash_vectors () =
+  List.iter
+    (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "%S" s) h (Strhash.fnv1a s))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ]
+
+let prop_strhash_bucket_matches =
+  qcase "bucket = to_bucket of fnv1a"
+    QCheck.(pair string (int_range 1 1000))
+    (fun (s, n) -> Strhash.bucket s n = Strhash.to_bucket (Strhash.fnv1a s) n)
+
+(* Routing hashes every key of every cluster op, so [bucket] must not
+   box its hash. *)
+let test_strhash_bucket_allocates_nothing () =
+  let keys = Array.init 16 key in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    acc := !acc + Strhash.bucket (Array.unsafe_get keys (i land 15)) 7
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 10k calls" 0.0 words;
+  Alcotest.(check bool) "buckets in range" true (!acc >= 0 && !acc <= 60_000)
+
 let prop_strhash_bucket_range =
   qcase "bucket in range"
     QCheck.(pair string (int_range 1 64))
@@ -583,6 +611,9 @@ let () =
       ( "strhash",
         [
           case "deterministic" test_strhash_deterministic;
+          case "fnv-1a vectors" test_strhash_vectors;
+          prop_strhash_bucket_matches;
+          case "bucket allocates nothing" test_strhash_bucket_allocates_nothing;
           prop_strhash_bucket_range;
           case "balance" test_strhash_bucket_balance;
           case "int hashing" test_strhash_int_matches_encoding;
