@@ -345,9 +345,21 @@ type run = {
   clock : float;
   executed : int;
   recorded : int;
+  decisions : int;
+  fingerprint : int;
   choices : int array;
   violation : Linearize.violation option;
 }
+
+(* [Hashtbl.hash] stops after about ten meaningful values, so hashing
+   the choice list would see only its head. Fold every decision in
+   instead: each step is a bijection of the running hash (xor, then
+   multiply by an odd constant), so two equally long lists that differ
+   anywhere get different fingerprints. *)
+let fingerprint_step h c = (h lxor c) * 0x100000001b3
+
+let fingerprint ~events ~clock choices =
+  Array.fold_left fingerprint_step (Hashtbl.hash (events, clock)) choices
 
 let exec hist kv batch ~tid = function
   | Put (key, value) -> kv.Kv.put ~tid key value
@@ -369,7 +381,8 @@ let exec hist kv batch ~tid = function
    gets in its per-key search, which never sees a batch whole, while a
    scan is an atomic snapshot in the search and so catches a torn
    batch. *)
-let run_once ?(tie = Engine.Fifo) ?cut ~pwb_size cfg w =
+let run_once ?(tie = Engine.Fifo) ?cut ?(keep_choices = false) ~pwb_size cfg
+    w =
   let engine = Engine.create () in
   Engine.set_tie_break engine tie;
   (match cut with
@@ -444,13 +457,18 @@ let run_once ?(tie = Engine.Fifo) ?cut ~pwb_size cfg w =
     | Ok () -> None
     | Error v -> Some v
   in
+  let clock = Engine.now engine and executed = Engine.events_executed engine in
   {
     crashed;
     counts = List.map (fun (name, c) -> (name, !c)) counts;
-    clock = Engine.now engine;
-    executed = Engine.events_executed engine;
+    clock;
+    executed;
     recorded = Array.length events;
-    choices = Engine.recorded_choices engine;
+    decisions = Engine.fold_choices engine (fun n _ -> n + 1) 0;
+    fingerprint =
+      Engine.fold_choices engine fingerprint_step
+        (Hashtbl.hash (executed, clock));
+    choices = (if keep_choices then Engine.recorded_choices engine else [||]);
     violation;
   }
 
@@ -478,28 +496,18 @@ type report = {
 let tie_seed_for seed i =
   Int64.logxor seed (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)
 
-(* [Hashtbl.hash] stops after about ten meaningful values, so hashing
-   the choice list would see only its head. Fold every decision in
-   instead: each step is a bijection of the running hash (xor, then
-   multiply by an odd constant), so two equally long lists that differ
-   anywhere get different fingerprints. *)
-let fingerprint ~events ~clock choices =
-  Array.fold_left
-    (fun h c -> (h lxor c) * 0x100000001b3)
-    (Hashtbl.hash (events, clock))
-    choices
-
-(* Exploration runs the YCSB-A slice uncut, over a 16 KiB PWB. *)
-let run_one cfg w ~index ~tie_seed ~tie =
-  let r = run_once ~tie ~pwb_size:(16 * 1024) cfg w in
+(* Exploration runs the YCSB-A slice uncut, over a 16 KiB PWB. Only
+   [run_tie] keeps the run's decisions. *)
+let run_one ?keep_choices cfg w ~index ~tie_seed ~tie =
+  let r = run_once ~tie ?keep_choices ~pwb_size:(16 * 1024) cfg w in
   let stats =
     {
       index;
       tie_seed;
       events = r.recorded;
       clock = r.clock;
-      choices = Array.length r.choices;
-      fingerprint = fingerprint ~events:r.executed ~clock:r.clock r.choices;
+      choices = r.decisions;
+      fingerprint = r.fingerprint;
     }
   in
   ( stats,
@@ -617,7 +625,7 @@ let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
 
 let run_tie cfg ~tie =
   let _stats, choices, violation =
-    run_one cfg (workload cfg) ~index:0 ~tie_seed:0L ~tie
+    run_one ~keep_choices:true cfg (workload cfg) ~index:0 ~tie_seed:0L ~tie
   in
   (choices, violation)
 

@@ -150,11 +150,16 @@ type run = {
   clock : float;  (** final virtual time *)
   executed : int;  (** engine events executed *)
   recorded : int;  (** history events *)
-  choices : int array;  (** tie-break decisions taken *)
+  decisions : int;  (** tie-break decisions taken *)
+  fingerprint : int;
+      (** {!fingerprint} of the decisions, folded in place: a run copies
+          them only with [keep_choices] *)
+  choices : int array;
+      (** the decisions, with [keep_choices]; empty otherwise *)
   violation : Linearize.violation option;
 }
 
-(** [run_once ?tie ?cut ~pwb_size cfg w] runs [w] on a fresh
+(** [run_once ?tie ?cut ?keep_choices ~pwb_size cfg w] runs [w] on a fresh
     [instance cfg _ ~pwb_size ~keys:w.keys] under [tie] (default FIFO),
     after writing its preload outside the history, and checks the
     history. With a [cut] every hook of the store is armed; when the
@@ -165,6 +170,7 @@ type run = {
 val run_once :
   ?tie:Prism_sim.Engine.tie_break ->
   ?cut:cut ->
+  ?keep_choices:bool ->
   pwb_size:int ->
   config ->
   workload ->
@@ -184,8 +190,9 @@ type schedule_stats = {
 (** [fingerprint ~events ~clock choices] identifies a schedule by its
     events executed, final clock and every tie-break decision: two
     equally long decision lists that differ anywhere get different
-    fingerprints. Only tests call it directly: [test_check] "fingerprint sees
-    every decision". *)
+    fingerprints. {!run_once} folds the same steps over the engine's
+    decisions in place; only tests call this array form: [test_check]
+    "fingerprint sees every decision". *)
 val fingerprint : events:int -> clock:float -> int array -> int
 
 type failure = { stats : schedule_stats; violation : string }

@@ -85,6 +85,13 @@ let set_tie_break t = function
 
 let recorded_choices t = Array.sub t.choices 0 t.n_choices
 
+let fold_choices t f init =
+  let acc = ref init in
+  for i = 0 to t.n_choices - 1 do
+    acc := f !acc (Array.unsafe_get t.choices i)
+  done;
+  !acc
+
 let tie_seq t k = Heap.tie_seq t.events k
 
 let tie_label t k = Heap.tie_aux t.events k

@@ -58,6 +58,10 @@ val set_tie_break : t -> tie_break -> unit
     schedule without the seed. *)
 val recorded_choices : t -> int array
 
+(** [fold_choices t f init] folds [f] over the decisions
+    {!recorded_choices} returns, in order, without copying them. *)
+val fold_choices : t -> ('a -> int -> 'a) -> 'a -> 'a
+
 (** [tie_seq t k] is the unique scheduling sequence number of member [k]
     of the tie set a [Guided] callback is deciding: a stable identity,
     since an event not chosen keeps its seq. Valid only during that

@@ -895,6 +895,22 @@ let test_fingerprint_whole_list () =
   Alcotest.(check int) "same list, same fingerprint" (fp (one_at 500))
     (fp (one_at 500))
 
+(* A run folds its fingerprint over the engine's decisions in place;
+   it must equal the array form over the copy [keep_choices] returns. *)
+let test_run_fingerprint_in_place () =
+  let r =
+    Explore.run_once ~tie:(Engine.Seeded 5L) ~keep_choices:true
+      ~pwb_size:(16 * 1024) explore_cfg
+      (Explore.workload explore_cfg)
+  in
+  Alcotest.(check bool) "decisions were taken" true (r.Explore.decisions > 0);
+  Alcotest.(check int) "decision count" (Array.length r.Explore.choices)
+    r.Explore.decisions;
+  Alcotest.(check int) "fingerprint"
+    (Explore.fingerprint ~events:r.Explore.executed ~clock:r.Explore.clock
+       r.Explore.choices)
+    r.Explore.fingerprint
+
 let test_explore_catches_stale_cache () =
   let cfg =
     { Explore.default with Explore.fault = Explore.Skip_svc_invalidate; seed = 42L }
@@ -1657,6 +1673,7 @@ let () =
         [
           case "clean store linearizable" test_explore_clean;
           case "fingerprint sees every decision" test_fingerprint_whole_list;
+          case "run fingerprint folds in place" test_run_fingerprint_in_place;
           case "stale-cache fault caught" test_explore_catches_stale_cache;
           case "kvell" test_explore_kvell;
           case "runs leave the shared workload unchanged"
