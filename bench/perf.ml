@@ -439,7 +439,9 @@ let bench_fleet ~quick ~reps =
    write-backs keep Value Storage GC busy, so host cost in GC victim
    selection shows up there. store.prism_miss runs LOAD + uniform YCSB-C
    gets, most of which miss the SVC: the TCQ, io_uring and SVC admission
-   path. *)
+   path. store.cluster runs LOAD + YCSB-A through a 4-shard cluster
+   whose every eighth put is a 3-key 2PC batch: routing, the network
+   and two-phase commit on top of the Prism shards. *)
 let bench_stores ~quick ~reps =
   let s =
     {
@@ -465,7 +467,22 @@ let bench_stores ~quick ~reps =
     ([ "prism"; "kvell" ] @ if quick then [] else [ "matrixkv"; "rocksdb-nvm" ]);
   row "store.prism_scan" "prism" Ycsb.ycsb_e ~ops:s.Setup.scan_ops;
   row ~s:{ s with theta = 0.0 } "store.prism_miss" "prism" Ycsb.ycsb_c
-    ~ops:s.Setup.ops
+    ~ops:s.Setup.ops;
+  let cluster () =
+    let open Prism_cluster in
+    let e = Engine.create () in
+    let c, kv =
+      Cluster.of_scenario e { Cluster.default with Cluster.shards = 4 } s
+    in
+    let kv =
+      Cluster.with_batches c kv ~every:8 ~records:s.Setup.records
+        ~seed:s.Setup.seed
+    in
+    ignore (Runner.load e kv s);
+    ignore (Runner.run e kv Ycsb.ycsb_a s)
+  in
+  report "store.cluster"
+    (measure ~reps ~ops:(s.Setup.records + s.Setup.ops) cluster)
 
 (* ---------------------------------------------------------------- *)
 (* JSON report + baseline gate                                       *)
@@ -569,7 +586,9 @@ let gated_keys () =
    should allocate little beyond the values they return or cache;
    store.prism_miss (uniform gets, mostly SVC misses) and store.prism
    (YCSB-A) hold the point-read miss path and the put path to the
-   same. dpor.default counts words per explored class (192 ops and
+   same. store.cluster holds the cluster's routing, network and 2PC
+   paths to allocating little beyond its Prism shards' own words.
+   dpor.default counts words per explored class (192 ops and
    about 2.8k tie decisions): a DPOR decision allocates only the
    frontier node it keeps, so a per-decision record or closure shows. *)
 let ceiling_keys =
@@ -580,6 +599,7 @@ let ceiling_keys =
     "store_prism_scan";
     "store_prism";
     "store_prism_miss";
+    "store_cluster";
   ]
 
 let check_ceilings text ~failed =

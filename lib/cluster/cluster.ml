@@ -81,9 +81,7 @@ let hdr = 32 (* message header: kind, txn, lengths *)
 
 let write_bytes (k, v) = String.length k + Bytes.length v + 8
 
-let rec writes_bytes = function
-  | [] -> 0
-  | w :: ws -> write_bytes w + writes_bytes ws
+let writes_bytes ws = List.fold_left (fun a w -> a + write_bytes w) 0 ws
 
 (* ---- NVM log records ----
 
@@ -312,8 +310,8 @@ let release sh writes =
    tracking) in both: deliveries inherit it from the sending context,
    a spawned handler from its delivery, and a resume from the suspended
    context. Nothing inside an operation changes it, so FIFO order and
-   every tie set are the same; the cost of a spawn, an ivar and a
-   handler closure per operation is gone. *)
+   every tie set are the same, without a spawn, an ivar or a handler
+   closure per operation. *)
 
 let coord = 0
 
@@ -331,7 +329,8 @@ let request t s ~size =
   t.shard_tbl.(s)
 
 (* The response leg: [size] payload bytes back to the client. *)
-let respond t s ~size = hop t ~src:(node_of_shard s) ~dst:coord ~size:(hdr + size)
+let respond t s ~size =
+  hop t ~src:(node_of_shard s) ~dst:coord ~size:(hdr + size)
 
 let put t ~tid key value =
   let s = shard_of_key t key in

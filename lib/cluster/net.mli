@@ -35,8 +35,9 @@ val create :
 (** [send t ~src ~dst ~size f] transmits a [size]-byte message and
     schedules [f] at its delivery time (unless the link drops it). [f]
     runs in a plain callback context and must not delay or suspend —
-    spawn a process inside it for blocking work. Never blocks the
-    sender; charges no sender time (NIC offload). *)
+    resume a suspended process or spawn one inside it for blocking
+    work. Never blocks the sender; charges no sender time (NIC
+    offload). *)
 val send : t -> src:int -> dst:int -> size:int -> (unit -> unit) -> unit
 
 (** Messages sent / payload bytes / messages dropped so far. *)
