@@ -433,14 +433,12 @@ let group_by_shard t writes =
     | w :: ws, o :: os -> if o = s then w :: pick s ws os else pick s ws os
     | _ -> []
   in
-  (* The smallest owner at or above [lo], or [max_int]. *)
-  let rec lowest lo m = function
-    | [] -> m
-    | o :: os -> lowest lo (if o >= lo && o < m then o else m) os
-  in
-  let rec from lo =
-    let s = lowest lo max_int owners in
-    if s = max_int then [] else (s, pick s writes owners) :: from (s + 1)
+  let rec from s =
+    if s = t.cfg.shards then []
+    else
+      match pick s writes owners with
+      | [] -> from (s + 1)
+      | group -> (s, group) :: from (s + 1)
   in
   from 0
 

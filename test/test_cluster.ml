@@ -234,6 +234,29 @@ let test_batch_commit_and_single_ops () =
       Alcotest.(check int) "no aborts" 0 aborts;
       Alcotest.(check int) "two prepares" 2 prepares)
 
+(* A batch naming a key twice applies the later write, on a batch that
+   spans both shards. *)
+let test_batch_repeated_key () =
+  in_sim (fun e ->
+      let c, _kv = mk_cluster e in
+      let k0 = key_on c 0 and k1 = key_on c 1 in
+      (match
+         Cluster.batch c ~tid:0
+           [
+             (k0, Bytes.of_string "first");
+             (k1, Bytes.of_string "x");
+             (k0, Bytes.of_string "second");
+           ]
+       with
+      | Cluster.Committed -> ()
+      | Cluster.Aborted -> Alcotest.fail "clean batch aborted");
+      Alcotest.(check (option string)) "later write wins" (Some "second")
+        (get_str c ~tid:0 k0);
+      Alcotest.(check (option string)) "other shard" (Some "x")
+        (get_str c ~tid:0 k1);
+      let _, _, prepares = Cluster.txn_stats c in
+      Alcotest.(check int) "one prepare per shard" 2 prepares)
+
 (* ---- the cluster's event schedule, pinned ----
 
    A 2-shard cluster whose every fourth put becomes a 3-key 2PC batch,
@@ -395,6 +418,7 @@ let () =
             test_batch_vote_no_no_partial_writes;
           case "vote timeout leaves no partial writes"
             test_batch_timeout_no_partial_writes;
+          case "repeated key: later write wins" test_batch_repeated_key;
           case "schedule pinned" test_cluster_schedule_pinned;
         ] );
       ( "strict-serializability",
