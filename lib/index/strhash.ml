@@ -5,8 +5,8 @@ let prime = 0x100000001B3L
 (* An index loop over a local accumulator: the compiler keeps [h]
    unboxed, so hashing allocates nothing until a caller takes the
    [int64] itself (a closure over a ref, as with [String.iter], boxes
-   twice per byte). *)
-let[@inline] fold s =
+   twice per byte). Inlined into [bucket], it never boxes. *)
+let[@inline] fnv1a s =
   let h = ref offset_basis in
   for i = 0 to String.length s - 1 do
     h :=
@@ -15,8 +15,6 @@ let[@inline] fold s =
         prime
   done;
   !h
-
-let fnv1a s = fold s
 
 let fnv1a_int v =
   let h = ref offset_basis in
@@ -38,4 +36,4 @@ let[@inline] to_bucket h n =
   let v = Int64.to_int (Int64.logand h 0x3FFFFFFFFFFFFFFFL) in
   v mod n
 
-let bucket s n = to_bucket (fold s) n
+let bucket s n = to_bucket (fnv1a s) n
