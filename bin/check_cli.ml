@@ -33,6 +33,7 @@ let faults =
     ("scan-skip-pwb", Explore.Scan_skip_pwb);
     ("scan-drop", Explore.Scan_drop_key);
     ("2pc-ack", Explore.Skip_2pc_log_flush);
+    ("no-lsm-wal", Explore.No_lsm_wal);
   ]
 
 let fault_name f = fst (List.find (fun (_, g) -> g = f) faults)
@@ -51,7 +52,9 @@ let store_label cfg =
   | `Cluster ->
       Printf.sprintf "prism cluster (%d shards, txn every %d)"
         cfg.Explore.shards cfg.Explore.txn_every
-  | `Lsm -> if cfg.Explore.lsm_wal then "lsm" else "lsm (WAL disabled!)"
+  | `Lsm ->
+      if cfg.Explore.fault = Explore.No_lsm_wal then "lsm (WAL disabled!)"
+      else "lsm"
 
 (* The explored setup, as the exploration headers print it. *)
 let describe cfg =
@@ -206,12 +209,6 @@ let ordinal n =
   string_of_int n ^ suffix
 
 let run_sweep ~cfg ~verbose ~jobs =
-  (try Crash_sweep.check_fault cfg
-   with Invalid_argument _ ->
-     Printf.eprintf "--fault %s: the %s crash sweep cannot inject it\n"
-       (fault_name cfg.Explore.fault)
-       (store_name cfg.Explore.store);
-     exit 2);
   Printf.printf
     "crash sweep: %s, every %s%s boundary, %d threads x %d ops, seed 0x%Lx%s\n\
      %!"
@@ -262,7 +259,7 @@ let parse_choices s =
     exit 2
 
 let main store seed schedules dpor crash_every replay
-    replay_choices shrink no_lsm_wal fault scan_every delete_every
+    replay_choices shrink fault scan_every delete_every
     threads ops records keys_per_thread shards txn_every jobs verbose =
   let usage msg =
     prerr_endline msg;
@@ -288,7 +285,6 @@ let main store seed schedules dpor crash_every replay
         scan_every;
         fault;
         crash_every;
-        lsm_wal = not no_lsm_wal;
         seed;
       }
   in
@@ -302,6 +298,20 @@ let main store seed schedules dpor crash_every replay
     usage "--store lsm supports only the crash sweep (--crash-every)";
   if shrink && replay = None then
     usage "--shrink needs --replay SEED to name the schedule";
+  (* A fault the store cannot inject would run as a clean check, so every
+     mode refuses it before anything runs. *)
+  let refuse check ~what =
+    try check cfg
+    with Invalid_argument _ ->
+      usage
+        (Printf.sprintf "--fault %s: the %s %s cannot inject it"
+           (fault_name cfg.Explore.fault)
+           (store_name cfg.Explore.store)
+           what)
+  in
+  if schedules > 0 || dpor > 0 || replaying then
+    refuse Explore.check_fault ~what:"store";
+  if crash_every > 0 then refuse Crash_sweep.check_fault ~what:"crash sweep";
   let ok = ref true in
   let did = ref false in
   let step run =
@@ -382,12 +392,6 @@ let shrink =
                  schedule's tie decisions to FIFO while the violation \
                  persists, and print the minimal tie-choice list.")
 
-let no_lsm_wal =
-  Arg.(value & flag
-       & info [ "no-lsm-wal" ]
-           ~doc:"With $(b,--store lsm): disable the write-ahead log. The \
-                 sweep must then report lost acknowledged writes.")
-
 let fault =
   Arg.(value & opt (enum faults) Explore.No_fault
        & info [ "fault" ] ~docv:"FAULT"
@@ -396,9 +400,12 @@ let fault =
                pointer persists; loses acknowledged writes across crashes), \
                $(b,scan-stale) (serve repeat scans from a stale snapshot), \
                $(b,scan-skip-pwb) (scans miss write-buffered values), \
-               $(b,scan-drop) (scans drop an in-range key), or \
+               $(b,scan-drop) (scans drop an in-range key), \
                $(b,2pc-ack) (cluster commit records skip their persist, so \
-               acks race durability; only the crash sweep can see it).")
+               acks race durability; only the crash sweep can see it), or \
+               $(b,no-lsm-wal) (with $(b,--store lsm): no write-ahead log, \
+               so the sweep must report lost acknowledged writes). A fault \
+               the store or mode cannot inject exits with status 2.")
 
 let scan_every =
   Arg.(value & opt Cli.pos_int 16 & info [ "scan-every" ] ~docv:"N"
@@ -439,6 +446,6 @@ let () =
   Cli.exec ~name:"prism-check" ~doc
     Term.(
       const main $ store $ Cli.seed 1L $ schedules $ dpor
-      $ crash_every $ replay $ replay_choices $ shrink $ no_lsm_wal $ fault
+      $ crash_every $ replay $ replay_choices $ shrink $ fault
       $ scan_every $ delete_every $ threads $ ops $ records
       $ keys_per_thread $ Cli.shards $ Cli.txn_every $ Cli.jobs $ verbose)

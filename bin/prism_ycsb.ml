@@ -102,12 +102,6 @@ let run () store_name workloads records value_size threads
     end
     else None
   in
-  let make =
-    match cluster_cfg with
-    | Some ccfg ->
-        fun e -> snd (Prism_cluster.Cluster.of_scenario e ccfg scenario)
-    | None -> Setup.of_name store_name scenario
-  in
   let engine = Engine.create () in
   (match chrome_trace with
   | Some _ ->
@@ -119,7 +113,7 @@ let run () store_name workloads records value_size threads
     | Some ccfg ->
         let c, ckv = Prism_cluster.Cluster.of_scenario engine ccfg scenario in
         (Some c, ckv)
-    | None -> (None, make engine)
+    | None -> (None, Setup.of_name store_name scenario engine)
   in
   (* Every [txn_every]-th put becomes a multi-key 2PC write batch,
      exercising cross-shard commits under the measured workload. *)

@@ -9,7 +9,7 @@ type scale = {
   column_bytes : int;
 }
 
-let lsm_config ~name ~scale ~l0_mode ~wal_enabled =
+let lsm_config ~name ~scale ~l0_mode =
   {
     Lsm_tree.name;
     memtable_bytes = scale.memtable_bytes;
@@ -21,15 +21,14 @@ let lsm_config ~name ~scale ~l0_mode ~wal_enabled =
     level_multiplier = 10;
     table_target_bytes = scale.table_target_bytes;
     block_cache_bytes = scale.block_cache_bytes;
-    wal_enabled;
+    wal_enabled = true;
   }
 
 let rocksdb_nvm engine ~cost ~rng ~nvm_spec ~scale =
   let nvm = Model.create engine nvm_spec in
   let target = Target.nvm_dev nvm in
   Lsm_tree.create engine
-    (lsm_config ~name:"RocksDB-NVM" ~scale ~l0_mode:Lsm_tree.Tables
-       ~wal_enabled:true)
+    (lsm_config ~name:"RocksDB-NVM" ~scale ~l0_mode:Lsm_tree.Tables)
     ~cost ~rng ~wal:target ~l0:target ~levels:target
 
 let matrixkv engine ~cost ~rng ~nvm_spec ~ssd_specs ~scale =
@@ -47,8 +46,7 @@ let matrixkv engine ~cost ~rng ~nvm_spec ~ssd_specs ~scale =
               {
                 capacity = scale.container_bytes;
                 column = scale.column_bytes;
-              })
-         ~wal_enabled:true)
+              }))
       ~cost ~rng ~wal:nvm_target ~l0:nvm_target ~levels:ssd_target
   in
   (tree, raid)

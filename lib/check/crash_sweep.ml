@@ -51,21 +51,17 @@ let workload (cfg : Explore.config) =
   let keys = cfg.threads * cfg.keys_per_thread in
   { Explore.keys; preload = 0; ops = Array.init cfg.threads thread_ops }
 
-(* A sweep can inject only a fault that is invisible live and loses
-   writes across a crash: skipped HSIT pointer persists in a
-   Prism-backed store, skipped commit-record persists in the cluster. *)
+(* On top of what the store can inject ([Explore.check_fault]), a sweep
+   takes only a fault that is invisible live and loses writes across a
+   crash: skipped HSIT pointer persists, skipped commit-record persists,
+   or the LSM without its WAL. *)
 let check_fault (cfg : Explore.config) =
-  let ok =
-    match cfg.fault with
-    | Explore.No_fault -> true
-    | Skip_hsit_flush -> cfg.store = `Prism || cfg.store = `Cluster
-    | Skip_2pc_log_flush -> cfg.store = `Cluster
-    | Skip_svc_invalidate | Scan_stale_snapshot | Scan_skip_pwb | Scan_drop_key
-      ->
-        false
-  in
-  if not ok then
-    invalid_arg "Crash_sweep: the store's sweep cannot inject this fault"
+  Explore.check_fault cfg;
+  match cfg.fault with
+  | Explore.No_fault | Skip_hsit_flush | Skip_2pc_log_flush | No_lsm_wal -> ()
+  | Skip_svc_invalidate | Scan_stale_snapshot | Scan_skip_pwb | Scan_drop_key
+    ->
+      invalid_arg "Crash_sweep: a crash cannot show this fault"
 
 (* ---- driver ----
 

@@ -22,10 +22,10 @@
     [keys_per_thread = 24] keys each, values of 128 B, and a 2-shard
     cluster batching every 4th op when [store = `Cluster]. [fault] may
     be [Skip_hsit_flush], which breaks the §5.4 persist protocol
-    ([`Prism] and [`Cluster]), or [Skip_2pc_log_flush], which makes
-    commit records skip their persist so the client ack races durability
-    ([`Cluster] only). Either way the sweep must then report lost
-    acknowledged writes. *)
+    ([`Prism] and [`Cluster]), [Skip_2pc_log_flush], which makes commit
+    records skip their persist so the client ack races durability
+    ([`Cluster] only), or [No_lsm_wal] ([`Lsm] only). Each way the sweep
+    must then report lost acknowledged writes. *)
 val default : Explore.config
 
 (** [workload cfg] is the sweep's workload: each thread writes and
@@ -55,10 +55,10 @@ type report = {
   violations : violation list;
 }
 
-(** [check_fault cfg] raises [Invalid_argument] if the store's sweep
-    cannot inject [cfg.fault]: any SVC or scan fault, [Skip_hsit_flush] on
-    [`Kvell] or [`Lsm], or [Skip_2pc_log_flush] anywhere but [`Cluster].
-    {!run} calls it first. *)
+(** [check_fault cfg] raises [Invalid_argument] if the sweep cannot
+    inject [cfg.fault]: whatever {!Explore.check_fault} refuses, and any
+    fault a crash cannot show (the SVC and scan faults). {!run} calls it
+    first. *)
 val check_fault : Explore.config -> unit
 
 (** [run cfg] performs the full sweep: one clean run to count boundaries,

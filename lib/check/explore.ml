@@ -9,6 +9,7 @@ type fault =
   | Scan_skip_pwb
   | Scan_drop_key
   | Skip_2pc_log_flush
+  | No_lsm_wal
 
 type config = {
   store : [ `Prism | `Kvell | `Lsm | `Cluster ];
@@ -24,7 +25,6 @@ type config = {
   shards : int;
   txn_every : int;
   crash_every : int;
-  lsm_wal : bool;
   seed : int64;
 }
 
@@ -43,7 +43,6 @@ let default =
     shards = 2;
     txn_every = 4;
     crash_every = 5;
-    lsm_wal = true;
     seed = 1L;
   }
 
@@ -67,6 +66,22 @@ let topology ?shards ?txn_every cfg =
     else cfg.store
   in
   { cfg with store; shards; txn_every }
+
+(* Where each fault lives: the SVC, HSIT and PWB-scan mutants in a Prism
+   store's [Config] (so in every cluster shard too), the commit-record
+   flush in the cluster, the WAL switch in the LSM, and the two scan
+   mutants that only rewrite a result at the [Kv] boundary, over any
+   store ([instance]). *)
+let check_fault cfg =
+  let prism = cfg.store = `Prism || cfg.store = `Cluster in
+  let ok =
+    match cfg.fault with
+    | No_fault | Scan_stale_snapshot | Scan_drop_key -> true
+    | Skip_svc_invalidate | Skip_hsit_flush | Scan_skip_pwb -> prism
+    | Skip_2pc_log_flush -> cfg.store = `Cluster
+    | No_lsm_wal -> cfg.store = `Lsm
+  in
+  if not ok then invalid_arg "Explore: the store cannot inject this fault"
 
 (* ---- the workload ---- *)
 
@@ -163,17 +178,13 @@ let scenario cfg ~keys =
 let prism_config cfg ~pwb_size c =
   let c = { c with Prism_core.Config.pwb_size } in
   match cfg.fault with
-  | No_fault -> c
-  (* Cluster-level fault: injected via the cluster config in [instance],
-     not the store config. *)
-  | Skip_2pc_log_flush -> c
   | Skip_svc_invalidate ->
       { c with Prism_core.Config.fault_skip_svc_invalidate = true }
   | Skip_hsit_flush -> { c with Prism_core.Config.fault_skip_hsit_flush = true }
-  | Scan_stale_snapshot ->
-      { c with Prism_core.Config.fault_scan_stale_snapshot = true }
   | Scan_skip_pwb -> { c with Prism_core.Config.fault_scan_skip_pwb = true }
-  | Scan_drop_key -> { c with Prism_core.Config.fault_scan_drop_key = true }
+  | No_fault | Scan_stale_snapshot | Scan_drop_key | Skip_2pc_log_flush
+  | No_lsm_wal ->
+      c
 
 (* KVell through a synchronous adapter: [Kv.of_kvell] pipelines puts like
    KVell's injector threads, which acknowledges before durability — fine
@@ -233,7 +244,7 @@ let lsm_tree cfg engine =
       level_multiplier = 4;
       table_target_bytes = 2 * 1024;
       block_cache_bytes = 16 * 1024;
-      wal_enabled = cfg.lsm_wal;
+      wal_enabled = cfg.fault <> No_lsm_wal;
     }
   in
   Prism_baselines.Lsm_tree.create engine lcfg ~cost:Cost.default
@@ -246,7 +257,7 @@ let lsm_tree cfg engine =
    durable 2PC log appends — the coordinator's commit records (the
    transaction's ack point) and the participants' prepare records and
    applied markers. *)
-let instance cfg engine ~pwb_size ~keys =
+let store_instance cfg engine ~pwb_size ~keys =
   let tweak = prism_config cfg ~pwb_size in
   match cfg.store with
   | `Prism ->
@@ -332,6 +343,44 @@ let instance cfg engine ~pwb_size ~keys =
             (fun ~tid writes ->
               Cluster.batch cluster ~tid writes = Cluster.Committed);
       }
+
+(* The two mutants that only rewrite what a scan returns, applied to the
+   store's [Kv.scan]: [Scan_drop_key] drops the second item of a result
+   of three or more, a provably present in-range key; [Scan_stale_snapshot]
+   serves a repeat scan from the same start key out of the previous
+   result (ghost deletes, outdated values, missed writes), and a crash
+   forgets that result. Any other fault leaves the instance as built. *)
+let instance cfg engine ~pwb_size ~keys =
+  let s = store_instance cfg engine ~pwb_size ~keys in
+  let scan = s.kv.Kv.scan and last = ref None in
+  let with_scan scan =
+    {
+      s with
+      kv = { s.kv with Kv.scan };
+      crash =
+        (fun () ->
+          last := None;
+          s.crash ());
+    }
+  in
+  match cfg.fault with
+  | Scan_drop_key ->
+      with_scan (fun ~tid key count ->
+          match scan ~tid key count with
+          | a :: _ :: (_ :: _ as rest) -> a :: rest
+          | items -> items)
+  | Scan_stale_snapshot ->
+      with_scan (fun ~tid key count ->
+          match !last with
+          | Some (from, items) when String.equal from key ->
+              List.filteri (fun i _ -> i < count) items
+          | _ ->
+              let items = scan ~tid key count in
+              last := Some (key, items);
+              items)
+  | No_fault | Skip_svc_invalidate | Skip_hsit_flush | Scan_skip_pwb
+  | Skip_2pc_log_flush | No_lsm_wal ->
+      s
 
 (* ---- one run ---- *)
 
@@ -521,6 +570,7 @@ let run_schedule cfg w ~index ~tie_seed =
   (stats, violation)
 
 let run ?(progress = fun _ -> ()) ?(jobs = 1) ~schedules cfg =
+  check_fault cfg;
   let w = workload cfg in
   let stats = ref [] in
   let failures = ref [] in
@@ -556,6 +606,7 @@ let run ?(progress = fun _ -> ()) ?(jobs = 1) ~schedules cfg =
   }
 
 let replay cfg ~tie_seed =
+  check_fault cfg;
   let stats, fail = run_schedule cfg (workload cfg) ~index:0 ~tie_seed in
   ignore stats;
   fail
@@ -585,6 +636,7 @@ let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
      (serial order), which is where progress fires — so a stats line is
      only ever reported for runs the serial walk would have executed,
      with the index it would have carried. *)
+  check_fault cfg;
   let w = workload cfg in
   let run ~choose =
     let stats, _choices, violation =
@@ -624,6 +676,7 @@ let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
 (* ---- choice-list replay and shrinking ---- *)
 
 let run_tie cfg ~tie =
+  check_fault cfg;
   let _stats, choices, violation =
     run_one ~keep_choices:true cfg (workload cfg) ~index:0 ~tie_seed:0L ~tie
   in
@@ -635,7 +688,9 @@ let replay_in cfg w ~choices =
   in
   violation
 
-let replay_choices cfg ~choices = replay_in cfg (workload cfg) ~choices
+let replay_choices cfg ~choices =
+  check_fault cfg;
+  replay_in cfg (workload cfg) ~choices
 
 (* Trailing FIFO entries are no-ops under replay (an exhausted list
    reads as 0): strip them so a reported list is the shortest one that
@@ -672,6 +727,7 @@ let count_non_fifo choices =
    indices — O(k log n) replays when k decisions are load-bearing.
    [max_replays] caps the cost; the result is minimal-so-far if hit. *)
 let shrink ?(max_replays = 200) cfg ~choices =
+  check_fault cfg;
   let w = workload cfg in
   match replay_in cfg w ~choices with
   | None -> None

@@ -19,17 +19,22 @@ type fault =
           crash; see {!Crash_sweep} *)
   | Scan_stale_snapshot
       (** repeat scans from one start key are served from the previous
-          result — stale snapshots the weak scan check cannot see *)
+          result — stale snapshots the weak scan check cannot see; a
+          wrapper on the store's scan ({!instance}), so any store *)
   | Scan_skip_pwb
       (** scans ignore values whose freshest version lives in a PWB —
           recently-written in-range keys silently vanish from results *)
   | Scan_drop_key
       (** scans drop their second item when returning three or more — a
-          provably present in-range key goes missing *)
+          provably present in-range key goes missing; a wrapper on the
+          store's scan, like [Scan_stale_snapshot] *)
   | Skip_2pc_log_flush
       (** the cluster coordinator acks commits without persisting the
           commit record — harmless live, loses acknowledged transactions
           across a crash; see {!Crash_sweep} *)
+  | No_lsm_wal
+      (** [`Lsm] runs without its write-ahead log (WAL-less RocksDB) —
+          the publish sweep must then report lost acknowledged writes *)
 
 (** One configuration serves both checkers: schedule exploration (this
     module) and the crash sweep ({!Crash_sweep}). Each reads the fields it
@@ -65,9 +70,6 @@ type config = {
           never); committed batches enter the check as atomic anchors, so
           a torn or non-atomic transaction is a reported violation *)
   crash_every : int;  (** sweep: inject at every k-th boundary *)
-  lsm_wal : bool;
-      (** [`Lsm] only: disable to model WAL-less RocksDB — the publish
-          sweep must then report lost acknowledged writes *)
   seed : int64;  (** master seed: workload + all per-schedule tie seeds *)
 }
 
@@ -82,6 +84,15 @@ val default : config
     shard, and one shard without batches elsewhere. [`Prism] with more
     than one shard or with batches is the [`Cluster]. *)
 val topology : ?shards:int -> ?txn_every:int -> config -> config
+
+(** [check_fault cfg] raises [Invalid_argument] if [cfg.store] cannot
+    inject [cfg.fault]: the SVC, HSIT and [Scan_skip_pwb] faults need a
+    Prism store ([`Prism] or [`Cluster]), [Skip_2pc_log_flush] the
+    [`Cluster], [No_lsm_wal] the [`Lsm]; the two scan faults that rewrite
+    a result fit every store. {!run}, {!run_dpor}, {!replay}, {!run_tie},
+    {!replay_choices}, {!shrink} and {!Crash_sweep.run} call it before
+    their first run. *)
+val check_fault : config -> unit
 
 (** {2 The store under test and one run}
 
@@ -131,7 +142,9 @@ type instance
     behind a synchronous put (it returns only once durable), unlike
     {!Prism_harness.Kv.of_kvell}'s injector-style pipelined puts: a
     checker must not treat an unacknowledged write's return as its
-    response endpoint. *)
+    response endpoint. Under [Scan_drop_key] or [Scan_stale_snapshot]
+    the client's scan is wrapped to rewrite its result; any other fault
+    is set in the store's own configuration. *)
 val instance :
   config -> Prism_sim.Engine.t -> pwb_size:int -> keys:int -> instance
 

@@ -17,9 +17,7 @@ type t = {
   seed : int64;
   fault_skip_hsit_flush : bool;
   fault_skip_svc_invalidate : bool;
-  fault_scan_stale_snapshot : bool;
   fault_scan_skip_pwb : bool;
-  fault_scan_drop_key : bool;
 }
 
 let kib = 1024
@@ -46,36 +44,7 @@ let default =
     seed = 0x5eedL;
     fault_skip_hsit_flush = false;
     fault_skip_svc_invalidate = false;
-    fault_scan_stale_snapshot = false;
     fault_scan_skip_pwb = false;
-    fault_scan_drop_key = false;
-  }
-
-let scaled ~threads ~keys ~value_size t =
-  let dataset = keys * (value_size + 32) in
-  let hsit_capacity =
-    let c = ref 1024 in
-    while !c < 2 * keys do
-      c := !c * 2
-    done;
-    !c
-  in
-  let pwb_size = max (256 * kib) (dataset / (8 * threads)) in
-  let vs_size =
-    (* Room for roughly 3x the dataset per the VS count, so GC has
-       headroom. *)
-    let per_vs = 3 * dataset / t.num_value_storages in
-    max (8 * mib) (Prism_sim.Bits.round_up per_vs t.chunk_size)
-  in
-  {
-    t with
-    threads;
-    hsit_capacity;
-    pwb_size;
-    vs_size;
-    svc_capacity = max t.svc_capacity (dataset / 4);
-    nvm_size =
-      (threads * pwb_size) + (hsit_capacity * 16) + (16 * mib);
   }
 
 let validate t =

@@ -25,7 +25,9 @@ type t = {
   seed : int64;
   (* Deliberate-bug switches for the checking subsystem ({!Prism_check}).
      Never enable outside tests: each one breaks a documented invariant so
-     the checker can demonstrate it catches the resulting misbehaviour. *)
+     the checker can demonstrate it catches the resulting misbehaviour.
+     Only mutants inside the store live here; one that just rewrites what
+     an operation returns is the checker's ([Explore.instance]). *)
   fault_skip_hsit_flush : bool;
       (** true: HSIT skips the §5.4 pointer-persist protocol (install and
           clear the dirty bit without ever flushing the line), so a crash
@@ -34,28 +36,15 @@ type t = {
       (** true: [put]/[delete] skip the SVC invalidation, so later reads can
           return stale cached values — caught by the linearizability
           checker *)
-  fault_scan_stale_snapshot : bool;
-      (** true: the store caches each scan's result and serves a repeat
-          scan from the same start key out of that cache, so the repeat
-          observes a stale snapshot (ghost deleted keys, outdated values,
-          missing new keys) — caught only by the strict scan check *)
   fault_scan_skip_pwb : bool;
       (** true: scans skip values whose freshest version still lives in a
           PWB, silently omitting recently-written in-range keys — caught
           only by the strict scan check *)
-  fault_scan_drop_key : bool;
-      (** true: scans drop the second item of any result with at least
-          three, omitting a provably present in-range key — caught only
-          by the strict scan check *)
 }
 
 (** A small-footprint default suitable for tests: 4 threads, 1 MiB PWBs,
     8 MiB SVC, 2 Value Storages of 32 MiB, 64 KiB chunks. *)
 val default : t
-
-(** [scaled ~threads ~keys ~value_size t] grows buffer/cache/storage sizes
-    to sensible proportions for a dataset of [keys] values. *)
-val scaled : threads:int -> keys:int -> value_size:int -> t -> t
 
 (** Sanity-check invariants (chunk divides VS size, positive sizes, ...).
     Raises [Invalid_argument] when violated. *)

@@ -89,9 +89,6 @@ type t = {
   ctr : op_counters;
   flush : float array; (* one cell: [charge_index]'s flush, unboxed *)
   free_hsit : int -> unit; (* [Hsit.free hsit], built once for [Epoch.retire] *)
-  (* Last scan result per start key — only written/read under the
-     [fault_scan_stale_snapshot] deliberate-bug switch. *)
-  mutable scan_stale_cache : (string * (string * bytes) list) option;
 }
 
 let stats t =
@@ -378,7 +375,6 @@ let create engine cfg =
           c_misses = Metric.Counter.create ();
           c_put_bytes = Metric.Counter.create ();
         };
-      scan_stale_cache = None;
       flush = [| 0.0 |];
       free_hsit = Hsit.free hsit;
     }
@@ -819,40 +815,18 @@ let scan_pinned t key count =
 
 let scan t ~tid key count =
   Metric.Counter.incr t.ctr.c_scans;
-  match t.scan_stale_cache with
-  | Some (from, items)
-    when t.cfg.Config.fault_scan_stale_snapshot && String.equal from key ->
-      (* Deliberate bug: a repeat scan from the same start key is served
-         from the previous result — a stale snapshot that can contain
-         deleted keys, outdated values, and miss later writes. *)
-      List.filteri (fun i _ -> i < count) items
-  | _ ->
   Epoch.pin t.epoch ~tid;
-  let items =
-    match scan_pinned t key count with
-    | items ->
-        Epoch.unpin t.epoch ~tid;
-        items
-    | exception e -> unpin_raise t ~tid e
-  in
-  let items =
-    match items with
-    | a :: _ :: (_ :: _ as rest) when t.cfg.Config.fault_scan_drop_key ->
-        (* Deliberate bug: drop the second key of any result with at
-           least three — a provably present in-range key goes missing. *)
-        a :: rest
-    | _ -> items
-  in
-  if t.cfg.Config.fault_scan_stale_snapshot then
-    t.scan_stale_cache <- Some (key, items);
-  items
+  match scan_pinned t key count with
+  | items ->
+      Epoch.unpin t.epoch ~tid;
+      items
+  | exception e -> unpin_raise t ~tid e
 
 (* ---- crash & recovery (§5.5) ---- *)
 
 let crash t =
   Nvm.crash t.nvm;
   (match t.svc with Some svc -> Svc.clear svc | None -> ());
-  t.scan_stale_cache <- None;
   Epoch.reset t.epoch
 
 let recover t =

@@ -804,12 +804,17 @@ let store_run ~tie_seed ~seed =
   Engine.set_tie_break engine (Engine.Seeded tie_seed);
   let store_ref = ref None in
   Engine.spawn engine (fun () ->
+      (* 3 threads over 64 keys of 64 B: 256 KiB PWBs, 1024 HSIT slots,
+         8 MiB Value Storages. *)
       let cfg =
         {
-          (Prism_core.Config.scaled ~threads:3 ~keys:64 ~value_size:64
-             Prism_core.Config.default)
-          with
-          Prism_core.Config.seed;
+          Prism_core.Config.default with
+          Prism_core.Config.threads = 3;
+          hsit_capacity = 1024;
+          pwb_size = 256 * 1024;
+          vs_size = 8 * 1024 * 1024;
+          nvm_size = (3 * 256 * 1024) + (1024 * 16) + (16 * 1024 * 1024);
+          seed;
         }
       in
       let store = Prism_core.Store.create engine cfg in
@@ -1186,31 +1191,42 @@ let scan_fault_cfg fault =
 
 let scan_budget = 2 (* same class budget the PR 2 fault suite runs under *)
 
-(* Each injected scan anomaly must be caught within the budget, with a
-   replayable decision list and a virtual-time window in the report, and
-   by the snapshot search: the per-item scan conditions cannot see it. *)
-let test_scan_fault name fault () =
-  let cfg = scan_fault_cfg fault in
-  let rep = Explore.run_dpor ~stop_on_failure:true ~max_classes:scan_budget cfg in
-  (match rep.Explore.dpor_failures with
-  | [] ->
-      Alcotest.failf "strict checker missed %s within %d classes" name
-        scan_budget
-  | f :: _ ->
-      (match Explore.replay_choices cfg ~choices:f.Explore.choices with
-      | Some _ -> ()
-      | None -> Alcotest.failf "%s failure does not replay" name);
-      let report = f.Explore.violation in
-      Alcotest.(check bool) "violation reports its virtual-time window" true
-        (String.starts_with ~prefix:"window [" report);
-      (* The reason follows the "window [lo, hi] " prefix. *)
-      let reason =
-        let at = String.index report ']' + 2 in
-        String.sub report at (String.length report - at)
+(* Each injected scan anomaly must be caught on each of [stores] within
+   that store's class budget, with a replayable decision list and a
+   virtual-time window in the report, and by the snapshot search: the
+   per-item scan conditions cannot see it. *)
+let test_scan_fault name fault stores () =
+  List.iter
+    (fun (store, budget) ->
+      let cfg = { (scan_fault_cfg fault) with Explore.store } in
+      let name =
+        Printf.sprintf "%s on %s" name
+          (if store = `Prism then "prism" else "kvell")
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s is found by the snapshot search" name)
-        true (snapshot_reason reason))
+      let rep =
+        Explore.run_dpor ~stop_on_failure:true ~max_classes:budget cfg
+      in
+      match rep.Explore.dpor_failures with
+      | [] ->
+          Alcotest.failf "strict checker missed %s within %d classes" name
+            budget
+      | f :: _ ->
+          (match Explore.replay_choices cfg ~choices:f.Explore.choices with
+          | Some _ -> ()
+          | None -> Alcotest.failf "%s failure does not replay" name);
+          let report = f.Explore.violation in
+          Alcotest.(check bool) "violation reports its virtual-time window"
+            true
+            (String.starts_with ~prefix:"window [" report);
+          (* The reason follows the "window [lo, hi] " prefix. *)
+          let reason =
+            let at = String.index report ']' + 2 in
+            String.sub report at (String.length report - at)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s is found by the snapshot search" name)
+            true (snapshot_reason reason))
+    stores
 
 (* The strict obligation must not over-reject: the same scan-heavy
    workload with no fault explores clean, on Prism and on KVell. *)
@@ -1452,7 +1468,7 @@ let test_sweep_lsm_no_wal () =
      acknowledged write still sitting in the volatile memtable. *)
   let report =
     Crash_sweep.run
-      { lsm_sweep_cfg with Explore.lsm_wal = false; crash_every = 1 }
+      { lsm_sweep_cfg with Explore.fault = Explore.No_lsm_wal; crash_every = 1 }
   in
   Alcotest.(check string) "report digest" "4e34445c09efd12972f47812e55a8735" (sweep_digest report);
   Alcotest.(check bool) "WAL-less LSM loses acknowledged writes" true
@@ -1478,16 +1494,26 @@ let test_sweep_txn_without_shards () =
   Alcotest.(check bool) "recoveries consistent" true
     (report.Crash_sweep.violations = [])
 
-(* A fault the sweep cannot inject must not pass as a clean sweep: KVell
-   has no HSIT, and the SVC fault is invisible across a crash. *)
+(* A fault a mode cannot inject must not pass as a clean check: KVell has
+   no HSIT or SVC, the SVC fault is invisible across a crash, plain Prism
+   has no 2PC log and only the LSM has a WAL to drop. *)
 let test_sweep_rejects_faults () =
+  let sweep cfg = ignore (Crash_sweep.run cfg : Crash_sweep.report)
+  and dpor cfg =
+    ignore (Explore.run_dpor ~max_classes:1 cfg : Explore.dpor_report)
+  and seeded cfg = ignore (Explore.run ~schedules:1 cfg : Explore.report) in
   List.iter
-    (fun (store, fault) ->
-      match Crash_sweep.run { sweep_cfg with Explore.store; fault } with
-      | (_ : Crash_sweep.report) ->
-          Alcotest.fail "sweep accepted a fault it cannot inject"
+    (fun (mode, store, fault) ->
+      match mode { sweep_cfg with Explore.store; fault } with
+      | () -> Alcotest.fail "a fault that cannot be injected was accepted"
       | exception Invalid_argument _ -> ())
-    [ (`Kvell, Explore.Skip_hsit_flush); (`Prism, Explore.Skip_svc_invalidate) ]
+    [
+      (sweep, `Kvell, Explore.Skip_hsit_flush);
+      (sweep, `Prism, Explore.Skip_svc_invalidate);
+      (dpor, `Kvell, Explore.Skip_svc_invalidate);
+      (seeded, `Prism, Explore.Skip_2pc_log_flush);
+      (sweep, `Prism, Explore.No_lsm_wal);
+    ]
 
 (* A two-thread sweep over twelve keys each, 120 ops per thread, seed 9:
    with [crash_every] past the boundary count it is the clean run, so
@@ -1691,12 +1717,17 @@ let () =
         ] );
       ( "scan-faults",
         [
+          (* On KVell the first stale repeat scan the check can refute
+             comes in class 6 (the seventh) of the walk. *)
           case "stale snapshot caught by the snapshot search"
-            (test_scan_fault "scan-stale" Explore.Scan_stale_snapshot);
+            (test_scan_fault "scan-stale" Explore.Scan_stale_snapshot
+               [ (`Prism, scan_budget); (`Kvell, 7) ]);
           case "skipped PWB caught by the snapshot search"
-            (test_scan_fault "scan-skip-pwb" Explore.Scan_skip_pwb);
+            (test_scan_fault "scan-skip-pwb" Explore.Scan_skip_pwb
+               [ (`Prism, scan_budget) ]);
           case "dropped key caught by the snapshot search"
-            (test_scan_fault "scan-drop" Explore.Scan_drop_key);
+            (test_scan_fault "scan-drop" Explore.Scan_drop_key
+               [ (`Prism, scan_budget); (`Kvell, scan_budget) ]);
           case "clean scan-heavy runs stay linearizable"
             test_scan_clean_strict;
         ] );

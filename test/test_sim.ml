@@ -1180,12 +1180,17 @@ let test_golden_prism_run () =
   Engine.set_tie_break engine (Engine.Seeded 42L);
   let store_ref = ref None in
   Engine.spawn engine (fun () ->
+      (* 3 threads over 64 keys of 64 B: 256 KiB PWBs, 1024 HSIT slots,
+         8 MiB Value Storages. *)
       let cfg =
         {
-          (Prism_core.Config.scaled ~threads:3 ~keys:64 ~value_size:64
-             Prism_core.Config.default)
-          with
-          Prism_core.Config.seed = 5L;
+          Prism_core.Config.default with
+          Prism_core.Config.threads = 3;
+          hsit_capacity = 1024;
+          pwb_size = 256 * 1024;
+          vs_size = 8 * 1024 * 1024;
+          nvm_size = (3 * 256 * 1024) + (1024 * 16) + (16 * 1024 * 1024);
+          seed = 5L;
         }
       in
       let store = Prism_core.Store.create engine cfg in
