@@ -71,7 +71,8 @@ let report name sample =
     sample.ns_per_op sample.minor_words_per_op
 
 (* Figures that are not rates: reported under their own JSON key
-   ([name] and [suffix] as for rates), never gated. *)
+   ([name] and [suffix] as for rates), gated only as a listed ceiling
+   ([figure_ceilings]). *)
 let figures : (string * string * float) list ref = ref []
 
 let figure name suffix ~unit value =
@@ -330,7 +331,11 @@ let bench_instrument ~ops ~reps =
    (Explore.default: 4 threads x 48 ops, ~2.8k tie decisions per run) in
    explored classes per wall second, and records one walk's major-heap
    growth per class from a compacted heap. It runs before every other
-   row so the process-wide [top_heap_words] high-water mark is its own. *)
+   row so the process-wide [top_heap_words] high-water mark is its own.
+   Peak heap follows one run's transient store and history, so it also
+   records what a longer walk keeps: the live words a 200-class walk
+   holds at its last commit, after a full major collection, per class —
+   its frontier and its classes' reports. *)
 let bench_dpor_default ~reps =
   let open Prism_check in
   let max_classes = 16 in
@@ -341,7 +346,23 @@ let bench_dpor_default ~reps =
   let grown = (Gc.quick_stat ()).Gc.top_heap_words - base in
   report "dpor.default" (measure ~reps ~ops:max_classes walk);
   figure "dpor.default" "heap_bytes_per_class" ~unit:"heap bytes/class"
-    (float_of_int (grown * (Sys.word_size / 8)) /. float_of_int max_classes)
+    (float_of_int (grown * (Sys.word_size / 8)) /. float_of_int max_classes);
+  let classes = 200 in
+  let runs =
+    (Explore.run_dpor ~max_classes:classes Explore.default).Explore.runs
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  let before = live () in
+  let held = ref 0 in
+  let progress (s : Explore.schedule_stats) =
+    if s.Explore.index + 1 = runs then held := live () - before
+  in
+  ignore (Explore.run_dpor ~progress ~max_classes:classes Explore.default);
+  figure "dpor.default" "live_words_per_class" ~unit:"live words/class"
+    (float_of_int !held /. float_of_int classes)
 
 (* store.create rates building the store one checker run uses at
    Explore.default's shape (128 keys x 64 B, two Value Storages): every
@@ -602,28 +623,38 @@ let ceiling_keys =
     "store_cluster";
   ]
 
+(* Figures gated the same way: dpor.default's live words per class
+   holds what a walk keeps per explored class (its frontier nodes and
+   class reports) to its measured size. *)
+let figure_ceilings = [ "dpor_default_live_words_per_class" ]
+
 let check_ceilings text ~failed =
+  let measured key =
+    match
+      List.find_opt
+        (fun (n, _) -> json_key n "minor_words_per_op" = key)
+        !results
+    with
+    | Some (_, s) -> Some s.minor_words_per_op
+    | None ->
+        List.find_map
+          (fun (n, suffix, v) ->
+            if json_key n suffix = key then Some v else None)
+          !figures
+  in
   List.iter
-    (fun name ->
-      let key = name ^ "_minor_words_per_op" in
-      let measured =
-        List.find_opt
-          (fun (n, _) -> json_key n "per_sec" = name ^ "_per_sec")
-          !results
-      in
-      match (scan_number ~key text, measured) with
+    (fun key ->
+      match (scan_number ~key text, measured key) with
       | None, _ -> pf "baseline: key %s absent, skipping\n" key
-      | _, None -> pf "ceiling gate: %s not measured this run\n" name
-      | Some ceiling, Some (_, s) ->
-          if s.minor_words_per_op > ceiling then begin
+      | _, None -> pf "ceiling gate: %s not measured this run\n" key
+      | Some ceiling, Some v ->
+          if v > ceiling then begin
             failed := true;
-            pf "ceiling gate FAILED: %s %.3f minor words/op is above %.3f\n"
-              name s.minor_words_per_op ceiling
+            pf "ceiling gate FAILED: %s %.3f is above %.3f\n" key v ceiling
           end
-          else
-            pf "ceiling gate ok: %s %.3f minor words/op (ceiling %.3f)\n" name
-              s.minor_words_per_op ceiling)
-    ceiling_keys
+          else pf "ceiling gate ok: %s %.3f (ceiling %.3f)\n" key v ceiling)
+    (List.map (fun name -> name ^ "_minor_words_per_op") ceiling_keys
+    @ figure_ceilings)
 
 let check_baseline path =
   let ic = open_in path in

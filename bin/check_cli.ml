@@ -64,17 +64,39 @@ let describe cfg =
     cfg.Explore.records cfg.Explore.seed
     (fault_name cfg.Explore.fault)
 
-(* Replay hints must reproduce the checking setup, not just the schedule. *)
-let fault_suffix cfg =
-  (match cfg.Explore.fault with
-  | Explore.No_fault -> ""
-  | f -> " --fault " ^ fault_name f)
-  ^ (if cfg.Explore.shards > 1 then
-       Printf.sprintf " --shards %d" cfg.Explore.shards
-     else "")
-  ^ (if cfg.Explore.txn_every > 0 then
-       Printf.sprintf " --txn-every %d" cfg.Explore.txn_every
-     else "")
+(* Replay hints must reproduce the checking setup, not just the
+   schedule: the fault, and every workload flag that differs from its
+   default (the flags' defaults are {!Explore.default}'s). A cluster
+   always names its topology, which [Explore.topology] then settles to
+   the same store. *)
+let replay_flags cfg =
+  let d = Explore.default in
+  let int name v default =
+    if v <> default then Printf.sprintf " --%s %d" name v else ""
+  in
+  String.concat ""
+    [
+      (match cfg.Explore.fault with
+      | Explore.No_fault -> ""
+      | f -> " --fault " ^ fault_name f);
+      (if cfg.Explore.store <> d.Explore.store then
+         " --store " ^ store_name cfg.Explore.store
+       else "");
+      (if cfg.Explore.store = `Cluster then
+         Printf.sprintf " --shards %d --txn-every %d" cfg.Explore.shards
+           cfg.Explore.txn_every
+       else "");
+      (if cfg.Explore.seed <> d.Explore.seed then
+         Printf.sprintf " --seed 0x%Lx" cfg.Explore.seed
+       else "");
+      int "threads" cfg.Explore.threads d.Explore.threads;
+      int "ops" cfg.Explore.ops_per_thread d.Explore.ops_per_thread;
+      int "records" cfg.Explore.records d.Explore.records;
+      int "keys-per-thread" cfg.Explore.keys_per_thread
+        d.Explore.keys_per_thread;
+      int "scan-every" cfg.Explore.scan_every d.Explore.scan_every;
+      int "delete-every" cfg.Explore.delete_every d.Explore.delete_every;
+    ]
 
 let run_explore ~schedules ~cfg ~verbose ~jobs =
   Printf.printf "exploring %d schedules: %s\n%!" schedules (describe cfg);
@@ -101,7 +123,7 @@ let run_explore ~schedules ~cfg ~verbose ~jobs =
             \  replay with: --replay 0x%Lx%s\n\
              %s\n"
             f.Explore.stats.Explore.index f.Explore.stats.Explore.tie_seed
-            (fault_suffix cfg) f.Explore.violation)
+            (replay_flags cfg) f.Explore.violation)
         failures);
   report.Explore.failures = []
 
@@ -154,7 +176,7 @@ let run_dpor ~max_classes ~cfg ~verbose ~jobs =
              %s\n"
             f.Explore.class_index f.Explore.found_at_run
             (replay_hint f.Explore.choices)
-            (fault_suffix cfg) f.Explore.violation)
+            (replay_flags cfg) f.Explore.violation)
         failures);
   report.Explore.dpor_failures = []
 
@@ -193,7 +215,7 @@ let run_shrink ~cfg ~tie_seed =
             (Array.length s.Explore.minimal)
             s.Explore.replays
             (replay_hint s.Explore.minimal)
-            (fault_suffix cfg) s.Explore.shrunk_violation;
+            (replay_flags cfg) s.Explore.shrunk_violation;
           false)
 
 (* 1st, 2nd, 3rd, 4th, ..., 11th, 12th, 13th, ..., 21st, ... *)
@@ -408,30 +430,36 @@ let fault =
                the store or mode cannot inject exits with status 2.")
 
 let scan_every =
-  Arg.(value & opt Cli.pos_int 16 & info [ "scan-every" ] ~docv:"N"
+  Arg.(value & opt Cli.pos_int Explore.default.Explore.scan_every
+       & info [ "scan-every" ] ~docv:"N"
          ~doc:"One in $(docv) reads of the explored workload becomes a \
                short scan (lower = more scan/write races).")
 
 let delete_every =
-  Arg.(value & opt Cli.pos_int 8 & info [ "delete-every" ] ~docv:"N"
+  Arg.(value & opt Cli.pos_int Explore.default.Explore.delete_every
+       & info [ "delete-every" ] ~docv:"N"
          ~doc:"One in $(docv) updates of the explored workload becomes a \
                delete.")
 
 let threads =
-  Arg.(value & opt Cli.pos_int 4 & info [ "threads" ] ~docv:"T"
+  Arg.(value & opt Cli.pos_int Explore.default.Explore.threads
+       & info [ "threads" ] ~docv:"T"
          ~doc:"Concurrent client threads.")
 
 let ops =
-  Arg.(value & opt Cli.pos_int 48 & info [ "ops" ] ~docv:"OPS"
+  Arg.(value & opt Cli.pos_int Explore.default.Explore.ops_per_thread
+       & info [ "ops" ] ~docv:"OPS"
          ~doc:"Operations per thread.")
 
 let records =
-  Arg.(value & opt Cli.pos_int 128 & info [ "records" ] ~docv:"R"
+  Arg.(value & opt Cli.pos_int Explore.default.Explore.records
+       & info [ "records" ] ~docv:"R"
          ~doc:"Preloaded keys for schedule exploration (kept small to force \
                contention).")
 
 let keys_per_thread =
-  Arg.(value & opt Cli.pos_int 24 & info [ "keys-per-thread" ] ~docv:"KEYS"
+  Arg.(value & opt Cli.pos_int Explore.default.Explore.keys_per_thread
+       & info [ "keys-per-thread" ] ~docv:"KEYS"
          ~doc:"Keys owned by each thread in the crash sweep.")
 
 let verbose =
@@ -445,7 +473,8 @@ let () =
   in
   Cli.exec ~name:"prism-check" ~doc
     Term.(
-      const main $ store $ Cli.seed 1L $ schedules $ dpor
-      $ crash_every $ replay $ replay_choices $ shrink $ fault
-      $ scan_every $ delete_every $ threads $ ops $ records
+      const main $ store
+      $ Cli.seed Explore.default.Explore.seed
+      $ schedules $ dpor $ crash_every $ replay $ replay_choices $ shrink
+      $ fault $ scan_every $ delete_every $ threads $ ops $ records
       $ keys_per_thread $ Cli.shards $ Cli.txn_every $ Cli.jobs $ verbose)

@@ -49,7 +49,12 @@ let workload (cfg : Explore.config) =
     |> Array.of_list
   in
   let keys = cfg.threads * cfg.keys_per_thread in
-  { Explore.keys; preload = 0; ops = Array.init cfg.threads thread_ops }
+  {
+    Explore.keys;
+    preload = [];
+    initial = Hashtbl.create 1;
+    ops = Array.init cfg.threads thread_ops;
+  }
 
 (* On top of what the store can inject ([Explore.check_fault]), a sweep
    takes only a fault that is invisible live and loses writes across a

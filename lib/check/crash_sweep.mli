@@ -31,8 +31,9 @@ val default : Explore.config
 (** [workload cfg] is the sweep's workload: each thread writes and
     deletes in its own range of [cfg.keys_per_thread] keys (on
     [`Cluster], every [cfg.txn_every]-th op is a write batch over that
-    range). {!run} uses it; [test_check] "hsit fault within budget"
-    crashes it under a DPOR walk through {!Explore.run_once}. *)
+    range), with no preload. {!run} uses it; [test_check] "hsit fault
+    within budget" crashes it under a DPOR walk through
+    {!Explore.run_once}. *)
 val workload : Explore.config -> Explore.workload
 
 (** A recovery that does not linearize; each crash point reports at most

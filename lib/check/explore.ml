@@ -85,9 +85,6 @@ let check_fault cfg =
 
 (* ---- the workload ---- *)
 
-let preload_value cfg key =
-  Prism_workload.Ycsb.value_for ~size:cfg.value_size ~key ~version:0
-
 type op =
   | Put of string * bytes
   | Get of string
@@ -95,14 +92,20 @@ type op =
   | Scan of string * int
   | Batch of (string * bytes) list
 
-type workload = { keys : int; preload : int; ops : op array array }
+type workload = {
+  keys : int;
+  preload : string list;
+  initial : (string, bytes) Hashtbl.t;
+  ops : op array array;
+}
 
 (* The YCSB-A slice: a 50/50 read/update stream from the shared generator,
    with a sprinkle of deletes and short scans so all four operations get
-   history coverage. Generated once per walk and shared by every run of
-   it, including runs on forked workers — every schedule replays the same
-   per-thread op lists, so only the interleaving differs. Sharing is safe
-   because a run never writes to the ops' keys or values. *)
+   history coverage. Generated once per walk, preload included, and
+   shared by every run of it, including runs on forked workers — every
+   schedule replays the same per-thread op lists, so only the
+   interleaving differs. Sharing is safe because a run never writes to
+   the keys or values it is given. *)
 let workload cfg =
   let rng = Rng.create cfg.seed in
   let gen =
@@ -147,7 +150,14 @@ let workload cfg =
             | Prism_workload.Ycsb.Scan (key, n) ->
                 if scans_ok then Scan (key, n) else Get key))
   in
-  { keys = cfg.records; preload = cfg.records; ops }
+  let preload = List.init cfg.records Prism_workload.Ycsb.key_of in
+  let initial = Hashtbl.create cfg.records in
+  List.iter
+    (fun key ->
+      Hashtbl.replace initial key
+        (Prism_workload.Ycsb.value_for ~size:cfg.value_size ~key ~version:0))
+    preload;
+  { keys = cfg.records; preload; initial; ops }
 
 (* ---- the store under test ---- *)
 
@@ -461,11 +471,10 @@ let run_once ?(tie = Engine.Fifo) ?cut ?(keep_choices = false) ~pwb_size cfg
   in
   History.set_enabled hist false;
   Engine.spawn engine (fun () ->
-      if w.preload > 0 then begin
-        for i = 0 to w.preload - 1 do
-          let key = Prism_workload.Ycsb.key_of i in
-          kv.Kv.put ~tid:0 key (preload_value cfg key)
-        done;
+      if w.preload <> [] then begin
+        List.iter
+          (fun key -> kv.Kv.put ~tid:0 key (Hashtbl.find w.initial key))
+          w.preload;
         kv.Kv.quiesce ()
       end;
       History.set_enabled hist true;
@@ -493,16 +502,13 @@ let run_once ?(tie = Engine.Fifo) ?cut ?(keep_choices = false) ~pwb_size cfg
           | Some Clean | None -> assert false)
   in
   let events = History.events hist in
-  let init_keys = List.init w.preload Prism_workload.Ycsb.key_of in
-  let preloaded = Hashtbl.create w.preload in
-  List.iter (fun k -> Hashtbl.replace preloaded k ()) init_keys;
   (* Preloaded keys start at version 0 of their deterministic payload;
      everything else starts absent. *)
-  let init key =
-    if Hashtbl.mem preloaded key then Some (preload_value cfg key) else None
-  in
   let violation =
-    match Linearize.check ~init ~init_keys events with
+    match
+      Linearize.check ~init:(Hashtbl.find_opt w.initial) ~init_keys:w.preload
+        events
+    with
     | Ok () -> None
     | Error v -> Some v
   in

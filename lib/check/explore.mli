@@ -112,23 +112,30 @@ type op =
   | Scan of string * int
   | Batch of (string * bytes) list  (** a 2PC write batch ([`Cluster]) *)
 
+(** Everything a run reads that is fixed for a whole walk. A run
+    allocates only its own store, history and check. *)
 type workload = {
   keys : int;
       (** keys [0, keys) of {!Prism_workload.Ycsb.key_of}: the store is
           sized for them, and the audit scan after a crash reads them *)
-  preload : int;
-      (** keys [0, preload) hold version 0 of their payload before
-          recording starts *)
+  preload : string list;
+      (** keys [0, n) of {!Prism_workload.Ycsb.key_of}, in the order a
+          run writes them before recording starts *)
+  initial : (string, bytes) Hashtbl.t;
+      (** each [preload] key's version-0 payload
+          ({!Prism_workload.Ycsb.value_for}): the value a run writes and
+          the history's initial state; a key not in it starts absent *)
   ops : op array array;  (** per-thread op lists *)
 }
 
 (** [workload cfg] is the checker's YCSB-A slice for [cfg]: per-thread
     op lists drawn from [cfg.seed], where about one update in
     [delete_every] is a [Delete], one read in [scan_every] a [Scan] and,
-    on the cluster, one update in [txn_every] a 2PC [Batch]. {!run} and
-    {!run_dpor} build it once and share it across every run, forked
-    workers included: a run reads its keys and values and never writes
-    them. *)
+    on the cluster, one update in [txn_every] a 2PC [Batch], over a
+    preload of keys [0, records). {!run}, {!run_dpor} and {!shrink}
+    build it once per walk, preload included, and share it across every
+    run, forked workers included: a run reads its keys and values and
+    never writes them. *)
 val workload : config -> workload
 
 (** One store under test: its client handle, its durability boundaries

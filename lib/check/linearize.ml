@@ -240,19 +240,38 @@ let search ~init keys ops =
      preallocated 1024-bucket table per key is allocated straight in the
      major heap and costs more than the search it serves. *)
   let memo = Hashtbl.create 16 in
+  (* A configuration's key is one string of fixed layout: the linearized
+     set as a bitmap, then each slot's state in [width] little-endian
+     bytes (0 initial, 1 absent, a put's op index + 2), wide enough for
+     every op of the search. One layout per search makes it injective. *)
+  let bitmap = (n + 7) / 8 in
+  let width =
+    let rec bytes x = if x < 0x100 then 1 else 1 + bytes (x lsr 8) in
+    bytes (2 + Array.fold_left (fun m (ev, _) -> max m ev.History.op) 0 ops)
+  in
   let encode () =
-    let b = Buffer.create (n + (2 * nkeys) + 8) in
-    Array.iter (fun l -> Buffer.add_char b (if l then '1' else '0')) linearized;
-    Array.iter
-      (fun st ->
-        match st with
-        | V_init -> Buffer.add_string b ";i"
-        | V_absent -> Buffer.add_string b ";a"
-        | V_put (i, _) ->
-            Buffer.add_char b ';';
-            Buffer.add_string b (string_of_int i))
-      states;
-    Buffer.contents b
+    let b = Bytes.create (bitmap + (nkeys * width)) in
+    for byte = 0 to bitmap - 1 do
+      let bits = ref 0 in
+      for i = 8 * byte to min n ((8 * byte) + 8) - 1 do
+        if linearized.(i) then bits := !bits lor (1 lsl (i land 7))
+      done;
+      Bytes.unsafe_set b byte (Char.unsafe_chr !bits)
+    done;
+    for slot = 0 to nkeys - 1 do
+      let x =
+        match states.(slot) with
+        | V_init -> 0
+        | V_absent -> 1
+        | V_put (i, _) -> i + 2
+      in
+      let at = bitmap + (slot * width) in
+      for k = 0 to width - 1 do
+        Bytes.unsafe_set b (at + k)
+          (Char.unsafe_chr ((x lsr (8 * k)) land 0xff))
+      done
+    done;
+    Bytes.unsafe_to_string b
   in
   let rec go remaining =
     if remaining = 0 then true

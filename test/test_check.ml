@@ -259,6 +259,20 @@ let test_linearize_pending () =
       ev 2 1 (History.Get "a") (got (Some v2)) 7 8;
     ]
 
+(* Memo keys name a put by its op index: two orders of the same two
+   overlapping puts leave the same linearized set and different
+   writers, so the keys must tell the writers apart even when their
+   indices agree in their low byte. Op 256's put, then op 0's, explains
+   the read; the search tries op 0's first, memoizes that order's dead
+   end, and must not mistake the good order for it. *)
+let test_linearize_memo_wide_ops () =
+  check_ok "writers 256 ops apart"
+    [
+      ev 0 0 (put "k" v1) History.Ok_unit 0 10;
+      ev 256 1 (put "k" v2) History.Ok_unit 1 11;
+      ev 257 0 (History.Get "k") (got (Some v1)) 12 13;
+    ]
+
 (* Memo sizing guard. Each key's search (and each scan component's)
    keeps a memo of dead-end configurations; on the checker's histories
    most keys see a few operations, so the memos must start small. A
@@ -964,6 +978,42 @@ let test_workload_unchanged_by_runs () =
         Explore.topology ~shards:2 { explore_cfg with Explore.store = `Cluster }
       );
     ]
+
+(* The preload a walk shares is built once with its workload: keys
+   [0, records) in order, each at version 0 of its payload, and the
+   table a run's check reads its initial values from holds exactly
+   those. The crash sweep starts every key absent. *)
+let test_preload_version_zero () =
+  List.iter
+    (fun (name, cfg) ->
+      let w = Explore.workload cfg in
+      let n = cfg.Explore.records in
+      Alcotest.(check (list string))
+        (name ^ " preload is keys [0, preload)")
+        (List.init n Prism_workload.Ycsb.key_of)
+        w.Explore.preload;
+      Alcotest.(check int) (name ^ " table entries") n
+        (Hashtbl.length w.Explore.initial);
+      List.iter
+        (fun key ->
+          Alcotest.(check (option bytes))
+            (name ^ " " ^ key ^ " at version 0")
+            (Some
+               (Prism_workload.Ycsb.value_for ~size:cfg.Explore.value_size
+                  ~key ~version:0))
+            (Hashtbl.find_opt w.Explore.initial key))
+        w.Explore.preload)
+    [
+      ("default", Explore.default);
+      ( "cluster",
+        Explore.topology ~shards:2
+          { Explore.default with Explore.store = `Cluster } );
+    ];
+  let sweep = Crash_sweep.workload Crash_sweep.default in
+  Alcotest.(check int) "sweep preloads nothing" 0
+    (List.length sweep.Explore.preload);
+  Alcotest.(check int) "sweep table is empty" 0
+    (Hashtbl.length sweep.Explore.initial)
 
 let test_explore_kvell () =
   let report =
@@ -1676,6 +1726,8 @@ let () =
           case "scan monotonic prefix" test_linearize_scan;
           case "pending ops after a cut" test_linearize_pending;
           case "memos start small" test_linearize_memo_major_words;
+          case "memo keys tell wide op indices apart"
+            test_linearize_memo_wide_ops;
           test_linearize_matches_oracle;
         ] );
       ( "history-labels",
@@ -1704,6 +1756,8 @@ let () =
           case "kvell" test_explore_kvell;
           case "runs leave the shared workload unchanged"
             test_workload_unchanged_by_runs;
+          case "preload is version 0 of keys [0, preload)"
+            test_preload_version_zero;
         ] );
       ( "dpor",
         [
