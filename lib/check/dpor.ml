@@ -207,9 +207,8 @@ let detach (n : node) =
   load n.log n.depth rows;
   { n with log = { up = no_log; base = 0; rows } }
 
-let explore ?(full = false) ?(stop_on = fun _ -> false)
-    ?(on_commit = fun ~run:_ _ -> ()) ?(jobs = 1) ~max_classes ~dependent
-    run_fn =
+let explore ?(full = false) ?(on_commit = fun ~run:_ _ -> ()) ?(jobs = 1)
+    ~max_classes ~dependent run_fn =
   (* The frontier: nodes with a branch candidate left, in non-empty
      per-depth buckets, each in commit order. The walk targets the head
      of the shallowest bucket — shallowest first, commit order breaking
@@ -222,9 +221,6 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
     | None ->
         frontier := Imap.add f.depth (Queue.of_seq (Seq.return f)) !frontier
   in
-  let next_target () =
-    Imap.min_binding_opt !frontier |> Option.map (fun (_, q) -> Queue.peek q)
-  in
   let classes = ref [] in
   let n_classes = ref 0 in
   let runs = ref 0 in
@@ -233,11 +229,12 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
   let st = new_scratch () in
   (* One run against [target], starting the subtree of its eligible
      member [snapshot] and touching no shared exploration state — so it
-     can execute speculatively on a worker process and be committed (or
-     discarded) later by the coordinator, which checks that [snapshot]
-     is still the node's [next] at commit time. Only fresh nodes with a
-     branch candidate are returned, since the rest can never be
-     targeted.
+     can execute on a worker process and be committed later by the
+     coordinator, which checks that [snapshot] is then the node's
+     [next]. Only fresh nodes with a branch candidate are returned,
+     since the rest can never be targeted; each is deeper than
+     [target], which is what fixes the walk's commit order (see
+     [batch]).
 
      The label table is run-local. That is equivalent to a persistent
      global one: every seq consulted by sleep-set filtering is a member
@@ -246,7 +243,7 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
      path — tie sets this run replays itself, recording every member's
      label before the first consultation. A global table could only
      differ on seqs this run never consults. *)
-  let spec_run (target : node option) ~snapshot =
+  let run_target (target : node option) ~snapshot =
     let tdepth, log =
       match target with
       | Some t -> (t.depth, { up = t.log; base = t.depth; rows = [||] })
@@ -382,135 +379,99 @@ let explore ?(full = false) ?(stop_on = fun _ -> false)
     (result, !redundant, !depth, choices, List.rev !fresh (* creation order *))
   in
   let stopped = ref false in
-  (* Publish a finished run: start the target's subtree (dropping the
-     node from the frontier once exhausted), adopt the fresh nodes,
-     account the class. Commit order IS the serial exploration order, so
-     everything downstream (frontier order, run numbers, class indices,
-     [on_commit] calls) is byte-identical to the serial walk whatever
-     executed the runs. *)
-  let commit (result, redundant, rdepth, choices, fresh) target =
-    (match target with
-    | Some (n : node) ->
-        n.next <- n.next + 1;
-        (* Every commit's target came from [next_target]: the head of
-           the shallowest bucket. *)
-        if n.next = n_elig n then begin
-          let q = Imap.find n.depth !frontier in
-          let head = Queue.pop q in
-          assert (head == n);
-          if Queue.is_empty q then frontier := Imap.remove n.depth !frontier
-        end
-    | None -> ());
-    List.iter join fresh;
+  (* Publish a finished run: account the class and adopt its fresh
+     nodes, each deeper than the run's target ([tdepth], -1 for the
+     root). Commit order IS the serial exploration order, so everything
+     downstream (frontier order, run numbers, class indices, [on_commit]
+     calls) is byte-identical to the serial walk whatever executed the
+     runs. *)
+  let rec adopt tdepth = function
+    | [] -> ()
+    | (f : node) :: rest ->
+        assert (f.depth > tdepth);
+        join f;
+        adopt tdepth rest
+  in
+  let commit tdepth (result, redundant, rdepth, choices, fresh) =
+    adopt tdepth fresh;
     incr runs;
     if redundant then incr pruned
     else begin
       classes :=
         { index = !n_classes; run = !runs; depth = rdepth; choices; result }
         :: !classes;
-      incr n_classes;
-      if stop_on result then stopped := true
+      incr n_classes
     end;
     on_commit ~run:!runs result;
     if !n_classes >= max_classes then stopped := true
   in
-  (* One serial step: run the target inline, then commit it. *)
-  let run_inline n = commit (spec_run (Some n) ~snapshot:n.next) (Some n) in
-  (* Speculative frontier walk. The serial algorithm is a chain — each
-     run's fresh nodes feed the next selection — so parallelism comes
-     from *predicting* the next few selections and running them
-     speculatively, while the coordinator commits strictly in the serial
-     selection order. Before consuming each speculative result it
-     recomputes the true next target from committed state; a prediction
-     holds unless a committed run created a node that preempts the
-     selection (or started the target's member under it), in which case
-     the walk falls back to one serial step and re-predicts the rest of
-     the batch. Commits are the only mutation of shared state, so
-     discarded speculations leave no trace and the report is
-     byte-identical to the serial walk. *)
-  let speculative workers =
-    let window = 2 * jobs in
-    (* Predict the next [window] (node, snapshot) targets by replaying
-       the selection rule against a shadow [next] that grows with each
-       predicted pick. Only the node under the cursor has a shadow
-       ([shadow >= 0]): every node before it in frontier order is
-       exhausted under its own shadow, and shadows only grow, so one
-       ascending pass over the frontier is the selection sequence. Fresh
-       speculative nodes are invisible to the pass (they only join at
-       commit), so predictions beyond the next commit can be
-       preempted. *)
-    let predict () =
-      let rec go nodes shadow k acc =
-        if k = window then List.rev acc
-        else
-          match nodes () with
-          | Seq.Nil -> List.rev acc
-          | Seq.Cons (n, rest) ->
-              let snap = if shadow < 0 then n.next else shadow in
-              if snap >= n_elig n then go rest (-1) k acc
-              else go nodes (snap + 1) (k + 1) ((n, snap) :: acc)
-      in
-      Imap.to_seq !frontier
-      |> Seq.flat_map (fun (_, q) -> Queue.to_seq q)
-      |> fun nodes -> go nodes (-1) 0 []
-    in
-    (* In-flight speculations, head = predicted next commit. After a
-       mispredict the tail is re-predicted against the corrected frontier
-       instead of being discarded: any in-flight request whose (node,
-       snapshot) pair survives re-prediction is still a valid run of that
-       target and is kept; only genuinely new targets are submitted.
-       Stale requests are dropped — never committed, so they never
-       existed as far as the report is concerned. A request is plain
-       data: the worker gets its own copy of the node and its path. *)
-    let inflight = ref [] in
-    let refill () =
-      let old = !inflight in
-      inflight :=
-        List.map
-          (fun (n, snap) ->
-            match
-              List.find_opt (fun (n', snap', _) -> n' == n && snap = snap') old
-            with
-            | Some entry -> entry
-            | None -> (n, snap, Fleet.submit workers (detach n, snap)))
-          (predict ());
-      List.iter
-        (fun (_, _, ticket) ->
-          if not (List.exists (fun (_, _, t) -> t = ticket) !inflight) then
-            Fleet.drop workers ticket)
-        old
-    in
-    fun n' ->
-      (if !inflight = [] then refill ());
-      match !inflight with
-      | (n, snap, ticket) :: rest when n' == n && snap = n.next ->
-          inflight := rest;
-          commit (unpack n (Fleet.await workers ticket)) (Some n)
-      | _ ->
-          (* Mispredicted (or prediction exhausted): one inline serial
-             step against the true frontier, then rebuild the window,
-             reusing whatever still matches. *)
-          run_inline n';
-          refill ()
+  (* Commit a run of [n]'s member [snapshot]: start that subtree
+     (dropping [n] from the frontier once exhausted), then publish. The
+     target must be the head of its bucket and [snapshot] its [next],
+     which is the pair the serial walk selects. *)
+  let commit_target ((n : node), snapshot) r =
+    if not !stopped then begin
+      let q = Imap.find n.depth !frontier in
+      assert (Queue.peek q == n && snapshot = n.next);
+      n.next <- n.next + 1;
+      if n.next = n_elig n then begin
+        ignore (Queue.pop q);
+        if Queue.is_empty q then frontier := Imap.remove n.depth !frontier
+      end;
+      commit n.depth r
+    end
   in
-  let walk step =
+  (* The next [b] selections of the serial walk: the first (node,
+     member) pairs of the shallowest bucket, nodes in queue order and
+     each node's members from [next] on. A run creates nodes only deeper
+     than its target, so committing these pairs adds nothing at or above
+     their depth, and no commit among them can change which pairs come
+     next: the batch is the serial walk's next [b] steps, or all that is
+     left of the bucket. *)
+  let batch b q =
+    let rec nodes seq b =
+      match seq () with
+      | Seq.Nil -> []
+      | Seq.Cons (n, rest) -> members n n.next rest b
+    and members n k rest b =
+      if b = 0 then []
+      else if k = n_elig n then nodes rest b
+      else (n, k) :: members n (k + 1) rest (b - 1)
+    in
+    nodes (Queue.to_seq q) b
+  in
+  (* Each step runs a batch of [b] targets through [run] and commits
+     the answers in order until the budget stops the walk. *)
+  let walk b run =
     while not !stopped do
-      match next_target () with
+      match Imap.min_binding_opt !frontier with
       | None ->
           complete := true;
           stopped := true
-      | Some n -> step n
+      | Some (_, q) ->
+          let targets = batch b q in
+          List.iter2 commit_target targets (run targets)
     done
   in
   (* The root run builds the initial tree and must run alone. It also
      interns every workload key, so workers forked after it agree with
      the coordinator on every key id inside a label. *)
-  commit (spec_run None ~snapshot:0) None;
-  if jobs > 1 && not !stopped then
-    Fleet.with_workers ~jobs
-      (fun ((n : node), snapshot) -> pack (spec_run (Some n) ~snapshot))
-      (fun workers -> walk (speculative workers))
-  else walk run_inline;
+  commit (-1) (run_target None ~snapshot:0);
+  (if jobs > 1 && not !stopped then
+     Fleet.with_workers ~jobs
+       (fun ((n : node), snapshot) -> pack (run_target (Some n) ~snapshot))
+       (fun workers ->
+         walk (2 * jobs) (fun targets ->
+             let answers =
+               Fleet.map workers
+                 (Array.of_list
+                    (List.map (fun (n, snapshot) -> (detach n, snapshot)) targets))
+             in
+             List.mapi (fun i (n, _) -> unpack n answers.(i)) targets))
+   else
+     walk 1
+       (List.map (fun ((n : node), snapshot) ->
+            run_target (Some n) ~snapshot)));
   {
     classes = List.rev !classes;
     explored = !n_classes;

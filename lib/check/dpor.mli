@@ -92,32 +92,35 @@ exception Diverged
 (** [explore ~max_classes ~dependent run] drives [run] repeatedly, each
     time passing a [choose] callback for the engine's [Guided] policy,
     which calls it at every tie decision; [choose] replays the targeted
-    node's path and extends it by first-awake choices. Exploration stops when the tree is
-    exhausted, [max_classes] classes completed, or [stop_on result] is
-    true for a completed class. [dependent] is the conflict relation over
-    event labels; [full = true] disables persistent-set pruning {e and}
-    sleep sets — the exhaustive walk used as a brute-force reference.
+    node's path and extends it by first-awake choices. Exploration stops
+    when the tree is exhausted or [max_classes] classes completed.
+    [dependent] is the conflict relation over event labels; [full =
+    true] disables persistent-set pruning {e and} sleep sets — the
+    exhaustive walk used as a brute-force reference.
 
     [on_commit ~run result] fires once per committed run (including
     pruned ones), in commit order, with the 1-based run number — use it
     for progress reporting that must stay deterministic under [jobs].
 
-    {b Parallel exploration.} With [jobs > 1], runs execute
-    speculatively on [jobs] worker processes forked after the root run:
-    the coordinator predicts the next few serial selections (one ordered
-    pass over the frontier), sends each as a plain (node with its path,
-    started-count snapshot) request, and commits answers strictly in the serial
-    selection order after re-validating each prediction against
-    committed state (falling back to one serial step when a committed
-    run's fresh nodes preempt the predicted target). Shared state is
-    only ever mutated at commit, so the report — class set, indices, run
-    numbers, choices, [complete] — is byte-identical to the serial walk
-    for any worker count. [run]'s result must then be marshalable (no
-    closures), and [run] must give every label the same meaning in every
-    process: the root run has to intern whatever its labels refer to. *)
+    {b Parallel exploration.} A run creates nodes only deeper than its
+    target, so while the walk works through the shallowest frontier
+    bucket nothing it commits joins that bucket or a shallower one: the
+    bucket's remaining (node, member) pairs, nodes in queue order and
+    each node's members from its started count on, are exactly the
+    serial walk's next selections. The walk therefore takes them in
+    batches — one pair at a time with [jobs = 1]; with [jobs > 1], up to
+    [2 * jobs] pairs run on [jobs] worker processes forked after the
+    root run, each sent as a plain (node with its path, member) request
+    — and commits every answer in order until the budget stops it.
+    Shared state is only ever mutated at commit, so the report — class
+    set, indices, run numbers, choices, [complete] — and the [on_commit]
+    sequence are byte-identical to the serial walk for any worker count.
+    [run]'s result must then be marshalable (no closures), and [run]
+    must give every label the same meaning in every process: the root
+    run has to intern whatever its labels refer to. If a run raises on a
+    worker, its batch raises before committing. *)
 val explore :
   ?full:bool ->
-  ?stop_on:('a -> bool) ->
   ?on_commit:(run:int -> 'a -> unit) ->
   ?jobs:int ->
   max_classes:int ->

@@ -634,14 +634,13 @@ type dpor_report = {
   dpor_failures : dpor_failure list;
 }
 
-let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
-    ~max_classes cfg =
+let run_dpor ?(progress = fun _ -> ()) ?(jobs = 1) ~max_classes cfg =
   (* The run body must be pure with respect to exploration state so it
-     can execute speculatively on a worker process: no counters, no
-     progress calls. The committed run number arrives via [on_commit]
-     (serial order), which is where progress fires — so a stats line is
-     only ever reported for runs the serial walk would have executed,
-     with the index it would have carried. *)
+     can execute on a worker process: no counters, no progress calls.
+     The committed run number arrives via [on_commit] (serial order),
+     which is where progress fires — so a stats line is only ever
+     reported for runs the serial walk would have executed, with the
+     index it would have carried. *)
   check_fault cfg;
   let w = workload cfg in
   let run ~choose =
@@ -653,7 +652,6 @@ let run_dpor ?(progress = fun _ -> ()) ?(stop_on_failure = false) ?(jobs = 1)
   let report =
     Dpor.explore ~jobs
       ~on_commit:(fun ~run:r (stats, _) -> progress { stats with index = r - 1 })
-      ~stop_on:(fun (_, violation) -> stop_on_failure && violation <> None)
       ~max_classes ~dependent:History.conflicting run
   in
   let dpor_failures =

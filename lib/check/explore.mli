@@ -265,14 +265,12 @@ type dpor_report = {
 }
 
 (** [run_dpor ~max_classes cfg] explores up to [max_classes] distinct
-    interleaving classes of the workload. With [stop_on_failure] the walk
-    stops at the first linearizability violation. With [jobs > 1] the
-    frontier is explored speculatively on worker processes (see
+    interleaving classes of the workload. With [jobs > 1] each batch of
+    same-depth frontier targets runs on worker processes (see
     {!Dpor.explore}); the report and [progress] sequence are
     byte-identical to the serial walk. *)
 val run_dpor :
   ?progress:(schedule_stats -> unit) ->
-  ?stop_on_failure:bool ->
   ?jobs:int ->
   max_classes:int ->
   config ->

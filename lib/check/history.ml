@@ -74,8 +74,8 @@ let max_keys = 1 lsl 22
 (* The interning tables are process-global. Numbering is global rather
    than per history: labels compare key {e ids} for equality and the scan
    range check compares key {e strings} (see [conflicting]), so the
-   numbering order never reaches any output. A DPOR walk that speculates
-   on fleet worker processes forks them after its root run, which has
+   numbering order never reaches any output. A DPOR walk that runs on
+   fleet worker processes forks them after its root run, which has
    interned every workload key; so a label made in one process means the
    same keys in every other. *)
 

@@ -1,14 +1,14 @@
 (* Fleet over forked worker processes.
 
-   The coordinator owns every decision: it keeps the request queue and
-   hands the next request to whichever worker is idle, so each worker
+   The coordinator owns every decision: it hands the next unsent
+   request of a [map] to whichever worker is idle, so each worker
    has at most one request outstanding and one answer to send. That is
    what lets [receive] [select] on the busy workers' answer pipes and
    then read one whole message from each ready one.
 
-   Determinism does not come from the dispatch at all: results are
-   looked up by ticket and [farm] raises the smallest failing id, so
-   merged output is a pure function of the job function. *)
+   Determinism does not come from the dispatch at all: answers land by
+   request index and [map] raises the smallest failing index, so merged
+   output is a pure function of the job function. *)
 
 (* A job's exception cannot cross the pipe as a value (an unmarshalled
    exception is a fresh constructor no handler matches), so the worker
@@ -29,16 +29,10 @@ type worker = {
   mutable pid : int;  (* 0 once reaped *)
   requests : out_channel;
   answers : in_channel;
-  mutable job : int;  (* ticket in flight; -1 when idle *)
+  mutable job : int;  (* index of the request in flight; -1 when idle *)
 }
 
-type ('req, 'res) t = {
-  mutable workers : worker array;
-  queue : (int * 'req) Queue.t;
-  settled : (int, ('res, exn) result) Hashtbl.t;
-  dropped : (int, unit) Hashtbl.t;
-  mutable next : int;
-}
+type ('req, 'res) t = { mutable workers : worker array }
 
 let max_jobs = 64
 
@@ -121,7 +115,7 @@ let reap w =
   end
 
 (* Stop every worker: closing a request pipe ends an idle worker's
-   loop; one still busy is running a dropped job and is killed. All are
+   loop; one still busy (the body raised mid-[map]) is killed. All are
    told before any is reaped, so they tear down side by side. *)
 let stop t =
   Array.iter
@@ -141,15 +135,7 @@ let with_workers ~jobs f body =
      it shares copy-on-write, so every page the collector writes is a
      fault and a copy. *)
   Gc.full_major ();
-  let t =
-    {
-      workers = [||];
-      queue = Queue.create ();
-      settled = Hashtbl.create 16;
-      dropped = Hashtbl.create 16;
-      next = 0;
-    }
-  in
+  let t = { workers = [||] } in
   Fun.protect
     ~finally:(fun () -> stop t)
     (fun () ->
@@ -167,86 +153,66 @@ let with_workers ~jobs f body =
       Gc.set gc;
       body t)
 
-(* Hand queued requests to idle workers, skipping dropped tickets. *)
-let dispatch t =
+(* Hand the next unsent request of [reqs], from [!next] on, to each
+   idle worker. *)
+let dispatch t reqs next =
   Array.iter
     (fun w ->
-      let rec next () =
-        match Queue.take_opt t.queue with
-        | None -> ()
-        | Some (ticket, _) when Hashtbl.mem t.dropped ticket ->
-            Hashtbl.remove t.dropped ticket;
-            next ()
-        | Some (ticket, req) ->
-            w.job <- ticket;
-            Marshal.to_channel w.requests req [];
-            flush w.requests
-      in
-      if w.job < 0 then next ())
+      if w.job < 0 && !next < Array.length reqs then begin
+        w.job <- !next;
+        Marshal.to_channel w.requests reqs.(!next) [];
+        flush w.requests;
+        incr next
+      end)
     t.workers
-
-let submit t req =
-  let ticket = t.next in
-  t.next <- ticket + 1;
-  Queue.push (ticket, req) t.queue;
-  dispatch t;
-  ticket
 
 let describe = function
   | Unix.WSIGNALED s when s = Sys.sigkill -> "was killed by SIGKILL"
   | Unix.WSIGNALED s -> Printf.sprintf "was killed by signal %d" s
   | Unix.WEXITED c | Unix.WSTOPPED c -> Printf.sprintf "exited (status %d)" c
 
-(* Read one answer from every busy worker that has one ready. *)
-let receive t =
+let busy w = w.job >= 0
+
+(* Read one answer from every busy worker that has one ready into
+   [settled], by request index. *)
+let receive t settled =
   let fd w = Unix.descr_of_in_channel w.answers in
-  let busy = List.filter (fun w -> w.job >= 0) (Array.to_list t.workers) in
-  if busy = [] then invalid_arg "Fleet.await: no such ticket in flight";
-  let ready, _, _ = Unix.select (List.map fd busy) [] [] (-1.0) in
+  let running = List.filter busy (Array.to_list t.workers) in
+  let ready, _, _ = Unix.select (List.map fd running) [] [] (-1.0) in
   List.iter
     (fun w ->
       if List.mem (fd w) ready then begin
-        let ticket = w.job in
+        let job = w.job in
         match (Marshal.from_channel w.answers : _ answer) with
         | exception (End_of_file | Failure _) ->
             let _, status = Unix.waitpid [] w.pid in
             w.pid <- 0;
             failwith
-              (Printf.sprintf "Fleet: the worker running job %d %s" ticket
+              (Printf.sprintf "Fleet: the worker running job %d %s" job
                  (describe status))
         | a ->
             w.job <- -1;
             Prism_sim.Stats.note_foreign_gc ~minor_words:a.minor_words
               ~minor_collections:a.minor_collections
               ~major_collections:a.major_collections;
-            if Hashtbl.mem t.dropped ticket then Hashtbl.remove t.dropped ticket
-            else
-              Hashtbl.replace t.settled ticket
-                (Result.map_error (fun text -> Remote text) a.outcome)
+            settled.(job) <-
+              Some (Result.map_error (fun text -> Remote text) a.outcome)
       end)
-    busy
+    running
 
-let rec await_result t ticket =
-  match Hashtbl.find_opt t.settled ticket with
-  | Some r ->
-      Hashtbl.remove t.settled ticket;
-      r
-  | None ->
-      dispatch t;
-      receive t;
-      await_result t ticket
-
-let await t ticket =
-  match await_result t ticket with Ok v -> v | Error e -> raise e
-
-let drop t ticket =
-  if Hashtbl.mem t.settled ticket then Hashtbl.remove t.settled ticket
-  else Hashtbl.replace t.dropped ticket ()
+let map t reqs =
+  let settled = Array.make (Array.length reqs) None in
+  let next = ref 0 in
+  dispatch t reqs next;
+  while Array.exists busy t.workers do
+    receive t settled;
+    dispatch t reqs next
+  done;
+  Array.map
+    (fun r -> match Option.get r with Ok v -> v | Error e -> raise e)
+    settled
 
 let farm ~jobs n f =
   if jobs <= 1 || n <= 1 then Array.init n f
   else
-    with_workers ~jobs:(min jobs n) f (fun t ->
-        let tickets = Array.init n (submit t) in
-        Array.map (await_result t) tickets
-        |> Array.map (function Ok v -> v | Error e -> raise e))
+    with_workers ~jobs:(min jobs n) f (fun t -> map t (Array.init n Fun.id))

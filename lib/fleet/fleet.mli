@@ -11,12 +11,12 @@
     [Closures] flag: a result that holds a closure fails its job.
     Dispatch is dynamic: an idle worker gets the next queued request.
 
-    Determinism contract: {!farm} returns results indexed by job id, so
-    the merged output is a pure function of the job function alone —
-    byte-identical whatever the worker count or completion order. If
-    jobs fail, the failure of the {e smallest} failing id is raised. A
-    worker's exception cannot cross the pipe as a value, so the
-    coordinator raises one that prints as the worker printed it.
+    Determinism contract: {!map} and {!farm} return results indexed by
+    request, so the merged output is a pure function of the job function
+    alone — byte-identical whatever the worker count or completion
+    order. If jobs fail, the failure of the {e smallest} failing index
+    is raised. A worker's exception cannot cross the pipe as a value, so
+    the coordinator raises one that prints as the worker printed it.
 
     Each answer carries the worker's minor words and minor and major
     collections for that job, which go into
@@ -39,24 +39,16 @@ val default_jobs : unit -> int
 (** [with_workers ~jobs f body] forks [jobs] workers (clamped to
     [1..64]) that each apply [f], runs [body] on them, then stops and
     reaps them, also when [body] raises. A worker still running a job
-    at that point (a dropped speculation) is killed. *)
+    at that point (a [map] cut short by a dead worker) is killed. *)
 val with_workers :
   jobs:int -> ('req -> 'res) -> (('req, 'res) t -> 'a) -> 'a
 
-(** [submit t req] queues [f req] and returns its ticket. Tickets count
-    up from 0 in submission order. *)
-val submit : ('req, 'res) t -> 'req -> int
-
-(** [await t ticket] waits for the answer to [ticket], collecting any
-    other answer that arrives first and keeping every worker busy while
-    work is queued. If the job failed, raises an exception printing as
-    the worker's did.
-    Each ticket is awaited at most once. *)
-val await : ('req, 'res) t -> int -> 'res
-
-(** [drop t ticket] gives up on [ticket]: a queued request is never
-    sent, and an answer already on its way is read and discarded. *)
-val drop : ('req, 'res) t -> int -> unit
+(** [map t reqs] is [f] applied to every request, answers in request
+    order, each idle worker taking the next unsent request. If any
+    request fails, the exception of the smallest failing index is
+    raised once every request has settled, printing as the worker's
+    did; the workers then stay ready for the next [map]. *)
+val map : ('req, 'res) t -> 'req array -> 'res array
 
 (** [farm ~jobs n f] is [[| f 0; ...; f (n-1) |]]. With [jobs <= 1] or
     [n <= 1] the calls run inline in ascending order and nothing is

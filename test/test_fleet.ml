@@ -1,7 +1,8 @@
 (* Tests for the process fleet: merge determinism under any worker count
    and completion order, failure ordering and failure paths (a failing
-   job, a killed worker, an unmarshalable result), dropped requests,
-   worker GC accounting, and that every worker is reaped. *)
+   job, a killed worker, an unmarshalable result), long-lived workers
+   answering [map] after [map], worker GC accounting, and that every
+   worker is reaped. *)
 
 open Helpers
 open Prism_fleet
@@ -118,43 +119,70 @@ let test_closure_result_fails () =
         "Invalid_argument(\"output_value: functional value\")"
         (Printexc.to_string e)
 
-(* ---- submit/await/drop ---- *)
+(* ---- map on long-lived workers ---- *)
 
-let test_await_reraises () =
+(* A job whose run time varies with [x], so completion order differs
+   from request order. *)
+let spin x =
+  let acc = ref 0 in
+  for k = 0 to 20_000 * ((x * 7 mod 5) + 1) do
+    acc := !acc + (k land 7)
+  done;
+  ignore (Sys.opaque_identity !acc);
+  x
+
+let test_map_request_order () =
+  Fleet.with_workers ~jobs:3 spin (fun w ->
+      Alcotest.(check (array int)) "answers in request order"
+        (Array.init 10 (fun i -> 10 - i))
+        (Fleet.map w (Array.init 10 (fun i -> 10 - i))));
+  check_reaped "map order"
+
+let test_map_failure_after_settling () =
+  (* Request 0 fails at once while the others are still running; each
+     of those leaves a marker file as it finishes, so every marker being
+     there when [map] raises shows that it waited for all of them. *)
+  let dir = Filename.temp_file "fleet" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let marker x = Filename.concat dir (string_of_int x) in
+  let job x =
+    if x = 0 then raise (Boom 0);
+    ignore (spin (x * 50));
+    close_out (open_out (marker x));
+    x
+  in
+  let got =
+    Fleet.with_workers ~jobs:2 job (fun w ->
+        match Fleet.map w (Array.init 6 Fun.id) with
+        | _ -> Alcotest.fail "expected a failure"
+        | exception e -> Printexc.to_string e)
+  in
+  check_reaped "map failure";
+  let others = [ 1; 2; 3; 4; 5 ] in
+  let settled = List.for_all (fun x -> Sys.file_exists (marker x)) others in
+  List.iter
+    (fun x -> if Sys.file_exists (marker x) then Sys.remove (marker x))
+    others;
+  Sys.rmdir dir;
+  Alcotest.(check string) "worker's text" (Printexc.to_string (Boom 0)) got;
+  Alcotest.(check bool) "every request settled before the raise" true settled
+
+let test_map_reuses_workers () =
+  (* A failed [map] leaves the workers ready: the same ones answer the
+     next [map] in full, as a DPOR walk's batches rely on. *)
   Fleet.with_workers ~jobs:2
-    (fun x -> if x = 7 then raise (Boom 7) else x)
+    (fun x -> if x = 7 then raise (Boom 7) else spin x)
     (fun w ->
-      let ok = Fleet.submit w 1 in
-      let bad = Fleet.submit w 7 in
-      (match Fleet.await w bad with
+      (match Fleet.map w [| 1; 7; 3; 4 |] with
+      | _ -> Alcotest.fail "expected a failure"
       | exception e ->
           Alcotest.(check string) "worker's text" (Printexc.to_string (Boom 7))
-            (Printexc.to_string e)
-      | _ -> Alcotest.fail "expected failure");
-      Alcotest.(check int) "other ticket unaffected" 1 (Fleet.await w ok));
-  check_reaped "await"
-
-let test_dropped_answers_discarded () =
-  (* Dropped tickets, queued or in flight, never surface; the kept ones
-     still answer in any await order, and a walk that ends with work in
-     flight still reaps every worker. *)
-  Fleet.with_workers ~jobs:2
-    (fun x ->
-      let acc = ref 0 in
-      for k = 0 to 20_000 * x do
-        acc := !acc + (k land 7)
-      done;
-      x)
-    (fun w ->
-      let tickets = Array.init 8 (fun x -> Fleet.submit w (x + 1)) in
-      Array.iteri (fun i t -> if i mod 2 = 0 then Fleet.drop w t) tickets;
-      List.iter
-        (fun i ->
-          Alcotest.(check int) (Printf.sprintf "ticket %d" i) (i + 1)
-            (Fleet.await w tickets.(i)))
-        [ 7; 1; 5; 3 ];
-      ignore (Fleet.submit w 50));
-  check_reaped "dropped"
+            (Printexc.to_string e));
+      Alcotest.(check (array int)) "second map answers in full"
+        (Array.init 9 (fun i -> i + 10))
+        (Fleet.map w (Array.init 9 (fun i -> i + 10))));
+  check_reaped "map reuse"
 
 (* ---- qcheck: stable merge over real workers ---- *)
 
@@ -236,10 +264,12 @@ let () =
           case "killed worker names its job" test_killed_worker_names_job;
           case "closure result fails its job" test_closure_result_fails;
         ] );
-      ( "futures",
+      ( "workers",
         [
-          case "await reraises" test_await_reraises;
-          case "dropped answers are discarded" test_dropped_answers_discarded;
+          case "map answers in request order" test_map_request_order;
+          case "map raises after every request settles"
+            test_map_failure_after_settling;
+          case "map reuses the workers" test_map_reuses_workers;
         ] );
       ("determinism", [ test_parallel_interleaving_qcheck ]);
       ( "gc",
