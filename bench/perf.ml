@@ -465,9 +465,11 @@ let bench_fleet ~quick ~reps =
    write-backs keep Value Storage GC busy, so host cost in GC victim
    selection shows up there. store.prism_miss runs LOAD + uniform YCSB-C
    gets, most of which miss the SVC: the TCQ, io_uring and SVC admission
-   path. store.cluster runs LOAD + YCSB-A through a 4-shard cluster
-   whose every eighth put is a 3-key 2PC batch: routing, the network
-   and two-phase commit on top of the Prism shards. *)
+   path. store.prism_hit runs LOAD + Zipf-0.99 YCSB-C gets, whose hot set
+   the SVC holds: the cache-hit path. store.cluster runs LOAD + YCSB-A
+   through a 4-shard cluster whose every eighth put is a 3-key 2PC
+   batch: routing, the network and two-phase commit on top of the Prism
+   shards. *)
 let bench_stores ~quick ~reps =
   let s =
     {
@@ -494,6 +496,7 @@ let bench_stores ~quick ~reps =
   row "store.prism_scan" "prism" Ycsb.ycsb_e ~ops:s.Setup.scan_ops;
   row ~s:{ s with theta = 0.0 } "store.prism_miss" "prism" Ycsb.ycsb_c
     ~ops:s.Setup.ops;
+  row "store.prism_hit" "prism" Ycsb.ycsb_c ~ops:s.Setup.ops;
   let cluster () =
     let open Prism_cluster in
     let e = Engine.create () in
@@ -610,9 +613,9 @@ let gated_keys () =
    store.prism_scan is LOAD + YCSB-E on Prism, whose scan path (flat
    per-scan buffers, word-level resolve, per-chunk reads) and movers
    should allocate little beyond the values they return or cache;
-   store.prism_miss (uniform gets, mostly SVC misses) and store.prism
-   (YCSB-A) hold the point-read miss path and the put path to the
-   same. store.cluster holds the cluster's routing, network and 2PC
+   store.prism_miss (uniform gets, mostly SVC misses), store.prism_hit
+   (Zipf gets, mostly SVC hits) and store.prism (YCSB-A) hold the
+   point-read miss path, the hit path and the put path to the same. store.cluster holds the cluster's routing, network and 2PC
    paths to allocating little beyond its Prism shards' own words.
    dpor.default counts words per explored class (192 ops and
    about 2.8k tie decisions): a DPOR decision allocates only the
@@ -625,6 +628,7 @@ let ceiling_keys =
     "store_prism_scan";
     "store_prism";
     "store_prism_miss";
+    "store_prism_hit";
     "store_cluster";
   ]
 

@@ -71,6 +71,58 @@ let art_index ~on_access =
     ki_bytes = (fun () -> Prism_index.Art.approx_bytes t);
   }
 
+(* One thread's scan buffers, replaced by a larger one when a scan
+   needs more room, so they grow to the largest scan the thread has run
+   (one op per thread at a time: [Epoch.pin] refuses a second). A scan
+   uses the first [n] cells of the per-binding arrays and the first
+   cells of the per-chunk ones, and leaves no key or value behind when
+   it returns. *)
+type scratch = {
+  mutable n : int; (* bindings the index walk has delivered *)
+  keys : string array;
+  ids : int array;
+  values : bytes array; (* empty until found *)
+  words : int array; (* a value's SSD slot word, or -1 *)
+  chain : int array; (* SVC entries admitted, in link order *)
+  pending : int array; (* bindings read from one storage *)
+  starts : int array; (* chunk groups of [pending], one longer *)
+  bucket : int array; (* per chunk group *)
+  submit_order : int array; (* chunk groups in submission order *)
+  handles : int array; (* read handles, in submission order *)
+  mutable requests : Io_uring.request array;
+      (* their requests; filled with the first one on first use *)
+  collect : string -> int -> unit; (* the index walk's callback *)
+}
+
+let scratch cap =
+  let keys = Array.make cap "" and ids = Array.make cap 0 in
+  let rec s =
+    {
+      n = 0;
+      keys;
+      ids;
+      values = Array.make cap Bytes.empty;
+      words = Array.make cap (-1);
+      chain = Array.make cap 0;
+      pending = Array.make cap 0;
+      starts = Array.make (cap + 1) 0;
+      bucket = Array.make cap 0;
+      submit_order = Array.make cap 0;
+      handles = Array.make cap 0;
+      requests = [||];
+      collect =
+        (fun k id ->
+          keys.(s.n) <- k;
+          ids.(s.n) <- id;
+          s.n <- s.n + 1);
+    }
+  in
+  s
+
+(* What a thread holds before its first scan: too small for any scan,
+   so never used. *)
+let no_scratch = scratch 0
+
 type t = {
   engine : Engine.t;
   cfg : Config.t;
@@ -89,6 +141,9 @@ type t = {
   ctr : op_counters;
   flush : float array; (* one cell: [charge_index]'s flush, unboxed *)
   free_hsit : int -> unit; (* [Hsit.free hsit], built once for [Epoch.retire] *)
+  scans : scratch array;
+      (* per thread id, as many as [epoch] has; [no_scratch] until the
+         thread's first scan *)
 }
 
 let stats t =
@@ -284,10 +339,8 @@ let create engine cfg =
     Hsit.create ~fault_skip_flush:cfg.Config.fault_skip_hsit_flush nvm
       ~capacity:cfg.Config.hsit_capacity
   in
-  let epoch =
-    Epoch.create
-      ~threads:(cfg.Config.threads + cfg.Config.num_value_storages + 2)
-  in
+  let threads = cfg.Config.threads + cfg.Config.num_value_storages + 2 in
+  let epoch = Epoch.create ~threads in
   let index_reads = ref 0 and index_writes = ref 0 in
   let on_access kind bytes =
     match kind with
@@ -377,6 +430,7 @@ let create engine cfg =
         };
       flush = [| 0.0 |];
       free_hsit = Hsit.free hsit;
+      scans = Array.make threads no_scratch;
     }
   in
   (match (svc, cfg.Config.scan_reorganize) with
@@ -643,9 +697,23 @@ let get t ~tid key =
 
 (* ---- scan (§4.4) ---- *)
 
-(* The SSD reads of the bindings [pending] (indices into [words], all on
-   storage [vs], ascending), one read handle per chunk, in submission
-   order.
+(* Whether SSD word [a] names a later (gen, chunk) than [b]. *)
+let chunk_after a b =
+  let ga = Location.vs_gen a and gb = Location.vs_gen b in
+  ga > gb || (ga = gb && Location.vs_chunk a > Location.vs_chunk b)
+
+(* Whether chunk group [a] is submitted before group [b]: the higher
+   bucket first, then the group whose last binding comes later. *)
+let submits_before s a b =
+  let ba = s.bucket.(a) and bb = s.bucket.(b) in
+  ba > bb
+  || ba = bb
+     && s.pending.(s.starts.(a + 1) - 1) > s.pending.(s.starts.(b + 1) - 1)
+
+(* The SSD reads of the bindings [s.pending.(0 .. len - 1)] (indices into
+   [s.words], all on storage [vs], ascending): one read per chunk, its
+   handle and request left in [s.handles] and [s.requests] in submission
+   order. Returns how many.
 
    Reads of one chunk share an entry, so values a previous scan's
    reorganization placed contiguously cost one IO for the whole run
@@ -655,79 +723,93 @@ let get t ~tid key =
    virtual time depends on it: descending bucket of [Hashtbl.hash (gen,
    chunk)] in a table of [16 * 2^k] buckets (the fewest holding the
    chunks at two per bucket), then the chunk whose last binding comes
-   later first. *)
-let chunk_reads t ~vs ~words ~values pending =
-  let w i = words.(i) in
-  Array.stable_sort
-    (fun a b ->
-      let c = Int.compare (Location.vs_gen (w a)) (Location.vs_gen (w b)) in
-      if c <> 0 then c
-      else Int.compare (Location.vs_chunk (w a)) (Location.vs_chunk (w b)))
-    pending;
+   later first. Both sorts are insertion sorts in place: the first is
+   stable and the second's order is total, so each has one result. *)
+let chunk_reads t ~vs s len =
+  let words = s.words and pending = s.pending and starts = s.starts in
+  for k = 1 to len - 1 do
+    let x = pending.(k) in
+    let j = ref (k - 1) in
+    while !j >= 0 && chunk_after words.(pending.(!j)) words.(x) do
+      pending.(!j + 1) <- pending.(!j);
+      decr j
+    done;
+    pending.(!j + 1) <- x
+  done;
   (* Runs of one chunk: [starts.(g) .. starts.(g + 1) - 1]. *)
-  let n = Array.length pending in
-  let starts = Array.make (n + 1) n in
   let groups = ref 0 in
-  for k = 0 to n - 1 do
+  for k = 0 to len - 1 do
     if
       k = 0
-      || Location.vs_chunk (w pending.(k)) <> Location.vs_chunk (w pending.(k - 1))
-      || Location.vs_gen (w pending.(k)) <> Location.vs_gen (w pending.(k - 1))
+      || Location.vs_chunk words.(pending.(k))
+         <> Location.vs_chunk words.(pending.(k - 1))
+      || Location.vs_gen words.(pending.(k))
+         <> Location.vs_gen words.(pending.(k - 1))
     then begin
       starts.(!groups) <- k;
       incr groups
     end
   done;
   let groups = !groups in
-  starts.(groups) <- n;
+  starts.(groups) <- len;
   let buckets = ref 16 in
   while groups > 2 * !buckets do
     buckets := 2 * !buckets
   done;
-  let bucket =
-    Array.init groups (fun g ->
-        let r = w pending.(starts.(g)) in
-        Hashtbl.hash (Location.vs_gen r, Location.vs_chunk r)
-        land (!buckets - 1))
-  in
-  let last g = pending.(starts.(g + 1) - 1) in
-  let submit_order = Array.init groups Fun.id in
-  Array.sort
-    (fun a b ->
-      if bucket.(a) <> bucket.(b) then Int.compare bucket.(b) bucket.(a)
-      else Int.compare (last b) (last a))
-    submit_order;
-  let handles = Array.make groups 0 and reads = ref 0 in
+  for g = 0 to groups - 1 do
+    let r = words.(pending.(starts.(g))) in
+    s.bucket.(g) <-
+      Hashtbl.hash (Location.vs_gen r, Location.vs_chunk r)
+      land (!buckets - 1)
+  done;
+  let order = s.submit_order in
+  for g = 0 to groups - 1 do
+    let j = ref (g - 1) in
+    while !j >= 0 && submits_before s g order.(!j) do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- g
+  done;
+  let storage = t.vss.(vs) and reads = ref 0 in
   for k = 0 to groups - 1 do
-    let g = submit_order.(k) in
-    let r = w pending.(starts.(g)) in
+    let g = order.(k) in
+    let r = words.(pending.(starts.(g))) in
     let h =
-      Value_storage.read_run t.vss.(vs) ~gen:(Location.vs_gen r)
-        ~chunk:(Location.vs_chunk r) ~words ~values ~order:pending
+      Value_storage.read_run storage ~gen:(Location.vs_gen r)
+        ~chunk:(Location.vs_chunk r) ~words ~values:s.values ~order:pending
         ~pos:starts.(g)
         ~len:(starts.(g + 1) - starts.(g))
     in
     if h >= 0 then begin
-      handles.(!reads) <- h;
+      let req = Value_storage.read_request storage h in
+      if Array.length s.requests < Array.length s.handles then
+        s.requests <- Array.make (Array.length s.handles) req;
+      s.handles.(!reads) <- h;
+      s.requests.(!reads) <- req;
       incr reads
     end
   done;
-  Array.sub handles 0 !reads
+  !reads
 
-let scan_pinned t key count =
+let scan_pinned t ~tid key count =
   (* The bindings, then each one's value (empty until found) and, for
-     a value on SSD, its slot's word (-1 otherwise): flat arrays, one
-     cell per binding. *)
-  let cap = max 0 (min count (t.index.ki_length ())) in
-  let keys = Array.make cap "" and ids = Array.make cap 0 in
-  let n = ref 0 in
-  t.index.ki_scan ~from:key ~count (fun k id ->
-      keys.(!n) <- k;
-      ids.(!n) <- id;
-      incr n);
+     a value on SSD, its slot's word (-1 otherwise): flat arrays in the
+     thread's scratch, one cell per binding. *)
+  let cap = max 1 (min count (t.index.ki_length ())) in
+  if Array.length t.scans.(tid).keys < cap then t.scans.(tid) <- scratch cap;
+  let s = t.scans.(tid) in
+  s.n <- 0;
+  t.index.ki_scan ~from:key ~count s.collect;
   charge_index t;
-  let n = !n in
-  let values = Array.make n Bytes.empty and words = Array.make n (-1) in
+  let n = s.n in
+  let keys = s.keys and ids = s.ids and values = s.values
+  and words = s.words in
+  (* A scan an exception cut short left its cells as they were. *)
+  for i = 0 to n - 1 do
+    values.(i) <- Bytes.empty;
+    words.(i) <- -1
+  done;
   let on_ssd = Array.make (Array.length t.vss) 0 in
   for i = 0 to n - 1 do
     let r =
@@ -741,50 +823,46 @@ let scan_pinned t key count =
     end
   done;
   (* Coalesce reads per storage and per chunk. *)
-  let pending_on vs =
-    let p = Array.make on_ssd.(vs) 0 and k = ref 0 in
-    for i = 0 to n - 1 do
-      if words.(i) >= 0 && Location.vs_id words.(i) = vs then begin
-        p.(!k) <- i;
-        incr k
-      end
-    done;
-    p
-  in
-  Array.iteri
-    (fun vs reads ->
-      if reads > 0 then begin
-        Metric.Counter.add t.ctr.c_vs_reads reads;
-        let storage = t.vss.(vs) in
-        let handles = chunk_reads t ~vs ~words ~values (pending_on vs) in
-        read_vs_many t ~vs
-          (Array.map (Value_storage.read_request storage) handles)
-          (Array.length handles);
-        Array.iter (Value_storage.release_read storage) handles
-      end)
-    on_ssd;
+  for vs = 0 to Array.length on_ssd - 1 do
+    let reads = on_ssd.(vs) in
+    if reads > 0 then begin
+      Metric.Counter.add t.ctr.c_vs_reads reads;
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        if words.(i) >= 0 && Location.vs_id words.(i) = vs then begin
+          s.pending.(!k) <- i;
+          incr k
+        end
+      done;
+      let storage = t.vss.(vs) in
+      let m = chunk_reads t ~vs s reads in
+      read_vs_many t ~vs s.requests m;
+      for k = 0 to m - 1 do
+        Value_storage.release_read storage s.handles.(k)
+      done
+    end
+  done;
   (* Admit fetched values, storage by storage and last binding first,
      and link the whole range into a scan chain so an eviction
      rewrites them contiguously (§4.4). *)
-  let chain = Array.make n 0 and linked = ref 0 in
-  Array.iteri
-    (fun vs reads ->
-      if reads > 0 then
-        for i = n - 1 downto 0 do
-          let r = words.(i) in
-          if r >= 0 && Location.vs_id r = vs && Bytes.length values.(i) > 0
-          then begin
-            let idx =
-              admit_to_svc t ~id:ids.(i) ~key:keys.(i) ~value:values.(i)
-                ~word:r
-            in
-            if idx >= 0 then begin
-              chain.(!linked) <- idx;
-              incr linked
-            end
+  let chain = s.chain and linked = ref 0 in
+  for vs = 0 to Array.length on_ssd - 1 do
+    if on_ssd.(vs) > 0 then
+      for i = n - 1 downto 0 do
+        let r = words.(i) in
+        if r >= 0 && Location.vs_id r = vs && Bytes.length values.(i) > 0
+        then begin
+          let idx =
+            admit_to_svc t ~id:ids.(i) ~key:keys.(i) ~value:values.(i)
+              ~word:r
+          in
+          if idx >= 0 then begin
+            chain.(!linked) <- idx;
+            incr linked
           end
-        done)
-    on_ssd;
+        end
+      done
+  done;
   (match t.svc with
   | Some svc when t.cfg.Config.scan_reorganize && !linked >= 2 ->
       Svc.link_chain svc chain !linked
@@ -809,14 +887,16 @@ let scan_pinned t key count =
   let items = ref [] in
   for i = n - 1 downto 0 do
     if Bytes.length values.(i) > 0 then
-      items := (keys.(i), values.(i)) :: !items
+      items := (keys.(i), values.(i)) :: !items;
+    keys.(i) <- "";
+    values.(i) <- Bytes.empty
   done;
   !items
 
 let scan t ~tid key count =
   Metric.Counter.incr t.ctr.c_scans;
   Epoch.pin t.epoch ~tid;
-  match scan_pinned t key count with
+  match scan_pinned t ~tid key count with
   | items ->
       Epoch.unpin t.epoch ~tid;
       items

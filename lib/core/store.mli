@@ -7,7 +7,12 @@
     configured read path (opportunistic thread combining by default).
 
     All operations must run inside a simulation process and carry the
-    calling thread's id (which selects its PWB and epoch slot). *)
+    calling thread's id (which selects its PWB, epoch slot and scan
+    buffers), one operation per thread id at a time.
+
+    The bytes {!get} and {!scan} return are shared with the store (a hit
+    returns the SVC's own bytes) and are read-only: the caller must not
+    mutate them. *)
 
 type t
 
@@ -39,7 +44,7 @@ val stats : t -> stats
     and smaller than half a PWB. *)
 val put : t -> tid:int -> string -> bytes -> unit
 
-(** [get t ~tid key] returns the current value. *)
+(** [get t ~tid key] returns the current value (read-only, see above). *)
 val get : t -> tid:int -> string -> bytes option
 
 (** [delete t ~tid key] removes the binding; returns whether it existed. *)
@@ -47,7 +52,9 @@ val delete : t -> tid:int -> string -> bool
 
 (** [scan t ~tid key count] returns up to [count] key-value pairs with
     keys [>= key] in order (§4.4 links the fetched values into an SVC scan
-    chain). *)
+    chain). Values are read-only, as {!get}'s are. The thread's scan
+    buffers are reused by its next scan; the returned list shares none
+    of them. *)
 val scan : t -> tid:int -> string -> int -> (string * bytes) list
 
 (** Number of live keys. *)

@@ -213,7 +213,7 @@ let lookup_value t ~idx ~hsit_id =
         e.referenced <- true;
         Sync.Mailbox.send t.mailbox (msg touch_msg idx)
       end;
-      Bytes.copy e.e_value
+      e.e_value
     end
   end
 
@@ -232,7 +232,7 @@ let admit_index t ~hsit_id ~key ~value ~from_ =
     let e = entry t idx in
     e.e_hsit <- hsit_id;
     e.e_key <- key;
-    e.e_value <- Bytes.copy value;
+    e.e_value <- value;
     e.e_from <- from_;
     e.e_state <- Live;
     e.e_lru <- No_list;
@@ -318,7 +318,7 @@ let in_pending e = e.e_state = Live && e.e_lru = No_list
 
 (* The live members of the chain starting at [head], in chain order.
    Their values go to the write-back as they are: an entry's value is
-   never mutated, and only copies of it leave through [lookup]. *)
+   never mutated, by the cache or by the readers [lookup] shares it with. *)
 let live_members t head =
   let rec count i n =
     if i < 0 then n

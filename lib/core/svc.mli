@@ -12,14 +12,19 @@
     to the [reorganize] callback, which rewrites the values contiguously
     into Value Storage to restore spatial locality for future scans.
 
+    Values are kept and served by reference: an entry holds the bytes it
+    was admitted with, and a hit returns those same bytes. No code mutates
+    a value once it has been put or read, so sharing them is safe; the
+    DRAM copy a real cache makes is charged in virtual time only.
+
     Freed entries are reclaimed through epochs: a concurrent reader that
-    resolved HSIT's SVC pointer just before eviction can still safely copy
+    resolved HSIT's SVC pointer just before eviction can still safely read
     the value. *)
 
 type t
 
 (** What the reorganize callback receives per chain member: the backward
-    pointer, key, cached value (the entry's own, not a copy), and the
+    pointer, key, cached value (the bytes readers are served), and the
     clean HSIT word of the Value-Storage location the value was cached
     from (used as the CAS expectation when repointing). *)
 type member = {
@@ -45,9 +50,10 @@ val set_reorganize : t -> (member array -> unit) -> unit
 (** Spawn the background manager process. *)
 val start_manager : t -> unit
 
-(** [lookup t ~idx ~hsit_id] copies the cached value if entry [idx] is
-    still live and bound to [hsit_id]; bumps its reference bit. Caller must
-    hold an epoch pin. Charges DRAM copy cost. *)
+(** [lookup t ~idx ~hsit_id] is the cached value if entry [idx] is still
+    live and bound to [hsit_id] (the entry's own bytes, read-only); bumps
+    its reference bit. Caller must hold an epoch pin. Charges the DRAM
+    copy cost a real cache pays. *)
 val lookup : t -> idx:int -> hsit_id:int -> bytes option
 
 (** [lookup_value t ~idx ~hsit_id] is {!lookup} with a miss as the empty
@@ -55,7 +61,8 @@ val lookup : t -> idx:int -> hsit_id:int -> bytes option
 val lookup_value : t -> idx:int -> hsit_id:int -> bytes
 
 (** [admit t ~hsit_id ~key ~value ~cached_from] inserts a value read from
-    Value Storage and publishes it via HSIT's SVC pointer (lock-free;
+    Value Storage, keeping [value] itself (the caller must not mutate it
+    afterwards), and publishes it via HSIT's SVC pointer (lock-free;
     loses gracefully to a concurrent admit). Returns the entry index when
     published. *)
 val admit :

@@ -14,12 +14,15 @@ type t = {
       (** registry prefix, [Prism_sim.Stats.sanitize name] *)
   put : tid:int -> string -> bytes -> unit;
   get : tid:int -> string -> bytes option;
+      (** the bytes may be shared with the store (its cache, memtable or
+          table): they are read-only, for every adapter *)
   delete : tid:int -> string -> bool;
       (** returns whether the key existed immediately before the delete's
           linearization point — every adapter reports it exactly (the LSM
           and SLM-DB stores decide existence atomically with their
           tombstone insert; see [Lsm_tree.remove_existed]). *)
   scan : tid:int -> string -> int -> (string * bytes) list;
+      (** the values are read-only, as [get]'s are *)
   quiesce : unit -> unit;
   recover : (unit -> unit) option;
       (** charge a full restart-recovery, when the system supports the

@@ -247,6 +247,38 @@ let test_svc_clear_drops_everything () =
       Alcotest.(check int) "no entries" 0 (Stats.get_int reg "svc.entries");
       Alcotest.(check int) "no bytes" 0 (Svc.used_bytes svc))
 
+(* Values are shared with the cache, not copied: an entry keeps the
+   bytes it was admitted with and a hit returns them. *)
+let admit_kept svc hsit value =
+  let id = Hsit.alloc hsit in
+  let idx =
+    Svc.admit_index svc ~hsit_id:id ~key:"k" ~value
+      ~from_:(Location.vs_word ~vs:0 ~gen:0 ~chunk:0 ~slot:0)
+  in
+  if idx < 0 then Alcotest.fail "admission failed";
+  (id, idx)
+
+let test_svc_admission_keeps_bytes () =
+  with_svc (fun _ hsit _ svc ->
+      let v = value ~size:100 7 in
+      let id, idx = admit_kept svc hsit v in
+      Alcotest.(check bool) "same bytes" true
+        (Svc.lookup_value svc ~idx ~hsit_id:id == v))
+
+let test_svc_hit_copies_nothing () =
+  with_svc ~capacity:(64 * 1024) (fun _ hsit _ svc ->
+      let v = Bytes.make 1024 'v' in
+      let id, idx = admit_kept svc hsit v in
+      ignore (Svc.lookup_value svc ~idx ~hsit_id:id : bytes);
+      let before = Gc.minor_words () in
+      let got = Svc.lookup_value svc ~idx ~hsit_id:id in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) "hit" 1024 (Bytes.length got);
+      (* A copy would be 129 words, in the minor heap (a value over 2 KiB
+         would go straight to the major heap, where this cannot see it). *)
+      if words >= 32.0 then
+        Alcotest.failf "a hit allocated %.0f words" words)
+
 let () =
   Alcotest.run "extras"
     [
@@ -274,5 +306,8 @@ let () =
           case "eviction" test_svc_eviction_under_capacity_pressure;
           case "chain reorganize" test_svc_chain_reorganize_callback;
           case "clear" test_svc_clear_drops_everything;
+          case "admission keeps the caller's bytes"
+            test_svc_admission_keeps_bytes;
+          case "a hit allocates no value copy" test_svc_hit_copies_nothing;
         ] );
     ]

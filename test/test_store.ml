@@ -823,6 +823,42 @@ let test_scan_read_order_pinned () =
         "second scan: read order" "0:15 0:19 0:18 0:17 0:16" order;
       Alcotest.(check string) "second scan: done at" "0x1.5fddd55bc6911p-6" t2)
 
+(* One thread's scans share its scratch buffers, which grow to the
+   largest scan seen: a short scan, a longer one that grows them, and one
+   asking for more keys than the index holds, all on one tid and mostly
+   read from SSD. Each result is the caller's own: the first scan's items
+   still name their keys and values after the later scans reused and
+   cleared the buffers. *)
+let test_scan_scratch_reuse () =
+  with_store (fun _ store ->
+      let n = 2000 in
+      for i = 0 to n - 1 do
+        Store.put store ~tid:(i mod 4) (key i) (value ~size:128 i)
+      done;
+      Store.quiesce store;
+      let check_range label from count items =
+        Alcotest.(check (list string))
+          (label ^ ": keys")
+          (List.init count (fun j -> key (from + j)))
+          (List.map fst items);
+        List.iteri
+          (fun j (_, v) ->
+            Alcotest.check bytes_eq (label ^ ": value")
+              (value ~size:128 (from + j))
+              v)
+          items
+      in
+      let short = Store.scan store ~tid:1 (key 10) 5 in
+      check_range "short" 10 5 short;
+      let longer = Store.scan store ~tid:1 (key 100) 400 in
+      check_range "longer" 100 400 longer;
+      let past_end = Store.scan store ~tid:1 (key 0) (n + 500) in
+      check_range "past the end" 0 n past_end;
+      check_range "short, after reuse" 10 5 short;
+      check_range "longer, after reuse" 100 400 longer;
+      Alcotest.(check bool) "read from SSD" true
+        ((Store.stats store).Store.vs_reads > 0))
+
 let test_hsit_capacity_exhaustion_is_loud () =
   let e = Engine.create () in
   let store =
@@ -1087,6 +1123,7 @@ let () =
           case "delete vs put churn" test_interleaved_delete_and_put;
           case "scan mixed residency" test_scan_mixed_residency;
           case "scan read order pinned" test_scan_read_order_pinned;
+          case "scan scratch reuse" test_scan_scratch_reuse;
           case "hsit exhaustion" test_hsit_capacity_exhaustion_is_loud;
           case "vs gc under pressure" test_vs_gc_under_pressure;
         ] );
